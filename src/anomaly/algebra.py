@@ -5,11 +5,18 @@ computation.  Every polynomial carries an even truncation degree and drops
 monomials above it, so all arithmetic happens in a truncated graded ring.
 Arithmetic between operands with different truncations truncates to the
 smaller one.
+
+Products run through one integer-numerator convolution, `_convolve`, shared
+with the two-variable series of `theta`: each operand is scaled to integer
+numerators over one common denominator, the numerators are multiplied and
+summed as ints, and one `Fraction` is built per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -32,7 +39,7 @@ class GeneratorTable:
     so that substitutions targeting cL^2 stay unambiguous.
     """
 
-    __slots__ = ("generators", "degrees", "_index")  # names derives from generators
+    __slots__ = ("generators", "degrees", "_index", "_degree_of")  # names derives from generators
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((str(name), int(degree)) for name, degree in generators)
@@ -49,6 +56,7 @@ class GeneratorTable:
         self.generators = gens
         self.degrees = tuple(degree for _, degree in gens)
         self._index = {name: i for i, (name, _) in enumerate(gens)}
+        self._degree_of: dict[tuple[int, ...], int] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -80,7 +88,11 @@ class GeneratorTable:
         return self.degrees[self.index(name)]
 
     def monomial_degree(self, expts: tuple[int, ...]) -> int:
-        return sum(e * d for e, d in zip(expts, self.degrees))
+        """Degree of an exponent tuple, memoized per table."""
+        degree = self._degree_of.get(expts)
+        if degree is None:
+            degree = self._degree_of[expts] = sum(map(mul, expts, self.degrees))
+        return degree
 
     def family_size(self, family: str) -> int:
         """Number of consecutive generators family1, family2, ... present."""
@@ -133,12 +145,116 @@ def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> Gene
     return GeneratorTable(gens)
 
 
+def _scaled_terms(terms: Mapping, grade) -> tuple[int, list]:
+    """`terms` over one common denominator, as `_convolve` input.
+
+    `grade(key)` returns the key's (grade, side grade).  Returns the
+    denominator and the `(grade, side, key, numerator)` list, sorted by grade.
+    """
+    den = lcm(*[c.denominator for c in terms.values()])
+    items = [
+        (g, side, key, c.numerator * (den // c.denominator))
+        for (g, side), (key, c) in zip(map(grade, terms), terms.items())
+    ]
+    items.sort(key=itemgetter(0))
+    return den, items
+
+
+def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
+    """Add the truncated product of two `_scaled_terms` lists into `acc`.
+
+    Keys are int tuples that add componentwise; `acc` maps keys to int sums of
+    numerator products, over the product of the two lists' denominators.  A
+    product whose grade exceeds `limit` or whose side grade exceeds
+    `side_limit` is dropped.  Both lists are sorted by grade, so each scan
+    stops at the first grade past the limit.
+    """
+    get = acc.get
+    for g1, s1, k1, n1 in left:
+        room = limit - g1
+        if room < 0:
+            break
+        side_room = side_limit - s1
+        if side_room < 0:
+            continue
+        for g2, s2, k2, n2 in right:
+            if g2 > room:
+                break
+            if s2 <= side_room:
+                key = tuple(map(add, k1, k2))
+                acc[key] = get(key, 0) + n1 * n2
+
+
+def _fractions(acc: dict, den: int) -> dict:
+    """The nonzero `_convolve` sums as Fractions over `den`."""
+    return {key: Fraction(value, den) for key, value in acc.items() if value}
+
+
+def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit: int = 0) -> dict:
+    """The truncated product of two key -> Fraction maps, as a new map.
+
+    `grade`, `limit` and `side_limit` are as for `_scaled_terms` and
+    `_convolve`.
+    """
+    den1, left = _scaled_terms(a_terms, grade)
+    den2, right = _scaled_terms(b_terms, grade)
+    acc: dict = {}
+    _convolve(acc, left, right, limit, side_limit)
+    return _fractions(acc, den1 * den2)
+
+
+def _weight_recurrence(a_terms: Mapping, b0: dict, top: int, divisor, grade, limit: int, side_limit: int = 0) -> dict:
+    """Solve a series b weight by weight through `_convolve`.
+
+    Keys are graded by `grade(key) -> (grade, side grade)` and weighted by
+    grade + side grade.  `a_terms` is scaled to integer numerators A over its
+    common denominator D, and for w = 1..top the weight-w part of b is
+
+        b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, D),
+
+    the power-series recurrence of Brent and Kung ("Fast algorithms for
+    manipulating formal power series", J. ACM 1978) behind inverse and exp.
+    `b0` is the weight-0 part.  Each solved b_w is kept over its own common
+    denominator, so every b_w is summed in ints and turned into Fractions
+    once.  Returns all of b as one key -> Fraction dict.
+    """
+    den, items = _scaled_terms(a_terms, grade)
+    a: dict[int, list] = {}
+    for item in items:
+        weight = item[0] + item[1]
+        if weight:
+            a.setdefault(weight, []).append(item)
+    b = dict(b0)
+    solved = {0: _scaled_terms(b0, grade)}
+    for w in range(1, top + 1):
+        parts = [(av, solved[w - v]) for v, av in a.items() if w - v in solved]
+        if not parts:
+            continue
+        common = lcm(*[bden for _, (bden, _) in parts])
+        acc: dict = {}
+        for av, (bden, bu) in parts:
+            scale = common // bden
+            left = av if scale == 1 else [(g, side, key, num * scale) for g, side, key, num in av]
+            _convolve(acc, left, bu, limit, side_limit)
+        bucket = _fractions(acc, divisor(w, den) * common)
+        if bucket:
+            b.update(bucket)
+            solved[w] = _scaled_terms(bucket, grade)
+    return b
+
+
 class GradedPoly:
     """Truncated polynomial with Fraction coefficients over a GeneratorTable.
 
     Terms are keyed by exponent tuples parallel to the table; zero
     coefficients and terms above the truncation degree are never stored.
     Instances are treated as immutable.
+
+    The public constructor validates and cleans its input.  Arithmetic
+    results go through `_make` instead, which trusts that the invariants
+    already hold.  Products use the integer-numerator kernel (`_multiply`
+    over `_convolve`), with both operands sorted by degree so each scan
+    stops at the truncation.
     """
 
     __slots__ = ("table", "truncation", "terms")
@@ -161,6 +277,20 @@ class GradedPoly:
                 if table.monomial_degree(expts) <= truncation:
                     clean[expts] = coeff
         self.terms = clean
+
+    @classmethod
+    def _make(cls, table: GeneratorTable, truncation: int, terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
+        """Trusted constructor for arithmetic results; checks nothing.
+
+        The caller guarantees a nonnegative even int truncation, exponent
+        tuples of the table's length, nonzero Fraction coefficients and no
+        term above the truncation.  `terms` is stored, not copied.
+        """
+        poly = object.__new__(cls)
+        poly.table = table
+        poly.truncation = truncation
+        poly.terms = terms
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -189,23 +319,40 @@ class GradedPoly:
             raise ValueError("polynomials live over different generator tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.constant(self.table, self.truncation, other)
-        self._check_table(other)
-        trunc = min(self.truncation, other.truncation)
         terms = dict(self.terms)
+        if isinstance(other, (int, Fraction)):
+            unit = (0,) * len(self.table)
+            value = terms.get(unit, _ZERO) + other
+            if value:
+                terms[unit] = value
+            else:
+                terms.pop(unit, None)
+            return GradedPoly._make(self.table, self.truncation, terms)
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        self._check_table(other)
         for expts, coeff in other.terms.items():
-            terms[expts] = terms.get(expts, _ZERO) + coeff
-        return GradedPoly(self.table, trunc, terms)
+            value = terms.get(expts)
+            if value is None:
+                terms[expts] = coeff
+                continue
+            value += coeff
+            if value:
+                terms[expts] = value
+            else:
+                del terms[expts]
+        trunc = min(self.truncation, other.truncation)
+        if trunc < max(self.truncation, other.truncation):
+            degree = self.table.monomial_degree
+            terms = {e: c for e, c in terms.items() if degree(e) <= trunc}
+        return GradedPoly._make(self.table, trunc, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.table, self.truncation, {e: -c for e, c in self.terms.items()})
+        return GradedPoly._make(self.table, self.truncation, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.constant(self.table, self.truncation, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -213,23 +360,15 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return GradedPoly(self.table, self.truncation, {e: c * v for e, v in self.terms.items()})
+            terms = {e: other * v for e, v in self.terms.items()} if other else {}
+            return GradedPoly._make(self.table, self.truncation, terms)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_table(other)
         trunc = min(self.truncation, other.truncation)
         degree = self.table.monomial_degree
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            d1 = degree(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + degree(e2) > trunc:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return GradedPoly(self.table, trunc, out)
+        terms = _multiply(self.terms, other.terms, lambda expts: (degree(expts), 0), trunc)
+        return GradedPoly._make(self.table, trunc, terms)
 
     __rmul__ = __mul__
 
@@ -280,14 +419,17 @@ class GradedPoly:
 
     def homogeneous_component(self, d: int) -> "GradedPoly":
         degree = self.table.monomial_degree
-        return GradedPoly(self.table, self.truncation, {e: c for e, c in self.terms.items() if degree(e) == d})
+        return GradedPoly._make(self.table, self.truncation, {e: c for e, c in self.terms.items() if degree(e) == d})
 
     def degrees_present(self) -> list[int]:
         degree = self.table.monomial_degree
         return sorted({degree(e) for e in self.terms})
 
     def truncate(self, truncation: int) -> "GradedPoly":
-        return GradedPoly(self.table, min(self.truncation, truncation), self.terms)
+        """The polynomial truncated to `truncation`; itself if that lowers nothing."""
+        if truncation >= self.truncation:
+            return self
+        return GradedPoly(self.table, truncation, self.terms)
 
     # -- substitution ------------------------------------------------------
 
@@ -315,7 +457,7 @@ class GradedPoly:
             if cache[i] is None:
                 name = self.table.generators[i][0]
                 if name in images:
-                    cache[i] = GradedPoly(target, trunc, images[name].terms)
+                    cache[i] = images[name].truncate(trunc)
                 else:
                     cache[i] = GradedPoly.generator(target, name, trunc)
             return cache[i]

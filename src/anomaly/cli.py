@@ -173,7 +173,7 @@ def _cmd_evaluate(args) -> int:
     try:
         data = ManifoldData.from_json(raw)
         report = evaluate_report(data)
-    except (json.JSONDecodeError, ManifoldDataError, ValueError, KeyError) as err:
+    except (json.JSONDecodeError, ManifoldDataError) as err:
         print(f"anomaly: bad manifold data: {err}", file=sys.stderr)
         return 4
     ok = all(row["balanced"] for row in report["identities"]) and all(row["ok"] for row in report["checks"])

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import GeneratorTable, GradedPoly, as_rational
+from .algebra import GeneratorTable, GradedPoly, _weight_recurrence, as_rational
 
 
 class RingMismatchError(TypeError):
@@ -300,14 +300,6 @@ class QHalfSeries:
         return f"QHalfSeries({self.render()})"
 
 
-def qseries_mul(a: QHalfSeries, b: QHalfSeries) -> QHalfSeries:
-    return a * b
-
-
-def qseries_inv(a: QHalfSeries) -> QHalfSeries:
-    return a.inverse()
-
-
 def tau_shift_half(a: QHalfSeries) -> QHalfSeries:
     return a.tau_shift_half()
 
@@ -317,7 +309,9 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight-by-weight through the derivation W(f) = sum of weights.
+    Solved weight-by-weight through the derivation W(f) = sum of weights:
+    w * f_w = sum_v W(x)_v * f_(w-v), on the integer-numerator kernel with
+    the terms keyed by (j2, *exponents).
     """
     ring = x.ring
     if not isinstance(ring, PolyRing):
@@ -326,48 +320,27 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
     if q0 is not None and q0.constant_term:
         raise ValueError("qseries_exp needs a zero constant term at q^0")
 
-    degree = ring.table.monomial_degree
-    # theta(x): each (monomial, q-power) term scaled by its weight.
-    theta: dict[int, dict[tuple[int, tuple[int, ...]], Fraction]] = {}
-    max_w = 0
-    for j2, poly in x.coeffs.items():
-        for expts, coeff in poly.terms.items():
-            w = degree(expts) + j2
-            if w == 0:
-                continue
-            theta.setdefault(w, {})[(j2, expts)] = coeff * w
-            max_w = max(max_w, w)
+    table = ring.table
+    degree = table.monomial_degree
 
-    unit_key = (0, (0,) * len(ring.table))
-    buckets: dict[int, dict[tuple[int, tuple[int, ...]], Fraction]] = {0: {unit_key: Fraction(1)}}
-    limit = ring.truncation + 2 * x.cap
-    for w in range(1, limit + 1):
-        acc: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for v in range(1, min(w, max_w) + 1):
-            g = theta.get(v)
-            f = buckets.get(w - v)
-            if not g or not f:
-                continue
-            for (j2a, ea), ca in g.items():
-                for (j2b, eb), cb in f.items():
-                    j2 = j2a + j2b
-                    if j2 > 2 * x.cap:
-                        continue
-                    expts = tuple(p + r for p, r in zip(ea, eb))
-                    if degree(expts) > ring.truncation:
-                        continue
-                    key = (j2, expts)
-                    prod = ca * cb
-                    acc[key] = acc[key] + prod if key in acc else prod
-        if acc:
-            buckets[w] = {key: value / w for key, value in acc.items() if value}
+    def grade(key):
+        return degree(key[1:]), key[0]
 
+    # W(x): each (q-power, monomial) term scaled by its weight.
+    theta = {
+        (j2, *expts): coeff * (degree(expts) + j2)
+        for j2, poly in x.coeffs.items()
+        for expts, coeff in poly.terms.items()
+    }
+    unit = (0,) * (len(table) + 1)
+    terms = _weight_recurrence(
+        theta, {unit: Fraction(1)}, ring.truncation + 2 * x.cap,
+        lambda w, den: w * den, grade, ring.truncation, 2 * x.cap,
+    )
     out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for bucket in buckets.values():
-        for (j2, expts), coeff in bucket.items():
-            slot = out.setdefault(j2, {})
-            slot[expts] = slot[expts] + coeff if expts in slot else coeff
-    return QHalfSeries(ring, x.cap, {j2: GradedPoly(ring.table, ring.truncation, terms) for j2, terms in out.items()})
+    for key, coeff in terms.items():
+        out.setdefault(key[0], {})[key[1:]] = coeff
+    return QHalfSeries(ring, x.cap, {j2: GradedPoly._make(table, ring.truncation, poly) for j2, poly in out.items()})
 
 
 def _sigma(k: int, n: int) -> int:

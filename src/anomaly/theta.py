@@ -14,8 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _multiply, _weight_recurrence, power_sum_in_pontryagin
 from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, qseries_exp
+
+
+def _tv_grade(key: tuple[int, int]) -> tuple[int, int]:
+    """`_convolve` grades of t^n q^(j2/2): the doubled q-exponent, then n."""
+    return key[1], key[0]
 
 
 class TwoVarSeries:
@@ -23,6 +28,13 @@ class TwoVarSeries:
 
     t-powers run up to tcap, doubled q-exponents up to 2*cap.  Instances are
     treated as immutable.
+
+    As with GradedPoly, the public constructor validates its input and
+    arithmetic results go through `_make`, which trusts that no coefficient
+    is zero and no term lies past either cap.  Products and the inverse run
+    on the integer-numerator kernel of `algebra` (`_multiply` and
+    `_weight_recurrence`), graded by the doubled q-exponent with the t-power
+    as side grade.
     """
 
     __slots__ = ("tcap", "cap", "coeffs")
@@ -45,6 +57,20 @@ class TwoVarSeries:
                 if value:
                     clean[(n, j2)] = value
         self.coeffs = clean
+
+    @classmethod
+    def _make(cls, tcap: int, cap: int, coeffs: dict[tuple[int, int], Fraction]) -> "TwoVarSeries":
+        """Trusted constructor for arithmetic results; checks nothing.
+
+        The caller guarantees nonnegative int caps, nonzero Fraction
+        coefficients and no key (n, j2) with n > tcap or j2 > 2*cap.
+        `coeffs` is stored, not copied.
+        """
+        series = object.__new__(cls)
+        series.tcap = tcap
+        series.cap = cap
+        series.coeffs = coeffs
+        return series
 
     @classmethod
     def zero(cls, tcap, cap):
@@ -76,68 +102,44 @@ class TwoVarSeries:
         coeffs = dict(self.coeffs)
         for key, value in other.coeffs.items():
             coeffs[key] = coeffs[key] + value if key in coeffs else value
-        return TwoVarSeries(tcap, cap, coeffs)
+        kept = {(n, j2): c for (n, j2), c in coeffs.items() if c and n <= tcap and j2 <= 2 * cap}
+        return TwoVarSeries._make(tcap, cap, kept)
 
     def __neg__(self):
-        return TwoVarSeries(self.tcap, self.cap, {k: -v for k, v in self.coeffs.items()})
+        return TwoVarSeries._make(self.tcap, self.cap, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return TwoVarSeries(self.tcap, self.cap, {k: c * v for k, v in self.coeffs.items()})
+            coeffs = {k: other * v for k, v in self.coeffs.items()} if other else {}
+            return TwoVarSeries._make(self.tcap, self.cap, coeffs)
         tcap = min(self.tcap, other.tcap)
         cap = min(self.cap, other.cap)
-        out = {}
-        for (n1, j1), c1 in self.coeffs.items():
-            for (n2, j2), c2 in other.coeffs.items():
-                n, j = n1 + n2, j1 + j2
-                if n > tcap or j > 2 * cap:
-                    continue
-                key = (n, j)
-                prod = c1 * c2
-                out[key] = out[key] + prod if key in out else prod
-        return TwoVarSeries(tcap, cap, out)
+        return TwoVarSeries._make(tcap, cap, _multiply(self.coeffs, other.coeffs, _tv_grade, 2 * cap, tcap))
 
     __rmul__ = __mul__
 
-    # weight(n, j2) = n + j2 grades the maximal ideal; nilpotence bounds below.
-
-    def _weight_buckets(self):
-        buckets: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (n, j2), value in self.coeffs.items():
-            buckets.setdefault(n + j2, {})[(n, j2)] = value
-        return buckets
-
     def inverse(self) -> "TwoVarSeries":
+        """Multiplicative inverse, solved weight by weight.
+
+        weight(n, j2) = n + j2 grades the maximal ideal, so the weight-w part
+        of b = a^(-1) is b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v).
+        """
         lead = self.coeffs.get((0, 0))
         if not lead:
             raise NonUnitError("cannot invert: zero constant coefficient")
-        lead_inv = 1 / lead
-        rest = self._weight_buckets()
-        rest.pop(0, None)
-        out = {0: {(0, 0): lead_inv}}
-        for w in range(1, self.tcap + 2 * self.cap + 1):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for v, gv in rest.items():
-                if v > w or (w - v) not in out:
-                    continue
-                for (n1, j1), c1 in gv.items():
-                    for (n2, j2), c2 in out[w - v].items():
-                        n, j = n1 + n2, j1 + j2
-                        if n > self.tcap or j > 2 * self.cap:
-                            continue
-                        key = (n, j)
-                        prod = c1 * c2
-                        acc[key] = acc[key] + prod if key in acc else prod
-            if acc:
-                out[w] = {key: -lead_inv * value for key, value in acc.items() if value}
-        coeffs = {}
-        for bucket in out.values():
-            coeffs.update(bucket)
-        return TwoVarSeries(self.tcap, self.cap, coeffs)
+        coeffs = _weight_recurrence(
+            self.coeffs,
+            {(0, 0): 1 / lead},
+            self.tcap + 2 * self.cap,
+            lambda w, den: -lead.numerator * (den // lead.denominator),
+            _tv_grade,
+            2 * self.cap,
+            self.tcap,
+        )
+        return TwoVarSeries._make(self.tcap, self.cap, coeffs)
 
     def log(self) -> "TwoVarSeries":
         """Logarithm of a series with constant coefficient 1.
@@ -147,13 +149,15 @@ class TwoVarSeries:
         """
         if self.coeffs.get((0, 0)) != 1:
             raise ValueError("log needs constant coefficient 1")
-        theta = TwoVarSeries(self.tcap, self.cap, {(n, j2): (n + j2) * c for (n, j2), c in self.coeffs.items()})
+        theta = TwoVarSeries._make(
+            self.tcap, self.cap, {(n, j2): (n + j2) * c for (n, j2), c in self.coeffs.items() if n + j2}
+        )
         prod = theta * self.inverse()
-        return TwoVarSeries(self.tcap, self.cap, {(n, j2): c / (n + j2) for (n, j2), c in prod.coeffs.items()})
+        return TwoVarSeries._make(self.tcap, self.cap, {(n, j2): c / (n + j2) for (n, j2), c in prod.coeffs.items()})
 
     def tau_shift_half(self) -> "TwoVarSeries":
         """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""
-        return TwoVarSeries(self.tcap, self.cap, {(n, j2): (-c if j2 % 2 else c) for (n, j2), c in self.coeffs.items()})
+        return TwoVarSeries._make(self.tcap, self.cap, {(n, j2): (-c if j2 % 2 else c) for (n, j2), c in self.coeffs.items()})
 
     def t_parities(self) -> set[int]:
         return {n % 2 for (n, _), _ in self.coeffs.items()}
@@ -325,6 +329,7 @@ def symmetric_quotient_product(
     lg = quotient.log()
     ring = PolyRing(table, truncation)
     exponent: dict[int, GradedPoly] = {}
+    power_sums: dict[int, GradedPoly] = {}
     for (n, j2), value in lg.coeffs.items():
         if n == 0:
             raise ValueError("quotient is not normalized: log has a pure q term")
@@ -333,7 +338,9 @@ def symmetric_quotient_product(
         m = n // 2
         if 4 * m > truncation:
             continue
-        s = power_sum_in_pontryagin(table, family, m, truncation) * value
+        if m not in power_sums:
+            power_sums[m] = power_sum_in_pontryagin(table, family, m, truncation)
+        s = power_sums[m] * value
         exponent[j2] = exponent[j2] + s if j2 in exponent else s
     return qseries_exp(QHalfSeries(ring, cap, exponent))
 

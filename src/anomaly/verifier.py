@@ -145,6 +145,24 @@ def impose_condition(x, case: str):
     return x.substitute({"pX1": image})
 
 
+def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
+    """The first (q-power, monomial) at which the two routes differ, with both values.
+
+    q-powers ascend by doubled exponent; within one, monomials follow the
+    render order (degree, then exponents).
+    """
+    for j2 in sorted(set(bundle.coeffs) | set(theta.coeffs)):
+        a, b = bundle.coefficient(j2), theta.coefficient(j2)
+        degree = a.table.monomial_degree
+        for expts in sorted(set(a.terms) | set(b.terms), key=lambda e: (degree(e), e)):
+            va, vb = a.terms.get(expts, Fraction(0)), b.terms.get(expts, Fraction(0))
+            if va != vb:
+                power = f"q^{j2 // 2}" if j2 % 2 == 0 else f"q^({j2}/2)"
+                mono = a.table.monomial_string(expts) or "1"
+                return f"first difference at {power}, monomial {mono}: bundle route {va}, theta route {vb}"
+    return "no coefficient differs; the series differ in ring or q-cap"
+
+
 def assemble_Q(spec: CaseSpec) -> QHalfSeries:
     """The top-degree q-expansion of the case integrand.
 
@@ -164,7 +182,7 @@ def assemble_Q(spec: CaseSpec) -> QHalfSeries:
             )
             raise RouteMismatchError(
                 f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
-                f"at doubled q-exponents {bad}"
+                f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
             )
         series = other if series is None else series
     top = series.map_coefficients(lambda p: p.homogeneous_component(spec.dim))
@@ -622,7 +640,10 @@ def evaluate_report(data: ManifoldData) -> dict:
     dim = data.dim
     table = pontryagin_table(dim, line=case == "spinc_l")
     for key in data.numbers:
-        table.parse_monomial(key)  # validates generator names
+        try:
+            table.parse_monomial(key)  # validates generator names and exponents
+        except (KeyError, ValueError) as err:
+            raise ManifoldDataError(f"bad monomial {key!r}: {err.args[0]}") from None
     ahat = ahat_form(table, dim)
     headline = [("Â-genus", top_component(ahat, dim))]
     if case == "spin":

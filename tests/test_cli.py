@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
 
+import anomaly.verifier as verifier
 from anomaly.cli import main
 
 HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}}'
@@ -33,6 +35,13 @@ class TestVerify:
         assert len(payload["cases"]) == 12
         ids = [row["id"] for case in payload["cases"] for row in case["identities"]]
         assert len(ids) == 26
+
+    def test_order3_json_matches_the_seed_engine(self, capsys):
+        """Speed-ups must leave the report byte-identical to the seed engine's."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "b853379feb2a294652f16489cd102590df4569cfa06a99218a67b8c13d03dd34"
 
     def test_json_runs_are_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")
@@ -169,6 +178,33 @@ class TestEvaluate:
     def test_unreadable_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "evaluate", "--input", str(tmp_path / "absent.json"))
         assert code == 4
+
+    def test_unknown_generator_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 8, "numbers": {"pY1^2": "4", "pX2": "7"}}', encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert "unknown generator 'pY1'" in err
+
+    def test_bad_exponent_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 8, "numbers": {"pX1^0": "4", "pX2": "7"}}', encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert "bad manifold data" in err
+
+    def test_engine_fault_is_not_bad_input(self, capsys, tmp_path, monkeypatch):
+        """A ValueError raised by the engine propagates with its traceback."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(verifier, "ahat_form", broken)
+        path = tmp_path / "hp2.json"
+        path.write_text(HP2_JSON, encoding="utf-8")
+        with pytest.raises(ValueError, match="engine fault"):
+            main(["evaluate", "--input", str(path)])
+        assert "bad manifold data" not in capsys.readouterr().err
 
     def test_failed_divisibility_exits_1(self, capsys, tmp_path):
         path = tmp_path / "off.json"

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import anomaly.verifier as verifier
+from anomaly.algebra import GradedPoly
+from anomaly.qseries import QHalfSeries
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -14,6 +17,7 @@ from anomaly.verifier import (
     ManifoldData,
     ManifoldDataError,
     NonIntegralSolveError,
+    RouteMismatchError,
     UnknownIdentityError,
     assemble_Q,
     bundle_route_integrand,
@@ -75,6 +79,55 @@ class TestRoutesAndFits:
         fit = eisenstein_fit(assemble_Q(spec), spec.weight)
         assert fit.passed
         assert not fit.lam.is_zero()
+
+
+def perturb_theta_route(monkeypatch, edits):
+    """Make the theta route add `delta` to each (doubled q-exponent, monomial)."""
+    original = verifier.theta_route_integrand
+
+    def perturbed(spec):
+        series = original(spec)
+        coeffs = dict(series.coeffs)
+        for j2, monomial, delta in edits:
+            poly = coeffs[j2]
+            bump = {poly.table.parse_monomial(monomial): delta}
+            coeffs[j2] = poly + GradedPoly(poly.table, poly.truncation, bump)
+        return QHalfSeries(series.ring, series.cap, coeffs)
+
+    monkeypatch.setattr(verifier, "theta_route_integrand", perturbed)
+
+
+class TestRouteMismatch:
+    SPEC = CaseSpec("spin", 8, 1)
+
+    def test_message_names_the_differing_coefficient(self, monkeypatch):
+        before = bundle_route_integrand(self.SPEC).coefficient(2).coefficient("pX2")
+        perturb_theta_route(monkeypatch, [(2, "pX2", Fraction(1, 7))])
+        with pytest.raises(RouteMismatchError) as exc:
+            assemble_Q(self.SPEC)
+        message = str(exc.value)
+        assert "at doubled q-exponents [2]" in message
+        assert (
+            f"first difference at q^1, monomial pX2: bundle route {before}, "
+            f"theta route {before + Fraction(1, 7)}"
+        ) in message
+
+    def test_first_difference_follows_q_then_render_order(self, monkeypatch):
+        perturb_theta_route(
+            monkeypatch,
+            [(2, "pX1^2", Fraction(1)), (0, "pX2", Fraction(1)), (2, "pX1", Fraction(1)), (0, "pX1^2", Fraction(1))],
+        )
+        with pytest.raises(RouteMismatchError) as exc:
+            assemble_Q(self.SPEC)
+        assert "at doubled q-exponents [0, 2]" in str(exc.value)
+        # render order: degree first, then exponent tuples, so pX2 = (0, 1) before pX1^2 = (2, 0)
+        assert "first difference at q^0, monomial pX2:" in str(exc.value)
+
+    def test_run_case_reports_the_mismatch(self, monkeypatch):
+        perturb_theta_route(monkeypatch, [(2, "pX1", Fraction(-3, 2))])
+        report = run_case(self.SPEC)
+        assert not report.route_ok and not report.passed
+        assert "first difference at q^1, monomial pX1:" in report.route_detail
 
 
 class TestConditionMatters:
