@@ -10,6 +10,13 @@ Products run through one integer-numerator convolution, `_convolve`, shared
 with the two-variable series of `theta`: each operand is scaled to integer
 numerators over one common denominator, the numerators are multiplied and
 summed as ints, and one `Fraction` is built per output term.
+
+exp, log and inverse each have one implementation, `_exp`, `_log` and
+`_inverse`, over key -> Fraction maps graded like `_convolve` input.  They
+solve the weight-by-weight recurrences of `_weight_recurrence` and back
+`exp_truncated`/`log_truncated` here, `TwoVarSeries.inverse`/`log` in
+`theta`, `qseries_exp` in `qseries` and the genus log-coefficients in
+`genera`.
 """
 
 from __future__ import annotations
@@ -203,12 +210,13 @@ def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit:
     return _fractions(acc, den1 * den2)
 
 
-def _weight_recurrence(a_terms: Mapping, b0: dict, top: int, divisor, grade, limit: int, side_limit: int = 0) -> dict:
+def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, side_limit: int = 0) -> dict:
     """Solve a series b weight by weight through `_convolve`.
 
     Keys are graded by `grade(key) -> (grade, side grade)` and weighted by
     grade + side grade.  `a_terms` is scaled to integer numerators A over its
-    common denominator D, and for w = 1..top the weight-w part of b is
+    common denominator D, and for w = 1..limit + side_limit the weight-w part
+    of b is
 
         b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, D),
 
@@ -226,7 +234,7 @@ def _weight_recurrence(a_terms: Mapping, b0: dict, top: int, divisor, grade, lim
             a.setdefault(weight, []).append(item)
     b = dict(b0)
     solved = {0: _scaled_terms(b0, grade)}
-    for w in range(1, top + 1):
+    for w in range(1, limit + side_limit + 1):
         parts = [(av, solved[w - v]) for v, av in a.items() if w - v in solved]
         if not parts:
             continue
@@ -241,6 +249,43 @@ def _weight_recurrence(a_terms: Mapping, b0: dict, top: int, divisor, grade, lim
             b.update(bucket)
             solved[w] = _scaled_terms(bucket, grade)
     return b
+
+
+# exp, log and inverse of key -> Fraction maps.  `grade`, `limit` and
+# `side_limit` are as for `_convolve`; `unit` is the key of the constant term.
+# The callers check the constant term: these helpers trust it.
+
+
+def _euler(terms: Mapping, grade) -> dict:
+    """The Euler operator E: each term scaled by its weight, grade + side grade."""
+    scaled = {}
+    for key, c in terms.items():
+        weight = sum(grade(key))
+        if weight:
+            scaled[key] = c * weight
+    return scaled
+
+
+def _exp(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+    """exp(x) for x with no weight-0 term: w * f_w = sum_v E(x)_v * f_(w-v)."""
+    return _weight_recurrence(
+        _euler(terms, grade), {unit: Fraction(1)}, lambda w, den: w * den, grade, limit, side_limit
+    )
+
+
+def _inverse(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+    """a^(-1) for a nonzero constant a_0: b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v)."""
+    lead = terms[unit]
+    return _weight_recurrence(
+        terms, {unit: 1 / lead}, lambda w, den: -lead.numerator * (den // lead.denominator), grade, limit, side_limit
+    )
+
+
+def _log(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+    """log(a) for a_0 = 1, by the Euler-operator identity w * log(a)_w = (E(a) * a^(-1))_w."""
+    inverse = _inverse(terms, unit, grade, limit, side_limit)
+    product = _multiply(_euler(terms, grade), inverse, grade, limit, side_limit)
+    return {key: c / sum(grade(key)) for key, c in product.items()}
 
 
 class GradedPoly:
@@ -540,32 +585,23 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     return sums[m - 1]
 
 
+def _series_map(kernel, x: GradedPoly) -> GradedPoly:
+    """Apply an exp/log kernel to a polynomial, graded by degree."""
+    degree = x.table.monomial_degree
+    unit = (0,) * len(x.table)
+    terms = kernel(x.terms, unit, lambda expts: (degree(expts), 0), x.truncation)
+    return GradedPoly._make(x.table, x.truncation, terms)
+
+
 def exp_truncated(x: GradedPoly) -> GradedPoly:
     """exp of a polynomial with zero constant term (nilpotent under truncation)."""
     if x.constant_term:
         raise ValueError("exp_truncated needs a zero constant term")
-    result = GradedPoly.one(x.table, x.truncation)
-    term = result
-    n = 1
-    while True:
-        term = term * x / n
-        if term.is_zero():
-            return result
-        result = result + term
-        n += 1
+    return _series_map(_exp, x)
 
 
 def log_truncated(x: GradedPoly) -> GradedPoly:
     """log of a polynomial with constant term 1."""
     if x.constant_term != 1:
         raise ValueError("log_truncated needs constant term 1")
-    y = x - 1
-    result = GradedPoly.zero(x.table, x.truncation)
-    term = GradedPoly.one(x.table, x.truncation)
-    n = 1
-    while True:
-        term = term * y
-        if term.is_zero():
-            return result
-        result = result + (term / n if (n - 1) % 2 == 0 else term / -n)
-        n += 1
+    return _series_map(_log, x)

@@ -1,5 +1,6 @@
 """Virtual bundles presented by their Chern character, with Adams, exterior
-and symmetric power operations, and q-series with virtual-bundle coefficients.
+and symmetric power operations, and the Chern characters of the theta-power
+q-series built from them.
 
 A virtual bundle is an integer rank plus the reduced (rank-free) part of its
 Chern character, a graded polynomial with zero constant term.  All operations
@@ -196,116 +197,40 @@ def line_real_complexification(table: GeneratorTable, truncation: int) -> Virtua
     return VirtualBundle(table, truncation, 2, reduced)
 
 
-# -- q-series of bundles -------------------------------------------------------
-
-
-class BundleQSeries:
-    """Finite q-expansion with VirtualBundle coefficients, doubled exponents."""
-
-    __slots__ = ("table", "truncation", "cap", "coeffs")
-
-    def __init__(self, table: GeneratorTable, truncation: int, cap: int, coeffs=None):
-        self.table = table
-        self.truncation = int(truncation)
-        self.cap = int(cap)
-        clean = {}
-        if coeffs:
-            for j2, bundle in coeffs.items():
-                j2 = int(j2)
-                if j2 < 0:
-                    raise ValueError("negative q-exponent")
-                if j2 > 2 * self.cap or bundle.is_zero():
-                    continue
-                if bundle.table != table:
-                    raise ValueError("bundle coefficient over a different generator table")
-                clean[j2] = bundle
-        self.coeffs = clean
-
-    @classmethod
-    def one(cls, table, truncation, cap):
-        return cls(table, truncation, cap, {0: VirtualBundle.trivial(table, truncation, 1)})
-
-    def coefficient(self, j2: int) -> VirtualBundle:
-        return self.coeffs.get(int(j2), VirtualBundle.zero(self.table, self.truncation))
-
-    def coefficient_q(self, n: int) -> VirtualBundle:
-        return self.coefficient(2 * n)
-
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for j2, bundle in other.coeffs.items():
-            coeffs[j2] = coeffs[j2] + bundle if j2 in coeffs else bundle
-        return BundleQSeries(self.table, min(self.truncation, other.truncation), min(self.cap, other.cap), coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BundleQSeries(self.table, self.truncation, self.cap, {j2: b * other for j2, b in self.coeffs.items()})
-        cap = min(self.cap, other.cap)
-        out = {}
-        for j1, b1 in self.coeffs.items():
-            for j2, b2 in other.coeffs.items():
-                j = j1 + j2
-                if j > 2 * cap:
-                    continue
-                prod = b1 * b2
-                out[j] = out[j] + prod if j in out else prod
-        return BundleQSeries(self.table, min(self.truncation, other.truncation), cap, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BundleQSeries)
-            and self.table == other.table
-            and self.truncation == other.truncation
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def tau_shift_half(self) -> "BundleQSeries":
-        return BundleQSeries(
-            self.table, self.truncation, self.cap,
-            {j2: (b * -1 if j2 % 2 else b) for j2, b in self.coeffs.items()},
-        )
-
-    def ch_series(self) -> QHalfSeries:
-        """Apply the Chern character coefficientwise."""
-        ring = PolyRing(self.table, self.truncation)
-        return QHalfSeries(ring, self.cap, {j2: b.ch() for j2, b in self.coeffs.items()})
-
-    def __repr__(self):
-        inner = ", ".join(f"q^({j2}/2): {self.coeffs[j2]!r}" for j2 in sorted(self.coeffs))
-        return f"BundleQSeries({inner})"
+# -- q-series of Chern characters ---------------------------------------------
 
 
 THETA_KINDS = ("theta1", "theta2", "theta3", "thetaV", "thetaL")
 
 
-def _sym_factor(W: VirtualBundle, n: int, cap: int) -> BundleQSeries:
-    """S_{q^n}(W) = sum_k S^k(W) q^(nk)."""
+def _sym_factor(W: VirtualBundle, n: int, cap: int) -> QHalfSeries:
+    """ch S_{q^n}(W) = sum_k ch S^k(W) q^(nk)."""
     coeffs = {}
     k = 0
     while n * k <= cap:
-        coeffs[2 * n * k] = W.sym_power(k)
+        coeffs[2 * n * k] = W.sym_power(k).ch()
         k += 1
-    return BundleQSeries(W.table, W.truncation, cap, coeffs)
+    return QHalfSeries(PolyRing(W.table, W.truncation), cap, coeffs)
 
 
-def _lam_factor(W: VirtualBundle, step2: int, sign: int, cap: int) -> BundleQSeries:
-    """Lambda_{sign*q^(step2/2)}(W) = sum_k lam^k(W) sign^k q^(k*step2/2)."""
+def _lam_factor(W: VirtualBundle, step2: int, sign: int, cap: int) -> QHalfSeries:
+    """ch Lambda_{sign*q^(step2/2)}(W) = sum_k ch lam^k(W) sign^k q^(k*step2/2)."""
     coeffs = {}
     k = 0
     while k * step2 <= 2 * cap:
-        bundle = W.lambda_power(k)
-        coeffs[k * step2] = bundle if sign > 0 or k % 2 == 0 else bundle * -1
+        ch = W.lambda_power(k).ch()
+        coeffs[k * step2] = ch if sign > 0 or k % 2 == 0 else -ch
         k += 1
-    return BundleQSeries(W.table, W.truncation, cap, coeffs)
+    return QHalfSeries(PolyRing(W.table, W.truncation), cap, coeffs)
 
 
-def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, cap: int = 3) -> BundleQSeries:
-    """Tensor-product q-series of exterior/symmetric powers of the reduced inputs.
+def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, cap: int = 3) -> QHalfSeries:
+    """Chern character of a tensor-product q-series of exterior/symmetric
+    powers of the reduced inputs, over PolyRing(table, truncation of TX).
+
+    The powers come from the lambda-ring recursions of VirtualBundle; since ch
+    is a ring homomorphism, the tensor products are taken as products of
+    their Chern characters.
 
     theta1: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(T~)
     theta2: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^(m-1/2)}(T~)
@@ -325,7 +250,7 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
         raise ValueError("q-cap must be nonnegative")
 
     T = TX.reduce()
-    out = BundleQSeries.one(TX.table, T.truncation, cap)
+    out = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)
     for n in range(1, cap + 1):
         out = out * _sym_factor(T, n, cap)
     if kind == "theta1":

@@ -148,7 +148,7 @@ def _cmd_expand(args) -> int:
             return _usage_error("--dim must be a positive multiple of 4 for bundle-valued series")
         table = pontryagin_table(args.dim)
         TX = tangent_complexification(table, args.dim)
-        text = theta_series(name[:-3], TX, cap=order).ch_series().render()
+        text = theta_series(name[:-3], TX, cap=order).render()
     elif name == "Ahat":
         if args.dim % 4 or args.dim < 4:
             return _usage_error("--dim must be a positive multiple of 4 for Ahat")

@@ -14,43 +14,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, exp_truncated, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _log, exp_truncated, power_sum_in_pontryagin
 
 # Even univariate series are plain coefficient lists: a[m] multiplies t^(2m).
 
 
-def _even_mul(a: list[Fraction], b: list[Fraction], M: int) -> list[Fraction]:
-    out = [Fraction(0)] * (M + 1)
-    for i, ai in enumerate(a[: M + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: M + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _even_inv(a: list[Fraction], M: int) -> list[Fraction]:
-    if not a or not a[0]:
-        raise ZeroDivisionError("even series with zero constant term")
-    lead = 1 / a[0]
-    out = [lead] + [Fraction(0)] * M
-    for m in range(1, M + 1):
-        acc = Fraction(0)
-        for v in range(1, m + 1):
-            if v < len(a):
-                acc += a[v] * out[m - v]
-        out[m] = -lead * acc
-    return out
-
-
-def _even_log(a: list[Fraction], M: int) -> list[Fraction]:
-    if not a or a[0] != 1:
-        raise ValueError("even series log needs constant term 1")
-    inv = _even_inv(a, M)
-    # Euler-operator identity: m * log(a)_m = (theta(a) * a^(-1))_m.
-    theta = [m * (a[m] if m < len(a) else Fraction(0)) for m in range(M + 1)]
-    prod = _even_mul(theta, inv, M)
-    return [Fraction(0)] + [prod[m] / m for m in range(1, M + 1)]
+def _log_coeffs(a: list[Fraction]) -> tuple[Fraction, ...]:
+    """log a(t) for a[0] = 1, as its coefficients of t^(2m) for m = 1..len(a)-1."""
+    M = len(a) - 1
+    log = _log({(m,): c for m, c in enumerate(a)}, (0,), lambda key: (key[0], 0), M)
+    return tuple(log.get((m,), Fraction(0)) for m in range(1, M + 1))
 
 
 def _half_sinh_ratio(M: int) -> list[Fraction]:
@@ -75,25 +48,19 @@ class GenusSeries:
 @lru_cache(maxsize=None)
 def ahat_genus(truncation: int) -> GenusSeries:
     """Root factor (t/2)/sinh(t/2)."""
-    M = truncation // 4
-    log = _even_log(_even_inv(_half_sinh_ratio(M), M), M)
-    return GenusSeries("ahat", tuple(log[1:]), Fraction(1))
+    return GenusSeries("ahat", tuple(-c for c in _log_coeffs(_half_sinh_ratio(truncation // 4))), Fraction(1))
 
 
 @lru_cache(maxsize=None)
 def spinor_genus(truncation: int) -> GenusSeries:
     """Root factor 2*cosh(t/2): the Chern character of the full spinor bundle."""
-    M = truncation // 4
-    log = _even_log(_half_cosh(M), M)
-    return GenusSeries("spinor", tuple(log[1:]), Fraction(2))
+    return GenusSeries("spinor", _log_coeffs(_half_cosh(truncation // 4)), Fraction(2))
 
 
 @lru_cache(maxsize=None)
 def cosh_genus(truncation: int) -> GenusSeries:
     """Root factor cosh(t/2)."""
-    M = truncation // 4
-    log = _even_log(_half_cosh(M), M)
-    return GenusSeries("cosh_half", tuple(log[1:]), Fraction(1))
+    return GenusSeries("cosh_half", _log_coeffs(_half_cosh(truncation // 4)), Fraction(1))
 
 
 def multiplicative_genus_eval(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import GeneratorTable, GradedPoly, _weight_recurrence, as_rational
+from .algebra import GeneratorTable, GradedPoly, _exp, as_rational
 
 
 class RingMismatchError(TypeError):
@@ -37,11 +37,6 @@ class RationalRing:
 
     def is_zero(self, value) -> bool:
         return not value
-
-    def invert(self, value):
-        if not value:
-            raise NonUnitError("cannot invert zero")
-        return 1 / value
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -75,21 +70,6 @@ class PolyRing:
 
     def is_zero(self, value) -> bool:
         return value.is_zero()
-
-    def invert(self, value):
-        # Unit iff the constant term is nonzero; the rest is nilpotent.
-        c = value.constant_term
-        if not c:
-            raise NonUnitError("cannot invert a polynomial with zero constant term")
-        rest = value / c - 1
-        acc = GradedPoly.one(self.table, value.truncation)
-        term = acc
-        while True:
-            term = term * rest
-            if term.is_zero():
-                return acc / c
-            acc = acc - term
-            term = -term
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.table == other.table and self.truncation == other.truncation
@@ -228,23 +208,6 @@ class QHalfSeries:
             result = result * self
         return result
 
-    def inverse(self) -> "QHalfSeries":
-        """Multiplicative inverse; needs a unit q^0 coefficient."""
-        lead = self.coeffs.get(0)
-        if lead is None:
-            raise NonUnitError("cannot invert a q-series with no q^0 term")
-        lead_inv = self.ring.invert(lead)
-        out = {0: lead_inv}
-        for j in range(1, 2 * self.cap + 1):
-            acc = None
-            for v, c in self.coeffs.items():
-                if 0 < v <= j and (j - v) in out:
-                    prod = c * out[j - v]
-                    acc = prod if acc is None else acc + prod
-            if acc is not None and not self.ring.is_zero(acc):
-                out[j] = -(lead_inv * acc)
-        return QHalfSeries(self.ring, self.cap, out)
-
     # -- structure maps ------------------------------------------------------
 
     def tau_shift_half(self) -> "QHalfSeries":
@@ -309,9 +272,8 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight-by-weight through the derivation W(f) = sum of weights:
-    w * f_w = sum_v W(x)_v * f_(w-v), on the integer-numerator kernel with
-    the terms keyed by (j2, *exponents).
+    Solved weight by weight by `algebra._exp`, with the terms keyed by
+    (j2, *exponents).
     """
     ring = x.ring
     if not isinstance(ring, PolyRing):
@@ -322,20 +284,12 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     table = ring.table
     degree = table.monomial_degree
-
-    def grade(key):
-        return degree(key[1:]), key[0]
-
-    # W(x): each (q-power, monomial) term scaled by its weight.
-    theta = {
-        (j2, *expts): coeff * (degree(expts) + j2)
-        for j2, poly in x.coeffs.items()
-        for expts, coeff in poly.terms.items()
-    }
-    unit = (0,) * (len(table) + 1)
-    terms = _weight_recurrence(
-        theta, {unit: Fraction(1)}, ring.truncation + 2 * x.cap,
-        lambda w, den: w * den, grade, ring.truncation, 2 * x.cap,
+    terms = _exp(
+        {(j2, *expts): coeff for j2, poly in x.coeffs.items() for expts, coeff in poly.terms.items()},
+        (0,) * (len(table) + 1),
+        lambda key: (degree(key[1:]), key[0]),
+        ring.truncation,
+        2 * x.cap,
     )
     out: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for key, coeff in terms.items():

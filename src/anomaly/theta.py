@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, _multiply, _weight_recurrence, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _inverse, _log, _multiply, power_sum_in_pontryagin
 from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, qseries_exp
 
 
@@ -31,9 +31,9 @@ class TwoVarSeries:
 
     As with GradedPoly, the public constructor validates its input and
     arithmetic results go through `_make`, which trusts that no coefficient
-    is zero and no term lies past either cap.  Products and the inverse run
-    on the integer-numerator kernel of `algebra` (`_multiply` and
-    `_weight_recurrence`), graded by the doubled q-exponent with the t-power
+    is zero and no term lies past either cap.  Products, the inverse and the
+    logarithm run on the integer-numerator kernel of `algebra` (`_multiply`,
+    `_inverse` and `_log`), graded by the doubled q-exponent with the t-power
     as side grade.
     """
 
@@ -122,38 +122,18 @@ class TwoVarSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TwoVarSeries":
-        """Multiplicative inverse, solved weight by weight.
-
-        weight(n, j2) = n + j2 grades the maximal ideal, so the weight-w part
-        of b = a^(-1) is b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v).
-        """
-        lead = self.coeffs.get((0, 0))
-        if not lead:
+        """Multiplicative inverse, solved weight by weight (`algebra._inverse`)."""
+        if not self.coeffs.get((0, 0)):
             raise NonUnitError("cannot invert: zero constant coefficient")
-        coeffs = _weight_recurrence(
-            self.coeffs,
-            {(0, 0): 1 / lead},
-            self.tcap + 2 * self.cap,
-            lambda w, den: -lead.numerator * (den // lead.denominator),
-            _tv_grade,
-            2 * self.cap,
-            self.tcap,
-        )
+        coeffs = _inverse(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
         return TwoVarSeries._make(self.tcap, self.cap, coeffs)
 
     def log(self) -> "TwoVarSeries":
-        """Logarithm of a series with constant coefficient 1.
-
-        Uses the Euler-operator identity w * log(a)_w = (theta(a) * a^(-1))_w
-        where theta scales each term by its weight.
-        """
+        """Logarithm of a series with constant coefficient 1 (`algebra._log`)."""
         if self.coeffs.get((0, 0)) != 1:
             raise ValueError("log needs constant coefficient 1")
-        theta = TwoVarSeries._make(
-            self.tcap, self.cap, {(n, j2): (n + j2) * c for (n, j2), c in self.coeffs.items() if n + j2}
-        )
-        prod = theta * self.inverse()
-        return TwoVarSeries._make(self.tcap, self.cap, {(n, j2): c / (n + j2) for (n, j2), c in prod.coeffs.items()})
+        coeffs = _log(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
+        return TwoVarSeries._make(self.tcap, self.cap, coeffs)
 
     def tau_shift_half(self) -> "TwoVarSeries":
         """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""

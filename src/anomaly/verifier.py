@@ -66,6 +66,11 @@ CASES = ("spin", "spin_v", "spinc_l")
 CASE_DIMS = {"spin": (8, 12, 16, 20), "spin_v": (8, 12, 16, 20), "spinc_l": (10, 14, 18, 22)}
 
 
+def case_weight(case: str, dim: int) -> int:
+    """Modular weight of a case's integrand: dim/2, or (dim-2)/2 for spinc_l."""
+    return dim // 2 if case != "spinc_l" else (dim - 2) // 2
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """One verification case: geometric setting, dimension, caps and route."""
@@ -88,7 +93,7 @@ class CaseSpec:
 
     @property
     def weight(self) -> int:
-        return self.dim // 2 if self.case != "spinc_l" else (self.dim - 2) // 2
+        return case_weight(self.case, self.dim)
 
     def table(self) -> GeneratorTable:
         return pontryagin_table(self.dim, aux=self.case == "spin_v", line=self.case == "spinc_l")
@@ -105,16 +110,16 @@ def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
     ahat = ahat_form(table, dim)
     if spec.case == "spin":
         delta = spinor_ch(table, dim)
-        s1 = theta_series("theta1", TX, cap=cap).ch_series().scale(ahat * delta)
-        t23 = theta_series("theta2", TX, cap=cap).ch_series() + theta_series("theta3", TX, cap=cap).ch_series()
+        s1 = theta_series("theta1", TX, cap=cap).scale(ahat * delta)
+        t23 = theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
         return s1 + t23.scale(ahat * (2 ** (dim // 2)))
     if spec.case == "spin_v":
         V = aux_complexification(table, dim)
         factor = ahat * aux_bundle_factor(table, "detcosh_V", dim)
-        return theta_series("thetaV", TX, V, cap=cap).ch_series().scale(factor)
+        return theta_series("thetaV", TX, V, cap=cap).scale(factor)
     L = line_real_complexification(table, dim)
     factor = ahat * aux_bundle_factor(table, "sinh_half_c", dim)
-    return theta_series("thetaL", TX, L, cap=cap).ch_series().scale(factor)
+    return theta_series("thetaL", TX, L, cap=cap).scale(factor)
 
 
 def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
@@ -191,6 +196,9 @@ def assemble_Q(spec: CaseSpec) -> QHalfSeries:
     return top
 
 
+INSUFFICIENT_ORDER = "insufficient order: no q-coefficient compared"
+
+
 @dataclass
 class FitResult:
     """Outcome of fitting a top-degree q-expansion against a basis form."""
@@ -200,8 +208,16 @@ class FitResult:
     residual: QHalfSeries
 
     @property
+    def compared(self) -> int:
+        """q-coefficients checked against the form: q^1..q^cap (q^0 fixes lam)."""
+        return self.residual.cap
+
+    @property
     def passed(self) -> bool:
-        return self.residual.is_zero()
+        return self.compared > 0 and self.residual.is_zero()
+
+    def render_residual(self) -> str:
+        return self.residual.render() if self.compared else INSUFFICIENT_ORDER
 
 
 def eisenstein_fit(q_top: QHalfSeries, weight: int) -> FitResult:
@@ -299,7 +315,7 @@ class IdentityEntry:
 
     @property
     def weight(self) -> int:
-        return self.dim // 2 if self.case != "spinc_l" else (self.dim - 2) // 2
+        return case_weight(self.case, self.dim)
 
 
 @dataclass(frozen=True)
@@ -427,7 +443,6 @@ def index_relation_forms(
     *,
     e_const: int | None = None,
     extract: int | None = None,
-    lhs_sector: int | None = None,
     rhs_sector: int | None = None,
     with_forms: bool = True,
 ):
@@ -448,7 +463,6 @@ def index_relation_forms(
     if entry.case == "spin":
         table = pontryagin_table(dim)
         sector = 2 ** (dim // 2 + 1)
-        ls = sector if lhs_sector is None else lhs_sector
         rs = sector if rhs_sector is None else rhs_sector
         ahat = ahat_form(table, dim) if with_forms else None
         delta = spinor_ch(table, dim) if with_forms else None
@@ -463,7 +477,7 @@ def index_relation_forms(
         plain_label = f"ind(D{_OX}({_render_combo(_SPIN_PLAIN[qp], _V)}))"
         terms = [
             (delta_coeff, delta_label, _top(ahat * delta * _build_combo(delta_combo, bundles).ch()) if with_forms else None),
-            (ls, plain_label, _top(ahat * _build_combo(_SPIN_PLAIN[qp], bundles).ch()) if with_forms else None),
+            (sector, plain_label, _top(ahat * _build_combo(_SPIN_PLAIN[qp], bundles).ch()) if with_forms else None),
             (-e, f"ind(D{_OX}{_DELTA})", _top(ahat * delta) if with_forms else None),
             (-e * rs, "ind(D)", _top(ahat) if with_forms else None),
         ]
@@ -522,7 +536,7 @@ def _entry(ident: str) -> IdentityEntry:
 def verify_identity(ident: str, **overrides) -> IdentityResult:
     """Rebuild the stated identity from its bundle combination and check it.
 
-    Accepts override keywords (e_const, extract, lhs_sector, rhs_sector) so
+    Accepts override keywords (e_const, extract, rhs_sector) so
     the uncorrected printed statements can be run as negative controls.
     """
     entry = _entry(ident)
@@ -726,7 +740,7 @@ def run_case(spec: CaseSpec) -> CaseReport:
         fit = eisenstein_fit(q_top, spec.weight)
         lam_text = fit.lam.render()
         fit_ok = fit.passed
-        fit_residual = fit.residual.render()
+        fit_residual = fit.render_residual()
     else:
         lam_text, fit_ok, fit_residual = "", False, "route mismatch"
 

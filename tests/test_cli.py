@@ -48,6 +48,16 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")
         assert out1 == out2
 
+    def test_order_zero_is_not_a_fit_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "0", "--format", "json")
+        assert code == 1
+        (case,) = json.loads(out)["cases"]
+        assert case["fit_ok"] is False
+        assert case["fit_residual"] == "insufficient order: no q-coefficient compared"
+        code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "1")
+        assert code == 0
+        assert "residual = 0: ok" in out
+
     def test_single_route(self, capsys):
         code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "12", "--order", "2", "--route", "bundle")
         assert code == 0

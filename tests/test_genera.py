@@ -29,6 +29,27 @@ def taylor_inverse(series, order):
     return inv
 
 
+def taylor_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def taylor_log(series, order):
+    """log(1 + y) = sum_k (-1)^(k-1) y^k / k with y = series - 1."""
+    assert series[0] == 1
+    y = [Fraction(0)] + list(series[1 : order + 1])
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for k in range(1, order + 1):
+        power = taylor_mul(power, y, order)
+        for m in range(order + 1):
+            out[m] += Fraction((-1) ** (k - 1), k) * power[m]
+    return out
+
+
 def sinh_ratio(order):
     # sinh(t/2)/(t/2) = sum_m t^(2m) / (4^m (2m+1)!)
     out = []
@@ -85,6 +106,15 @@ class TestGenusData:
         assert g.log_coeffs[0] == Fraction(-1, 24)
         assert g.log_coeffs[1] == Fraction(1, 2880)
         assert g.multiplier == 1
+
+    @pytest.mark.parametrize("truncation", range(0, 33, 2))
+    def test_log_coefficients_match_taylor_log(self, truncation):
+        order = truncation // 4
+        ahat = taylor_log(taylor_inverse(sinh_ratio(order), order), order)
+        cosh = taylor_log(cosh_half(order), order)
+        assert ahat_genus(truncation).log_coeffs == tuple(ahat[1:])
+        assert spinor_genus(truncation).log_coeffs == tuple(cosh[1:])
+        assert cosh_genus(truncation).log_coeffs == tuple(cosh[1:])
 
     def test_spinor_multiplier(self):
         assert spinor_genus(8).multiplier == 2

@@ -1,8 +1,8 @@
 """Property tests: the integer-numerator kernels against naive references.
 
-GradedPoly and TwoVarSeries arithmetic, TwoVarSeries.inverse/log and
-qseries_exp are checked against convolutions and power series written out
-here term by term in Fraction arithmetic.
+GradedPoly and TwoVarSeries arithmetic, TwoVarSeries.inverse/log,
+exp_truncated/log_truncated and qseries_exp are checked against convolutions
+and power series written out here term by term in Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomaly.algebra import GeneratorTable, GradedPoly
-from anomaly.qseries import PolyRing, QHalfSeries, qseries_exp
+from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, log_truncated
+from anomaly.qseries import NonUnitError, PolyRing, QHalfSeries, qseries_exp
 from anomaly.theta import TwoVarSeries
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -197,6 +197,82 @@ class TestTwoVarSeriesKernel:
         a = data.draw(series(*tcap_cap, unit=True))
         b = data.draw(series(*tcap_cap, unit=True))
         assert (a * b).log() == a.log() + b.log()
+
+    def test_inverse_rejects_zero_constant(self):
+        a = TwoVarSeries(4, 2, {(1, 0): Fraction(1), (0, 2): Fraction(3)})
+        with pytest.raises(NonUnitError):
+            a.inverse()
+
+    def test_log_rejects_constant_other_than_one(self):
+        for lead in (0, 2, Fraction(1, 2)):
+            a = TwoVarSeries(4, 2, {(0, 0): Fraction(lead), (2, 0): Fraction(1)})
+            with pytest.raises(ValueError):
+                a.log()
+
+
+# -- exp_truncated / log_truncated ---------------------------------------------------
+
+
+@st.composite
+def line_tables(draw):
+    """Tables with the degree-2 class cL next to up to two other generators."""
+    degrees = draw(st.lists(st.sampled_from([4, 6]), max_size=2))
+    return GeneratorTable([("cL", 2)] + [(f"g{i}", d) for i, d in enumerate(degrees, 1)])
+
+
+@st.composite
+def nilpotent_polys(draw):
+    """A polynomial with zero constant term over a table with cL."""
+    table = draw(line_tables())
+    terms = draw(term_dicts(table))
+    terms.pop((0,) * len(table), None)
+    return GradedPoly(table, draw(truncations), terms)
+
+
+def naive_exp_poly(x):
+    """sum_k x^k / k!, stopping at the first zero power."""
+    result = GradedPoly.one(x.table, x.truncation)
+    power = result
+    k = 1
+    while True:
+        power = power * x / k
+        if power.is_zero():
+            return result
+        result = result + power
+        k += 1
+
+
+def naive_log_poly(x):
+    """sum_k (-1)^(k-1) y^k / k with y = x - 1, stopping at the first zero power."""
+    y = x - 1
+    result = GradedPoly.zero(x.table, x.truncation)
+    power = GradedPoly.one(x.table, x.truncation)
+    k = 1
+    while True:
+        power = power * y
+        if power.is_zero():
+            return result
+        result = result + power * Fraction((-1) ** (k - 1), k)
+        k += 1
+
+
+class TestExpLogKernel:
+    @SETTINGS
+    @given(nilpotent_polys())
+    def test_exp_matches_power_series(self, x):
+        result = exp_truncated(x)
+        assert result.truncation == x.truncation
+        assert result.terms == naive_exp_poly(x).terms
+        assert_poly_invariants(result)
+
+    @SETTINGS
+    @given(nilpotent_polys())
+    def test_log_matches_power_series(self, y):
+        x = 1 + y
+        result = log_truncated(x)
+        assert result.truncation == x.truncation
+        assert result.terms == naive_log_poly(x).terms
+        assert_poly_invariants(result)
 
 
 # -- qseries_exp -------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from anomaly.algebra import GradedPoly, pontryagin_table
 from anomaly.qseries import (
-    NonUnitError,
     PolyRing,
     QHalfSeries,
     RATIONALS,
@@ -19,9 +18,9 @@ from anomaly.qseries import (
 )
 
 
-def random_series(rng, cap, *, unit=False):
-    s = QHalfSeries.one(RATIONALS, cap) if unit else QHalfSeries.zero(RATIONALS, cap)
-    for j2 in range(0 if not unit else 1, 2 * cap + 1):
+def random_series(rng, cap):
+    s = QHalfSeries.zero(RATIONALS, cap)
+    for j2 in range(2 * cap + 1):
         if rng.random() < 0.6:
             s = s + QHalfSeries.q_power(RATIONALS, cap, j2, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
     return s
@@ -37,23 +36,6 @@ class TestRationalSeries:
         one_minus = QHalfSeries.one(RATIONALS, 3) - QHalfSeries.q_power(RATIONALS, 3, 2)
         prod = one_plus * one_minus
         assert prod == QHalfSeries.one(RATIONALS, 3) - QHalfSeries.q_power(RATIONALS, 3, 4)
-
-    def test_geometric_inverse(self):
-        s = QHalfSeries.one(RATIONALS, 5) - QHalfSeries.q_power(RATIONALS, 5, 2)
-        inv = s.inverse()
-        for n in range(6):
-            assert inv.coefficient_q(n) == 1
-
-    def test_inverse_round_trip_randomized(self):
-        rng = random.Random(31415)
-        for _ in range(10):
-            s = random_series(rng, 4, unit=True)
-            assert s * s.inverse() == QHalfSeries.one(RATIONALS, 4)
-
-    def test_non_unit_rejected(self):
-        s = QHalfSeries.q_power(RATIONALS, 3, 2)
-        with pytest.raises(NonUnitError):
-            s.inverse()
 
     def test_half_power_bookkeeping(self):
         s = QHalfSeries.q_power(RATIONALS, 3, 1)  # q^(1/2)
@@ -89,22 +71,6 @@ class TestPolynomialCoefficients:
         with pytest.raises(RingMismatchError, match="promotion"):
             a + b
         assert a.promote(ring) + b == b + b
-
-    def test_poly_ring_inversion(self):
-        table = pontryagin_table(8)
-        ring = PolyRing(table, 8)
-        p1 = GradedPoly.generator(table, "pX1", 8)
-        x = ring.one() + p1
-        assert x * ring.invert(x) == ring.one()
-        with pytest.raises(NonUnitError):
-            ring.invert(p1)
-
-    def test_series_inverse_with_poly_coefficients(self):
-        table = pontryagin_table(8)
-        ring = PolyRing(table, 8)
-        p1 = GradedPoly.generator(table, "pX1", 8)
-        s = QHalfSeries.one(ring, 3) + QHalfSeries.q_power(ring, 3, 2, p1)
-        assert s * s.inverse() == QHalfSeries.one(ring, 3)
 
     def test_qseries_exp_homomorphism(self):
         table = pontryagin_table(8)

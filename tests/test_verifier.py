@@ -21,6 +21,7 @@ from anomaly.verifier import (
     UnknownIdentityError,
     assemble_Q,
     bundle_route_integrand,
+    case_weight,
     corollaries_for,
     corollary_modulus,
     divisibility_modulus,
@@ -62,6 +63,11 @@ class TestCaseSpec:
         assert CaseSpec("spinc_l", 10).weight == 4
         assert CaseSpec("spinc_l", 22).weight == 10
 
+    def test_entry_weights_use_the_case_formula(self):
+        for entry in IDENTITIES.values():
+            assert entry.weight == case_weight(entry.case, entry.dim)
+        assert case_weight("spin_v_line", 16) == 8
+
     def test_tables(self):
         assert "pV1" in CaseSpec("spin_v", 8).table()
         assert "cL" in CaseSpec("spinc_l", 10).table()
@@ -79,6 +85,27 @@ class TestRoutesAndFits:
         fit = eisenstein_fit(assemble_Q(spec), spec.weight)
         assert fit.passed
         assert not fit.lam.is_zero()
+
+
+class TestInsufficientOrder:
+    @pytest.mark.parametrize("case,dim", [("spin", 8), ("spin_v", 12), ("spinc_l", 10)])
+    def test_order_zero_fit_compares_nothing_and_fails(self, case, dim):
+        fit = eisenstein_fit(assemble_Q(CaseSpec(case, dim, 0)), case_weight(case, dim))
+        assert fit.compared == 0
+        assert fit.residual.is_zero()
+        assert not fit.passed
+
+    def test_order_zero_report(self):
+        report = run_case(CaseSpec("spin", 8, 0))
+        assert report.route_ok
+        assert not report.fit_ok
+        assert report.fit_residual == "insufficient order: no q-coefficient compared"
+        assert not report.passed
+
+    def test_order_one_compares_one_coefficient(self):
+        fit = eisenstein_fit(assemble_Q(CaseSpec("spin", 8, 1)), 4)
+        assert fit.compared == 1
+        assert fit.passed
 
 
 def perturb_theta_route(monkeypatch, edits):
