@@ -7,9 +7,12 @@ Arithmetic between operands with different truncations truncates to the
 smaller one.
 
 Products run through one integer-numerator convolution, `_convolve`, shared
-with the two-variable series of `theta`: each operand is scaled to integer
-numerators over one common denominator, the numerators are multiplied and
-summed as ints, and one `Fraction` is built per output term.
+with the two-variable series of `theta` and the q-series of `qseries`: each
+operand is scaled to integer numerators over one common denominator, the
+numerators are multiplied and summed as ints, and one `Fraction` is built per
+output term.  A q-series product is one `_multiply` over flat
+(j2, *exponents) keys, graded by degree with the doubled q-exponent as side
+grade.
 
 exp, log and inverse each have one implementation, `_exp`, `_log` and
 `_inverse`, over key -> Fraction maps graded like `_convolve` input.  They
@@ -483,6 +486,7 @@ class GradedPoly:
 
         All image polynomials must share one generator table, which becomes
         the table of the result; unmapped generators must exist there by name.
+        Each power of an image is built once per call.
         """
         target = None
         for poly in images.values():
@@ -507,12 +511,22 @@ class GradedPoly:
                     cache[i] = GradedPoly.generator(target, name, trunc)
             return cache[i]
 
+        powers: dict[tuple[int, int], GradedPoly] = {}
+
+        def power_of(i: int, e: int) -> GradedPoly:
+            """image_of(i) ** e, each (i, e) built once per call."""
+            power = powers.get((i, e))
+            if power is None:
+                power = image_of(i) if e == 1 else power_of(i, e - 1) * image_of(i)
+                powers[(i, e)] = power
+            return power
+
         acc = GradedPoly.zero(target, trunc)
         for expts, coeff in self.terms.items():
             term = GradedPoly.constant(target, trunc, coeff)
             for i, e in enumerate(expts):
                 if e:
-                    term = term * image_of(i) ** e
+                    term = term * power_of(i, e)
                     if term.is_zero():
                         break
             acc = acc + term

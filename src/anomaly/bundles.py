@@ -20,7 +20,7 @@ from .qseries import PolyRing, QHalfSeries
 class VirtualBundle:
     """rank + reduced Chern character over a fixed generator table."""
 
-    __slots__ = ("table", "truncation", "rank", "reduced", "_lam", "_sym")
+    __slots__ = ("table", "truncation", "rank", "reduced", "_psi", "_lam", "_sym")
 
     def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
         self.table = table
@@ -35,6 +35,7 @@ class VirtualBundle:
         if reduced.constant_term:
             raise ValueError("reduced Chern character must have zero constant term")
         self.reduced = reduced.truncate(self.truncation)
+        self._psi = None
         self._lam = None
         self._sym = None
 
@@ -111,12 +112,22 @@ class VirtualBundle:
     # -- operations --------------------------------------------------------------
 
     def adams(self, k: int) -> "VirtualBundle":
-        """k-th Adams operation: scales each degree-d character piece by k^(d/2)."""
+        """k-th Adams operation: scales each degree-d character piece by k^(d/2).
+
+        Each psi^k is built once per bundle and kept, like the exterior and
+        symmetric powers.
+        """
         if not isinstance(k, int) or k < 1:
             raise ValueError("Adams operations are indexed by positive integers")
-        degree = self.table.monomial_degree
-        terms = {e: c * Fraction(k) ** (degree(e) // 2) for e, c in self.reduced.terms.items()}
-        return VirtualBundle(self.table, self.truncation, self.rank, GradedPoly(self.table, self.truncation, terms))
+        if self._psi is None:
+            self._psi = {}
+        psi = self._psi.get(k)
+        if psi is None:
+            degree = self.table.monomial_degree
+            terms = {e: c * k ** (degree(e) // 2) for e, c in self.reduced.terms.items()}
+            reduced = GradedPoly._make(self.table, self.truncation, terms)
+            psi = self._psi[k] = VirtualBundle(self.table, self.truncation, self.rank, reduced)
+        return psi
 
     def lambda_power(self, k: int) -> "VirtualBundle":
         """k-th exterior power, through the Newton-style recursion

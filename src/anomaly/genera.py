@@ -5,6 +5,11 @@ sum_m a_m t^(2m) of its normalized root factor f (f(0) = 1), plus an optional
 per-root constant multiplier.  Evaluation over a root set with elementary
 symmetric data (p1, p2, ...) is exp(sum_m a_m * s_{2m}) times multiplier^pairs,
 with s_{2m} the power sums written in the generators.
+
+The genus series and the forms built from them (`ahat_form`, `spinor_ch`,
+`aux_bundle_factor`) are memoized per argument: the verifier asks for the
+same few forms for every identity and both routes.  Callers treat the
+returned polynomials as immutable.
 """
 
 from __future__ import annotations
@@ -80,12 +85,14 @@ def multiplicative_genus_eval(
     return exp_truncated(acc) * genus.multiplier ** pairs
 
 
+@lru_cache(maxsize=None)
 def ahat_form(table: GeneratorTable, dim: int, truncation: int | None = None) -> GradedPoly:
     """The multiplicative form with root factor (t/2)/sinh(t/2) over pX."""
     trunc = dim if truncation is None else truncation
     return multiplicative_genus_eval(table, ahat_genus(trunc), "pX", dim // 2, trunc)
 
 
+@lru_cache(maxsize=None)
 def spinor_ch(table: GeneratorTable, dim: int, truncation: int | None = None) -> GradedPoly:
     """Chern character of the full spinor bundle: prod_j 2*cosh(t_j/2) over pX."""
     if dim % 4 != 0:
@@ -97,6 +104,7 @@ def spinor_ch(table: GeneratorTable, dim: int, truncation: int | None = None) ->
 AUX_FACTOR_KINDS = ("detcosh_V", "exp_half_c", "sinh_half_c", "cosh_half_c")
 
 
+@lru_cache(maxsize=None)
 def aux_bundle_factor(table: GeneratorTable, kind: str, truncation: int) -> GradedPoly:
     """Auxiliary multiplicative factors:
 

@@ -4,6 +4,13 @@ Exponents are stored doubled (the key j means q^(j/2)), so only integers are
 ever used as dictionary keys.  Coefficients live either in the rationals or
 in a truncated graded polynomial ring; mixing the two is an error unless the
 rational series is promoted explicitly.
+
+Products and `qseries_exp` run on the integer-numerator kernel of `algebra`
+over flat keys: each ring flattens a coefficient map to one key -> Fraction
+map, keyed (j2, *exponents) over a polynomial ring and (j2,) over the
+rationals, graded by polynomial degree with the doubled q-exponent as side
+grade.  A product is then one `_multiply` call, so every output coefficient
+is summed in ints and becomes one Fraction.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .algebra import GeneratorTable, GradedPoly, _exp, as_rational
+from .algebra import GeneratorTable, GradedPoly, _exp, _multiply, as_rational
 
 
 class RingMismatchError(TypeError):
@@ -21,6 +28,11 @@ class RingMismatchError(TypeError):
 
 class NonUnitError(ValueError):
     """Raised when inverting a series whose leading coefficient is not a unit."""
+
+
+def _rational_grade(key: tuple[int]) -> tuple[int, int]:
+    """Kernel grade of a flat rational key (j2,): degree 0, side grade j2."""
+    return 0, key[0]
 
 
 class RationalRing:
@@ -38,6 +50,18 @@ class RationalRing:
     def is_zero(self, value) -> bool:
         return not value
 
+    def flatten(self, coeffs: dict) -> dict:
+        """j2 -> Fraction as (j2,) -> Fraction."""
+        return {(j2,): value for j2, value in coeffs.items()}
+
+    def unflatten(self, terms: dict) -> dict:
+        """Inverse of `flatten`."""
+        return {key[0]: value for key, value in terms.items()}
+
+    def flat_grade(self):
+        """The kernel's grade function and grade limit for flat keys."""
+        return _rational_grade, 0
+
     def __eq__(self, other):
         return isinstance(other, RationalRing)
 
@@ -49,7 +73,12 @@ class RationalRing:
 
 
 class PolyRing:
-    """Coefficient ring marker: GradedPoly coefficients over a fixed table."""
+    """Coefficient ring marker: GradedPoly coefficients over a fixed table.
+
+    Every stored coefficient sits at the ring's truncation: `coerce` cuts a
+    polynomial truncated above it and rejects one truncated below it, whose
+    missing degrees would otherwise read as zeros.
+    """
 
     def __init__(self, table: GeneratorTable, truncation: int):
         self.table = table
@@ -65,11 +94,33 @@ class PolyRing:
         if isinstance(value, GradedPoly):
             if value.table != self.table:
                 raise RingMismatchError("polynomial coefficient over a different generator table")
-            return value if value.truncation == self.truncation else value.truncate(self.truncation)
+            if value.truncation < self.truncation:
+                raise RingMismatchError(
+                    f"polynomial coefficient truncated at degree {value.truncation}, "
+                    f"below the ring's {self.truncation}"
+                )
+            return value.truncate(self.truncation)
         return GradedPoly.constant(self.table, self.truncation, value)
 
     def is_zero(self, value) -> bool:
         return value.is_zero()
+
+    def flatten(self, coeffs: dict) -> dict:
+        """j2 -> GradedPoly as (j2, *exponents) -> Fraction."""
+        return {(j2, *expts): c for j2, poly in coeffs.items() for expts, c in poly.terms.items()}
+
+    def unflatten(self, terms: dict) -> dict:
+        """Inverse of `flatten` for kernel output: no zero, nothing past the truncation."""
+        polys: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for key, c in terms.items():
+            polys.setdefault(key[0], {})[key[1:]] = c
+        table, truncation = self.table, self.truncation
+        return {j2: GradedPoly._make(table, truncation, poly) for j2, poly in polys.items()}
+
+    def flat_grade(self):
+        """The kernel's grade function, (degree, j2), and the truncation as grade limit."""
+        degree = self.table.monomial_degree
+        return (lambda key: (degree(key[1:]), key[0])), self.truncation
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.table == other.table and self.truncation == other.truncation
@@ -98,7 +149,8 @@ class QHalfSeries:
     """Finite expansion sum_j c_j * q^(j/2), keyed by the doubled exponent j.
 
     The cap N bounds the stored powers: 0 <= j <= 2N.  Instances are treated
-    as immutable.
+    as immutable.  No zero coefficient is stored, and over a PolyRing every
+    coefficient sits at the ring's truncation.
     """
 
     __slots__ = ("ring", "cap", "coeffs")
@@ -121,6 +173,19 @@ class QHalfSeries:
                 if not ring.is_zero(value):
                     clean[j2] = value
         self.coeffs = clean
+
+    @classmethod
+    def _make(cls, ring, cap: int, coeffs: dict) -> "QHalfSeries":
+        """Trusted constructor for kernel results; checks nothing.
+
+        The caller guarantees a nonnegative int cap, keys 0 <= j2 <= 2*cap and
+        nonzero coefficients already in `ring`.  `coeffs` is stored, not copied.
+        """
+        series = object.__new__(cls)
+        series.ring = ring
+        series.cap = cap
+        series.coeffs = coeffs
+        return series
 
     # -- constructors ------------------------------------------------------
 
@@ -181,19 +246,19 @@ class QHalfSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The truncated product: one `algebra._multiply` over the rings' flat keys.
+
+        Both operands are flattened in the merged ring, so a polynomial product
+        is graded by degree (limit: the ring's truncation) with the doubled
+        q-exponent as side grade (limit: 2*cap).
+        """
         if not isinstance(other, QHalfSeries):
             return NotImplemented
         ring = merge_rings(self.ring, other.ring)
         cap = min(self.cap, other.cap)
-        out = {}
-        for j1, c1 in self.coeffs.items():
-            for j2, c2 in other.coeffs.items():
-                j = j1 + j2
-                if j > 2 * cap:
-                    continue
-                prod = c1 * c2
-                out[j] = out[j] + prod if j in out else prod
-        return QHalfSeries(ring, cap, out)
+        grade, limit = ring.flat_grade()
+        terms = _multiply(ring.flatten(self.coeffs), ring.flatten(other.coeffs), grade, limit, 2 * cap)
+        return QHalfSeries._make(ring, cap, ring.unflatten(terms))
 
     def scale(self, value):
         """Multiply every coefficient by a fixed ring element or scalar."""
@@ -272,7 +337,7 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight by weight by `algebra._exp`, with the terms keyed by
+    Solved weight by weight by `algebra._exp` over the ring's flat keys,
     (j2, *exponents).
     """
     ring = x.ring
@@ -282,19 +347,9 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
     if q0 is not None and q0.constant_term:
         raise ValueError("qseries_exp needs a zero constant term at q^0")
 
-    table = ring.table
-    degree = table.monomial_degree
-    terms = _exp(
-        {(j2, *expts): coeff for j2, poly in x.coeffs.items() for expts, coeff in poly.terms.items()},
-        (0,) * (len(table) + 1),
-        lambda key: (degree(key[1:]), key[0]),
-        ring.truncation,
-        2 * x.cap,
-    )
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for key, coeff in terms.items():
-        out.setdefault(key[0], {})[key[1:]] = coeff
-    return QHalfSeries(ring, x.cap, {j2: GradedPoly._make(table, ring.truncation, poly) for j2, poly in out.items()})
+    grade, limit = ring.flat_grade()
+    terms = _exp(ring.flatten(x.coeffs), (0,) * (len(ring.table) + 1), grade, limit, 2 * x.cap)
+    return QHalfSeries._make(ring, x.cap, ring.unflatten(terms))
 
 
 def _sigma(k: int, n: int) -> int:

@@ -97,6 +97,8 @@ class TwoVarSeries:
     __hash__ = None
 
     def __add__(self, other):
+        if not isinstance(other, TwoVarSeries):
+            return NotImplemented
         tcap = min(self.tcap, other.tcap)
         cap = min(self.cap, other.cap)
         coeffs = dict(self.coeffs)
@@ -109,12 +111,16 @@ class TwoVarSeries:
         return TwoVarSeries._make(self.tcap, self.cap, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, TwoVarSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             coeffs = {k: other * v for k, v in self.coeffs.items()} if other else {}
             return TwoVarSeries._make(self.tcap, self.cap, coeffs)
+        if not isinstance(other, TwoVarSeries):
+            return NotImplemented
         tcap = min(self.tcap, other.tcap)
         cap = min(self.cap, other.cap)
         return TwoVarSeries._make(tcap, cap, _multiply(self.coeffs, other.coeffs, _tv_grade, 2 * cap, tcap))
@@ -222,6 +228,9 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     B2 = prod (1-e^t q^(j-1/2))(1-e^-t q^(j-1/2)) / (1-q^(j-1/2))^2
     B3 = B2 with the signs inside the half-power factors flipped to +
     L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
+
+    The two sparse factors at each q-power are multiplied together first, so
+    the dense running products take one multiplication per q-power.
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
@@ -231,28 +240,28 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
         den = _tv_half_sinh_ratio(tcap, cap)
         for j in range(1, cap + 1):
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
-            num = num * f * f
-            den = den * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
+            num = num * (f * f)
+            den = den * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
     elif kind == "B1":
         num = _tv_half_cosh(tcap, cap)
         for j in range(1, cap + 1):
-            num = num * _tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap)
+            num = num * (_tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap))
             f = _tv_q_factor(+1, 2 * j, tcap, cap)
-            den = den * f * f
+            den = den * (f * f)
     elif kind in ("B2", "B3"):
         eps = -1 if kind == "B2" else +1
         j2 = 1
         while j2 <= 2 * cap:
-            num = num * _tv_exp_factor(eps, +1, j2, tcap, cap) * _tv_exp_factor(eps, -1, j2, tcap, cap)
+            num = num * (_tv_exp_factor(eps, +1, j2, tcap, cap) * _tv_exp_factor(eps, -1, j2, tcap, cap))
             f = _tv_q_factor(eps, j2, tcap, cap)
-            den = den * f * f
+            den = den * (f * f)
             j2 += 2
     else:  # L
         num = _tv_half_sinh(tcap, cap)
         for j in range(1, cap + 1):
-            num = num * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
+            num = num * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
-            den = den * f * f
+            den = den * (f * f)
     return num * den.inverse()
 
 

@@ -43,6 +43,13 @@ class TestVerify:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "b853379feb2a294652f16489cd102590df4569cfa06a99218a67b8c13d03dd34"
 
+    def test_order7_json_matches_the_seed_engine(self, capsys):
+        """At order 7 half-integer q-powers up to q^(13/2) enter every product."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "7")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "5c915fc7ea07d935926bc6257f73c00e76e41647737a935680b3fd8439fb60d8"
+
     def test_json_runs_are_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")
         _, out2, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")

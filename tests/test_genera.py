@@ -137,6 +137,17 @@ class TestGenusData:
         p2 = GradedPoly.generator(table, "pX2", 8)
         assert top == (7 * p2 - p1 * p1) / 45
 
+    def test_forms_are_built_once_per_argument(self):
+        table = pontryagin_table(12, aux=True)
+        again = pontryagin_table(12, aux=True)  # an equal table built separately
+        assert ahat_form(table, 12) is ahat_form(again, 12)
+        assert spinor_ch(table, 12) is spinor_ch(again, 12)
+        assert aux_bundle_factor(table, "detcosh_V", 12) is aux_bundle_factor(again, "detcosh_V", 12)
+        assert ahat_form(table, 12) == multiplicative_genus_eval(table, ahat_genus(12), "pX", 6, 12)
+        assert ahat_form(table, 12, 8) == multiplicative_genus_eval(table, ahat_genus(8), "pX", 6, 8)
+        assert spinor_ch(table, 12) == multiplicative_genus_eval(table, spinor_genus(12), "pX", 6, 12)
+        assert aux_bundle_factor(table, "detcosh_V", 12) == multiplicative_genus_eval(table, cosh_genus(12), "pV", 0, 12)
+
     def test_spinor_rank(self):
         table = pontryagin_table(12)
         assert spinor_ch(table, 12).constant_term == 2**6

@@ -2,7 +2,11 @@
 
 GradedPoly and TwoVarSeries arithmetic, TwoVarSeries.inverse/log,
 exp_truncated/log_truncated and qseries_exp are checked against convolutions
-and power series written out here term by term in Fraction arithmetic.
+and power series written out here term by term in Fraction arithmetic;
+QHalfSeries products against the coefficientwise product, substitution
+against term-by-term substitution, the cached Adams operations against the
+Newton recursions on Chern characters, and the paired theta-quotient
+factors against the unpaired product order.
 """
 
 from fractions import Fraction
@@ -13,8 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, log_truncated
-from anomaly.qseries import NonUnitError, PolyRing, QHalfSeries, qseries_exp
-from anomaly.theta import TwoVarSeries
+from anomaly.bundles import VirtualBundle
+from anomaly.qseries import RATIONALS, NonUnitError, PolyRing, QHalfSeries, merge_rings, qseries_exp
+from anomaly.theta import (
+    THETA_QUOTIENT_KINDS,
+    TwoVarSeries,
+    _tv_exp_factor,
+    _tv_half_cosh,
+    _tv_half_sinh,
+    _tv_half_sinh_ratio,
+    _tv_q_factor,
+    theta_quotient,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -309,3 +323,248 @@ class TestQSeriesExp:
         assert result == naive_exp(x)
         for poly in result.coeffs.values():
             assert_poly_invariants(poly)
+
+
+# -- QHalfSeries products ----------------------------------------------------------
+
+
+@st.composite
+def poly_series(draw, table):
+    """A q-series over PolyRing(table, t) with its own truncation and cap.
+
+    Half-integer powers are drawn as freely as integer ones; keys past 2*cap
+    must be dropped by the constructor.
+    """
+    truncation = draw(truncations)
+    cap = draw(st.integers(0, 3))
+    keys = draw(st.sets(st.integers(0, 2 * cap + 1), max_size=5))
+    coeffs = {j2: GradedPoly(table, truncation, draw(term_dicts(table))) for j2 in keys}
+    return QHalfSeries(PolyRing(table, truncation), cap, coeffs)
+
+
+@st.composite
+def poly_series_pairs(draw):
+    table = draw(tables())
+    return draw(poly_series(table)), draw(poly_series(table))
+
+
+@st.composite
+def rational_series_pairs(draw):
+    def one():
+        cap = draw(st.integers(0, 4))
+        keys = st.integers(0, 2 * cap + 1)
+        return QHalfSeries(RATIONALS, cap, draw(st.dictionaries(keys, coefficients, max_size=6)))
+
+    return one(), one()
+
+
+def naive_series_mul(a, b):
+    """The product one q-coefficient pair at a time, in the merged ring."""
+    ring = merge_rings(a.ring, b.ring)
+    cap = min(a.cap, b.cap)
+    out = {}
+    for j1, c1 in a.coeffs.items():
+        for j2, c2 in b.coeffs.items():
+            if j1 + j2 <= 2 * cap:
+                prod = c1 * c2
+                out[j1 + j2] = out[j1 + j2] + prod if j1 + j2 in out else prod
+    coerced = {j: ring.coerce(c) for j, c in out.items()}
+    return {j: c for j, c in coerced.items() if not ring.is_zero(c)}
+
+
+def assert_series_invariants(s):
+    for j2, value in s.coeffs.items():
+        assert 0 <= j2 <= 2 * s.cap
+        if isinstance(s.ring, PolyRing):
+            assert value.terms, f"empty q-power {j2} stored"
+            assert (value.table, value.truncation) == (s.ring.table, s.ring.truncation)
+            assert_poly_invariants(value)
+        else:
+            assert isinstance(value, Fraction) and value != 0
+
+
+series_pairs = st.one_of(poly_series_pairs(), rational_series_pairs())
+
+
+class TestQHalfSeriesProduct:
+    @SETTINGS
+    @given(series_pairs)
+    def test_mul_matches_coefficientwise_product(self, pair):
+        a, b = pair
+        product = a * b
+        assert product.ring == merge_rings(a.ring, b.ring)
+        assert product.cap == min(a.cap, b.cap)
+        assert product.coeffs == naive_series_mul(a, b)
+        assert_series_invariants(product)
+
+    @SETTINGS
+    @given(series_pairs)
+    def test_forced_cancellation_stores_nothing(self, pair):
+        a, s = pair
+        difference = (a + s) * (a - s) - (a * a - s * s)
+        assert difference.coeffs == {}
+        assert_series_invariants((a + s) * (a - s))
+        assert (a * (s - s)).coeffs == {}
+
+
+# -- substitution ------------------------------------------------------------------
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial, images for some of its generators, and the target table.
+
+    The target table holds the source generators, so unmapped ones pass
+    through, plus one extra generator that only images use.
+    """
+    source = draw(tables())
+    target = GeneratorTable(source.generators + (("h", draw(st.sampled_from([4, 6]))),))
+    f = GradedPoly(source, draw(truncations), draw(term_dicts(source)))
+    names = draw(st.sets(st.sampled_from(source.names)))
+    images = {name: GradedPoly(target, draw(truncations), draw(term_dicts(target))) for name in sorted(names)}
+    return f, images, target
+
+
+def naive_substitute(f, images, target):
+    if not images:
+        target = f.table  # with nothing mapped, the result stays over the source table
+    trunc = min([f.truncation] + [image.truncation for image in images.values()])
+    acc = GradedPoly.zero(target, trunc)
+    for expts, coeff in f.terms.items():
+        term = GradedPoly.constant(target, trunc, coeff)
+        for (name, _), e in zip(f.table.generators, expts):
+            image = images[name] if name in images else GradedPoly.generator(target, name, trunc)
+            for _ in range(e):
+                term = term * image
+        acc = acc + term
+    return acc
+
+
+class TestSubstitute:
+    @SETTINGS
+    @given(substitutions())
+    def test_matches_term_by_term_substitution(self, case):
+        f, images, target = case
+        result = f.substitute(images)
+        assert result == naive_substitute(f, images, target)
+        assert_poly_invariants(result)
+
+
+# -- Adams operations and the lambda-ring powers -------------------------------------
+
+
+@st.composite
+def bundles(draw):
+    table = draw(tables())
+    truncation = draw(truncations)
+    terms = draw(term_dicts(table))
+    terms.pop((0,) * len(table), None)
+    return table, truncation, draw(st.integers(-3, 4)), GradedPoly(table, truncation, terms)
+
+
+def naive_powers(table, truncation, rank, reduced, top):
+    """ch of lambda^k and S^k for k <= top, by the Newton recursions on ch."""
+    def psi(i):
+        terms = {e: c * Fraction(i) ** (degree(table, e) // 2) for e, c in reduced.terms.items()}
+        return GradedPoly(table, truncation, terms) + rank
+
+    one = GradedPoly.one(table, truncation)
+    lam, sym = [one], [one]
+    for n in range(1, top + 1):
+        acc = GradedPoly.zero(table, truncation)
+        for i in range(1, n + 1):
+            acc = acc + (-1) ** (i - 1) * psi(i) * lam[n - i]
+        lam.append(acc / n)
+    for n in range(1, top + 1):
+        acc = GradedPoly.zero(table, truncation)
+        for i in range(1, n + 1):
+            acc = acc + (-1) ** (i - 1) * lam[i] * sym[n - i]
+        sym.append(acc)
+    return lam, sym
+
+
+class TestAdamsCache:
+    @SETTINGS
+    @given(bundles(), st.lists(st.integers(1, 5), max_size=6))
+    def test_powers_after_adams_match_the_recursion(self, bundle, warm_up):
+        table, truncation, rank, reduced = bundle
+        warm = VirtualBundle(table, truncation, rank, reduced)
+        for k in warm_up:
+            psi = warm.adams(k)
+            assert psi is warm.adams(k)
+            assert psi.rank == rank
+            assert psi.reduced.terms == {
+                e: c * k ** (degree(table, e) // 2) for e, c in reduced.terms.items()
+            }
+        fresh = VirtualBundle(table, truncation, rank, reduced)
+        lam, sym = naive_powers(table, truncation, rank, reduced, 4)
+        for k in range(5):
+            assert warm.lambda_power(k).ch() == lam[k] == fresh.lambda_power(k).ch()
+            assert warm.sym_power(k).ch() == sym[k] == fresh.sym_power(k).ch()
+
+
+# -- theta quotients: paired factors -------------------------------------------------
+
+
+def unpaired_quotient(kind, tcap, cap):
+    """theta_quotient with every factor multiplied into the running products in turn."""
+    num = TwoVarSeries.one(tcap, cap)
+    den = TwoVarSeries.one(tcap, cap)
+    if kind == "A":
+        den = _tv_half_sinh_ratio(tcap, cap)
+        for j in range(1, cap + 1):
+            f = _tv_q_factor(-1, 2 * j, tcap, cap)
+            num = num * f * f
+            den = den * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
+    elif kind == "B1":
+        num = _tv_half_cosh(tcap, cap)
+        for j in range(1, cap + 1):
+            num = num * _tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap)
+            f = _tv_q_factor(+1, 2 * j, tcap, cap)
+            den = den * f * f
+    elif kind in ("B2", "B3"):
+        eps = -1 if kind == "B2" else +1
+        for j2 in range(1, 2 * cap + 1, 2):
+            num = num * _tv_exp_factor(eps, +1, j2, tcap, cap) * _tv_exp_factor(eps, -1, j2, tcap, cap)
+            f = _tv_q_factor(eps, j2, tcap, cap)
+            den = den * f * f
+    else:
+        num = _tv_half_sinh(tcap, cap)
+        for j in range(1, cap + 1):
+            num = num * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
+            f = _tv_q_factor(-1, 2 * j, tcap, cap)
+            den = den * f * f
+    return num * den.inverse()
+
+
+@pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
+@pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (10, 3)])
+def test_theta_quotient_matches_unpaired_order(kind, tcap, cap):
+    assert theta_quotient(kind, tcap, cap) == unpaired_quotient(kind, tcap, cap)
+
+
+# -- input errors --------------------------------------------------------------------
+
+
+class TestTwoVarSeriesInputErrors:
+    SERIES = TwoVarSeries(4, 2, {(0, 0): Fraction(1), (2, 1): Fraction(1, 2)})
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x", None, QHalfSeries.one(RATIONALS, 2)])
+    def test_add_and_sub_need_a_series(self, other):
+        with pytest.raises(TypeError):
+            self.SERIES + other
+        with pytest.raises(TypeError):
+            self.SERIES - other
+        with pytest.raises(TypeError):
+            other + self.SERIES
+
+    @pytest.mark.parametrize("other", [0.5, "x", None, QHalfSeries.one(RATIONALS, 2)])
+    def test_mul_needs_a_scalar_or_a_series(self, other):
+        with pytest.raises(TypeError):
+            self.SERIES * other
+        with pytest.raises(TypeError):
+            other * self.SERIES
+
+    def test_scalars_still_multiply(self):
+        assert (self.SERIES * 2).coeffs == {(0, 0): 2, (2, 1): 1}
+        assert (Fraction(1, 2) * self.SERIES).coeffs == {(0, 0): Fraction(1, 2), (2, 1): Fraction(1, 4)}

@@ -72,6 +72,28 @@ class TestPolynomialCoefficients:
             a + b
         assert a.promote(ring) + b == b + b
 
+    def test_coefficient_below_the_ring_truncation_rejected(self):
+        table = pontryagin_table(8)
+        ring = PolyRing(table, 8)
+        low = GradedPoly.generator(table, "pX1", 4)
+        # pX1 + pX1*q with pX1 cut at degree 4 would square to 0 in a ring
+        # that keeps degree 8; such a coefficient is not in the ring.
+        with pytest.raises(RingMismatchError, match="below the ring"):
+            ring.coerce(low)
+        with pytest.raises(RingMismatchError, match="below the ring"):
+            QHalfSeries(ring, 3, {0: low, 2: low})
+        p1 = GradedPoly.generator(table, "pX1", 8)
+        s = QHalfSeries(ring, 3, {0: p1, 2: p1})
+        assert (s * s).coefficient(0) == p1 * p1
+
+    def test_coefficient_above_the_ring_truncation_is_cut(self):
+        table = pontryagin_table(12)
+        ring = PolyRing(table, 8)
+        high = GradedPoly.generator(table, "pX1", 12) ** 3 + GradedPoly.generator(table, "pX2", 12)
+        s = QHalfSeries(ring, 1, {1: high})
+        assert s.coefficient(1) == GradedPoly.generator(table, "pX2", 8)
+        assert ring.coerce(high).truncation == 8
+
     def test_qseries_exp_homomorphism(self):
         table = pontryagin_table(8)
         ring = PolyRing(table, 8)
