@@ -14,6 +14,17 @@ output term.  A q-series product is one `_multiply` over flat
 (j2, *exponents) keys, graded by degree with the doubled q-exponent as side
 grade.
 
+Inside the kernel every key is one packed int, one fixed-width digit per
+component, so a product key is one int addition.  Each operand key is packed
+once per call and each output key unpacked once.  Every key component is at
+most the grade or side grade it adds to (a generator exponent is at most the
+degree; a doubled q-exponent or a t-power is itself one of the grades), and
+the convolution keeps only products within both limits, so a digit that
+holds max(limit, side_limit) never carries into its neighbour;
+`_weight_recurrence` sizes its digits for limit + side_limit.  A digit is
+the narrowest of 8, 16, 32 or 64 bits that holds that bound, and terms past
+a limit are dropped before packing.
+
 exp, log and inverse each have one implementation, `_exp`, `_log` and
 `_inverse`, over key -> Fraction maps graded like `_convolve` input.  They
 solve the weight-by-weight recurrences of `_weight_recurrence` and back
@@ -24,14 +35,18 @@ solve the weight-by-weight recurrences of `_weight_recurrence` and back
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
+
+_BYTE_ORDER = sys.byteorder
 
 
 def as_rational(value) -> Fraction:
@@ -155,16 +170,53 @@ def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> Gene
     return GeneratorTable(gens)
 
 
-def _scaled_terms(terms: Mapping, grade) -> tuple[int, list]:
-    """`terms` over one common denominator, as `_convolve` input.
+def _pack_bytes(key: tuple[int, ...]) -> int:
+    return int.from_bytes(bytes(key), _BYTE_ORDER)
+
+
+def _unpack_bytes(packed: int, length: int) -> tuple[int, ...]:
+    return tuple(packed.to_bytes(length, _BYTE_ORDER))
+
+
+def _key_codec(top: int):
+    """`(pack, unpack)` for int-tuple keys whose components are at most `top`.
+
+    `pack(key)` is one int with one digit per component, of the narrowest
+    machine width (8, 16, 32 or 64 bits) that holds `top`;
+    `unpack(packed, length)` is its inverse.  Two packed keys add
+    componentwise as long as no component sum exceeds `top`.
+    """
+    if top < 0x100:
+        return _pack_bytes, _unpack_bytes
+    for code in "HIQ":
+        size = array(code).itemsize
+        if top < 1 << 8 * size:
+            break
+    else:
+        raise OverflowError(f"key components up to {top} do not fit a 64-bit digit")
+
+    def pack(key):
+        return int.from_bytes(array(code, key), _BYTE_ORDER)
+
+    def unpack(packed, length):
+        return tuple(memoryview(packed.to_bytes(length * size, _BYTE_ORDER)).cast(code))
+
+    return pack, unpack
+
+
+def _scaled_terms(terms: Mapping, grade, pack, limit: int, side_limit: int = 0) -> tuple[int, list]:
+    """`terms` with packed keys over one common denominator, as `_convolve` input.
 
     `grade(key)` returns the key's (grade, side grade).  Returns the
-    denominator and the `(grade, side, key, numerator)` list, sorted by grade.
+    denominator and the `(grade, side, packed key, numerator)` list, sorted
+    by grade.  A term past `limit` or `side_limit` takes part in no product
+    and is dropped here, so every packed component fits its digit.
     """
     den = lcm(*[c.denominator for c in terms.values()])
     items = [
-        (g, side, key, c.numerator * (den // c.denominator))
+        (g, side, pack(key), c.numerator * (den // c.denominator))
         for (g, side), (key, c) in zip(map(grade, terms), terms.items())
+        if g <= limit and side <= side_limit
     ]
     items.sort(key=itemgetter(0))
     return den, items
@@ -173,9 +225,9 @@ def _scaled_terms(terms: Mapping, grade) -> tuple[int, list]:
 def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
     """Add the truncated product of two `_scaled_terms` lists into `acc`.
 
-    Keys are int tuples that add componentwise; `acc` maps keys to int sums of
-    numerator products, over the product of the two lists' denominators.  A
-    product whose grade exceeds `limit` or whose side grade exceeds
+    Keys are packed ints that add componentwise; `acc` maps them to int sums
+    of numerator products, over the product of the two lists' denominators.
+    A product whose grade exceeds `limit` or whose side grade exceeds
     `side_limit` is dropped.  Both lists are sorted by grade, so each scan
     stops at the first grade past the limit.
     """
@@ -191,26 +243,30 @@ def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 
             if g2 > room:
                 break
             if s2 <= side_room:
-                key = tuple(map(add, k1, k2))
+                key = k1 + k2
                 acc[key] = get(key, 0) + n1 * n2
 
 
-def _fractions(acc: dict, den: int) -> dict:
-    """The nonzero `_convolve` sums as Fractions over `den`."""
-    return {key: Fraction(value, den) for key, value in acc.items() if value}
+def _fractions(acc: dict, den: int, unpack, length: int) -> dict:
+    """The nonzero `_convolve` sums as Fractions over `den`, keyed by unpacked keys."""
+    return {unpack(key, length): Fraction(value, den) for key, value in acc.items() if value}
 
 
 def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit: int = 0) -> dict:
     """The truncated product of two key -> Fraction maps, as a new map.
 
     `grade`, `limit` and `side_limit` are as for `_scaled_terms` and
-    `_convolve`.
+    `_convolve`.  Keys are packed with digits that hold max(limit,
+    side_limit).
     """
-    den1, left = _scaled_terms(a_terms, grade)
-    den2, right = _scaled_terms(b_terms, grade)
+    if not a_terms or not b_terms:
+        return {}
+    pack, unpack = _key_codec(max(limit, side_limit))
+    den1, left = _scaled_terms(a_terms, grade, pack, limit, side_limit)
+    den2, right = _scaled_terms(b_terms, grade, pack, limit, side_limit)
     acc: dict = {}
     _convolve(acc, left, right, limit, side_limit)
-    return _fractions(acc, den1 * den2)
+    return _fractions(acc, den1 * den2, unpack, len(next(iter(a_terms))))
 
 
 def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, side_limit: int = 0) -> dict:
@@ -225,18 +281,22 @@ def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, s
 
     the power-series recurrence of Brent and Kung ("Fast algorithms for
     manipulating formal power series", J. ACM 1978) behind inverse and exp.
-    `b0` is the weight-0 part.  Each solved b_w is kept over its own common
-    denominator, so every b_w is summed in ints and turned into Fractions
-    once.  Returns all of b as one key -> Fraction dict.
+    `b0` is the weight-0 part.  Keys are packed with digits that hold
+    limit + side_limit.  Each solved b_w stays packed, over its own common
+    denominator, for the later weights, so every b_w is summed in ints and
+    every key is unpacked and turned into a Fraction once.  Returns all of b
+    as one key -> Fraction dict.
     """
-    den, items = _scaled_terms(a_terms, grade)
+    pack, unpack = _key_codec(limit + side_limit)
+    length = len(next(iter(b0)))
+    den, items = _scaled_terms(a_terms, grade, pack, limit, side_limit)
     a: dict[int, list] = {}
     for item in items:
         weight = item[0] + item[1]
         if weight:
             a.setdefault(weight, []).append(item)
     b = dict(b0)
-    solved = {0: _scaled_terms(b0, grade)}
+    solved = {0: _scaled_terms(b0, grade, pack, limit, side_limit)}
     for w in range(1, limit + side_limit + 1):
         parts = [(av, solved[w - v]) for v, av in a.items() if w - v in solved]
         if not parts:
@@ -247,10 +307,18 @@ def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, s
             scale = common // bden
             left = av if scale == 1 else [(g, side, key, num * scale) for g, side, key, num in av]
             _convolve(acc, left, bu, limit, side_limit)
-        bucket = _fractions(acc, divisor(w, den) * common)
-        if bucket:
-            b.update(bucket)
-            solved[w] = _scaled_terms(bucket, grade)
+        total = divisor(w, den) * common
+        bucket = [(packed, Fraction(value, total)) for packed, value in acc.items() if value]
+        if not bucket:
+            continue
+        bden = lcm(*[c.denominator for _, c in bucket])
+        items = []
+        for packed, c in bucket:
+            key = unpack(packed, length)
+            b[key] = c
+            items.append((*grade(key), packed, c.numerator * (bden // c.denominator)))
+        items.sort(key=itemgetter(0))
+        solved[w] = (bden, items)
     return b
 
 

@@ -6,11 +6,18 @@ A virtual bundle is an integer rank plus the reduced (rank-free) part of its
 Chern character, a graded polynomial with zero constant term.  All operations
 are defined through universal Chern-character polynomials, so they apply to
 arbitrary virtual elements, including negative and zero ranks.
+
+A bundle keeps its Adams operations, exterior and symmetric powers and its
+rank-zero reduction once built, and the three geometric constructors are
+memoized per argument.  So the theta series of one case and the identities
+of the catalog share one set of powers of T~ (and of V~).  Callers treat
+bundles as immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .algebra import GeneratorTable, GradedPoly, power_sum_in_pontryagin
@@ -20,7 +27,7 @@ from .qseries import PolyRing, QHalfSeries
 class VirtualBundle:
     """rank + reduced Chern character over a fixed generator table."""
 
-    __slots__ = ("table", "truncation", "rank", "reduced", "_psi", "_lam", "_sym")
+    __slots__ = ("table", "truncation", "rank", "reduced", "_reduction", "_psi", "_lam", "_sym")
 
     def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
         self.table = table
@@ -35,6 +42,7 @@ class VirtualBundle:
         if reduced.constant_term:
             raise ValueError("reduced Chern character must have zero constant term")
         self.reduced = reduced.truncate(self.truncation)
+        self._reduction = None
         self._psi = None
         self._lam = None
         self._sym = None
@@ -62,14 +70,21 @@ class VirtualBundle:
         return self.reduced + self.rank
 
     def reduce(self) -> "VirtualBundle":
-        """The rank-zero reduction W - rank(W)."""
-        return VirtualBundle(self.table, self.truncation, 0, self.reduced)
+        """The rank-zero reduction W - rank(W): itself at rank 0, otherwise
+        built once per bundle and kept."""
+        if self.rank == 0:
+            return self
+        if self._reduction is None:
+            self._reduction = VirtualBundle(self.table, self.truncation, 0, self.reduced)
+        return self._reduction
 
     def _check(self, other: "VirtualBundle"):
         if self.table != other.table:
             raise ValueError("virtual bundles over different generator tables")
 
     def __add__(self, other):
+        if not isinstance(other, VirtualBundle):
+            return NotImplemented
         self._check(other)
         trunc = min(self.truncation, other.truncation)
         return VirtualBundle(self.table, trunc, self.rank + other.rank, self.reduced + other.reduced)
@@ -78,12 +93,16 @@ class VirtualBundle:
         return VirtualBundle(self.table, self.truncation, -self.rank, -self.reduced)
 
     def __sub__(self, other):
+        if not isinstance(other, VirtualBundle):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         """Tensor product; integers act as multiples of the trivial bundle."""
         if isinstance(other, int):
             return VirtualBundle(self.table, self.truncation, self.rank * other, self.reduced * other)
+        if not isinstance(other, VirtualBundle):
+            return NotImplemented
         self._check(other)
         trunc = min(self.truncation, other.truncation)
         ch = self.ch() * other.ch()
@@ -168,6 +187,7 @@ class VirtualBundle:
 # -- geometric constructors --------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def tangent_complexification(table: GeneratorTable, dim: int, truncation: int | None = None, family: str = "pX") -> VirtualBundle:
     """Complexified tangent bundle: rank dim, degree-4m piece 2*s_{2m}/(2m)!."""
     trunc = dim if truncation is None else truncation
@@ -178,6 +198,7 @@ def tangent_complexification(table: GeneratorTable, dim: int, truncation: int | 
     return VirtualBundle(table, trunc, dim, reduced)
 
 
+@lru_cache(maxsize=None)
 def aux_complexification(table: GeneratorTable, truncation: int, rank: int = 0, family: str = "pV") -> VirtualBundle:
     """Complexification of an auxiliary real bundle carrying the pV classes.
 
@@ -191,6 +212,7 @@ def aux_complexification(table: GeneratorTable, truncation: int, rank: int = 0, 
     return VirtualBundle(table, truncation, rank, reduced)
 
 
+@lru_cache(maxsize=None)
 def line_real_complexification(table: GeneratorTable, truncation: int) -> VirtualBundle:
     """Complexified realification of a line bundle with first Chern class cL:
     rank 2 with degree-4m piece 2*cL^(2m)/(2m)!."""

@@ -6,6 +6,13 @@ hyperbolic prefactor; all transcendental prefactors are cancelled, so every
 coefficient is an exact rational.  A quotient is turned into a q-series of
 characteristic forms by taking its logarithm and substituting power sums for
 the even t-powers, one root family at a time.
+
+A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
+a power of the degree-2 class cL), and every integrand is cut at degree dim,
+so the integrand quotients are expanded to t-cap dim // 2: no higher t-power
+can reach the output.  Each quotient keeps its logarithm once computed, and
+the quotients are memoized per (kind, t-cap, q-cap), so the cases that share
+a dimension take each logarithm once.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, _inverse, _log, _multiply, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _inverse, _log, _multiply, as_rational, power_sum_in_pontryagin
 from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, qseries_exp
 
 
@@ -34,10 +41,10 @@ class TwoVarSeries:
     is zero and no term lies past either cap.  Products, the inverse and the
     logarithm run on the integer-numerator kernel of `algebra` (`_multiply`,
     `_inverse` and `_log`), graded by the doubled q-exponent with the t-power
-    as side grade.
+    as side grade.  The logarithm is kept on the instance once computed.
     """
 
-    __slots__ = ("tcap", "cap", "coeffs")
+    __slots__ = ("tcap", "cap", "coeffs", "_logarithm")
 
     def __init__(self, tcap: int, cap: int, coeffs=None):
         self.tcap = int(tcap)
@@ -53,10 +60,11 @@ class TwoVarSeries:
                     raise ValueError("negative exponent")
                 if n > self.tcap or j2 > 2 * self.cap:
                     continue
-                value = Fraction(value)
+                value = as_rational(value)
                 if value:
                     clean[(n, j2)] = value
         self.coeffs = clean
+        self._logarithm = None
 
     @classmethod
     def _make(cls, tcap: int, cap: int, coeffs: dict[tuple[int, int], Fraction]) -> "TwoVarSeries":
@@ -70,6 +78,7 @@ class TwoVarSeries:
         series.tcap = tcap
         series.cap = cap
         series.coeffs = coeffs
+        series._logarithm = None
         return series
 
     @classmethod
@@ -135,11 +144,14 @@ class TwoVarSeries:
         return TwoVarSeries._make(self.tcap, self.cap, coeffs)
 
     def log(self) -> "TwoVarSeries":
-        """Logarithm of a series with constant coefficient 1 (`algebra._log`)."""
-        if self.coeffs.get((0, 0)) != 1:
-            raise ValueError("log needs constant coefficient 1")
-        coeffs = _log(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
-        return TwoVarSeries._make(self.tcap, self.cap, coeffs)
+        """Logarithm of a series with constant coefficient 1 (`algebra._log`),
+        computed once per instance."""
+        if self._logarithm is None:
+            if self.coeffs.get((0, 0)) != 1:
+                raise ValueError("log needs constant coefficient 1")
+            coeffs = _log(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
+            self._logarithm = TwoVarSeries._make(self.tcap, self.cap, coeffs)
+        return self._logarithm
 
     def tau_shift_half(self) -> "TwoVarSeries":
         """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""
@@ -360,16 +372,17 @@ def q_series_via_theta(
     case: str,
     dim: int,
     cap: int = 3,
-    tcap: int | None = None,
 ) -> QHalfSeries:
     """The full integrand q-series assembled from theta quotients.
 
     spin     2^(dim/2) * prod A(t_j) * [prod B1(t_j) + prod B2(t_j) + prod B3(t_j)]
     spin_v   prod A(t_j) * prod B1(u_r) B2(u_r) B3(u_r)
     spinc_l  prod A(t_j) * L(cL)
+
+    The quotients are expanded to t-cap dim // 2: t^n becomes a degree-2n
+    class, and the integrand is cut at degree dim.
     """
-    if tcap is None:
-        tcap = dim + 2
+    tcap = dim // 2
     EA = symmetric_quotient_product(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
     if case == "spin":
         parts = [

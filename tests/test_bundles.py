@@ -189,6 +189,56 @@ THETA2_EXPECTED = {
 }
 
 
+class TestForeignOperands:
+    T = tangent_complexification(pontryagin_table(8), 8)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x", None, GradedPoly.one(pontryagin_table(8), 8)])
+    def test_add_and_sub_need_a_bundle(self, other):
+        with pytest.raises(TypeError):
+            self.T + other
+        with pytest.raises(TypeError):
+            self.T - other
+        with pytest.raises(TypeError):
+            other + self.T
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "x", None, GradedPoly.one(pontryagin_table(8), 8)])
+    def test_mul_needs_an_int_or_a_bundle(self, other):
+        with pytest.raises(TypeError):
+            self.T * other
+        with pytest.raises(TypeError):
+            other * self.T
+
+    def test_ints_and_bundles_still_combine(self):
+        assert (self.T * 2).ch() == 2 * self.T.ch()
+        assert (3 * self.T).rank == 24
+        assert (self.T - self.T).is_zero()
+
+
+class TestMemoizedBundles:
+    def test_constructors_return_one_bundle_equal_to_a_fresh_build(self):
+        table = pontryagin_table(12, aux=True)
+        line = pontryagin_table(14, line=True)
+        for constructor, args in (
+            (tangent_complexification, (table, 12)),
+            (aux_complexification, (table, 12)),
+            (line_real_complexification, (line, 14)),
+        ):
+            memo = constructor(*args)
+            memo.lambda_power(3)  # cached powers do not enter equality
+            assert constructor(*args) is memo
+            assert memo == constructor.__wrapped__(*args)
+        assert tangent_complexification(pontryagin_table(12, aux=True), 12) is tangent_complexification(table, 12)
+
+    def test_reduce_is_kept_and_is_the_bundle_itself_at_rank_zero(self):
+        T = tangent_complexification(pontryagin_table(8), 8)
+        red = T.reduce()
+        assert red is T.reduce()
+        assert red == VirtualBundle(T.table, 8, 0, T.reduced)
+        assert red.reduce() is red
+        V = aux_complexification(pontryagin_table(8, aux=True), 8)
+        assert V.rank == 0 and V.reduce() is V
+
+
 class TestThetaPowerBundles:
     def setup_method(self):
         self.table = pontryagin_table(8)

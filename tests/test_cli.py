@@ -36,12 +36,25 @@ class TestVerify:
         ids = [row["id"] for case in payload["cases"] for row in case["identities"]]
         assert len(ids) == 26
 
+    def test_order1_json_matches_the_seed_engine(self, capsys):
+        """The theta route's t-cap and the packed kernel keys touch every order."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "1")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "326dedf386cf52c0038b02d264104ba2760660190114c93c802fd39a753f5955"
+
     def test_order3_json_matches_the_seed_engine(self, capsys):
         """Speed-ups must leave the report byte-identical to the seed engine's."""
         code, out, _ = run(capsys, "verify", "--format", "json", "--order", "3")
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "b853379feb2a294652f16489cd102590df4569cfa06a99218a67b8c13d03dd34"
+
+    def test_order5_json_matches_the_seed_engine(self, capsys):
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "5")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "1e05946ae430e52e5295a47f6b3e7cfbdd943d80dc378d7fcfb84a4d471a222b"
 
     def test_order7_json_matches_the_seed_engine(self, capsys):
         """At order 7 half-integer q-powers up to q^(13/2) enter every product."""

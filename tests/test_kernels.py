@@ -1,8 +1,10 @@
 """Property tests: the integer-numerator kernels against naive references.
 
-GradedPoly and TwoVarSeries arithmetic, TwoVarSeries.inverse/log,
-exp_truncated/log_truncated and qseries_exp are checked against convolutions
-and power series written out here term by term in Fraction arithmetic;
+The packed-key product and inverse on raw key maps (keys of length 1 to 11,
+limits on both sides of each digit width), GradedPoly and TwoVarSeries
+arithmetic, TwoVarSeries.inverse/log, exp_truncated/log_truncated and
+qseries_exp are checked against convolutions and power series written out
+here term by term in Fraction arithmetic;
 QHalfSeries products against the coefficientwise product, substitution
 against term-by-term substitution, the cached Adams operations against the
 Newton recursions on Chern characters, and the paired theta-quotient
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, log_truncated
+from anomaly.algebra import GeneratorTable, GradedPoly, _inverse, _multiply, exp_truncated, log_truncated
 from anomaly.bundles import VirtualBundle
 from anomaly.qseries import RATIONALS, NonUnitError, PolyRing, QHalfSeries, merge_rings, qseries_exp
 from anomaly.theta import (
@@ -163,6 +165,111 @@ class TestPublicConstructorStillValidates:
             GradedPoly(self.TABLE, 4, {(1, 0): 0.5})
 
 
+# -- packed keys ----------------------------------------------------------------------
+
+# The kernel packs each key into one int, one digit per component, wide enough
+# for the larger limit: 8 bits up to 255, 16 bits up to 65535, then 32 or 64.
+# Limits on both sides of those boundaries, keys of the lengths the engine uses
+# (1: rational q-series and genus series, 2: TwoVarSeries, 6 and 11: flat
+# q-series keys over the widest tables) and products exactly at the limits.
+KEY_LENGTHS = (1, 2, 6, 11)
+KEY_LIMITS = (0, 1, 5, 255, 256, 65535, 65536)
+
+
+def side_first(key):
+    """Side grade key[0], grade the sum of the rest."""
+    return sum(key[1:]), key[0]
+
+
+def grade_only(key):
+    return sum(key), 0
+
+
+@st.composite
+def composition(draw, total, parts):
+    """`parts` nonnegative ints summing to `total`."""
+    if parts == 0:
+        return ()
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1, max_size=parts - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@st.composite
+def keyed_products(draw, limits=st.sampled_from(KEY_LIMITS)):
+    """Two key -> Fraction maps, their grade function and limits.
+
+    Every term of the first map has a partner in the second whose sum lies
+    exactly at both limits; a few terms lie past a limit (by 1, 256 or 65536)
+    and must be dropped, never carried into a neighbouring digit.
+    """
+    length = draw(st.sampled_from(KEY_LENGTHS))
+    grade = draw(st.sampled_from([side_first, grade_only]))
+    limit = draw(limits)
+    side_limit = draw(limits) if grade is side_first else 0
+
+    def at_the_limits():
+        if grade is side_first:
+            return (side_limit, *draw(composition(limit, length - 1)))
+        return draw(composition(limit, length))
+
+    a, b = {}, {}
+    for _ in range(draw(st.integers(1, 4))):
+        top = at_the_limits()
+        key = tuple(draw(st.integers(0, c)) for c in top)
+        a[key] = draw(coefficients)
+        b[tuple(c - k for c, k in zip(top, key))] = draw(coefficients)
+    for _ in range(draw(st.integers(0, 2))):
+        past = list(at_the_limits())
+        past[draw(st.integers(0, length - 1))] += draw(st.sampled_from([1, 256, 65536]))
+        (a if draw(st.booleans()) else b)[tuple(past)] = draw(coefficients)
+    return a, b, grade, limit, side_limit
+
+
+def naive_keyed_mul(a, b, grade, limit, side_limit):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            g, side = grade(key)
+            if g <= limit and side <= side_limit:
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+class TestPackedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(keyed_products())
+    def test_product_matches_naive_convolution(self, case):
+        a, b, grade, limit, side_limit = case
+        product = _multiply(a, b, grade, limit, side_limit)
+        assert product == naive_keyed_mul(a, b, grade, limit, side_limit)
+        assert all(isinstance(c, Fraction) and c for c in product.values())
+
+    @pytest.mark.parametrize("limit, side_limit", [(255, 256), (256, 255), (65535, 65536), (65536, 65535)])
+    def test_sums_at_a_digit_boundary(self, limit, side_limit):
+        top = max(limit, side_limit)
+        a = {(side_limit, 0): Fraction(1), (0, limit): Fraction(2), (top // 2, limit // 2): Fraction(3)}
+        b = {(0, 0): Fraction(1), (0, 1): Fraction(5), (1, 0): Fraction(7), (top + 1, 0): Fraction(11)}
+        assert _multiply(a, b, side_first, limit, side_limit) == naive_keyed_mul(a, b, side_first, limit, side_limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inverse_through_the_weight_recurrence(self, data):
+        """The recurrence packs with digits for limit + side_limit; a * a^(-1) = 1."""
+        a, _, grade, limit, side_limit = data.draw(
+            keyed_products(st.sampled_from([0, 2, 5, 127, 128, 255, 256]))
+        )
+        length = len(next(iter(a)))
+        unit = (0,) * length
+        # Terms of weight at least a quarter of the top keep the inverse small.
+        floor = (limit + side_limit) // 4
+        a = {k: c for k, c in a.items() if sum(grade(k)) > max(floor, 0)}
+        a[unit] = data.draw(coefficients)
+        inverse = _inverse(a, unit, grade, limit, side_limit)
+        assert naive_keyed_mul(a, inverse, grade, limit, side_limit) == {unit: 1}
+        assert all(len(k) == length and isinstance(c, Fraction) and c for k, c in inverse.items())
+
+
 # -- TwoVarSeries -----------------------------------------------------------------
 
 
@@ -211,6 +318,11 @@ class TestTwoVarSeriesKernel:
         a = data.draw(series(*tcap_cap, unit=True))
         b = data.draw(series(*tcap_cap, unit=True))
         assert (a * b).log() == a.log() + b.log()
+
+    def test_log_is_kept_on_the_series(self):
+        quotient = theta_quotient("A", 4, 2)
+        assert quotient.log() is quotient.log()
+        assert quotient.log() == TwoVarSeries(quotient.tcap, quotient.cap, quotient.coeffs).log()
 
     def test_inverse_rejects_zero_constant(self):
         a = TwoVarSeries(4, 2, {(1, 0): Fraction(1), (0, 2): Fraction(3)})
@@ -564,6 +676,11 @@ class TestTwoVarSeriesInputErrors:
             self.SERIES * other
         with pytest.raises(TypeError):
             other * self.SERIES
+
+    def test_public_constructor_rejects_floats(self):
+        with pytest.raises(TypeError):
+            TwoVarSeries(2, 2, {(0, 0): 0.1})
+        assert TwoVarSeries(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 3)}).coeffs == {(0, 0): 1, (1, 1): Fraction(1, 3)}
 
     def test_scalars_still_multiply(self):
         assert (self.SERIES * 2).coeffs == {(0, 0): 2, (2, 1): 1}

@@ -1,13 +1,16 @@
 """Case assembly, identity catalog, divisibility moduli, manifold evaluation."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import anomaly.verifier as verifier
 from anomaly.algebra import GradedPoly
+from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
 from anomaly.qseries import QHalfSeries
+from anomaly.theta import line_quotient_evaluation, symmetric_quotient_product, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -74,17 +77,80 @@ class TestCaseSpec:
         assert "pV1" not in CaseSpec("spin", 8).table()
 
 
+def theta_product(table, case, dim, cap, tcap):
+    """The theta-route integrand with its quotients expanded to `tcap`."""
+    A = symmetric_quotient_product(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
+    if case == "spin":
+        B1, B2, B3 = (
+            symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pX", dim, cap)
+            for kind in ("B1", "B2", "B3")
+        )
+        return (A * (B1 + B2 + B3)).scale(2 ** (dim // 2))
+    if case == "spin_v":
+        for kind in ("B1", "B2", "B3"):
+            A = A * symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pV", dim, cap)
+        return A
+    return A * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
+
+
 @pytest.mark.parametrize("case,dim", ALL_CASES)
 class TestRoutesAndFits:
     def test_routes_agree(self, case, dim):
         spec = CaseSpec(case, dim, 2)
         assert bundle_route_integrand(spec) == theta_route_integrand(spec)
 
+    def test_theta_t_cap_is_exact_at_half_the_dimension(self, case, dim):
+        """t^n is a degree-2n class: t-cap dim // 2 reaches every degree, one less does not.
+
+        So the route comparison can still fail when the theta route drops a
+        t-power the integrand needs.
+        """
+        spec = CaseSpec(case, dim, 2)
+        bundle = bundle_route_integrand(spec)
+        table = spec.table()
+        at_cap = theta_product(table, case, dim, 2, dim // 2)
+        assert at_cap == theta_route_integrand(spec)
+        assert at_cap == bundle
+        assert theta_product(table, case, dim, 2, dim // 2 - 1) != bundle
+
     def test_fit_is_exact(self, case, dim):
         spec = CaseSpec(case, dim, 2)
         fit = eisenstein_fit(assemble_Q(spec), spec.weight)
         assert fit.passed
         assert not fit.lam.is_zero()
+
+
+class TestPowerSharing:
+    def test_spin_case_builds_each_power_once(self, monkeypatch):
+        """theta1, theta2, theta3 and the identities share one set of powers of T~."""
+        builds = Counter()
+
+        def counting(name):
+            method = getattr(VirtualBundle, name)
+            slot = "_lam" if name == "lambda_power" else "_sym"
+
+            def wrapper(bundle, k):
+                cache = getattr(bundle, slot)
+                value = (bundle.table, bundle.rank, frozenset(bundle.reduced.terms.items()))
+                for built in range(1 if cache is None else len(cache), k + 1):
+                    builds[name, value, built] += 1
+                return method(bundle, k)
+
+            monkeypatch.setattr(VirtualBundle, name, wrapper)
+
+        counting("lambda_power")
+        counting("sym_power")
+        tangent_complexification.cache_clear()
+        spec = CaseSpec("spin", 20, 3)
+        bundle_route_integrand(spec)
+        assert builds and max(builds.values()) == 1
+        first = dict(builds)
+        TX = tangent_complexification(spec.table(), 20)
+        for kind in ("theta1", "theta2", "theta3"):
+            theta_series(kind, TX, cap=3)
+        for entry in identities_for("spin", 20):
+            assert verify_identity(entry.ident).passed
+        assert builds == first
 
 
 class TestInsufficientOrder:
