@@ -1,44 +1,50 @@
 """Exact graded polynomial algebra over named even-degree generators.
 
-Coefficients are `fractions.Fraction` values throughout; no floats enter any
-computation.  Every polynomial carries an even truncation degree and drops
-monomials above it, so all arithmetic happens in a truncated graded ring.
-Arithmetic between operands with different truncations truncates to the
-smaller one.
+Values are exact rationals throughout; no floats enter any computation.
+Every polynomial carries an even truncation degree and drops monomials above
+it, so all arithmetic happens in a truncated graded ring.  Arithmetic
+between operands with different truncations truncates to the smaller one.
 
-Products run through one integer-numerator convolution, `_convolve`, shared
-with the two-variable series of `theta` and the q-series of `qseries`: each
-operand is scaled to integer numerators over one common denominator, the
-numerators are multiplied and summed as ints, and one `Fraction` is built per
-output term.  A q-series product is one `_multiply` over flat
-(j2, *exponents) keys, graded by degree with the doubled q-exponent as side
-grade.
+The int form.  A `GradedPoly` keeps one positive int denominator and its
+terms as int numerators over it, in lowest terms (gcd(den, *numerators) =
+1), so the form is canonical and equality compares ints.  The terms are
+`(degree, side grade, packed key, numerator)` tuples in sorted order, which
+is exactly the input of the one convolution, `_convolve`: a product is one
+`_convolve` plus one gcd reduction (`_int_form`), and its result feeds the
+next product as it stands.  The q-series of `qseries` keep the same form
+over flat keys, with the doubled q-exponent as side grade.  The `Fraction`
+map `GradedPoly.terms` is a view, built on demand for rendering, evaluation
+and the public API.
 
-Inside the kernel every key is one packed int, one fixed-width digit per
-component, so a product key is one int addition.  Each operand key is packed
-once per call and each output key unpacked once.  Every key component is at
-most the grade or side grade it adds to (a generator exponent is at most the
-degree; a doubled q-exponent or a t-power is itself one of the grades), and
-the convolution keeps only products within both limits, so a digit that
-holds max(limit, side_limit) never carries into its neighbour;
-`_weight_recurrence` sizes its digits for limit + side_limit.  A digit is
-the narrowest of 8, 16, 32 or 64 bits that holds that bound, and terms past
-a limit are dropped before packing.
+Packed keys (`KeyLayout`).  A key is one int: a monomial's exponents one
+digit each from the lowest digit up, then its degree, then the doubled
+q-exponent j2 of a q-series term as the top digit (0 for a polynomial).  A
+digit is the narrowest of 8, 16, 32 or 64 bits that holds the truncation,
+which bounds every exponent and degree kept.  The convolution adds two keys
+only when their degree sum and their j2 sum are within the limits, so no
+digit carries into its neighbour and a product key is one int addition.  A
+key's degree and j2 are read off its digits.
 
-exp, log and inverse each have one implementation, `_exp`, `_log` and
-`_inverse`, over key -> Fraction maps graded like `_convolve` input.  They
-solve the weight-by-weight recurrences of `_weight_recurrence` and back
-`exp_truncated`/`log_truncated` here, `TwoVarSeries.inverse`/`log` in
-`theta`, `qseries_exp` in `qseries` and the genus log-coefficients in
-`genera`.
+Raw key maps.  The two-variable series of `theta` and the genus series of
+`genera` keep key -> Fraction maps.  `_multiply`, `_inverse` and `_log`
+pack them per call (`_scaled_terms`, `_key_codec`) into the same int form
+and return Fractions.
+
+exp, log and inverse each have one implementation over int forms,
+`_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
+weight recurrences of `_weight_recurrence`.  They back `exp_truncated` and
+`log_truncated` here, `qseries_exp` in `qseries`, and (through the raw
+`_inverse` and `_log`) `TwoVarSeries.inverse`/`log` in `theta` and the genus
+log-coefficients in `genera`.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
@@ -64,7 +70,7 @@ class GeneratorTable:
     so that substitutions targeting cL^2 stay unambiguous.
     """
 
-    __slots__ = ("generators", "degrees", "_index", "_degree_of")  # names derives from generators
+    __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts")  # names derives from generators
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((str(name), int(degree)) for name, degree in generators)
@@ -82,6 +88,7 @@ class GeneratorTable:
         self.degrees = tuple(degree for _, degree in gens)
         self._index = {name: i for i, (name, _) in enumerate(gens)}
         self._degree_of: dict[tuple[int, ...], int] = {}
+        self._layouts: dict[int, KeyLayout] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -109,15 +116,20 @@ class GeneratorTable:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def degree_of(self, name: str) -> int:
-        return self.degrees[self.index(name)]
-
     def monomial_degree(self, expts: tuple[int, ...]) -> int:
         """Degree of an exponent tuple, memoized per table."""
         degree = self._degree_of.get(expts)
         if degree is None:
             degree = self._degree_of[expts] = sum(map(mul, expts, self.degrees))
         return degree
+
+    def layout(self, truncation: int) -> "KeyLayout":
+        """The packed-key layout for polynomials truncated at `truncation`, one per digit width."""
+        bits = _digit_bits(truncation)
+        layout = self._layouts.get(bits)
+        if layout is None:
+            layout = self._layouts[bits] = KeyLayout(self, truncation)
+        return layout
 
     def family_size(self, family: str) -> int:
         """Number of consecutive generators family1, family2, ... present."""
@@ -170,6 +182,17 @@ def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> Gene
     return GeneratorTable(gens)
 
 
+# -- packed keys -------------------------------------------------------------------
+
+
+def _digit_bits(top: int) -> int:
+    """The narrowest digit width, 8, 16, 32 or 64 bits, that holds `top`."""
+    for bits in (8, 16, 32, 64):
+        if top < 1 << bits:
+            return bits
+    raise OverflowError(f"key components up to {top} do not fit a 64-bit digit")
+
+
 def _pack_bytes(key: tuple[int, ...]) -> int:
     return int.from_bytes(bytes(key), _BYTE_ORDER)
 
@@ -179,21 +202,20 @@ def _unpack_bytes(packed: int, length: int) -> tuple[int, ...]:
 
 
 def _key_codec(top: int):
-    """`(pack, unpack)` for int-tuple keys whose components are at most `top`.
+    """`(bits, pack, unpack)` for int-tuple keys whose components are at most `top`.
 
-    `pack(key)` is one int with one digit per component, of the narrowest
-    machine width (8, 16, 32 or 64 bits) that holds `top`;
-    `unpack(packed, length)` is its inverse.  Two packed keys add
-    componentwise as long as no component sum exceeds `top`.
+    `pack(key)` is one int with one digit per component, `bits` wide: the
+    narrowest machine width (8, 16, 32 or 64 bits) that holds `top`, the
+    first component in the lowest digit.  `unpack(packed, length)` is its
+    inverse.  Two packed keys add componentwise as long as no component sum
+    exceeds `top`.
     """
-    if top < 0x100:
-        return _pack_bytes, _unpack_bytes
+    if _digit_bits(top) == 8:
+        return 8, _pack_bytes, _unpack_bytes
     for code in "HIQ":
         size = array(code).itemsize
         if top < 1 << 8 * size:
             break
-    else:
-        raise OverflowError(f"key components up to {top} do not fit a 64-bit digit")
 
     def pack(key):
         return int.from_bytes(array(code, key), _BYTE_ORDER)
@@ -201,16 +223,88 @@ def _key_codec(top: int):
     def unpack(packed, length):
         return tuple(memoryview(packed.to_bytes(length * size, _BYTE_ORDER)).cast(code))
 
-    return pack, unpack
+    return 8 * size, pack, unpack
+
+
+class KeyLayout:
+    """Packed int keys over one generator table, at the digit width of a truncation.
+
+    From the lowest digit up a key holds the monomial's exponents, then its
+    degree, then the doubled q-exponent j2 of a q-series term (`qseries`); a
+    polynomial's keys have j2 = 0 and the unit monomial's key is 0.  Each
+    digit is `bits` wide and holds the truncation, which bounds every
+    exponent (generator degrees are at least 2) and every degree kept; j2,
+    the top digit, is unbounded.  Tables are equal by their generators, and
+    equal tables lay keys out alike.
+    """
+
+    __slots__ = ("table", "bits", "mask", "gshift", "sshift", "_pack", "_unpack")
+
+    def __init__(self, table: GeneratorTable, truncation: int):
+        self.table = table
+        self.bits, self._pack, self._unpack = _key_codec(truncation)
+        self.mask = (1 << self.bits) - 1
+        self.gshift = self.bits * len(table)
+        self.sshift = self.gshift + self.bits
+
+    def pack(self, expts: tuple[int, ...]) -> int:
+        """The key of a monomial whose degree is within the truncation."""
+        return self._pack(expts) | self.table.monomial_degree(expts) << self.gshift
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        return self._unpack(key & ((1 << self.gshift) - 1), len(self.table))
+
+    def int_form(self, acc: dict, den: int) -> tuple[int, list]:
+        """The nonzero sums of `acc` (key -> int) over `den`, as a canonical int form.
+
+        The degree and j2 of each key are read off its digits.
+        """
+        gshift, sshift, mask = self.gshift, self.sshift, self.mask
+        return _int_form(den, [((key >> gshift) & mask, key >> sshift, key, num) for key, num in acc.items() if num])
+
+
+def _int_form(den: int, items: list) -> tuple[int, list]:
+    """`(den, items)` sorted and in lowest terms, with den > 0.
+
+    `items` are `(grade, side grade, packed key, numerator)` tuples with
+    nonzero numerators and distinct keys; sorting them orders them by grade
+    as `_convolve` scans them.  The result is divided through by
+    gcd(den, *numerators); with no items it is (1, []).
+    """
+    items.sort()
+    d = gcd(den, *map(itemgetter(3), items))
+    if den < 0:
+        d = -d
+    if d != 1:
+        den //= d
+        items = [(g, side, key, num // d) for g, side, key, num in items]
+    return den, items
+
+
+def _sum_form(layout: KeyLayout, a_den: int, a_items: list, b_den: int, b_items: list) -> tuple[int, list]:
+    """The termwise sum of two int forms over one layout."""
+    den = lcm(a_den, b_den)
+    scale = den // a_den
+    acc = {key: num * scale for _, _, key, num in a_items}
+    get = acc.get
+    scale = den // b_den
+    for _, _, key, num in b_items:
+        acc[key] = get(key, 0) + num * scale
+    return layout.int_form(acc, den)
+
+
+def _times(den: int, items: list, c: Fraction) -> tuple[int, list]:
+    """An int form times a rational."""
+    return _int_form(den * c.denominator, [(g, side, key, num * c.numerator) for g, side, key, num in items] if c else [])
 
 
 def _scaled_terms(terms: Mapping, grade, pack, limit: int, side_limit: int = 0) -> tuple[int, list]:
-    """`terms` with packed keys over one common denominator, as `_convolve` input.
+    """A key -> Fraction map as an int form over packed keys.
 
-    `grade(key)` returns the key's (grade, side grade).  Returns the
-    denominator and the `(grade, side, packed key, numerator)` list, sorted
-    by grade.  A term past `limit` or `side_limit` takes part in no product
-    and is dropped here, so every packed component fits its digit.
+    `grade(key)` returns the key's (grade, side grade).  A term past `limit`
+    or `side_limit` takes part in no product and is dropped here, so every
+    packed component fits its digit.
     """
     den = lcm(*[c.denominator for c in terms.values()])
     items = [
@@ -218,16 +312,16 @@ def _scaled_terms(terms: Mapping, grade, pack, limit: int, side_limit: int = 0) 
         for (g, side), (key, c) in zip(map(grade, terms), terms.items())
         if g <= limit and side <= side_limit
     ]
-    items.sort(key=itemgetter(0))
+    items.sort()
     return den, items
 
 
 def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
-    """Add the truncated product of two `_scaled_terms` lists into `acc`.
+    """Add the truncated product of two int forms' items into `acc`.
 
     Keys are packed ints that add componentwise; `acc` maps them to int sums
-    of numerator products, over the product of the two lists' denominators.
-    A product whose grade exceeds `limit` or whose side grade exceeds
+    of numerator products, over the product of the two denominators.  A
+    product whose grade exceeds `limit` or whose side grade exceeds
     `side_limit` is dropped.  Both lists are sorted by grade, so each scan
     stops at the first grade past the limit.
     """
@@ -261,7 +355,7 @@ def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit:
     """
     if not a_terms or not b_terms:
         return {}
-    pack, unpack = _key_codec(max(limit, side_limit))
+    _, pack, unpack = _key_codec(max(limit, side_limit))
     den1, left = _scaled_terms(a_terms, grade, pack, limit, side_limit)
     den2, right = _scaled_terms(b_terms, grade, pack, limit, side_limit)
     acc: dict = {}
@@ -269,34 +363,35 @@ def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit:
     return _fractions(acc, den1 * den2, unpack, len(next(iter(a_terms))))
 
 
-def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, side_limit: int = 0) -> dict:
+# -- exp, log and inverse ---------------------------------------------------------
+#
+# Over int forms: `items` are sorted `_convolve` input over `den`, and
+# `finish(acc, den)` turns a `_convolve` accumulator into an int form (it
+# grades the keys: `KeyLayout.int_form` reads the digits).  A term is
+# weighted by grade + side grade; the unit key, of weight 0, is 0.  The
+# callers check the constant term: these helpers trust it.
+
+
+def _weight_recurrence(den: int, items: list, b0: tuple, divisor, finish, limit: int, side_limit: int = 0) -> list:
     """Solve a series b weight by weight through `_convolve`.
 
-    Keys are graded by `grade(key) -> (grade, side grade)` and weighted by
-    grade + side grade.  `a_terms` is scaled to integer numerators A over its
-    common denominator D, and for w = 1..limit + side_limit the weight-w part
-    of b is
+    With a = A / den the int form `items`, for w = 1..limit + side_limit the
+    weight-w part of b is
 
-        b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, D),
+        b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, den),
 
     the power-series recurrence of Brent and Kung ("Fast algorithms for
     manipulating formal power series", J. ACM 1978) behind inverse and exp.
-    `b0` is the weight-0 part.  Keys are packed with digits that hold
-    limit + side_limit.  Each solved b_w stays packed, over its own common
-    denominator, for the later weights, so every b_w is summed in ints and
-    every key is unpacked and turned into a Fraction once.  Returns all of b
-    as one key -> Fraction dict.
+    `b0` is the weight-0 part as an int form.  Each b_w is summed in ints
+    and kept as its own int form for the later weights.  Returns the
+    nonzero parts, b_0 first.
     """
-    pack, unpack = _key_codec(limit + side_limit)
-    length = len(next(iter(b0)))
-    den, items = _scaled_terms(a_terms, grade, pack, limit, side_limit)
     a: dict[int, list] = {}
     for item in items:
         weight = item[0] + item[1]
         if weight:
             a.setdefault(weight, []).append(item)
-    b = dict(b0)
-    solved = {0: _scaled_terms(b0, grade, pack, limit, side_limit)}
+    solved = {0: b0}
     for w in range(1, limit + side_limit + 1):
         parts = [(av, solved[w - v]) for v, av in a.items() if w - v in solved]
         if not parts:
@@ -307,73 +402,153 @@ def _weight_recurrence(a_terms: Mapping, b0: dict, divisor, grade, limit: int, s
             scale = common // bden
             left = av if scale == 1 else [(g, side, key, num * scale) for g, side, key, num in av]
             _convolve(acc, left, bu, limit, side_limit)
-        total = divisor(w, den) * common
-        bucket = [(packed, Fraction(value, total)) for packed, value in acc.items() if value]
-        if not bucket:
-            continue
-        bden = lcm(*[c.denominator for _, c in bucket])
-        items = []
-        for packed, c in bucket:
-            key = unpack(packed, length)
-            b[key] = c
-            items.append((*grade(key), packed, c.numerator * (bden // c.denominator)))
-        items.sort(key=itemgetter(0))
-        solved[w] = (bden, items)
-    return b
+        bden, bu = finish(acc, divisor(w, den) * common)
+        if bu:
+            solved[w] = (bden, bu)
+    return list(solved.values())
 
 
-# exp, log and inverse of key -> Fraction maps.  `grade`, `limit` and
-# `side_limit` are as for `_convolve`; `unit` is the key of the constant term.
-# The callers check the constant term: these helpers trust it.
+def _joined(parts: list) -> tuple[int, list]:
+    """Int forms with disjoint keys as one int form over the lcm of their denominators.
+
+    Each part is in lowest terms, so the sum is too.
+    """
+    den = lcm(*[pden for pden, _ in parts])
+    items = [
+        (g, side, key, num * scale)
+        for pden, part in parts
+        for scale in (den // pden,)
+        for g, side, key, num in part
+    ]
+    items.sort()
+    return den, items
 
 
-def _euler(terms: Mapping, grade) -> dict:
+def _euler_items(items: list) -> list:
     """The Euler operator E: each term scaled by its weight, grade + side grade."""
-    scaled = {}
-    for key, c in terms.items():
-        weight = sum(grade(key))
-        if weight:
-            scaled[key] = c * weight
-    return scaled
+    return [(g, side, key, num * (g + side)) for g, side, key, num in items if g + side]
 
 
-def _exp(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+def _exp_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
     """exp(x) for x with no weight-0 term: w * f_w = sum_v E(x)_v * f_(w-v)."""
-    return _weight_recurrence(
-        _euler(terms, grade), {unit: Fraction(1)}, lambda w, den: w * den, grade, limit, side_limit
+    return _joined(
+        _weight_recurrence(den, _euler_items(items), (1, [(0, 0, 0, 1)]), lambda w, d: w * d, finish, limit, side_limit)
     )
+
+
+def _inverse_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
+    """a^(-1) for a nonzero constant a_0 = lead / den: b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v)."""
+    lead = items[0][3]  # the unit term sorts first
+    b0 = _int_form(lead, [(0, 0, 0, den)])
+    return _joined(_weight_recurrence(den, items, b0, lambda w, d: -lead, finish, limit, side_limit))
+
+
+def _log_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
+    """log(a) for a_0 = 1, by the Euler-operator identity w * log(a)_w = (E(a) * a^(-1))_w."""
+    inv_den, inverse = _inverse_form(den, items, finish, limit, side_limit)
+    acc: dict = {}
+    _convolve(acc, _euler_items(items), inverse, limit, side_limit)
+    pden, product = finish(acc, den * inv_den)
+    common = lcm(*[g + side for g, side, _, _ in product])
+    return _int_form(pden * common, [(g, side, key, num * (common // (g + side))) for g, side, key, num in product])
+
+
+def _raw_kernel(form, terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+    """An int-form kernel applied to a key -> Fraction map, returning one."""
+    _, pack, unpack = _key_codec(limit + side_limit)
+    length = len(unit)
+
+    def finish(acc, den):
+        return _int_form(den, [(*grade(unpack(key, length)), key, num) for key, num in acc.items() if num])
+
+    den, items = form(*_scaled_terms(terms, grade, pack, limit, side_limit), finish, limit, side_limit)
+    return {unpack(key, length): Fraction(num, den) for _, _, key, num in items}
 
 
 def _inverse(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """a^(-1) for a nonzero constant a_0: b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v)."""
-    lead = terms[unit]
-    return _weight_recurrence(
-        terms, {unit: 1 / lead}, lambda w, den: -lead.numerator * (den // lead.denominator), grade, limit, side_limit
-    )
+    """a^(-1) of a key -> Fraction map with a nonzero constant term at `unit`."""
+    return _raw_kernel(_inverse_form, terms, unit, grade, limit, side_limit)
 
 
 def _log(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """log(a) for a_0 = 1, by the Euler-operator identity w * log(a)_w = (E(a) * a^(-1))_w."""
-    inverse = _inverse(terms, unit, grade, limit, side_limit)
-    product = _multiply(_euler(terms, grade), inverse, grade, limit, side_limit)
-    return {key: c / sum(grade(key)) for key, c in product.items()}
+    """log(a) of a key -> Fraction map with constant term 1 at `unit`."""
+    return _raw_kernel(_log_form, terms, unit, grade, limit, side_limit)
+
+
+# -- monomial substitution ----------------------------------------------------------
+
+
+def _substitute_monomials(den: int, items: list, layout: KeyLayout, images: Mapping[str, "GradedPoly"], limit: int):
+    """Substitute single-term images for generators by rewriting packed keys.
+
+    Every image is one monomial with a coefficient, or zero, over
+    `layout.table` and truncated at or above `limit`, whose layout it takes
+    when cut there.  A term's exponent e of a mapped generator moves to the
+    image's monomial, and its numerator takes the coefficient to the power
+    e; a zero image (or one past `limit`) drops the terms that carry its
+    generator.  The degree digit moves with the key, and terms whose new
+    degree exceeds `limit` are dropped.  The substitution is simultaneous:
+    exponents are read from the original key.  The side digit (j2) is
+    untouched, so q-series items are rewritten in one pass.  Returns the int
+    form of the result.
+    """
+    table, bits, mask = layout.table, layout.bits, layout.mask
+    subs, vanish = [], 0
+    for name, image in images.items():
+        if name not in table:
+            continue  # no term carries it
+        i = table.index(name)
+        image = image.truncate(limit)
+        if not image.items:
+            vanish |= mask << (bits * i)
+            continue
+        ((img_degree, _, img_key, img_num),) = image.items
+        gen_key = 1 << (bits * i) | table.degrees[i] << layout.gshift
+        subs.append((bits * i, img_key - gen_key, img_degree - table.degrees[i], img_num, image.den))
+    rows = []
+    for g, side, key, num in items:
+        if key & vanish:
+            continue
+        new_key, fnum, fden = key, 1, 1
+        for shift, dkey, dg, cnum, cden in subs:
+            e = (key >> shift) & mask
+            if e:
+                new_key += e * dkey
+                g += e * dg
+                fnum *= cnum ** e
+                fden *= cden ** e
+        if g <= limit:
+            rows.append((new_key, num * fnum, fden))
+    common = lcm(*[fden for _, _, fden in rows])
+    acc: dict = {}
+    get = acc.get
+    for key, num, fden in rows:
+        acc[key] = get(key, 0) + num * (common // fden)
+    return layout.int_form(acc, den * common)
 
 
 class GradedPoly:
-    """Truncated polynomial with Fraction coefficients over a GeneratorTable.
+    """Truncated polynomial over a GeneratorTable, in int form.
 
-    Terms are keyed by exponent tuples parallel to the table; zero
-    coefficients and terms above the truncation degree are never stored.
-    Instances are treated as immutable.
+    The value is sum numerator * monomial / den over one positive int
+    denominator `den`, in lowest terms: gcd(den, *numerators) = 1.  `items`
+    holds the terms as `(degree, 0, packed key, numerator)` tuples (keys laid
+    out by `table.layout(truncation)`), sorted, with no zero numerator and no
+    term above the truncation.  So the form is canonical, and equality
+    compares ints.  Instances are treated as immutable.
+
+    `items` is `_convolve` input as it stands: a product is one `_convolve`
+    plus one gcd reduction, and its result feeds the next product unchanged.
+    `terms`, the exponent tuple -> Fraction map, is a view built on each
+    access, for rendering, evaluation and the public API; the arithmetic
+    reads the ints.
 
     The public constructor validates and cleans its input.  Arithmetic
     results go through `_make` instead, which trusts that the invariants
-    already hold.  Products use the integer-numerator kernel (`_multiply`
-    over `_convolve`), with both operands sorted by degree so each scan
-    stops at the truncation.
+    already hold.
     """
 
-    __slots__ = ("table", "truncation", "terms")
+    __slots__ = ("table", "truncation", "den", "items")
 
     def __init__(self, table: GeneratorTable, truncation: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         truncation = int(truncation)
@@ -381,7 +556,8 @@ class GradedPoly:
             raise ValueError(f"truncation must be a nonnegative even integer, got {truncation}")
         self.table = table
         self.truncation = truncation
-        clean: dict[tuple[int, ...], Fraction] = {}
+        layout = table.layout(truncation)
+        clean: dict[int, Fraction] = {}
         if terms:
             for expts, coeff in terms.items():
                 coeff = as_rational(coeff)
@@ -390,22 +566,26 @@ class GradedPoly:
                 expts = tuple(int(e) for e in expts)
                 if len(expts) != len(table):
                     raise ValueError("exponent tuple does not match the generator table")
+                if any(e < 0 for e in expts):
+                    raise ValueError(f"negative exponent in {expts}")
                 if table.monomial_degree(expts) <= truncation:
-                    clean[expts] = coeff
-        self.terms = clean
+                    clean[layout.pack(expts)] = coeff
+        den = lcm(*[c.denominator for c in clean.values()])
+        self.den, self.items = layout.int_form({key: c.numerator * (den // c.denominator) for key, c in clean.items()}, den)
 
     @classmethod
-    def _make(cls, table: GeneratorTable, truncation: int, terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
+    def _make(cls, table: GeneratorTable, truncation: int, den: int, items: list) -> "GradedPoly":
         """Trusted constructor for arithmetic results; checks nothing.
 
-        The caller guarantees a nonnegative even int truncation, exponent
-        tuples of the table's length, nonzero Fraction coefficients and no
-        term above the truncation.  `terms` is stored, not copied.
+        The caller guarantees a nonnegative even int truncation and a
+        canonical int form over `table.layout(truncation)` with no term above
+        the truncation.  `items` is stored, not copied.
         """
         poly = object.__new__(cls)
         poly.table = table
         poly.truncation = truncation
-        poly.terms = terms
+        poly.den = den
+        poly.items = items
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -428,45 +608,47 @@ class GradedPoly:
         expts[table.index(name)] = 1
         return cls(table, truncation, {tuple(expts): Fraction(1)})
 
+    # -- the Fraction view ---------------------------------------------------
+
+    @property
+    def layout(self) -> KeyLayout:
+        return self.table.layout(self.truncation)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Exponent tuple -> nonzero Fraction, built from the ints on each access."""
+        unpack, den = self.layout.unpack, self.den
+        return {unpack(key): Fraction(num, den) for _, _, key, num in self.items}
+
     # -- ring structure ----------------------------------------------------
 
     def _check_table(self, other: "GradedPoly"):
         if self.table != other.table:
             raise ValueError("polynomials live over different generator tables")
 
+    def _aligned(self, other: "GradedPoly") -> tuple["GradedPoly", "GradedPoly"]:
+        """Both operands at the smaller truncation."""
+        if self.truncation == other.truncation:
+            return self, other
+        trunc = min(self.truncation, other.truncation)
+        return self.truncate(trunc), other.truncate(trunc)
+
     def __add__(self, other):
-        terms = dict(self.terms)
         if isinstance(other, (int, Fraction)):
-            unit = (0,) * len(self.table)
-            value = terms.get(unit, _ZERO) + other
-            if value:
-                terms[unit] = value
-            else:
-                terms.pop(unit, None)
-            return GradedPoly._make(self.table, self.truncation, terms)
-        if not isinstance(other, GradedPoly):
+            if not other:
+                return self
+            other = as_rational(other)
+            other = GradedPoly._make(self.table, self.truncation, other.denominator, [(0, 0, 0, other.numerator)])
+        elif not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_table(other)
-        for expts, coeff in other.terms.items():
-            value = terms.get(expts)
-            if value is None:
-                terms[expts] = coeff
-                continue
-            value += coeff
-            if value:
-                terms[expts] = value
-            else:
-                del terms[expts]
-        trunc = min(self.truncation, other.truncation)
-        if trunc < max(self.truncation, other.truncation):
-            degree = self.table.monomial_degree
-            terms = {e: c for e, c in terms.items() if degree(e) <= trunc}
-        return GradedPoly._make(self.table, trunc, terms)
+        a, b = self._aligned(other)
+        return GradedPoly._make(a.table, a.truncation, *_sum_form(a.layout, a.den, a.items, b.den, b.items))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly._make(self.table, self.truncation, {e: -c for e, c in self.terms.items()})
+        return GradedPoly._make(self.table, self.truncation, self.den, [(g, s, key, -num) for g, s, key, num in self.items])
 
     def __sub__(self, other):
         return self + (-other)
@@ -476,15 +658,14 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            terms = {e: other * v for e, v in self.terms.items()} if other else {}
-            return GradedPoly._make(self.table, self.truncation, terms)
+            return GradedPoly._make(self.table, self.truncation, *_times(self.den, self.items, as_rational(other)))
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_table(other)
-        trunc = min(self.truncation, other.truncation)
-        degree = self.table.monomial_degree
-        terms = _multiply(self.terms, other.terms, lambda expts: (degree(expts), 0), trunc)
-        return GradedPoly._make(self.table, trunc, terms)
+        a, b = self._aligned(other)
+        acc: dict = {}
+        _convolve(acc, a.items, b.items, a.truncation)
+        return GradedPoly._make(a.table, a.truncation, *a.layout.int_form(acc, a.den * b.den))
 
     __rmul__ = __mul__
 
@@ -509,7 +690,8 @@ class GradedPoly:
             isinstance(other, GradedPoly)
             and self.table == other.table
             and self.truncation == other.truncation
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.items == other.items
         )
 
     __hash__ = None
@@ -517,11 +699,14 @@ class GradedPoly:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.items
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.table), _ZERO)
+        items = self.items
+        if items and items[0][2] == 0:  # the unit key is 0 and sorts first
+            return Fraction(items[0][3], self.den)
+        return _ZERO
 
     def coefficient(self, monomial: Mapping[str, int] | str) -> Fraction:
         if isinstance(monomial, str):
@@ -531,21 +716,32 @@ class GradedPoly:
             for name, power in monomial.items():
                 e[self.table.index(name)] = int(power)
             expts = tuple(e)
-        return self.terms.get(expts, _ZERO)
+        degree = self.table.monomial_degree(expts)
+        if degree > self.truncation or any(e < 0 for e in expts):
+            return _ZERO
+        key = self.layout.pack(expts)
+        items = self.items
+        i = bisect_left(items, (degree, 0, key))
+        if i < len(items) and items[i][2] == key:
+            return Fraction(items[i][3], self.den)
+        return _ZERO
 
     def homogeneous_component(self, d: int) -> "GradedPoly":
-        degree = self.table.monomial_degree
-        return GradedPoly._make(self.table, self.truncation, {e: c for e, c in self.terms.items() if degree(e) == d})
-
-    def degrees_present(self) -> list[int]:
-        degree = self.table.monomial_degree
-        return sorted({degree(e) for e in self.terms})
+        items = [item for item in self.items if item[0] == d]
+        return GradedPoly._make(self.table, self.truncation, *_int_form(self.den, items))
 
     def truncate(self, truncation: int) -> "GradedPoly":
         """The polynomial truncated to `truncation`; itself if that lowers nothing."""
         if truncation >= self.truncation:
             return self
-        return GradedPoly(self.table, truncation, self.terms)
+        if truncation < 0 or truncation % 2 != 0:
+            raise ValueError(f"truncation must be a nonnegative even integer, got {truncation}")
+        old, new = self.layout, self.table.layout(truncation)
+        if new is old:
+            items = [item for item in self.items if item[0] <= truncation]
+        else:
+            items = [(g, s, new.pack(old.unpack(key)), num) for g, s, key, num in self.items if g <= truncation]
+        return GradedPoly._make(self.table, truncation, *_int_form(self.den, items))
 
     # -- substitution ------------------------------------------------------
 
@@ -554,7 +750,12 @@ class GradedPoly:
 
         All image polynomials must share one generator table, which becomes
         the table of the result; unmapped generators must exist there by name.
-        Each power of an image is built once per call.
+        Every term is substituted, then the result is cut at the truncation.
+        When every image is a single term or zero, over this polynomial's own table
+        (and the result keeps its key layout), the substitution rewrites the
+        packed keys (`_substitute_monomials`): no product and no power of an
+        image.  Otherwise each power of an image is built once per call and
+        the terms are multiplied out.
         """
         target = None
         for poly in images.values():
@@ -567,6 +768,15 @@ class GradedPoly:
         trunc = self.truncation if truncation is None else truncation
         for poly in images.values():
             trunc = min(trunc, poly.truncation)
+
+        layout = self.layout
+        if (
+            target == self.table
+            and trunc <= self.truncation
+            and self.table.layout(trunc) is layout
+            and all(len(p.items) <= 1 for p in images.values())
+        ):
+            return GradedPoly._make(self.table, trunc, *_substitute_monomials(self.den, self.items, layout, images, trunc))
 
         cache: list[GradedPoly | None] = [None] * len(self.table)
 
@@ -604,7 +814,7 @@ class GradedPoly:
 
     def render(self) -> str:
         """Canonical text form: terms sorted by (degree, exponents)."""
-        if not self.terms:
+        if not self.items:
             return "0"
         degree = self.table.monomial_degree
         items = sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
@@ -667,23 +877,20 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     return sums[m - 1]
 
 
-def _series_map(kernel, x: GradedPoly) -> GradedPoly:
-    """Apply an exp/log kernel to a polynomial, graded by degree."""
-    degree = x.table.monomial_degree
-    unit = (0,) * len(x.table)
-    terms = kernel(x.terms, unit, lambda expts: (degree(expts), 0), x.truncation)
-    return GradedPoly._make(x.table, x.truncation, terms)
+def _series_map(form, x: GradedPoly) -> GradedPoly:
+    """Apply an exp/log int-form kernel to a polynomial, graded by degree."""
+    return GradedPoly._make(x.table, x.truncation, *form(x.den, x.items, x.layout.int_form, x.truncation))
 
 
 def exp_truncated(x: GradedPoly) -> GradedPoly:
     """exp of a polynomial with zero constant term (nilpotent under truncation)."""
     if x.constant_term:
         raise ValueError("exp_truncated needs a zero constant term")
-    return _series_map(_exp, x)
+    return _series_map(_exp_form, x)
 
 
 def log_truncated(x: GradedPoly) -> GradedPoly:
     """log of a polynomial with constant term 1."""
     if x.constant_term != 1:
         raise ValueError("log_truncated needs constant term 1")
-    return _series_map(_log, x)
+    return _series_map(_log_form, x)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _int_form, power_sum_in_pontryagin
 from .qseries import PolyRing, QHalfSeries
 
 
@@ -56,13 +56,6 @@ class VirtualBundle:
     @classmethod
     def zero(cls, table, truncation) -> "VirtualBundle":
         return cls(table, truncation, 0)
-
-    @classmethod
-    def from_ch(cls, ch: GradedPoly) -> "VirtualBundle":
-        rank = ch.constant_term
-        if rank.denominator != 1:
-            raise ValueError("Chern character has a non-integral rank")
-        return cls(ch.table, ch.truncation, int(rank), ch - rank)
 
     # -- basic algebra ---------------------------------------------------------
 
@@ -134,7 +127,7 @@ class VirtualBundle:
         """k-th Adams operation: scales each degree-d character piece by k^(d/2).
 
         Each psi^k is built once per bundle and kept, like the exterior and
-        symmetric powers.
+        symmetric powers; it scales the numerators of the int form.
         """
         if not isinstance(k, int) or k < 1:
             raise ValueError("Adams operations are indexed by positive integers")
@@ -142,9 +135,9 @@ class VirtualBundle:
             self._psi = {}
         psi = self._psi.get(k)
         if psi is None:
-            degree = self.table.monomial_degree
-            terms = {e: c * k ** (degree(e) // 2) for e, c in self.reduced.terms.items()}
-            reduced = GradedPoly._make(self.table, self.truncation, terms)
+            base = self.reduced
+            items = [(g, s, key, num * k ** (g // 2)) for g, s, key, num in base.items]
+            reduced = GradedPoly._make(self.table, self.truncation, *_int_form(base.den, items))
             psi = self._psi[k] = VirtualBundle(self.table, self.truncation, self.rank, reduced)
         return psi
 

@@ -5,21 +5,34 @@ ever used as dictionary keys.  Coefficients live either in the rationals or
 in a truncated graded polynomial ring; mixing the two is an error unless the
 rational series is promoted explicitly.
 
-Products and `qseries_exp` run on the integer-numerator kernel of `algebra`
-over flat keys: each ring flattens a coefficient map to one key -> Fraction
-map, keyed (j2, *exponents) over a polynomial ring and (j2,) over the
-rationals, graded by polynomial degree with the doubled q-exponent as side
-grade.  A product is then one `_multiply` call, so every output coefficient
-is summed in ints and becomes one Fraction.
+A series keeps the int form of `algebra` over flat keys: one positive
+denominator and `(degree, j2, flat key, numerator)` items, where the flat
+key is the coefficient's packed key with j2 as one more digit on top (over
+the rationals, the key of the empty table).  A product is one `_convolve`
+plus one gcd reduction, and `qseries_exp` returns its solved parts as ints,
+so the running products of a route pass ints from one product to the next.
+The coefficient map `coeffs` (j2 -> GradedPoly or Fraction) is a view,
+built from the ints on first access and kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable
 
-from .algebra import GeneratorTable, GradedPoly, _exp, _multiply, as_rational
+from .algebra import (
+    GeneratorTable,
+    GradedPoly,
+    _convolve,
+    _exp_form,
+    _int_form,
+    _substitute_monomials,
+    _sum_form,
+    _times,
+    as_rational,
+)
 
 
 class RingMismatchError(TypeError):
@@ -30,13 +43,14 @@ class NonUnitError(ValueError):
     """Raised when inverting a series whose leading coefficient is not a unit."""
 
 
-def _rational_grade(key: tuple[int]) -> tuple[int, int]:
-    """Kernel grade of a flat rational key (j2,): degree 0, side grade j2."""
-    return 0, key[0]
-
-
 class RationalRing:
-    """Coefficient ring marker: plain Fraction coefficients."""
+    """Coefficient ring marker: plain Fraction coefficients.
+
+    Flat keys are those of the empty generator table: degree 0, j2 on top.
+    """
+
+    layout = GeneratorTable(()).layout(0)
+    limit = 0  # the kernel's grade limit: every term has degree 0
 
     def zero(self):
         return Fraction(0)
@@ -50,17 +64,15 @@ class RationalRing:
     def is_zero(self, value) -> bool:
         return not value
 
-    def flatten(self, coeffs: dict) -> dict:
-        """j2 -> Fraction as (j2,) -> Fraction."""
-        return {(j2,): value for j2, value in coeffs.items()}
+    def flatten(self, coeffs: dict) -> tuple[int, list]:
+        """j2 -> Fraction as an int form over flat keys."""
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        shift = self.layout.sshift
+        return self.layout.int_form({j2 << shift: c.numerator * (den // c.denominator) for j2, c in coeffs.items()}, den)
 
-    def unflatten(self, terms: dict) -> dict:
+    def unflatten(self, den: int, items: list) -> dict:
         """Inverse of `flatten`."""
-        return {key[0]: value for key, value in terms.items()}
-
-    def flat_grade(self):
-        """The kernel's grade function and grade limit for flat keys."""
-        return _rational_grade, 0
+        return {j2: Fraction(num, den) for _, j2, _, num in items}
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -77,12 +89,15 @@ class PolyRing:
 
     Every stored coefficient sits at the ring's truncation: `coerce` cuts a
     polynomial truncated above it and rejects one truncated below it, whose
-    missing degrees would otherwise read as zeros.
+    missing degrees would otherwise read as zeros.  Flat keys follow
+    `table.layout(truncation)`, and the truncation is the kernel's grade
+    limit.
     """
 
     def __init__(self, table: GeneratorTable, truncation: int):
         self.table = table
-        self.truncation = int(truncation)
+        self.truncation = self.limit = int(truncation)
+        self.layout = table.layout(self.truncation)
 
     def zero(self):
         return GradedPoly.zero(self.table, self.truncation)
@@ -105,22 +120,25 @@ class PolyRing:
     def is_zero(self, value) -> bool:
         return value.is_zero()
 
-    def flatten(self, coeffs: dict) -> dict:
-        """j2 -> GradedPoly as (j2, *exponents) -> Fraction."""
-        return {(j2, *expts): c for j2, poly in coeffs.items() for expts, c in poly.terms.items()}
+    def flatten(self, coeffs: dict) -> tuple[int, list]:
+        """j2 -> GradedPoly as an int form over flat keys: each key gains j2 as its top digit."""
+        den = lcm(*[poly.den for poly in coeffs.values()])
+        shift = self.layout.sshift
+        return self.layout.int_form({
+            key | j2 << shift: num * scale
+            for j2, poly in coeffs.items()
+            for scale in (den // poly.den,)
+            for _, _, key, num in poly.items
+        }, den)
 
-    def unflatten(self, terms: dict) -> dict:
-        """Inverse of `flatten` for kernel output: no zero, nothing past the truncation."""
-        polys: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for key, c in terms.items():
-            polys.setdefault(key[0], {})[key[1:]] = c
+    def unflatten(self, den: int, items: list) -> dict:
+        """Inverse of `flatten`: one polynomial in lowest terms per q-power."""
+        mask = (1 << self.layout.sshift) - 1
+        parts: dict[int, list] = {}
+        for g, j2, key, num in items:
+            parts.setdefault(j2, []).append((g, 0, key & mask, num))
         table, truncation = self.table, self.truncation
-        return {j2: GradedPoly._make(table, truncation, poly) for j2, poly in polys.items()}
-
-    def flat_grade(self):
-        """The kernel's grade function, (degree, j2), and the truncation as grade limit."""
-        degree = self.table.monomial_degree
-        return (lambda key: (degree(key[1:]), key[0])), self.truncation
+        return {j2: GradedPoly._make(table, truncation, *_int_form(den, parts[j2])) for j2 in sorted(parts)}
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.table == other.table and self.truncation == other.truncation
@@ -145,15 +163,24 @@ def merge_rings(a, b):
     raise RingMismatchError("mixing rational and polynomial coefficients requires an explicit promotion")
 
 
+def _flat_product(ring, cap: int, a_den: int, a_items: list, b_den: int, b_items: list) -> tuple[int, list]:
+    """The truncated product of two int forms over `ring`'s flat keys: one `_convolve`."""
+    acc: dict = {}
+    _convolve(acc, a_items, b_items, ring.limit, 2 * cap)
+    return ring.layout.int_form(acc, a_den * b_den)
+
+
 class QHalfSeries:
     """Finite expansion sum_j c_j * q^(j/2), keyed by the doubled exponent j.
 
     The cap N bounds the stored powers: 0 <= j <= 2N.  Instances are treated
-    as immutable.  No zero coefficient is stored, and over a PolyRing every
-    coefficient sits at the ring's truncation.
+    as immutable.  The value is the int form `den`, `items` over the ring's
+    flat keys (see the module docstring), canonical, so equality compares
+    ints.  `coeffs` is the j2 -> coefficient view: no zero coefficient, and
+    over a PolyRing every coefficient sits at the ring's truncation.
     """
 
-    __slots__ = ("ring", "cap", "coeffs")
+    __slots__ = ("ring", "cap", "den", "items", "_coeffs")
 
     def __init__(self, ring, cap: int, coeffs=None):
         cap = int(cap)
@@ -172,20 +199,37 @@ class QHalfSeries:
                 value = ring.coerce(value)
                 if not ring.is_zero(value):
                     clean[j2] = value
-        self.coeffs = clean
+        self._coeffs = clean
+        self.den, self.items = ring.flatten(clean)
 
     @classmethod
-    def _make(cls, ring, cap: int, coeffs: dict) -> "QHalfSeries":
+    def _make(cls, ring, cap: int, den: int, items: list) -> "QHalfSeries":
         """Trusted constructor for kernel results; checks nothing.
 
-        The caller guarantees a nonnegative int cap, keys 0 <= j2 <= 2*cap and
-        nonzero coefficients already in `ring`.  `coeffs` is stored, not copied.
+        The caller guarantees a nonnegative int cap and a canonical int form
+        over the ring's flat keys with no degree past the ring's truncation
+        and no j2 past 2*cap.  `items` is stored, not copied.
         """
         series = object.__new__(cls)
         series.ring = ring
         series.cap = cap
-        series.coeffs = coeffs
+        series.den = den
+        series.items = items
+        series._coeffs = None
         return series
+
+    @property
+    def coeffs(self) -> dict:
+        """j2 -> coefficient, built from the ints on first access and kept."""
+        if self._coeffs is None:
+            self._coeffs = self.ring.unflatten(self.den, self.items)
+        return self._coeffs
+
+    def _over(self, ring, cap: int) -> "QHalfSeries":
+        """The series in `ring`, one of the merged rings, cut at `cap`."""
+        if self.ring == ring and self.cap == cap:
+            return self
+        return QHalfSeries(ring, cap, self.coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -212,17 +256,18 @@ class QHalfSeries:
         return self.coefficient(2 * n)
 
     def integer_powers_only(self) -> bool:
-        return all(j2 % 2 == 0 for j2 in self.coeffs)
+        return all(j2 % 2 == 0 for _, j2, _, _ in self.items)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.items
 
     def __eq__(self, other):
         return (
             isinstance(other, QHalfSeries)
             and self.ring == other.ring
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.items == other.items
         )
 
     __hash__ = None
@@ -234,36 +279,40 @@ class QHalfSeries:
             return NotImplemented
         ring = merge_rings(self.ring, other.ring)
         cap = min(self.cap, other.cap)
-        coeffs = dict(self.coeffs)
-        for j2, value in other.coeffs.items():
-            coeffs[j2] = coeffs[j2] + value if j2 in coeffs else value
-        return QHalfSeries(ring, cap, coeffs)
+        a, b = self._over(ring, cap), other._over(ring, cap)
+        return QHalfSeries._make(ring, cap, *_sum_form(ring.layout, a.den, a.items, b.den, b.items))
 
     def __neg__(self):
-        return QHalfSeries(self.ring, self.cap, {j2: -v for j2, v in self.coeffs.items()})
+        return QHalfSeries._make(self.ring, self.cap, self.den, [(g, j2, key, -num) for g, j2, key, num in self.items])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """The truncated product: one `algebra._multiply` over the rings' flat keys.
+        """The truncated product: one `_convolve` over the merged ring's flat keys.
 
-        Both operands are flattened in the merged ring, so a polynomial product
-        is graded by degree (limit: the ring's truncation) with the doubled
-        q-exponent as side grade (limit: 2*cap).
+        A polynomial product is graded by degree (limit: the ring's
+        truncation) with the doubled q-exponent as side grade (limit: 2*cap).
         """
         if not isinstance(other, QHalfSeries):
             return NotImplemented
         ring = merge_rings(self.ring, other.ring)
         cap = min(self.cap, other.cap)
-        grade, limit = ring.flat_grade()
-        terms = _multiply(ring.flatten(self.coeffs), ring.flatten(other.coeffs), grade, limit, 2 * cap)
-        return QHalfSeries._make(ring, cap, ring.unflatten(terms))
+        a, b = self._over(ring, cap), other._over(ring, cap)
+        return QHalfSeries._make(ring, cap, *_flat_product(ring, cap, a.den, a.items, b.den, b.items))
 
     def scale(self, value):
-        """Multiply every coefficient by a fixed ring element or scalar."""
+        """Multiply every coefficient by a fixed ring element or scalar.
+
+        A polynomial's keys are its flat keys at q^0, so scaling by one is a
+        single flat product.
+        """
         value = self.ring.coerce(value)
-        return QHalfSeries(self.ring, self.cap, {j2: value * c for j2, c in self.coeffs.items()})
+        if isinstance(value, GradedPoly):
+            return QHalfSeries._make(
+                self.ring, self.cap, *_flat_product(self.ring, self.cap, self.den, self.items, value.den, value.items)
+            )
+        return QHalfSeries._make(self.ring, self.cap, *_times(self.den, self.items, value))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -277,11 +326,36 @@ class QHalfSeries:
 
     def tau_shift_half(self) -> "QHalfSeries":
         """The substitution q^(1/2) -> -q^(1/2): negates odd doubled exponents."""
-        return QHalfSeries(self.ring, self.cap, {j2: (-v if j2 % 2 else v) for j2, v in self.coeffs.items()})
+        items = [(g, j2, key, -num if j2 % 2 else num) for g, j2, key, num in self.items]
+        return QHalfSeries._make(self.ring, self.cap, self.den, items)
 
     def map_coefficients(self, fn: Callable, ring=None) -> "QHalfSeries":
         ring = self.ring if ring is None else ring
         return QHalfSeries(ring, self.cap, {j2: fn(v) for j2, v in self.coeffs.items()})
+
+    def substitute(self, images) -> "QHalfSeries":
+        """Substitute single-term images into every coefficient at once.
+
+        Each image is one monomial with a coefficient, or zero, over the ring's table,
+        truncated at or above the ring's truncation; the result stays in the
+        ring.  The flat keys are rewritten in one pass
+        (`algebra._substitute_monomials`, as `GradedPoly.substitute` does for
+        single-term images) and terms past the truncation are dropped.
+        """
+        ring = self.ring
+        if not isinstance(ring, PolyRing):
+            raise RingMismatchError("substitute needs polynomial coefficients")
+        for name, image in images.items():
+            if not (
+                isinstance(image, GradedPoly)
+                and image.table == ring.table
+                and image.truncation >= ring.truncation
+                and len(image.items) <= 1
+            ):
+                raise ValueError(f"the image of {name!r} must be a single term or zero over the ring's table and truncation")
+        return QHalfSeries._make(
+            ring, self.cap, *_substitute_monomials(self.den, self.items, ring.layout, images, ring.truncation)
+        )
 
     def promote(self, ring: PolyRing) -> "QHalfSeries":
         """Explicitly lift rational coefficients into a polynomial ring."""
@@ -292,11 +366,12 @@ class QHalfSeries:
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for j2 in sorted(self.coeffs):
-            value = self.coeffs[j2]
+        for j2 in sorted(coeffs):
+            value = coeffs[j2]
             if j2 == 0:
                 power = ""
             elif j2 == 2:
@@ -337,19 +412,15 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight by weight by `algebra._exp` over the ring's flat keys,
-    (j2, *exponents).
+    Solved weight by weight by `algebra._exp_form` over the ring's flat keys;
+    the result keeps the solved parts' ints.
     """
     ring = x.ring
     if not isinstance(ring, PolyRing):
         raise RingMismatchError("qseries_exp needs polynomial coefficients")
-    q0 = x.coeffs.get(0)
-    if q0 is not None and q0.constant_term:
+    if x.items and x.items[0][2] == 0:  # the unit flat key is 0 and sorts first
         raise ValueError("qseries_exp needs a zero constant term at q^0")
-
-    grade, limit = ring.flat_grade()
-    terms = _exp(ring.flatten(x.coeffs), (0,) * (len(ring.table) + 1), grade, limit, 2 * x.cap)
-    return QHalfSeries._make(ring, x.cap, ring.unflatten(terms))
+    return QHalfSeries._make(ring, x.cap, *_exp_form(x.den, x.items, ring.layout.int_form, ring.truncation, 2 * x.cap))
 
 
 def _sigma(k: int, n: int) -> int:

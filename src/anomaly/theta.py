@@ -157,9 +157,6 @@ class TwoVarSeries:
         """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""
         return TwoVarSeries._make(self.tcap, self.cap, {(n, j2): (-c if j2 % 2 else c) for (n, j2), c in self.coeffs.items()})
 
-    def t_parities(self) -> set[int]:
-        return {n % 2 for (n, _), _ in self.coeffs.items()}
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"

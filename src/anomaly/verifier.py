@@ -126,28 +126,26 @@ def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
     return q_series_via_theta(spec.table(), spec.case, spec.dim, spec.qcap)
 
 
+# The case conditions: pX1 -> coefficient * monomial, of the degree of pX1.
+_CONDITIONS = {"spin_v": ("pV1", 3), "spinc_l": ("cL^2", 1), "spin_v_line": ("cL^2", 3)}
+
+
 def impose_condition(x, case: str):
-    """Substitute the case's first-Pontryagin constraint into x.
+    """Substitute the case's first-Pontryagin constraint into x, a polynomial
+    or a q-series over polynomials.
 
     spin: none.  spin_v: pX1 -> 3*pV1.  spinc_l: pX1 -> cL^2.
     spin_v_line (the line-bundle specialization of spin_v): pX1 -> 3*cL^2.
+    Each image is a single term, so the substitution rewrites packed keys,
+    every q-coefficient of a series at once.
     """
     if case == "spin":
         return x
-    if isinstance(x, QHalfSeries):
-        return x.map_coefficients(lambda p: impose_condition(p, case))
-    table, trunc = x.table, x.truncation
-    if case == "spin_v":
-        image = 3 * GradedPoly.generator(table, "pV1", trunc)
-    elif case == "spinc_l":
-        c = GradedPoly.generator(table, "cL", trunc)
-        image = c * c
-    elif case == "spin_v_line":
-        c = GradedPoly.generator(table, "cL", trunc)
-        image = 3 * (c * c)
-    else:
+    if case not in _CONDITIONS:
         raise ValueError(f"unknown case {case!r}")
-    return x.substitute({"pX1": image})
+    monomial, coeff = _CONDITIONS[case]
+    table, trunc = (x.ring.table, x.ring.truncation) if isinstance(x, QHalfSeries) else (x.table, x.truncation)
+    return x.substitute({"pX1": GradedPoly(table, trunc, {table.parse_monomial(monomial): coeff})})
 
 
 def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
@@ -158,9 +156,10 @@ def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
     """
     for j2 in sorted(set(bundle.coeffs) | set(theta.coeffs)):
         a, b = bundle.coefficient(j2), theta.coefficient(j2)
+        ta, tb = a.terms, b.terms
         degree = a.table.monomial_degree
-        for expts in sorted(set(a.terms) | set(b.terms), key=lambda e: (degree(e), e)):
-            va, vb = a.terms.get(expts, Fraction(0)), b.terms.get(expts, Fraction(0))
+        for expts in sorted(set(ta) | set(tb), key=lambda e: (degree(e), e)):
+            va, vb = ta.get(expts, Fraction(0)), tb.get(expts, Fraction(0))
             if va != vb:
                 power = f"q^{j2 // 2}" if j2 % 2 == 0 else f"q^({j2}/2)"
                 mono = a.table.monomial_string(expts) or "1"

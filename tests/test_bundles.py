@@ -17,14 +17,16 @@ from anomaly.bundles import (
 
 def random_bundle(rng, table, truncation, *, rank_span=6):
     """A random virtual bundle from a random Chern character."""
-    ch = GradedPoly.constant(table, truncation, rng.randint(-rank_span, rank_span))
+    rank = rng.randint(-rank_span, rank_span)
+    ch = GradedPoly.constant(table, truncation, rank)
     names = list(table.names)
     for _ in range(4):
         expts = tuple(rng.randint(0, 2) for _ in names)
         if table.monomial_degree(expts) == 0 or table.monomial_degree(expts) > truncation:
             continue
         ch = ch + GradedPoly(table, truncation, {expts: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
-    return VirtualBundle.from_ch(ch)
+    assert ch.constant_term == rank
+    return VirtualBundle(table, truncation, rank, ch - rank)
 
 
 def eval_poly(poly, values):
@@ -95,7 +97,9 @@ class TestAdamsOperations:
         roots = GeneratorTable([("t1", 2), ("t2", 2), ("t3", 2)])
         trunc = 8
         ts = [GradedPoly.generator(roots, f"t{i}", trunc) for i in range(1, 4)]
-        bundle = VirtualBundle.from_ch(sum((exp_truncated(t) for t in ts), GradedPoly.zero(roots, trunc)))
+        ch = sum((exp_truncated(t) for t in ts), GradedPoly.zero(roots, trunc))
+        assert ch.constant_term == 3
+        bundle = VirtualBundle(roots, trunc, 3, ch - 3)
         for k in (2, 3):
             expected = sum((exp_truncated(k * t) for t in ts), GradedPoly.zero(roots, trunc))
             assert bundle.adams(k).ch() == expected
@@ -108,7 +112,9 @@ class TestLambdaAndSymmetricPowers:
         trunc = 8
         ts = [GradedPoly.generator(roots, f"t{i}", trunc) for i in range(1, 4)]
         lines = [exp_truncated(t) for t in ts]
-        bundle = VirtualBundle.from_ch(sum(lines, GradedPoly.zero(roots, trunc)))
+        ch = sum(lines, GradedPoly.zero(roots, trunc))
+        assert ch.constant_term == 3
+        bundle = VirtualBundle(roots, trunc, 3, ch - 3)
         lam2 = sum(
             (exp_truncated(ts[i] + ts[j]) for i in range(3) for j in range(i + 1, 3)),
             GradedPoly.zero(roots, trunc),

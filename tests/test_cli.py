@@ -101,6 +101,51 @@ class TestVerify:
         capsys.readouterr()
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of outputs that render GradedPoly/QHalfSeries values through their
+# Fraction views, recorded from the engine before the int-numerator form.
+EXPAND_DIGESTS = {
+    ("theta1-ch", "8"): "4db2f6e92692a1fc5c13192dc235f623935be228d85d40c587890872490c3321",
+    ("theta1-ch", "12"): "cd0687f41da9fdc7db6f97ba8c0621004f327691db0bb4409347c3acdbb6c9be",
+    ("theta2-ch", "8"): "876929fc9d84dd6f3cb9cb95144bdecc8e6ebc2bd769dd671e5cd11028f3ef3e",
+    ("theta2-ch", "12"): "f72252875ce4e59d06a344e14094dda449d930dfe49ddcf0a2731ddeac42b709",
+    ("theta3-ch", "8"): "6c0fc9418597df07bc777b1fb31c7346050bcc204bf92e5b248f309bcfbd0abb",
+    ("theta3-ch", "12"): "fcc0dbe8a6d7871d2a39ff270c13c1c6f9eaebe912fc3e3dcd209229723d0f0f",
+    ("Ahat", "8"): "ea029e0062313902fe87e55f1013475efd8b4d9ec936c85c67ed359f2581531a",
+    ("Ahat", "12"): "992d206fff40675583d6859fc395fe8b007c6917052992f941f4cde3c83c6d8f",
+}
+
+
+class TestOutputsMatchTheSeedEngine:
+    """Byte-identity guards for the outputs beyond `verify --format json`."""
+
+    @pytest.mark.parametrize("series, dim", sorted(EXPAND_DIGESTS))
+    def test_expand_order4(self, capsys, series, dim):
+        code, out, _ = run(capsys, "expand", "--series", series, "--order", "4", "--dim", dim)
+        assert code == 0
+        assert sha256(out) == EXPAND_DIGESTS[(series, dim)]
+
+    def test_moduli_json(self, capsys):
+        code, out, _ = run(capsys, "moduli", "--format", "json")
+        assert code == 0
+        assert sha256(out) == "bc30219cae7e12fc5b3c93a9b2acd16c2821731a0cac8287c33a9c757699ce79"
+
+    def test_verify_order2_text(self, capsys):
+        code, out, _ = run(capsys, "verify", "--order", "2")
+        assert code == 0
+        assert sha256(out) == "4eb572298b246355dafcd26e46be5a5e2b91bc1c118fcff5c6a6362ab91255cc"
+
+    def test_evaluate_hp2_json(self, capsys, tmp_path):
+        path = tmp_path / "hp2.json"
+        path.write_text(HP2_JSON, encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", "--input", str(path), "--format", "json")
+        assert code == 0
+        assert sha256(out) == "7031865f5500337813b25c738fe5815ac040b222c3f787a2f542192f6531e84f"
+
+
 class TestEnvDefaultOrder:
     def test_env_controls_order(self, capsys, monkeypatch):
         monkeypatch.setenv("ANOMALY_QCAP", "1")

@@ -6,20 +6,33 @@ arithmetic, TwoVarSeries.inverse/log, exp_truncated/log_truncated and
 qseries_exp are checked against convolutions and power series written out
 here term by term in Fraction arithmetic;
 QHalfSeries products against the coefficientwise product, substitution
-against term-by-term substitution, the cached Adams operations against the
-Newton recursions on Chern characters, and the paired theta-quotient
-factors against the unpaired product order.
+(general and single-term, on polynomials and on q-series) against
+term-by-term substitution, the cached Adams operations against the Newton
+recursions on Chern characters, and the paired theta-quotient factors
+against the unpaired product order.  Every GradedPoly and QHalfSeries result
+is also checked to be a canonical int form: positive denominator, no zero
+numerator, gcd 1, sorted, and each stored degree and q-exponent equal to
+the one read off the unpacked key; digit widths are crossed at 255/256.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomaly.algebra import GeneratorTable, GradedPoly, _inverse, _multiply, exp_truncated, log_truncated
-from anomaly.bundles import VirtualBundle
+from anomaly.algebra import (
+    GeneratorTable,
+    GradedPoly,
+    _inverse,
+    _multiply,
+    exp_truncated,
+    log_truncated,
+    pontryagin_table,
+)
+from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
 from anomaly.qseries import RATIONALS, NonUnitError, PolyRing, QHalfSeries, merge_rings, qseries_exp
 from anomaly.theta import (
     THETA_QUOTIENT_KINDS,
@@ -31,6 +44,7 @@ from anomaly.theta import (
     _tv_q_factor,
     theta_quotient,
 )
+from anomaly.verifier import impose_condition
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -89,7 +103,24 @@ def naive_add(a, b, sign=1):
     return {e: c for e, c in out.items() if c and degree(a.table, e) <= trunc}
 
 
+def assert_int_form(den, items):
+    """A canonical int form: den > 0, nonzero numerators, gcd 1, sorted."""
+    assert isinstance(den, int) and den > 0
+    nums = [num for _, _, _, num in items]
+    assert all(isinstance(num, int) and num for num in nums)
+    assert gcd(den, *nums) == 1
+    assert items == sorted(items)
+    assert len({key for _, _, key, _ in items}) == len(items)
+
+
 def assert_poly_invariants(p):
+    assert_int_form(p.den, p.items)
+    layout = p.table.layout(p.truncation)
+    for g, side, key, _ in p.items:
+        expts = layout.unpack(key)
+        assert side == 0
+        assert g == p.table.monomial_degree(expts) <= p.truncation
+        assert key == layout.pack(expts)  # nothing above the degree digit
     for expts, coeff in p.terms.items():
         assert isinstance(coeff, Fraction) and coeff != 0
         assert len(expts) == len(p.table)
@@ -149,6 +180,93 @@ class TestGradedPolyKernel:
             assert cut.terms == {e: c for e, c in a.terms.items() if degree(a.table, e) <= truncation}
 
 
+@st.composite
+def poly_triples(draw):
+    table = draw(tables())
+    return tuple(GradedPoly(table, draw(truncations), draw(term_dicts(table))) for _ in range(3))
+
+
+@st.composite
+def single_terms(draw, table, keep=lambda d: True):
+    """A nonzero coefficient times one monomial whose degree d passes `keep`,
+    truncated at or above that degree."""
+    monomials = [e for e in product(range(4), repeat=len(table)) if keep(degree(table, e))]
+    expts = draw(st.sampled_from(monomials))
+    truncation = max(draw(truncations), degree(table, expts))
+    return GradedPoly(table, truncation, {expts: draw(coefficients)})
+
+
+class TestIntForm:
+    @SETTINGS
+    @given(poly_pairs(), coefficients, truncations, st.data())
+    def test_every_operation_leaves_a_canonical_int_form(self, pair, scale, truncation, data):
+        a, b = pair
+        name = data.draw(st.sampled_from(a.table.names))
+        monomial = data.draw(single_terms(a.table))
+        results = [
+            a + b, a - b, a * b, a * scale, scale * a, a / scale, a + scale, -a,
+            a.truncate(truncation), a.homogeneous_component(truncation),
+            a.substitute({name: monomial}), a.substitute({name: b}),
+        ]
+        for result in results:
+            assert_poly_invariants(result)
+
+    @SETTINGS
+    @given(poly_triples())
+    def test_values_built_two_ways_compare_equal(self, triple):
+        a, b, c = triple
+        left, right = (a + b) * c, a * c + b * c
+        assert (left.den, left.items) == (right.den, right.items)
+        assert left == right
+        third = a * Fraction(1, 3) * 3
+        assert (third.den, third.items) == (a.den, a.items)
+        assert third == a
+
+    def test_terms_view_is_built_per_access(self):
+        table = GeneratorTable([("a", 2), ("b", 4)])
+        p = GradedPoly(table, 8, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+        assert (p.den, [num for *_, num in p.items]) == (6, [3, 4])
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)}
+        assert p.terms is not p.terms
+        assert not hasattr(p, "__dict__")
+
+    @pytest.mark.parametrize("low, high", [(254, 256), (256, 254), (256, 256), (254, 254)])
+    def test_products_across_a_digit_width(self, low, high):
+        """Truncation 254 packs 8-bit digits and 256 packs 16-bit ones; exponents reach 127/128."""
+        table = GeneratorTable([("t", 2), ("u", 4)])
+        assert table.layout(254).bits == 8 and table.layout(256).bits == 16
+        a = GradedPoly(table, low, {(0, 0): 1, (127, 0): 2, (1, 63): Fraction(1, 3), (64, 31): 5})
+        b = GradedPoly(table, high, {(0, 0): 3, (1, 0): 7, (0, 32): Fraction(-1, 2), (63, 32): 11, (126, 1): 13})
+        for result, expected in ((a * b, naive_mul(a, b)), (a + b, naive_add(a, b)), (a - b, naive_add(a, b, -1))):
+            assert result.truncation == min(low, high)
+            assert result.terms == expected
+            assert_poly_invariants(result)
+        assert a.truncate(254).terms == {e: c for e, c in a.terms.items() if degree(table, e) <= 254}
+        assert_poly_invariants(a.truncate(254))
+
+    @pytest.mark.parametrize("cap", [127, 128])
+    @pytest.mark.parametrize("truncation", [254, 256])
+    def test_series_products_across_a_digit_width(self, cap, truncation):
+        """2*cap and the truncation on each side of 255/256; products land exactly at both limits."""
+        table = GeneratorTable([("t", 2), ("u", 4)])
+        ring = PolyRing(table, truncation)
+        top = truncation // 2
+
+        def poly(terms):
+            return GradedPoly(table, truncation, terms)
+
+        a = QHalfSeries(ring, cap, {0: poly({(0, 0): 1}), 1: poly({(top - 1, 0): 2}), 2 * cap - 1: poly({(1, 0): 3})})
+        b = QHalfSeries(ring, cap, {0: poly({(1, 0): 5, (0, 1): 1}), 1: poly({(0, 0): 7}), 2 * cap: poly({(0, 0): 1})})
+        for product in (a * b, b * a):
+            assert product.coeffs == naive_series_mul(a, b)
+            assert product.coefficient(2 * cap).terms == {(0, 0): 1, (1, 0): 21}
+            assert product.coefficient(1).terms == {(0, 0): 7, (top, 0): 10}  # t^(top-1)*u is past it
+            assert_series_invariants(product)
+        lower = QHalfSeries(PolyRing(table, 254), cap, {1: GradedPoly(table, 254, {(0, 0): 1})})
+        assert (a * lower).coeffs == naive_series_mul(a, lower)
+        assert_series_invariants(a * lower)
+
+
 class TestPublicConstructorStillValidates:
     TABLE = GeneratorTable([("a", 2), ("b", 4)])
 
@@ -163,6 +281,10 @@ class TestPublicConstructorStillValidates:
     def test_rejects_float_coefficient(self):
         with pytest.raises(TypeError):
             GradedPoly(self.TABLE, 4, {(1, 0): 0.5})
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            GradedPoly(self.TABLE, 4, {(-1, 1): Fraction(1)})
 
 
 # -- packed keys ----------------------------------------------------------------------
@@ -485,6 +607,15 @@ def naive_series_mul(a, b):
 
 
 def assert_series_invariants(s):
+    assert_int_form(s.den, s.items)
+    layout = s.ring.layout
+    for g, j2, key, _ in s.items:
+        assert 0 <= j2 <= 2 * s.cap
+        assert key >> layout.sshift == j2
+        if isinstance(s.ring, PolyRing):
+            assert g == s.ring.table.monomial_degree(layout.unpack(key)) <= s.ring.truncation
+        else:
+            assert (g, key) == (0, j2 << layout.sshift)
     for j2, value in s.coeffs.items():
         assert 0 <= j2 <= 2 * s.cap
         if isinstance(s.ring, PolyRing):
@@ -508,6 +639,17 @@ class TestQHalfSeriesProduct:
         assert product.cap == min(a.cap, b.cap)
         assert product.coeffs == naive_series_mul(a, b)
         assert_series_invariants(product)
+
+    @SETTINGS
+    @given(st.one_of(poly_series_pairs(), rational_series_pairs()), st.data())
+    def test_distributes_over_sums(self, pair, data):
+        a, b = pair
+        c = data.draw(poly_series(a.ring.table)) if isinstance(a.ring, PolyRing) else data.draw(rational_series_pairs())[0]
+        left, right = (a + b) * c, a * c + b * c
+        assert (left.den, left.items) == (right.den, right.items)
+        assert_series_invariants(left)
+        assert_series_invariants(a - b)
+        assert_series_invariants(a.tau_shift_half())
 
     @SETTINGS
     @given(series_pairs)
@@ -560,6 +702,67 @@ class TestSubstitute:
         result = f.substitute(images)
         assert result == naive_substitute(f, images, target)
         assert_poly_invariants(result)
+
+    @SETTINGS
+    @given(st.data(), st.booleans())
+    def test_single_term_images_match_the_product_substitution(self, data, same_degree):
+        """Key rewriting against products, with images of the mapped generator's
+        degree (as the case conditions) or of another one, whose terms past the
+        truncation must be dropped."""
+        table = data.draw(tables())
+        f = GradedPoly(table, data.draw(truncations), data.draw(term_dicts(table)))
+        names = data.draw(st.sets(st.sampled_from(table.names), min_size=1))
+        images = {}
+        for name in sorted(names):
+            wanted = table.degrees[table.index(name)]
+            images[name] = data.draw(single_terms(table, lambda d: (d == wanted) == same_degree))
+        result = f.substitute(images)
+        assert result == naive_substitute(f, images, table)
+        assert_poly_invariants(result)
+
+    def test_single_term_substitution_is_simultaneous(self):
+        """Swapping two generators reads every exponent from the original key."""
+        table = GeneratorTable([("a", 4), ("b", 4), ("c", 2)])
+        a, b, c = (GradedPoly.generator(table, name, 12) for name in ("a", "b", "c"))
+        f = a * b * b + 3 * a + c
+        swapped = f.substitute({"a": b, "b": 2 * a, "c": c * c * Fraction(1, 2)})
+        assert swapped == 4 * b * a * a + 3 * b + c * c / 2
+        assert swapped == naive_substitute(f, {"a": b, "b": 2 * a, "c": c * c * Fraction(1, 2)}, table)
+        zero = GradedPoly.zero(table, 12)
+        assert f.substitute({"c": zero}) == a * b * b + 3 * a
+        assert f.substitute({"a": zero, "b": c ** 8}) == c
+        assert f.substitute({"b": GradedPoly.generator(table, "a", 256)}) == a ** 3 + 3 * a + c
+
+    @SETTINGS
+    @given(st.data())
+    def test_series_substitution_rewrites_every_coefficient(self, data):
+        table = data.draw(tables())
+        x = data.draw(poly_series(table))
+        name = data.draw(st.sampled_from(table.names))
+        image = data.draw(single_terms(table))
+        image = GradedPoly(table, max(image.truncation, x.ring.truncation), image.terms)
+        result = x.substitute({name: image})
+        expected = {j2: naive_substitute(p, {name: image}, table) for j2, p in x.coeffs.items()}
+        assert result.coeffs == {j2: p for j2, p in expected.items() if not p.is_zero()}
+        assert_series_invariants(result)
+
+    @pytest.mark.parametrize("case, image", [("spin_v", "3*pV1"), ("spinc_l", "cL^2"), ("spin_v_line", "3*cL^2")])
+    def test_impose_condition_is_one_rewrite_per_series(self, case, image):
+        """The case conditions against the per-coefficient product substitution."""
+        dim = 12
+        table = pontryagin_table(dim, aux=case == "spin_v", line=case != "spin_v")
+        coeff, _, mono = image.rpartition("*")
+        target = GradedPoly(table, dim, {table.parse_monomial(mono): int(coeff or 1)})
+        x = theta_series("theta1", tangent_complexification(table, dim), cap=2)
+        imposed = impose_condition(x, case)
+        assert imposed.ring == x.ring and imposed.cap == x.cap
+        assert imposed.coeffs == {
+            j2: naive_substitute(p, {"pX1": target}, table) for j2, p in x.coeffs.items()
+        }
+        form = x.coefficient(2)
+        assert impose_condition(form, case) == naive_substitute(form, {"pX1": target}, table)
+        with pytest.raises(ValueError):
+            x.substitute({"pX1": target + 1})
 
 
 # -- Adams operations and the lambda-ring powers -------------------------------------
