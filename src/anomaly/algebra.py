@@ -26,16 +26,17 @@ digit carries into its neighbour and a product key is one int addition.  A
 key's degree and j2 are read off its digits.
 
 Raw key maps.  The two-variable series of `theta` and the genus series of
-`genera` keep key -> Fraction maps.  `_multiply`, `_inverse` and `_log`
-pack them per call (`_scaled_terms`, `_key_codec`) into the same int form
-and return Fractions.
+`genera` keep key -> Fraction maps.  `_multiply`, `_exp`, `_inverse` and
+`_log` pack them per call (`_scaled_terms`, `_key_codec`) into the same int
+form and return Fractions.
 
 exp, log and inverse each have one implementation over int forms,
 `_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
 weight recurrences of `_weight_recurrence`.  They back `exp_truncated` and
-`log_truncated` here, `qseries_exp` in `qseries`, and (through the raw
-`_inverse` and `_log`) `TwoVarSeries.inverse`/`log` in `theta` and the genus
-log-coefficients in `genera`.
+`log_truncated` here, `qseries_exp` in `qseries`, and, through the raw
+`_exp`, `_inverse` and `_log`, the theta quotients of `theta` (each built as
+the exp of its closed-form logarithm), `TwoVarSeries.inverse`/`log` and the
+genus log-coefficients in `genera`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class GeneratorTable:
     so that substitutions targeting cL^2 stay unambiguous.
     """
 
-    __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts")  # names derives from generators
+    __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts", "_power_sums")  # names derives from generators
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((str(name), int(degree)) for name, degree in generators)
@@ -89,6 +90,7 @@ class GeneratorTable:
         self._index = {name: i for i, (name, _) in enumerate(gens)}
         self._degree_of: dict[tuple[int, ...], int] = {}
         self._layouts: dict[int, KeyLayout] = {}
+        self._power_sums: dict[tuple[str, int], list] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -463,6 +465,11 @@ def _raw_kernel(form, terms: Mapping, unit, grade, limit: int, side_limit: int =
 
     den, items = form(*_scaled_terms(terms, grade, pack, limit, side_limit), finish, limit, side_limit)
     return {unpack(key, length): Fraction(num, den) for _, _, key, num in items}
+
+
+def _exp(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
+    """exp(x) of a key -> Fraction map with no term at `unit`."""
+    return _raw_kernel(_exp_form, terms, unit, grade, limit, side_limit)
 
 
 def _inverse(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
@@ -849,7 +856,8 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     With the family generators playing the elementary symmetric functions of
     the squared roots, returns the degree-4m polynomial expressing the m-th
     power sum via the Newton recursion.  Generators whose degree exceeds the
-    truncation act as zero.
+    truncation act as zero.  The table keeps the Newton recursion's sums, one
+    list per (family, truncation), extended as far as a call needs.
     """
     if m <= 0:
         raise ValueError("power sum index must be positive")
@@ -858,23 +866,19 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
         raise ValueError(f"unknown generator family {family!r}")
     if truncation is None:
         truncation = max(table.degrees)
-    zero = GradedPoly.zero(table, truncation)
-    elem: list[GradedPoly] = []
-    for i in range(1, m + 1):
-        if 4 * i > truncation:
-            elem.append(zero)
-        elif i <= size:
-            elem.append(GradedPoly.generator(table, f"{family}{i}", truncation))
-        else:
-            raise ValueError(f"family {family!r} is missing generator {family}{i} below the truncation")
-    sums: list[GradedPoly] = []
-    for k in range(1, m + 1):
-        acc = (k if (k - 1) % 2 == 0 else -k) * elem[k - 1]
-        for i in range(1, k):
-            contrib = elem[i - 1] * sums[k - i - 1]
-            acc = acc + (contrib if (i - 1) % 2 == 0 else -contrib)
-        sums.append(acc)
-    return sums[m - 1]
+    top = min(m, truncation // 4)  # s_k has degree 4k
+    if top > size:
+        raise ValueError(f"family {family!r} is missing generator {family}{size + 1} below the truncation")
+    sums = table._power_sums.setdefault((family, truncation), [])
+    if len(sums) < top:
+        elem = [GradedPoly.generator(table, f"{family}{i}", truncation) for i in range(1, top + 1)]
+        for k in range(len(sums) + 1, top + 1):
+            acc = (k if k % 2 else -k) * elem[k - 1]
+            for i in range(1, k):
+                contrib = elem[i - 1] * sums[k - i - 1]
+                acc = acc + (contrib if i % 2 else -contrib)
+            sums.append(acc)
+    return sums[m - 1] if m == top else GradedPoly.zero(table, truncation)
 
 
 def _series_map(form, x: GradedPoly) -> GradedPoly:

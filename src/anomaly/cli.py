@@ -166,9 +166,16 @@ def _cmd_expand(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     try:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input, "r", encoding="utf-8").read()
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                raw = handle.read()
     except OSError as err:
         print(f"anomaly: cannot read input: {err}", file=sys.stderr)
+        return 4
+    except UnicodeDecodeError as err:
+        print(f"anomaly: cannot read input: not valid UTF-8: {err}", file=sys.stderr)
         return 4
     try:
         data = ManifoldData.from_json(raw)

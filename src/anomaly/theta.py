@@ -3,25 +3,33 @@
 The five quotients A, B1, B2, B3, L are infinite products of factors
 (1 +- e^(+-t) q^(j/2)) against their t = 0 normalizations, times one
 hyperbolic prefactor; all transcendental prefactors are cancelled, so every
-coefficient is an exact rational.  A quotient is turned into a q-series of
-characteristic forms by taking its logarithm and substituting power sums for
-the even t-powers, one root family at a time.
+coefficient is an exact rational.  No product is multiplied out.  Each
+factor's logarithm has a closed form, log(1 + x) = sum (-1)^(k+1) x^k / k,
+so every coefficient of log A, log B1, log B2 and log B3 is a divisor sum
+(`_divisor_sum_log`), plus one hyperbolic logarithm at q^0; one exp then
+gives the quotient's coefficients.  L is sinh(t/2) times the exp of minus
+the q-part of log A.
+
+The route exponentiates once per sector.  It substitutes the power sum s_m
+of a root family for t^(2m) in a quotient's logarithm (`_bridged_log`),
+sums the bridged logarithms of the quotients that a sector multiplies, and
+takes one exp of the sum: three for the spin case, one for spin_v, and one
+for spinc_l, times L evaluated at t = cL.
 
 A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
 so the integrand quotients are expanded to t-cap dim // 2: no higher t-power
-can reach the output.  Each quotient keeps its logarithm once computed, and
-the quotients are memoized per (kind, t-cap, q-cap), so the cases that share
-a dimension take each logarithm once.
+can reach the output.  The quotients are memoized with their logarithms per
+(kind, t-cap, q-cap), so the cases that share a dimension build each once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .algebra import GeneratorTable, GradedPoly, _inverse, _log, _multiply, as_rational, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _exp, _inverse, _log, _multiply, as_rational, power_sum_in_pontryagin
 from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, qseries_exp
 
 
@@ -208,24 +216,38 @@ def _tv_half_sinh(tcap, cap) -> TwoVarSeries:
     )
 
 
-def _tv_exp_factor(eps: int, sign: int, j2: int, tcap, cap) -> TwoVarSeries:
-    """1 + eps * e^(sign*t) * q^(j2/2)."""
-    coeffs = {(0, 0): Fraction(1)}
-    if j2 <= 2 * cap:
-        for n in range(tcap + 1):
-            coeffs[(n, j2)] = Fraction(eps * sign ** n, factorial(n))
-    return TwoVarSeries(tcap, cap, coeffs)
-
-
-def _tv_q_factor(eps: int, j2: int, tcap, cap) -> TwoVarSeries:
-    """1 + eps * q^(j2/2)."""
-    coeffs = {(0, 0): Fraction(1)}
-    if j2 <= 2 * cap:
-        coeffs[(0, j2)] = coeffs.get((0, j2), Fraction(0)) + eps
-    return TwoVarSeries(tcap, cap, coeffs)
-
-
 THETA_QUOTIENT_KINDS = ("A", "B1", "B2", "B3", "L")
+
+
+def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fraction]:
+    """The q-part of log Q for Q = A, B1, B2 or B3, in closed form.
+
+    A factor pair (1 + eps e^t x)(1 + eps e^-t x) / (1 + eps x)^2 has the
+    logarithm -sum_k (-eps)^k x^k (2 cosh(kt) - 2) / k, and the t^(2m)
+    coefficient of (2 cosh(kt) - 2) / k is 2 k^(2m-1) / (2m)!.  Summed over
+    the pairs (A's sit in the denominator), the t^(2m) q^(j2/2) coefficient
+    is 2/(2m)! times a signed divisor sum, d = k:
+
+    A   sum_{d | n} d^(2m-1)                          (j2 = 2n)
+    B1  sum_{d | n} (-1)^(d+1) d^(2m-1)               (j2 = 2n)
+    B2  -sum_{d | j2, j2/d odd} d^(2m-1)
+    B3  sum_{d | j2, j2/d odd} (-1)^(d+1) d^(2m-1)
+    """
+    sign = -1 if kind == "B2" else 1
+    alternating = kind in ("B1", "B3")
+    coeffs = {}
+    for j2 in range(1, 2 * cap + 1):
+        if kind in ("A", "B1"):
+            n = j2 // 2
+            divisors = [d for d in range(1, n + 1) if n % d == 0] if j2 % 2 == 0 else []
+        else:
+            divisors = [d for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
+        signed = [(d, -sign if alternating and d % 2 == 0 else sign) for d in divisors]
+        for m in range(1, tcap // 2 + 1):
+            total = sum(s * d ** (2 * m - 1) for d, s in signed)
+            if total:
+                coeffs[(2 * m, j2)] = Fraction(2 * total, factorial(2 * m))
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -238,40 +260,27 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     B3 = B2 with the signs inside the half-power factors flipped to +
     L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
 
-    The two sparse factors at each q-power are multiplied together first, so
-    the dense running products take one multiplication per q-power.
+    A, B1, B2 and B3 are built from their logarithms: the divisor sums of
+    `_divisor_sum_log` plus, at q^0, log((t/2)/sinh(t/2)) for A and
+    log cosh(t/2) for B1; one exp gives the coefficients, and the
+    logarithm is kept on the series.  L is sinh(t/2) * exp(-(q-part of
+    log A)).
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
-    num = TwoVarSeries.one(tcap, cap)
-    den = TwoVarSeries.one(tcap, cap)
+    if tcap < 0 or cap < 0:
+        raise ValueError("caps must be nonnegative")
+    log_coeffs = _divisor_sum_log("A" if kind == "L" else kind, tcap, cap)
+    if kind == "L":
+        minus_log = {key: -value for key, value in log_coeffs.items()}
+        return _tv_half_sinh(tcap, cap) * TwoVarSeries._make(tcap, cap, _exp(minus_log, (0, 0), _tv_grade, 2 * cap, tcap))
     if kind == "A":
-        den = _tv_half_sinh_ratio(tcap, cap)
-        for j in range(1, cap + 1):
-            f = _tv_q_factor(-1, 2 * j, tcap, cap)
-            num = num * (f * f)
-            den = den * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
+        log_coeffs.update((-_tv_half_sinh_ratio(tcap, 0).log()).coeffs)
     elif kind == "B1":
-        num = _tv_half_cosh(tcap, cap)
-        for j in range(1, cap + 1):
-            num = num * (_tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap))
-            f = _tv_q_factor(+1, 2 * j, tcap, cap)
-            den = den * (f * f)
-    elif kind in ("B2", "B3"):
-        eps = -1 if kind == "B2" else +1
-        j2 = 1
-        while j2 <= 2 * cap:
-            num = num * (_tv_exp_factor(eps, +1, j2, tcap, cap) * _tv_exp_factor(eps, -1, j2, tcap, cap))
-            f = _tv_q_factor(eps, j2, tcap, cap)
-            den = den * (f * f)
-            j2 += 2
-    else:  # L
-        num = _tv_half_sinh(tcap, cap)
-        for j in range(1, cap + 1):
-            num = num * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
-            f = _tv_q_factor(-1, 2 * j, tcap, cap)
-            den = den * (f * f)
-    return num * den.inverse()
+        log_coeffs.update(_tv_half_cosh(tcap, 0).log().coeffs)
+    quotient = TwoVarSeries._make(tcap, cap, _exp(log_coeffs, (0, 0), _tv_grade, 2 * cap, tcap))
+    quotient._logarithm = TwoVarSeries._make(tcap, cap, log_coeffs)
+    return quotient
 
 
 def jacobi_identity_residual(cap: int) -> QHalfSeries:
@@ -311,6 +320,42 @@ def jacobi_identity_residual(cap: int) -> QHalfSeries:
 # -- from quotients to q-series of characteristic forms ------------------------
 
 
+def _bridged_log(
+    quotient: TwoVarSeries,
+    table: GeneratorTable,
+    family: str,
+    truncation: int,
+    cap: int,
+) -> QHalfSeries:
+    """log prod_j Q(t_j, q) over a root family: log Q with t^(2m) -> s_m(family).
+
+    Takes log Q = sum a_{m,j2} t^(2m) q^(j2/2) and sums a_{m,j2} times the
+    items of the power sum s_m, at the j2 digit, into one flat int form.
+    The quotient must be even in t with t=0 slice equal to 1.
+    """
+    ring = PolyRing(table, truncation)
+    power_sums: dict[int, GradedPoly] = {}
+    rows = []
+    for (n, j2), value in quotient.log().coeffs.items():
+        if n == 0:
+            raise ValueError("quotient is not normalized: log has a pure q term")
+        if n % 2:
+            raise ValueError("quotient is not even in t")
+        if 2 * n <= truncation:
+            if n not in power_sums:
+                power_sums[n] = power_sum_in_pontryagin(table, family, n // 2, truncation)
+            rows.append((power_sums[n], j2 << ring.layout.sshift, value))
+    den = lcm(*[s.den * value.denominator for s, _, value in rows])
+    acc: dict = {}
+    get = acc.get
+    for s, shift, value in rows:
+        scale = value.numerator * (den // (s.den * value.denominator))
+        for _, _, key, num in s.items:
+            key |= shift
+            acc[key] = get(key, 0) + num * scale
+    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den))
+
+
 def symmetric_quotient_product(
     quotient: TwoVarSeries,
     table: GeneratorTable,
@@ -318,29 +363,11 @@ def symmetric_quotient_product(
     truncation: int,
     cap: int,
 ) -> QHalfSeries:
-    """prod_j Q(t_j, q) over a root family, written in its generators.
-
-    Takes log Q = sum a_{m,j} t^(2m) q^(j/2), replaces t^(2m) by the power sum
-    s_{2m}(family) and exponentiates.  The quotient must be even in t with
-    t=0 slice equal to 1.
+    """prod_j Q(t_j, q) over a root family, written in its generators: the
+    exp of `_bridged_log`.  The quotient must be even in t with t=0 slice
+    equal to 1.
     """
-    lg = quotient.log()
-    ring = PolyRing(table, truncation)
-    exponent: dict[int, GradedPoly] = {}
-    power_sums: dict[int, GradedPoly] = {}
-    for (n, j2), value in lg.coeffs.items():
-        if n == 0:
-            raise ValueError("quotient is not normalized: log has a pure q term")
-        if n % 2:
-            raise ValueError("quotient is not even in t")
-        m = n // 2
-        if 4 * m > truncation:
-            continue
-        if m not in power_sums:
-            power_sums[m] = power_sum_in_pontryagin(table, family, m, truncation)
-        s = power_sums[m] * value
-        exponent[j2] = exponent[j2] + s if j2 in exponent else s
-    return qseries_exp(QHalfSeries(ring, cap, exponent))
+    return qseries_exp(_bridged_log(quotient, table, family, truncation, cap))
 
 
 def line_quotient_evaluation(
@@ -376,22 +403,23 @@ def q_series_via_theta(
     spin_v   prod A(t_j) * prod B1(u_r) B2(u_r) B3(u_r)
     spinc_l  prod A(t_j) * L(cL)
 
-    The quotients are expanded to t-cap dim // 2: t^n becomes a degree-2n
-    class, and the integrand is cut at degree dim.
+    Each product of quotients over root families is one exp of the sum of
+    their bridged logarithms (`_bridged_log`): three exps for spin, one for
+    spin_v, and one times the evaluation of L for spinc_l.  The quotients
+    are expanded to t-cap dim // 2: t^n becomes a degree-2n class, and the
+    integrand is cut at degree dim.
     """
     tcap = dim // 2
-    EA = symmetric_quotient_product(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
+
+    def bridged(kind, family):
+        return _bridged_log(theta_quotient(kind, tcap, cap), table, family, dim, cap)
+
     if case == "spin":
-        parts = [
-            symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pX", dim, cap)
-            for kind in ("B1", "B2", "B3")
-        ]
-        return (EA * (parts[0] + parts[1] + parts[2])).scale(2 ** (dim // 2))
+        log_a = bridged("A", "pX")
+        parts = [qseries_exp(log_a + bridged(kind, "pX")) for kind in ("B1", "B2", "B3")]
+        return (parts[0] + parts[1] + parts[2]).scale(2 ** (dim // 2))
     if case == "spin_v":
-        out = EA
-        for kind in ("B1", "B2", "B3"):
-            out = out * symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pV", dim, cap)
-        return out
+        return qseries_exp(bridged("A", "pX") + bridged("B1", "pV") + bridged("B2", "pV") + bridged("B3", "pV"))
     if case == "spinc_l":
-        return EA * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
+        return qseries_exp(bridged("A", "pX")) * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
     raise ValueError(f"unknown case {case!r}")

@@ -606,7 +606,7 @@ class ManifoldData:
             numbers = obj["numbers"]
         except KeyError as missing:
             raise ManifoldDataError(f"manifold data needs key {missing}") from None
-        if not isinstance(dim, int) or not isinstance(numbers, dict):
+        if not isinstance(dim, int) or isinstance(dim, bool) or not isinstance(numbers, dict):
             raise ManifoldDataError('manifold data needs an integer "dim" and an object "numbers"')
         parsed = {}
         for key, value in numbers.items():

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import builtins
 import hashlib
 import json
 
 import pytest
 
+import anomaly.cli as cli
 import anomaly.verifier as verifier
 from anomaly.cli import main
 
@@ -119,6 +121,22 @@ EXPAND_DIGESTS = {
 }
 
 
+# sha256 of `expand --series <quotient> --tcap <tcap> --order <order>`, recorded
+# from the engine that multiplied the defining products out.
+QUOTIENT_DIGESTS = {
+    ("A", "6", "4"): "735ddd44c2edcc5acd386e63e96eceff50aeaf477fd1952669bc89013db79e73",
+    ("B1", "6", "4"): "88d21729c1f0e2c90c16501a76a2c6f9de8b490b94ab8b37add31aa299782811",
+    ("B2", "6", "4"): "185cc0931fa1edc5425f1b7a91a4fe5a6ab75654ce933fdbcf4052c46634ffe3",
+    ("B3", "6", "4"): "a89c9ffdc1f598d0f8b9f1ce1c386c3787207c0ea69adf0d42159bc66e89b384",
+    ("L", "6", "4"): "c44cfd6e83db7fb2ba691c26fe5a78df7270c8efc1307c4dbc8458a0397d95c6",
+    ("A", "11", "7"): "5f3f59c53c553c85d1d24415fe3802f0b494884d48bb563daf8ad5a97fb162b1",
+    ("B1", "11", "7"): "60f513ae7a047727778b3ba81ee67ebf624223a431b44f97a1f7f25478f39d4a",
+    ("B2", "11", "7"): "48cca397d4923944781edeaa4f272b39b7c7c4ef96debddc05ed52ec364a0d9a",
+    ("B3", "11", "7"): "bc6b7139f4c6385bdb6e6da9657c5b3c209360675b2d5f707f961de765f3e715",
+    ("L", "11", "7"): "2accdfb7d94cfb9daced3a808ce623182f06ef42106e47a17104cd261dadca20",
+}
+
+
 class TestOutputsMatchTheSeedEngine:
     """Byte-identity guards for the outputs beyond `verify --format json`."""
 
@@ -127,6 +145,12 @@ class TestOutputsMatchTheSeedEngine:
         code, out, _ = run(capsys, "expand", "--series", series, "--order", "4", "--dim", dim)
         assert code == 0
         assert sha256(out) == EXPAND_DIGESTS[(series, dim)]
+
+    @pytest.mark.parametrize("series, tcap, order", sorted(QUOTIENT_DIGESTS))
+    def test_expand_quotient(self, capsys, series, tcap, order):
+        code, out, _ = run(capsys, "expand", "--series", series, "--tcap", tcap, "--order", order)
+        assert code == 0
+        assert sha256(out) == QUOTIENT_DIGESTS[(series, tcap, order)]
 
     def test_moduli_json(self, capsys):
         code, out, _ = run(capsys, "moduli", "--format", "json")
@@ -253,6 +277,41 @@ class TestEvaluate:
     def test_unreadable_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "evaluate", "--input", str(tmp_path / "absent.json"))
         assert code == 4
+
+    def test_non_utf8_file_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}} \u00e9'.encode("latin-1"))
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "cannot read input: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("text", [HP2_JSON, "{not json", b"\xff"])
+    def test_input_file_is_closed(self, capsys, tmp_path, monkeypatch, text):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            handle = builtins.open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+        path = tmp_path / "data.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        run(capsys, "evaluate", "--input", str(path))
+        assert len(opened) == 1
+        assert opened[0].closed
+
+    def test_boolean_dim_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"dim": true, "numbers": {}}', encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert 'integer "dim"' in err
+        assert "dimension True" not in err
 
     def test_unknown_generator_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

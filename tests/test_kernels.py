@@ -8,8 +8,9 @@ here term by term in Fraction arithmetic;
 QHalfSeries products against the coefficientwise product, substitution
 (general and single-term, on polynomials and on q-series) against
 term-by-term substitution, the cached Adams operations against the Newton
-recursions on Chern characters, and the paired theta-quotient factors
-against the unpaired product order.  Every GradedPoly and QHalfSeries result
+recursions on Chern characters, and the theta quotients, built from their
+closed-form logarithms, against their defining products multiplied out
+(paired and unpaired), logarithms included.  Every GradedPoly and QHalfSeries result
 is also checked to be a canonical int form: positive denominator, no zero
 numerator, gcd 1, sorted, and each stored degree and q-exponent equal to
 the one read off the unpacked key; digit widths are crossed at 255/256.
@@ -34,14 +35,13 @@ from anomaly.algebra import (
 )
 from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
 from anomaly.qseries import RATIONALS, NonUnitError, PolyRing, QHalfSeries, merge_rings, qseries_exp
+import anomaly.theta as theta
 from anomaly.theta import (
     THETA_QUOTIENT_KINDS,
     TwoVarSeries,
-    _tv_exp_factor,
     _tv_half_cosh,
     _tv_half_sinh,
     _tv_half_sinh_ratio,
-    _tv_q_factor,
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
@@ -818,11 +818,62 @@ class TestAdamsCache:
             assert warm.sym_power(k).ch() == sym[k] == fresh.sym_power(k).ch()
 
 
-# -- theta quotients: paired factors -------------------------------------------------
+# -- theta quotients: the product oracle ---------------------------------------------
+#
+# theta_quotient builds each quotient from its closed-form logarithm.  These
+# oracles multiply the defining products out factor by factor instead.
+
+
+def _tv_exp_factor(eps: int, sign: int, j2: int, tcap, cap) -> TwoVarSeries:
+    """1 + eps * e^(sign*t) * q^(j2/2)."""
+    coeffs = {(0, 0): Fraction(1)}
+    if j2 <= 2 * cap:
+        for n in range(tcap + 1):
+            coeffs[(n, j2)] = Fraction(eps * sign ** n, factorial(n))
+    return TwoVarSeries(tcap, cap, coeffs)
+
+
+def _tv_q_factor(eps: int, j2: int, tcap, cap) -> TwoVarSeries:
+    """1 + eps * q^(j2/2)."""
+    coeffs = {(0, 0): Fraction(1)}
+    if j2 <= 2 * cap:
+        coeffs[(0, j2)] = coeffs.get((0, j2), Fraction(0)) + eps
+    return TwoVarSeries(tcap, cap, coeffs)
+
+
+def product_quotient(kind, tcap, cap):
+    """The quotient as running products, the two factors at each q-power paired first."""
+    num = TwoVarSeries.one(tcap, cap)
+    den = TwoVarSeries.one(tcap, cap)
+    if kind == "A":
+        den = _tv_half_sinh_ratio(tcap, cap)
+        for j in range(1, cap + 1):
+            f = _tv_q_factor(-1, 2 * j, tcap, cap)
+            num = num * (f * f)
+            den = den * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
+    elif kind == "B1":
+        num = _tv_half_cosh(tcap, cap)
+        for j in range(1, cap + 1):
+            num = num * (_tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap))
+            f = _tv_q_factor(+1, 2 * j, tcap, cap)
+            den = den * (f * f)
+    elif kind in ("B2", "B3"):
+        eps = -1 if kind == "B2" else +1
+        for j2 in range(1, 2 * cap + 1, 2):
+            num = num * (_tv_exp_factor(eps, +1, j2, tcap, cap) * _tv_exp_factor(eps, -1, j2, tcap, cap))
+            f = _tv_q_factor(eps, j2, tcap, cap)
+            den = den * (f * f)
+    else:
+        num = _tv_half_sinh(tcap, cap)
+        for j in range(1, cap + 1):
+            num = num * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
+            f = _tv_q_factor(-1, 2 * j, tcap, cap)
+            den = den * (f * f)
+    return num * den.inverse()
 
 
 def unpaired_quotient(kind, tcap, cap):
-    """theta_quotient with every factor multiplied into the running products in turn."""
+    """The quotient as running products, every factor multiplied in in turn."""
     num = TwoVarSeries.one(tcap, cap)
     den = TwoVarSeries.one(tcap, cap)
     if kind == "A":
@@ -853,9 +904,47 @@ def unpaired_quotient(kind, tcap, cap):
 
 
 @pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
-@pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (10, 3)])
+@pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (10, 3), (5, 3), (11, 7)])
 def test_theta_quotient_matches_unpaired_order(kind, tcap, cap):
     assert theta_quotient(kind, tcap, cap) == unpaired_quotient(kind, tcap, cap)
+
+
+@pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
+@pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (11, 7)])
+def test_theta_quotient_matches_paired_products(kind, tcap, cap):
+    assert theta_quotient(kind, tcap, cap) == product_quotient(kind, tcap, cap)
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3"])
+@pytest.mark.parametrize("tcap, cap", [(0, 0), (4, 2), (6, 4), (11, 7)])
+def test_closed_form_log_is_the_log_of_the_products(kind, tcap, cap):
+    quotient = theta_quotient(kind, tcap, cap)
+    assert quotient.log() == product_quotient(kind, tcap, cap).log()
+    assert quotient.log() is quotient.log()
+
+
+def test_the_line_quotient_has_no_logarithm():
+    with pytest.raises(ValueError):
+        theta_quotient("L", 6, 2).log()
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "L"])
+def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch):
+    """Negative control: one divisor-sum coefficient off by 1/(2m)! fails both checks."""
+    closed_form = theta._divisor_sum_log
+
+    def perturbed(*args):
+        coeffs = closed_form(*args)
+        coeffs[(4, 4)] += Fraction(1, 24)
+        return coeffs
+
+    monkeypatch.setattr(theta, "_divisor_sum_log", perturbed)
+    tcap, cap = 6, 3
+    quotient = theta_quotient.__wrapped__(kind, tcap, cap)
+    oracle = product_quotient(kind, tcap, cap)
+    assert quotient != oracle
+    if kind != "L":
+        assert quotient.log() != oracle.log()
 
 
 # -- input errors --------------------------------------------------------------------

@@ -7,8 +7,14 @@ from fractions import Fraction
 import pytest
 
 import anomaly.verifier as verifier
-from anomaly.algebra import GradedPoly
-from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
+from anomaly.algebra import GradedPoly, pontryagin_table
+from anomaly.bundles import (
+    VirtualBundle,
+    aux_complexification,
+    line_real_complexification,
+    tangent_complexification,
+    theta_series,
+)
 from anomaly.qseries import QHalfSeries
 from anomaly.theta import line_quotient_evaluation, symmetric_quotient_product, theta_quotient
 from anomaly.verifier import (
@@ -291,6 +297,59 @@ class TestIdentityCatalog:
         assert verify_identity("Thm1.7-(1.14)").constant == -135432
 
 
+CATALOG_COMBOS = {
+    "spin-delta": verifier._SPIN_DELTA,
+    "spin-plain": verifier._SPIN_PLAIN,
+    "V": verifier._V_COMBO,
+    "L": verifier._L_COMBO,
+}
+
+
+def _transcription_sides(sector, dim, n, combos=CATALOG_COMBOS):
+    """ch of a theta series' q^n coefficient, and the ch of its catalog combo.
+
+    spin-delta: theta1 against _SPIN_DELTA; spin-plain: theta2 + theta3
+    against 2 * _SPIN_PLAIN; V: thetaV against _V_COMBO; L: thetaL against
+    _L_COMBO, with the line bundle in the combo's V slot.
+    """
+    if sector.startswith("spin"):
+        table = pontryagin_table(dim)
+        TX = tangent_complexification(table, dim)
+        bundles = {"T": TX.reduce()}
+        if sector == "spin-delta":
+            series, scale = theta_series("theta1", TX, cap=n), 1
+        else:
+            series, scale = theta_series("theta2", TX, cap=n) + theta_series("theta3", TX, cap=n), 2
+    else:
+        table = pontryagin_table(dim, aux=sector == "V", line=sector == "L")
+        TX = tangent_complexification(table, dim)
+        V = aux_complexification(table, dim) if sector == "V" else line_real_complexification(table, dim)
+        bundles = {"T": TX.reduce(), "V": V.reduce()}
+        series, scale = theta_series("theta" + sector, TX, V, cap=n), 1
+    return series.coefficient_q(n), verifier._build_combo(combos[sector][n], bundles).ch() * scale
+
+
+class TestCatalogTranscription:
+    """The hand-entered bundle combos are the theta products' q^n coefficients."""
+
+    @pytest.mark.parametrize("sector", sorted(CATALOG_COMBOS))
+    @pytest.mark.parametrize("dim", [12, 14])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_combo_is_the_theta_coefficient(self, sector, dim, n):
+        theta_side, combo_side = _transcription_sides(sector, dim, n)
+        assert theta_side == combo_side
+
+    @pytest.mark.parametrize("sector, n, term", [("spin-delta", 2, 2), ("spin-plain", 1, 1), ("V", 2, 5), ("L", 2, 3)])
+    def test_a_perturbed_combo_fails(self, sector, n, term):
+        """Negative control: one combo term's coefficient raised by one."""
+        terms = list(CATALOG_COMBOS[sector][n])
+        coefficient, atoms = terms[term]
+        terms[term] = (coefficient + 1, atoms)
+        perturbed = {**CATALOG_COMBOS, sector: {**CATALOG_COMBOS[sector], n: tuple(terms)}}
+        theta_side, combo_side = _transcription_sides(sector, 12, n, perturbed)
+        assert theta_side != combo_side
+
+
 class TestPrintedVariantsFail:
     def test_registered_variants(self):
         assert set(PRINTED_VARIANTS) == {"Thm1.7-(1.13)", "Thm1.7-(1.14)", "Thm1.15-q1"}
@@ -373,6 +432,11 @@ class TestManifoldData:
             ManifoldData.from_mapping({"dim": 8, "numbers": {"pX2": "7/0"}})
         with pytest.raises(ManifoldDataError):
             ManifoldData.from_mapping({"dim": "8", "numbers": {}})
+
+    def test_boolean_dim_is_not_an_integer(self):
+        for flag in (True, False):
+            with pytest.raises(ManifoldDataError, match='integer "dim"'):
+                ManifoldData.from_mapping({"dim": flag, "numbers": {}})
 
     def test_evaluate_errors(self):
         from anomaly.algebra import GradedPoly, pontryagin_table, top_component
