@@ -12,7 +12,9 @@ terms as int numerators over it, in lowest terms (gcd(den, *numerators) =
 is exactly the input of the one convolution, `_convolve`: a product is one
 `_convolve` plus one gcd reduction (`_int_form`), and its result feeds the
 next product as it stands.  The q-series of `qseries` keep the same form
-over flat keys, with the doubled q-exponent as side grade.  The `Fraction`
+over flat keys, with the doubled q-exponent as side grade, and so do the
+two-variable series of `theta`, over the keys of the empty table with the
+t-power in the degree digit: every series is an int form.  The `Fraction`
 map `GradedPoly.terms` is a view, built on demand for rendering, evaluation
 and the public API.
 
@@ -25,18 +27,11 @@ only when their degree sum and their j2 sum are within the limits, so no
 digit carries into its neighbour and a product key is one int addition.  A
 key's degree and j2 are read off its digits.
 
-Raw key maps.  The two-variable series of `theta` and the genus series of
-`genera` keep key -> Fraction maps.  `_multiply`, `_exp`, `_inverse` and
-`_log` pack them per call (`_scaled_terms`, `_key_codec`) into the same int
-form and return Fractions.
-
 exp, log and inverse each have one implementation over int forms,
 `_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
 weight recurrences of `_weight_recurrence`.  They back `exp_truncated` and
-`log_truncated` here, `qseries_exp` in `qseries`, and, through the raw
-`_exp`, `_inverse` and `_log`, the theta quotients of `theta` (each built as
-the exp of its closed-form logarithm), `TwoVarSeries.inverse`/`log` and the
-genus log-coefficients in `genera`.
+`log_truncated` here, `qseries_exp` in `qseries`, and the exp, inverse and
+log of `theta.TwoVarSeries`.
 """
 
 from __future__ import annotations
@@ -284,8 +279,8 @@ def _int_form(den: int, items: list) -> tuple[int, list]:
     return den, items
 
 
-def _sum_form(layout: KeyLayout, a_den: int, a_items: list, b_den: int, b_items: list) -> tuple[int, list]:
-    """The termwise sum of two int forms over one layout."""
+def _sum_form(a_den: int, a_items: list, b_den: int, b_items: list, finish) -> tuple[int, list]:
+    """The termwise sum of two int forms over one key layout; `finish` is as for the kernels below."""
     den = lcm(a_den, b_den)
     scale = den // a_den
     acc = {key: num * scale for _, _, key, num in a_items}
@@ -293,29 +288,12 @@ def _sum_form(layout: KeyLayout, a_den: int, a_items: list, b_den: int, b_items:
     scale = den // b_den
     for _, _, key, num in b_items:
         acc[key] = get(key, 0) + num * scale
-    return layout.int_form(acc, den)
+    return finish(acc, den)
 
 
 def _times(den: int, items: list, c: Fraction) -> tuple[int, list]:
     """An int form times a rational."""
     return _int_form(den * c.denominator, [(g, side, key, num * c.numerator) for g, side, key, num in items] if c else [])
-
-
-def _scaled_terms(terms: Mapping, grade, pack, limit: int, side_limit: int = 0) -> tuple[int, list]:
-    """A key -> Fraction map as an int form over packed keys.
-
-    `grade(key)` returns the key's (grade, side grade).  A term past `limit`
-    or `side_limit` takes part in no product and is dropped here, so every
-    packed component fits its digit.
-    """
-    den = lcm(*[c.denominator for c in terms.values()])
-    items = [
-        (g, side, pack(key), c.numerator * (den // c.denominator))
-        for (g, side), (key, c) in zip(map(grade, terms), terms.items())
-        if g <= limit and side <= side_limit
-    ]
-    items.sort()
-    return den, items
 
 
 def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
@@ -341,28 +319,6 @@ def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 
             if s2 <= side_room:
                 key = k1 + k2
                 acc[key] = get(key, 0) + n1 * n2
-
-
-def _fractions(acc: dict, den: int, unpack, length: int) -> dict:
-    """The nonzero `_convolve` sums as Fractions over `den`, keyed by unpacked keys."""
-    return {unpack(key, length): Fraction(value, den) for key, value in acc.items() if value}
-
-
-def _multiply(a_terms: Mapping, b_terms: Mapping, grade, limit: int, side_limit: int = 0) -> dict:
-    """The truncated product of two key -> Fraction maps, as a new map.
-
-    `grade`, `limit` and `side_limit` are as for `_scaled_terms` and
-    `_convolve`.  Keys are packed with digits that hold max(limit,
-    side_limit).
-    """
-    if not a_terms or not b_terms:
-        return {}
-    _, pack, unpack = _key_codec(max(limit, side_limit))
-    den1, left = _scaled_terms(a_terms, grade, pack, limit, side_limit)
-    den2, right = _scaled_terms(b_terms, grade, pack, limit, side_limit)
-    acc: dict = {}
-    _convolve(acc, left, right, limit, side_limit)
-    return _fractions(acc, den1 * den2, unpack, len(next(iter(a_terms))))
 
 
 # -- exp, log and inverse ---------------------------------------------------------
@@ -455,33 +411,6 @@ def _log_form(den: int, items: list, finish, limit: int, side_limit: int = 0) ->
     return _int_form(pden * common, [(g, side, key, num * (common // (g + side))) for g, side, key, num in product])
 
 
-def _raw_kernel(form, terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """An int-form kernel applied to a key -> Fraction map, returning one."""
-    _, pack, unpack = _key_codec(limit + side_limit)
-    length = len(unit)
-
-    def finish(acc, den):
-        return _int_form(den, [(*grade(unpack(key, length)), key, num) for key, num in acc.items() if num])
-
-    den, items = form(*_scaled_terms(terms, grade, pack, limit, side_limit), finish, limit, side_limit)
-    return {unpack(key, length): Fraction(num, den) for _, _, key, num in items}
-
-
-def _exp(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """exp(x) of a key -> Fraction map with no term at `unit`."""
-    return _raw_kernel(_exp_form, terms, unit, grade, limit, side_limit)
-
-
-def _inverse(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """a^(-1) of a key -> Fraction map with a nonzero constant term at `unit`."""
-    return _raw_kernel(_inverse_form, terms, unit, grade, limit, side_limit)
-
-
-def _log(terms: Mapping, unit, grade, limit: int, side_limit: int = 0) -> dict:
-    """log(a) of a key -> Fraction map with constant term 1 at `unit`."""
-    return _raw_kernel(_log_form, terms, unit, grade, limit, side_limit)
-
-
 # -- monomial substitution ----------------------------------------------------------
 
 
@@ -532,6 +461,28 @@ def _substitute_monomials(den: int, items: list, layout: KeyLayout, images: Mapp
     for key, num, fden in rows:
         acc[key] = get(key, 0) + num * (common // fden)
     return layout.int_form(acc, den * common)
+
+
+def _render_terms(pairs: Iterable[tuple[Fraction, str]]) -> str:
+    """`(coefficient, monomial string)` pairs as `a + b*m - c*m` text; "0" for none.
+
+    An empty monomial string is the unit monomial, and a coefficient of
+    magnitude 1 is not written before a monomial.
+    """
+    parts: list[str] = []
+    for coeff, mono in pairs:
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 class GradedPoly:
@@ -650,7 +601,7 @@ class GradedPoly:
             return NotImplemented
         self._check_table(other)
         a, b = self._aligned(other)
-        return GradedPoly._make(a.table, a.truncation, *_sum_form(a.layout, a.den, a.items, b.den, b.items))
+        return GradedPoly._make(a.table, a.truncation, *_sum_form(a.den, a.items, b.den, b.items, a.layout.int_form))
 
     __radd__ = __add__
 
@@ -821,25 +772,9 @@ class GradedPoly:
 
     def render(self) -> str:
         """Canonical text form: terms sorted by (degree, exponents)."""
-        if not self.items:
-            return "0"
-        degree = self.table.monomial_degree
-        items = sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
-        parts: list[str] = []
-        for expts, coeff in items:
-            mono = self.table.monomial_string(expts)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        degree, monomial = self.table.monomial_degree, self.table.monomial_string
+        terms = sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
+        return _render_terms((coeff, monomial(expts)) for expts, coeff in terms)
 
     def __repr__(self):
         return f"GradedPoly({self.render()})"

@@ -180,15 +180,21 @@ class VirtualBundle:
 # -- geometric constructors --------------------------------------------------
 
 
+def _reduced_character(table: GeneratorTable, truncation: int, family: str) -> GradedPoly:
+    """sum_m 2*s_m/(2m)! over a root family: the reduced Chern character of the
+    complexification of a real bundle whose Pontryagin classes are the family."""
+    reduced = GradedPoly.zero(table, truncation)
+    for m in range(1, truncation // 4 + 1):
+        s = power_sum_in_pontryagin(table, family, m, truncation)
+        reduced = reduced + s * Fraction(2, factorial(2 * m))
+    return reduced
+
+
 @lru_cache(maxsize=None)
 def tangent_complexification(table: GeneratorTable, dim: int, truncation: int | None = None, family: str = "pX") -> VirtualBundle:
     """Complexified tangent bundle: rank dim, degree-4m piece 2*s_{2m}/(2m)!."""
     trunc = dim if truncation is None else truncation
-    reduced = GradedPoly.zero(table, trunc)
-    for m in range(1, trunc // 4 + 1):
-        s = power_sum_in_pontryagin(table, family, m, trunc)
-        reduced = reduced + s * Fraction(2, factorial(2 * m))
-    return VirtualBundle(table, trunc, dim, reduced)
+    return VirtualBundle(table, trunc, dim, _reduced_character(table, trunc, family))
 
 
 @lru_cache(maxsize=None)
@@ -198,11 +204,7 @@ def aux_complexification(table: GeneratorTable, truncation: int, rank: int = 0, 
     The rank is free: every reduced quantity built from this bundle is
     rank-independent, so the default 0 is as good as any.
     """
-    reduced = GradedPoly.zero(table, truncation)
-    for m in range(1, truncation // 4 + 1):
-        s = power_sum_in_pontryagin(table, family, m, truncation)
-        reduced = reduced + s * Fraction(2, factorial(2 * m))
-    return VirtualBundle(table, truncation, rank, reduced)
+    return VirtualBundle(table, truncation, rank, _reduced_character(table, truncation, family))
 
 
 @lru_cache(maxsize=None)

@@ -19,15 +19,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, _log, exp_truncated, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, exp_truncated, log_truncated, power_sum_in_pontryagin
 
 # Even univariate series are plain coefficient lists: a[m] multiplies t^(2m).
+# Their logarithms are taken as polynomials in the one generator t2 = t^2.
+_EVEN_SERIES = GeneratorTable([("t2", 2)])
 
 
 def _log_coeffs(a: list[Fraction]) -> tuple[Fraction, ...]:
     """log a(t) for a[0] = 1, as its coefficients of t^(2m) for m = 1..len(a)-1."""
     M = len(a) - 1
-    log = _log({(m,): c for m, c in enumerate(a)}, (0,), lambda key: (key[0], 0), M)
+    log = log_truncated(GradedPoly(_EVEN_SERIES, 2 * M, {(m,): c for m, c in enumerate(a)})).terms
     return tuple(log.get((m,), Fraction(0)) for m in range(1, M + 1))
 
 

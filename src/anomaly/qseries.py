@@ -28,6 +28,7 @@ from .algebra import (
     _convolve,
     _exp_form,
     _int_form,
+    _render_terms,
     _substitute_monomials,
     _sum_form,
     _times,
@@ -163,6 +164,15 @@ def merge_rings(a, b):
     raise RingMismatchError("mixing rational and polynomial coefficients requires an explicit promotion")
 
 
+def _q_power(j2: int) -> str:
+    """The monomial string of q^(j2/2); empty for q^0."""
+    if j2 == 0:
+        return ""
+    if j2 == 2:
+        return "q"
+    return f"q^{j2 // 2}" if j2 % 2 == 0 else f"q^({j2}/2)"
+
+
 def _flat_product(ring, cap: int, a_den: int, a_items: list, b_den: int, b_items: list) -> tuple[int, list]:
     """The truncated product of two int forms over `ring`'s flat keys: one `_convolve`."""
     acc: dict = {}
@@ -280,7 +290,7 @@ class QHalfSeries:
         ring = merge_rings(self.ring, other.ring)
         cap = min(self.cap, other.cap)
         a, b = self._over(ring, cap), other._over(ring, cap)
-        return QHalfSeries._make(ring, cap, *_sum_form(ring.layout, a.den, a.items, b.den, b.items))
+        return QHalfSeries._make(ring, cap, *_sum_form(a.den, a.items, b.den, b.items, ring.layout.int_form))
 
     def __neg__(self):
         return QHalfSeries._make(self.ring, self.cap, self.den, [(g, j2, key, -num) for g, j2, key, num in self.items])
@@ -367,37 +377,16 @@ class QHalfSeries:
 
     def render(self) -> str:
         coeffs = self.coeffs
-        if not coeffs:
-            return "0"
+        if isinstance(self.ring, RationalRing):
+            return _render_terms((coeffs[j2], _q_power(j2)) for j2 in sorted(coeffs))
         parts = []
         for j2 in sorted(coeffs):
-            value = coeffs[j2]
-            if j2 == 0:
-                power = ""
-            elif j2 == 2:
-                power = "q"
-            elif j2 % 2 == 0:
-                power = f"q^{j2 // 2}"
-            else:
-                power = f"q^({j2}/2)"
-            if isinstance(value, GradedPoly):
-                body = f"({value.render()})"
-                if power:
-                    body = f"{body}*{power}"
-                parts.append(body if not parts else f"+ {body}")
-            else:
-                mag = abs(value)
-                if not power:
-                    body = str(mag)
-                elif mag == 1:
-                    body = power
-                else:
-                    body = f"{mag}*{power}"
-                if not parts:
-                    parts.append(body if value > 0 else f"-{body}")
-                else:
-                    parts.append(f"+ {body}" if value > 0 else f"- {body}")
-        return " ".join(parts)
+            power = _q_power(j2)
+            body = f"({coeffs[j2].render()})"
+            if power:
+                body = f"{body}*{power}"
+            parts.append(body if not parts else f"+ {body}")
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"QHalfSeries({self.render()})"

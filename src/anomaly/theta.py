@@ -25,40 +25,62 @@ can reach the output.  The quotients are memoized with their logarithms per
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import itemgetter
 
-from .algebra import GeneratorTable, GradedPoly, _exp, _inverse, _log, _multiply, as_rational, power_sum_in_pontryagin
-from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, qseries_exp
+from .algebra import (
+    GeneratorTable,
+    GradedPoly,
+    _convolve,
+    _exp_form,
+    _int_form,
+    _inverse_form,
+    _log_form,
+    _render_terms,
+    _sum_form,
+    _times,
+    as_rational,
+    power_sum_in_pontryagin,
+)
+from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, _q_power, qseries_exp
 
-
-def _tv_grade(key: tuple[int, int]) -> tuple[int, int]:
-    """`_convolve` grades of t^n q^(j2/2): the doubled q-exponent, then n."""
-    return key[1], key[0]
+# Keys of the empty generator table hold one digit below j2, the degree digit;
+# a two-variable series keeps its t-power there.
+_T_KEYS = GeneratorTable(())
 
 
 class TwoVarSeries:
-    """Truncated series sum c * t^n * q^(j2/2) with Fraction coefficients.
+    """Truncated series sum c * t^n * q^(j2/2) with exact rational coefficients.
 
     t-powers run up to tcap, doubled q-exponents up to 2*cap.  Instances are
     treated as immutable.
 
+    The value is the int form of `algebra`: one positive denominator `den`
+    and `(n, j2, key, numerator)` items, sorted and in lowest terms, with
+    the key n | j2 << bits laid out by `_T_KEYS.layout(tcap)` (bits =
+    `_digit_bits(tcap)`).  The t-power is the kernels' grade (limit tcap)
+    and j2 the side grade (limit 2*cap), so a term's weight is n + j2.
+    Products, the inverse, the logarithm and the exp are the int-form
+    kernels themselves.  `coeffs`, the (n, j2) -> Fraction map, is a view
+    built on each access.  The logarithm is kept on the instance once
+    computed, and an exp keeps its argument as its logarithm.
+
     As with GradedPoly, the public constructor validates its input and
-    arithmetic results go through `_make`, which trusts that no coefficient
-    is zero and no term lies past either cap.  Products, the inverse and the
-    logarithm run on the integer-numerator kernel of `algebra` (`_multiply`,
-    `_inverse` and `_log`), graded by the doubled q-exponent with the t-power
-    as side grade.  The logarithm is kept on the instance once computed.
+    arithmetic results go through `_make`.
     """
 
-    __slots__ = ("tcap", "cap", "coeffs", "_logarithm")
+    __slots__ = ("tcap", "cap", "den", "items", "_logarithm")
 
     def __init__(self, tcap: int, cap: int, coeffs=None):
         self.tcap = int(tcap)
         self.cap = int(cap)
         if self.tcap < 0 or self.cap < 0:
             raise ValueError("caps must be nonnegative")
+        layout = self.layout
+        shift = layout.sshift
         clean = {}
         if coeffs:
             for (n, j2), value in coeffs.items():
@@ -70,22 +92,24 @@ class TwoVarSeries:
                     continue
                 value = as_rational(value)
                 if value:
-                    clean[(n, j2)] = value
-        self.coeffs = clean
+                    clean[n | j2 << shift] = value
+        den = lcm(*[c.denominator for c in clean.values()])
+        self.den, self.items = layout.int_form({key: c.numerator * (den // c.denominator) for key, c in clean.items()}, den)
         self._logarithm = None
 
     @classmethod
-    def _make(cls, tcap: int, cap: int, coeffs: dict[tuple[int, int], Fraction]) -> "TwoVarSeries":
-        """Trusted constructor for arithmetic results; checks nothing.
+    def _make(cls, tcap: int, cap: int, den: int, items: list) -> "TwoVarSeries":
+        """Trusted constructor for kernel results; checks nothing.
 
-        The caller guarantees nonnegative int caps, nonzero Fraction
-        coefficients and no key (n, j2) with n > tcap or j2 > 2*cap.
-        `coeffs` is stored, not copied.
+        The caller guarantees nonnegative int caps and a canonical int form
+        over `_T_KEYS.layout(tcap)` with no n past tcap and no j2 past
+        2*cap.  `items` is stored, not copied.
         """
         series = object.__new__(cls)
         series.tcap = tcap
         series.cap = cap
-        series.coeffs = coeffs
+        series.den = den
+        series.items = items
         series._logarithm = None
         return series
 
@@ -97,35 +121,59 @@ class TwoVarSeries:
     def one(cls, tcap, cap):
         return cls(tcap, cap, {(0, 0): Fraction(1)})
 
+    @property
+    def layout(self):
+        return _T_KEYS.layout(self.tcap)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        """(n, j2) -> nonzero Fraction, built from the ints on each access."""
+        den = self.den
+        return {(n, j2): Fraction(num, den) for n, j2, _, num in self.items}
+
     def coefficient(self, n: int, j2: int) -> Fraction:
-        return self.coeffs.get((int(n), int(j2)), Fraction(0))
+        n, j2 = int(n), int(j2)
+        items = self.items
+        i = bisect_left(items, (n, j2))
+        if i < len(items) and items[i][:2] == (n, j2):
+            return Fraction(items[i][3], self.den)
+        return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.items
 
     def __eq__(self, other):
         return (
             isinstance(other, TwoVarSeries)
             and self.tcap == other.tcap
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.items == other.items
         )
 
     __hash__ = None
 
+    def _cut(self, tcap: int, cap: int) -> "TwoVarSeries":
+        """The series cut at `tcap` <= self.tcap and `cap` <= self.cap, its keys laid out for `tcap`."""
+        if tcap == self.tcap and cap == self.cap:
+            return self
+        shift = _T_KEYS.layout(tcap).sshift
+        items = [(n, j2, n | j2 << shift, num) for n, j2, _, num in self.items if n <= tcap and j2 <= 2 * cap]
+        return TwoVarSeries._make(tcap, cap, *_int_form(self.den, items))
+
+    def _aligned(self, other: "TwoVarSeries") -> tuple["TwoVarSeries", "TwoVarSeries"]:
+        """Both operands at the smaller caps, on one key layout."""
+        tcap, cap = min(self.tcap, other.tcap), min(self.cap, other.cap)
+        return self._cut(tcap, cap), other._cut(tcap, cap)
+
     def __add__(self, other):
         if not isinstance(other, TwoVarSeries):
             return NotImplemented
-        tcap = min(self.tcap, other.tcap)
-        cap = min(self.cap, other.cap)
-        coeffs = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            coeffs[key] = coeffs[key] + value if key in coeffs else value
-        kept = {(n, j2): c for (n, j2), c in coeffs.items() if c and n <= tcap and j2 <= 2 * cap}
-        return TwoVarSeries._make(tcap, cap, kept)
+        a, b = self._aligned(other)
+        return TwoVarSeries._make(a.tcap, a.cap, *_sum_form(a.den, a.items, b.den, b.items, a.layout.int_form))
 
     def __neg__(self):
-        return TwoVarSeries._make(self.tcap, self.cap, {k: -v for k, v in self.coeffs.items()})
+        return TwoVarSeries._make(self.tcap, self.cap, self.den, [(n, j2, key, -num) for n, j2, key, num in self.items])
 
     def __sub__(self, other):
         if not isinstance(other, TwoVarSeries):
@@ -134,62 +182,56 @@ class TwoVarSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            coeffs = {k: other * v for k, v in self.coeffs.items()} if other else {}
-            return TwoVarSeries._make(self.tcap, self.cap, coeffs)
+            return TwoVarSeries._make(self.tcap, self.cap, *_times(self.den, self.items, as_rational(other)))
         if not isinstance(other, TwoVarSeries):
             return NotImplemented
-        tcap = min(self.tcap, other.tcap)
-        cap = min(self.cap, other.cap)
-        return TwoVarSeries._make(tcap, cap, _multiply(self.coeffs, other.coeffs, _tv_grade, 2 * cap, tcap))
+        a, b = self._aligned(other)
+        acc: dict = {}
+        _convolve(acc, a.items, b.items, a.tcap, 2 * a.cap)
+        return TwoVarSeries._make(a.tcap, a.cap, *a.layout.int_form(acc, a.den * b.den))
 
     __rmul__ = __mul__
 
+    def _kernel(self, form) -> "TwoVarSeries":
+        """An exp/log/inverse int-form kernel applied to the series."""
+        return TwoVarSeries._make(self.tcap, self.cap, *form(self.den, self.items, self.layout.int_form, self.tcap, 2 * self.cap))
+
     def inverse(self) -> "TwoVarSeries":
-        """Multiplicative inverse, solved weight by weight (`algebra._inverse`)."""
-        if not self.coeffs.get((0, 0)):
+        """Multiplicative inverse, solved weight by weight (`algebra._inverse_form`)."""
+        if not self.coefficient(0, 0):
             raise NonUnitError("cannot invert: zero constant coefficient")
-        coeffs = _inverse(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
-        return TwoVarSeries._make(self.tcap, self.cap, coeffs)
+        return self._kernel(_inverse_form)
 
     def log(self) -> "TwoVarSeries":
-        """Logarithm of a series with constant coefficient 1 (`algebra._log`),
+        """Logarithm of a series with constant coefficient 1 (`algebra._log_form`),
         computed once per instance."""
         if self._logarithm is None:
-            if self.coeffs.get((0, 0)) != 1:
+            if self.coefficient(0, 0) != 1:
                 raise ValueError("log needs constant coefficient 1")
-            coeffs = _log(self.coeffs, (0, 0), _tv_grade, 2 * self.cap, self.tcap)
-            self._logarithm = TwoVarSeries._make(self.tcap, self.cap, coeffs)
+            self._logarithm = self._kernel(_log_form)
         return self._logarithm
+
+    def exp(self) -> "TwoVarSeries":
+        """exp of a series with zero constant coefficient (`algebra._exp_form`);
+        the result keeps this series as its logarithm."""
+        if self.coefficient(0, 0):
+            raise ValueError("exp needs zero constant coefficient")
+        result = self._kernel(_exp_form)
+        result._logarithm = self
+        return result
 
     def tau_shift_half(self) -> "TwoVarSeries":
         """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""
-        return TwoVarSeries._make(self.tcap, self.cap, {(n, j2): (-c if j2 % 2 else c) for (n, j2), c in self.coeffs.items()})
+        items = [(n, j2, key, -num if j2 % 2 else num) for n, j2, key, num in self.items]
+        return TwoVarSeries._make(self.tcap, self.cap, self.den, items)
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (n, j2) in sorted(self.coeffs, key=lambda k: (k[1], k[0])):
-            value = self.coeffs[(n, j2)]
-            factors = []
-            if n == 1:
-                factors.append("t")
-            elif n > 1:
-                factors.append(f"t^{n}")
-            if j2 == 2:
-                factors.append("q")
-            elif j2 and j2 % 2 == 0:
-                factors.append(f"q^{j2 // 2}")
-            elif j2:
-                factors.append(f"q^({j2}/2)")
-            mono = "*".join(factors)
-            mag = abs(value)
-            body = str(mag) if not mono else (mono if mag == 1 else f"{mag}*{mono}")
-            if not parts:
-                parts.append(body if value > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if value > 0 else f"- {body}")
-        return " ".join(parts)
+        """Canonical text form: terms sorted by (q-power, t-power)."""
+        pairs = []
+        for n, j2, _, num in sorted(self.items, key=itemgetter(1, 0)):
+            t_power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
+            pairs.append((Fraction(num, self.den), "*".join(filter(None, (t_power, _q_power(j2))))))
+        return _render_terms(pairs)
 
     def __repr__(self):
         return f"TwoVarSeries({self.render()})"
@@ -262,25 +304,21 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
 
     A, B1, B2 and B3 are built from their logarithms: the divisor sums of
     `_divisor_sum_log` plus, at q^0, log((t/2)/sinh(t/2)) for A and
-    log cosh(t/2) for B1; one exp gives the coefficients, and the
-    logarithm is kept on the series.  L is sinh(t/2) * exp(-(q-part of
-    log A)).
+    log cosh(t/2) for B1; one exp gives the coefficients and keeps the
+    logarithm on the series.  L is sinh(t/2) * exp(-(q-part of log A)).
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     if tcap < 0 or cap < 0:
         raise ValueError("caps must be nonnegative")
-    log_coeffs = _divisor_sum_log("A" if kind == "L" else kind, tcap, cap)
+    log = TwoVarSeries(tcap, cap, _divisor_sum_log("A" if kind == "L" else kind, tcap, cap))
     if kind == "L":
-        minus_log = {key: -value for key, value in log_coeffs.items()}
-        return _tv_half_sinh(tcap, cap) * TwoVarSeries._make(tcap, cap, _exp(minus_log, (0, 0), _tv_grade, 2 * cap, tcap))
+        return _tv_half_sinh(tcap, cap) * (-log).exp()
     if kind == "A":
-        log_coeffs.update((-_tv_half_sinh_ratio(tcap, 0).log()).coeffs)
+        log = log - _tv_half_sinh_ratio(tcap, cap).log()
     elif kind == "B1":
-        log_coeffs.update(_tv_half_cosh(tcap, 0).log().coeffs)
-    quotient = TwoVarSeries._make(tcap, cap, _exp(log_coeffs, (0, 0), _tv_grade, 2 * cap, tcap))
-    quotient._logarithm = TwoVarSeries._make(tcap, cap, log_coeffs)
-    return quotient
+        log = log + _tv_half_cosh(tcap, cap).log()
+    return log.exp()
 
 
 def jacobi_identity_residual(cap: int) -> QHalfSeries:
@@ -329,14 +367,16 @@ def _bridged_log(
 ) -> QHalfSeries:
     """log prod_j Q(t_j, q) over a root family: log Q with t^(2m) -> s_m(family).
 
-    Takes log Q = sum a_{m,j2} t^(2m) q^(j2/2) and sums a_{m,j2} times the
-    items of the power sum s_m, at the j2 digit, into one flat int form.
-    The quotient must be even in t with t=0 slice equal to 1.
+    Takes log Q = sum a_{m,j2} t^(2m) q^(j2/2) and sums the int numerators
+    of a_{m,j2} times the items of the power sum s_m, at the j2 digit, into
+    one flat int form.  The quotient must be even in t with t=0 slice equal
+    to 1.
     """
     ring = PolyRing(table, truncation)
+    log = quotient.log()
     power_sums: dict[int, GradedPoly] = {}
     rows = []
-    for (n, j2), value in quotient.log().coeffs.items():
+    for n, j2, _, num in log.items:
         if n == 0:
             raise ValueError("quotient is not normalized: log has a pure q term")
         if n % 2:
@@ -344,16 +384,16 @@ def _bridged_log(
         if 2 * n <= truncation:
             if n not in power_sums:
                 power_sums[n] = power_sum_in_pontryagin(table, family, n // 2, truncation)
-            rows.append((power_sums[n], j2 << ring.layout.sshift, value))
-    den = lcm(*[s.den * value.denominator for s, _, value in rows])
+            rows.append((power_sums[n], j2 << ring.layout.sshift, num))
+    den = lcm(*[s.den for s, _, _ in rows])
     acc: dict = {}
     get = acc.get
-    for s, shift, value in rows:
-        scale = value.numerator * (den // (s.den * value.denominator))
-        for _, _, key, num in s.items:
+    for s, shift, num in rows:
+        scale = num * (den // s.den)
+        for _, _, key, snum in s.items:
             key |= shift
-            acc[key] = get(key, 0) + num * scale
-    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den))
+            acc[key] = get(key, 0) + snum * scale
+    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den * log.den))
 
 
 def symmetric_quotient_product(

@@ -433,7 +433,8 @@ def corollaries_for(case: str, dim: int) -> list[CorollaryEntry]:
 
 def _basis_coefficient(weight: int, q_power: int) -> int:
     value = modular_basis(weight, max(2, q_power)).coefficient_q(q_power)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"the q^{q_power} coefficient {value} of the weight-{weight} basis form is not an integer")
     return int(value)
 
 

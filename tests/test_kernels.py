@@ -1,19 +1,20 @@
 """Property tests: the integer-numerator kernels against naive references.
 
-The packed-key product and inverse on raw key maps (keys of length 1 to 11,
-limits on both sides of each digit width), GradedPoly and TwoVarSeries
-arithmetic, TwoVarSeries.inverse/log, exp_truncated/log_truncated and
-qseries_exp are checked against convolutions and power series written out
-here term by term in Fraction arithmetic;
+GradedPoly and TwoVarSeries arithmetic (sparse operands on both sides of each
+packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.inverse/
+log/exp, exp_truncated/log_truncated and qseries_exp are checked against
+convolutions and power series written out here term by term in Fraction
+arithmetic;
 QHalfSeries products against the coefficientwise product, substitution
 (general and single-term, on polynomials and on q-series) against
 term-by-term substitution, the cached Adams operations against the Newton
 recursions on Chern characters, and the theta quotients, built from their
 closed-form logarithms, against their defining products multiplied out
-(paired and unpaired), logarithms included.  Every GradedPoly and QHalfSeries result
-is also checked to be a canonical int form: positive denominator, no zero
-numerator, gcd 1, sorted, and each stored degree and q-exponent equal to
-the one read off the unpacked key; digit widths are crossed at 255/256.
+(paired and unpaired), logarithms included.  Every GradedPoly, QHalfSeries
+and TwoVarSeries result is also checked to be a canonical int form: positive
+denominator, no zero numerator, gcd 1, sorted, and each stored degree (or
+t-power) and q-exponent equal to the one read off the key; digit widths are
+crossed at 255/256 and 65535/65536.
 """
 
 from fractions import Fraction
@@ -27,8 +28,6 @@ from hypothesis import strategies as st
 from anomaly.algebra import (
     GeneratorTable,
     GradedPoly,
-    _inverse,
-    _multiply,
     exp_truncated,
     log_truncated,
     pontryagin_table,
@@ -289,22 +288,18 @@ class TestPublicConstructorStillValidates:
 
 # -- packed keys ----------------------------------------------------------------------
 
-# The kernel packs each key into one int, one digit per component, wide enough
-# for the larger limit: 8 bits up to 255, 16 bits up to 65535, then 32 or 64.
-# Limits on both sides of those boundaries, keys of the lengths the engine uses
-# (1: rational q-series and genus series, 2: TwoVarSeries, 6 and 11: flat
-# q-series keys over the widest tables) and products exactly at the limits.
+# The kernel packs each key into one int, one digit per component, as wide as
+# the truncation (GradedPoly) or the t-cap (TwoVarSeries) needs: 8 bits up to
+# 255, 16 bits up to 65535, then 32 or 64; the doubled q-exponent j2 of a
+# series is the unbounded top digit.  Caps on both sides of those boundaries,
+# tables of 1 to 11 generators (1: the genus series of `genera`; 11: one more
+# than the widest catalog table, spin_v at dimension 20), as polynomials and as
+# q-series coefficients, and products exactly at the caps.
 KEY_LENGTHS = (1, 2, 6, 11)
-KEY_LIMITS = (0, 1, 5, 255, 256, 65535, 65536)
-
-
-def side_first(key):
-    """Side grade key[0], grade the sum of the rest."""
-    return sum(key[1:]), key[0]
-
-
-def grade_only(key):
-    return sum(key), 0
+POLY_TRUNCATIONS = (0, 2, 10, 254, 256, 65534, 65536)
+T_CAPS = (0, 1, 5, 255, 256, 65535, 65536)
+Q_CAPS = (0, 1, 3, 128)
+PAST = (1, 256, 65536)  # how far a stray term lies past a cap
 
 
 @st.composite
@@ -317,79 +312,137 @@ def composition(draw, total, parts):
 
 
 @st.composite
-def keyed_products(draw, limits=st.sampled_from(KEY_LIMITS)):
-    """Two key -> Fraction maps, their grade function and limits.
+def keyed_products(draw, truncations=st.sampled_from(POLY_TRUNCATIONS)):
+    """Two sparse polynomials over a table of degree-2 generators.
 
-    Every term of the first map has a partner in the second whose sum lies
-    exactly at both limits; a few terms lie past a limit (by 1, 256 or 65536)
-    and must be dropped, never carried into a neighbouring digit.
+    Every term of the first has a partner in the second whose product lies
+    exactly at the smaller truncation; a few terms lie past it and must be
+    dropped, never carried into a neighbouring digit.
     """
     length = draw(st.sampled_from(KEY_LENGTHS))
-    grade = draw(st.sampled_from([side_first, grade_only]))
-    limit = draw(limits)
-    side_limit = draw(limits) if grade is side_first else 0
-
-    def at_the_limits():
-        if grade is side_first:
-            return (side_limit, *draw(composition(limit, length - 1)))
-        return draw(composition(limit, length))
-
+    table = GeneratorTable((f"g{i}", 2) for i in range(1, length + 1))
+    truncations = (draw(truncations), draw(truncations))
+    half = min(truncations) // 2  # an exponent sum at the smaller truncation
     a, b = {}, {}
     for _ in range(draw(st.integers(1, 4))):
-        top = at_the_limits()
+        top = draw(composition(half, length))
         key = tuple(draw(st.integers(0, c)) for c in top)
         a[key] = draw(coefficients)
         b[tuple(c - k for c, k in zip(top, key))] = draw(coefficients)
     for _ in range(draw(st.integers(0, 2))):
-        past = list(at_the_limits())
-        past[draw(st.integers(0, length - 1))] += draw(st.sampled_from([1, 256, 65536]))
+        past = list(draw(composition(half, length)))
+        past[draw(st.integers(0, length - 1))] += draw(st.sampled_from(PAST))
         (a if draw(st.booleans()) else b)[tuple(past)] = draw(coefficients)
-    return a, b, grade, limit, side_limit
+    return GradedPoly(table, truncations[0], a), GradedPoly(table, truncations[1], b)
 
 
-def naive_keyed_mul(a, b, grade, limit, side_limit):
+@st.composite
+def series_products(draw):
+    """Two q-series with the polynomials of `keyed_products` as coefficients,
+    over the ring at the smaller truncation: flat keys with j2 on top, some
+    products exactly at q^cap and one term past it."""
+    a, b = draw(keyed_products())
+    ring = PolyRing(a.table, min(a.truncation, b.truncation))
+    a, b = a.truncate(ring.truncation), b.truncate(ring.truncation)
+    cap = draw(st.sampled_from(Q_CAPS))
+    j2 = draw(st.integers(0, 2 * cap))
+    return QHalfSeries(ring, cap, {0: b, j2: a}), QHalfSeries(ring, cap, {2 * cap - j2: b, 2 * cap + 1: a})
+
+
+@st.composite
+def two_var_products(draw, tcaps=st.sampled_from(T_CAPS)):
+    """Two sparse two-variable series, their products at the smaller caps as above."""
+    tcaps = (draw(tcaps), draw(tcaps))
+    caps = (draw(st.sampled_from(Q_CAPS)), draw(st.sampled_from(Q_CAPS)))
+    top = (min(tcaps), 2 * min(caps))
+    a, b = {}, {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = tuple(draw(st.integers(0, c)) for c in top)
+        a[key] = draw(coefficients)
+        b[tuple(c - k for c, k in zip(top, key))] = draw(coefficients)
+    for _ in range(draw(st.integers(0, 2))):
+        past = list(top)
+        past[draw(st.integers(0, 1))] += draw(st.sampled_from(PAST))
+        (a if draw(st.booleans()) else b)[tuple(past)] = draw(coefficients)
+    return TwoVarSeries(tcaps[0], caps[0], a), TwoVarSeries(tcaps[1], caps[1], b)
+
+
+def assert_two_var_invariants(s):
+    """A canonical int form keyed n | j2 << bits, bits the digit width of the t-cap."""
+    assert_int_form(s.den, s.items)
+    bits = 8
+    while s.tcap >= 1 << bits:
+        bits *= 2
+    for n, j2, key, _ in s.items:
+        assert 0 <= n <= s.tcap and 0 <= j2 <= 2 * s.cap
+        assert key == n | j2 << bits
+
+
+def naive_tv_add(a, b, sign=1):
+    tcap, cap = min(a.tcap, b.tcap), min(a.cap, b.cap)
     out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
-            g, side = grade(key)
-            if g <= limit and side <= side_limit:
-                out[key] = out.get(key, 0) + c1 * c2
+    for (n, j2), c in [*a.coeffs.items(), *((k, sign * c) for k, c in b.coeffs.items())]:
+        if n <= tcap and j2 <= 2 * cap:
+            out[(n, j2)] = out.get((n, j2), 0) + c
     return {k: c for k, c in out.items() if c}
 
 
 class TestPackedKeys:
     @settings(max_examples=200, deadline=None)
-    @given(keyed_products())
-    def test_product_matches_naive_convolution(self, case):
-        a, b, grade, limit, side_limit = case
-        product = _multiply(a, b, grade, limit, side_limit)
-        assert product == naive_keyed_mul(a, b, grade, limit, side_limit)
-        assert all(isinstance(c, Fraction) and c for c in product.values())
+    @given(st.one_of(keyed_products(), series_products(), two_var_products()))
+    def test_product_matches_naive_convolution(self, pair):
+        a, b = pair
+        product = a * b
+        if isinstance(a, GradedPoly):
+            assert product.terms == naive_mul(a, b)
+            assert_poly_invariants(product)
+        elif isinstance(a, QHalfSeries):
+            assert product.coeffs == naive_series_mul(a, b)
+            assert_series_invariants(product)
+        else:
+            assert product.coeffs == naive_tv_mul(a, b)
+            assert_two_var_invariants(product)
 
-    @pytest.mark.parametrize("limit, side_limit", [(255, 256), (256, 255), (65535, 65536), (65536, 65535)])
-    def test_sums_at_a_digit_boundary(self, limit, side_limit):
-        top = max(limit, side_limit)
-        a = {(side_limit, 0): Fraction(1), (0, limit): Fraction(2), (top // 2, limit // 2): Fraction(3)}
-        b = {(0, 0): Fraction(1), (0, 1): Fraction(5), (1, 0): Fraction(7), (top + 1, 0): Fraction(11)}
-        assert _multiply(a, b, side_first, limit, side_limit) == naive_keyed_mul(a, b, side_first, limit, side_limit)
+    @pytest.mark.parametrize("tcap_a, tcap_b", [(255, 256), (256, 255), (65535, 65536), (65536, 65535)])
+    def test_sums_at_a_digit_boundary(self, tcap_a, tcap_b):
+        """One operand's keys are a digit width wider than the other's: they are
+        re-packed, and products and sums land exactly at the smaller t-cap."""
+        top = min(tcap_a, tcap_b)
+        a = TwoVarSeries(tcap_a, 2, {(0, 0): 1, (top, 0): 2, (top // 2, 3): Fraction(1, 3), (tcap_a, 4): 5})
+        b = TwoVarSeries(tcap_b, 2, {(0, 0): 3, (0, 1): 7, (top - top // 2, 1): Fraction(-1, 2), (tcap_b, 0): 11})
+        for product in (a * b, b * a):
+            assert product.coeffs == naive_tv_mul(a, b)
+            assert product.coefficient(top, 4) == Fraction(-1, 6) + (15 if tcap_a == top else 0)
+            assert_two_var_invariants(product)
+        for result, expected in ((a + b, naive_tv_add(a, b)), (a - b, naive_tv_add(a, b, -1))):
+            assert result.coeffs == expected
+            assert_two_var_invariants(result)
+
+    @pytest.mark.parametrize("low, high", [(65534, 65536), (65536, 65534), (65536, 65536), (65534, 65534)])
+    def test_sparse_poly_products_across_a_wide_digit(self, low, high):
+        """Truncation 65534 packs 16-bit digits and 65536 packs 32-bit ones; exponents reach 32767/32768."""
+        table = GeneratorTable([("t", 2), ("u", 4)])
+        assert table.layout(65534).bits == 16 and table.layout(65536).bits == 32
+        a = GradedPoly(table, low, {(0, 0): 1, (32767, 0): 2, (1, 16383): Fraction(1, 3), (16384, 8191): 5})
+        b = GradedPoly(table, high, {(0, 0): 3, (1, 0): 7, (0, 8192): Fraction(-1, 2), (16383, 8192): 11, (32766, 1): 13})
+        for result, expected in ((a * b, naive_mul(a, b)), (a + b, naive_add(a, b)), (a - b, naive_add(a, b, -1))):
+            assert result.truncation == min(low, high)
+            assert result.terms == expected
+            assert_poly_invariants(result)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_inverse_through_the_weight_recurrence(self, data):
-        """The recurrence packs with digits for limit + side_limit; a * a^(-1) = 1."""
-        a, _, grade, limit, side_limit = data.draw(
-            keyed_products(st.sampled_from([0, 2, 5, 127, 128, 255, 256]))
-        )
-        length = len(next(iter(a)))
-        unit = (0,) * length
+        """The recurrence runs over the series' own key layout; a * a^(-1) = 1."""
+        a, _ = data.draw(two_var_products(st.sampled_from([0, 2, 5, 127, 128, 255, 256])))
         # Terms of weight at least a quarter of the top keep the inverse small.
-        floor = (limit + side_limit) // 4
-        a = {k: c for k, c in a.items() if sum(grade(k)) > max(floor, 0)}
-        a[unit] = data.draw(coefficients)
-        inverse = _inverse(a, unit, grade, limit, side_limit)
-        assert naive_keyed_mul(a, inverse, grade, limit, side_limit) == {unit: 1}
-        assert all(len(k) == length and isinstance(c, Fraction) and c for k, c in inverse.items())
+        floor = (a.tcap + 2 * a.cap) // 4
+        coeffs = {(n, j2): c for (n, j2), c in a.coeffs.items() if n + j2 > floor}
+        coeffs[(0, 0)] = data.draw(coefficients)
+        a = TwoVarSeries(a.tcap, a.cap, coeffs)
+        inverse = a.inverse()
+        assert naive_tv_mul(a, inverse) == {(0, 0): 1}
+        assert_two_var_invariants(inverse)
 
 
 # -- TwoVarSeries -----------------------------------------------------------------
@@ -417,6 +470,16 @@ def naive_tv_mul(a, b):
     return {k: c for k, c in out.items() if c}
 
 
+def naive_tv_exp(x):
+    """sum_k x^k / k!, the powers by `naive_tv_mul`; x^k vanishes past k = tcap + 2*cap."""
+    total, power = {(0, 0): Fraction(1)}, TwoVarSeries.one(x.tcap, x.cap)
+    for k in range(1, x.tcap + 2 * x.cap + 1):
+        power = TwoVarSeries(x.tcap, x.cap, naive_tv_mul(power, x))
+        for key, c in power.coeffs.items():
+            total[key] = total.get(key, 0) + c / factorial(k)
+    return {key: c for key, c in total.items() if c}
+
+
 class TestTwoVarSeriesKernel:
     @SETTINGS
     @given(st.data(), caps, caps)
@@ -427,12 +490,31 @@ class TestTwoVarSeriesKernel:
         assert (product.tcap, product.cap) == (min(a.tcap, b.tcap), min(a.cap, b.cap))
         assert product.coeffs == naive_tv_mul(a, b)
         assert all(isinstance(c, Fraction) and c for c in product.coeffs.values())
+        assert_two_var_invariants(product)
 
     @SETTINGS
     @given(st.data(), caps, coefficients)
     def test_inverse(self, data, tcap_cap, lead):
         a = data.draw(series(*tcap_cap, unit=True)) * lead
         assert a * a.inverse() == TwoVarSeries.one(*tcap_cap)
+
+    @SETTINGS
+    @given(st.data(), caps)
+    def test_exp_matches_power_series(self, data, tcap_cap):
+        x = data.draw(series(*tcap_cap))
+        x = x - TwoVarSeries(*tcap_cap, {(0, 0): x.coefficient(0, 0)})
+        e = x.exp()
+        assert e.coeffs == naive_tv_exp(x)
+        assert_two_var_invariants(e)
+        assert TwoVarSeries(e.tcap, e.cap, e.coeffs).log() == x
+
+    def test_exp_keeps_its_argument_as_its_log(self):
+        x = TwoVarSeries(6, 2, {(2, 0): Fraction(1, 3), (1, 1): -2, (0, 2): 5})
+        assert x.exp().log() is x
+
+    def test_exp_rejects_a_constant_term(self):
+        with pytest.raises(ValueError):
+            TwoVarSeries(4, 2, {(0, 0): Fraction(1, 2), (2, 0): Fraction(1)}).exp()
 
     @SETTINGS
     @given(st.data(), caps)

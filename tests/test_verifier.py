@@ -15,7 +15,7 @@ from anomaly.bundles import (
     tangent_complexification,
     theta_series,
 )
-from anomaly.qseries import QHalfSeries
+from anomaly.qseries import RATIONALS, QHalfSeries
 from anomaly.theta import line_quotient_evaluation, symmetric_quotient_product, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
@@ -295,6 +295,18 @@ class TestIdentityCatalog:
         assert verify_identity("Thm1.5-(1.9)").constant == 480
         assert verify_identity("Thm1.7-(1.13)").constant == -264
         assert verify_identity("Thm1.7-(1.14)").constant == -135432
+
+    def test_a_non_integral_basis_coefficient_is_an_error(self, monkeypatch):
+        """The integrality check raises, so it also holds under python -O."""
+
+        def skewed_basis(weight, cap):
+            return QHalfSeries(RATIONALS, cap, {0: Fraction(1), 2: Fraction(1, 2)})
+
+        monkeypatch.setattr(verifier, "modular_basis", skewed_basis)
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            verify_identity("Thm1.1-(1.1)")
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            index_relation_forms(IDENTITIES["Thm1.1-(1.1)"])
 
 
 CATALOG_COMBOS = {
