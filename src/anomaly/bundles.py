@@ -12,16 +12,30 @@ rank-zero reduction once built, and the three geometric constructors are
 memoized per argument.  So the theta series of one case and the identities
 of the catalog share one set of powers of T~ (and of V~).  Callers treat
 bundles as immutable.
+
+Each power is one sum of the Newton recursion of Atiyah and Tall ("Group
+representations, lambda-rings and the J-homomorphism", Topology 1969): the
+terms of lam^n or S^n add into one `_convolve` accumulator over a common
+denominator, and the result is put in lowest terms once.  `theta_series`
+multiplies its sparse factors together first, the sparsest (largest q-step)
+first, and joins the symmetric-power and exterior-power products with one
+product at the end.  It keeps no series or polynomial past the call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, lcm
+from operator import mul
 
-from .algebra import GeneratorTable, GradedPoly, _int_form, power_sum_in_pontryagin
+from .algebra import GeneratorTable, GradedPoly, _convolve, _int_form, power_sum_in_pontryagin
 from .qseries import PolyRing, QHalfSeries
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: True and False are not ranks, powers or caps."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class VirtualBundle:
@@ -32,7 +46,7 @@ class VirtualBundle:
     def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
         self.table = table
         self.truncation = int(truncation)
-        if not isinstance(rank, int):
+        if not _is_int(rank):
             raise ValueError(f"virtual rank must be an integer, got {rank!r}")
         self.rank = rank
         if reduced is None:
@@ -129,7 +143,7 @@ class VirtualBundle:
         Each psi^k is built once per bundle and kept, like the exterior and
         symmetric powers; it scales the numerators of the int form.
         """
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise ValueError("Adams operations are indexed by positive integers")
         if self._psi is None:
             self._psi = {}
@@ -143,38 +157,67 @@ class VirtualBundle:
 
     def lambda_power(self, k: int) -> "VirtualBundle":
         """k-th exterior power, through the Newton-style recursion
-        k*lam^k(W) = sum_{i=1..k} (-1)^(i-1) psi^i(W) (x) lam^(k-i)(W)."""
-        if not isinstance(k, int) or k < 0:
+        n*lam^n(W) = sum_{i=1..n} (-1)^(i-1) psi^i(W) (x) lam^(n-i)(W).
+
+        Each power is summed in one accumulator (`_signed_sum`) and kept.
+        """
+        if not _is_int(k) or k < 0:
             raise ValueError("exterior powers are indexed by nonnegative integers")
         if self._lam is None:
             self._lam = [VirtualBundle.trivial(self.table, self.truncation, 1)]
-        while len(self._lam) <= k:
-            n = len(self._lam)
-            acc = VirtualBundle.zero(self.table, self.truncation)
-            for i in range(1, n + 1):
-                contrib = self.adams(i) * self._lam[n - i]
-                acc = acc + (contrib if (i - 1) % 2 == 0 else -contrib)
-            rank, rem = divmod(acc.rank, n)
-            if rem:
-                raise ValueError("exterior power recursion produced a non-integral rank")
-            self._lam.append(VirtualBundle(self.table, self.truncation, rank, acc.reduced / n))
-        return self._lam[k]
+        lam = self._lam
+        while len(lam) <= k:
+            n = len(lam)
+            lam.append(self._signed_sum([(self.adams(i), lam[n - i]) for i in range(1, n + 1)], n))
+        return lam[k]
 
     def sym_power(self, k: int) -> "VirtualBundle":
         """k-th symmetric power, through the division-free recursion
-        S^k(W) = sum_{i=1..k} (-1)^(i-1) lam^i(W) (x) S^(k-i)(W)."""
-        if not isinstance(k, int) or k < 0:
+        S^n(W) = sum_{i=1..n} (-1)^(i-1) lam^i(W) (x) S^(n-i)(W).
+
+        Each power is summed in one accumulator (`_signed_sum`) and kept.
+        """
+        if not _is_int(k) or k < 0:
             raise ValueError("symmetric powers are indexed by nonnegative integers")
         if self._sym is None:
             self._sym = [VirtualBundle.trivial(self.table, self.truncation, 1)]
-        while len(self._sym) <= k:
-            n = len(self._sym)
-            acc = VirtualBundle.zero(self.table, self.truncation)
-            for i in range(1, n + 1):
-                contrib = self.lambda_power(i) * self._sym[n - i]
-                acc = acc + (contrib if (i - 1) % 2 == 0 else -contrib)
-            self._sym.append(acc)
-        return self._sym[k]
+        sym = self._sym
+        while len(sym) <= k:
+            n = len(sym)
+            sym.append(self._signed_sum([(self.lambda_power(i), sym[n - i]) for i in range(1, n + 1)], 1))
+        return sym[k]
+
+    def _signed_sum(self, pairs: list, divisor: int) -> "VirtualBundle":
+        """(sum_i (-1)^i a_i (x) b_i) / divisor, i counted from 0, for bundles at this truncation.
+
+        With a = r_a + A and b = r_b + B split into rank and reduced part,
+        a (x) b = r_a*r_b + r_a*B + r_b*A + A*B.  Every pair adds into one
+        `_convolve` accumulator over the lcm of the pairs' denominator
+        products: A*B by convolution, r_a*B and r_b*A as scaled items, and
+        the ranks r_a*r_b as one int, which must divide by `divisor`.  The
+        reduced part is put in lowest terms once.
+        """
+        limit = self.truncation
+        den = lcm(*[a.reduced.den * b.reduced.den for a, b in pairs])
+        acc: dict = {}
+        get = acc.get
+        rank = 0
+        for i, (a, b) in enumerate(pairs):
+            sign = -1 if i % 2 else 1
+            A, B = a.reduced, b.reduced
+            scale = sign * (den // (A.den * B.den))
+            _convolve(acc, [(g, s, key, num * scale) for g, s, key, num in A.items], B.items, limit)
+            for X, r in ((A, b.rank), (B, a.rank)):
+                if r:
+                    scale = sign * r * (den // X.den)
+                    for _, _, key, num in X.items:
+                        acc[key] = get(key, 0) + num * scale
+            rank += sign * a.rank * b.rank
+        rank, rem = divmod(rank, divisor)
+        if rem:
+            raise ValueError("exterior power recursion produced a non-integral rank")
+        reduced = GradedPoly._make(self.table, limit, *self.table.layout(limit).int_form(acc, den * divisor))
+        return VirtualBundle(self.table, limit, rank, reduced)
 
 
 # -- geometric constructors --------------------------------------------------
@@ -228,7 +271,7 @@ def line_real_complexification(table: GeneratorTable, truncation: int) -> Virtua
 # -- q-series of Chern characters ---------------------------------------------
 
 
-THETA_KINDS = ("theta1", "theta2", "theta3", "thetaV", "thetaL")
+THETA_KINDS = ("theta1", "theta2", "theta3", "theta2+theta3", "thetaV", "thetaL")
 
 
 def _sym_factor(W: VirtualBundle, n: int, cap: int) -> QHalfSeries:
@@ -263,9 +306,17 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
     theta1: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(T~)
     theta2: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^(m-1/2)}(T~)
     theta3: prod_n S_{q^n}(T~) (x) prod_m Lam_{+q^(m-1/2)}(T~)
+    theta2+theta3: prod_n S_{q^n}(T~) (x) (prod_m Lam_{-q^(m-1/2)}(T~) + prod_m Lam_{+q^(m-1/2)}(T~)),
+            the sum of theta2 and theta3
     thetaV: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(V~)
             (x) prod_r Lam_{+q^(r-1/2)}(V~) (x) prod_s Lam_{-q^(s-1/2)}(V~)
     thetaL: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^m}(V~)
+
+    Product order: the symmetric-power factors are multiplied together, and
+    the exterior-power factors together, each with the sparsest factor (the
+    largest q-step) first, so the running products stay sparse for as long
+    as they can; then one product joins the two.  `theta2+theta3` adds its
+    two exterior-power products and takes that one product once.
     """
     if kind not in THETA_KINDS:
         raise ValueError(f"unknown theta series kind {kind!r}")
@@ -273,34 +324,33 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
         raise ValueError(f"kind {kind!r} needs the auxiliary bundle V")
     if V is not None and V.table != TX.table:
         raise ValueError("TX and V over different generator tables")
-    cap = int(cap)
-    if cap < 0:
-        raise ValueError("q-cap must be nonnegative")
+    if not _is_int(cap) or cap < 0:
+        raise ValueError(f"q-cap must be a nonnegative integer, got {cap!r}")
 
     T = TX.reduce()
-    out = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)
-    for n in range(1, cap + 1):
-        out = out * _sym_factor(T, n, cap)
+    one = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)
+    whole = range(2 * cap, 0, -2)  # doubled q-steps 2m, m = cap..1
+    half = range(2 * cap - 1, 0, -2)  # doubled q-steps 2m - 1, m = cap..1
+
+    def product(W: VirtualBundle, steps, sign: int) -> QHalfSeries:
+        return reduce(mul, [_lam_factor(W, step, sign, cap) for step in steps], one)
+
     if kind == "theta1":
-        for m in range(1, cap + 1):
-            out = out * _lam_factor(T, 2 * m, +1, cap)
-    elif kind in ("theta2", "theta3"):
-        sign = -1 if kind == "theta2" else +1
-        m = 1
-        while 2 * m - 1 <= 2 * cap:
-            out = out * _lam_factor(T, 2 * m - 1, sign, cap)
-            m += 1
+        lam = product(T, whole, +1)
+    elif kind == "theta2":
+        lam = product(T, half, -1)
+    elif kind == "theta3":
+        lam = product(T, half, +1)
+    elif kind == "theta2+theta3":
+        lam = product(T, half, -1) + product(T, half, +1)
     elif kind == "thetaV":
         Vr = V.reduce()
-        for m in range(1, cap + 1):
-            out = out * _lam_factor(Vr, 2 * m, +1, cap)
-        m = 1
-        while 2 * m - 1 <= 2 * cap:
-            out = out * _lam_factor(Vr, 2 * m - 1, +1, cap)
-            out = out * _lam_factor(Vr, 2 * m - 1, -1, cap)
-            m += 1
+        factors = [
+            _lam_factor(Vr, step, sign, cap)
+            for step in range(2 * cap, 0, -1)
+            for sign in ((+1,) if step % 2 == 0 else (+1, -1))
+        ]
+        lam = reduce(mul, factors, one)
     else:  # thetaL
-        Vr = V.reduce()
-        for m in range(1, cap + 1):
-            out = out * _lam_factor(Vr, 2 * m, -1, cap)
-    return out
+        lam = product(V.reduce(), whole, -1)
+    return reduce(mul, [_sym_factor(T, n, cap) for n in range(cap, 0, -1)], one) * lam

@@ -111,7 +111,7 @@ def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
     if spec.case == "spin":
         delta = spinor_ch(table, dim)
         s1 = theta_series("theta1", TX, cap=cap).scale(ahat * delta)
-        t23 = theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
+        t23 = theta_series("theta2+theta3", TX, cap=cap)
         return s1 + t23.scale(ahat * (2 ** (dim // 2)))
     if spec.case == "spin_v":
         V = aux_complexification(table, dim)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, pontryagin_table
 from anomaly.bundles import (
@@ -13,11 +15,15 @@ from anomaly.bundles import (
     tangent_complexification,
     theta_series,
 )
+from anomaly.qseries import PolyRing, QHalfSeries
+
+SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def random_bundle(rng, table, truncation, *, rank_span=6):
-    """A random virtual bundle from a random Chern character."""
-    rank = rng.randint(-rank_span, rank_span)
+def random_bundle(rng, table, truncation, *, rank_span=6, rank=None):
+    """A random virtual bundle from a random Chern character; a random rank unless given."""
+    if rank is None:
+        rank = rng.randint(-rank_span, rank_span)
     ch = GradedPoly.constant(table, truncation, rank)
     names = list(table.names)
     for _ in range(4):
@@ -27,6 +33,28 @@ def random_bundle(rng, table, truncation, *, rank_span=6):
         ch = ch + GradedPoly(table, truncation, {expts: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
     assert ch.constant_term == rank
     return VirtualBundle(table, truncation, rank, ch - rank)
+
+
+# Tables with one, two and three generator degrees (the last with cL).
+BUNDLE_TABLES = (pontryagin_table(8), pontryagin_table(8, aux=True), pontryagin_table(10, line=True))
+
+
+@st.composite
+def virtual_bundles(draw, table):
+    """A virtual bundle over `table` at a random even truncation, with a random rank and reduced character."""
+    truncation = draw(st.sampled_from(range(0, max(table.degrees) + 3, 2)))
+    exponents = st.tuples(*[st.integers(0, 2) for _ in range(len(table))])
+    coefficients = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=5))
+    terms.pop((0,) * len(table), None)
+    return VirtualBundle(table, truncation, draw(st.integers(-4, 4)), GradedPoly(table, truncation, terms))
+
+
+@st.composite
+def bundle_pairs(draw):
+    """Two virtual bundles over one table, each at its own truncation."""
+    table = draw(st.sampled_from(BUNDLE_TABLES))
+    return draw(virtual_bundles(table)), draw(virtual_bundles(table))
 
 
 def eval_poly(poly, values):
@@ -82,15 +110,14 @@ class TestAdamsOperations:
         assert psi2.ch().homogeneous_component(4) == 4 * red.ch().homogeneous_component(4)
         assert psi2.ch().homogeneous_component(8) == 16 * red.ch().homogeneous_component(8)
 
-    def test_composition_and_ring_laws(self):
-        rng = random.Random(404)
-        table = pontryagin_table(8)
-        for _ in range(5):
-            x = random_bundle(rng, table, 8)
-            y = random_bundle(rng, table, 8)
-            assert x.adams(2).adams(3) == x.adams(6)
-            assert (x + y).adams(3) == x.adams(3) + y.adams(3)
-            assert (x * y).adams(2) == x.adams(2) * y.adams(2)
+    @SETTINGS
+    @given(bundle_pairs(), st.integers(1, 4), st.integers(1, 4))
+    def test_composition_and_ring_laws(self, pair, j, k):
+        """psi^k is additive and multiplicative, and psi^j psi^k = psi^(jk)."""
+        x, y = pair
+        assert x.adams(j).adams(k) == x.adams(j * k)
+        assert (x + y).adams(k) == x.adams(k) + y.adams(k)
+        assert (x * y).adams(k) == x.adams(k) * y.adams(k)
 
     def test_on_sum_of_line_bundles(self):
         # over formal roots, psi^k sends each line factor exp(t) to exp(k*t)
@@ -130,28 +157,24 @@ class TestLambdaAndSymmetricPowers:
         )
         assert bundle.sym_power(2).ch() == sym2
 
-    def test_lambda_additivity(self):
-        rng = random.Random(777)
-        table = pontryagin_table(8)
-        for _ in range(4):
-            x = random_bundle(rng, table, 8)
-            y = random_bundle(rng, table, 8)
-            for k in range(1, 4):
-                combined = VirtualBundle.zero(table, 8)
-                for i in range(k + 1):
-                    combined = combined + x.lambda_power(i) * y.lambda_power(k - i)
-                assert (x + y).lambda_power(k) == combined
+    @SETTINGS
+    @given(bundle_pairs(), st.integers(1, 5))
+    def test_lambda_additivity(self, pair, n):
+        """lambda_t(x + y) = lambda_t(x) lambda_t(y): lam^n(x + y) = sum_i lam^i(x) lam^(n-i)(y)."""
+        x, y = pair
+        combined = VirtualBundle.zero(x.table, min(x.truncation, y.truncation))
+        for i in range(n + 1):
+            combined = combined + x.lambda_power(i) * y.lambda_power(n - i)
+        assert (x + y).lambda_power(n) == combined
 
-    def test_sym_inverts_lambda(self):
-        # S_t(x) * lambda_{-t}(x) = 1, coefficient-wise
-        rng = random.Random(888)
-        table = pontryagin_table(8)
-        x = random_bundle(rng, table, 8)
-        for k in range(1, 5):
-            acc = VirtualBundle.zero(table, 8)
-            for i in range(k + 1):
-                acc = acc + x.lambda_power(i) * x.sym_power(k - i) * ((-1) ** i)
-            assert acc.is_zero()
+    @SETTINGS
+    @given(st.sampled_from(BUNDLE_TABLES).flatmap(virtual_bundles), st.integers(1, 5))
+    def test_sym_inverts_lambda(self, x, n):
+        """S_t(x) lambda_{-t}(x) = 1: sum_i (-1)^i lam^i(x) S^(n-i)(x) = 0 for n >= 1."""
+        acc = VirtualBundle.zero(x.table, x.truncation)
+        for i in range(n + 1):
+            acc = acc + x.lambda_power(i) * x.sym_power(n - i) * ((-1) ** i)
+        assert acc.is_zero()
 
     def test_rank_bookkeeping(self):
         table = pontryagin_table(8)
@@ -310,3 +333,147 @@ class TestThetaPowerBundles:
             theta_series("theta9", self.TX, cap=2)
         with pytest.raises(ValueError):
             theta_series("thetaV", self.TX, cap=2)  # missing V
+
+
+# -- oracles: the per-term recursions and the sequential product --------------------
+#
+# The engine sums each power in one accumulator and multiplies the theta factors
+# sparsest first.  These oracles keep the plain forms: one VirtualBundle product
+# and sum per term of the Newton recursions, and a running product times each
+# factor in turn, in the order the factors are written.
+
+
+def newton_powers(W, top):
+    """lam^n(W) and S^n(W) for n <= top, one VirtualBundle product and sum per term."""
+    one = VirtualBundle.trivial(W.table, W.truncation, 1)
+    lam, sym = [one], [one]
+    for n in range(1, top + 1):
+        acc = VirtualBundle.zero(W.table, W.truncation)
+        for i in range(1, n + 1):
+            contrib = W.adams(i) * lam[n - i]
+            acc = acc + (contrib if i % 2 else -contrib)
+        rank, rem = divmod(acc.rank, n)
+        assert not rem
+        lam.append(VirtualBundle(W.table, W.truncation, rank, acc.reduced / n))
+    for n in range(1, top + 1):
+        acc = VirtualBundle.zero(W.table, W.truncation)
+        for i in range(1, n + 1):
+            contrib = lam[i] * sym[n - i]
+            acc = acc + (contrib if i % 2 else -contrib)
+        sym.append(acc)
+    return lam, sym
+
+
+def sequential_theta(kind, TX, V, cap, powers):
+    """theta_series as a running product times each factor in turn.
+
+    `powers` maps a reduced bundle's id to its `newton_powers`, at least
+    2*cap deep.
+    """
+    if kind == "theta2+theta3":
+        return sequential_theta("theta2", TX, V, cap, powers) + sequential_theta("theta3", TX, V, cap, powers)
+    T = TX.reduce()
+
+    def factor(W, step2, sign, lam_or_sym):
+        ch = {k * step2: lam_or_sym[k].ch() * sign**k for k in range(2 * cap // step2 + 1)}
+        return QHalfSeries(PolyRing(W.table, W.truncation), cap, ch)
+
+    lams = []
+    if kind == "theta1":
+        lams = [(T, 2 * m, +1) for m in range(1, cap + 1)]
+    elif kind in ("theta2", "theta3"):
+        lams = [(T, 2 * m - 1, -1 if kind == "theta2" else +1) for m in range(1, cap + 1)]
+    elif kind == "thetaV":
+        Vr = V.reduce()
+        lams = [(Vr, 2 * m, +1) for m in range(1, cap + 1)]
+        lams += [(Vr, 2 * m - 1, sign) for m in range(1, cap + 1) for sign in (+1, -1)]
+    elif kind == "thetaL":
+        lams = [(V.reduce(), 2 * m, -1) for m in range(1, cap + 1)]
+    out = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)
+    for n in range(1, cap + 1):
+        out = out * factor(T, 2 * n, +1, powers[id(T)][1])
+    for W, step2, sign in lams:
+        out = out * factor(W, step2, sign, powers[id(W)][0])
+    return out
+
+
+class TestPowerOracles:
+    @pytest.mark.parametrize("rank", [0, -3, -1, 2, 5], ids=repr)
+    @pytest.mark.parametrize(
+        "table, truncation", [(pontryagin_table(8), 8), (pontryagin_table(12, aux=True), 12)], ids=["spin8", "aux12"]
+    )
+    def test_powers_match_the_per_term_recursion(self, table, truncation, rank):
+        rng = random.Random(1000 * truncation + rank)
+        for _ in range(2):
+            W = random_bundle(rng, table, truncation, rank=rank)
+            lam, sym = newton_powers(W, 8)
+            for k in range(9):
+                assert W.lambda_power(k) == lam[k]
+                assert W.sym_power(k) == sym[k]
+
+
+def _oracle_inputs():
+    """(kind, TX, V) as pytest params: the spin table at dims 8 and 12, the aux
+    table for thetaV (once with V truncated below TX, so the product's ring is
+    the smaller one) and the line table at dim 10 for thetaL."""
+    out = []
+    for dim in (8, 12):
+        TX = tangent_complexification(pontryagin_table(dim), dim)
+        out += [pytest.param(kind, TX, None, id=f"{kind}-spin{dim}") for kind in ("theta1", "theta2", "theta3", "theta2+theta3")]
+        aux = pontryagin_table(dim, aux=True)
+        TX = tangent_complexification(aux, dim)
+        out.append(pytest.param("thetaV", TX, aux_complexification(aux, dim), id=f"thetaV-aux{dim}"))
+    out.append(pytest.param("thetaV", TX, aux_complexification(aux, 8), id="thetaV-aux12-V8"))
+    line = pontryagin_table(10, line=True)
+    out.append(pytest.param("thetaL", tangent_complexification(line, 10), line_real_complexification(line, 10), id="thetaL-line10"))
+    return out
+
+
+class TestThetaSeriesOracle:
+    @pytest.mark.parametrize("kind, TX, V", _oracle_inputs())
+    def test_every_kind_matches_the_sequential_product(self, kind, TX, V):
+        powers = {}
+        for W in (TX.reduce(), None if V is None else V.reduce()):
+            if W is not None:
+                powers[id(W)] = newton_powers(W, 10)
+        for cap in range(6):
+            assert theta_series(kind, TX, V, cap=cap) == sequential_theta(kind, TX, V, cap, powers)
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    def test_theta2_plus_theta3_is_the_sum(self, dim):
+        TX = tangent_complexification(pontryagin_table(dim), dim)
+        for cap in range(6):
+            both = theta_series("theta2+theta3", TX, cap=cap)
+            assert both == theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
+            assert both.integer_powers_only()
+
+
+class TestIntegerArguments:
+    """Bools and non-int values are not ranks, powers or q-caps."""
+
+    T = tangent_complexification(pontryagin_table(8), 8)
+
+    @pytest.mark.parametrize("cap", [2.7, 2.0, True, False, "3", None], ids=repr)
+    def test_theta_series_cap(self, cap):
+        with pytest.raises(ValueError):
+            theta_series("theta1", self.T, cap=cap)
+
+    @pytest.mark.parametrize("rank", [True, False, 2.0, "2"], ids=repr)
+    def test_virtual_bundle_rank(self, rank):
+        with pytest.raises(ValueError):
+            VirtualBundle(self.T.table, 8, rank, self.T.reduced)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"], ids=repr)
+    def test_adams(self, k):
+        with pytest.raises(ValueError):
+            self.T.adams(k)
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, "2"], ids=repr)
+    def test_lambda_power(self, k):
+        with pytest.raises(ValueError):
+            self.T.lambda_power(k)
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, "2"], ids=repr)
+    def test_sym_power(self, k):
+        with pytest.raises(ValueError):
+            self.T.sym_power(k)

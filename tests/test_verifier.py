@@ -1,7 +1,9 @@
 """Case assembly, identity catalog, divisibility moduli, manifold evaluation."""
 
+import hashlib
 import json
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,36 @@ class TestRoutesAndFits:
         fit = eisenstein_fit(assemble_Q(spec), spec.weight)
         assert fit.passed
         assert not fit.lam.is_zero()
+
+
+@dataclass(frozen=True)
+class WideSpec:
+    """The fields `assemble_Q` reads from a `CaseSpec`, which accepts only the catalog dimensions."""
+
+    case: str
+    dim: int
+    qcap: int
+    route: str
+    impose: bool = True
+
+    def table(self):
+        return pontryagin_table(self.dim)
+
+
+# sha256 of the top-degree render of the spin case past the catalog at order
+# 3, recorded before the bundle route's products were reordered.
+SPIN_WIDE_DIGESTS = {
+    24: "a2748884f3d76afb2ebb0c209731fd481fff22c43e4936bb071ca334435bc120",
+    28: "edf2f468a254cb113e32b2c68b64a685b6085a13e88298dd2614dfc14d17abf1",
+}
+
+
+class TestSpinPastTheCatalog:
+    @pytest.mark.parametrize("route", ["bundle", "theta"])
+    @pytest.mark.parametrize("dim", sorted(SPIN_WIDE_DIGESTS))
+    def test_top_render_is_pinned(self, dim, route):
+        top = assemble_Q(WideSpec("spin", dim, 3, route))
+        assert hashlib.sha256(top.render().encode("utf-8")).hexdigest() == SPIN_WIDE_DIGESTS[dim]
 
 
 class TestPowerSharing:
