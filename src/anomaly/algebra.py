@@ -27,11 +27,19 @@ only when their degree sum and their j2 sum are within the limits, so no
 digit carries into its neighbour and a product key is one int addition.  A
 key's degree and j2 are read off its digits.
 
+The arithmetic of the int form is written once, in the base class
+`IntForm`: equality, negation, sums, scalar and series products, the tau
+shift, powers and the exp/log/inverse kernels.  `GradedPoly` here,
+`qseries.QHalfSeries` and `theta.TwoVarSeries` are its three subclasses; each
+gives only its shape (table or ring, and caps), its key layout, its kernel
+limits and how two operands are brought onto one shape.
+
 exp, log and inverse each have one implementation over int forms,
 `_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
-weight recurrences of `_weight_recurrence`.  They back `exp_truncated` and
-`log_truncated` here, `qseries_exp` in `qseries`, and the exp, inverse and
-log of `theta.TwoVarSeries`.
+weight recurrences of `_weight_recurrence`.  `IntForm._kernel` applies them
+to any of the three classes: they back `exp_truncated` and `log_truncated`
+here, `qseries_exp` in `qseries`, and the exp, inverse and log of
+`theta.TwoVarSeries`.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -57,6 +65,25 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: True and False are not ranks, powers, caps or truncations."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonnegative_int(value, what: str) -> int:
+    """`value` itself when it is a nonnegative int; ValueError naming `what` otherwise."""
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _even_truncation(truncation) -> int:
+    """`truncation` itself when it is a nonnegative even int; ValueError otherwise."""
+    if _nonnegative_int(truncation, "truncation") % 2:
+        raise ValueError(f"truncation must be even, got {truncation!r}")
+    return truncation
 
 
 class GeneratorTable:
@@ -260,6 +287,11 @@ class KeyLayout:
         gshift, sshift, mask = self.gshift, self.sshift, self.mask
         return _int_form(den, [((key >> gshift) & mask, key >> sshift, key, num) for key, num in acc.items() if num])
 
+    def rational_form(self, coeffs: dict) -> tuple[int, list]:
+        """key -> nonzero Fraction as a canonical int form, over the lcm of the denominators."""
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        return self.int_form({key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den)
+
 
 def _int_form(den: int, items: list) -> tuple[int, list]:
     """`(den, items)` sorted and in lowest terms, with den > 0.
@@ -277,23 +309,6 @@ def _int_form(den: int, items: list) -> tuple[int, list]:
         den //= d
         items = [(g, side, key, num // d) for g, side, key, num in items]
     return den, items
-
-
-def _sum_form(a_den: int, a_items: list, b_den: int, b_items: list, finish) -> tuple[int, list]:
-    """The termwise sum of two int forms over one key layout; `finish` is as for the kernels below."""
-    den = lcm(a_den, b_den)
-    scale = den // a_den
-    acc = {key: num * scale for _, _, key, num in a_items}
-    get = acc.get
-    scale = den // b_den
-    for _, _, key, num in b_items:
-        acc[key] = get(key, 0) + num * scale
-    return finish(acc, den)
-
-
-def _times(den: int, items: list, c: Fraction) -> tuple[int, list]:
-    """An int form times a rational."""
-    return _int_form(den * c.denominator, [(g, side, key, num * c.numerator) for g, side, key, num in items] if c else [])
 
 
 def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
@@ -485,35 +500,146 @@ def _render_terms(pairs: Iterable[tuple[Fraction, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class GradedPoly:
-    """Truncated polynomial over a GeneratorTable, in int form.
+class IntForm:
+    """A truncated polynomial or series in int form, with its arithmetic written once.
 
-    The value is sum numerator * monomial / den over one positive int
-    denominator `den`, in lowest terms: gcd(den, *numerators) = 1.  `items`
-    holds the terms as `(degree, 0, packed key, numerator)` tuples (keys laid
-    out by `table.layout(truncation)`), sorted, with no zero numerator and no
-    term above the truncation.  So the form is canonical, and equality
-    compares ints.  Instances are treated as immutable.
+    The value is sum numerator * key / den over one positive int denominator
+    `den`, in lowest terms: gcd(den, *numerators) = 1.  `items` holds the
+    terms as sorted `(grade, side grade, packed key, numerator)` tuples, the
+    input of `_convolve`, with no zero numerator and nothing past the
+    limits.  So the form is canonical, and equality compares ints.
+    Instances are treated as immutable.
 
-    `items` is `_convolve` input as it stands: a product is one `_convolve`
-    plus one gcd reduction, and its result feeds the next product unchanged.
-    `terms`, the exponent tuple -> Fraction map, is a view built on each
-    access, for rendering, evaluation and the public API; the arithmetic
-    reads the ints.
+    A subclass names its two shape fields in `_SHAPE` (its table or ring and
+    its caps) and the per-instance caches that start empty in `_KEPT`, and
+    gives:
 
-    The public constructor validates and cleans its input.  Arithmetic
+    - `layout`, the `KeyLayout` of its keys;
+    - `limits`, the kernels' grade and side-grade limits;
+    - `_aligned(other)`, both operands on one shape and key layout.
+
+    Its public constructor validates and cleans its input.  Arithmetic
     results go through `_make` instead, which trusts that the invariants
     already hold.
     """
 
-    __slots__ = ("table", "truncation", "den", "items")
+    __slots__ = ("den", "items")
+    _SHAPE: tuple[str, ...] = ()
+    _KEPT: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._shape = property(attrgetter(*cls._SHAPE))  # the two shape fields as a tuple, in one C call
+
+    @classmethod
+    def _make(cls, first, second, den: int, items: list):
+        """Trusted constructor: the two shape fields, then `den` and `items`; checks nothing.
+
+        The caller guarantees a valid shape and a canonical int form over
+        its key layout within its limits.  `items` is stored, not copied,
+        and the caches start empty.
+        """
+        form = object.__new__(cls)
+        name1, name2 = cls._SHAPE
+        setattr(form, name1, first)
+        setattr(form, name2, second)
+        form.den = den
+        form.items = items
+        for name in cls._KEPT:
+            setattr(form, name, None)
+        return form
+
+    @classmethod
+    def zero(cls, *shape):
+        return cls(*shape)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._shape == other._shape
+            and self.den == other.den
+            and self.items == other.items
+        )
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.items
+
+    def __neg__(self):
+        return self._make(*self._shape, self.den, [(g, side, key, -num) for g, side, key, num in self.items])
+
+    def __add__(self, other):
+        """The termwise sum, over the lcm of the two denominators."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._aligned(other)
+        den = lcm(a.den, b.den)
+        scale = den // a.den
+        acc = {key: num * scale for _, _, key, num in a.items}
+        get = acc.get
+        scale = den // b.den
+        for _, _, key, num in b.items:
+            acc[key] = get(key, 0) + num * scale
+        return a._make(*a._shape, *a.layout.int_form(acc, den))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """A scalar multiple, or the truncated product: one `_convolve` within the limits."""
+        if isinstance(other, (int, Fraction)):
+            c = as_rational(other)
+            items = [(g, side, key, num * c.numerator) for g, side, key, num in self.items] if c else []
+            return self._make(*self._shape, *_int_form(self.den * c.denominator, items))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._aligned(other)
+        acc: dict = {}
+        _convolve(acc, a.items, b.items, *a.limits)
+        return a._make(*a._shape, *a.layout.int_form(acc, a.den * b.den))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        _nonnegative_int(n, "a power")
+        result = self.one(*self._shape)
+        for _ in range(n):
+            result = result * self
+            if result.is_zero():
+                break
+        return result
+
+    def tau_shift_half(self):
+        """The substitution q^(1/2) -> -q^(1/2): negates the terms of odd side grade.
+
+        The side grade of a q-series term is its doubled q-exponent.
+        """
+        items = [(g, side, key, -num if side % 2 else num) for g, side, key, num in self.items]
+        return self._make(*self._shape, self.den, items)
+
+    def _kernel(self, form):
+        """An exp/log/inverse int-form kernel (`_exp_form`, `_log_form`, `_inverse_form`) applied within the limits."""
+        return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
+
+
+class GradedPoly(IntForm):
+    """Truncated polynomial over a GeneratorTable, in int form (`IntForm`).
+
+    The terms are `(degree, 0, packed key, numerator)` tuples, keys laid out
+    by `table.layout(truncation)`, with no term above the truncation.  A
+    product is one `_convolve` plus one gcd reduction, and its result feeds
+    the next product unchanged.  `terms`, the exponent tuple -> Fraction
+    map, is a view built on each access, for rendering, evaluation and the
+    public API; the arithmetic reads the ints.
+    """
+
+    __slots__ = ("table", "truncation")
+    _SHAPE = ("table", "truncation")
 
     def __init__(self, table: GeneratorTable, truncation: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        truncation = int(truncation)
-        if truncation < 0 or truncation % 2 != 0:
-            raise ValueError(f"truncation must be a nonnegative even integer, got {truncation}")
         self.table = table
-        self.truncation = truncation
+        self.truncation = _even_truncation(truncation)
         layout = table.layout(truncation)
         clean: dict[int, Fraction] = {}
         if terms:
@@ -528,29 +654,9 @@ class GradedPoly:
                     raise ValueError(f"negative exponent in {expts}")
                 if table.monomial_degree(expts) <= truncation:
                     clean[layout.pack(expts)] = coeff
-        den = lcm(*[c.denominator for c in clean.values()])
-        self.den, self.items = layout.int_form({key: c.numerator * (den // c.denominator) for key, c in clean.items()}, den)
-
-    @classmethod
-    def _make(cls, table: GeneratorTable, truncation: int, den: int, items: list) -> "GradedPoly":
-        """Trusted constructor for arithmetic results; checks nothing.
-
-        The caller guarantees a nonnegative even int truncation and a
-        canonical int form over `table.layout(truncation)` with no term above
-        the truncation.  `items` is stored, not copied.
-        """
-        poly = object.__new__(cls)
-        poly.table = table
-        poly.truncation = truncation
-        poly.den = den
-        poly.items = items
-        return poly
+        self.den, self.items = layout.rational_form(clean)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, table, truncation) -> "GradedPoly":
-        return cls(table, truncation)
 
     @classmethod
     def constant(cls, table, truncation, value) -> "GradedPoly":
@@ -566,11 +672,15 @@ class GradedPoly:
         expts[table.index(name)] = 1
         return cls(table, truncation, {tuple(expts): Fraction(1)})
 
-    # -- the Fraction view ---------------------------------------------------
+    # -- the int form's layout and the Fraction view -------------------------
 
     @property
     def layout(self) -> KeyLayout:
         return self.table.layout(self.truncation)
+
+    @property
+    def limits(self) -> tuple[int, int]:
+        return self.truncation, 0
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -580,52 +690,28 @@ class GradedPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_table(self, other: "GradedPoly"):
+    def _aligned(self, other: "GradedPoly") -> tuple["GradedPoly", "GradedPoly"]:
+        """Both operands at the smaller truncation, over one generator table."""
         if self.table != other.table:
             raise ValueError("polynomials live over different generator tables")
-
-    def _aligned(self, other: "GradedPoly") -> tuple["GradedPoly", "GradedPoly"]:
-        """Both operands at the smaller truncation."""
         if self.truncation == other.truncation:
             return self, other
         trunc = min(self.truncation, other.truncation)
         return self.truncate(trunc), other.truncate(trunc)
 
     def __add__(self, other):
+        """Scalars add to the constant term."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self
             other = as_rational(other)
             other = GradedPoly._make(self.table, self.truncation, other.denominator, [(0, 0, 0, other.numerator)])
-        elif not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check_table(other)
-        a, b = self._aligned(other)
-        return GradedPoly._make(a.table, a.truncation, *_sum_form(a.den, a.items, b.den, b.items, a.layout.int_form))
+        return IntForm.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GradedPoly._make(self.table, self.truncation, self.den, [(g, s, key, -num) for g, s, key, num in self.items])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GradedPoly._make(self.table, self.truncation, *_times(self.den, self.items, as_rational(other)))
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check_table(other)
-        a, b = self._aligned(other)
-        acc: dict = {}
-        _convolve(acc, a.items, b.items, a.truncation)
-        return GradedPoly._make(a.table, a.truncation, *a.layout.int_form(acc, a.den * b.den))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         c = as_rational(scalar)
@@ -633,31 +719,7 @@ class GradedPoly:
             raise ZeroDivisionError("division of a polynomial by zero")
         return self * (1 / c)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = GradedPoly.one(self.table, self.truncation)
-        for _ in range(n):
-            result = result * self
-            if result.is_zero():
-                break
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedPoly)
-            and self.table == other.table
-            and self.truncation == other.truncation
-            and self.den == other.den
-            and self.items == other.items
-        )
-
-    __hash__ = None
-
     # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.items
 
     @property
     def constant_term(self) -> Fraction:
@@ -692,9 +754,7 @@ class GradedPoly:
         """The polynomial truncated to `truncation`; itself if that lowers nothing."""
         if truncation >= self.truncation:
             return self
-        if truncation < 0 or truncation % 2 != 0:
-            raise ValueError(f"truncation must be a nonnegative even integer, got {truncation}")
-        old, new = self.layout, self.table.layout(truncation)
+        old, new = self.layout, self.table.layout(_even_truncation(truncation))
         if new is old:
             items = [item for item in self.items if item[0] <= truncation]
         else:
@@ -723,7 +783,7 @@ class GradedPoly:
                 raise ValueError("substitution images live over different generator tables")
         if target is None:
             target = self.table
-        trunc = self.truncation if truncation is None else truncation
+        trunc = self.truncation if truncation is None else _even_truncation(truncation)
         for poly in images.values():
             trunc = min(trunc, poly.truncation)
 
@@ -816,20 +876,15 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     return sums[m - 1] if m == top else GradedPoly.zero(table, truncation)
 
 
-def _series_map(form, x: GradedPoly) -> GradedPoly:
-    """Apply an exp/log int-form kernel to a polynomial, graded by degree."""
-    return GradedPoly._make(x.table, x.truncation, *form(x.den, x.items, x.layout.int_form, x.truncation))
-
-
 def exp_truncated(x: GradedPoly) -> GradedPoly:
     """exp of a polynomial with zero constant term (nilpotent under truncation)."""
     if x.constant_term:
         raise ValueError("exp_truncated needs a zero constant term")
-    return _series_map(_exp_form, x)
+    return x._kernel(_exp_form)
 
 
 def log_truncated(x: GradedPoly) -> GradedPoly:
     """log of a polynomial with constant term 1."""
     if x.constant_term != 1:
         raise ValueError("log_truncated needs constant term 1")
-    return _series_map(_log_form, x)
+    return x._kernel(_log_form)

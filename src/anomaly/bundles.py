@@ -29,13 +29,17 @@ from functools import lru_cache, reduce
 from math import factorial, lcm
 from operator import mul
 
-from .algebra import GeneratorTable, GradedPoly, _convolve, _int_form, power_sum_in_pontryagin
+from .algebra import (
+    GeneratorTable,
+    GradedPoly,
+    _convolve,
+    _even_truncation,
+    _int_form,
+    _is_int,
+    _nonnegative_int,
+    power_sum_in_pontryagin,
+)
 from .qseries import PolyRing, QHalfSeries
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: True and False are not ranks, powers or caps."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class VirtualBundle:
@@ -45,7 +49,7 @@ class VirtualBundle:
 
     def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
         self.table = table
-        self.truncation = int(truncation)
+        self.truncation = _even_truncation(truncation)
         if not _is_int(rank):
             raise ValueError(f"virtual rank must be an integer, got {rank!r}")
         self.rank = rank
@@ -107,6 +111,8 @@ class VirtualBundle:
     def __mul__(self, other):
         """Tensor product; integers act as multiples of the trivial bundle."""
         if isinstance(other, int):
+            if not _is_int(other):
+                raise ValueError(f"a bundle multiple must be an integer, got {other!r}")
             return VirtualBundle(self.table, self.truncation, self.rank * other, self.reduced * other)
         if not isinstance(other, VirtualBundle):
             return NotImplemented
@@ -161,8 +167,7 @@ class VirtualBundle:
 
         Each power is summed in one accumulator (`_signed_sum`) and kept.
         """
-        if not _is_int(k) or k < 0:
-            raise ValueError("exterior powers are indexed by nonnegative integers")
+        _nonnegative_int(k, "an exterior power index")
         if self._lam is None:
             self._lam = [VirtualBundle.trivial(self.table, self.truncation, 1)]
         lam = self._lam
@@ -177,8 +182,7 @@ class VirtualBundle:
 
         Each power is summed in one accumulator (`_signed_sum`) and kept.
         """
-        if not _is_int(k) or k < 0:
-            raise ValueError("symmetric powers are indexed by nonnegative integers")
+        _nonnegative_int(k, "a symmetric power index")
         if self._sym is None:
             self._sym = [VirtualBundle.trivial(self.table, self.truncation, 1)]
         sym = self._sym
@@ -324,8 +328,7 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
         raise ValueError(f"kind {kind!r} needs the auxiliary bundle V")
     if V is not None and V.table != TX.table:
         raise ValueError("TX and V over different generator tables")
-    if not _is_int(cap) or cap < 0:
-        raise ValueError(f"q-cap must be a nonnegative integer, got {cap!r}")
+    _nonnegative_int(cap, "q-cap")
 
     T = TX.reduce()
     one = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)

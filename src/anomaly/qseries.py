@@ -5,12 +5,13 @@ ever used as dictionary keys.  Coefficients live either in the rationals or
 in a truncated graded polynomial ring; mixing the two is an error unless the
 rational series is promoted explicitly.
 
-A series keeps the int form of `algebra` over flat keys: one positive
-denominator and `(degree, j2, flat key, numerator)` items, where the flat
-key is the coefficient's packed key with j2 as one more digit on top (over
-the rationals, the key of the empty table).  A product is one `_convolve`
-plus one gcd reduction, and `qseries_exp` returns its solved parts as ints,
-so the running products of a route pass ints from one product to the next.
+A series is an `algebra.IntForm` over flat keys: one positive denominator
+and `(degree, j2, flat key, numerator)` items, where the flat key is the
+coefficient's packed key with j2 as one more digit on top (over the
+rationals, the key of the empty table).  Its arithmetic is the base class's:
+a product is one `_convolve` plus one gcd reduction, and `qseries_exp` keeps
+the kernel's solved parts as ints, so the running products of a route pass
+ints from one product to the next.
 The coefficient map `coeffs` (j2 -> GradedPoly or Fraction) is a view,
 built from the ints on first access and kept.
 """
@@ -25,13 +26,13 @@ from typing import Callable
 from .algebra import (
     GeneratorTable,
     GradedPoly,
-    _convolve,
+    IntForm,
+    _even_truncation,
     _exp_form,
     _int_form,
+    _nonnegative_int,
     _render_terms,
     _substitute_monomials,
-    _sum_form,
-    _times,
     as_rational,
 )
 
@@ -67,9 +68,8 @@ class RationalRing:
 
     def flatten(self, coeffs: dict) -> tuple[int, list]:
         """j2 -> Fraction as an int form over flat keys."""
-        den = lcm(*[c.denominator for c in coeffs.values()])
         shift = self.layout.sshift
-        return self.layout.int_form({j2 << shift: c.numerator * (den // c.denominator) for j2, c in coeffs.items()}, den)
+        return self.layout.rational_form({j2 << shift: c for j2, c in coeffs.items()})
 
     def unflatten(self, den: int, items: list) -> dict:
         """Inverse of `flatten`."""
@@ -97,7 +97,7 @@ class PolyRing:
 
     def __init__(self, table: GeneratorTable, truncation: int):
         self.table = table
-        self.truncation = self.limit = int(truncation)
+        self.truncation = self.limit = _even_truncation(truncation)
         self.layout = table.layout(self.truncation)
 
     def zero(self):
@@ -173,31 +173,23 @@ def _q_power(j2: int) -> str:
     return f"q^{j2 // 2}" if j2 % 2 == 0 else f"q^({j2}/2)"
 
 
-def _flat_product(ring, cap: int, a_den: int, a_items: list, b_den: int, b_items: list) -> tuple[int, list]:
-    """The truncated product of two int forms over `ring`'s flat keys: one `_convolve`."""
-    acc: dict = {}
-    _convolve(acc, a_items, b_items, ring.limit, 2 * cap)
-    return ring.layout.int_form(acc, a_den * b_den)
-
-
-class QHalfSeries:
+class QHalfSeries(IntForm):
     """Finite expansion sum_j c_j * q^(j/2), keyed by the doubled exponent j.
 
-    The cap N bounds the stored powers: 0 <= j <= 2N.  Instances are treated
-    as immutable.  The value is the int form `den`, `items` over the ring's
-    flat keys (see the module docstring), canonical, so equality compares
-    ints.  `coeffs` is the j2 -> coefficient view: no zero coefficient, and
-    over a PolyRing every coefficient sits at the ring's truncation.
+    The cap N bounds the stored powers: 0 <= j <= 2N.  The value is an
+    `IntForm` over the ring's flat keys (see the module docstring), with the
+    ring's truncation as grade limit and 2N as side-grade limit.  `coeffs`
+    is the j2 -> coefficient view: no zero coefficient, and over a PolyRing
+    every coefficient sits at the ring's truncation.
     """
 
-    __slots__ = ("ring", "cap", "den", "items", "_coeffs")
+    __slots__ = ("ring", "cap", "_coeffs")
+    _SHAPE = ("ring", "cap")
+    _KEPT = ("_coeffs",)
 
     def __init__(self, ring, cap: int, coeffs=None):
-        cap = int(cap)
-        if cap < 0:
-            raise ValueError("q-cap must be nonnegative")
         self.ring = ring
-        self.cap = cap
+        self.cap = _nonnegative_int(cap, "q-cap")
         clean = {}
         if coeffs:
             for j2, value in coeffs.items():
@@ -212,21 +204,13 @@ class QHalfSeries:
         self._coeffs = clean
         self.den, self.items = ring.flatten(clean)
 
-    @classmethod
-    def _make(cls, ring, cap: int, den: int, items: list) -> "QHalfSeries":
-        """Trusted constructor for kernel results; checks nothing.
+    @property
+    def layout(self):
+        return self.ring.layout
 
-        The caller guarantees a nonnegative int cap and a canonical int form
-        over the ring's flat keys with no degree past the ring's truncation
-        and no j2 past 2*cap.  `items` is stored, not copied.
-        """
-        series = object.__new__(cls)
-        series.ring = ring
-        series.cap = cap
-        series.den = den
-        series.items = items
-        series._coeffs = None
-        return series
+    @property
+    def limits(self) -> tuple[int, int]:
+        return self.ring.limit, 2 * self.cap
 
     @property
     def coeffs(self) -> dict:
@@ -235,17 +219,13 @@ class QHalfSeries:
             self._coeffs = self.ring.unflatten(self.den, self.items)
         return self._coeffs
 
-    def _over(self, ring, cap: int) -> "QHalfSeries":
-        """The series in `ring`, one of the merged rings, cut at `cap`."""
-        if self.ring == ring and self.cap == cap:
-            return self
-        return QHalfSeries(ring, cap, self.coeffs)
+    def _aligned(self, other: "QHalfSeries") -> tuple["QHalfSeries", "QHalfSeries"]:
+        """Both operands in the merged ring, cut at the smaller cap."""
+        ring = merge_rings(self.ring, other.ring)
+        cap = min(self.cap, other.cap)
+        return tuple(s if s.ring == ring and s.cap == cap else QHalfSeries(ring, cap, s.coeffs) for s in (self, other))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, cap):
-        return cls(ring, cap)
 
     @classmethod
     def one(cls, ring, cap):
@@ -268,76 +248,18 @@ class QHalfSeries:
     def integer_powers_only(self) -> bool:
         return all(j2 % 2 == 0 for _, j2, _, _ in self.items)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QHalfSeries)
-            and self.ring == other.ring
-            and self.cap == other.cap
-            and self.den == other.den
-            and self.items == other.items
-        )
-
-    __hash__ = None
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, QHalfSeries):
-            return NotImplemented
-        ring = merge_rings(self.ring, other.ring)
-        cap = min(self.cap, other.cap)
-        a, b = self._over(ring, cap), other._over(ring, cap)
-        return QHalfSeries._make(ring, cap, *_sum_form(a.den, a.items, b.den, b.items, ring.layout.int_form))
-
-    def __neg__(self):
-        return QHalfSeries._make(self.ring, self.cap, self.den, [(g, j2, key, -num) for g, j2, key, num in self.items])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """The truncated product: one `_convolve` over the merged ring's flat keys.
-
-        A polynomial product is graded by degree (limit: the ring's
-        truncation) with the doubled q-exponent as side grade (limit: 2*cap).
-        """
-        if not isinstance(other, QHalfSeries):
-            return NotImplemented
-        ring = merge_rings(self.ring, other.ring)
-        cap = min(self.cap, other.cap)
-        a, b = self._over(ring, cap), other._over(ring, cap)
-        return QHalfSeries._make(ring, cap, *_flat_product(ring, cap, a.den, a.items, b.den, b.items))
-
     def scale(self, value):
         """Multiply every coefficient by a fixed ring element or scalar.
 
-        A polynomial's keys are its flat keys at q^0, so scaling by one is a
-        single flat product.
+        A polynomial's keys are its flat keys at q^0, so scaling by one is
+        the product with the polynomial read as a q^0 series.
         """
         value = self.ring.coerce(value)
         if isinstance(value, GradedPoly):
-            return QHalfSeries._make(
-                self.ring, self.cap, *_flat_product(self.ring, self.cap, self.den, self.items, value.den, value.items)
-            )
-        return QHalfSeries._make(self.ring, self.cap, *_times(self.den, self.items, value))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        result = QHalfSeries.one(self.ring, self.cap)
-        for _ in range(n):
-            result = result * self
-        return result
+            value = QHalfSeries._make(self.ring, self.cap, value.den, value.items)
+        return self * value
 
     # -- structure maps ------------------------------------------------------
-
-    def tau_shift_half(self) -> "QHalfSeries":
-        """The substitution q^(1/2) -> -q^(1/2): negates odd doubled exponents."""
-        items = [(g, j2, key, -num if j2 % 2 else num) for g, j2, key, num in self.items]
-        return QHalfSeries._make(self.ring, self.cap, self.den, items)
 
     def map_coefficients(self, fn: Callable, ring=None) -> "QHalfSeries":
         ring = self.ring if ring is None else ring
@@ -401,15 +323,15 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight by weight by `algebra._exp_form` over the ring's flat keys;
-    the result keeps the solved parts' ints.
+    Solved weight by weight by `algebra._exp_form` over the ring's flat keys
+    (`IntForm._kernel`); the result keeps the solved parts' ints.
     """
     ring = x.ring
     if not isinstance(ring, PolyRing):
         raise RingMismatchError("qseries_exp needs polynomial coefficients")
     if x.items and x.items[0][2] == 0:  # the unit flat key is 0 and sorts first
         raise ValueError("qseries_exp needs a zero constant term at q^0")
-    return QHalfSeries._make(ring, x.cap, *_exp_form(x.den, x.items, ring.layout.int_form, ring.truncation, 2 * x.cap))
+    return x._kernel(_exp_form)
 
 
 def _sigma(k: int, n: int) -> int:

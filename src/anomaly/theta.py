@@ -34,14 +34,13 @@ from operator import itemgetter
 from .algebra import (
     GeneratorTable,
     GradedPoly,
-    _convolve,
+    IntForm,
     _exp_form,
     _int_form,
     _inverse_form,
+    _nonnegative_int,
     _log_form,
     _render_terms,
-    _sum_form,
-    _times,
     as_rational,
     power_sum_in_pontryagin,
 )
@@ -52,33 +51,27 @@ from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, _q_power, q
 _T_KEYS = GeneratorTable(())
 
 
-class TwoVarSeries:
+class TwoVarSeries(IntForm):
     """Truncated series sum c * t^n * q^(j2/2) with exact rational coefficients.
 
-    t-powers run up to tcap, doubled q-exponents up to 2*cap.  Instances are
-    treated as immutable.
-
-    The value is the int form of `algebra`: one positive denominator `den`
-    and `(n, j2, key, numerator)` items, sorted and in lowest terms, with
-    the key n | j2 << bits laid out by `_T_KEYS.layout(tcap)` (bits =
+    t-powers run up to tcap, doubled q-exponents up to 2*cap.  The value is
+    an `algebra.IntForm` with `(n, j2, key, numerator)` items, the key
+    n | j2 << bits laid out by `_T_KEYS.layout(tcap)` (bits =
     `_digit_bits(tcap)`).  The t-power is the kernels' grade (limit tcap)
     and j2 the side grade (limit 2*cap), so a term's weight is n + j2.
     Products, the inverse, the logarithm and the exp are the int-form
     kernels themselves.  `coeffs`, the (n, j2) -> Fraction map, is a view
     built on each access.  The logarithm is kept on the instance once
     computed, and an exp keeps its argument as its logarithm.
-
-    As with GradedPoly, the public constructor validates its input and
-    arithmetic results go through `_make`.
     """
 
-    __slots__ = ("tcap", "cap", "den", "items", "_logarithm")
+    __slots__ = ("tcap", "cap", "_logarithm")
+    _SHAPE = ("tcap", "cap")
+    _KEPT = ("_logarithm",)
 
     def __init__(self, tcap: int, cap: int, coeffs=None):
-        self.tcap = int(tcap)
-        self.cap = int(cap)
-        if self.tcap < 0 or self.cap < 0:
-            raise ValueError("caps must be nonnegative")
+        self.tcap = _nonnegative_int(tcap, "t-cap")
+        self.cap = _nonnegative_int(cap, "q-cap")
         layout = self.layout
         shift = layout.sshift
         clean = {}
@@ -88,34 +81,13 @@ class TwoVarSeries:
                 j2 = int(j2)
                 if n < 0 or j2 < 0:
                     raise ValueError("negative exponent")
-                if n > self.tcap or j2 > 2 * self.cap:
+                if n > tcap or j2 > 2 * cap:
                     continue
                 value = as_rational(value)
                 if value:
                     clean[n | j2 << shift] = value
-        den = lcm(*[c.denominator for c in clean.values()])
-        self.den, self.items = layout.int_form({key: c.numerator * (den // c.denominator) for key, c in clean.items()}, den)
+        self.den, self.items = layout.rational_form(clean)
         self._logarithm = None
-
-    @classmethod
-    def _make(cls, tcap: int, cap: int, den: int, items: list) -> "TwoVarSeries":
-        """Trusted constructor for kernel results; checks nothing.
-
-        The caller guarantees nonnegative int caps and a canonical int form
-        over `_T_KEYS.layout(tcap)` with no n past tcap and no j2 past
-        2*cap.  `items` is stored, not copied.
-        """
-        series = object.__new__(cls)
-        series.tcap = tcap
-        series.cap = cap
-        series.den = den
-        series.items = items
-        series._logarithm = None
-        return series
-
-    @classmethod
-    def zero(cls, tcap, cap):
-        return cls(tcap, cap)
 
     @classmethod
     def one(cls, tcap, cap):
@@ -124,6 +96,10 @@ class TwoVarSeries:
     @property
     def layout(self):
         return _T_KEYS.layout(self.tcap)
+
+    @property
+    def limits(self) -> tuple[int, int]:
+        return self.tcap, 2 * self.cap
 
     @property
     def coeffs(self) -> dict[tuple[int, int], Fraction]:
@@ -139,20 +115,6 @@ class TwoVarSeries:
             return Fraction(items[i][3], self.den)
         return Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self.items
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoVarSeries)
-            and self.tcap == other.tcap
-            and self.cap == other.cap
-            and self.den == other.den
-            and self.items == other.items
-        )
-
-    __hash__ = None
-
     def _cut(self, tcap: int, cap: int) -> "TwoVarSeries":
         """The series cut at `tcap` <= self.tcap and `cap` <= self.cap, its keys laid out for `tcap`."""
         if tcap == self.tcap and cap == self.cap:
@@ -165,36 +127,6 @@ class TwoVarSeries:
         """Both operands at the smaller caps, on one key layout."""
         tcap, cap = min(self.tcap, other.tcap), min(self.cap, other.cap)
         return self._cut(tcap, cap), other._cut(tcap, cap)
-
-    def __add__(self, other):
-        if not isinstance(other, TwoVarSeries):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return TwoVarSeries._make(a.tcap, a.cap, *_sum_form(a.den, a.items, b.den, b.items, a.layout.int_form))
-
-    def __neg__(self):
-        return TwoVarSeries._make(self.tcap, self.cap, self.den, [(n, j2, key, -num) for n, j2, key, num in self.items])
-
-    def __sub__(self, other):
-        if not isinstance(other, TwoVarSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TwoVarSeries._make(self.tcap, self.cap, *_times(self.den, self.items, as_rational(other)))
-        if not isinstance(other, TwoVarSeries):
-            return NotImplemented
-        a, b = self._aligned(other)
-        acc: dict = {}
-        _convolve(acc, a.items, b.items, a.tcap, 2 * a.cap)
-        return TwoVarSeries._make(a.tcap, a.cap, *a.layout.int_form(acc, a.den * b.den))
-
-    __rmul__ = __mul__
-
-    def _kernel(self, form) -> "TwoVarSeries":
-        """An exp/log/inverse int-form kernel applied to the series."""
-        return TwoVarSeries._make(self.tcap, self.cap, *form(self.den, self.items, self.layout.int_form, self.tcap, 2 * self.cap))
 
     def inverse(self) -> "TwoVarSeries":
         """Multiplicative inverse, solved weight by weight (`algebra._inverse_form`)."""
@@ -219,11 +151,6 @@ class TwoVarSeries:
         result = self._kernel(_exp_form)
         result._logarithm = self
         return result
-
-    def tau_shift_half(self) -> "TwoVarSeries":
-        """q^(1/2) -> -q^(1/2): negates odd doubled q-exponents."""
-        items = [(n, j2, key, -num if j2 % 2 else num) for n, j2, key, num in self.items]
-        return TwoVarSeries._make(self.tcap, self.cap, self.den, items)
 
     def render(self) -> str:
         """Canonical text form: terms sorted by (q-power, t-power)."""
@@ -309,8 +236,8 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
-    if tcap < 0 or cap < 0:
-        raise ValueError("caps must be nonnegative")
+    _nonnegative_int(tcap, "t-cap")
+    _nonnegative_int(cap, "q-cap")
     log = TwoVarSeries(tcap, cap, _divisor_sum_log("A" if kind == "L" else kind, tcap, cap))
     if kind == "L":
         return _tv_half_sinh(tcap, cap) * (-log).exp()
@@ -358,6 +285,27 @@ def jacobi_identity_residual(cap: int) -> QHalfSeries:
 # -- from quotients to q-series of characteristic forms ------------------------
 
 
+def _t_substituted(series: TwoVarSeries, images: dict[int, GradedPoly], ring: PolyRing, cap: int) -> QHalfSeries:
+    """sum c_{n,j2} t^n q^(j2/2) with t^n -> images[n], as a q-series over `ring` cut at `cap`.
+
+    The images are polynomials at the ring's truncation; a t-power with no
+    image is dropped.  The int numerators of c_{n,j2} times the items of
+    images[n], at the j2 digit, add into one flat int form.
+    """
+    _nonnegative_int(cap, "q-cap")
+    shift = ring.layout.sshift
+    rows = [(images[n], j2 << shift, num) for n, j2, _, num in series.items if n in images and j2 <= 2 * cap]
+    den = lcm(*[image.den for image, _, _ in rows])
+    acc: dict = {}
+    get = acc.get
+    for image, j2_key, num in rows:
+        scale = num * (den // image.den)
+        for _, _, key, inum in image.items:
+            key |= j2_key
+            acc[key] = get(key, 0) + inum * scale
+    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den * series.den))
+
+
 def _bridged_log(
     quotient: TwoVarSeries,
     table: GeneratorTable,
@@ -367,33 +315,16 @@ def _bridged_log(
 ) -> QHalfSeries:
     """log prod_j Q(t_j, q) over a root family: log Q with t^(2m) -> s_m(family).
 
-    Takes log Q = sum a_{m,j2} t^(2m) q^(j2/2) and sums the int numerators
-    of a_{m,j2} times the items of the power sum s_m, at the j2 digit, into
-    one flat int form.  The quotient must be even in t with t=0 slice equal
-    to 1.
+    The quotient must be even in t with t=0 slice equal to 1.
     """
-    ring = PolyRing(table, truncation)
     log = quotient.log()
-    power_sums: dict[int, GradedPoly] = {}
-    rows = []
-    for n, j2, _, num in log.items:
-        if n == 0:
-            raise ValueError("quotient is not normalized: log has a pure q term")
-        if n % 2:
-            raise ValueError("quotient is not even in t")
-        if 2 * n <= truncation:
-            if n not in power_sums:
-                power_sums[n] = power_sum_in_pontryagin(table, family, n // 2, truncation)
-            rows.append((power_sums[n], j2 << ring.layout.sshift, num))
-    den = lcm(*[s.den for s, _, _ in rows])
-    acc: dict = {}
-    get = acc.get
-    for s, shift, num in rows:
-        scale = num * (den // s.den)
-        for _, _, key, snum in s.items:
-            key |= shift
-            acc[key] = get(key, 0) + snum * scale
-    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den * log.den))
+    powers = {n for n, _, _, _ in log.items}
+    if 0 in powers:
+        raise ValueError("quotient is not normalized: log has a pure q term")
+    if any(n % 2 for n in powers):
+        raise ValueError("quotient is not even in t")
+    images = {n: power_sum_in_pontryagin(table, family, n // 2, truncation) for n in powers if 2 * n <= truncation}
+    return _t_substituted(log, images, PolyRing(table, truncation), cap)
 
 
 def symmetric_quotient_product(
@@ -417,18 +348,11 @@ def line_quotient_evaluation(
     cap: int,
 ) -> QHalfSeries:
     """Evaluate a quotient at t = cL, the degree-2 generator."""
-    ring = PolyRing(table, truncation)
     c = GradedPoly.generator(table, "cL", truncation)
     powers = [GradedPoly.one(table, truncation)]
     while not powers[-1].is_zero():
         powers.append(powers[-1] * c)
-    out: dict[int, GradedPoly] = {}
-    for (n, j2), value in quotient.coeffs.items():
-        if n >= len(powers) or powers[n].is_zero():
-            continue
-        term = powers[n] * value
-        out[j2] = out[j2] + term if j2 in out else term
-    return QHalfSeries(ring, cap, out)
+    return _t_substituted(quotient, dict(enumerate(powers)), PolyRing(table, truncation), cap)
 
 
 def q_series_via_theta(

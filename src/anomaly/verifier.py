@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .algebra import GeneratorTable, GradedPoly, pontryagin_table, top_component
+from .algebra import GeneratorTable, GradedPoly, _is_int, _nonnegative_int, pontryagin_table, top_component
 from .bundles import (
     VirtualBundle,
     aux_complexification,
@@ -84,10 +84,9 @@ class CaseSpec:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; expected one of {CASES}")
-        if self.dim not in CASE_DIMS[self.case]:
-            raise ValueError(f"case {self.case} supports dimensions {CASE_DIMS[self.case]}, got {self.dim}")
-        if self.qcap < 0:
-            raise ValueError("q-cap must be nonnegative")
+        if not _is_int(self.dim) or self.dim not in CASE_DIMS[self.case]:
+            raise ValueError(f"case {self.case} supports dimensions {CASE_DIMS[self.case]}, got {self.dim!r}")
+        _nonnegative_int(self.qcap, "q-cap")
         if self.route not in ("bundle", "theta", "both"):
             raise ValueError(f"route must be bundle, theta or both, got {self.route!r}")
 

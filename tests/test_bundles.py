@@ -477,3 +477,17 @@ class TestIntegerArguments:
     def test_sym_power(self, k):
         with pytest.raises(ValueError):
             self.T.sym_power(k)
+
+    @pytest.mark.parametrize("truncation", [8.7, 8.0, True, "8", 7], ids=repr)
+    def test_virtual_bundle_truncation(self, truncation):
+        with pytest.raises(ValueError):
+            VirtualBundle(self.T.table, truncation, 1)
+        with pytest.raises(ValueError):
+            VirtualBundle(self.T.table, truncation, 1, self.T.reduced)
+
+    @pytest.mark.parametrize("multiple", [True, False], ids=repr)
+    def test_bool_multiples(self, multiple):
+        with pytest.raises(ValueError):
+            self.T * multiple
+        with pytest.raises(ValueError):
+            multiple * self.T

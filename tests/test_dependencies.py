@@ -1,0 +1,36 @@
+"""The package has zero runtime dependencies: `src/anomaly` imports only the
+standard library and its own modules (sympy and hypothesis are for tests)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "anomaly").glob("*.py"))
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The modules `source` imports that are neither standard library nor relative."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_the_scan_sees_every_import_form():
+    source = "import sympy.core\nfrom hypothesis import given\nfrom . import algebra\nimport json\n"
+    source += "def f():\n    import numpy as np\n"
+    assert foreign_imports(source) == ["sympy.core", "hypothesis", "numpy"]
+
+
+def test_every_module_is_scanned():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "algebra.py", "cli.py", "verifier.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []

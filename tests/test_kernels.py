@@ -14,11 +14,14 @@ closed-form logarithms, against their defining products multiplied out
 and TwoVarSeries result is also checked to be a canonical int form: positive
 denominator, no zero numerator, gcd 1, sorted, and each stored degree (or
 t-power) and q-exponent equal to the one read off the key; digit widths are
-crossed at 255/256 and 65535/65536.
+crossed at 255/256 and 65535/65536.  The arithmetic the three classes
+share through `algebra.IntForm` is checked on each of them, and every cap or
+truncation must be an int.
 """
 
+import operator
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial, gcd
 
 import pytest
@@ -284,6 +287,51 @@ class TestPublicConstructorStillValidates:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError, match="negative exponent"):
             GradedPoly(self.TABLE, 4, {(-1, 1): Fraction(1)})
+
+
+class TestShapesAreInts:
+    """A float, bool or string cap or truncation is an error, not cut to an int."""
+
+    TABLE = GeneratorTable([("a", 2), ("b", 4)])
+
+    @pytest.mark.parametrize("truncation", [8.9, 8.0, True, "8", 3, -2], ids=repr)
+    def test_graded_poly_truncation(self, truncation):
+        with pytest.raises(ValueError):
+            GradedPoly(self.TABLE, truncation)
+
+    @pytest.mark.parametrize("truncation", [4.0, True, 3, -2], ids=repr)
+    def test_truncate_and_substitute(self, truncation):
+        p = GradedPoly(self.TABLE, 8, {(1, 0): 1, (0, 1): 2})
+        with pytest.raises(ValueError):
+            p.truncate(truncation)
+        with pytest.raises(ValueError):
+            p.substitute({"a": GradedPoly.generator(self.TABLE, "b", 8)}, truncation)
+
+    @pytest.mark.parametrize("truncation", [8.5, 8.0, True, "8", 3, -2], ids=repr)
+    def test_poly_ring_truncation(self, truncation):
+        with pytest.raises(ValueError):
+            PolyRing(self.TABLE, truncation)
+
+    @pytest.mark.parametrize("cap", [2.7, 2.0, True, "3", -1], ids=repr)
+    def test_qhalfseries_cap(self, cap):
+        with pytest.raises(ValueError):
+            QHalfSeries(RATIONALS, cap)
+
+    @pytest.mark.parametrize("tcap, cap", [(2.5, 1), (2, True), (True, 1), (2, 1.0), ("2", 1), (-1, 1)], ids=repr)
+    def test_two_var_caps(self, tcap, cap):
+        with pytest.raises(ValueError):
+            TwoVarSeries(tcap, cap)
+        with pytest.raises(ValueError):
+            theta_quotient("A", tcap, cap)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, -1], ids=repr)
+    def test_quotient_products_and_evaluations(self, cap):
+        """Both build their q-series through the trusted constructor, so they check the cap first."""
+        table = pontryagin_table(10, line=True)
+        with pytest.raises(ValueError):
+            theta.line_quotient_evaluation(theta_quotient("L", 5, 2), table, 10, cap)
+        with pytest.raises(ValueError):
+            theta.symmetric_quotient_product(theta_quotient("A", 5, 2), table, "pX", 10, cap)
 
 
 # -- packed keys ----------------------------------------------------------------------
@@ -1059,3 +1107,49 @@ class TestTwoVarSeriesInputErrors:
     def test_scalars_still_multiply(self):
         assert (self.SERIES * 2).coeffs == {(0, 0): 2, (2, 1): 1}
         assert (Fraction(1, 2) * self.SERIES).coeffs == {(0, 0): Fraction(1, 2), (2, 1): Fraction(1, 4)}
+
+
+# -- the shared IntForm arithmetic -----------------------------------------------------
+
+
+int_forms = st.one_of(
+    poly_pairs().map(operator.itemgetter(0)),
+    series_pairs.map(operator.itemgetter(0)),
+    caps.flatmap(lambda tcap_cap: series(*tcap_cap)),
+)
+
+
+class TestSharedArithmetic:
+    """GradedPoly, QHalfSeries and TwoVarSeries run one copy of their arithmetic."""
+
+    TABLE = GeneratorTable([("a", 2), ("b", 4)])
+
+    @SETTINGS
+    @given(int_forms)
+    def test_negation_difference_and_scalars(self, x):
+        assert -(-x) == x
+        assert (x - x).is_zero()
+        assert (x * 3) * Fraction(1, 3) == x
+        assert 3 * x == x * 3
+        assert_int_form((x * Fraction(-2, 3)).den, (x * Fraction(-2, 3)).items)
+
+    def test_made_results_start_with_empty_caches(self):
+        q = QHalfSeries(RATIONALS, 2, {0: 1, 1: Fraction(1, 2)})
+        assert q.coeffs and q._coeffs is not None
+        t = TwoVarSeries(4, 2, {(0, 0): 1, (2, 1): Fraction(1, 2)})
+        assert t.log()._logarithm is None and t._logarithm is not None
+        p = GradedPoly(self.TABLE, 8, {(0, 0): 1, (1, 0): 2})
+        for x in (p, q, t):
+            for result in (-x, x + x, x * x, x * 2, x.tau_shift_half(), type(x)._make(*x._shape, 1, [])):
+                assert type(result) is type(x)
+                assert all(getattr(result, name) is None for name in type(x)._KEPT)
+        assert GradedPoly._KEPT == ()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
+    def test_mixed_classes_do_not_combine(self, op):
+        poly = GradedPoly.one(self.TABLE, 4)
+        forms = (poly, QHalfSeries.one(PolyRing(self.TABLE, 4), 2), TwoVarSeries.one(4, 2))
+        for a, b in permutations(forms, 2):
+            with pytest.raises(TypeError):
+                op(a, b)
+        assert poly != forms[1] and forms[1] != forms[2]

@@ -67,6 +67,12 @@ class TestCaseSpec:
         with pytest.raises(ValueError):
             CaseSpec("spin", 8, 3, "shortcut")
 
+    @pytest.mark.parametrize("dim, qcap", [(8.0, 3), (True, 3), (8, True), (8, False), (8, 2.5), (8, "3")], ids=repr)
+    def test_dim_and_qcap_are_ints(self, dim, qcap):
+        """A float or bool is rejected at input, not cut or read deep in a route."""
+        with pytest.raises(ValueError):
+            CaseSpec("spin", dim, qcap, "theta")
+
     def test_weights(self):
         assert CaseSpec("spin", 8).weight == 4
         assert CaseSpec("spin", 20).weight == 10
