@@ -840,11 +840,6 @@ class GradedPoly(IntForm):
         return f"GradedPoly({self.render()})"
 
 
-def top_component(x: GradedPoly, d: int) -> GradedPoly:
-    """Degree-d homogeneous component of x (the {.}^{(d)} extraction)."""
-    return x.homogeneous_component(d)
-
-
 def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncation: int | None = None) -> GradedPoly:
     """m-th power sum of squared roots, written in the family's generators.
 

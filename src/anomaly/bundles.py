@@ -238,20 +238,20 @@ def _reduced_character(table: GeneratorTable, truncation: int, family: str) -> G
 
 
 @lru_cache(maxsize=None)
-def tangent_complexification(table: GeneratorTable, dim: int, truncation: int | None = None, family: str = "pX") -> VirtualBundle:
-    """Complexified tangent bundle: rank dim, degree-4m piece 2*s_{2m}/(2m)!."""
-    trunc = dim if truncation is None else truncation
-    return VirtualBundle(table, trunc, dim, _reduced_character(table, trunc, family))
+def tangent_complexification(table: GeneratorTable, dim: int) -> VirtualBundle:
+    """Complexified tangent bundle over the pX classes, to degree dim: rank dim,
+    degree-4m piece 2*s_{2m}/(2m)!."""
+    return VirtualBundle(table, dim, dim, _reduced_character(table, dim, "pX"))
 
 
 @lru_cache(maxsize=None)
-def aux_complexification(table: GeneratorTable, truncation: int, rank: int = 0, family: str = "pV") -> VirtualBundle:
+def aux_complexification(table: GeneratorTable, truncation: int) -> VirtualBundle:
     """Complexification of an auxiliary real bundle carrying the pV classes.
 
     The rank is free: every reduced quantity built from this bundle is
-    rank-independent, so the default 0 is as good as any.
+    rank-independent, so it is built at rank 0.
     """
-    return VirtualBundle(table, truncation, rank, _reduced_character(table, truncation, family))
+    return VirtualBundle(table, truncation, 0, _reduced_character(table, truncation, "pV"))
 
 
 @lru_cache(maxsize=None)

@@ -88,19 +88,17 @@ def multiplicative_genus_eval(
 
 
 @lru_cache(maxsize=None)
-def ahat_form(table: GeneratorTable, dim: int, truncation: int | None = None) -> GradedPoly:
-    """The multiplicative form with root factor (t/2)/sinh(t/2) over pX."""
-    trunc = dim if truncation is None else truncation
-    return multiplicative_genus_eval(table, ahat_genus(trunc), "pX", dim // 2, trunc)
+def ahat_form(table: GeneratorTable, dim: int) -> GradedPoly:
+    """The multiplicative form with root factor (t/2)/sinh(t/2) over pX, to degree dim."""
+    return multiplicative_genus_eval(table, ahat_genus(dim), "pX", dim // 2, dim)
 
 
 @lru_cache(maxsize=None)
-def spinor_ch(table: GeneratorTable, dim: int, truncation: int | None = None) -> GradedPoly:
-    """Chern character of the full spinor bundle: prod_j 2*cosh(t_j/2) over pX."""
+def spinor_ch(table: GeneratorTable, dim: int) -> GradedPoly:
+    """Chern character of the full spinor bundle: prod_j 2*cosh(t_j/2) over pX, to degree dim."""
     if dim % 4 != 0:
         raise ValueError("the spinor character form needs dim divisible by 4")
-    trunc = dim if truncation is None else truncation
-    return multiplicative_genus_eval(table, spinor_genus(trunc), "pX", dim // 2, trunc)
+    return multiplicative_genus_eval(table, spinor_genus(dim), "pX", dim // 2, dim)
 
 
 AUX_FACTOR_KINDS = ("detcosh_V", "exp_half_c", "sinh_half_c", "cosh_half_c")

@@ -314,10 +314,6 @@ class QHalfSeries(IntForm):
         return f"QHalfSeries({self.render()})"
 
 
-def tau_shift_half(a: QHalfSeries) -> QHalfSeries:
-    return a.tau_shift_half()
-
-
 def qseries_exp(x: QHalfSeries) -> QHalfSeries:
     """exp of a q-series over a polynomial ring, pinned by nilpotence.
 

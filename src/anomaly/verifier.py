@@ -7,10 +7,14 @@ is assembled along two independent routes - the bundle route (lambda-ring
 operations times multiplicative characteristic forms) and the theta route
 (products of theta quotients) - compared coefficient-by-coefficient, reduced
 to its top-degree part, and fitted against the monic modular basis form of
-the case's weight.  Each catalog identity is additionally rebuilt from its
-stated bundle combination and checked as an exact polynomial identity; each
-catalog corollary reads the identity as an integer relation among indices and
-extracts a divisibility modulus.
+the case's weight.
+
+Each catalog identity is written once, as data: `_relation` lists its index
+terms, each a coefficient, a label, a multiplicative factor (Â, Â·ch(Δ),
+Â·det^(1/2)cosh or Â·exp(cL/2)) and a bundle combination.  From that one list
+the identity is rebuilt as an exact polynomial identity, its corollary is read
+as an integer relation solved for the first term (the divisibility modulus),
+and a manifold's characteristic numbers are paired with every index form.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .algebra import GeneratorTable, GradedPoly, _is_int, _nonnegative_int, pontryagin_table, top_component
+from .algebra import GeneratorTable, GradedPoly, _is_int, _nonnegative_int, pontryagin_table
 from .bundles import (
     VirtualBundle,
     aux_complexification,
@@ -101,24 +105,31 @@ class CaseSpec:
 # -- integrand assembly ---------------------------------------------------------
 
 
+def _factor_form(table: GeneratorTable, factor: str, dim: int) -> GradedPoly:
+    """The multiplicative factor of an index term: Â, Â·ch(Δ) or Â times an
+    auxiliary factor kind of `aux_bundle_factor`."""
+    ahat = ahat_form(table, dim)
+    if factor == "ahat":
+        return ahat
+    return ahat * (spinor_ch(table, dim) if factor == "spinor" else aux_bundle_factor(table, factor, dim))
+
+
+# The auxiliary bundle V of each case that has one.
+_AUX_BUNDLE = dict(spin_v=aux_complexification, spin_v_line=line_real_complexification, spinc_l=line_real_complexification)
+
+
 def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
     """Characteristic forms times Chern characters of the theta-power bundles."""
     table = spec.table()
     dim, cap = spec.dim, spec.qcap
     TX = tangent_complexification(table, dim)
-    ahat = ahat_form(table, dim)
     if spec.case == "spin":
-        delta = spinor_ch(table, dim)
-        s1 = theta_series("theta1", TX, cap=cap).scale(ahat * delta)
+        s1 = theta_series("theta1", TX, cap=cap).scale(_factor_form(table, "spinor", dim))
         t23 = theta_series("theta2+theta3", TX, cap=cap)
-        return s1 + t23.scale(ahat * (2 ** (dim // 2)))
-    if spec.case == "spin_v":
-        V = aux_complexification(table, dim)
-        factor = ahat * aux_bundle_factor(table, "detcosh_V", dim)
-        return theta_series("thetaV", TX, V, cap=cap).scale(factor)
-    L = line_real_complexification(table, dim)
-    factor = ahat * aux_bundle_factor(table, "sinh_half_c", dim)
-    return theta_series("thetaL", TX, L, cap=cap).scale(factor)
+        return s1 + t23.scale(ahat_form(table, dim) * (2 ** (dim // 2)))
+    name, kind = ("thetaV", "detcosh_V") if spec.case == "spin_v" else ("thetaL", "sinh_half_c")
+    V = _AUX_BUNDLE[spec.case](table, dim)
+    return theta_series(name, TX, V, cap=cap).scale(_factor_form(table, kind, dim))
 
 
 def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
@@ -354,9 +365,52 @@ NOTE_PARITY = (
 )
 
 
+# The untwisted index of each multiplicative factor.
+_UNTWISTED = {"ahat": "ind(D)", "spinor": f"ind(D{_OX}{_DELTA})", "detcosh_V": "ind_V(1)", "exp_half_c": "ind(D^c)"}
+
+
+def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> list:
+    """The identity's index terms as (coefficient, label, factor, combo) data.
+
+    The index of a term pairs {factor * ch(combo)}^(dim) with the manifold;
+    factor is "ahat" (Â), "spinor" (Â·ch(Δ)) or an auxiliary factor kind
+    times Â, and combo is a bundle combination or None for the trivial
+    bundle.  e is the basis-form coefficient; rhs_sector overrides the spin
+    relation's constant on the right side.  The first term is the one the
+    corollary solves for.
+    """
+    qp = entry.q_power
+    if entry.case == "spin":
+        sector = 2 ** (entry.dim // 2 + 1)
+        rs = sector if rhs_sector is None else rhs_sector
+        plain = _SPIN_PLAIN[qp]
+        if qp == 1:
+            target = (2, f"ind(D{_OX}{_DELTA}{_OX}{_T})", "spinor", ((1, ("T",)),))
+        else:
+            target = (1, f"ind(D{_OX}{_DELTA}{_OX}({_render_combo(_SPIN_DELTA[qp], _V)}))", "spinor", _SPIN_DELTA[qp])
+        return [
+            target,
+            (sector, f"ind(D{_OX}({_render_combo(plain, _V)}))", "ahat", plain),
+            (-e, _UNTWISTED["spinor"], "spinor", None),
+            (-e * rs, _UNTWISTED["ahat"], "ahat", None),
+        ]
+    if entry.case == "spin_v":
+        combo = _V_COMBO[qp]
+        factor, label = "detcosh_V", f"ind_V({_render_combo(combo, _V)})"
+    else:
+        combo = _V_COMBO[qp] if entry.case == "spin_v_line" else _L_COMBO[qp]
+        factor, label = "exp_half_c", f"ind(D^c{_OX}({_render_combo(combo, _L)}))"
+    return [(1, label, factor, combo), (-e, _UNTWISTED[factor], factor, None)]
+
+
 def _build_catalog():
     identities: list[IdentityEntry] = []
     corollaries: list[CorollaryEntry] = []
+
+    def add(entry: IdentityEntry, corollary: str | None = None):
+        identities.append(entry)
+        if corollary is not None:
+            corollaries.append(CorollaryEntry(corollary, entry.ident, _relation(entry, 0)[0][1]))
 
     spin_ids = {
         8: ("Thm1.1-(1.1)", "Thm1.1-(1.2)"),
@@ -368,13 +422,8 @@ def _build_catalog():
     for dim, (id1, id2) in spin_ids.items():
         notes1 = (NOTE_SECTOR_2048,) if dim == 20 else ()
         notes2 = (NOTE_Q2_135432,) if dim == 20 else ()
-        identities.append(IdentityEntry(id1, "spin", dim, 1, notes1))
-        identities.append(IdentityEntry(id2, "spin", dim, 2, notes2))
-        cor = spin_cors[dim]
-        lbl1 = f"ind(D{_OX}{_DELTA}{_OX}{_T})"
-        lbl2 = f"ind(D{_OX}{_DELTA}{_OX}({_render_combo(_SPIN_DELTA[2], _V)}))"
-        corollaries.append(CorollaryEntry(f"{cor}-a", id1, lbl1))
-        corollaries.append(CorollaryEntry(f"{cor}-b", id2, lbl2))
+        add(IdentityEntry(id1, "spin", dim, 1, notes1), f"{spin_cors[dim]}-a")
+        add(IdentityEntry(id2, "spin", dim, 2, notes2), f"{spin_cors[dim]}-b")
 
     spinv_ids = {8: ("Thm1.9", 2), 12: ("Thm1.12", 2), 16: ("Thm1.15", 1), 20: ("Thm1.18", 1)}
     line_ids = {8: ("Cor1.10", 2), 12: ("Cor1.13", 2), 16: ("Cor1.16", 1), 20: ("Cor1.19", 1)}
@@ -383,23 +432,17 @@ def _build_catalog():
         thm, count = spinv_ids[dim]
         for qp in range(1, count + 1):
             notes = (NOTE_SUP_16,) if dim == 16 else ()
-            identities.append(IdentityEntry(f"{thm}-q{qp}", "spin_v", dim, qp, notes))
+            add(IdentityEntry(f"{thm}-q{qp}", "spin_v", dim, qp, notes))
         cor_thm, count = line_ids[dim]
         for qp, suffix in zip(range(1, count + 1), "ab"):
-            ident = f"{cor_thm}-{suffix}"
-            identities.append(IdentityEntry(ident, "spin_v_line", dim, qp))
-            target = f"ind(D^c{_OX}({_render_combo(_V_COMBO[qp], _L)}))"
-            corollaries.append(CorollaryEntry(f"{line_cors[dim]}-{suffix}", ident, target))
+            add(IdentityEntry(f"{cor_thm}-{suffix}", "spin_v_line", dim, qp), f"{line_cors[dim]}-{suffix}")
 
     spinc_ids = {10: ("Thm1.21", 2), 14: ("Thm1.23", 2), 18: ("Thm1.25", 1), 22: ("Thm1.27", 1)}
     spinc_cors = {10: "Cor1.22", 14: "Cor1.24", 18: "Cor1.26", 22: "Cor1.28"}
     for dim in (10, 14, 18, 22):
         thm, count = spinc_ids[dim]
         for qp, suffix in zip(range(1, count + 1), "ab"):
-            ident = f"{thm}-q{qp}"
-            identities.append(IdentityEntry(ident, "spinc_l", dim, qp))
-            target = f"ind(D^c{_OX}({_render_combo(_L_COMBO[qp], _L)}))"
-            corollaries.append(CorollaryEntry(f"{spinc_cors[dim]}-{suffix}", ident, target))
+            add(IdentityEntry(f"{thm}-q{qp}", "spinc_l", dim, qp), f"{spinc_cors[dim]}-{suffix}")
 
     return {e.ident: e for e in identities}, {c.ident: c for c in corollaries}
 
@@ -416,18 +459,14 @@ PRINTED_VARIANTS = {
 
 
 def identities_for(case: str, dim: int) -> list[IdentityEntry]:
+    """The catalog identities of one case; spin_v includes its line-bundle specialization."""
     cases = (case, "spin_v_line") if case == "spin_v" else (case,)
     return [e for e in IDENTITIES.values() if e.case in cases and e.dim == dim]
 
 
 def corollaries_for(case: str, dim: int) -> list[CorollaryEntry]:
-    out = []
-    for cor in COROLLARIES.values():
-        src = IDENTITIES[cor.source]
-        src_case = "spin_v" if src.case == "spin_v_line" else src.case
-        if src_case == case and src.dim == dim:
-            out.append(cor)
-    return out
+    sources = {e.ident for e in identities_for(case, dim)}
+    return [cor for cor in COROLLARIES.values() if cor.source in sources]
 
 
 def _basis_coefficient(weight: int, q_power: int) -> int:
@@ -443,72 +482,30 @@ def index_relation_forms(
     e_const: int | None = None,
     extract: int | None = None,
     rhs_sector: int | None = None,
-    with_forms: bool = True,
 ):
     """The identity as an integer relation sum_i c_i * x_i = 0 among indices.
 
-    Returns a list of (coefficient, label, form) triples; the forms are the
-    top-degree pairing polynomials defining each index, or None when
-    with_forms is false.  The relation holds after the case condition is
-    substituted into the forms.
+    Returns a list of (coefficient, label, form) triples; each form is the
+    pairing polynomial {factor * ch(combo)}^(d) of its index, at the degree d
+    = dim unless `extract` overrides it.  The relation holds after the case
+    condition is substituted into the forms.
     """
-    dim, qp = entry.dim, entry.q_power
-    e = _basis_coefficient(entry.weight, qp) if e_const is None else e_const
+    dim = entry.dim
+    e = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
     d = dim if extract is None else extract
-
-    def _top(poly):
-        return top_component(poly, d) if with_forms else None
-
-    if entry.case == "spin":
-        table = pontryagin_table(dim)
-        sector = 2 ** (dim // 2 + 1)
-        rs = sector if rhs_sector is None else rhs_sector
-        ahat = ahat_form(table, dim) if with_forms else None
-        delta = spinor_ch(table, dim) if with_forms else None
-        T = tangent_complexification(table, dim).reduce() if with_forms else None
-        bundles = {"T": T}
-        if qp == 1:
-            delta_coeff, delta_label = 2, f"ind(D{_OX}{_DELTA}{_OX}{_T})"
-            delta_combo = ((1, ("T",)),)
-        else:
-            delta_coeff, delta_label = 1, f"ind(D{_OX}{_DELTA}{_OX}({_render_combo(_SPIN_DELTA[qp], _V)}))"
-            delta_combo = _SPIN_DELTA[qp]
-        plain_label = f"ind(D{_OX}({_render_combo(_SPIN_PLAIN[qp], _V)}))"
-        terms = [
-            (delta_coeff, delta_label, _top(ahat * delta * _build_combo(delta_combo, bundles).ch()) if with_forms else None),
-            (sector, plain_label, _top(ahat * _build_combo(_SPIN_PLAIN[qp], bundles).ch()) if with_forms else None),
-            (-e, f"ind(D{_OX}{_DELTA})", _top(ahat * delta) if with_forms else None),
-            (-e * rs, "ind(D)", _top(ahat) if with_forms else None),
-        ]
-        return terms
-
-    if entry.case == "spin_v":
-        table = pontryagin_table(dim, aux=True)
-        combo, vname, head, base = _V_COMBO[qp], _V, "ind_V", "ind_V(1)"
-        if with_forms:
-            factor = ahat_form(table, dim) * aux_bundle_factor(table, "detcosh_V", dim)
-            bundles = {
-                "T": tangent_complexification(table, dim).reduce(),
-                "V": aux_complexification(table, dim).reduce(),
-            }
-    else:
-        table = pontryagin_table(dim, line=True)
-        combo = _V_COMBO[qp] if entry.case == "spin_v_line" else _L_COMBO[qp]
-        vname, head, base = _L, "ind(D^c", "ind(D^c)"
-        if with_forms:
-            factor = ahat_form(table, dim) * aux_bundle_factor(table, "exp_half_c", dim)
-            bundles = {
-                "T": tangent_complexification(table, dim).reduce(),
-                "V": line_real_complexification(table, dim).reduce(),
-            }
-    if head == "ind_V":
-        label = f"ind_V({_render_combo(combo, vname)})"
-    else:
-        label = f"{head}{_OX}({_render_combo(combo, vname)}))"
-    terms = [
-        (1, label, _top(factor * _build_combo(combo, bundles).ch()) if with_forms else None),
-        (-e, base, _top(factor) if with_forms else None),
-    ]
+    table = pontryagin_table(dim, aux=entry.case == "spin_v", line=entry.case in ("spin_v_line", "spinc_l"))
+    bundles = {"T": tangent_complexification(table, dim).reduce()}
+    if entry.case in _AUX_BUNDLE:
+        bundles["V"] = _AUX_BUNDLE[entry.case](table, dim).reduce()
+    factors: dict[str, GradedPoly] = {}
+    terms = []
+    for coeff, label, factor, combo in _relation(entry, e, rhs_sector):
+        if factor not in factors:
+            factors[factor] = _factor_form(table, factor, dim)
+        form = factors[factor]
+        if combo is not None:
+            form = form * _build_combo(combo, bundles).ch()
+        terms.append((coeff, label, form.homogeneous_component(d)))
     return terms
 
 
@@ -539,7 +536,7 @@ def verify_identity(ident: str, **overrides) -> IdentityResult:
     the uncorrected printed statements can be run as negative controls.
     """
     entry = _entry(ident)
-    terms = index_relation_forms(entry, with_forms=True, **overrides)
+    terms = index_relation_forms(entry, **overrides)
     acc = None
     for coeff, _, form in terms:
         piece = form * coeff
@@ -564,8 +561,7 @@ def divisibility_modulus(ident: str, target: str) -> int:
     takes the gcd of the other coefficients divided by the target's.
     """
     entry = _entry(ident)
-    terms = index_relation_forms(entry, with_forms=False)
-    coeffs = {label: coeff for coeff, label, _ in terms}
+    coeffs = {label: coeff for coeff, label, _, _ in _relation(entry, _basis_coefficient(entry.weight, entry.q_power))}
     if target not in coeffs:
         known = ", ".join(sorted(coeffs))
         raise UnknownIdentityError(f"identity {ident} has no index term {target!r}; terms: {known}")
@@ -623,20 +619,45 @@ class ManifoldData:
         return cls.from_mapping(json.loads(text))
 
 
-def evaluate_manifold(data: ManifoldData, form: GradedPoly) -> Fraction:
-    """Pair a top-degree form with the manifold's characteristic numbers."""
+def _numbers_by_exponents(data: ManifoldData, table: GeneratorTable) -> dict[tuple[int, ...], Fraction]:
+    """The characteristic numbers keyed by exponent tuples.
+
+    A key may write its factors in any order; a key that does not parse, has
+    a degree other than the dimension, or names the monomial of another key
+    is bad data.
+    """
+    keys: dict[tuple[int, ...], str] = {}
+    for key in data.numbers:
+        try:
+            expts = table.parse_monomial(key)  # validates generator names and exponents
+        except (KeyError, ValueError) as err:
+            raise ManifoldDataError(f"bad monomial {key!r}: {err.args[0]}") from None
+        degree = table.monomial_degree(expts)
+        if degree != data.dim:
+            raise ManifoldDataError(f"monomial {key!r} has degree {degree} but the manifold has dimension {data.dim}")
+        if expts in keys:
+            raise ManifoldDataError(f"keys {keys[expts]!r} and {key!r} name the same monomial")
+        keys[expts] = key
+    return {expts: data.numbers[key] for expts, key in keys.items()}
+
+
+def _pair(numbers: dict[tuple[int, ...], Fraction], form: GradedPoly, dim: int) -> Fraction:
     total = Fraction(0)
     table = form.table
     for expts, coeff in form.terms.items():
-        if table.monomial_degree(expts) != data.dim:
+        if table.monomial_degree(expts) != dim:
             raise ManifoldDataError(
-                f"form has a degree-{table.monomial_degree(expts)} term but the manifold has dimension {data.dim}"
+                f"form has a degree-{table.monomial_degree(expts)} term but the manifold has dimension {dim}"
             )
-        key = table.monomial_string(expts)
-        if key not in data.numbers:
-            raise ManifoldDataError(f"manifold data is missing monomial {key!r}")
-        total += coeff * data.numbers[key]
+        if expts not in numbers:
+            raise ManifoldDataError(f"manifold data is missing monomial {table.monomial_string(expts)!r}")
+        total += coeff * numbers[expts]
     return total
+
+
+def evaluate_manifold(data: ManifoldData, form: GradedPoly) -> Fraction:
+    """Pair a top-degree form with the manifold's characteristic numbers."""
+    return _pair(_numbers_by_exponents(data, form.table), form, data.dim)
 
 
 def manifold_case(data: ManifoldData) -> str:
@@ -652,29 +673,19 @@ def evaluate_report(data: ManifoldData) -> dict:
     case = manifold_case(data)
     dim = data.dim
     table = pontryagin_table(dim, line=case == "spinc_l")
-    for key in data.numbers:
-        try:
-            table.parse_monomial(key)  # validates generator names and exponents
-        except (KeyError, ValueError) as err:
-            raise ManifoldDataError(f"bad monomial {key!r}: {err.args[0]}") from None
-    ahat = ahat_form(table, dim)
-    headline = [("Â-genus", top_component(ahat, dim))]
-    if case == "spin":
-        headline.append((f"ind(D{_OX}{_DELTA})", top_component(ahat * spinor_ch(table, dim), dim)))
-    else:
-        headline.append(("ind(D^c)", top_component(ahat * aux_bundle_factor(table, "exp_half_c", dim), dim)))
-
-    indices = [{"label": label, "value": str(evaluate_manifold(data, form))} for label, form in headline]
+    numbers = _numbers_by_exponents(data, table)
+    factor = "spinor" if case == "spin" else "exp_half_c"
+    indices = [
+        {"label": label, "value": str(_pair(numbers, _factor_form(table, f, dim).homogeneous_component(dim), dim))}
+        for label, f in (("Â-genus", "ahat"), (_UNTWISTED[factor], factor))
+    ]
 
     identity_rows = []
     value_cache: dict[str, Fraction] = {}
     for entry in identities_for(case, dim):
-        if entry.case == "spin_v_line":
-            continue
-        terms = index_relation_forms(entry)
         balance = Fraction(0)
-        for coeff, label, form in terms:
-            value = evaluate_manifold(data, form)
+        for coeff, label, form in index_relation_forms(entry):
+            value = _pair(numbers, form, dim)
             value_cache[label] = value
             balance += coeff * value
         identity_rows.append({"id": entry.ident, "balanced": balance == 0})

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table, top_component
+from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.bundles import (
     VirtualBundle,
     line_real_complexification,
@@ -281,8 +281,8 @@ def test_criterion_09_quaternionic_plane_evaluation():
     table = pontryagin_table(8)
     a, c = ahat_genus(8), cosh_genus(8)
     lhat = GenusSeries("lhat", tuple(x + y for x, y in zip(a.log_coeffs, c.log_coeffs)), 1)
-    oracle_form = top_component(multiplicative_genus_eval(table, lhat, "pX", 4, 8), 8) * 16
-    assert oracle_form == top_component(ahat_form(table, 8) * spinor_ch(table, 8), 8)
+    oracle_form = multiplicative_genus_eval(table, lhat, "pX", 4, 8).homogeneous_component(8) * 16
+    assert oracle_form == (ahat_form(table, 8) * spinor_ch(table, 8)).homogeneous_component(8)
     paired = sum(
         coeff * hp2.numbers[table.monomial_string(expts)] for expts, coeff in oracle_form.terms.items()
     )

@@ -11,6 +11,11 @@ import anomaly.verifier as verifier
 from anomaly.cli import main
 
 HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}}'
+# Integral characteristic numbers that balance every identity of their case
+# but fail the divisibility checks (the JSON reports show both).
+SPINC10_JSON = '{"dim": 10, "numbers": {"cL^5": "170", "pX2*cL": "-934", "pX1*cL^3": "170", "pX1^2*cL": "170"}}'
+SPIN12_JSON = '{"dim": 12, "numbers": {"pX3": "-29", "pX1*pX2": "-450", "pX1^3": "346"}}'
+SPINC10_DIGEST = "f612ad9dd182d42dcb99a9c28108149f4b0100787a5b2159acc12d7477c7cb14"
 
 
 def run(capsys, *argv):
@@ -37,6 +42,13 @@ class TestVerify:
         assert len(payload["cases"]) == 12
         ids = [row["id"] for case in payload["cases"] for row in case["identities"]]
         assert len(ids) == 26
+
+    def test_order0_json_matches_the_seed_engine(self, capsys):
+        """Order 0 compares no q-coefficient, so every fit fails; the identities still run."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "0")
+        assert code == 1
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "0e37bc5579c1c036931b6d5be65802c5310ba002a2a636621341df4486a2e68f"
 
     def test_order1_json_matches_the_seed_engine(self, capsys):
         """The theta route's t-cap and the packed kernel keys touch every order."""
@@ -169,6 +181,21 @@ class TestOutputsMatchTheSeedEngine:
         assert code == 0
         assert sha256(out) == "7031865f5500337813b25c738fe5815ac040b222c3f787a2f542192f6531e84f"
 
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (SPINC10_JSON, SPINC10_DIGEST),
+            (SPIN12_JSON, "ff95017e385e06d21c79af94630436d197f8baf02324fab3b7f505a0dccf8f2b"),
+        ],
+        ids=["spinc10", "spin12"],
+    )
+    def test_evaluate_json(self, capsys, tmp_path, text, digest):
+        path = tmp_path / "manifold.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", "--input", str(path), "--format", "json")
+        assert code == 1  # the identities balance, the divisibility checks fail
+        assert sha256(out) == digest
+
 
 class TestEnvDefaultOrder:
     def test_env_controls_order(self, capsys, monkeypatch):
@@ -273,6 +300,33 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--input", str(path))
         assert code == 4
         assert "missing" in err
+
+    def test_keys_in_any_factor_order(self, capsys, tmp_path):
+        path = tmp_path / "reordered.json"
+        path.write_text(
+            '{"dim": 10, "numbers": {"cL^5": "170", "cL*pX2": "-934", "pX1*cL^3": "170", "cL*pX1*pX1": "170"}}',
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "evaluate", "--input", str(path), "--format", "json")
+        assert code == 1
+        assert sha256(out) == SPINC10_DIGEST
+
+    def test_two_keys_for_one_monomial_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "duplicate.json"
+        path.write_text('{"dim": 8, "numbers": {"pX1^2": "4", "pX1*pX1": "5", "pX2": "7"}}', encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "keys 'pX1^2' and 'pX1*pX1' name the same monomial" in err
+
+    @pytest.mark.parametrize("key", ["pX1", "1", "pX1^3"])
+    def test_key_of_another_degree_exits_4(self, capsys, tmp_path, key):
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps({"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7", key: "1"}}), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert f"monomial {key!r} has degree" in err
 
     def test_unreadable_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "evaluate", "--input", str(tmp_path / "absent.json"))

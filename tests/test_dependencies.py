@@ -1,11 +1,14 @@
 """The package has zero runtime dependencies: `src/anomaly` imports only the
-standard library and its own modules (sympy and hypothesis are for tests)."""
+standard library and its own modules (sympy and hypothesis are for tests).
+Its export list names each public name once, and each resolves."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import anomaly
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "anomaly").glob("*.py"))
 
@@ -34,3 +37,8 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_export_resolves_once():
+    assert len(anomaly.__all__) == len(set(anomaly.__all__))
+    assert [name for name in anomaly.__all__ if not hasattr(anomaly, name)] == []

@@ -489,11 +489,11 @@ class TestManifoldData:
                 ManifoldData.from_mapping({"dim": flag, "numbers": {}})
 
     def test_evaluate_errors(self):
-        from anomaly.algebra import GradedPoly, pontryagin_table, top_component
+        from anomaly.algebra import pontryagin_table
         from anomaly.genera import ahat_form
 
         table = pontryagin_table(8)
-        form = top_component(ahat_form(table, 8), 8)
+        form = ahat_form(table, 8).homogeneous_component(8)
         missing = ManifoldData(8, {"pX1^2": Fraction(4)})
         with pytest.raises(ManifoldDataError, match="missing"):
             evaluate_manifold(missing, form)
