@@ -618,6 +618,12 @@ class IntForm:
         items = [(g, side, key, -num if side % 2 else num) for g, side, key, num in self.items]
         return self._make(*self._shape, self.den, items)
 
+    def homogeneous_component(self, d: int):
+        """The terms of grade d: a polynomial's degree-d part, a q-series' degree-d
+        part of every coefficient, a two-variable series' t^d part."""
+        items = [item for item in self.items if item[0] == d]
+        return self._make(*self._shape, *_int_form(self.den, items))
+
     def _kernel(self, form):
         """An exp/log/inverse int-form kernel (`_exp_form`, `_log_form`, `_inverse_form`) applied within the limits."""
         return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
@@ -745,10 +751,6 @@ class GradedPoly(IntForm):
         if i < len(items) and items[i][2] == key:
             return Fraction(items[i][3], self.den)
         return _ZERO
-
-    def homogeneous_component(self, d: int) -> "GradedPoly":
-        items = [item for item in self.items if item[0] == d]
-        return GradedPoly._make(self.table, self.truncation, *_int_form(self.den, items))
 
     def truncate(self, truncation: int) -> "GradedPoly":
         """The polynomial truncated to `truncation`; itself if that lowers nothing."""

@@ -19,7 +19,8 @@ terms of lam^n or S^n add into one `_convolve` accumulator over a common
 denominator, and the result is put in lowest terms once.  `theta_series`
 multiplies its sparse factors together first, the sparsest (largest q-step)
 first, and joins the symmetric-power and exterior-power products with one
-product at the end.  It keeps no series or polynomial past the call.
+product at the end; a +q^(m-1/2) exterior product is the half-period shift
+of the -q^(m-1/2) one.  It keeps no series or polynomial past the call.
 """
 
 from __future__ import annotations
@@ -316,11 +317,12 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
             (x) prod_r Lam_{+q^(r-1/2)}(V~) (x) prod_s Lam_{-q^(s-1/2)}(V~)
     thetaL: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^m}(V~)
 
-    Product order: the symmetric-power factors are multiplied together, and
-    the exterior-power factors together, each with the sparsest factor (the
-    largest q-step) first, so the running products stay sparse for as long
-    as they can; then one product joins the two.  `theta2+theta3` adds its
-    two exterior-power products and takes that one product once.
+    Only P = prod_m Lam_{-q^(m-1/2)} is built: the +q^(m-1/2) product is P
+    under q^(1/2) -> -q^(1/2) (`tau_shift_half`).  The symmetric-power and
+    the exterior-power factors are each multiplied sparsest (largest q-step)
+    first, so the running products stay sparse; then one product joins the
+    two.  `theta2+theta3` adds P to its shift first, so that product runs
+    over integer q-powers only.
     """
     if kind not in THETA_KINDS:
         raise ValueError(f"unknown theta series kind {kind!r}")
@@ -340,20 +342,16 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
 
     if kind == "theta1":
         lam = product(T, whole, +1)
-    elif kind == "theta2":
+    elif kind in ("theta2", "theta3", "theta2+theta3"):
         lam = product(T, half, -1)
-    elif kind == "theta3":
-        lam = product(T, half, +1)
-    elif kind == "theta2+theta3":
-        lam = product(T, half, -1) + product(T, half, +1)
+        if kind == "theta3":
+            lam = lam.tau_shift_half()
+        elif kind == "theta2+theta3":
+            lam = lam + lam.tau_shift_half()
     elif kind == "thetaV":
         Vr = V.reduce()
-        factors = [
-            _lam_factor(Vr, step, sign, cap)
-            for step in range(2 * cap, 0, -1)
-            for sign in ((+1,) if step % 2 == 0 else (+1, -1))
-        ]
-        lam = reduce(mul, factors, one)
+        lam_half = product(Vr, half, -1)
+        lam = product(Vr, whole, +1) * (lam_half * lam_half.tau_shift_half())
     else:  # thetaL
         lam = product(V.reduce(), whole, -1)
     return reduce(mul, [_sym_factor(T, n, cap) for n in range(cap, 0, -1)], one) * lam

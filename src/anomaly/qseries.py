@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable
 
 from .algebra import (
     GeneratorTable,
@@ -260,10 +259,6 @@ class QHalfSeries(IntForm):
         return self * value
 
     # -- structure maps ------------------------------------------------------
-
-    def map_coefficients(self, fn: Callable, ring=None) -> "QHalfSeries":
-        ring = self.ring if ring is None else ring
-        return QHalfSeries(ring, self.cap, {j2: fn(v) for j2, v in self.coeffs.items()})
 
     def substitute(self, images) -> "QHalfSeries":
         """Substitute single-term images into every coefficient at once.

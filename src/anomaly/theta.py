@@ -5,16 +5,16 @@ The five quotients A, B1, B2, B3, L are infinite products of factors
 hyperbolic prefactor; all transcendental prefactors are cancelled, so every
 coefficient is an exact rational.  No product is multiplied out.  Each
 factor's logarithm has a closed form, log(1 + x) = sum (-1)^(k+1) x^k / k,
-so every coefficient of log A, log B1, log B2 and log B3 is a divisor sum
+so every coefficient of log A, log B1 and log B2 is a divisor sum
 (`_divisor_sum_log`), plus one hyperbolic logarithm at q^0; one exp then
-gives the quotient's coefficients.  L is sinh(t/2) times the exp of minus
-the q-part of log A.
+gives the quotient's coefficients.  B3 is B2 under the half-period shift
+q^(1/2) -> -q^(1/2); L is sinh(t/2) times the exp of minus the q-part of log A.
 
 The route exponentiates once per sector.  It substitutes the power sum s_m
 of a root family for t^(2m) in a quotient's logarithm (`_bridged_log`),
 sums the bridged logarithms of the quotients that a sector multiplies, and
-takes one exp of the sum: three for the spin case, one for spin_v, and one
-for spinc_l, times L evaluated at t = cL.
+takes one exp of the sum: two for the spin case (its B3 sector is the shift
+of its B2 sector), one for spin_v, and one for spinc_l, times L at t = cL.
 
 A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
@@ -189,7 +189,7 @@ THETA_QUOTIENT_KINDS = ("A", "B1", "B2", "B3", "L")
 
 
 def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fraction]:
-    """The q-part of log Q for Q = A, B1, B2 or B3, in closed form.
+    """The q-part of log Q for Q = A, B1 or B2, in closed form.
 
     A factor pair (1 + eps e^t x)(1 + eps e^-t x) / (1 + eps x)^2 has the
     logarithm -sum_k (-eps)^k x^k (2 cosh(kt) - 2) / k, and the t^(2m)
@@ -200,18 +200,14 @@ def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fr
     A   sum_{d | n} d^(2m-1)                          (j2 = 2n)
     B1  sum_{d | n} (-1)^(d+1) d^(2m-1)               (j2 = 2n)
     B2  -sum_{d | j2, j2/d odd} d^(2m-1)
-    B3  sum_{d | j2, j2/d odd} (-1)^(d+1) d^(2m-1)
     """
-    sign = -1 if kind == "B2" else 1
-    alternating = kind in ("B1", "B3")
     coeffs = {}
     for j2 in range(1, 2 * cap + 1):
-        if kind in ("A", "B1"):
-            n = j2 // 2
-            divisors = [d for d in range(1, n + 1) if n % d == 0] if j2 % 2 == 0 else []
+        if kind == "B2":
+            signed = [(d, -1) for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
         else:
-            divisors = [d for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
-        signed = [(d, -sign if alternating and d % 2 == 0 else sign) for d in divisors]
+            n = 0 if j2 % 2 else j2 // 2
+            signed = [(d, -1 if kind == "B1" and d % 2 == 0 else 1) for d in range(1, n + 1) if n % d == 0]
         for m in range(1, tcap // 2 + 1):
             total = sum(s * d ** (2 * m - 1) for d, s in signed)
             if total:
@@ -229,19 +225,23 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     B3 = B2 with the signs inside the half-power factors flipped to +
     L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
 
-    A, B1, B2 and B3 are built from their logarithms: the divisor sums of
+    A, B1 and B2 are built from their logarithms: the divisor sums of
     `_divisor_sum_log` plus, at q^0, log((t/2)/sinh(t/2)) for A and
     log cosh(t/2) for B1; one exp gives the coefficients and keeps the
-    logarithm on the series.  L is sinh(t/2) * exp(-(q-part of log A)).
+    logarithm on the series.  B3 is the exp of the B2 logarithm under
+    q^(1/2) -> -q^(1/2).  L is sinh(t/2) * exp(-(q-part of log A)).
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     _nonnegative_int(tcap, "t-cap")
     _nonnegative_int(cap, "q-cap")
-    log = TwoVarSeries(tcap, cap, _divisor_sum_log("A" if kind == "L" else kind, tcap, cap))
+    source = {"L": "A", "B3": "B2"}.get(kind, kind)
+    log = TwoVarSeries(tcap, cap, _divisor_sum_log(source, tcap, cap))
     if kind == "L":
         return _tv_half_sinh(tcap, cap) * (-log).exp()
-    if kind == "A":
+    if kind == "B3":
+        log = log.tau_shift_half()
+    elif kind == "A":
         log = log - _tv_half_sinh_ratio(tcap, cap).log()
     elif kind == "B1":
         log = log + _tv_half_cosh(tcap, cap).log()
@@ -368,10 +368,12 @@ def q_series_via_theta(
     spinc_l  prod A(t_j) * L(cL)
 
     Each product of quotients over root families is one exp of the sum of
-    their bridged logarithms (`_bridged_log`): three exps for spin, one for
-    spin_v, and one times the evaluation of L for spinc_l.  The quotients
-    are expanded to t-cap dim // 2: t^n becomes a degree-2n class, and the
-    integrand is cut at degree dim.
+    their bridged logarithms (`_bridged_log`).  B3 is B2 under
+    q^(1/2) -> -q^(1/2), which leaves A fixed, so the third spin sector and
+    spin_v's B3 logarithm are shifts: two exps for spin, one for spin_v, and
+    one times the evaluation of L for spinc_l.  The quotients are expanded
+    to t-cap dim // 2: t^n becomes a degree-2n class, and the integrand is
+    cut at degree dim.
     """
     tcap = dim // 2
 
@@ -380,10 +382,12 @@ def q_series_via_theta(
 
     if case == "spin":
         log_a = bridged("A", "pX")
-        parts = [qseries_exp(log_a + bridged(kind, "pX")) for kind in ("B1", "B2", "B3")]
-        return (parts[0] + parts[1] + parts[2]).scale(2 ** (dim // 2))
+        e1 = qseries_exp(log_a + bridged("B1", "pX"))
+        e2 = qseries_exp(log_a + bridged("B2", "pX"))
+        return (e1 + e2 + e2.tau_shift_half()).scale(2 ** (dim // 2))
     if case == "spin_v":
-        return qseries_exp(bridged("A", "pX") + bridged("B1", "pV") + bridged("B2", "pV") + bridged("B3", "pV"))
+        b2 = bridged("B2", "pV")
+        return qseries_exp(bridged("A", "pX") + bridged("B1", "pV") + b2 + b2.tau_shift_half())
     if case == "spinc_l":
         return qseries_exp(bridged("A", "pX")) * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
     raise ValueError(f"unknown case {case!r}")

@@ -83,7 +83,6 @@ class CaseSpec:
     dim: int
     qcap: int = 3
     route: str = "both"
-    impose: bool = True
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -178,7 +177,8 @@ def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
 
 
 def assemble_Q(spec: CaseSpec) -> QHalfSeries:
-    """The top-degree q-expansion of the case integrand.
+    """The top-degree q-expansion of the case integrand, with the case
+    condition imposed.
 
     With route "both", the bundle and theta routes are computed independently
     and must agree at every mixed degree before extraction.
@@ -199,10 +199,7 @@ def assemble_Q(spec: CaseSpec) -> QHalfSeries:
                 f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
             )
         series = other if series is None else series
-    top = series.map_coefficients(lambda p: p.homogeneous_component(spec.dim))
-    if spec.impose:
-        top = impose_condition(top, spec.case)
-    return top
+    return impose_condition(series.homogeneous_component(spec.dim), spec.case)
 
 
 INSUFFICIENT_ORDER = "insufficient order: no q-coefficient compared"
@@ -459,12 +456,19 @@ PRINTED_VARIANTS = {
 
 
 def identities_for(case: str, dim: int) -> list[IdentityEntry]:
-    """The catalog identities of one case; spin_v includes its line-bundle specialization."""
+    """The catalog identities of one case; spin_v includes its line-bundle specialization.
+
+    A case or dimension with no catalog identity is an input error.
+    """
     cases = (case, "spin_v_line") if case == "spin_v" else (case,)
-    return [e for e in IDENTITIES.values() if e.case in cases and e.dim == dim]
+    entries = [e for e in IDENTITIES.values() if e.case in cases and e.dim == dim]
+    if not entries:
+        raise ValueError(f"no catalog identity for case {case!r} in dimension {dim!r}")
+    return entries
 
 
 def corollaries_for(case: str, dim: int) -> list[CorollaryEntry]:
+    """The corollaries of the identities of one case (`identities_for`)."""
     sources = {e.ident for e in identities_for(case, dim)}
     return [cor for cor in COROLLARIES.values() if cor.source in sources]
 

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, pontryagin_table
 from anomaly.bundles import (
     VirtualBundle,
+    _lam_factor,
+    _sym_factor,
     aux_complexification,
     line_real_complexification,
     tangent_complexification,
@@ -446,6 +450,44 @@ class TestThetaSeriesOracle:
             both = theta_series("theta2+theta3", TX, cap=cap)
             assert both == theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
             assert both.integer_powers_only()
+
+
+class TestHalfPeriodShift:
+    """theta_series builds every half-step exterior product with the sign -1 and
+    takes the +1 product as its shift q^(1/2) -> -q^(1/2).  The oracle is the
+    dropped construction: the chain of Lam_{+q^(m-1/2)} factors itself."""
+
+    CAP = 5
+
+    @staticmethod
+    def chains(W, cap):
+        one = QHalfSeries.one(PolyRing(W.table, W.truncation), cap)
+        half = range(2 * cap - 1, 0, -2)
+        minus = reduce(mul, [_lam_factor(W, step, -1, cap) for step in half], one)
+        plus = reduce(mul, [_lam_factor(W, step, +1, cap) for step in half], one)
+        return minus, plus
+
+    @pytest.mark.parametrize("dim", [8, 12, 16, 20])
+    def test_spin_plus_chain_is_the_shift(self, dim):
+        TX = tangent_complexification(pontryagin_table(dim), dim)
+        minus, plus = self.chains(TX.reduce(), self.CAP)
+        assert plus == minus.tau_shift_half()
+        theta2 = theta_series("theta2", TX, cap=self.CAP)
+        # theta2 = S * minus with S over integer q-powers, so S * plus is theta2 shifted
+        assert theta_series("theta3", TX, cap=self.CAP) == theta2.tau_shift_half()
+        assert theta_series("theta2+theta3", TX, cap=self.CAP) == theta2 + theta2.tau_shift_half()
+
+    @pytest.mark.parametrize("dim", [8, 12, 16, 20])
+    def test_spin_v_plus_chain_is_the_shift(self, dim):
+        aux = pontryagin_table(dim, aux=True)
+        TX, V = tangent_complexification(aux, dim), aux_complexification(aux, dim)
+        Vr = V.reduce()
+        minus, plus = self.chains(Vr, self.CAP)
+        assert plus == minus.tau_shift_half()
+        one = QHalfSeries.one(PolyRing(aux, dim), self.CAP)
+        whole = reduce(mul, [_lam_factor(Vr, 2 * m, +1, self.CAP) for m in range(1, self.CAP + 1)], one)
+        sym = reduce(mul, [_sym_factor(TX.reduce(), n, self.CAP) for n in range(1, self.CAP + 1)], one)
+        assert theta_series("thetaV", TX, V, cap=self.CAP) == sym * whole * plus * minus
 
 
 class TestIntegerArguments:

@@ -149,8 +149,31 @@ QUOTIENT_DIGESTS = {
 }
 
 
+# sha256 of outputs that read the third theta sector, recorded from the engine
+# that built Θ3 from formulas of its own (B3 divisor sums, Λ_{+q^(m-1/2)}
+# chains) before each route took it as the half-period shift of its Θ2.
+SECTOR3_DIGESTS = {
+    ("expand", "--series", "theta3-ch", "--dim", "20", "--order", "5"):
+        "b93d712e4f6c301916cb53e73f99850b6706494f2c1cc410f4daa1101ae0949f",
+    ("expand", "--series", "theta2-ch", "--dim", "20", "--order", "5"):
+        "25542846da51755188e144f4636d6ccf464762f187dd5d0f28e6d8d751e2fbf6",
+    ("expand", "--series", "B3", "--tcap", "10", "--order", "5"):
+        "68eed3e9096ee719e3e64e2549e7db0ee79ba078aa03b8019d18510526282261",
+    ("verify", "--route", "theta", "--format", "json", "--order", "5"):
+        "f60d4a32434bf8d0b8cee70d3b6e920dff2371e82b51d49e4395de22f293a413",
+    ("verify", "--route", "bundle", "--format", "json", "--order", "5"):
+        "3f90ba04b67cdf2604e7b8267398b0d28590e7acff35bc2ca311ae3154979264",
+}
+
+
 class TestOutputsMatchTheSeedEngine:
     """Byte-identity guards for the outputs beyond `verify --format json`."""
+
+    @pytest.mark.parametrize("argv", sorted(SECTOR3_DIGESTS), ids=lambda argv: argv[2])
+    def test_third_sector_outputs(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert sha256(out) == SECTOR3_DIGESTS[argv]
 
     @pytest.mark.parametrize("series, dim", sorted(EXPAND_DIGESTS))
     def test_expand_order4(self, capsys, series, dim):

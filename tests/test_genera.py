@@ -7,14 +7,12 @@ import pytest
 
 from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.genera import (
-    GenusSeries,
     ahat_form,
     ahat_genus,
     aux_bundle_factor,
     cosh_genus,
     multiplicative_genus_eval,
     spinor_ch,
-    spinor_genus,
 )
 
 # One-variable Taylor tools over exact rationals, independent of the package's
@@ -103,22 +101,16 @@ def elementary_images(roots_table, xs, count, truncation):
 class TestGenusData:
     def test_ahat_log_coefficients(self):
         g = ahat_genus(12)
-        assert g.log_coeffs[0] == Fraction(-1, 24)
-        assert g.log_coeffs[1] == Fraction(1, 2880)
-        assert g.multiplier == 1
+        assert g[0] == Fraction(-1, 24)
+        assert g[1] == Fraction(1, 2880)
 
     @pytest.mark.parametrize("truncation", range(0, 33, 2))
     def test_log_coefficients_match_taylor_log(self, truncation):
         order = truncation // 4
         ahat = taylor_log(taylor_inverse(sinh_ratio(order), order), order)
         cosh = taylor_log(cosh_half(order), order)
-        assert ahat_genus(truncation).log_coeffs == tuple(ahat[1:])
-        assert spinor_genus(truncation).log_coeffs == tuple(cosh[1:])
-        assert cosh_genus(truncation).log_coeffs == tuple(cosh[1:])
-
-    def test_spinor_multiplier(self):
-        assert spinor_genus(8).multiplier == 2
-        assert cosh_genus(8).multiplier == 1
+        assert ahat_genus(truncation) == tuple(ahat[1:])
+        assert cosh_genus(truncation) == tuple(cosh[1:])
 
     def test_ahat_form_goldens(self):
         table = pontryagin_table(8)
@@ -143,9 +135,9 @@ class TestGenusData:
         assert ahat_form(table, 12) is ahat_form(again, 12)
         assert spinor_ch(table, 12) is spinor_ch(again, 12)
         assert aux_bundle_factor(table, "detcosh_V", 12) is aux_bundle_factor(again, "detcosh_V", 12)
-        assert ahat_form(table, 12) == multiplicative_genus_eval(table, ahat_genus(12), "pX", 6, 12)
-        assert spinor_ch(table, 12) == multiplicative_genus_eval(table, spinor_genus(12), "pX", 6, 12)
-        assert aux_bundle_factor(table, "detcosh_V", 12) == multiplicative_genus_eval(table, cosh_genus(12), "pV", 0, 12)
+        assert ahat_form(table, 12) == multiplicative_genus_eval(table, ahat_genus(12), "pX", 12)
+        assert spinor_ch(table, 12) == multiplicative_genus_eval(table, cosh_genus(12), "pX", 12) * 2**6
+        assert aux_bundle_factor(table, "detcosh_V", 12) == multiplicative_genus_eval(table, cosh_genus(12), "pV", 12)
 
     def test_spinor_rank(self):
         table = pontryagin_table(12)
@@ -167,14 +159,14 @@ class TestExplicitRootOracle:
 
     def test_ahat_oracle(self, truncation):
         r, roots, xs, p_table, images, order = self._setup(truncation)
-        engine = multiplicative_genus_eval(p_table, ahat_genus(truncation), "pX", r, truncation)
+        engine = multiplicative_genus_eval(p_table, ahat_genus(truncation), "pX", truncation)
         taylor = taylor_inverse(sinh_ratio(order), order)
         brute = brute_root_product(taylor, roots, xs, truncation)
         assert engine.substitute(images, truncation) == brute
 
     def test_spinor_oracle(self, truncation):
         r, roots, xs, p_table, images, order = self._setup(truncation)
-        engine = multiplicative_genus_eval(p_table, spinor_genus(truncation), "pX", r, truncation)
+        engine = multiplicative_genus_eval(p_table, cosh_genus(truncation), "pX", truncation) * 2**r
         taylor = [2 * c for c in cosh_half(order)]  # each root pair contributes 2*cosh(t/2)
         brute = brute_root_product(taylor, roots, xs, truncation)
         assert engine.substitute(images, truncation) == brute
@@ -194,10 +186,9 @@ class TestHalfAngleSignatureOracle:
         # Ahat(T)*ch(spinor) coincides with 2^(dim/2) * prod (t/2)/tanh(t/2),
         # assembled here from summed log-coefficients as a separate path
         table = pontryagin_table(dim)
-        a, c = ahat_genus(dim), cosh_genus(dim)
-        lhat = GenusSeries("lhat", tuple(x + y for x, y in zip(a.log_coeffs, c.log_coeffs)), 1)
+        lhat = tuple(x + y for x, y in zip(ahat_genus(dim), cosh_genus(dim)))
         left = ahat_form(table, dim) * spinor_ch(table, dim)
-        right = multiplicative_genus_eval(table, lhat, "pX", dim // 2, dim) * (2 ** (dim // 2))
+        right = multiplicative_genus_eval(table, lhat, "pX", dim) * (2 ** (dim // 2))
         assert left == right
 
 

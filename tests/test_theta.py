@@ -1,14 +1,16 @@
 """Theta quotients, the Jacobi product identity, and the root-product bridge."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.genera import aux_bundle_factor
-from anomaly.qseries import PolyRing, QHalfSeries
+from anomaly.qseries import PolyRing, QHalfSeries, qseries_exp
 from anomaly.theta import (
     TwoVarSeries,
+    _bridged_log,
     jacobi_identity_residual,
     line_quotient_evaluation,
     q_series_via_theta,
@@ -137,7 +139,7 @@ class TestRootProductBridge:
         for kind in ("A", "B1", "B2", "B3"):
             quot = theta_quotient(kind, trunc, cap)
             engine = symmetric_quotient_product(quot, p_table, "pX", trunc, cap)
-            subbed = engine.map_coefficients(lambda p: p.substitute(images), ring=root_ring)
+            subbed = QHalfSeries(root_ring, cap, {j2: p.substitute(images) for j2, p in engine.coeffs.items()})
             brute = QHalfSeries.one(root_ring, cap)
             for x in (x1, x2):
                 factor = QHalfSeries.zero(root_ring, cap)
@@ -176,3 +178,53 @@ class TestCaseSeriesViaTheta:
         assert series.integer_powers_only()
         # q^0 constant: the three sectors each contribute 1, scaled by 2^(dim/2)
         assert series.coefficient_q(0).constant_term == 3 * 2**4
+
+
+def b3_oracle(tcap, cap):
+    """B3 from its own closed form, the construction the engine dropped: the
+    t^(2m) q^(j2/2) coefficient of log B3 is 2/(2m)! times
+    sum_{d | j2, j2/d odd} (-1)^(d+1) d^(2m-1), and B3 is its exp."""
+    coeffs = {}
+    for j2 in range(1, 2 * cap + 1):
+        divisors = [d for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
+        for m in range(1, tcap // 2 + 1):
+            total = sum((-1) ** (d + 1) * d ** (2 * m - 1) for d in divisors)
+            if total:
+                coeffs[(2 * m, j2)] = Fraction(2 * total, factorial(2 * m))
+    return TwoVarSeries(tcap, cap, coeffs).exp()
+
+
+class TestHalfPeriodShift:
+    """The theta route takes B3 and the third spin sector as half-period shifts
+    of B2 and of the second sector; the oracle is the dropped B3 divisor sum."""
+
+    CAP = 5
+
+    def test_B3_quotient_matches_its_own_divisor_sum(self):
+        for tcap in (6, 10):
+            oracle = b3_oracle(tcap, self.CAP)
+            assert theta_quotient("B3", tcap, self.CAP) == oracle
+            assert theta_quotient("B3", tcap, self.CAP).log() == oracle.log()
+
+    @pytest.mark.parametrize("dim", [8, 12, 16, 20])
+    def test_spin_third_sector_is_the_shift(self, dim):
+        table, tcap, cap = pontryagin_table(dim), dim // 2, self.CAP
+        log_a = _bridged_log(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
+        sector2 = qseries_exp(log_a + _bridged_log(theta_quotient("B2", tcap, cap), table, "pX", dim, cap))
+        sector3 = qseries_exp(log_a + _bridged_log(b3_oracle(tcap, cap), table, "pX", dim, cap))
+        assert sector3 == sector2.tau_shift_half()
+        sector1 = qseries_exp(log_a + _bridged_log(theta_quotient("B1", tcap, cap), table, "pX", dim, cap))
+        assert q_series_via_theta(table, "spin", dim, cap) == (sector1 + sector2 + sector3).scale(2 ** (dim // 2))
+
+    @pytest.mark.parametrize("dim", [8, 12, 16, 20])
+    def test_spin_v_B3_log_is_the_shift(self, dim):
+        table, tcap, cap = pontryagin_table(dim, aux=True), dim // 2, self.CAP
+
+        def bridged(quotient, family):
+            return _bridged_log(quotient, table, family, dim, cap)
+
+        b2 = bridged(theta_quotient("B2", tcap, cap), "pV")
+        b3 = bridged(b3_oracle(tcap, cap), "pV")
+        assert b3 == b2.tau_shift_half()
+        log = bridged(theta_quotient("A", tcap, cap), "pX") + bridged(theta_quotient("B1", tcap, cap), "pV") + b2 + b3
+        assert q_series_via_theta(table, "spin_v", dim, cap) == qseries_exp(log)

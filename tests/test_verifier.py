@@ -142,7 +142,6 @@ class WideSpec:
     dim: int
     qcap: int
     route: str
-    impose: bool = True
 
     def table(self):
         return pontryagin_table(self.dim)
@@ -268,15 +267,20 @@ class TestRouteMismatch:
 
 
 class TestConditionMatters:
+    """Each route integrand's top degree, fitted with no case condition imposed."""
+
     @pytest.mark.parametrize("case,dim", [("spin_v", 8), ("spinc_l", 10)])
     def test_fit_fails_without_condition(self, case, dim):
-        spec = CaseSpec(case, dim, 2, impose=False)
-        fit = eisenstein_fit(assemble_Q(spec), spec.weight)
-        assert not fit.passed
+        spec = CaseSpec(case, dim, 2)
+        for integrand in (bundle_route_integrand, theta_route_integrand):
+            top = integrand(spec).homogeneous_component(dim)
+            assert not eisenstein_fit(top, spec.weight).passed
+            assert eisenstein_fit(impose_condition(top, case), spec.weight).passed
 
     def test_spin_needs_no_condition(self):
-        spec = CaseSpec("spin", 8, 2, impose=False)
-        assert eisenstein_fit(assemble_Q(spec), 4).passed
+        spec = CaseSpec("spin", 8, 2)
+        for integrand in (bundle_route_integrand, theta_route_integrand):
+            assert eisenstein_fit(integrand(spec).homogeneous_component(8), 4).passed
 
     def test_impose_condition_substitutions(self):
         spec = CaseSpec("spin_v", 8, 2)
@@ -316,6 +320,48 @@ class TestIdentityCatalog:
         assert spinv8 == ["Thm1.9-q1", "Thm1.9-q2", "Cor1.10-a", "Cor1.10-b"]
         spinc10 = [e.ident for e in identities_for("spinc_l", 10)]
         assert spinc10 == ["Thm1.21-q1", "Thm1.21-q2"]
+
+    def test_every_catalog_pair_selects_its_entries(self):
+        identities, corollaries = {}, {}
+        for case in CASE_DIMS:
+            for dim in CASE_DIMS[case]:
+                identities[case, dim] = [e.ident for e in identities_for(case, dim)]
+                corollaries[case, dim] = [c.ident for c in corollaries_for(case, dim)]
+        assert identities == {
+            ("spin", 8): ["Thm1.1-(1.1)", "Thm1.1-(1.2)"],
+            ("spin", 12): ["Thm1.3-(1.5)", "Thm1.3-(1.6)"],
+            ("spin", 16): ["Thm1.5-(1.9)", "Thm1.5-(1.10)"],
+            ("spin", 20): ["Thm1.7-(1.13)", "Thm1.7-(1.14)"],
+            ("spin_v", 8): ["Thm1.9-q1", "Thm1.9-q2", "Cor1.10-a", "Cor1.10-b"],
+            ("spin_v", 12): ["Thm1.12-q1", "Thm1.12-q2", "Cor1.13-a", "Cor1.13-b"],
+            ("spin_v", 16): ["Thm1.15-q1", "Cor1.16-a"],
+            ("spin_v", 20): ["Thm1.18-q1", "Cor1.19-a"],
+            ("spinc_l", 10): ["Thm1.21-q1", "Thm1.21-q2"],
+            ("spinc_l", 14): ["Thm1.23-q1", "Thm1.23-q2"],
+            ("spinc_l", 18): ["Thm1.25-q1"],
+            ("spinc_l", 22): ["Thm1.27-q1"],
+        }
+        assert corollaries == {
+            ("spin", 8): ["Cor1.2-a", "Cor1.2-b"],
+            ("spin", 12): ["Cor1.4-a", "Cor1.4-b"],
+            ("spin", 16): ["Cor1.6-a", "Cor1.6-b"],
+            ("spin", 20): ["Cor1.8-a", "Cor1.8-b"],
+            ("spin_v", 8): ["Cor1.11-a", "Cor1.11-b"],
+            ("spin_v", 12): ["Cor1.14-a", "Cor1.14-b"],
+            ("spin_v", 16): ["Cor1.17-a"],
+            ("spin_v", 20): ["Cor1.20-a"],
+            ("spinc_l", 10): ["Cor1.22-a", "Cor1.22-b"],
+            ("spinc_l", 14): ["Cor1.24-a", "Cor1.24-b"],
+            ("spinc_l", 18): ["Cor1.26-a"],
+            ("spinc_l", 22): ["Cor1.28-a"],
+        }
+
+    @pytest.mark.parametrize("case, dim", [("spinc", 10), ("spin", 9), ("spin", 10), ("spinc_l", 8)])
+    def test_a_case_with_no_entries_is_an_input_error(self, case, dim):
+        with pytest.raises(ValueError, match="no catalog identity"):
+            identities_for(case, dim)
+        with pytest.raises(ValueError, match="no catalog identity"):
+            corollaries_for(case, dim)
 
     @pytest.mark.parametrize("ident", sorted(IDENTITIES))
     def test_every_identity_verifies(self, ident):
