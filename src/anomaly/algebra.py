@@ -50,7 +50,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 Rational = Fraction
 

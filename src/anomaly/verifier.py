@@ -20,7 +20,7 @@ and a manifold's characteristic numbers are paired with every index form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -75,23 +75,30 @@ def case_weight(case: str, dim: int) -> int:
     return dim // 2 if case != "spinc_l" else (dim - 2) // 2
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+# The records of this module are named tuples: `collections` is loaded already,
+# and each class builds in about 0.1 ms, so they add next to nothing to the
+# start-up of a CLI process, which is a large share of a catalog run.
+
+
+class CaseSpec(namedtuple("CaseSpec", "case dim qcap route")):
     """One verification case: geometric setting, dimension, caps and route."""
 
-    case: str
-    dim: int
-    qcap: int = 3
-    route: str = "both"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}; expected one of {CASES}")
-        if not _is_int(self.dim) or self.dim not in CASE_DIMS[self.case]:
-            raise ValueError(f"case {self.case} supports dimensions {CASE_DIMS[self.case]}, got {self.dim!r}")
-        _nonnegative_int(self.qcap, "q-cap")
-        if self.route not in ("bundle", "theta", "both"):
-            raise ValueError(f"route must be bundle, theta or both, got {self.route!r}")
+    def __new__(cls, case: str, dim: int, qcap: int = 3, route: str = "both"):
+        if case not in CASES:
+            raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+        if not _is_int(dim) or dim not in CASE_DIMS[case]:
+            raise ValueError(f"case {case} supports dimensions {CASE_DIMS[case]}, got {dim!r}")
+        _nonnegative_int(qcap, "q-cap")
+        if route not in ("bundle", "theta", "both"):
+            raise ValueError(f"route must be bundle, theta or both, got {route!r}")
+        return super().__new__(cls, case, dim, qcap, route)
+
+    @classmethod
+    def _make(cls, iterable) -> "CaseSpec":
+        """Build through `__new__`, so `_replace` validates too."""
+        return cls(*iterable)
 
     @property
     def weight(self) -> int:
@@ -205,13 +212,11 @@ def assemble_Q(spec: CaseSpec) -> QHalfSeries:
 INSUFFICIENT_ORDER = "insufficient order: no q-coefficient compared"
 
 
-@dataclass
-class FitResult:
-    """Outcome of fitting a top-degree q-expansion against a basis form."""
+class FitResult(namedtuple("FitResult", "weight lam residual")):
+    """Outcome of fitting a top-degree q-expansion against a basis form:
+    weight (int), lam (GradedPoly) and residual (QHalfSeries)."""
 
-    weight: int
-    lam: GradedPoly
-    residual: QHalfSeries
+    __slots__ = ()
 
     @property
     def compared(self) -> int:
@@ -309,28 +314,21 @@ def _build_combo(combo, bundles: dict) -> VirtualBundle:
     return acc
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
-    """One stated identity: a case, a dimension and a q-power slot."""
+class IdentityEntry(namedtuple("IdentityEntry", "ident case dim q_power notes", defaults=((),))):
+    """One stated identity: a case (spin, spin_v, spin_v_line or spinc_l), a
+    dimension, a q-power slot and a tuple of note strings."""
 
-    ident: str
-    case: str  # spin | spin_v | spin_v_line | spinc_l
-    dim: int
-    q_power: int
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def weight(self) -> int:
         return case_weight(self.case, self.dim)
 
 
-@dataclass(frozen=True)
-class CorollaryEntry:
-    """A divisibility corollary: solve one identity for one index term."""
+class CorollaryEntry(namedtuple("CorollaryEntry", "ident source target")):
+    """A divisibility corollary: solve identity `source` for the index term `target`."""
 
-    ident: str
-    source: str
-    target: str
+    __slots__ = ()
 
 
 NOTE_SECTOR_2048 = (
@@ -458,8 +456,11 @@ PRINTED_VARIANTS = {
 def identities_for(case: str, dim: int) -> list[IdentityEntry]:
     """The catalog identities of one case; spin_v includes its line-bundle specialization.
 
-    A case or dimension with no catalog identity is an input error.
+    A case outside `CASES`, or a dimension with no catalog identity, is an
+    input error.
     """
+    if case not in CASES:
+        raise ValueError(f"no catalog identity for unknown case {case!r}; expected one of {CASES}")
     cases = (case, "spin_v_line") if case == "spin_v" else (case,)
     entries = [e for e in IDENTITIES.values() if e.case in cases and e.dim == dim]
     if not entries:
@@ -513,13 +514,11 @@ def index_relation_forms(
     return terms
 
 
-@dataclass
-class IdentityResult:
-    ident: str
-    passed: bool
-    residual: GradedPoly
-    constant: int
-    notes: tuple[str, ...] = ()
+class IdentityResult(namedtuple("IdentityResult", "ident passed residual constant notes", defaults=((),))):
+    """One identity check: the residual GradedPoly, the basis constant used and
+    the entry's notes."""
+
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -590,12 +589,11 @@ def corollary_modulus(cor_ident: str) -> int:
 # -- manifold evaluation ----------------------------------------------------------
 
 
-@dataclass
-class ManifoldData:
-    """Characteristic numbers of one closed manifold, keyed by monomial strings."""
+class ManifoldData(namedtuple("ManifoldData", "dim numbers")):
+    """Characteristic numbers of one closed manifold: the dimension and a dict
+    of Fractions keyed by monomial strings."""
 
-    dim: int
-    numbers: dict[str, Fraction]
+    __slots__ = ()
 
     @classmethod
     def from_mapping(cls, obj) -> "ManifoldData":
@@ -620,7 +618,11 @@ class ManifoldData:
 
     @classmethod
     def from_json(cls, text: str) -> "ManifoldData":
-        return cls.from_mapping(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ManifoldDataError("manifold data is nested too deeply") from None
+        return cls.from_mapping(obj)
 
 
 def _numbers_by_exponents(data: ManifoldData, table: GeneratorTable) -> dict[tuple[int, ...], Fraction]:
@@ -714,21 +716,16 @@ def evaluate_report(data: ManifoldData) -> dict:
 # -- case reports -------------------------------------------------------------------
 
 
-@dataclass
-class CaseReport:
-    case: str
-    dim: int
-    weight: int
-    qcap: int
-    route: str
-    route_ok: bool
-    route_detail: str
-    lam: str
-    fit_ok: bool
-    fit_residual: str
-    identities: list[IdentityResult] = field(default_factory=list)
-    moduli: list[tuple[str, str, int]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class CaseReport(
+    namedtuple(
+        "CaseReport",
+        "case dim weight qcap route route_ok route_detail lam fit_ok fit_residual identities moduli notes",
+    )
+):
+    """One case's outcome: route comparison, fit, identity results (a list of
+    IdentityResult), moduli (a list of (corollary, target, modulus)) and notes."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

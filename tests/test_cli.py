@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import io
 import json
 
 import pytest
@@ -310,6 +311,14 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--input", str(path))
         assert code == 4
         assert "bad manifold data" in err
+
+    def test_deeply_nested_stdin_exits_4(self, capsys, monkeypatch):
+        """Input nested past the JSON decoder's recursion limit is bad input, not a failed check."""
+        monkeypatch.setattr(cli.sys, "stdin", io.StringIO("[" * 100_000))
+        code, out, err = run(capsys, "evaluate", "--input", "-")
+        assert code == 4
+        assert out == ""
+        assert "bad manifold data: manifold data is nested too deeply" in err
 
     def test_bad_rational_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

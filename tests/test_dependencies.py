@@ -1,8 +1,11 @@
 """The package has zero runtime dependencies: `src/anomaly` imports only the
 standard library and its own modules (sympy and hypothesis are for tests).
-Its export list names each public name once, and each resolves."""
+Its export list names each public name once, and each resolves, and
+importing the CLI loads none of the slow-to-import standard modules."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +13,11 @@ import pytest
 
 import anomaly
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "anomaly").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "anomaly").glob("*.py"))
+# Each costs milliseconds of start-up in every CLI process; dataclasses alone
+# pulls in inspect, ast, dis and tokenize.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -42,3 +49,13 @@ def test_imports_only_the_standard_library(path):
 def test_every_export_resolves_once():
     assert len(anomaly.__all__) == len(set(anomaly.__all__))
     assert [name for name in anomaly.__all__ if not hasattr(anomaly, name)] == []
+
+
+def test_the_cli_imports_no_slow_module():
+    """A fresh interpreter without site (whose .pth files may preload typing)
+    imports `anomaly.cli` without loading any of SLOW_IMPORTS."""
+    probe = f"import sys, anomaly.cli; print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

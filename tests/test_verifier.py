@@ -25,6 +25,8 @@ from anomaly.verifier import (
     IDENTITIES,
     PRINTED_VARIANTS,
     CaseSpec,
+    IdentityEntry,
+    IdentityResult,
     ManifoldData,
     ManifoldDataError,
     NonIntegralSolveError,
@@ -84,6 +86,22 @@ class TestCaseSpec:
         for entry in IDENTITIES.values():
             assert entry.weight == case_weight(entry.case, entry.dim)
         assert case_weight("spin_v_line", 16) == 8
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            CaseSpec("spin", 8).dim = 12
+
+    def test_replace_validates(self):
+        assert CaseSpec("spin", 8)._replace(dim=12) == CaseSpec("spin", 12)
+        with pytest.raises(ValueError, match="supports dimensions"):
+            CaseSpec("spin", 8)._replace(dim=9)
+        with pytest.raises(ValueError, match="route"):
+            CaseSpec("spin", 8)._replace(route="shortcut")
+
+    def test_equal_specs_hash_equal(self):
+        a, b = CaseSpec("spin_v", 12, 2), CaseSpec("spin_v", 12, 2, "both")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, CaseSpec("spin_v", 12, 3)}) == 2
 
     def test_tables(self):
         assert "pV1" in CaseSpec("spin_v", 8).table()
@@ -356,12 +374,20 @@ class TestIdentityCatalog:
             ("spinc_l", 22): ["Cor1.28-a"],
         }
 
-    @pytest.mark.parametrize("case, dim", [("spinc", 10), ("spin", 9), ("spin", 10), ("spinc_l", 8)])
+    @pytest.mark.parametrize(
+        "case, dim", [("spinc", 10), ("spin", 9), ("spin", 10), ("spinc_l", 8), ("spin_v_line", 8), ("spin_v_line", 16)]
+    )
     def test_a_case_with_no_entries_is_an_input_error(self, case, dim):
+        """spin_v_line labels catalog entries of spin_v; it is not a case."""
         with pytest.raises(ValueError, match="no catalog identity"):
             identities_for(case, dim)
         with pytest.raises(ValueError, match="no catalog identity"):
             corollaries_for(case, dim)
+
+    def test_notes_default_to_empty(self):
+        assert IdentityEntry("Thm1.1-(1.1)", "spin", 8, 1).notes == ()
+        assert IdentityResult("Thm1.1-(1.1)", True, None, -240).notes == ()
+        assert IDENTITIES["Thm1.1-(1.1)"] == IdentityEntry("Thm1.1-(1.1)", "spin", 8, 1)
 
     @pytest.mark.parametrize("ident", sorted(IDENTITIES))
     def test_every_identity_verifies(self, ident):
