@@ -34,7 +34,7 @@ from .verifier import (
     corollary_modulus,
     evaluate_report,
     report_jsonable,
-    run_case,
+    run_cases,
 )
 
 _CASE_FLAGS = {"spin": "spin", "spin-v": "spin_v", "spinc-l": "spinc_l"}
@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
     if not pairs:
         print("anomaly: no catalog case matches the given filters", file=sys.stderr)
         return 3
-    reports = [run_case(CaseSpec(case, dim, qcap, args.route)) for case, dim in pairs]
+    reports = run_cases([CaseSpec(case, dim, qcap, args.route) for case, dim in pairs])
     if args.format == "json":
         print(json.dumps(report_jsonable(reports), sort_keys=True, indent=2))
     else:

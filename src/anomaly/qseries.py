@@ -284,6 +284,36 @@ class QHalfSeries(IntForm):
             ring, self.cap, *_substitute_monomials(self.den, self.items, ring.layout, images, ring.truncation)
         )
 
+    def cut(self, ring: PolyRing) -> "QHalfSeries":
+        """The terms of degree at most `ring.truncation`, re-keyed by generator name onto `ring.table`.
+
+        Both rings are polynomial, the target truncation is at most this
+        series' own, and every generator of the target table is in this one;
+        a kept term that carries a generator the target table lacks is a
+        ValueError.  The q-cap is kept.
+        """
+        source = self.ring
+        if not (isinstance(source, PolyRing) and isinstance(ring, PolyRing)):
+            raise RingMismatchError("cut needs polynomial coefficients on both sides")
+        truncation = ring.truncation
+        if truncation > source.truncation:
+            raise ValueError(f"cannot cut a series truncated at degree {source.truncation} to degree {truncation}")
+        old, new, table = source.layout, ring.layout, source.table
+        missing = [(i, name) for i, name in enumerate(table.names) if name not in ring.table]
+        lacked = sum(old.mask << old.bits * i for i, _ in missing)
+        picks = [table.index(name) for name in ring.table.names]
+        pack, unpack, shift = new.pack, old.unpack, new.sshift
+        items = []
+        for g, j2, key, num in self.items:
+            if g > truncation:
+                break  # the items are sorted by degree
+            if key & lacked:
+                name = next(name for i, name in missing if key >> old.bits * i & old.mask)
+                raise ValueError(f"a degree-{g} term carries generator {name!r}, which the target table lacks")
+            expts = unpack(key)
+            items.append((g, j2, pack(tuple(expts[i] for i in picks)) | j2 << shift, num))
+        return QHalfSeries._make(ring, self.cap, *_int_form(self.den, items))
+
     def promote(self, ring: PolyRing) -> "QHalfSeries":
         """Explicitly lift rational coefficients into a polynomial ring."""
         if not isinstance(self.ring, RationalRing):

@@ -7,7 +7,10 @@ is assembled along two independent routes - the bundle route (lambda-ring
 operations times multiplicative characteristic forms) and the theta route
 (products of theta quotients) - compared coefficient-by-coefficient, reduced
 to its top-degree part, and fitted against the monic modular basis form of
-the case's weight.
+the case's weight.  A dimension only truncates a case family's integrand
+(and, for spin, scales it by the spinor rank), so `run_cases` builds each
+family's routes once, at its largest selected dimension, and each route cuts
+the lower dimensions out of its own series.
 
 Each catalog identity is written once, as data: `_relation` lists its index
 terms, each a coefficient, a label, a multiplicative factor (Â, Â·ch(Δ),
@@ -20,9 +23,11 @@ and a manifold's characteristic numbers are paired with every index form.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .algebra import GeneratorTable, GradedPoly, _is_int, _nonnegative_int, pontryagin_table
 from .bundles import (
@@ -183,18 +188,47 @@ def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
     return "no coefficient differs; the series differ in ring or q-cap"
 
 
-def assemble_Q(spec: CaseSpec) -> QHalfSeries:
+# Each case family's integrand is one universal characteristic-class series: a
+# dimension only truncates it, except that the spin integrand also carries the
+# spinor rank 2^(dim/2) (in ch(Δ) and in the Θ2, Θ3 sectors' factor).  So its
+# cut from dimension D to d is divided by this base to the power (D - d)/2.
+_RANK_BASE = {"spin": 2}
+
+
+def _family_routes(top) -> tuple:
+    """The route integrands of `top`'s case family, built at `top.dim`:
+    (dimension, bundle series or None, theta series or None)."""
+    bundle = bundle_route_integrand(top) if top.route in ("bundle", "both") else None
+    theta = theta_route_integrand(top) if top.route in ("theta", "both") else None
+    return top.dim, bundle, theta
+
+
+def _cut(series: QHalfSeries | None, top_dim: int, spec) -> QHalfSeries | None:
+    """One route's integrand at `top_dim` cut to `spec.dim`: the degree <= dim
+    terms over `spec.table()`, divided by the case's rank base to the power
+    (top_dim - dim)/2.  A series at `spec.dim` already is returned as it is."""
+    if series is None or top_dim == spec.dim:
+        return series
+    cut = series.cut(PolyRing(spec.table(), spec.dim))
+    return cut * Fraction(1, _RANK_BASE.get(spec.case, 1) ** ((top_dim - spec.dim) // 2))
+
+
+def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     """The top-degree q-expansion of the case integrand, with the case
     condition imposed.
 
-    With route "both", the bundle and theta routes are computed independently
-    and must agree at every mixed degree before extraction.
+    `family` holds the route integrands of the spec's case family at a
+    dimension at or above `spec.dim` (`_family_routes`, as `run_cases` builds
+    them); each route's own series is cut to `spec.dim` (`_cut`).  Without
+    it the spec is its own top: both routes are built at `spec.dim` and
+    nothing is cut.  With route "both", the bundle and theta routes are
+    computed independently and must agree at every q-power and mixed degree
+    of `spec.dim` before extraction.
     """
-    series = None
-    if spec.route in ("bundle", "both"):
-        series = bundle_route_integrand(spec)
-    if spec.route in ("theta", "both"):
-        other = theta_route_integrand(spec)
+    top_dim, bundle, theta = _family_routes(spec) if family is None else family
+    series = _cut(bundle, top_dim, spec)
+    if theta is not None:
+        other = _cut(theta, top_dim, spec)
         if series is not None and series != other:
             bad = sorted(
                 j2
@@ -589,6 +623,20 @@ def corollary_modulus(cor_ident: str) -> int:
 # -- manifold evaluation ----------------------------------------------------------
 
 
+# A characteristic number is an ASCII integer or fraction; exponents, decimal
+# points, underscores and non-ASCII digits, which `Fraction` would also read,
+# are bad data.
+_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+# The digits of all characteristic numbers of one manifold add up to at most
+# this.  An index value pairs one catalog form (at most 19 terms, coefficients
+# of at most 12 digits over a denominator of at most 12 digits) with some of the
+# numbers, so its numerator and denominator each have at most this many digits
+# plus 14: below the 4300 digits that Python turns from int to str by default,
+# so every accepted input's report renders.
+MAX_NUMBER_DIGITS = 4000
+
+
 class ManifoldData(namedtuple("ManifoldData", "dim numbers")):
     """Characteristic numbers of one closed manifold: the dimension and a dict
     of Fractions keyed by monomial strings."""
@@ -597,6 +645,10 @@ class ManifoldData(namedtuple("ManifoldData", "dim numbers")):
 
     @classmethod
     def from_mapping(cls, obj) -> "ManifoldData":
+        """Validate a decoded JSON object: an integer "dim", and "numbers"
+        mapping monomial strings to `_NUMBER` strings of at most
+        `MAX_NUMBER_DIGITS` digits in all, all checked before any number is
+        built."""
         if not isinstance(obj, dict):
             raise ManifoldDataError("manifold data must be a JSON object")
         try:
@@ -606,13 +658,20 @@ class ManifoldData(namedtuple("ManifoldData", "dim numbers")):
             raise ManifoldDataError(f"manifold data needs key {missing}") from None
         if not isinstance(dim, int) or isinstance(dim, bool) or not isinstance(numbers, dict):
             raise ManifoldDataError('manifold data needs an integer "dim" and an object "numbers"')
-        parsed = {}
+        digits = 0
         for key, value in numbers.items():
             if not isinstance(value, str):
                 raise ManifoldDataError(f"characteristic number {key!r} must be a rational string")
+            if not _NUMBER.fullmatch(value):
+                raise ManifoldDataError(f"bad rational {value!r} for {key!r}: expected ASCII digits as -?[0-9]+(/[0-9]+)?")
+            digits += len(value) - value.startswith("-") - ("/" in value)
+        if digits > MAX_NUMBER_DIGITS:
+            raise ManifoldDataError(f"characteristic numbers have {digits} digits in all; at most {MAX_NUMBER_DIGITS} are accepted")
+        parsed = {}
+        for key, value in numbers.items():
             try:
                 parsed[str(key)] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as err:
+            except ZeroDivisionError as err:
                 raise ManifoldDataError(f"bad rational {value!r} for {key!r}: {err}") from None
         return cls(dim, parsed)
 
@@ -732,7 +791,34 @@ class CaseReport(
         return self.route_ok and self.fit_ok and all(r.passed for r in self.identities)
 
 
+def run_cases(specs) -> list[CaseReport]:
+    """Run each spec's route comparison, fit, identities and moduli; one report per spec, in order.
+
+    The specs are grouped by (case, q-cap, route), and each group's route
+    integrands are built once, at the group's largest dimension
+    (`_family_routes`).  Every spec of the group cuts its dimension out of
+    them inside each route (`assemble_Q`), so the two routes are still
+    compared at every q-power and mixed degree of each dimension.  One
+    group's series are dropped before the next group's are built.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.case, spec.qcap, spec.route), []).append(i)
+    reports: list = [None] * len(specs)
+    for members in groups.values():
+        family = _family_routes(max((specs[i] for i in members), key=attrgetter("dim")))
+        for i in members:
+            reports[i] = _case_report(specs[i], family)
+        del family
+    return reports
+
+
 def run_case(spec: CaseSpec) -> CaseReport:
+    """One spec's report: the batch of one (`run_cases`), built at `spec.dim`."""
+    return run_cases([spec])[0]
+
+
+def _case_report(spec: CaseSpec, family: tuple) -> CaseReport:
     notes: list[str] = []
     if spec.case == "spin_v":
         notes.append(NOTE_COMPLEXIFICATION)
@@ -742,7 +828,7 @@ def run_case(spec: CaseSpec) -> CaseReport:
 
     route_ok, route_detail = True, "single route" if spec.route != "both" else "bundle == theta"
     try:
-        q_top = assemble_Q(spec)
+        q_top = assemble_Q(spec, family)
     except RouteMismatchError as err:
         route_ok, route_detail = False, str(err)
         q_top = None

@@ -78,6 +78,19 @@ class TestVerify:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "5c915fc7ea07d935926bc6257f73c00e76e41647737a935680b3fd8439fb60d8"
 
+    @pytest.mark.parametrize("order", ["3", "7"])
+    def test_a_lone_case_reports_as_in_the_full_run(self, capsys, order):
+        """A lone case builds its routes at its own dimension; the full run cuts
+        each family's lower dimensions from its top: the reports agree."""
+        _, out, _ = run(capsys, "verify", "--format", "json", "--order", order)
+        full = {(case["case"], case["dim"]): case for case in json.loads(out)["cases"]}
+        assert len(full) == 12
+        flags = {case: flag for flag, case in cli._CASE_FLAGS.items()}
+        for (case, dim), entry in full.items():
+            code, out, _ = run(capsys, "verify", "--case", flags[case], "--dim", str(dim), "--order", order, "--format", "json")
+            assert code == 0
+            assert json.loads(out) == {"cases": [entry], "passed": True}
+
     def test_json_runs_are_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")
         _, out2, _ = run(capsys, "verify", "--case", "spinc-l", "--dim", "10", "--order", "2", "--format", "json")
@@ -325,6 +338,30 @@ class TestEvaluate:
         path.write_text('{"dim": 8, "numbers": {"pX1^2": "x", "pX2": "7"}}', encoding="utf-8")
         code, _, _ = run(capsys, "evaluate", "--input", str(path))
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["1e3", "2.5", "7_0", "\uff17", "+7", " 7", "7" * 4299, "1e999999999"])
+    def test_number_outside_the_grammar_or_bound_exits_4(self, capsys, tmp_path, value):
+        """Only ASCII -?[0-9]+(/[0-9]+)? of at most MAX_NUMBER_DIGITS digits in all is read;
+        Fraction would read the rest, or build 10^999999999, or fail to render the report."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 8, "numbers": {"pX1^2": "4", "pX2": value}}), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "bad manifold data" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_digit_bound_is_inclusive(self, capsys, tmp_path, extra):
+        """Numbers of MAX_NUMBER_DIGITS digits in all render; one digit more is bad data."""
+        half = verifier.MAX_NUMBER_DIGITS // 2
+        numbers = {"pX1^2": "-" + "7" * half, "pX2": "9" * (half - 1 + extra) + "/8"}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 8, "numbers": numbers}), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path), "--format", "json")
+        if extra:
+            assert code == 4 and "digits in all" in err
+        else:
+            assert code in (0, 1) and json.loads(out)["dim"] == 8
 
     def test_missing_monomial_exits_4(self, capsys, tmp_path):
         path = tmp_path / "partial.json"

@@ -113,6 +113,43 @@ class TestPolynomialCoefficients:
         assert e.coefficient_q(2) == p1 * p1 / 2
         assert e.coefficient_q(3) == GradedPoly.zero(table, 8)  # p1^3 truncates away
 
+    def test_cut_keeps_low_degrees_and_rekeys_by_name(self):
+        big = pontryagin_table(12, aux=True)  # pX1..pX3, pV1..pV3
+        small = pontryagin_table(8, aux=True)  # pX1, pX2, pV1, pV2: pV* sit at other digits
+        ring = PolyRing(small, 8)
+
+        def poly(table, trunc, text):
+            return GradedPoly(table, trunc, {table.parse_monomial(m): Fraction(c) for m, c in text.items()})
+
+        s = QHalfSeries(PolyRing(big, 12), 2, {
+            0: poly(big, 12, {"1": 3, "pV1": -2, "pX1*pV1": Fraction(1, 6), "pX3": 5, "pV1^3": 1}),
+            3: poly(big, 12, {"pV2": 4, "pX1*pV1*pV1": 7}),
+        })
+        cut = s.cut(ring)
+        assert cut.ring == ring and cut.cap == 2
+        assert cut == QHalfSeries(ring, 2, {
+            0: poly(small, 8, {"1": 3, "pV1": -2, "pX1*pV1": Fraction(1, 6)}),
+            3: poly(small, 8, {"pV2": 4}),
+        })
+        assert cut.coeffs[0].coefficient("pX1*pV1") == Fraction(1, 6)
+        assert cut.coeffs[3].coefficient("pV2") == 4
+        assert s.cut(s.ring) == s
+
+    def test_cut_rejects_a_term_the_target_table_lacks(self):
+        big = pontryagin_table(12)
+        s = QHalfSeries(PolyRing(big, 12), 1, {2: GradedPoly.generator(big, "pX3", 12)})
+        with pytest.raises(ValueError, match="'pX3'"):
+            s.cut(PolyRing(pontryagin_table(8), 12))
+        assert s.cut(PolyRing(pontryagin_table(8), 8)).is_zero()  # pX3 has degree 12 > 8: cut, not carried
+
+    def test_cut_cannot_raise_the_truncation(self):
+        table = pontryagin_table(12)
+        s = QHalfSeries.one(PolyRing(table, 8), 1)
+        with pytest.raises(ValueError, match="cannot cut"):
+            s.cut(PolyRing(table, 12))
+        with pytest.raises(RingMismatchError):
+            QHalfSeries.one(RATIONALS, 1).cut(PolyRing(table, 8))
+
     def test_qseries_exp_needs_nilpotent_start(self):
         table = pontryagin_table(8)
         ring = PolyRing(table, 8)

@@ -17,7 +17,7 @@ from anomaly.bundles import (
     tangent_complexification,
     theta_series,
 )
-from anomaly.qseries import RATIONALS, QHalfSeries
+from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries
 from anomaly.theta import line_quotient_evaluation, symmetric_quotient_product, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
@@ -46,6 +46,7 @@ from anomaly.verifier import (
     index_relation_forms,
     report_jsonable,
     run_case,
+    run_cases,
     theta_route_integrand,
     verify_identity,
     verify_identity_as_printed,
@@ -282,6 +283,72 @@ class TestRouteMismatch:
         report = run_case(self.SPEC)
         assert not report.route_ok and not report.passed
         assert "first difference at q^1, monomial pX1:" in report.route_detail
+
+
+def family_cut(series, case, top, dim, extra_halvings=0):
+    """The route integrand `series` of `case` at dimension `top` cut to `dim`, rank-scaled for spin."""
+    halvings = (top - dim) // 2 if case == "spin" else 0
+    cut = series.cut(PolyRing(CaseSpec(case, dim).table(), dim))
+    return cut * Fraction(1, 2 ** (halvings + extra_halvings))
+
+
+class TestFamilyCut:
+    """Each family's integrand at its top dimension, cut, is the integrand at every lower dimension."""
+
+    @pytest.mark.parametrize("order", [0, 3, 7])
+    @pytest.mark.parametrize("case", sorted(CASE_DIMS))
+    @pytest.mark.parametrize("route", [bundle_route_integrand, theta_route_integrand], ids=["bundle", "theta"])
+    def test_cut_of_the_top_equals_the_direct_build(self, route, case, order):
+        top, *lower = sorted(CASE_DIMS[case], reverse=True)
+        series = route(CaseSpec(case, top, order))
+        for dim in lower:
+            assert family_cut(series, case, top, dim) == route(CaseSpec(case, dim, order)), dim
+
+    @pytest.mark.parametrize("route", [bundle_route_integrand, theta_route_integrand], ids=["bundle", "theta"])
+    def test_spin_cut_needs_the_full_rank_factor(self, route):
+        series = route(CaseSpec("spin", 20, 2))
+        for dim in (8, 12, 16):
+            wrong = family_cut(series, "spin", 20, dim, extra_halvings=-1)  # 2^((20 - dim)/2 - 1)
+            assert wrong != route(CaseSpec("spin", dim, 2))
+            assert wrong == family_cut(series, "spin", 20, dim) * 2
+
+    def test_each_family_is_built_once_at_its_top(self, monkeypatch):
+        built = []
+        for name in ("bundle_route_integrand", "theta_route_integrand"):
+            original = getattr(verifier, name)
+
+            def counting(spec, original=original, name=name):
+                built.append((name, spec.case, spec.dim))
+                return original(spec)
+
+            monkeypatch.setattr(verifier, name, counting)
+        specs = [CaseSpec(case, dim, 1) for case, dim in ALL_CASES]
+        reports = run_cases(specs)
+        assert [(r.case, r.dim) for r in reports] == ALL_CASES
+        assert all(r.passed for r in reports)
+        assert sorted(built) == sorted(
+            (name, case, max(CASE_DIMS[case]))
+            for name in ("bundle_route_integrand", "theta_route_integrand")
+            for case in CASE_DIMS
+        )
+        built.clear()
+        run_case(CaseSpec("spin", 8, 1))  # a lone spec is its own top
+        assert sorted(built) == [("bundle_route_integrand", "spin", 8), ("theta_route_integrand", "spin", 8)]
+
+    def test_a_perturbed_top_shows_at_every_dimension(self, monkeypatch):
+        """A delta at q^1 * pX2 in the theta route's top series reaches each cut, rank-scaled."""
+        delta = Fraction(1, 7)
+        perturb_theta_route(monkeypatch, [(2, "pX2", delta)])
+        reports = run_cases([CaseSpec("spin", dim, 1) for dim in CASE_DIMS["spin"]])
+        for report in reports:
+            dim = report.dim
+            before = bundle_route_integrand(CaseSpec("spin", dim, 1)).coefficient(2).coefficient("pX2")
+            after = before + delta / 2 ** ((20 - dim) // 2)
+            assert not report.route_ok and not report.passed
+            assert f"disagree for spin dim {dim} at doubled q-exponents [2]" in report.route_detail
+            assert (
+                f"first difference at q^1, monomial pX2: bundle route {before}, theta route {after}"
+            ) in report.route_detail
 
 
 class TestConditionMatters:
@@ -559,6 +626,31 @@ class TestManifoldData:
         for flag in (True, False):
             with pytest.raises(ManifoldDataError, match='integer "dim"'):
                 ManifoldData.from_mapping({"dim": flag, "numbers": {}})
+
+    @pytest.mark.parametrize("case,dim", [(c, d) for c, d in ALL_CASES if c != "spin_v"])
+    def test_numbers_at_the_digit_bound_render_in_every_dimension(self, case, dim):
+        """Every monomial of degree dim gets 1 over a power of its own prime, the
+        powers as long as MAX_NUMBER_DIGITS allows in all: each index value,
+        whose denominator is about their product, stays printable."""
+        table = CaseSpec(case, dim).table()
+        monomials = [()]
+        for degree in table.degrees:
+            monomials = [m + (e,) for m in monomials for e in range(dim // degree + 1)]
+        keys = [table.monomial_string(m) for m in monomials if table.monomial_degree(m) == dim]
+        width = verifier.MAX_NUMBER_DIGITS // len(keys) - 1
+        numbers = {}
+        for key, prime in zip(keys, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)):
+            power = prime
+            while len(str(power * prime)) <= width:
+                power *= prime
+            numbers[key] = f"-1/{power}"
+        spare = verifier.MAX_NUMBER_DIGITS - sum(len(v) - 2 for v in numbers.values())
+        numbers[keys[0]] = "1" * spare + numbers[keys[0]][1:]
+        report = evaluate_report(ManifoldData.from_mapping({"dim": dim, "numbers": numbers}))
+        longest = max(len(row["value"]) for row in report["indices"] + report["checks"])
+        assert longest > verifier.MAX_NUMBER_DIGITS
+        with pytest.raises(ManifoldDataError, match="digits in all"):
+            ManifoldData.from_mapping({"dim": dim, "numbers": {**numbers, keys[0]: "1" + numbers[keys[0]]}})
 
     def test_evaluate_errors(self):
         from anomaly.algebra import pontryagin_table
