@@ -190,20 +190,32 @@ class GeneratorTable:
         return tuple(expts)
 
 
+# The interned tables of `pontryagin_table`, by (dim // 4, aux, line).
+_TABLES: dict[tuple[int, bool, bool], GeneratorTable] = {}
+
+
 def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> GeneratorTable:
     """Standard generator table for a dimension-`dim` computation.
 
     Generators pX1..pX_{dim//4} of degree 4i; with `aux` also pV1..pV_{dim//4};
-    with `line` also the degree-2 class cL.
+    with `line` also the degree-2 class cL.  The tables are interned: equal
+    generators give the same instance, however the arguments are spelled, so
+    every caller shares its power sums, degree memo and key layouts.
     """
+    if not _is_int(dim):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < 4:
         raise ValueError("dimension must be at least 4")
-    gens = [(f"pX{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-    if aux:
-        gens += [(f"pV{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-    if line:
-        gens.append(("cL", 2))
-    return GeneratorTable(gens)
+    key = (dim // 4, bool(aux), bool(line))
+    table = _TABLES.get(key)
+    if table is None:
+        gens = [(f"pX{i}", 4 * i) for i in range(1, dim // 4 + 1)]
+        if aux:
+            gens += [(f"pV{i}", 4 * i) for i in range(1, dim // 4 + 1)]
+        if line:
+            gens.append(("cL", 2))
+        table = _TABLES[key] = GeneratorTable(gens)
+    return table
 
 
 # -- packed keys -------------------------------------------------------------------
@@ -309,6 +321,31 @@ def _int_form(den: int, items: list) -> tuple[int, list]:
         den //= d
         items = [(g, side, key, num // d) for g, side, key, num in items]
     return den, items
+
+
+def _cut_items(items: list, old: KeyLayout, new: KeyLayout, truncation: int) -> list:
+    """The items of grade at most `truncation`, re-keyed by generator name from
+    `old`'s table onto `new`'s; each side grade stays the top digit.
+
+    Every generator of the new table must be in the old one.  A kept term
+    that carries a generator the new table lacks is a ValueError.  The
+    result is unsorted and not reduced: pass it through `_int_form`.
+    """
+    table = old.table
+    missing = [(i, name) for i, name in enumerate(table.names) if name not in new.table]
+    lacked = sum(old.mask << old.bits * i for i, _ in missing)
+    picks = [table.index(name) for name in new.table.names]
+    pack, unpack, shift = new.pack, old.unpack, new.sshift
+    kept = []
+    for g, side, key, num in items:
+        if g > truncation:
+            break  # the items are sorted by grade
+        if key & lacked:
+            name = next(name for i, name in missing if key >> old.bits * i & old.mask)
+            raise ValueError(f"a degree-{g} term carries generator {name!r}, which the target table lacks")
+        expts = unpack(key)
+        kept.append((g, side, pack(tuple(expts[i] for i in picks)) | side << shift, num))
+    return kept
 
 
 def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 0) -> None:
@@ -762,6 +799,19 @@ class GradedPoly(IntForm):
         else:
             items = [(g, s, new.pack(old.unpack(key)), num) for g, s, key, num in self.items if g <= truncation]
         return GradedPoly._make(self.table, truncation, *_int_form(self.den, items))
+
+    def cut(self, table: GeneratorTable, truncation: int) -> "GradedPoly":
+        """The terms of degree at most `truncation`, re-keyed by generator name onto `table`.
+
+        The truncation is at most this polynomial's own, and every generator
+        of `table` is in this one's; a kept term that carries a generator
+        `table` lacks is a ValueError (`_cut_items`).
+        """
+        layout = table.layout(_even_truncation(truncation))
+        if truncation > self.truncation:
+            raise ValueError(f"cannot cut a polynomial truncated at degree {self.truncation} to degree {truncation}")
+        items = _cut_items(self.items, self.layout, layout, truncation)
+        return GradedPoly._make(table, truncation, *_int_form(self.den, items))
 
     # -- substitution ------------------------------------------------------
 

@@ -26,6 +26,7 @@ from .algebra import (
     GeneratorTable,
     GradedPoly,
     IntForm,
+    _cut_items,
     _even_truncation,
     _exp_form,
     _int_form,
@@ -298,20 +299,7 @@ class QHalfSeries(IntForm):
         truncation = ring.truncation
         if truncation > source.truncation:
             raise ValueError(f"cannot cut a series truncated at degree {source.truncation} to degree {truncation}")
-        old, new, table = source.layout, ring.layout, source.table
-        missing = [(i, name) for i, name in enumerate(table.names) if name not in ring.table]
-        lacked = sum(old.mask << old.bits * i for i, _ in missing)
-        picks = [table.index(name) for name in ring.table.names]
-        pack, unpack, shift = new.pack, old.unpack, new.sshift
-        items = []
-        for g, j2, key, num in self.items:
-            if g > truncation:
-                break  # the items are sorted by degree
-            if key & lacked:
-                name = next(name for i, name in missing if key >> old.bits * i & old.mask)
-                raise ValueError(f"a degree-{g} term carries generator {name!r}, which the target table lacks")
-            expts = unpack(key)
-            items.append((g, j2, pack(tuple(expts[i] for i in picks)) | j2 << shift, num))
+        items = _cut_items(self.items, source.layout, ring.layout, truncation)
         return QHalfSeries._make(ring, self.cap, *_int_form(self.den, items))
 
     def promote(self, ring: PolyRing) -> "QHalfSeries":

@@ -10,7 +10,8 @@ to its top-degree part, and fitted against the monic modular basis form of
 the case's weight.  A dimension only truncates a case family's integrand
 (and, for spin, scales it by the spinor rank), so `run_cases` builds each
 family's routes once, at its largest selected dimension, and each route cuts
-the lower dimensions out of its own series.
+the lower dimensions out of its own series.  The family compares its two top
+series once; only when they differ does each dimension compare its own cuts.
 
 Each catalog identity is written once, as data: `_relation` lists its index
 terms, each a coefficient, a label, a multiplicative factor (Â, Â·ch(Δ),
@@ -18,6 +19,10 @@ terms, each a coefficient, a label, a multiplicative factor (Â, Â·ch(Δ),
 the identity is rebuilt as an exact polynomial identity, its corollary is read
 as an integer relation solved for the first term (the divisibility modulus),
 and a manifold's characteristic numbers are paired with every index form.
+The index forms are universal too: `run_cases` builds each distinct one once
+per family, at the family's largest dimension, and an identity at dimension d
+sums their degree-d parts, the spinor factor's divided by its rank ratio, and
+cuts only the residual to its own table.  A lone identity is its own top.
 """
 
 from __future__ import annotations
@@ -188,29 +193,39 @@ def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
     return "no coefficient differs; the series differ in ring or q-cap"
 
 
-# Each case family's integrand is one universal characteristic-class series: a
-# dimension only truncates it, except that the spin integrand also carries the
-# spinor rank 2^(dim/2) (in ch(Δ) and in the Θ2, Θ3 sectors' factor).  So its
-# cut from dimension D to d is divided by this base to the power (D - d)/2.
-_RANK_BASE = {"spin": 2}
+# Each case family's integrand, and each index form, is one universal
+# characteristic-class series: a dimension only truncates it, except that the
+# spinor rank 2^(dim/2) rides along in the spin integrand (in ch(Δ) and in the
+# Θ2, Θ3 sectors' factor) and in the spinor factor Â·ch(Δ).  So what is built
+# at dimension D is, up to degree d, the same at d times `_rank_ratio`.
+_RANK_BASE = {"spin": 2, "spinor": 2}
+
+
+def _rank_ratio(kind: str, top_dim: int, dim: int) -> int:
+    """A case's integrand or a factor's form (`kind`) at `top_dim` over the same
+    at `dim`: the rank base to the power (top_dim - dim)/2, 1 for every case
+    and factor without one."""
+    return _RANK_BASE.get(kind, 1) ** ((top_dim - dim) // 2)
 
 
 def _family_routes(top) -> tuple:
     """The route integrands of `top`'s case family, built at `top.dim`:
-    (dimension, bundle series or None, theta series or None)."""
+    (dimension, bundle series or None, theta series or None, whether both are
+    built and equal)."""
     bundle = bundle_route_integrand(top) if top.route in ("bundle", "both") else None
     theta = theta_route_integrand(top) if top.route in ("theta", "both") else None
-    return top.dim, bundle, theta
+    return top.dim, bundle, theta, bundle is not None and bundle == theta
 
 
 def _cut(series: QHalfSeries | None, top_dim: int, spec) -> QHalfSeries | None:
     """One route's integrand at `top_dim` cut to `spec.dim`: the degree <= dim
-    terms over `spec.table()`, divided by the case's rank base to the power
-    (top_dim - dim)/2.  A series at `spec.dim` already is returned as it is."""
+    terms over `spec.table()`, divided by the case's `_rank_ratio`.  A series
+    at `spec.dim` already is returned as it is."""
     if series is None or top_dim == spec.dim:
         return series
     cut = series.cut(PolyRing(spec.table(), spec.dim))
-    return cut * Fraction(1, _RANK_BASE.get(spec.case, 1) ** ((top_dim - spec.dim) // 2))
+    ratio = _rank_ratio(spec.case, top_dim, spec.dim)
+    return cut if ratio == 1 else cut * Fraction(1, ratio)
 
 
 def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
@@ -223,11 +238,14 @@ def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     it the spec is its own top: both routes are built at `spec.dim` and
     nothing is cut.  With route "both", the bundle and theta routes are
     computed independently and must agree at every q-power and mixed degree
-    of `spec.dim` before extraction.
+    of `spec.dim` before extraction.  Two equal top series have equal cuts,
+    so the family compares its tops once and, when they agree, only the
+    bundle route is cut; when they differ, each dimension cuts and compares
+    both routes and names its own first difference.
     """
-    top_dim, bundle, theta = _family_routes(spec) if family is None else family
+    top_dim, bundle, theta, agree = _family_routes(spec) if family is None else family
     series = _cut(bundle, top_dim, spec)
-    if theta is not None:
+    if theta is not None and not agree:
         other = _cut(theta, top_dim, spec)
         if series is not None and series != other:
             bad = sorted(
@@ -515,6 +533,55 @@ def _basis_coefficient(weight: int, q_power: int) -> int:
     return int(value)
 
 
+def _entry_table(entry: IdentityEntry, dim: int) -> GeneratorTable:
+    return pontryagin_table(dim, aux=entry.case == "spin_v", line=entry.case in ("spin_v_line", "spinc_l"))
+
+
+def _index_forms(entries) -> tuple:
+    """Every distinct index form of the entries' relations, each built once at
+    their largest dimension D: (D, {(case, factor, combo): form}).
+
+    A form is {factor * ch(combo)} over the case's table at D, truncated at
+    D; the untwisted factor sits under combo None.  An identity at dimension
+    d reads the degree-d parts of its forms (`_relation_terms`).
+    """
+    top = max(entry.dim for entry in entries)
+    forms: dict[tuple, GradedPoly] = {}
+    bundles: dict[str, dict] = {}
+    for entry in entries:
+        case = entry.case
+        table = _entry_table(entry, top)
+        for _, _, factor, combo in _relation(entry, 0):
+            if (case, factor, None) not in forms:
+                forms[case, factor, None] = _factor_form(table, factor, top)
+            if (case, factor, combo) in forms:
+                continue
+            if case not in bundles:
+                bundles[case] = {"T": tangent_complexification(table, top).reduce()}
+                if case in _AUX_BUNDLE:
+                    bundles[case]["V"] = _AUX_BUNDLE[case](table, top).reduce()
+            forms[case, factor, combo] = forms[case, factor, None] * _build_combo(combo, bundles[case]).ch()
+    return top, forms
+
+
+def _relation_terms(
+    entry: IdentityEntry, forms: tuple, e: int, extract: int | None = None, rhs_sector: int | None = None
+) -> list:
+    """The identity's index terms read off `forms` (`_index_forms`) at their
+    dimension D: (coefficient, label, form, rank ratio) quadruples.
+
+    Each form is the degree-d part, d = dim unless `extract` overrides it, of
+    the index form over D's table: the entry's own form times the rank ratio
+    (`_rank_ratio`) of its factor.
+    """
+    top, by_key = forms
+    d = entry.dim if extract is None else extract
+    return [
+        (coeff, label, by_key[entry.case, factor, combo].homogeneous_component(d), _rank_ratio(factor, top, entry.dim))
+        for coeff, label, factor, combo in _relation(entry, e, rhs_sector)
+    ]
+
+
 def index_relation_forms(
     entry: IdentityEntry,
     *,
@@ -525,27 +592,14 @@ def index_relation_forms(
     """The identity as an integer relation sum_i c_i * x_i = 0 among indices.
 
     Returns a list of (coefficient, label, form) triples; each form is the
-    pairing polynomial {factor * ch(combo)}^(d) of its index, at the degree d
-    = dim unless `extract` overrides it.  The relation holds after the case
-    condition is substituted into the forms.
+    pairing polynomial {factor * ch(combo)}^(d) of its index over the
+    entry's own table, at the degree d = dim unless `extract` overrides it.
+    The relation holds after the case condition is substituted into the
+    forms.
     """
-    dim = entry.dim
     e = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
-    d = dim if extract is None else extract
-    table = pontryagin_table(dim, aux=entry.case == "spin_v", line=entry.case in ("spin_v_line", "spinc_l"))
-    bundles = {"T": tangent_complexification(table, dim).reduce()}
-    if entry.case in _AUX_BUNDLE:
-        bundles["V"] = _AUX_BUNDLE[entry.case](table, dim).reduce()
-    factors: dict[str, GradedPoly] = {}
-    terms = []
-    for coeff, label, factor, combo in _relation(entry, e, rhs_sector):
-        if factor not in factors:
-            factors[factor] = _factor_form(table, factor, dim)
-        form = factors[factor]
-        if combo is not None:
-            form = form * _build_combo(combo, bundles).ch()
-        terms.append((coeff, label, form.homogeneous_component(d)))
-    return terms
+    terms = _relation_terms(entry, _index_forms([entry]), e, extract, rhs_sector)
+    return [(coeff, label, form) for coeff, label, form, _ in terms]
 
 
 class IdentityResult(namedtuple("IdentityResult", "ident passed residual constant notes", defaults=((),))):
@@ -566,21 +620,35 @@ def _entry(ident: str) -> IdentityEntry:
         raise UnknownIdentityError(f"unknown identity {ident!r}") from None
 
 
-def verify_identity(ident: str, **overrides) -> IdentityResult:
+def verify_identity(
+    ident: str,
+    forms: tuple | None = None,
+    *,
+    e_const: int | None = None,
+    extract: int | None = None,
+    rhs_sector: int | None = None,
+) -> IdentityResult:
     """Rebuild the stated identity from its bundle combination and check it.
 
-    Accepts override keywords (e_const, extract, rhs_sector) so
-    the uncorrected printed statements can be run as negative controls.
+    `forms` holds the index forms of the entry's case family at a dimension
+    D at or above the entry's own (`_index_forms`, as `run_cases` builds
+    them).  The relation is summed over D's table, each spinor term divided
+    by its rank ratio, and only the residual is cut to the entry's table.
+    Without `forms` the entry is its own top and nothing is cut.  The
+    override keywords (e_const, extract, rhs_sector) let the uncorrected
+    printed statements run as negative controls.
     """
     entry = _entry(ident)
-    terms = index_relation_forms(entry, **overrides)
+    constant = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
+    if forms is None:
+        forms = _index_forms([entry])
     acc = None
-    for coeff, _, form in terms:
-        piece = form * coeff
+    for coeff, _, form, ratio in _relation_terms(entry, forms, constant, extract, rhs_sector):
+        piece = form * (coeff if ratio == 1 else Fraction(coeff, ratio))
         acc = piece if acc is None else acc + piece
     residual = impose_condition(acc, entry.case)
-    e = overrides.get("e_const")
-    constant = _basis_coefficient(entry.weight, entry.q_power) if e is None else e
+    if forms[0] != entry.dim:  # a family top: the residual goes onto the entry's own table
+        residual = residual.cut(_entry_table(entry, entry.dim), entry.dim)
     return IdentityResult(ident, residual.is_zero(), residual, constant, entry.notes)
 
 
@@ -795,21 +863,25 @@ def run_cases(specs) -> list[CaseReport]:
     """Run each spec's route comparison, fit, identities and moduli; one report per spec, in order.
 
     The specs are grouped by (case, q-cap, route), and each group's route
-    integrands are built once, at the group's largest dimension
-    (`_family_routes`).  Every spec of the group cuts its dimension out of
-    them inside each route (`assemble_Q`), so the two routes are still
-    compared at every q-power and mixed degree of each dimension.  One
-    group's series are dropped before the next group's are built.
+    integrands and the index forms of its identities are built once, at the
+    group's largest dimension (`_family_routes`, `_index_forms`).  Every spec
+    of the group cuts its dimension out of them: inside each route
+    (`assemble_Q`), so the two routes are still compared at every q-power
+    and mixed degree of each dimension, and per identity as degree-d parts
+    (`verify_identity`).  One group's series and forms are dropped before
+    the next group's are built.
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.case, spec.qcap, spec.route), []).append(i)
     reports: list = [None] * len(specs)
     for members in groups.values():
-        family = _family_routes(max((specs[i] for i in members), key=attrgetter("dim")))
-        for i in members:
-            reports[i] = _case_report(specs[i], family)
-        del family
+        group = [specs[i] for i in members]
+        family = _family_routes(max(group, key=attrgetter("dim")))
+        forms = _index_forms([entry for spec in group for entry in identities_for(spec.case, spec.dim)])
+        for i, spec in zip(members, group):
+            reports[i] = _case_report(spec, family, forms)
+        del family, forms
     return reports
 
 
@@ -818,7 +890,7 @@ def run_case(spec: CaseSpec) -> CaseReport:
     return run_cases([spec])[0]
 
 
-def _case_report(spec: CaseSpec, family: tuple) -> CaseReport:
+def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
     notes: list[str] = []
     if spec.case == "spin_v":
         notes.append(NOTE_COMPLEXIFICATION)
@@ -841,7 +913,7 @@ def _case_report(spec: CaseSpec, family: tuple) -> CaseReport:
     else:
         lam_text, fit_ok, fit_residual = "", False, "route mismatch"
 
-    results = [verify_identity(entry.ident) for entry in identities_for(spec.case, spec.dim)]
+    results = [verify_identity(entry.ident, forms) for entry in identities_for(spec.case, spec.dim)]
     moduli = [
         (cor.ident, cor.target, corollary_modulus(cor.ident))
         for cor in corollaries_for(spec.case, spec.dim)

@@ -71,6 +71,23 @@ class TestGeneratorTable:
         with pytest.raises(ValueError):
             pontryagin_table(2)
 
+    def test_pontryagin_tables_are_interned(self):
+        """Equal generators give one instance, however the arguments are spelled."""
+        spin = pontryagin_table(8)
+        assert pontryagin_table(8, aux=False, line=False) is spin
+        assert pontryagin_table(dim=8) is spin and pontryagin_table(8, aux=0, line=None) is spin
+        assert pontryagin_table(11) is spin  # dim // 4 generators, as for dim 8
+        line = pontryagin_table(8, line=True)
+        assert pontryagin_table(10, line=1) is line and line is not spin
+        assert pontryagin_table(8, aux=True) is not spin
+        assert pontryagin_table(8, aux=True, line=True).names == ("pX1", "pX2", "pV1", "pV2", "cL")
+
+    @pytest.mark.parametrize("dim", [8.0, "8", True, None, Fraction(8)])
+    def test_pontryagin_dim_must_be_an_int(self, dim):
+        """Checked before the interning, so 8.0 cannot fetch the dimension-8 table."""
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            pontryagin_table(dim)
+
     def test_monomial_string_round_trip(self):
         table = pontryagin_table(8)
         expts = (2, 1)
@@ -147,6 +164,34 @@ class TestGradedPolyArithmetic:
         f = 1 - p1 / 24 + p2 * Fraction(7, 45)
         assert f.render() == "1 - 1/24*pX1 + 7/45*pX2"
         assert GradedPoly.zero(table, 8).render() == "0"
+
+
+class TestCut:
+    def test_cut_keeps_low_degrees_and_rekeys_by_name(self):
+        big = pontryagin_table(12, aux=True)  # pX1..pX3, pV1..pV3
+        small = pontryagin_table(8, aux=True)  # pX1, pX2, pV1, pV2: pV* sit at other digits
+        terms = {"1": 3, "pV1": -2, "pX1*pV1": Fraction(1, 6), "pX3": 5, "pV1^3": 1, "pV2": 4}
+        f = GradedPoly(big, 12, {big.parse_monomial(m): Fraction(c) for m, c in terms.items()})
+        cut = f.cut(small, 8)
+        kept = {"1": 3, "pV1": -2, "pX1*pV1": Fraction(1, 6), "pV2": 4}
+        assert cut == GradedPoly(small, 8, {small.parse_monomial(m): Fraction(c) for m, c in kept.items()})
+        assert cut.table is small and cut.truncation == 8
+        assert f.cut(big, 12) == f
+
+    def test_cut_reduces_to_lowest_terms(self):
+        table = pontryagin_table(12)
+        f = GradedPoly(table, 12, {(1, 0, 0): Fraction(1, 2), (0, 0, 1): Fraction(1, 3)})
+        cut = f.cut(pontryagin_table(8), 8)
+        assert cut.den == 2 and cut == GradedPoly.generator(pontryagin_table(8), "pX1", 8) / 2
+
+    def test_cut_rejects_a_lacked_generator_and_a_higher_truncation(self):
+        big = pontryagin_table(12)
+        f = GradedPoly.generator(big, "pX3", 12)
+        with pytest.raises(ValueError, match="'pX3'"):
+            f.cut(pontryagin_table(8), 12)
+        assert f.cut(pontryagin_table(8), 8).is_zero()  # pX3 has degree 12 > 8: cut, not carried
+        with pytest.raises(ValueError, match="cannot cut"):
+            f.truncate(8).cut(big, 12)
 
 
 class TestSubstitution:

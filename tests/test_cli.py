@@ -80,8 +80,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("order", ["3", "7"])
     def test_a_lone_case_reports_as_in_the_full_run(self, capsys, order):
-        """A lone case builds its routes at its own dimension; the full run cuts
-        each family's lower dimensions from its top: the reports agree."""
+        """A lone case builds its routes and identity forms at its own dimension;
+        the full run cuts each family's lower dimensions from its top: the
+        reports agree."""
         _, out, _ = run(capsys, "verify", "--format", "json", "--order", order)
         full = {(case["case"], case["dim"]): case for case in json.loads(out)["cases"]}
         assert len(full) == 12

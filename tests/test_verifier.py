@@ -5,9 +5,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import anomaly.algebra as algebra
 import anomaly.verifier as verifier
 from anomaly.algebra import GradedPoly, pontryagin_table
 from anomaly.bundles import (
@@ -108,6 +110,11 @@ class TestCaseSpec:
         assert "pV1" in CaseSpec("spin_v", 8).table()
         assert "cL" in CaseSpec("spinc_l", 10).table()
         assert "pV1" not in CaseSpec("spin", 8).table()
+
+    def test_table_is_the_interned_instance(self):
+        assert CaseSpec("spin", 8).table() is pontryagin_table(8)
+        assert CaseSpec("spin_v", 12).table() is pontryagin_table(12, aux=True)
+        assert CaseSpec("spinc_l", 10).table() is pontryagin_table(10, line=True)
 
 
 def theta_product(table, case, dim, cap, tcap):
@@ -351,6 +358,38 @@ class TestFamilyCut:
             ) in report.route_detail
 
 
+    def test_equal_tops_are_compared_once(self, monkeypatch):
+        """Equal top series have equal cuts: each lower dimension cuts one route only."""
+        cuts = []
+        original = QHalfSeries.cut
+
+        def counting(series, ring):
+            cuts.append(ring.truncation)
+            return original(series, ring)
+
+        monkeypatch.setattr(QHalfSeries, "cut", counting)
+        reports = run_cases([CaseSpec("spin", dim, 1) for dim in CASE_DIMS["spin"]])
+        assert all(r.route_ok and r.route_detail == "bundle == theta" for r in reports)
+        assert sorted(cuts) == [8, 12, 16]
+
+    def test_a_mismatch_above_the_lower_dimensions_stays_at_the_top(self, monkeypatch):
+        """Tops that differ only in a degree-20 term: both routes are cut and
+        compared at every dimension, so 8-16 agree and 20 names the term."""
+        delta = Fraction(1, 7)
+        perturb_theta_route(monkeypatch, [(2, "pX5", delta)])
+        reports = run_cases([CaseSpec("spin", dim, 1) for dim in CASE_DIMS["spin"]])
+        for report in reports[:-1]:
+            assert report.route_ok and report.passed, report.dim
+        top = reports[-1]
+        before = bundle_route_integrand(CaseSpec("spin", 20, 1)).coefficient(2).coefficient("pX5")
+        assert not top.route_ok and not top.passed
+        assert top.route_detail == (
+            "bundle and theta routes disagree for spin dim 20 at doubled q-exponents [2]; "
+            f"first difference at q^1, monomial pX5: bundle route {before}, theta route {before + delta}"
+        )
+        assert run_case(CaseSpec("spin", 20, 1)).route_detail == top.route_detail
+
+
 class TestConditionMatters:
     """Each route integrand's top degree, fitted with no case condition imposed."""
 
@@ -537,6 +576,104 @@ class TestCatalogTranscription:
         perturbed = {**CATALOG_COMBOS, sector: {**CATALOG_COMBOS[sector], n: tuple(terms)}}
         theta_side, combo_side = _transcription_sides(sector, 12, n, perturbed)
         assert theta_side != combo_side
+
+
+# The catalog top of each identity case's family (spin_v_line rides with
+# spin_v), and the arguments of its `pontryagin_table`.
+FAMILY_TOPS = {"spin": 20, "spin_v": 20, "spin_v_line": 20, "spinc_l": 22}
+ENTRY_TABLES = {"spin": {}, "spin_v": {"aux": True}, "spin_v_line": {"line": True}, "spinc_l": {"line": True}}
+
+
+@lru_cache(maxsize=None)
+def family_forms(case):
+    """The index forms of every identity of `case`'s family, built at its catalog top."""
+    family = "spin_v" if case == "spin_v_line" else case
+    return verifier._index_forms([e for dim in CASE_DIMS[family] for e in identities_for(family, dim)])
+
+
+def family_sum(entry, halve_spinor_ratio=False):
+    """The relation summed over the family top's forms, each divided by its rank
+    ratio (or by half of it, for `halve_spinor_ratio`), case condition imposed."""
+    e = verifier._basis_coefficient(entry.weight, entry.q_power)
+    acc = None
+    for coeff, _, form, ratio in verifier._relation_terms(entry, family_forms(entry.case), e):
+        if halve_spinor_ratio and ratio > 1:
+            ratio //= 2
+        piece = form * Fraction(coeff, ratio)
+        acc = piece if acc is None else acc + piece
+    return impose_condition(acc, entry.case)
+
+
+class TestFamilyIdentityForms:
+    """Each family's index forms, built once at its top, cut to every identity of the family."""
+
+    @pytest.mark.parametrize("ident", sorted(IDENTITIES))
+    def test_top_forms_give_the_direct_forms(self, ident):
+        entry = IDENTITIES[ident]
+        forms = family_forms(entry.case)
+        assert forms[0] == FAMILY_TOPS[entry.case]
+        e = verifier._basis_coefficient(entry.weight, entry.q_power)
+        direct = index_relation_forms(entry)
+        for (coeff, label, form, ratio), (coeff0, label0, form0) in zip(
+            verifier._relation_terms(entry, forms, e), direct, strict=True
+        ):
+            assert (coeff, label) == (coeff0, label0)
+            assert form.table is pontryagin_table(forms[0], **ENTRY_TABLES[entry.case])
+            assert form0.table is pontryagin_table(entry.dim, **ENTRY_TABLES[entry.case])
+            assert form.cut(form0.table, entry.dim) / ratio == form0, label
+        batch, lone = verify_identity(ident, forms), verify_identity(ident)
+        assert batch.passed and batch == lone
+        assert batch.residual.table is lone.residual.table
+        assert batch.residual.render() == lone.residual.render()
+
+    @pytest.mark.parametrize("ident", sorted(i for i, e in IDENTITIES.items() if e.case == "spin" and e.dim < 20))
+    def test_spin_needs_the_full_rank_ratio(self, ident):
+        """Negative control: the spinor terms divided by 2^((20 - d)/2 - 1) do not balance."""
+        entry = IDENTITIES[ident]
+        assert family_sum(entry).is_zero()
+        assert not family_sum(entry, halve_spinor_ratio=True).is_zero()
+
+    @pytest.mark.parametrize("ident", sorted(PRINTED_VARIANTS))
+    def test_printed_variants_fail_on_the_family_forms(self, ident):
+        forms = family_forms(IDENTITIES[ident].case)
+        assert verify_identity(ident, forms).passed
+        assert not verify_identity(ident, forms, **PRINTED_VARIANTS[ident]).passed
+
+    def test_a_full_run_builds_each_form_and_table_once(self, monkeypatch):
+        combos = []
+        build_combo = verifier._build_combo
+
+        def counting(combo, bundles):
+            combos.append((bundles["T"].table, combo))
+            return build_combo(combo, bundles)
+
+        monkeypatch.setattr(verifier, "_build_combo", counting)
+        monkeypatch.setattr(algebra, "_TABLES", {})  # count every table from scratch
+        tables = []
+        init = algebra.GeneratorTable.__init__
+
+        def counting_init(table, generators):
+            init(table, generators)
+            tables.append(table.generators)
+
+        monkeypatch.setattr(algebra.GeneratorTable, "__init__", counting_init)
+        reports = run_cases([CaseSpec(case, dim, 1) for case, dim in ALL_CASES])
+        assert all(r.passed for r in reports)
+        assert len(combos) == len(set(combos)) == 10
+        # the family tops: spin 20 (5 generators), spin_v 20 (10), line 20 and spinc_l 22 (6)
+        assert {len(table) for table, _ in combos} == {5, 6, 10}
+        assert len(tables) == len(set(tables)) == 12
+
+    def test_a_lone_spec_builds_nothing_above_its_dimension(self, monkeypatch):
+        dims, truncations = [], []
+        table, build_combo = verifier.pontryagin_table, verifier._build_combo
+        monkeypatch.setattr(verifier, "pontryagin_table", lambda dim, **kw: dims.append(dim) or table(dim, **kw))
+        monkeypatch.setattr(
+            verifier, "_build_combo", lambda combo, bundles: truncations.append(bundles["T"].truncation) or build_combo(combo, bundles)
+        )
+        assert run_case(CaseSpec("spin", 8)).passed
+        assert dims and set(dims) == {8}
+        assert truncations == [8] * 4
 
 
 class TestPrintedVariantsFail:
