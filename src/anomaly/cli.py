@@ -27,6 +27,7 @@ from .qseries import modular_basis
 from .theta import theta_quotient
 from .verifier import (
     CASE_DIMS,
+    CASES,
     CaseSpec,
     ManifoldData,
     ManifoldDataError,
@@ -37,8 +38,7 @@ from .verifier import (
     run_cases,
 )
 
-_CASE_FLAGS = {"spin": "spin", "spin-v": "spin_v", "spinc-l": "spinc_l"}
-_CASE_ORDER = ("spin", "spin_v", "spinc_l")
+_CASE_FLAGS = {case.replace("_", "-"): case for case in CASES}
 _SERIES_WEIGHTS = {"E4": 4, "E6": 6, "E4^2": 8, "E4E6": 10}
 _SERIES = (
     "E4", "E6", "E4^2", "E4E6",
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _selected_cases(args) -> list[tuple[str, int]]:
-    cases = list(_CASE_ORDER) if args.case == "all" else [_CASE_FLAGS[args.case]]
+    cases = CASES if args.case == "all" else [_CASE_FLAGS[args.case]]
     pairs = []
     for case in cases:
         for dim in CASE_DIMS[case]:

@@ -2,27 +2,28 @@
 moduli, and manifold evaluation.
 
 A case is a geometric setting (spin, spin with an auxiliary bundle, spin-c
-with a line bundle) at one of the catalog dimensions.  The integrand q-series
-is assembled along two independent routes - the bundle route (lambda-ring
-operations times multiplicative characteristic forms) and the theta route
-(products of theta quotients) - compared coefficient-by-coefficient, reduced
-to its top-degree part, and fitted against the monic modular basis form of
-the case's weight.  A dimension only truncates a case family's integrand
-(and, for spin, scales it by the spinor rank), so `run_cases` builds each
-family's routes once, at its largest selected dimension, and each route cuts
-the lower dimensions out of its own series.  The family compares its two top
-series once; only when they differ does each dimension compare its own cuts.
+with a line bundle), one row of the family table `_FAMILIES`, at one of its
+dimensions.  The integrand q-series is assembled along two independent
+routes - the bundle route (lambda-ring operations times multiplicative
+characteristic forms) and the theta route (products of theta quotients) -
+compared coefficient-by-coefficient, reduced to its top-degree part, and
+fitted against the monic modular basis form of the case's weight.  A
+dimension only truncates a family's integrand (and, for spin, scales it by
+the spinor rank), so `run_cases` builds each family's routes once, at its
+largest selected dimension, and each route cuts the lower dimensions out of
+its own series.  The family compares its two top series once; only when they
+differ does each dimension compare its own cuts.
 
-Each catalog identity is written once, as data: `_relation` lists its index
-terms, each a coefficient, a label, a multiplicative factor (Â, Â·ch(Δ),
-Â·det^(1/2)cosh or Â·exp(cL/2)) and a bundle combination.  From that one list
-the identity is rebuilt as an exact polynomial identity, its corollary is read
-as an integer relation solved for the first term (the divisibility modulus),
-and a manifold's characteristic numbers are paired with every index form.
-The index forms are universal too: `run_cases` builds each distinct one once
-per family, at the family's largest dimension, and an identity at dimension d
-sums their degree-d parts, the spinor factor's divided by its rank ratio, and
-cuts only the residual to its own table.  A lone identity is its own top.
+Each stated identity, a row of the table `_STATED`, is written once, as data:
+`_relation` lists its index terms, each a coefficient, a label, a factor (Â,
+Â·ch(Δ), Â·det^(1/2)cosh or Â·exp(cL/2)) and a bundle combination.  From that
+one list the identity is rebuilt as an exact polynomial identity, its
+corollary is read as an integer relation solved for the first term (the
+divisibility modulus), and a manifold's characteristic numbers are paired
+with every index form.  `run_cases` builds each distinct index form once per
+family, at its largest dimension; an identity at dimension d sums their
+degree-d parts, the spinor factor's divided by its rank ratio, and cuts only
+the residual to its own table.  A lone identity is its own top.
 """
 
 from __future__ import annotations
@@ -76,18 +77,96 @@ _V = "V" + _TILDE
 _L = "L" + _TILDE
 
 
-CASES = ("spin", "spin_v", "spinc_l")
-CASE_DIMS = {"spin": (8, 12, 16, 20), "spin_v": (8, 12, 16, 20), "spinc_l": (10, 14, 18, 22)}
-
-
-def case_weight(case: str, dim: int) -> int:
-    """Modular weight of a case's integrand: dim/2, or (dim-2)/2 for spinc_l."""
-    return dim // 2 if case != "spinc_l" else (dim - 2) // 2
-
-
 # The records of this module are named tuples: `collections` is loaded already,
 # and each class builds in about 0.1 ms, so they add next to nothing to the
 # start-up of a CLI process, which is a large share of a catalog run.
+
+
+# -- case families ------------------------------------------------------------------
+
+# Bundle combinations entering the stated identities, as coefficient/atom data.
+# Atoms: T, V are the reduced inputs; LkX / SkX are exterior / symmetric powers.
+
+_SPIN_DELTA = {
+    1: ((2, ("T",)),),
+    2: ((2, ("T",)), (1, ("L2T",)), (1, ("T", "T")), (1, ("S2T",))),
+}
+_SPIN_PLAIN = {
+    1: ((1, ("T",)), (1, ("L2T",))),
+    2: ((1, ("L4T",)), (1, ("L2T", "T")), (1, ("T", "T")), (1, ("S2T",)), (1, ("T",))),
+}
+_V_COMBO = {
+    1: ((1, ("T",)), (2, ("L2V",)), (-1, ("V", "V")), (1, ("V",))),
+    2: (
+        (1, ("S2T",)), (1, ("T",)),
+        (2, ("L2V", "T")), (-1, ("V", "V", "T")), (1, ("V", "T")),
+        (1, ("L2V", "L2V")), (2, ("L4V",)), (-2, ("V", "L3V")), (2, ("V", "L2V")),
+        (-1, ("V", "V", "V")), (1, ("V",)), (1, ("L2V",)),
+    ),
+}
+_L_COMBO = {
+    1: ((1, ("T",)), (-1, ("V",))),
+    2: ((1, ("S2T",)), (1, ("T",)), (1, ("L2V",)), (-1, ("V",)), (-1, ("T", "V"))),
+}
+
+NOTE_COMPLEXIFICATION = (
+    "reduced characters of the auxiliary bundle enter through its "
+    "complexification, with degree-4m piece 2*s_{2m}(pV)/(2m)!"
+)
+NOTE_LINE_SPECIALIZATION = (
+    "the Cor1.10-family entries specialize the auxiliary bundle to the "
+    "realified line bundle (p1 = cL^2) under the constraint pX1 = 3*cL^2, "
+    "with exp(cL/2) in place of det^(1/2)cosh; the two agree at top degree "
+    "because the sinh part lives in degrees = 2 mod 4"
+)
+NOTE_PARITY = (
+    "the integrand carries sinh(cL/2); it matches the exp(cL/2) statement at "
+    "top degree 4k+2 since the cosh part contributes only in degrees = 0 mod 4"
+)
+
+
+_FAMILY_FIELDS = "factor dims weight_drop aux line bundle condition rank_base bundle_series bundle_factor notes identities combos"
+
+
+class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, False, None, None, 1, None, None, (), (), None))):
+    """One case family; an unset field is inert.  factor: of the index terms;
+    dims: catalog dimensions (none: identities only); weight_drop: the weight
+    is (dim - weight_drop)/2; aux, line: the table's pV block and cL class;
+    bundle: V's builder; condition: pX1 -> coefficient * monomial; rank_base:
+    see `_rank_ratio`; bundle_series, bundle_factor: the bundle route's theta
+    series and factor (unset: spin's two sectors); notes: report notes;
+    identities: the identity cases read with it; combos: theirs, by q-power."""
+
+    __slots__ = ()
+
+    def table(self, dim: int) -> GeneratorTable:
+        return pontryagin_table(dim, aux=self.aux, line=self.line)
+
+
+_FAMILIES = {
+    "spin": _Family(dims=(8, 12, 16, 20), rank_base=2, factor="spinor", identities=("spin",)),
+    "spin_v": _Family(
+        dims=(8, 12, 16, 20), aux=True, bundle=aux_complexification, condition=("pV1", 3),
+        bundle_series="thetaV", bundle_factor="detcosh_V", factor="detcosh_V", combos=_V_COMBO,
+        notes=(NOTE_COMPLEXIFICATION, NOTE_LINE_SPECIALIZATION), identities=("spin_v", "spin_v_line"),
+    ),
+    "spinc_l": _Family(
+        dims=(10, 14, 18, 22), weight_drop=2, line=True, bundle=line_real_complexification, condition=("cL^2", 1),
+        bundle_series="thetaL", bundle_factor="sinh_half_c", factor="exp_half_c", combos=_L_COMBO,
+        notes=(NOTE_PARITY,), identities=("spinc_l",),
+    ),
+    "spin_v_line": _Family(  # spin_v with V the realified line bundle: identities only, read with spin_v
+        line=True, bundle=line_real_complexification, condition=("cL^2", 3), factor="exp_half_c", combos=_V_COMBO
+    ),
+}
+
+CASES = tuple(case for case, row in _FAMILIES.items() if row.dims)
+CASE_DIMS = {case: _FAMILIES[case].dims for case in CASES}
+
+
+def case_weight(case: str, dim: int) -> int:
+    """Modular weight of a case's integrand: (dim - its family's weight_drop)/2."""
+    return (dim - _FAMILIES[case].weight_drop) // 2
 
 
 class CaseSpec(namedtuple("CaseSpec", "case dim qcap route")):
@@ -115,7 +194,7 @@ class CaseSpec(namedtuple("CaseSpec", "case dim qcap route")):
         return case_weight(self.case, self.dim)
 
     def table(self) -> GeneratorTable:
-        return pontryagin_table(self.dim, aux=self.case == "spin_v", line=self.case == "spinc_l")
+        return _FAMILIES[self.case].table(self.dim)
 
 
 # -- integrand assembly ---------------------------------------------------------
@@ -130,46 +209,36 @@ def _factor_form(table: GeneratorTable, factor: str, dim: int) -> GradedPoly:
     return ahat * (spinor_ch(table, dim) if factor == "spinor" else aux_bundle_factor(table, factor, dim))
 
 
-# The auxiliary bundle V of each case that has one.
-_AUX_BUNDLE = dict(spin_v=aux_complexification, spin_v_line=line_real_complexification, spinc_l=line_real_complexification)
-
-
 def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
     """Characteristic forms times Chern characters of the theta-power bundles."""
     table = spec.table()
     dim, cap = spec.dim, spec.qcap
     TX = tangent_complexification(table, dim)
-    if spec.case == "spin":
+    row = _FAMILIES[spec.case]
+    if row.bundle_series is None:  # spin: the Θ1 sector and the Θ2 + Θ3 sectors
         s1 = theta_series("theta1", TX, cap=cap).scale(_factor_form(table, "spinor", dim))
         t23 = theta_series("theta2+theta3", TX, cap=cap)
         return s1 + t23.scale(ahat_form(table, dim) * (2 ** (dim // 2)))
-    name, kind = ("thetaV", "detcosh_V") if spec.case == "spin_v" else ("thetaL", "sinh_half_c")
-    V = _AUX_BUNDLE[spec.case](table, dim)
-    return theta_series(name, TX, V, cap=cap).scale(_factor_form(table, kind, dim))
+    series = theta_series(row.bundle_series, TX, row.bundle(table, dim), cap=cap)
+    return series.scale(_factor_form(table, row.bundle_factor, dim))
 
 
 def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
     return q_series_via_theta(spec.table(), spec.case, spec.dim, spec.qcap)
 
 
-# The case conditions: pX1 -> coefficient * monomial, of the degree of pX1.
-_CONDITIONS = {"spin_v": ("pV1", 3), "spinc_l": ("cL^2", 1), "spin_v_line": ("cL^2", 3)}
-
-
 def impose_condition(x, case: str):
-    """Substitute the case's first-Pontryagin constraint into x, a polynomial
-    or a q-series over polynomials.
+    """Substitute the case's first-Pontryagin constraint, the condition of
+    its `_FAMILIES` row, into x, a polynomial or a q-series over polynomials.
 
-    spin: none.  spin_v: pX1 -> 3*pV1.  spinc_l: pX1 -> cL^2.
-    spin_v_line (the line-bundle specialization of spin_v): pX1 -> 3*cL^2.
     Each image is a single term, so the substitution rewrites packed keys,
     every q-coefficient of a series at once.
     """
-    if case == "spin":
-        return x
-    if case not in _CONDITIONS:
+    if case not in _FAMILIES:
         raise ValueError(f"unknown case {case!r}")
-    monomial, coeff = _CONDITIONS[case]
+    if _FAMILIES[case].condition is None:
+        return x
+    monomial, coeff = _FAMILIES[case].condition
     table, trunc = (x.ring.table, x.ring.truncation) if isinstance(x, QHalfSeries) else (x.table, x.truncation)
     return x.substitute({"pX1": GradedPoly(table, trunc, {table.parse_monomial(monomial): coeff})})
 
@@ -193,19 +262,13 @@ def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
     return "no coefficient differs; the series differ in ring or q-cap"
 
 
-# Each case family's integrand, and each index form, is one universal
-# characteristic-class series: a dimension only truncates it, except that the
-# spinor rank 2^(dim/2) rides along in the spin integrand (in ch(Δ) and in the
-# Θ2, Θ3 sectors' factor) and in the spinor factor Â·ch(Δ).  So what is built
-# at dimension D is, up to degree d, the same at d times `_rank_ratio`.
-_RANK_BASE = {"spin": 2, "spinor": 2}
-
-
-def _rank_ratio(kind: str, top_dim: int, dim: int) -> int:
-    """A case's integrand or a factor's form (`kind`) at `top_dim` over the same
-    at `dim`: the rank base to the power (top_dim - dim)/2, 1 for every case
-    and factor without one."""
-    return _RANK_BASE.get(kind, 1) ** ((top_dim - dim) // 2)
+def _rank_ratio(case: str, top_dim: int, dim: int) -> int:
+    """A case's integrand or index factor at `top_dim` over the same at `dim`:
+    each is one characteristic-class series that a dimension only truncates,
+    but the spinor rank 2^(dim/2) rides in the spin integrand (in ch(Δ) and the
+    Θ2, Θ3 sectors' factor) and in Â·ch(Δ), so the ratio is the row's
+    rank_base to the power (top_dim - dim)/2."""
+    return _FAMILIES[case].rank_base ** ((top_dim - dim) // 2)
 
 
 def _family_routes(top) -> tuple:
@@ -297,31 +360,6 @@ def eisenstein_fit(q_top: QHalfSeries, weight: int) -> FitResult:
 
 # -- the identity catalog --------------------------------------------------------
 
-# Bundle combinations entering the stated identities, as coefficient/atom data.
-# Atoms: T, V are the reduced inputs; LkX / SkX are exterior / symmetric powers.
-
-_SPIN_DELTA = {
-    1: ((2, ("T",)),),
-    2: ((2, ("T",)), (1, ("L2T",)), (1, ("T", "T")), (1, ("S2T",))),
-}
-_SPIN_PLAIN = {
-    1: ((1, ("T",)), (1, ("L2T",))),
-    2: ((1, ("L4T",)), (1, ("L2T", "T")), (1, ("T", "T")), (1, ("S2T",)), (1, ("T",))),
-}
-_V_COMBO = {
-    1: ((1, ("T",)), (2, ("L2V",)), (-1, ("V", "V")), (1, ("V",))),
-    2: (
-        (1, ("S2T",)), (1, ("T",)),
-        (2, ("L2V", "T")), (-1, ("V", "V", "T")), (1, ("V", "T")),
-        (1, ("L2V", "L2V")), (2, ("L4V",)), (-2, ("V", "L3V")), (2, ("V", "L2V")),
-        (-1, ("V", "V", "V")), (1, ("V",)), (1, ("L2V",)),
-    ),
-}
-_L_COMBO = {
-    1: ((1, ("T",)), (-1, ("V",))),
-    2: ((1, ("S2T",)), (1, ("T",)), (1, ("L2V",)), (-1, ("V",)), (-1, ("T", "V"))),
-}
-
 
 def _render_atom(atom: str, vname: str) -> str:
     if atom == "T":
@@ -383,37 +421,9 @@ class CorollaryEntry(namedtuple("CorollaryEntry", "ident source target")):
     __slots__ = ()
 
 
-NOTE_SECTOR_2048 = (
-    "the statement prints +32 for the plain-sector constant on the right side; "
-    "the dimension forces 2*2^10 = 2048, which is what the engine verifies"
-)
-NOTE_Q2_135432 = (
-    "the statement prints -117288 as the q^2 proportionality constant; the q^2 "
-    "coefficient of the weight-10 basis form is -264*513 = -135432, which is "
-    "what the engine verifies"
-)
-NOTE_SUP_16 = (
-    "the statement prints extraction superscript (12) in a 16-dimensional "
-    "setting; the engine extracts degree (16)"
-)
-NOTE_COMPLEXIFICATION = (
-    "reduced characters of the auxiliary bundle enter through its "
-    "complexification, with degree-4m piece 2*s_{2m}(pV)/(2m)!"
-)
-NOTE_LINE_SPECIALIZATION = (
-    "the Cor1.10-family entries specialize the auxiliary bundle to the "
-    "realified line bundle (p1 = cL^2) under the constraint pX1 = 3*cL^2, "
-    "with exp(cL/2) in place of det^(1/2)cosh; the two agree at top degree "
-    "because the sinh part lives in degrees = 2 mod 4"
-)
-NOTE_PARITY = (
-    "the integrand carries sinh(cL/2); it matches the exp(cL/2) statement at "
-    "top degree 4k+2 since the cosh part contributes only in degrees = 0 mod 4"
-)
-
-
-# The untwisted index of each multiplicative factor.
+# The untwisted index of each factor, and the label and V name of an auxiliary factor's twisted index.
 _UNTWISTED = {"ahat": "ind(D)", "spinor": f"ind(D{_OX}{_DELTA})", "detcosh_V": "ind_V(1)", "exp_half_c": "ind(D^c)"}
+_TWISTED = {"detcosh_V": ("ind_V({})", _V), "exp_half_c": (f"ind(D^c{_OX}({{}}))", _L)}
 
 
 def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> list:
@@ -427,7 +437,8 @@ def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> li
     corollary solves for.
     """
     qp = entry.q_power
-    if entry.case == "spin":
+    row = _FAMILIES[entry.case]
+    if row.factor == "spinor":
         sector = 2 ** (entry.dim // 2 + 1)
         rs = sector if rhs_sector is None else rhs_sector
         plain = _SPIN_PLAIN[qp]
@@ -441,57 +452,53 @@ def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> li
             (-e, _UNTWISTED["spinor"], "spinor", None),
             (-e * rs, _UNTWISTED["ahat"], "ahat", None),
         ]
-    if entry.case == "spin_v":
-        combo = _V_COMBO[qp]
-        factor, label = "detcosh_V", f"ind_V({_render_combo(combo, _V)})"
-    else:
-        combo = _V_COMBO[qp] if entry.case == "spin_v_line" else _L_COMBO[qp]
-        factor, label = "exp_half_c", f"ind(D^c{_OX}({_render_combo(combo, _L)}))"
-    return [(1, label, factor, combo), (-e, _UNTWISTED[factor], factor, None)]
+    factor, combo = row.factor, row.combos[qp]
+    label, vname = _TWISTED[factor]
+    return [(1, label.format(_render_combo(combo, vname)), factor, combo), (-e, _UNTWISTED[factor], factor, None)]
+
+
+# The stated identities of each case and dimension, by q-power, and their corollary prefix, if any.
+_STATED = (
+    ("spin", 8, ("Thm1.1-(1.1)", "Thm1.1-(1.2)"), "Cor1.2"),
+    ("spin", 12, ("Thm1.3-(1.5)", "Thm1.3-(1.6)"), "Cor1.4"),
+    ("spin", 16, ("Thm1.5-(1.9)", "Thm1.5-(1.10)"), "Cor1.6"),
+    ("spin", 20, ("Thm1.7-(1.13)", "Thm1.7-(1.14)"), "Cor1.8"),
+    ("spin_v", 8, ("Thm1.9-q1", "Thm1.9-q2"), None),
+    ("spin_v_line", 8, ("Cor1.10-a", "Cor1.10-b"), "Cor1.11"),
+    ("spin_v", 12, ("Thm1.12-q1", "Thm1.12-q2"), None),
+    ("spin_v_line", 12, ("Cor1.13-a", "Cor1.13-b"), "Cor1.14"),
+    ("spin_v", 16, ("Thm1.15-q1",), None),
+    ("spin_v_line", 16, ("Cor1.16-a",), "Cor1.17"),
+    ("spin_v", 20, ("Thm1.18-q1",), None),
+    ("spin_v_line", 20, ("Cor1.19-a",), "Cor1.20"),
+    ("spinc_l", 10, ("Thm1.21-q1", "Thm1.21-q2"), "Cor1.22"),
+    ("spinc_l", 14, ("Thm1.23-q1", "Thm1.23-q2"), "Cor1.24"),
+    ("spinc_l", 18, ("Thm1.25-q1",), "Cor1.26"),
+    ("spinc_l", 22, ("Thm1.27-q1",), "Cor1.28"),
+)
+
+# The notes of the identities whose statements print a slip.
+_STATED_NOTES = {
+    "Thm1.7-(1.13)": "the statement prints +32 for the plain-sector constant on the right side; "
+                     "the dimension forces 2*2^10 = 2048, which is what the engine verifies",
+    "Thm1.7-(1.14)": "the statement prints -117288 as the q^2 proportionality constant; the q^2 "
+                     "coefficient of the weight-10 basis form is -264*513 = -135432, which is "
+                     "what the engine verifies",
+    "Thm1.15-q1": "the statement prints extraction superscript (12) in a 16-dimensional "
+                  "setting; the engine extracts degree (16)",
+}
 
 
 def _build_catalog():
-    identities: list[IdentityEntry] = []
-    corollaries: list[CorollaryEntry] = []
-
-    def add(entry: IdentityEntry, corollary: str | None = None):
-        identities.append(entry)
-        if corollary is not None:
-            corollaries.append(CorollaryEntry(corollary, entry.ident, _relation(entry, 0)[0][1]))
-
-    spin_ids = {
-        8: ("Thm1.1-(1.1)", "Thm1.1-(1.2)"),
-        12: ("Thm1.3-(1.5)", "Thm1.3-(1.6)"),
-        16: ("Thm1.5-(1.9)", "Thm1.5-(1.10)"),
-        20: ("Thm1.7-(1.13)", "Thm1.7-(1.14)"),
-    }
-    spin_cors = {8: "Cor1.2", 12: "Cor1.4", 16: "Cor1.6", 20: "Cor1.8"}
-    for dim, (id1, id2) in spin_ids.items():
-        notes1 = (NOTE_SECTOR_2048,) if dim == 20 else ()
-        notes2 = (NOTE_Q2_135432,) if dim == 20 else ()
-        add(IdentityEntry(id1, "spin", dim, 1, notes1), f"{spin_cors[dim]}-a")
-        add(IdentityEntry(id2, "spin", dim, 2, notes2), f"{spin_cors[dim]}-b")
-
-    spinv_ids = {8: ("Thm1.9", 2), 12: ("Thm1.12", 2), 16: ("Thm1.15", 1), 20: ("Thm1.18", 1)}
-    line_ids = {8: ("Cor1.10", 2), 12: ("Cor1.13", 2), 16: ("Cor1.16", 1), 20: ("Cor1.19", 1)}
-    line_cors = {8: "Cor1.11", 12: "Cor1.14", 16: "Cor1.17", 20: "Cor1.20"}
-    for dim in (8, 12, 16, 20):
-        thm, count = spinv_ids[dim]
-        for qp in range(1, count + 1):
-            notes = (NOTE_SUP_16,) if dim == 16 else ()
-            add(IdentityEntry(f"{thm}-q{qp}", "spin_v", dim, qp, notes))
-        cor_thm, count = line_ids[dim]
-        for qp, suffix in zip(range(1, count + 1), "ab"):
-            add(IdentityEntry(f"{cor_thm}-{suffix}", "spin_v_line", dim, qp), f"{line_cors[dim]}-{suffix}")
-
-    spinc_ids = {10: ("Thm1.21", 2), 14: ("Thm1.23", 2), 18: ("Thm1.25", 1), 22: ("Thm1.27", 1)}
-    spinc_cors = {10: "Cor1.22", 14: "Cor1.24", 18: "Cor1.26", 22: "Cor1.28"}
-    for dim in (10, 14, 18, 22):
-        thm, count = spinc_ids[dim]
-        for qp, suffix in zip(range(1, count + 1), "ab"):
-            add(IdentityEntry(f"{thm}-q{qp}", "spinc_l", dim, qp), f"{spinc_cors[dim]}-{suffix}")
-
-    return {e.ident: e for e in identities}, {c.ident: c for c in corollaries}
+    identities, corollaries = {}, {}
+    for case, dim, idents, prefix in _STATED:
+        for q_power, (ident, suffix) in enumerate(zip(idents, "ab"), 1):
+            notes = (_STATED_NOTES[ident],) if ident in _STATED_NOTES else ()
+            entry = identities[ident] = IdentityEntry(ident, case, dim, q_power, notes)
+            if prefix is not None:
+                cor = f"{prefix}-{suffix}"
+                corollaries[cor] = CorollaryEntry(cor, ident, _relation(entry, 0)[0][1])
+    return identities, corollaries
 
 
 IDENTITIES, COROLLARIES = _build_catalog()
@@ -513,8 +520,7 @@ def identities_for(case: str, dim: int) -> list[IdentityEntry]:
     """
     if case not in CASES:
         raise ValueError(f"no catalog identity for unknown case {case!r}; expected one of {CASES}")
-    cases = (case, "spin_v_line") if case == "spin_v" else (case,)
-    entries = [e for e in IDENTITIES.values() if e.case in cases and e.dim == dim]
+    entries = [e for e in IDENTITIES.values() if e.case in _FAMILIES[case].identities and e.dim == dim]
     if not entries:
         raise ValueError(f"no catalog identity for case {case!r} in dimension {dim!r}")
     return entries
@@ -533,10 +539,6 @@ def _basis_coefficient(weight: int, q_power: int) -> int:
     return int(value)
 
 
-def _entry_table(entry: IdentityEntry, dim: int) -> GeneratorTable:
-    return pontryagin_table(dim, aux=entry.case == "spin_v", line=entry.case in ("spin_v_line", "spinc_l"))
-
-
 def _index_forms(entries) -> tuple:
     """Every distinct index form of the entries' relations, each built once at
     their largest dimension D: (D, {(case, factor, combo): form}).
@@ -550,7 +552,8 @@ def _index_forms(entries) -> tuple:
     bundles: dict[str, dict] = {}
     for entry in entries:
         case = entry.case
-        table = _entry_table(entry, top)
+        row = _FAMILIES[case]
+        table = row.table(top)
         for _, _, factor, combo in _relation(entry, 0):
             if (case, factor, None) not in forms:
                 forms[case, factor, None] = _factor_form(table, factor, top)
@@ -558,8 +561,8 @@ def _index_forms(entries) -> tuple:
                 continue
             if case not in bundles:
                 bundles[case] = {"T": tangent_complexification(table, top).reduce()}
-                if case in _AUX_BUNDLE:
-                    bundles[case]["V"] = _AUX_BUNDLE[case](table, top).reduce()
+                if row.bundle is not None:
+                    bundles[case]["V"] = row.bundle(table, top).reduce()
             forms[case, factor, combo] = forms[case, factor, None] * _build_combo(combo, bundles[case]).ch()
     return top, forms
 
@@ -572,12 +575,13 @@ def _relation_terms(
 
     Each form is the degree-d part, d = dim unless `extract` overrides it, of
     the index form over D's table: the entry's own form times the rank ratio
-    (`_rank_ratio`) of its factor.
+    (`_rank_ratio`), which Â does not carry.
     """
     top, by_key = forms
     d = entry.dim if extract is None else extract
+    ratio = _rank_ratio(entry.case, top, entry.dim)
     return [
-        (coeff, label, by_key[entry.case, factor, combo].homogeneous_component(d), _rank_ratio(factor, top, entry.dim))
+        (coeff, label, by_key[entry.case, factor, combo].homogeneous_component(d), 1 if factor == "ahat" else ratio)
         for coeff, label, factor, combo in _relation(entry, e, rhs_sector)
     ]
 
@@ -648,7 +652,7 @@ def verify_identity(
         acc = piece if acc is None else acc + piece
     residual = impose_condition(acc, entry.case)
     if forms[0] != entry.dim:  # a family top: the residual goes onto the entry's own table
-        residual = residual.cut(_entry_table(entry, entry.dim), entry.dim)
+        residual = residual.cut(_FAMILIES[entry.case].table(entry.dim), entry.dim)
     return IdentityResult(ident, residual.is_zero(), residual, constant, entry.notes)
 
 
@@ -794,10 +798,9 @@ def evaluate_manifold(data: ManifoldData, form: GradedPoly) -> Fraction:
 
 
 def manifold_case(data: ManifoldData) -> str:
-    if data.dim in CASE_DIMS["spin"]:
-        return "spin"
-    if data.dim in CASE_DIMS["spinc_l"]:
-        return "spinc_l"
+    for case in CASES:
+        if data.dim in CASE_DIMS[case] and not _FAMILIES[case].aux:  # the data carry no pV classes
+            return case
     raise ManifoldDataError(f"no catalog case in dimension {data.dim}")
 
 
@@ -805,23 +808,25 @@ def evaluate_report(data: ManifoldData) -> dict:
     """Indices, identity balances and divisibility checks for one manifold."""
     case = manifold_case(data)
     dim = data.dim
-    table = pontryagin_table(dim, line=case == "spinc_l")
+    table = _FAMILIES[case].table(dim)
     numbers = _numbers_by_exponents(data, table)
-    factor = "spinor" if case == "spin" else "exp_half_c"
-    indices = [
-        {"label": label, "value": str(_pair(numbers, _factor_form(table, f, dim).homogeneous_component(dim), dim))}
-        for label, f in (("Â-genus", "ahat"), (_UNTWISTED[factor], factor))
-    ]
+    entries = identities_for(case, dim)
+    forms = _index_forms(entries)
 
     identity_rows = []
     value_cache: dict[str, Fraction] = {}
-    for entry in identities_for(case, dim):
+    for entry in entries:
         balance = Fraction(0)
-        for coeff, label, form in index_relation_forms(entry):
+        for coeff, label, form, _ in _relation_terms(entry, forms, _basis_coefficient(entry.weight, entry.q_power)):
             value = _pair(numbers, form, dim)
             value_cache[label] = value
             balance += coeff * value
         identity_rows.append({"id": entry.ident, "balanced": balance == 0})
+    untwisted = _UNTWISTED[_FAMILIES[case].factor]  # a term of every relation
+    indices = [
+        {"label": "Â-genus", "value": str(_pair(numbers, ahat_form(table, dim).homogeneous_component(dim), dim))},
+        {"label": untwisted, "value": str(value_cache[untwisted])},
+    ]
 
     checks = []
     for cor in corollaries_for(case, dim):
@@ -891,12 +896,7 @@ def run_case(spec: CaseSpec) -> CaseReport:
 
 
 def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
-    notes: list[str] = []
-    if spec.case == "spin_v":
-        notes.append(NOTE_COMPLEXIFICATION)
-        notes.append(NOTE_LINE_SPECIALIZATION)
-    elif spec.case == "spinc_l":
-        notes.append(NOTE_PARITY)
+    notes = list(_FAMILIES[spec.case].notes)
 
     route_ok, route_detail = True, "single route" if spec.route != "both" else "bundle == theta"
     try:

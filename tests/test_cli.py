@@ -207,6 +207,16 @@ class TestOutputsMatchTheSeedEngine:
         assert code == 0
         assert sha256(out) == "bc30219cae7e12fc5b3c93a9b2acd16c2821731a0cac8287c33a9c757699ce79"
 
+    def test_verify_text(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert sha256(out) == "f27479bedfeaeb72afe6cd70098bd2a2c114dbce5bdec8e30019f3a4d6b3e111"
+
+    def test_moduli_text(self, capsys):
+        code, out, _ = run(capsys, "moduli")
+        assert code == 0
+        assert sha256(out) == "f51f7a81ed28488696ea40a9a91317ff6b8e837b6964c1dd1099a938b4ecae62"
+
     def test_verify_order2_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--order", "2")
         assert code == 0

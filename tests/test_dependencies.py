@@ -1,7 +1,8 @@
 """The package has zero runtime dependencies: `src/anomaly` imports only the
 standard library and its own modules (sympy and hypothesis are for tests).
 Its export list names each public name once, and each resolves, and
-importing the CLI loads none of the slow-to-import standard modules."""
+importing the CLI loads none of the slow-to-import standard modules.  The
+verifier and the CLI tell case families apart only through the family table."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import anomaly
+from anomaly import verifier
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "anomaly").glob("*.py"))
@@ -59,3 +61,43 @@ def test_the_cli_imports_no_slow_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+FAMILY_NAMES = frozenset(verifier._FAMILIES)
+COMPARISONS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def family_name_comparisons(source: str) -> list[int]:
+    """The lines of `source` that compare (==, !=, in, not in) against a family-name
+    literal, alone or inside a tuple, list, set or dict display."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare) or not any(isinstance(op, COMPARISONS) for op in node.ops):
+            continue
+        literals = []
+        for operand in (node.left, *node.comparators):
+            if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+                literals += operand.elts
+            elif isinstance(operand, ast.Dict):
+                literals += [key for key in operand.keys if key is not None]
+            else:
+                literals.append(operand)
+        if any(isinstance(lit, ast.Constant) and lit.value in FAMILY_NAMES for lit in literals):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_family_scan_sees_every_comparison_form():
+    source = (
+        'a = case == "spin"\nb = "spinc_l" != case\nc = case in ("spin_v_line", "x")\n'
+        'd = case not in {"spin_v"}\ne = case in {"spin": 1}\nf = case == "all"\ng = row.factor == "spinor"\n'
+    )
+    assert family_name_comparisons(source) == [1, 2, 3, 4, 5]
+    assert FAMILY_NAMES == {"spin", "spin_v", "spinc_l", "spin_v_line"}
+
+
+@pytest.mark.parametrize("name", ["verifier.py", "cli.py"])
+def test_no_branch_on_a_family_name(name):
+    """What sets a family apart is a row of `verifier._FAMILIES`: a new family
+    is a new row, not a new branch."""
+    assert family_name_comparisons((SRC / "anomaly" / name).read_text(encoding="utf-8")) == []

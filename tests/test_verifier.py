@@ -57,6 +57,7 @@ from anomaly.verifier import (
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 
 HP2 = ManifoldData(8, {"pX1^2": Fraction(4), "pX2": Fraction(7)})
+SPINC10 = ManifoldData(10, {"cL^5": Fraction(1), "pX2*cL": Fraction(2), "pX1*cL^3": Fraction(3), "pX1^2*cL": Fraction(4)})
 
 
 class TestCaseSpec:
@@ -840,6 +841,27 @@ class TestQuaternionicPlane:
     def test_dimension_out_of_catalog(self):
         with pytest.raises(ManifoldDataError):
             evaluate_report(ManifoldData(6, {}))
+
+    @pytest.mark.parametrize(
+        "data, factors",
+        [
+            (HP2, {"ahat": 1, "spinor": 1}),
+            (SPINC10, {"exp_half_c": 1}),  # spinc_l's relations have no Â term
+        ],
+        ids=["hp2", "spinc10"],
+    )
+    def test_each_factor_form_is_built_once(self, monkeypatch, data, factors):
+        """The index rows and the identity balances read one set of index forms."""
+        built = Counter()
+        factor_form = verifier._factor_form
+
+        def counting(table, factor, dim):
+            built[factor] += 1
+            return factor_form(table, factor, dim)
+
+        monkeypatch.setattr(verifier, "_factor_form", counting)
+        evaluate_report(data)
+        assert built == factors
 
 
 class TestReports:
