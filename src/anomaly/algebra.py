@@ -52,8 +52,6 @@ from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul
 from collections.abc import Iterable, Mapping
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 _BYTE_ORDER = sys.byteorder

@@ -2,9 +2,10 @@
 and symmetric power operations, and the Chern characters of the theta-power
 q-series built from them.
 
-A virtual bundle is an integer rank plus the reduced (rank-free) part of its
-Chern character, a graded polynomial with zero constant term.  All operations
-are defined through universal Chern-character polynomials, so they apply to
+A virtual bundle is its Chern character: one graded polynomial, whose
+constant term is the rank, always an integer; `rank` and `reduced` (ch minus
+the rank) are read off it.  Every operation is one operation on that
+polynomial, through universal Chern-character polynomials, so it applies to
 arbitrary virtual elements, including negative and zero ranks.
 
 A bundle keeps its Adams operations, exterior and symmetric powers and its
@@ -38,33 +39,42 @@ from .algebra import (
     _int_form,
     _is_int,
     _nonnegative_int,
+    exp_truncated,
     power_sum_in_pontryagin,
 )
 from .qseries import PolyRing, QHalfSeries
 
 
 class VirtualBundle:
-    """rank + reduced Chern character over a fixed generator table."""
+    """A virtual bundle over a fixed generator table, stored as its Chern character."""
 
-    __slots__ = ("table", "truncation", "rank", "reduced", "_reduction", "_psi", "_lam", "_sym")
+    __slots__ = ("table", "truncation", "_ch", "_reduction", "_psi", "_lam", "_sym")
 
     def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
-        self.table = table
-        self.truncation = _even_truncation(truncation)
+        truncation = _even_truncation(truncation)
         if not _is_int(rank):
             raise ValueError(f"virtual rank must be an integer, got {rank!r}")
-        self.rank = rank
         if reduced is None:
             reduced = GradedPoly.zero(table, truncation)
         if reduced.table != table:
             raise ValueError("reduced character over a different generator table")
         if reduced.constant_term:
             raise ValueError("reduced Chern character must have zero constant term")
-        self.reduced = reduced.truncate(self.truncation)
-        self._reduction = None
-        self._psi = None
-        self._lam = None
-        self._sym = None
+        if reduced.truncation < truncation:
+            raise ValueError(f"reduced character truncated at degree {reduced.truncation}, below {truncation}")
+        self._fill(reduced.truncate(truncation) + rank)
+
+    def _fill(self, ch: GradedPoly):
+        self.table, self.truncation, self._ch = ch.table, ch.truncation, ch
+        self._reduction = self._psi = self._lam = self._sym = None
+
+    @classmethod
+    def _of(cls, ch: GradedPoly) -> "VirtualBundle":
+        """Trusted constructor: the bundle whose Chern character is `ch`, at its
+        table and truncation.  The caller guarantees an integer constant term."""
+        bundle = object.__new__(cls)
+        bundle._fill(ch)
+        return bundle
 
     # -- constructors --------------------------------------------------------
 
@@ -78,16 +88,27 @@ class VirtualBundle:
 
     # -- basic algebra ---------------------------------------------------------
 
+    @property
+    def rank(self) -> int:
+        """The constant term of the Chern character, an integer."""
+        return self._ch.constant_term.numerator
+
+    @property
+    def reduced(self) -> GradedPoly:
+        """The reduced (rank-free) Chern character, ch - rank."""
+        return self.reduce()._ch
+
     def ch(self) -> GradedPoly:
-        return self.reduced + self.rank
+        return self._ch
 
     def reduce(self) -> "VirtualBundle":
         """The rank-zero reduction W - rank(W): itself at rank 0, otherwise
         built once per bundle and kept."""
-        if self.rank == 0:
+        rank = self.rank
+        if rank == 0:
             return self
         if self._reduction is None:
-            self._reduction = VirtualBundle(self.table, self.truncation, 0, self.reduced)
+            self._reduction = VirtualBundle._of(self._ch - rank)
         return self._reduction
 
     def _check(self, other: "VirtualBundle"):
@@ -98,11 +119,10 @@ class VirtualBundle:
         if not isinstance(other, VirtualBundle):
             return NotImplemented
         self._check(other)
-        trunc = min(self.truncation, other.truncation)
-        return VirtualBundle(self.table, trunc, self.rank + other.rank, self.reduced + other.reduced)
+        return VirtualBundle._of(self._ch + other._ch)
 
     def __neg__(self):
-        return VirtualBundle(self.table, self.truncation, -self.rank, -self.reduced)
+        return VirtualBundle._of(-self._ch)
 
     def __sub__(self, other):
         if not isinstance(other, VirtualBundle):
@@ -114,30 +134,21 @@ class VirtualBundle:
         if isinstance(other, int):
             if not _is_int(other):
                 raise ValueError(f"a bundle multiple must be an integer, got {other!r}")
-            return VirtualBundle(self.table, self.truncation, self.rank * other, self.reduced * other)
+            return VirtualBundle._of(self._ch * other)
         if not isinstance(other, VirtualBundle):
             return NotImplemented
         self._check(other)
-        trunc = min(self.truncation, other.truncation)
-        ch = self.ch() * other.ch()
-        rank = self.rank * other.rank
-        return VirtualBundle(self.table, trunc, rank, ch - rank)
+        return VirtualBundle._of(self._ch * other._ch)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VirtualBundle)
-            and self.table == other.table
-            and self.truncation == other.truncation
-            and self.rank == other.rank
-            and self.reduced == other.reduced
-        )
+        return isinstance(other, VirtualBundle) and self._ch == other._ch
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return self.rank == 0 and self.reduced.is_zero()
+        return self._ch.is_zero()
 
     def __repr__(self):
         return f"VirtualBundle(rank={self.rank}, reduced={self.reduced.render()})"
@@ -145,7 +156,8 @@ class VirtualBundle:
     # -- operations --------------------------------------------------------------
 
     def adams(self, k: int) -> "VirtualBundle":
-        """k-th Adams operation: scales each degree-d character piece by k^(d/2).
+        """k-th Adams operation: scales each degree-d character piece by k^(d/2),
+        so the rank, the degree-0 piece, stays fixed.
 
         Each psi^k is built once per bundle and kept, like the exterior and
         symmetric powers; it scales the numerators of the int form.
@@ -156,10 +168,9 @@ class VirtualBundle:
             self._psi = {}
         psi = self._psi.get(k)
         if psi is None:
-            base = self.reduced
-            items = [(g, s, key, num * k ** (g // 2)) for g, s, key, num in base.items]
-            reduced = GradedPoly._make(self.table, self.truncation, *_int_form(base.den, items))
-            psi = self._psi[k] = VirtualBundle(self.table, self.truncation, self.rank, reduced)
+            ch = self._ch
+            items = [(g, s, key, num * k ** (g // 2)) for g, s, key, num in ch.items]
+            psi = self._psi[k] = VirtualBundle._of(GradedPoly._make(self.table, self.truncation, *_int_form(ch.den, items)))
         return psi
 
     def lambda_power(self, k: int) -> "VirtualBundle":
@@ -195,54 +206,43 @@ class VirtualBundle:
     def _signed_sum(self, pairs: list, divisor: int) -> "VirtualBundle":
         """(sum_i (-1)^i a_i (x) b_i) / divisor, i counted from 0, for bundles at this truncation.
 
-        With a = r_a + A and b = r_b + B split into rank and reduced part,
-        a (x) b = r_a*r_b + r_a*B + r_b*A + A*B.  Every pair adds into one
-        `_convolve` accumulator over the lcm of the pairs' denominator
-        products: A*B by convolution, r_a*B and r_b*A as scaled items, and
-        the ranks r_a*r_b as one int, which must divide by `divisor`.  The
-        reduced part is put in lowest terms once.
+        Each a_i (x) b_i is the product of the two Chern characters, one
+        `_convolve` into one accumulator over the lcm of the pairs'
+        denominator products; the unit terms give the rank products.  The
+        constant term of the sum, the rank, must be an integer.  The result
+        is put in lowest terms once.
         """
         limit = self.truncation
-        den = lcm(*[a.reduced.den * b.reduced.den for a, b in pairs])
+        den = lcm(*[a._ch.den * b._ch.den for a, b in pairs])
         acc: dict = {}
-        get = acc.get
-        rank = 0
         for i, (a, b) in enumerate(pairs):
-            sign = -1 if i % 2 else 1
-            A, B = a.reduced, b.reduced
-            scale = sign * (den // (A.den * B.den))
+            A, B = a._ch, b._ch
+            scale = (-1 if i % 2 else 1) * (den // (A.den * B.den))
             _convolve(acc, [(g, s, key, num * scale) for g, s, key, num in A.items], B.items, limit)
-            for X, r in ((A, b.rank), (B, a.rank)):
-                if r:
-                    scale = sign * r * (den // X.den)
-                    for _, _, key, num in X.items:
-                        acc[key] = get(key, 0) + num * scale
-            rank += sign * a.rank * b.rank
-        rank, rem = divmod(rank, divisor)
-        if rem:
+        den *= divisor
+        if acc.get(0, 0) % den:  # the unit key is 0
             raise ValueError("exterior power recursion produced a non-integral rank")
-        reduced = GradedPoly._make(self.table, limit, *self.table.layout(limit).int_form(acc, den * divisor))
-        return VirtualBundle(self.table, limit, rank, reduced)
+        return VirtualBundle._of(GradedPoly._make(self.table, limit, *self.table.layout(limit).int_form(acc, den)))
 
 
 # -- geometric constructors --------------------------------------------------
 
 
-def _reduced_character(table: GeneratorTable, truncation: int, family: str) -> GradedPoly:
-    """sum_m 2*s_m/(2m)! over a root family: the reduced Chern character of the
+def _complexification(table: GeneratorTable, truncation: int, family: str, rank: int) -> VirtualBundle:
+    """rank + sum_m 2*s_m/(2m)! over a root family: the Chern character of the
     complexification of a real bundle whose Pontryagin classes are the family."""
-    reduced = GradedPoly.zero(table, truncation)
+    ch = GradedPoly.constant(table, truncation, rank)
     for m in range(1, truncation // 4 + 1):
         s = power_sum_in_pontryagin(table, family, m, truncation)
-        reduced = reduced + s * Fraction(2, factorial(2 * m))
-    return reduced
+        ch = ch + s * Fraction(2, factorial(2 * m))
+    return VirtualBundle._of(ch)
 
 
 @lru_cache(maxsize=None)
 def tangent_complexification(table: GeneratorTable, dim: int) -> VirtualBundle:
     """Complexified tangent bundle over the pX classes, to degree dim: rank dim,
     degree-4m piece 2*s_{2m}/(2m)!."""
-    return VirtualBundle(table, dim, dim, _reduced_character(table, dim, "pX"))
+    return _complexification(table, dim, "pX", dim)
 
 
 @lru_cache(maxsize=None)
@@ -252,25 +252,15 @@ def aux_complexification(table: GeneratorTable, truncation: int) -> VirtualBundl
     The rank is free: every reduced quantity built from this bundle is
     rank-independent, so it is built at rank 0.
     """
-    return VirtualBundle(table, truncation, 0, _reduced_character(table, truncation, "pV"))
+    return _complexification(table, truncation, "pV", 0)
 
 
 @lru_cache(maxsize=None)
 def line_real_complexification(table: GeneratorTable, truncation: int) -> VirtualBundle:
-    """Complexified realification of a line bundle with first Chern class cL:
-    rank 2 with degree-4m piece 2*cL^(2m)/(2m)!."""
+    """Complexified realification of a line bundle L with first Chern class cL:
+    ch(L + conj L) = exp(cL) + exp(-cL), rank 2."""
     c = GradedPoly.generator(table, "cL", truncation)
-    reduced = GradedPoly.zero(table, truncation)
-    c2 = c * c
-    term = GradedPoly.one(table, truncation)
-    m = 1
-    while True:
-        term = term * c2
-        if term.is_zero():
-            break
-        reduced = reduced + term * Fraction(2, factorial(2 * m))
-        m += 1
-    return VirtualBundle(table, truncation, 2, reduced)
+    return VirtualBundle._of(exp_truncated(c) + exp_truncated(-c))
 
 
 # -- q-series of Chern characters ---------------------------------------------

@@ -69,9 +69,6 @@ def spinor_ch(table: GeneratorTable, dim: int) -> GradedPoly:
     return multiplicative_genus_eval(table, cosh_genus(dim), "pX", dim) * 2 ** (dim // 2)
 
 
-AUX_FACTOR_KINDS = ("detcosh_V", "exp_half_c", "sinh_half_c", "cosh_half_c")
-
-
 @lru_cache(maxsize=None)
 def aux_bundle_factor(table: GeneratorTable, kind: str, truncation: int) -> GradedPoly:
     """Auxiliary multiplicative factors:

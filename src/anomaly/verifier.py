@@ -586,23 +586,15 @@ def _relation_terms(
     ]
 
 
-def index_relation_forms(
-    entry: IdentityEntry,
-    *,
-    e_const: int | None = None,
-    extract: int | None = None,
-    rhs_sector: int | None = None,
-):
+def index_relation_forms(entry: IdentityEntry):
     """The identity as an integer relation sum_i c_i * x_i = 0 among indices.
 
     Returns a list of (coefficient, label, form) triples; each form is the
-    pairing polynomial {factor * ch(combo)}^(d) of its index over the
-    entry's own table, at the degree d = dim unless `extract` overrides it.
-    The relation holds after the case condition is substituted into the
-    forms.
+    pairing polynomial {factor * ch(combo)}^(dim) of its index over the
+    entry's own table.  The relation holds after the case condition is
+    substituted into the forms.
     """
-    e = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
-    terms = _relation_terms(entry, _index_forms([entry]), e, extract, rhs_sector)
+    terms = _relation_terms(entry, _index_forms([entry]), _basis_coefficient(entry.weight, entry.q_power))
     return [(coeff, label, form) for coeff, label, form, _ in terms]
 
 

@@ -44,14 +44,20 @@ BUNDLE_TABLES = (pontryagin_table(8), pontryagin_table(8, aux=True), pontryagin_
 
 
 @st.composite
-def virtual_bundles(draw, table):
-    """A virtual bundle over `table` at a random even truncation, with a random rank and reduced character."""
+def bundle_arguments(draw, table):
+    """Constructor arguments `(table, truncation, rank, reduced)` over `table`: a random even
+    truncation, a random rank and a random reduced character."""
     truncation = draw(st.sampled_from(range(0, max(table.degrees) + 3, 2)))
     exponents = st.tuples(*[st.integers(0, 2) for _ in range(len(table))])
     coefficients = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     terms = draw(st.dictionaries(exponents, coefficients, max_size=5))
     terms.pop((0,) * len(table), None)
-    return VirtualBundle(table, truncation, draw(st.integers(-4, 4)), GradedPoly(table, truncation, terms))
+    return table, truncation, draw(st.integers(-4, 4)), GradedPoly(table, truncation, terms)
+
+
+def virtual_bundles(table):
+    """A virtual bundle over `table` at a random even truncation, with a random rank and reduced character."""
+    return bundle_arguments(table).map(lambda args: VirtualBundle(*args))
 
 
 @st.composite
@@ -104,6 +110,41 @@ class TestVirtualBundleBasics:
         assert (T * T).ch() == T.ch() * T.ch()
         assert (T * 3).ch() == 3 * T.ch()
         assert (T - T).is_zero()
+
+
+class TestOneCharacterPerBundle:
+    """A bundle is its Chern character; the rank and the reduced part are read off it."""
+
+    @SETTINGS
+    @given(st.sampled_from(BUNDLE_TABLES).flatmap(bundle_arguments), st.integers(1, 4))
+    def test_derived_fields_round_trip(self, args, k):
+        table, truncation, rank, reduced = args
+        W = VirtualBundle(table, truncation, rank, reduced)
+        assert W.rank == rank and type(W.rank) is int
+        assert W.reduced == reduced
+        assert W.ch() == reduced + rank
+        assert W.ch() is W.ch()
+        assert W.truncation == W.ch().truncation == truncation
+        assert W.reduce().ch() == W.ch() - rank
+        assert W.adams(k).rank == rank
+
+    def test_reduced_truncated_below_the_bundle_is_rejected(self):
+        table = pontryagin_table(8)
+        with pytest.raises(ValueError, match="truncated at degree 4"):
+            VirtualBundle(table, 8, 1, GradedPoly.generator(table, "pX1", 4))
+
+    def test_reduced_truncated_above_the_bundle_is_cut(self):
+        table = pontryagin_table(8)
+        T = tangent_complexification(table, 8)
+        W = VirtualBundle(table, 4, 8, T.reduced)
+        assert W.truncation == W.ch().truncation == 4
+        assert W.ch() == T.ch().truncate(4)
+        assert W.lambda_power(2).ch() == T.lambda_power(2).ch().truncate(4)
+
+    def test_non_integral_rank_is_an_error(self):
+        one = VirtualBundle.trivial(pontryagin_table(8), 8, 1)
+        with pytest.raises(ValueError, match="non-integral rank"):
+            one._signed_sum([(one, one)], 2)
 
 
 class TestAdamsOperations:
