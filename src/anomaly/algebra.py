@@ -29,10 +29,13 @@ key's degree and j2 are read off its digits.
 
 The arithmetic of the int form is written once, in the base class
 `IntForm`: equality, negation, sums, scalar and series products, the tau
-shift, powers and the exp/log/inverse kernels.  `GradedPoly` here,
-`qseries.QHalfSeries` and `theta.TwoVarSeries` are its three subclasses; each
-gives only its shape (table or ring, and caps), its key layout, its kernel
-limits and how two operands are brought onto one shape.
+shift, powers, the unit, `repr`, operand alignment and the exp/log/inverse
+kernels.  `GradedPoly` here, `qseries.QHalfSeries` and `theta.TwoVarSeries`
+are its three subclasses; each gives only its shape (table or ring, and
+caps), its key layout, its kernel limits and `_meet`, the one shape that two
+operands are brought onto.  One routine, `_relaid`, moves a form onto
+another shape: every truncation, cut, promotion and alignment re-keys
+through it.
 
 exp, log and inverse each have one implementation over int forms,
 `_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
@@ -321,28 +324,41 @@ def _int_form(den: int, items: list) -> tuple[int, list]:
     return den, items
 
 
-def _cut_items(items: list, old: KeyLayout, new: KeyLayout, truncation: int) -> list:
-    """The items of grade at most `truncation`, re-keyed by generator name from
-    `old`'s table onto `new`'s; each side grade stays the top digit.
+def _relaid(items: list, old: KeyLayout, new: KeyLayout, limit: int, side_limit: int) -> list:
+    """The items of grade at most `limit` and side grade at most `side_limit`,
+    their keys moved from `old`'s table onto `new`'s by generator name.
 
-    Every generator of the new table must be in the old one.  A kept term
-    that carries a generator the new table lacks is a ValueError.  The
-    result is unsorted and not reduced: pass it through `_int_form`.
+    A key is packed exponents | grade << gshift | side grade << sshift: the
+    grade and the side grade stay in their digits, so a t-power in the
+    degree digit of the empty table moves too.  A generator that the old
+    table lacks gets exponent 0.  A shared generator of another degree in
+    the new table, or a kept term that carries a generator the new table
+    lacks, is a ValueError.  When `new is old` the items are only filtered.
+    The result is a new list, unsorted and not reduced: pass it through
+    `_int_form`.
     """
-    table = old.table
-    missing = [(i, name) for i, name in enumerate(table.names) if name not in new.table]
+    if new is old:
+        return [item for item in items if item[0] <= limit and item[1] <= side_limit]
+    table, target = old.table, new.table
+    for name, degree in target.generators:
+        if name in table and table.degrees[table.index(name)] != degree:
+            raise ValueError(f"generator {name!r} has another degree, {degree}, in the target table")
+    missing = [(i, name) for i, name in enumerate(table.names) if name not in target]
     lacked = sum(old.mask << old.bits * i for i, _ in missing)
-    picks = [table.index(name) for name in new.table.names]
-    pack, unpack, shift = new.pack, old.unpack, new.sshift
+    # A generator that the old table lacks reads the 0 appended to each exponent tuple.
+    picks = [table.index(name) if name in table else len(table) for name in target.names]
+    pack, unpack, gshift, sshift = new._pack, old.unpack, new.gshift, new.sshift
     kept = []
     for g, side, key, num in items:
-        if g > truncation:
+        if g > limit:
             break  # the items are sorted by grade
+        if side > side_limit:
+            continue
         if key & lacked:
             name = next(name for i, name in missing if key >> old.bits * i & old.mask)
             raise ValueError(f"a degree-{g} term carries generator {name!r}, which the target table lacks")
-        expts = unpack(key)
-        kept.append((g, side, pack(tuple(expts[i] for i in picks)) | side << shift, num))
+        expts = unpack(key) + (0,)
+        kept.append((g, side, pack(tuple(expts[i] for i in picks)) | g << gshift | side << sshift, num))
     return kept
 
 
@@ -551,11 +567,13 @@ class IntForm:
 
     - `layout`, the `KeyLayout` of its keys;
     - `limits`, the kernels' grade and side-grade limits;
-    - `_aligned(other)`, both operands on one shape and key layout.
+    - `_meet(other)`, the one shape that two operands are brought onto.
 
     Its public constructor validates and cleans its input.  Arithmetic
     results go through `_make` instead, which trusts that the invariants
-    already hold.
+    already hold.  `_reshaped` moves a form onto another shape (`_relaid`),
+    and every truncation, cut, promotion and operand alignment goes
+    through it.
     """
 
     __slots__ = ("den", "items")
@@ -587,6 +605,24 @@ class IntForm:
     @classmethod
     def zero(cls, *shape):
         return cls(*shape)
+
+    @classmethod
+    def one(cls, *shape):
+        cls.zero(*shape)  # validates the shape
+        return cls._make(*shape, 1, [(0, 0, 0, 1)])  # the unit key is 0 in every layout
+
+    def _reshaped(self, first, second):
+        """This form on the shape `(first, second)`: the terms within its limits, laid out on its keys."""
+        form = self._make(first, second, 1, [])
+        form.den, form.items = _int_form(self.den, _relaid(self.items, self.layout, form.layout, *form.limits))
+        return form
+
+    def _aligned(self, other):
+        """Both operands on the shape `_meet(other)`; one already on it is kept as it is."""
+        shape = self._meet(other)
+        a = self if self._shape == shape else self._reshaped(*shape)
+        b = other if other._shape == shape else other._reshaped(*shape)
+        return a, b
 
     def __eq__(self, other):
         return (
@@ -663,6 +699,9 @@ class IntForm:
         """An exp/log/inverse int-form kernel (`_exp_form`, `_log_form`, `_inverse_form`) applied within the limits."""
         return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
 
 class GradedPoly(IntForm):
     """Truncated polynomial over a GeneratorTable, in int form (`IntForm`).
@@ -704,10 +743,6 @@ class GradedPoly(IntForm):
         return cls(table, truncation, {(0,) * len(table): as_rational(value)})
 
     @classmethod
-    def one(cls, table, truncation) -> "GradedPoly":
-        return cls.constant(table, truncation, 1)
-
-    @classmethod
     def generator(cls, table, name, truncation) -> "GradedPoly":
         expts = [0] * len(table)
         expts[table.index(name)] = 1
@@ -731,14 +766,11 @@ class GradedPoly(IntForm):
 
     # -- ring structure ----------------------------------------------------
 
-    def _aligned(self, other: "GradedPoly") -> tuple["GradedPoly", "GradedPoly"]:
-        """Both operands at the smaller truncation, over one generator table."""
+    def _meet(self, other: "GradedPoly") -> tuple[GeneratorTable, int]:
+        """One generator table, at the smaller truncation."""
         if self.table != other.table:
             raise ValueError("polynomials live over different generator tables")
-        if self.truncation == other.truncation:
-            return self, other
-        trunc = min(self.truncation, other.truncation)
-        return self.truncate(trunc), other.truncate(trunc)
+        return self.table, min(self.truncation, other.truncation)
 
     def __add__(self, other):
         """Scalars add to the constant term."""
@@ -789,27 +821,22 @@ class GradedPoly(IntForm):
 
     def truncate(self, truncation: int) -> "GradedPoly":
         """The polynomial truncated to `truncation`; itself if that lowers nothing."""
-        if truncation >= self.truncation:
+        if _even_truncation(truncation) >= self.truncation:
             return self
-        old, new = self.layout, self.table.layout(_even_truncation(truncation))
-        if new is old:
-            items = [item for item in self.items if item[0] <= truncation]
-        else:
-            items = [(g, s, new.pack(old.unpack(key)), num) for g, s, key, num in self.items if g <= truncation]
-        return GradedPoly._make(self.table, truncation, *_int_form(self.den, items))
+        return self._reshaped(self.table, truncation)
 
     def cut(self, table: GeneratorTable, truncation: int) -> "GradedPoly":
         """The terms of degree at most `truncation`, re-keyed by generator name onto `table`.
 
-        The truncation is at most this polynomial's own, and every generator
-        of `table` is in this one's; a kept term that carries a generator
-        `table` lacks is a ValueError (`_cut_items`).
+        The truncation is at most this polynomial's own.  A generator that
+        this table lacks gets exponent 0, so a cut onto a larger table is the
+        embedding.  A kept term that carries a generator `table` lacks, or a
+        generator that `table` gives another degree, is a ValueError
+        (`_relaid`).
         """
-        layout = table.layout(_even_truncation(truncation))
-        if truncation > self.truncation:
+        if _even_truncation(truncation) > self.truncation:
             raise ValueError(f"cannot cut a polynomial truncated at degree {self.truncation} to degree {truncation}")
-        items = _cut_items(self.items, self.layout, layout, truncation)
-        return GradedPoly._make(table, truncation, *_int_form(self.den, items))
+        return self._reshaped(table, truncation)
 
     # -- substitution ------------------------------------------------------
 
@@ -885,9 +912,6 @@ class GradedPoly(IntForm):
         degree, monomial = self.table.monomial_degree, self.table.monomial_string
         terms = sorted(self.terms.items(), key=lambda kv: (degree(kv[0]), kv[0]))
         return _render_terms((coeff, monomial(expts)) for expts, coeff in terms)
-
-    def __repr__(self):
-        return f"GradedPoly({self.render()})"
 
 
 def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncation: int | None = None) -> GradedPoly:

@@ -26,7 +26,6 @@ from .algebra import (
     GeneratorTable,
     GradedPoly,
     IntForm,
-    _cut_items,
     _even_truncation,
     _exp_form,
     _int_form,
@@ -219,17 +218,11 @@ class QHalfSeries(IntForm):
             self._coeffs = self.ring.unflatten(self.den, self.items)
         return self._coeffs
 
-    def _aligned(self, other: "QHalfSeries") -> tuple["QHalfSeries", "QHalfSeries"]:
-        """Both operands in the merged ring, cut at the smaller cap."""
-        ring = merge_rings(self.ring, other.ring)
-        cap = min(self.cap, other.cap)
-        return tuple(s if s.ring == ring and s.cap == cap else QHalfSeries(ring, cap, s.coeffs) for s in (self, other))
+    def _meet(self, other: "QHalfSeries") -> tuple:
+        """The merged ring, at the smaller cap."""
+        return merge_rings(self.ring, other.ring), min(self.cap, other.cap)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, ring, cap):
-        return cls(ring, cap, {0: ring.one()})
 
     @classmethod
     def q_power(cls, ring, cap, j2, value=1):
@@ -288,25 +281,25 @@ class QHalfSeries(IntForm):
     def cut(self, ring: PolyRing) -> "QHalfSeries":
         """The terms of degree at most `ring.truncation`, re-keyed by generator name onto `ring.table`.
 
-        Both rings are polynomial, the target truncation is at most this
-        series' own, and every generator of the target table is in this one;
-        a kept term that carries a generator the target table lacks is a
-        ValueError.  The q-cap is kept.
+        Both rings are polynomial and the target truncation is at most this
+        series' own.  A generator that this table lacks gets exponent 0, so a
+        cut onto a larger table is the embedding.  A kept term that carries a
+        generator the target table lacks, or a generator that it gives
+        another degree, is a ValueError (`algebra._relaid`).  The q-cap is
+        kept.
         """
         source = self.ring
         if not (isinstance(source, PolyRing) and isinstance(ring, PolyRing)):
             raise RingMismatchError("cut needs polynomial coefficients on both sides")
-        truncation = ring.truncation
-        if truncation > source.truncation:
-            raise ValueError(f"cannot cut a series truncated at degree {source.truncation} to degree {truncation}")
-        items = _cut_items(self.items, source.layout, ring.layout, truncation)
-        return QHalfSeries._make(ring, self.cap, *_int_form(self.den, items))
+        if ring.truncation > source.truncation:
+            raise ValueError(f"cannot cut a series truncated at degree {source.truncation} to degree {ring.truncation}")
+        return self._reshaped(ring, self.cap)
 
     def promote(self, ring: PolyRing) -> "QHalfSeries":
-        """Explicitly lift rational coefficients into a polynomial ring."""
+        """Explicitly lift rational coefficients into a polynomial ring: each becomes a constant."""
         if not isinstance(self.ring, RationalRing):
             raise RingMismatchError("promote applies to rational-coefficient series")
-        return QHalfSeries(ring, self.cap, {j2: ring.coerce(v) for j2, v in self.coeffs.items()})
+        return self._reshaped(ring, self.cap)
 
     # -- rendering -----------------------------------------------------------
 
@@ -322,9 +315,6 @@ class QHalfSeries(IntForm):
                 body = f"{body}*{power}"
             parts.append(body if not parts else f"+ {body}")
         return " ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"QHalfSeries({self.render()})"
 
 
 def qseries_exp(x: QHalfSeries) -> QHalfSeries:

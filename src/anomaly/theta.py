@@ -36,7 +36,6 @@ from .algebra import (
     GradedPoly,
     IntForm,
     _exp_form,
-    _int_form,
     _inverse_form,
     _nonnegative_int,
     _log_form,
@@ -89,10 +88,6 @@ class TwoVarSeries(IntForm):
         self.den, self.items = layout.rational_form(clean)
         self._logarithm = None
 
-    @classmethod
-    def one(cls, tcap, cap):
-        return cls(tcap, cap, {(0, 0): Fraction(1)})
-
     @property
     def layout(self):
         return _T_KEYS.layout(self.tcap)
@@ -115,18 +110,9 @@ class TwoVarSeries(IntForm):
             return Fraction(items[i][3], self.den)
         return Fraction(0)
 
-    def _cut(self, tcap: int, cap: int) -> "TwoVarSeries":
-        """The series cut at `tcap` <= self.tcap and `cap` <= self.cap, its keys laid out for `tcap`."""
-        if tcap == self.tcap and cap == self.cap:
-            return self
-        shift = _T_KEYS.layout(tcap).sshift
-        items = [(n, j2, n | j2 << shift, num) for n, j2, _, num in self.items if n <= tcap and j2 <= 2 * cap]
-        return TwoVarSeries._make(tcap, cap, *_int_form(self.den, items))
-
-    def _aligned(self, other: "TwoVarSeries") -> tuple["TwoVarSeries", "TwoVarSeries"]:
-        """Both operands at the smaller caps, on one key layout."""
-        tcap, cap = min(self.tcap, other.tcap), min(self.cap, other.cap)
-        return self._cut(tcap, cap), other._cut(tcap, cap)
+    def _meet(self, other: "TwoVarSeries") -> tuple[int, int]:
+        """The smaller caps."""
+        return min(self.tcap, other.tcap), min(self.cap, other.cap)
 
     def inverse(self) -> "TwoVarSeries":
         """Multiplicative inverse, solved weight by weight (`algebra._inverse_form`)."""
@@ -159,9 +145,6 @@ class TwoVarSeries(IntForm):
             t_power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
             pairs.append((Fraction(num, self.den), "*".join(filter(None, (t_power, _q_power(j2))))))
         return _render_terms(pairs)
-
-    def __repr__(self):
-        return f"TwoVarSeries({self.render()})"
 
 
 # -- quotient construction ----------------------------------------------------

@@ -193,6 +193,21 @@ class TestCut:
         with pytest.raises(ValueError, match="cannot cut"):
             f.truncate(8).cut(big, 12)
 
+    def test_cut_rejects_a_generator_of_another_degree(self):
+        """Kept as it was, the term would carry grade 2 under a degree-4 key."""
+        source, target = GeneratorTable([("a", 2), ("b", 4)]), GeneratorTable([("a", 4)])
+        with pytest.raises(ValueError, match="'a'"):
+            GradedPoly.generator(source, "a", 8).cut(target, 8)
+
+    def test_cut_onto_a_larger_table_is_the_embedding(self):
+        small, big = pontryagin_table(8), pontryagin_table(8, aux=True)
+
+        def f(table):
+            return 1 + GradedPoly.generator(table, "pX1", 8) / 3 - GradedPoly.generator(table, "pX2", 8)
+
+        assert f(small).cut(big, 8) == f(big)
+        assert f(small).cut(big, 4) == f(big).truncate(4)
+
 
 class TestSubstitution:
     def test_same_table_substitution(self):

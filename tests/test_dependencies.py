@@ -1,7 +1,8 @@
 """The package has zero runtime dependencies: `src/anomaly` imports only the
 standard library and its own modules (sympy and hypothesis are for tests).
-Its export list names each public name once, and each resolves, and
-importing the CLI loads none of the slow-to-import standard modules.  The
+Its export list names each public name once, and each resolves, every
+other module reads each name it imports, and importing the CLI loads none
+of the slow-to-import standard modules.  The
 verifier and the CLI tell case families apart only through the family table."""
 
 import ast
@@ -46,6 +47,32 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that `source` imports and never reads; `from __future__` imports aside."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_unused_import_scan_sees_every_import_form():
+    source = "from __future__ import annotations\nimport os.path\nimport json as j\nfrom math import gcd, lcm\n"
+    source += "from . import algebra\ndef f():\n    import sys\n    return os.path.sep, gcd(2, 4)\n"
+    assert unused_imports(source) == ["j", "lcm", "algebra", "sys"]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name)
+def test_every_import_is_read(path):
+    """Removing code must not leave its imports behind.  `__init__.py` is
+    skipped: its imports are its exports."""
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_export_resolves_once():

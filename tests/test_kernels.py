@@ -16,7 +16,9 @@ denominator, no zero numerator, gcd 1, sorted, and each stored degree (or
 t-power) and q-exponent equal to the one read off the key; digit widths are
 crossed at 255/256 and 65535/65536.  The arithmetic the three classes
 share through `algebra.IntForm` is checked on each of them, and every cap or
-truncation must be an int.
+truncation must be an int.  Moving a form onto another shape (`_reshaped`:
+truncations, cuts, promotions) is checked against the value rebuilt from its
+view through the public constructor, across the 8/16-bit digit boundary.
 """
 
 import operator
@@ -299,7 +301,7 @@ class TestShapesAreInts:
         with pytest.raises(ValueError):
             GradedPoly(self.TABLE, truncation)
 
-    @pytest.mark.parametrize("truncation", [4.0, True, 3, -2], ids=repr)
+    @pytest.mark.parametrize("truncation", [4.0, True, 3, -2, 10.5, 9, "12"], ids=repr)
     def test_truncate_and_substitute(self, truncation):
         p = GradedPoly(self.TABLE, 8, {(1, 0): 1, (0, 1): 2})
         with pytest.raises(ValueError):
@@ -385,11 +387,11 @@ def keyed_products(draw, truncations=st.sampled_from(POLY_TRUNCATIONS)):
 
 
 @st.composite
-def series_products(draw):
+def series_products(draw, truncations=st.sampled_from(POLY_TRUNCATIONS)):
     """Two q-series with the polynomials of `keyed_products` as coefficients,
     over the ring at the smaller truncation: flat keys with j2 on top, some
     products exactly at q^cap and one term past it."""
-    a, b = draw(keyed_products())
+    a, b = draw(keyed_products(truncations))
     ring = PolyRing(a.table, min(a.truncation, b.truncation))
     a, b = a.truncate(ring.truncation), b.truncate(ring.truncation)
     cap = draw(st.sampled_from(Q_CAPS))
@@ -1153,3 +1155,78 @@ class TestSharedArithmetic:
             with pytest.raises(TypeError):
                 op(a, b)
         assert poly != forms[1] and forms[1] != forms[2]
+
+
+# -- moving a form onto another shape -------------------------------------------------
+
+# Sizes on both sides of the 8/16-bit digit boundary: truncation 254 packs
+# 8-bit digits and 256 16-bit ones; so do t-caps 255 and 256.
+SHAPE_TRUNCATIONS = st.sampled_from((0, 2, 10, 254, 256))
+SHAPE_T_CAPS = (0, 1, 5, 255, 256)
+
+
+def widened(table):
+    """`table` reversed, after one new generator h."""
+    return GeneratorTable((("h", 2),) + table.generators[::-1])
+
+
+def embedded(p, truncation):
+    """`p` rebuilt from its view on `widened(p.table)`, truncated at `truncation`."""
+    return GradedPoly(widened(p.table), truncation, {(0,) + expts[::-1]: c for expts, c in p.terms.items()})
+
+
+class TestShapeMove:
+    """`IntForm._reshaped`, and the truncations, cuts and promotions through it,
+    against the value rebuilt from its view through the public constructor."""
+
+    @SETTINGS
+    @given(st.data())
+    def test_graded_poly(self, data):
+        low, high = sorted(data.draw(st.tuples(SHAPE_TRUNCATIONS, SHAPE_TRUNCATIONS)))
+        p, _ = data.draw(keyed_products(st.just(high)))
+        moved = p._reshaped(p.table, low)
+        assert moved == GradedPoly(p.table, low, p.terms) == p.truncate(low)
+        cut = p.cut(widened(p.table), low)  # by name, onto a larger table: the embedding
+        assert cut == embedded(p, low)
+        for result in (moved, cut):
+            assert_poly_invariants(result)
+
+    @SETTINGS
+    @given(st.data())
+    def test_poly_series(self, data):
+        low, high = sorted(data.draw(st.tuples(SHAPE_TRUNCATIONS, SHAPE_TRUNCATIONS)))
+        s, _ = data.draw(series_products(st.just(high)))
+        ring = PolyRing(s.ring.table, low)
+        cap = data.draw(st.integers(0, s.cap))
+        moved = s._reshaped(ring, cap)
+        assert moved == QHalfSeries(ring, cap, s.coeffs)
+        assert s.cut(ring) == QHalfSeries(ring, s.cap, s.coeffs)
+        target = PolyRing(widened(s.ring.table), low)
+        relaid = s._reshaped(target, cap)
+        assert relaid == QHalfSeries(target, cap, {j2: embedded(c, low) for j2, c in s.coeffs.items()})
+        for result in (moved, relaid):
+            assert_series_invariants(result)
+
+    @SETTINGS
+    @given(rational_series_pairs(), tables(), SHAPE_TRUNCATIONS, st.data())
+    def test_rational_series_and_promote(self, pair, table, truncation, data):
+        s = pair[0]
+        cap = data.draw(st.integers(0, s.cap))
+        moved = s._reshaped(RATIONALS, cap)
+        assert moved == QHalfSeries(RATIONALS, cap, s.coeffs)
+        ring = PolyRing(table, truncation)
+        promoted = s.promote(ring)
+        assert promoted == QHalfSeries(ring, s.cap, {j2: ring.coerce(c) for j2, c in s.coeffs.items()})
+        for result in (moved, promoted):
+            assert_series_invariants(result)
+
+    @SETTINGS
+    @given(st.data())
+    def test_two_var_series(self, data):
+        high = data.draw(st.sampled_from(SHAPE_T_CAPS))
+        low = data.draw(st.sampled_from([tcap for tcap in SHAPE_T_CAPS if tcap <= high]))
+        v = data.draw(series(high, data.draw(st.integers(0, 4))))
+        cap = data.draw(st.integers(0, v.cap))
+        moved = v._reshaped(low, cap)
+        assert moved == TwoVarSeries(low, cap, v.coeffs)
+        assert_two_var_invariants(moved)

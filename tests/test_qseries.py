@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from anomaly.algebra import GradedPoly, pontryagin_table
+from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.qseries import (
     PolyRing,
     QHalfSeries,
@@ -141,6 +141,20 @@ class TestPolynomialCoefficients:
         with pytest.raises(ValueError, match="'pX3'"):
             s.cut(PolyRing(pontryagin_table(8), 12))
         assert s.cut(PolyRing(pontryagin_table(8), 8)).is_zero()  # pX3 has degree 12 > 8: cut, not carried
+
+    def test_cut_rejects_a_generator_of_another_degree(self):
+        source, target = GeneratorTable([("a", 2), ("b", 4)]), GeneratorTable([("a", 4)])
+        s = QHalfSeries(PolyRing(source, 8), 1, {2: GradedPoly.generator(source, "a", 8)})
+        with pytest.raises(ValueError, match="'a'"):
+            s.cut(PolyRing(target, 8))
+
+    def test_cut_onto_a_larger_table_is_the_embedding(self):
+        small, big = pontryagin_table(8), pontryagin_table(8, aux=True)
+
+        def series(table):
+            return QHalfSeries(PolyRing(table, 8), 2, {0: 1, 3: GradedPoly.generator(table, "pX2", 8) / 5})
+
+        assert series(small).cut(PolyRing(big, 8)) == series(big)
 
     def test_cut_cannot_raise_the_truncation(self):
         table = pontryagin_table(12)
