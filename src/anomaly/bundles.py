@@ -9,7 +9,7 @@ polynomial, through universal Chern-character polynomials, so it applies to
 arbitrary virtual elements, including negative and zero ranks.
 
 A bundle keeps its Adams operations, exterior and symmetric powers and its
-rank-zero reduction once built, and the three geometric constructors are
+rank-zero reduction once built, and the four geometric constructors are
 memoized per argument.  So the theta series of one case and the identities
 of the catalog share one set of powers of T~ (and of V~).  Callers treat
 bundles as immutable.
@@ -21,7 +21,12 @@ denominator, and the result is put in lowest terms once.  `theta_series`
 multiplies its sparse factors together first, the sparsest (largest q-step)
 first, and joins the symmetric-power and exterior-power products with one
 product at the end; a +q^(m-1/2) exterior product is the half-period shift
-of the -q^(m-1/2) one.  It keeps no series or polynomial past the call.
+of the -q^(m-1/2) one.  Adams operations are lambda-ring endomorphisms, and
+per Chern root (1 - x e^v)(1 + x e^v) = 1 - x^2 e^(2v), so the pair of
+half-step products of ThetaV is one product over psi^2:
+prod_m Lam_{-q^(m-1/2)}(W) (x) Lam_{+q^(m-1/2)}(W) = prod_{m odd} Lam_{-q^m}(psi^2 W).
+The spin case's three sectors share one symmetric-power product (kind
+`sectors`).  `theta_series` keeps no series or polynomial past the call.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .algebra import (
     exp_truncated,
     power_sum_in_pontryagin,
 )
+from .genera import spinor_ch
 from .qseries import PolyRing, QHalfSeries
 
 
@@ -263,10 +269,17 @@ def line_real_complexification(table: GeneratorTable, truncation: int) -> Virtua
     return VirtualBundle._of(exp_truncated(c) + exp_truncated(-c))
 
 
+@lru_cache(maxsize=None)
+def spinor_bundle(table: GeneratorTable, dim: int) -> VirtualBundle:
+    """The spinor bundle Delta of a spin manifold of dimension dim, rank
+    2^(dim/2): its Chern character is the form `genera.spinor_ch`."""
+    return VirtualBundle._of(spinor_ch(table, dim))
+
+
 # -- q-series of Chern characters ---------------------------------------------
 
 
-THETA_KINDS = ("theta1", "theta2", "theta3", "theta2+theta3", "thetaV", "thetaL")
+THETA_KINDS = ("theta1", "theta2", "theta3", "theta2+theta3", "sectors", "thetaV", "thetaL")
 
 
 def _sym_factor(W: VirtualBundle, n: int, cap: int) -> QHalfSeries:
@@ -303,21 +316,26 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
     theta3: prod_n S_{q^n}(T~) (x) prod_m Lam_{+q^(m-1/2)}(T~)
     theta2+theta3: prod_n S_{q^n}(T~) (x) (prod_m Lam_{-q^(m-1/2)}(T~) + prod_m Lam_{+q^(m-1/2)}(T~)),
             the sum of theta2 and theta3
+    sectors: theta1 (x) V + rank(V) * (theta2+theta3), the spin case's three
+            sectors with V the spinor bundle, over one symmetric-power product
     thetaV: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(V~)
             (x) prod_r Lam_{+q^(r-1/2)}(V~) (x) prod_s Lam_{-q^(s-1/2)}(V~)
     thetaL: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^m}(V~)
 
     Only P = prod_m Lam_{-q^(m-1/2)} is built: the +q^(m-1/2) product is P
-    under q^(1/2) -> -q^(1/2) (`tau_shift_half`).  The symmetric-power and
+    under q^(1/2) -> -q^(1/2) (`tau_shift_half`).  ThetaV's half-step pair is
+    not built at all: it is prod_{m odd} Lam_{-q^m}(psi^2 V~), since per
+    Chern root (1 - x e^v)(1 + x e^v) = 1 - x^2 e^(2v), so V~'s exterior
+    powers are read to degree cap, not 2*cap.  The symmetric-power and
     the exterior-power factors are each multiplied sparsest (largest q-step)
     first, so the running products stay sparse; then one product joins the
-    two.  `theta2+theta3` adds P to its shift first, so that product runs
-    over integer q-powers only.
+    two.  `theta2+theta3` and `sectors` add P to its shift first, so that
+    product runs over integer q-powers only.
     """
     if kind not in THETA_KINDS:
         raise ValueError(f"unknown theta series kind {kind!r}")
-    if kind in ("thetaV", "thetaL") and V is None:
-        raise ValueError(f"kind {kind!r} needs the auxiliary bundle V")
+    if kind in ("sectors", "thetaV", "thetaL") and V is None:
+        raise ValueError(f"kind {kind!r} needs the bundle V")
     if V is not None and V.table != TX.table:
         raise ValueError("TX and V over different generator tables")
     _nonnegative_int(cap, "q-cap")
@@ -326,22 +344,24 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
     one = QHalfSeries.one(PolyRing(TX.table, T.truncation), cap)
     whole = range(2 * cap, 0, -2)  # doubled q-steps 2m, m = cap..1
     half = range(2 * cap - 1, 0, -2)  # doubled q-steps 2m - 1, m = cap..1
+    odd = whole[1 - cap % 2 :: 2]  # doubled q-steps 2m, m odd, m = cap..1
 
     def product(W: VirtualBundle, steps, sign: int) -> QHalfSeries:
         return reduce(mul, [_lam_factor(W, step, sign, cap) for step in steps], one)
 
     if kind == "theta1":
         lam = product(T, whole, +1)
-    elif kind in ("theta2", "theta3", "theta2+theta3"):
+    elif kind == "thetaV":
+        Vr = V.reduce()
+        lam = product(Vr, whole, +1) * product(Vr.adams(2), odd, -1)
+    elif kind == "thetaL":
+        lam = product(V.reduce(), whole, -1)
+    else:  # the kinds read off P
         lam = product(T, half, -1)
         if kind == "theta3":
             lam = lam.tau_shift_half()
-        elif kind == "theta2+theta3":
+        elif kind != "theta2":
             lam = lam + lam.tau_shift_half()
-    elif kind == "thetaV":
-        Vr = V.reduce()
-        lam_half = product(Vr, half, -1)
-        lam = product(Vr, whole, +1) * (lam_half * lam_half.tau_shift_half())
-    else:  # thetaL
-        lam = product(V.reduce(), whole, -1)
+        if kind == "sectors":
+            lam = product(T, whole, +1).scale(V.ch()) + lam * V.rank
     return reduce(mul, [_sym_factor(T, n, cap) for n in range(cap, 0, -1)], one) * lam

@@ -40,6 +40,7 @@ from .bundles import (
     VirtualBundle,
     aux_complexification,
     line_real_complexification,
+    spinor_bundle,
     tangent_complexification,
     theta_series,
 )
@@ -132,10 +133,11 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, Fals
     """One case family; an unset field is inert.  factor: of the index terms;
     dims: catalog dimensions (none: identities only); weight_drop: the weight
     is (dim - weight_drop)/2; aux, line: the table's pV block and cL class;
-    bundle: V's builder; condition: pX1 -> coefficient * monomial; rank_base:
-    see `_rank_ratio`; bundle_series, bundle_factor: the bundle route's theta
-    series and factor (unset: spin's two sectors); notes: report notes;
-    identities: the identity cases read with it; combos: theirs, by q-power."""
+    bundle: V's builder (spin: the spinor bundle); condition: pX1 ->
+    coefficient * monomial; rank_base: see `_rank_ratio`; bundle_series,
+    bundle_factor: the bundle route's theta series and factor; notes: report
+    notes; identities: the identity cases read with it; combos: theirs, by
+    q-power."""
 
     __slots__ = ()
 
@@ -144,7 +146,10 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, Fals
 
 
 _FAMILIES = {
-    "spin": _Family(dims=(8, 12, 16, 20), rank_base=2, factor="spinor", identities=("spin",)),
+    "spin": _Family(
+        dims=(8, 12, 16, 20), bundle=spinor_bundle, rank_base=2, bundle_series="sectors", bundle_factor="ahat",
+        factor="spinor", identities=("spin",),
+    ),
     "spin_v": _Family(
         dims=(8, 12, 16, 20), aux=True, bundle=aux_complexification, condition=("pV1", 3),
         bundle_series="thetaV", bundle_factor="detcosh_V", factor="detcosh_V", combos=_V_COMBO,
@@ -211,15 +216,9 @@ def _factor_form(table: GeneratorTable, factor: str, dim: int) -> GradedPoly:
 
 def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
     """Characteristic forms times Chern characters of the theta-power bundles."""
-    table = spec.table()
-    dim, cap = spec.dim, spec.qcap
+    table, dim, row = spec.table(), spec.dim, _FAMILIES[spec.case]
     TX = tangent_complexification(table, dim)
-    row = _FAMILIES[spec.case]
-    if row.bundle_series is None:  # spin: the Θ1 sector and the Θ2 + Θ3 sectors
-        s1 = theta_series("theta1", TX, cap=cap).scale(_factor_form(table, "spinor", dim))
-        t23 = theta_series("theta2+theta3", TX, cap=cap)
-        return s1 + t23.scale(ahat_form(table, dim) * (2 ** (dim // 2)))
-    series = theta_series(row.bundle_series, TX, row.bundle(table, dim), cap=cap)
+    series = theta_series(row.bundle_series, TX, row.bundle(table, dim), cap=spec.qcap)
     return series.scale(_factor_form(table, row.bundle_factor, dim))
 
 
@@ -280,11 +279,13 @@ def _family_routes(top) -> tuple:
     return top.dim, bundle, theta, bundle is not None and bundle == theta
 
 
-def _cut(series: QHalfSeries | None, top_dim: int, spec) -> QHalfSeries | None:
-    """One route's integrand at `top_dim` cut to `spec.dim`: the degree <= dim
-    terms over `spec.table()`, divided by the case's `_rank_ratio`.  A series
-    at `spec.dim` already is returned as it is."""
-    if series is None or top_dim == spec.dim:
+def _cut(series: QHalfSeries, top_dim: int, spec) -> QHalfSeries:
+    """One route's integrand at `top_dim` cut to `spec.dim`: its terms, all
+    of degree <= dim, over `spec.table()`, divided by the case's
+    `_rank_ratio`.  `assemble_Q` passes a top's degree-dim part when it reads
+    one route and the whole top when it compares both.  A series at
+    `spec.dim` already is returned as it is."""
+    if top_dim == spec.dim:
         return series
     cut = series.cut(PolyRing(spec.table(), spec.dim))
     ratio = _rank_ratio(spec.case, top_dim, spec.dim)
@@ -302,25 +303,26 @@ def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     nothing is cut.  With route "both", the bundle and theta routes are
     computed independently and must agree at every q-power and mixed degree
     of `spec.dim` before extraction.  Two equal top series have equal cuts,
-    so the family compares its tops once and, when they agree, only the
-    bundle route is cut; when they differ, each dimension cuts and compares
-    both routes and names its own first difference.
+    so the family compares its tops once and, when they agree or only one
+    route is built, only the degree-dim part of one top is cut; when they
+    differ, each dimension cuts and compares both whole routes and names its
+    own first difference.
     """
     top_dim, bundle, theta, agree = _family_routes(spec) if family is None else family
-    series = _cut(bundle, top_dim, spec)
-    if theta is not None and not agree:
-        other = _cut(theta, top_dim, spec)
-        if series is not None and series != other:
-            bad = sorted(
-                j2
-                for j2 in set(series.coeffs) | set(other.coeffs)
-                if series.coefficient(j2) != other.coefficient(j2)
-            )
-            raise RouteMismatchError(
-                f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
-                f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
-            )
-        series = other if series is None else series
+    if bundle is None or theta is None or agree:
+        top = theta if bundle is None else bundle
+        return impose_condition(_cut(top.homogeneous_component(spec.dim), top_dim, spec), spec.case)
+    series, other = _cut(bundle, top_dim, spec), _cut(theta, top_dim, spec)
+    if series != other:
+        bad = sorted(
+            j2
+            for j2 in set(series.coeffs) | set(other.coeffs)
+            if series.coefficient(j2) != other.coefficient(j2)
+        )
+        raise RouteMismatchError(
+            f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
+            f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
+        )
     return impose_condition(series.homogeneous_component(spec.dim), spec.case)
 
 
@@ -561,7 +563,7 @@ def _index_forms(entries) -> tuple:
                 continue
             if case not in bundles:
                 bundles[case] = {"T": tangent_complexification(table, top).reduce()}
-                if row.bundle is not None:
+                if row.combos is not None:  # the V atoms occur only in a row's combos
                     bundles[case]["V"] = row.bundle(table, top).reduce()
             forms[case, factor, combo] = forms[case, factor, None] * _build_combo(combo, bundles[case]).ch()
     return top, forms

@@ -16,9 +16,11 @@ from anomaly.bundles import (
     _sym_factor,
     aux_complexification,
     line_real_complexification,
+    spinor_bundle,
     tangent_complexification,
     theta_series,
 )
+from anomaly.genera import spinor_ch
 from anomaly.qseries import PolyRing, QHalfSeries
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -296,12 +298,19 @@ class TestMemoizedBundles:
             (tangent_complexification, (table, 12)),
             (aux_complexification, (table, 12)),
             (line_real_complexification, (line, 14)),
+            (spinor_bundle, (table, 12)),
         ):
             memo = constructor(*args)
             memo.lambda_power(3)  # cached powers do not enter equality
             assert constructor(*args) is memo
             assert memo == constructor.__wrapped__(*args)
         assert tangent_complexification(pontryagin_table(12, aux=True), 12) is tangent_complexification(table, 12)
+
+    def test_the_spinor_bundle_is_its_character(self):
+        table = pontryagin_table(12)
+        delta = spinor_bundle(table, 12)
+        assert delta.rank == 2**6
+        assert delta.ch() == spinor_ch(table, 12)
 
     def test_reduce_is_kept_and_is_the_bundle_itself_at_rank_zero(self):
         T = tangent_complexification(pontryagin_table(8), 8)
@@ -378,6 +387,8 @@ class TestThetaPowerBundles:
             theta_series("theta9", self.TX, cap=2)
         with pytest.raises(ValueError):
             theta_series("thetaV", self.TX, cap=2)  # missing V
+        with pytest.raises(ValueError):
+            theta_series("sectors", self.TX, cap=2)  # missing the spinor bundle
 
 
 # -- oracles: the per-term recursions and the sequential product --------------------
@@ -417,6 +428,9 @@ def sequential_theta(kind, TX, V, cap, powers):
     """
     if kind == "theta2+theta3":
         return sequential_theta("theta2", TX, V, cap, powers) + sequential_theta("theta3", TX, V, cap, powers)
+    if kind == "sectors":  # Θ1⊗Δ + 2^(d/2)(Θ2 + Θ3), with V = Δ of rank 2^(d/2)
+        theta23 = sequential_theta("theta2+theta3", TX, V, cap, powers)
+        return sequential_theta("theta1", TX, V, cap, powers).scale(V.ch()) + theta23 * V.rank
     T = TX.reduce()
 
     def factor(W, step2, sign, lam_or_sym):
@@ -458,13 +472,16 @@ class TestPowerOracles:
 
 
 def _oracle_inputs():
-    """(kind, TX, V) as pytest params: the spin table at dims 8 and 12, the aux
-    table for thetaV (once with V truncated below TX, so the product's ring is
-    the smaller one) and the line table at dim 10 for thetaL."""
+    """(kind, TX, V) as pytest params: the spin table at dims 8 and 12 (with
+    V the spinor bundle for the sectors), the aux table for thetaV (once with
+    V truncated below TX, so the product's ring is the smaller one) and the
+    line table at dim 10 for thetaL."""
     out = []
     for dim in (8, 12):
-        TX = tangent_complexification(pontryagin_table(dim), dim)
+        spin = pontryagin_table(dim)
+        TX = tangent_complexification(spin, dim)
         out += [pytest.param(kind, TX, None, id=f"{kind}-spin{dim}") for kind in ("theta1", "theta2", "theta3", "theta2+theta3")]
+        out.append(pytest.param("sectors", TX, spinor_bundle(spin, dim), id=f"sectors-spin{dim}"))
         aux = pontryagin_table(dim, aux=True)
         TX = tangent_complexification(aux, dim)
         out.append(pytest.param("thetaV", TX, aux_complexification(aux, dim), id=f"thetaV-aux{dim}"))
@@ -478,11 +495,21 @@ class TestThetaSeriesOracle:
     @pytest.mark.parametrize("kind, TX, V", _oracle_inputs())
     def test_every_kind_matches_the_sequential_product(self, kind, TX, V):
         powers = {}
-        for W in (TX.reduce(), None if V is None else V.reduce()):
+        for W in (TX.reduce(), V.reduce() if kind in ("thetaV", "thetaL") else None):  # the sectors read no power of Δ
             if W is not None:
                 powers[id(W)] = newton_powers(W, 10)
         for cap in range(6):
             assert theta_series(kind, TX, V, cap=cap) == sequential_theta(kind, TX, V, cap, powers)
+
+    @pytest.mark.parametrize("cap", range(1, 6))
+    def test_theta_v_reads_the_exterior_powers_of_v_to_the_cap(self, cap):
+        """The half-step pair is one product over psi^2 V~ at whole q-steps, so
+        no exterior power of V~ above lam^cap is built (2*cap through the pair)."""
+        table = pontryagin_table(12, aux=True)
+        TX, V = tangent_complexification.__wrapped__(table, 12), aux_complexification.__wrapped__(table, 12)
+        theta_series("thetaV", TX, V, cap)
+        assert V.reduce() is V and len(V._lam) == cap + 1
+        assert len(V.adams(2)._lam) == cap + 1
 
     @pytest.mark.parametrize("dim", [8, 12])
     def test_theta2_plus_theta3_is_the_sum(self, dim):
@@ -529,6 +556,19 @@ class TestHalfPeriodShift:
         whole = reduce(mul, [_lam_factor(Vr, 2 * m, +1, self.CAP) for m in range(1, self.CAP + 1)], one)
         sym = reduce(mul, [_sym_factor(TX.reduce(), n, self.CAP) for n in range(1, self.CAP + 1)], one)
         assert theta_series("thetaV", TX, V, cap=self.CAP) == sym * whole * plus * minus
+
+    @pytest.mark.parametrize("rank", [0, -3, 2], ids=repr)
+    @pytest.mark.parametrize(
+        "table, truncation", [(pontryagin_table(8), 8), (pontryagin_table(12, aux=True), 12)], ids=["spin8", "aux12"]
+    )
+    def test_the_half_step_pair_is_psi2_at_odd_whole_steps(self, table, truncation, rank):
+        """prod_m Lam_{-q^(m-1/2)}(W) (x) Lam_{+q^(m-1/2)}(W) = prod_{m odd} Lam_{-q^m}(psi^2 W),
+        per Chern root (1 - x e^v)(1 + x e^v) = 1 - x^2 e^(2v), for any virtual W."""
+        W = random_bundle(random.Random(100 * truncation + rank), table, truncation, rank=rank)
+        one = QHalfSeries.one(PolyRing(table, truncation), self.CAP)
+        minus, plus = self.chains(W, self.CAP)
+        odd = range(2, 2 * self.CAP + 1, 4)
+        assert reduce(mul, [_lam_factor(W.adams(2), step, -1, self.CAP) for step in odd], one) == minus * plus
 
 
 class TestIntegerArguments:

@@ -58,6 +58,27 @@ class TestVerify:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "326dedf386cf52c0038b02d264104ba2760660190114c93c802fd39a753f5955"
 
+    def test_order2_json_is_pinned(self, capsys):
+        """Order 2 is the first q-cap at which spin_v's folded exterior product
+        (odd whole q-steps only) has fewer factors than the whole-step one."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "2")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "921b1a2050a4d552897745951a301bfe0f54ce0813dd5326256e644cd33cfe7b"
+
+    @pytest.mark.parametrize(
+        "route, expected",
+        [
+            ("bundle", "3d3667dfe36860d893050f082c66b713f22ac23b24b4dd7daadd59024e9eaf3b"),
+            ("theta", "a0c165d1d622865c09b2b640535ca5a59e7272c82c06932ab6e59b8c196628bc"),
+        ],
+    )
+    def test_order7_single_route_json_is_pinned(self, capsys, route, expected):
+        """A single route cuts only its top's degree-d part for each lower dimension."""
+        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "7", "--route", route)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
     def test_order3_json_matches_the_seed_engine(self, capsys):
         """Speed-ups must leave the report byte-identical to the seed engine's."""
         code, out, _ = run(capsys, "verify", "--format", "json", "--order", "3")

@@ -1,16 +1,21 @@
 """Every field of the case-family table reaches the report: a mutation matrix.
 
-Each mutation replaces one field of one `verifier._FAMILIES` row and runs the
-12 catalog specs at order 3 in-process.  The table states which report fields
-must change, each keyed by (case, dim, field): the route comparison, the fit,
-an identity's status or a corollary's modulus.  A mutation that changes
-nothing fails, and so does one that changes a field the table does not list.
-No memoized form is keyed by a row, so the runs share no stale cache.
+Each row mutation replaces one field of one `verifier._FAMILIES` row, and
+each code mutation replaces one expression in the source of
+`bundles.theta_series`; each then runs the 12 catalog specs at order 3
+in-process.  The tables state which report fields must change, each keyed by
+(case, dim, field): the route comparison, the fit, an identity's status or a
+corollary's modulus.  A mutation that changes nothing fails, and so does one
+that changes a field the table does not list.  No memoized form is keyed by
+a row, and the memoized bundles are cleared around each code mutation, so
+the runs share no stale cache.
 """
+
+import inspect
 
 import pytest
 
-from anomaly import verifier
+from anomaly import bundles, verifier
 from anomaly.verifier import CASE_DIMS, CaseSpec, run_cases
 
 SPECS = [CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]]
@@ -80,6 +85,49 @@ MUTATIONS = {
 }
 
 
+# Each replaces one expression of `bundles.theta_series`, which must occur there once.
+CODE_MUTATIONS = {
+    "thetaV folded through psi^3": (
+        "Vr.adams(2)",
+        "Vr.adams(3)",
+        # the identities read no theta series: only spin_v's route comparison, and so its fit
+        flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+    ),
+    "sectors rank factor halved": (
+        "lam * V.rank",
+        "lam * (V.rank // 2)",
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+    ),
+}
+
+
+def mutated_theta_series(old: str, new: str):
+    """`bundles.theta_series` recompiled with `old` replaced by `new`, over the module's names."""
+    source = inspect.getsource(bundles.theta_series)
+    assert source.count(old) == 1, f"{old!r} must occur once in theta_series"
+    namespace = dict(vars(bundles))
+    exec(compile(source.replace(old, new), bundles.__file__, "exec"), namespace)
+    return namespace["theta_series"]
+
+
+MEMOIZED_BUNDLES = (
+    bundles.tangent_complexification,
+    bundles.aux_complexification,
+    bundles.line_real_complexification,
+    bundles.spinor_bundle,
+)
+
+
+@pytest.fixture
+def fresh_bundles():
+    """Clear the memoized bundles, and the powers they keep, before and after the test."""
+    for constructor in MEMOIZED_BUNDLES:
+        constructor.cache_clear()
+    yield
+    for constructor in MEMOIZED_BUNDLES:
+        constructor.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def baseline():
     return outcome()
@@ -93,5 +141,13 @@ def test_the_unmutated_table_passes():
 def test_a_row_mutation_flips_exactly_its_fields(monkeypatch, baseline, case, change, expected):
     assert expected, "a mutation must name the fields it flips"
     monkeypatch.setitem(verifier._FAMILIES, case, verifier._FAMILIES[case]._replace(**change))
+    mutated = outcome()
+    assert {key for key in baseline if mutated[key] != baseline[key]} == expected
+
+
+@pytest.mark.parametrize("old, new, expected", CODE_MUTATIONS.values(), ids=list(CODE_MUTATIONS))
+def test_a_code_mutation_flips_exactly_its_fields(monkeypatch, fresh_bundles, baseline, old, new, expected):
+    assert expected, "a mutation must name the fields it flips"
+    monkeypatch.setattr(verifier, "theta_series", mutated_theta_series(old, new))
     mutated = outcome()
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected

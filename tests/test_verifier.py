@@ -373,6 +373,24 @@ class TestFamilyCut:
         assert all(r.route_ok and r.route_detail == "bundle == theta" for r in reports)
         assert sorted(cuts) == [8, 12, 16]
 
+    @pytest.mark.parametrize("route", ["both", "bundle", "theta"])
+    def test_agreeing_or_single_routes_cut_only_the_top_degree(self, monkeypatch, route):
+        """Only the degree-d part of a top reaches a lower dimension d, so its cut
+        re-keys the terms the extraction reads and no others."""
+        grades = []
+        original = QHalfSeries.cut
+
+        def recording(series, ring):
+            grades.append((ring.truncation, {item[0] for item in series.items}))
+            return original(series, ring)
+
+        monkeypatch.setattr(QHalfSeries, "cut", recording)
+        reports = run_cases([CaseSpec(case, dim, 2, route) for case, dim in ALL_CASES])
+        assert all(r.passed for r in reports)
+        lower = sorted((case, dim) for case, dim in ALL_CASES if dim != max(CASE_DIMS[case]))
+        assert len(grades) == len(lower)
+        assert all(seen == {dim} for dim, seen in grades)
+
     def test_a_mismatch_above_the_lower_dimensions_stays_at_the_top(self, monkeypatch):
         """Tops that differ only in a degree-20 term: both routes are cut and
         compared at every dimension, so 8-16 agree and 20 names the term."""
