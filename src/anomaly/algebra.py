@@ -43,6 +43,13 @@ weight recurrences of `_weight_recurrence`.  `IntForm._kernel` applies them
 to any of the three classes: they back `exp_truncated` and `log_truncated`
 here, `qseries_exp` in `qseries`, and the exp, inverse and log of
 `theta.TwoVarSeries`.
+
+Substitution has one implementation too, the key rewrite
+`_substitute_monomials`: each image is a single term (or zero) over the
+form's own table, as the case conditions pX1 -> 3*pV1, cL^2 and 3*cL^2 are,
+so a term's exponents move to the image's monomial with no product and no
+power.  `IntForm._substituted` checks the images and rewrites the keys; it
+backs `GradedPoly.substitute` and `QHalfSeries.substitute`.
 """
 
 from __future__ import annotations
@@ -97,13 +104,13 @@ class GeneratorTable:
     __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts", "_power_sums")  # names derives from generators
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
-        gens = tuple((str(name), int(degree)) for name, degree in generators)
+        gens = tuple((str(name), degree) for name, degree in generators)
         names = [name for name, _ in gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name, degree in gens:
-            if degree <= 0 or degree % 2 != 0:
-                raise ValueError(f"generator {name!r} needs a positive even degree, got {degree}")
+            if not _is_int(degree) or degree <= 0 or degree % 2 != 0:
+                raise ValueError(f"generator {name!r} needs a positive even degree, got {degree!r}")
         if "cL" in names:
             degree2 = [name for name, degree in gens if degree == 2]
             if degree2 != ["cL"]:
@@ -484,15 +491,15 @@ def _substitute_monomials(den: int, items: list, layout: KeyLayout, images: Mapp
     """Substitute single-term images for generators by rewriting packed keys.
 
     Every image is one monomial with a coefficient, or zero, over
-    `layout.table` and truncated at or above `limit`, whose layout it takes
-    when cut there.  A term's exponent e of a mapped generator moves to the
-    image's monomial, and its numerator takes the coefficient to the power
-    e; a zero image (or one past `limit`) drops the terms that carry its
-    generator.  The degree digit moves with the key, and terms whose new
-    degree exceeds `limit` are dropped.  The substitution is simultaneous:
-    exponents are read from the original key.  The side digit (j2) is
-    untouched, so q-series items are rewritten in one pass.  Returns the int
-    form of the result.
+    `layout.table`, and `limit` fits `layout`'s digits; the image's
+    monomial is packed onto `layout`.  A term's exponent e of a
+    mapped generator moves to the image's monomial, and its numerator takes
+    the coefficient to the power e; a zero image, or one of degree past
+    `limit`, drops the terms that carry its generator.  The degree digit
+    moves with the key, and terms whose new degree exceeds `limit` are
+    dropped.  The substitution is simultaneous: exponents are read from the
+    original key.  The side digit (j2) is untouched, so q-series items are
+    rewritten in one pass.  Returns the int form of the result, on `layout`.
     """
     table, bits, mask = layout.table, layout.bits, layout.mask
     subs, vanish = [], 0
@@ -500,12 +507,12 @@ def _substitute_monomials(den: int, items: list, layout: KeyLayout, images: Mapp
         if name not in table:
             continue  # no term carries it
         i = table.index(name)
-        image = image.truncate(limit)
-        if not image.items:
+        if not image.items or image.items[0][0] > limit:
             vanish |= mask << (bits * i)
             continue
         ((img_degree, _, img_key, img_num),) = image.items
         gen_key = 1 << (bits * i) | table.degrees[i] << layout.gshift
+        img_key = layout.pack(image.layout.unpack(img_key))
         subs.append((bits * i, img_key - gen_key, img_degree - table.degrees[i], img_num, image.den))
     rows = []
     for g, side, key, num in items:
@@ -695,6 +702,30 @@ class IntForm:
         items = [item for item in self.items if item[0] == d]
         return self._make(*self._shape, *_int_form(self.den, items))
 
+    def _substituted(self, images: Mapping[str, "GradedPoly"], limit: int):
+        """This form with generators replaced by single-term images, terms past `limit` dropped.
+
+        The one substitution of the package: `GradedPoly.substitute` and
+        `qseries.QHalfSeries.substitute` call it.  Each image must be a
+        `GradedPoly` over this form's generator table, one term or zero,
+        truncated at or above `limit`, which is at most this form's grade
+        limit; any other image is a ValueError naming its generator.  The
+        keys are then rewritten in one pass (`_substitute_monomials`).
+        """
+        table = self.layout.table
+        for name, image in images.items():
+            if not (
+                isinstance(image, GradedPoly)
+                and image.table == table
+                and image.truncation >= limit
+                and len(image.items) <= 1
+            ):
+                raise ValueError(
+                    f"the image of {name!r} must be a single term or zero over {table!r}, "
+                    f"truncated at or above degree {limit}"
+                )
+        return self._make(*self._shape, *_substitute_monomials(self.den, self.items, self.layout, images, limit))
+
     def _kernel(self, form):
         """An exp/log/inverse int-form kernel (`_exp_form`, `_log_form`, `_inverse_form`) applied within the limits."""
         return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
@@ -727,9 +758,10 @@ class GradedPoly(IntForm):
                 coeff = as_rational(coeff)
                 if not coeff:
                     continue
-                expts = tuple(int(e) for e in expts)
                 if len(expts) != len(table):
                     raise ValueError("exponent tuple does not match the generator table")
+                if not all(map(_is_int, expts)):
+                    raise ValueError(f"exponents must be integers, got {expts!r}")
                 if any(e < 0 for e in expts):
                     raise ValueError(f"negative exponent in {expts}")
                 if table.monomial_degree(expts) <= truncation:
@@ -807,7 +839,9 @@ class GradedPoly(IntForm):
         else:
             e = [0] * len(self.table)
             for name, power in monomial.items():
-                e[self.table.index(name)] = int(power)
+                if not _is_int(power):
+                    raise ValueError(f"the exponent of {name!r} must be an integer, got {power!r}")
+                e[self.table.index(name)] = power
             expts = tuple(e)
         degree = self.table.monomial_degree(expts)
         if degree > self.truncation or any(e < 0 for e in expts):
@@ -840,70 +874,15 @@ class GradedPoly(IntForm):
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, images: Mapping[str, "GradedPoly"], truncation: int | None = None) -> "GradedPoly":
-        """Replace generators by polynomials; unmapped generators pass through.
+    def substitute(self, images: Mapping[str, "GradedPoly"]) -> "GradedPoly":
+        """Replace generators by single-term images (`IntForm._substituted`);
+        unmapped generators pass through.
 
-        All image polynomials must share one generator table, which becomes
-        the table of the result; unmapped generators must exist there by name.
-        Every term is substituted, then the result is cut at the truncation.
-        When every image is a single term or zero, over this polynomial's own table
-        (and the result keeps its key layout), the substitution rewrites the
-        packed keys (`_substitute_monomials`): no product and no power of an
-        image.  Otherwise each power of an image is built once per call and
-        the terms are multiplied out.
+        An image truncated below this polynomial lowers the result's
+        truncation to its own.
         """
-        target = None
-        for poly in images.values():
-            if target is None:
-                target = poly.table
-            elif poly.table != target:
-                raise ValueError("substitution images live over different generator tables")
-        if target is None:
-            target = self.table
-        trunc = self.truncation if truncation is None else _even_truncation(truncation)
-        for poly in images.values():
-            trunc = min(trunc, poly.truncation)
-
-        layout = self.layout
-        if (
-            target == self.table
-            and trunc <= self.truncation
-            and self.table.layout(trunc) is layout
-            and all(len(p.items) <= 1 for p in images.values())
-        ):
-            return GradedPoly._make(self.table, trunc, *_substitute_monomials(self.den, self.items, layout, images, trunc))
-
-        cache: list[GradedPoly | None] = [None] * len(self.table)
-
-        def image_of(i: int) -> GradedPoly:
-            if cache[i] is None:
-                name = self.table.generators[i][0]
-                if name in images:
-                    cache[i] = images[name].truncate(trunc)
-                else:
-                    cache[i] = GradedPoly.generator(target, name, trunc)
-            return cache[i]
-
-        powers: dict[tuple[int, int], GradedPoly] = {}
-
-        def power_of(i: int, e: int) -> GradedPoly:
-            """image_of(i) ** e, each (i, e) built once per call."""
-            power = powers.get((i, e))
-            if power is None:
-                power = image_of(i) if e == 1 else power_of(i, e - 1) * image_of(i)
-                powers[(i, e)] = power
-            return power
-
-        acc = GradedPoly.zero(target, trunc)
-        for expts, coeff in self.terms.items():
-            term = GradedPoly.constant(target, trunc, coeff)
-            for i, e in enumerate(expts):
-                if e:
-                    term = term * power_of(i, e)
-                    if term.is_zero():
-                        break
-            acc = acc + term
-        return acc
+        low = min([self.truncation] + [image.truncation for image in images.values() if isinstance(image, GradedPoly)])
+        return self._substituted(images, low).truncate(low)
 
     # -- rendering ---------------------------------------------------------
 

@@ -283,24 +283,24 @@ THETA_KINDS = ("theta1", "theta2", "theta3", "theta2+theta3", "sectors", "thetaV
 
 
 def _sym_factor(W: VirtualBundle, n: int, cap: int) -> QHalfSeries:
-    """ch S_{q^n}(W) = sum_k ch S^k(W) q^(nk)."""
-    coeffs = {}
-    k = 0
-    while n * k <= cap:
-        coeffs[2 * n * k] = W.sym_power(k).ch()
-        k += 1
-    return QHalfSeries(PolyRing(W.table, W.truncation), cap, coeffs)
+    """ch S_{q^n}(W) = sum_k ch S^k(W) q^(nk).
+
+    Each character is over W's table at W's truncation and no q-power passes
+    the cap, so the series is made as a trusted int form; so is `_lam_factor`'s.
+    """
+    coeffs = {2 * n * k: W.sym_power(k).ch() for k in range(cap // n + 1)}
+    ring = PolyRing(W.table, W.truncation)
+    return QHalfSeries._make(ring, cap, *ring.flatten(coeffs))
 
 
 def _lam_factor(W: VirtualBundle, step2: int, sign: int, cap: int) -> QHalfSeries:
     """ch Lambda_{sign*q^(step2/2)}(W) = sum_k ch lam^k(W) sign^k q^(k*step2/2)."""
     coeffs = {}
-    k = 0
-    while k * step2 <= 2 * cap:
+    for k in range(2 * cap // step2 + 1):
         ch = W.lambda_power(k).ch()
         coeffs[k * step2] = ch if sign > 0 or k % 2 == 0 else -ch
-        k += 1
-    return QHalfSeries(PolyRing(W.table, W.truncation), cap, coeffs)
+    ring = PolyRing(W.table, W.truncation)
+    return QHalfSeries._make(ring, cap, *ring.flatten(coeffs))
 
 
 def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, cap: int = 3) -> QHalfSeries:

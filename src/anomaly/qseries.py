@@ -11,7 +11,9 @@ coefficient's packed key with j2 as one more digit on top (over the
 rationals, the key of the empty table).  Its arithmetic is the base class's:
 a product is one `_convolve` plus one gcd reduction, and `qseries_exp` keeps
 the kernel's solved parts as ints, so the running products of a route pass
-ints from one product to the next.
+ints from one product to the next, and `substitute` is the base class's
+single-term key rewrite (`IntForm._substituted`), which rewrites every
+q-coefficient in one pass.
 The coefficient map `coeffs` (j2 -> GradedPoly or Fraction) is a view,
 built from the ints on first access and kept.
 """
@@ -31,7 +33,6 @@ from .algebra import (
     _int_form,
     _nonnegative_int,
     _render_terms,
-    _substitute_monomials,
     as_rational,
 )
 
@@ -255,28 +256,13 @@ class QHalfSeries(IntForm):
     # -- structure maps ------------------------------------------------------
 
     def substitute(self, images) -> "QHalfSeries":
-        """Substitute single-term images into every coefficient at once.
+        """Substitute single-term images into every coefficient at once (`IntForm._substituted`).
 
-        Each image is one monomial with a coefficient, or zero, over the ring's table,
-        truncated at or above the ring's truncation; the result stays in the
-        ring.  The flat keys are rewritten in one pass
-        (`algebra._substitute_monomials`, as `GradedPoly.substitute` does for
-        single-term images) and terms past the truncation are dropped.
+        Each image is truncated at or above the ring's truncation, and the
+        result stays in the ring.  A rational series has no generator to map:
+        any image is a ValueError.
         """
-        ring = self.ring
-        if not isinstance(ring, PolyRing):
-            raise RingMismatchError("substitute needs polynomial coefficients")
-        for name, image in images.items():
-            if not (
-                isinstance(image, GradedPoly)
-                and image.table == ring.table
-                and image.truncation >= ring.truncation
-                and len(image.items) <= 1
-            ):
-                raise ValueError(f"the image of {name!r} must be a single term or zero over the ring's table and truncation")
-        return QHalfSeries._make(
-            ring, self.cap, *_substitute_monomials(self.den, self.items, ring.layout, images, ring.truncation)
-        )
+        return self._substituted(images, self.ring.limit)
 
     def cut(self, ring: PolyRing) -> "QHalfSeries":
         """The terms of degree at most `ring.truncation`, re-keyed by generator name onto `ring.table`.

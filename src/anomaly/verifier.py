@@ -238,8 +238,8 @@ def impose_condition(x, case: str):
     if _FAMILIES[case].condition is None:
         return x
     monomial, coeff = _FAMILIES[case].condition
-    table, trunc = (x.ring.table, x.ring.truncation) if isinstance(x, QHalfSeries) else (x.table, x.truncation)
-    return x.substitute({"pX1": GradedPoly(table, trunc, {table.parse_monomial(monomial): coeff})})
+    table = x.layout.table
+    return x.substitute({"pX1": GradedPoly(table, x.limits[0], {table.parse_monomial(monomial): coeff})})
 
 
 def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:

@@ -149,6 +149,23 @@ class TestOneCharacterPerBundle:
             one._signed_sum([(one, one)], 2)
 
 
+class TestTrustedFactors:
+    @SETTINGS
+    @given(st.sampled_from(BUNDLE_TABLES).flatmap(virtual_bundles), st.integers(0, 5))
+    def test_each_factor_equals_the_constructor_built_series(self, W, cap):
+        """`_sym_factor` and `_lam_factor` skip the public constructor's checks;
+        each equals the series that the constructor builds from the powers'
+        characters, at every step (past the cap too) and sign."""
+        ring = PolyRing(W.table, W.truncation)
+        for n in range(1, cap + 2):
+            built = QHalfSeries(ring, cap, {2 * n * k: W.sym_power(k).ch() for k in range(cap + 1)})
+            assert _sym_factor(W, n, cap) == built
+        for step2 in range(1, 2 * cap + 2):
+            for sign in (1, -1):
+                built = QHalfSeries(ring, cap, {step2 * k: sign**k * W.lambda_power(k).ch() for k in range(2 * cap + 1)})
+                assert _lam_factor(W, step2, sign, cap) == built
+
+
 class TestAdamsOperations:
     def test_degree_scaling(self):
         table = pontryagin_table(8)

@@ -5,12 +5,14 @@ packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.inverse/
 log/exp, exp_truncated/log_truncated and qseries_exp are checked against
 convolutions and power series written out here term by term in Fraction
 arithmetic;
-QHalfSeries products against the coefficientwise product, substitution
-(general and single-term, on polynomials and on q-series) against
-term-by-term substitution, the cached Adams operations against the Newton
-recursions on Chern characters, and the theta quotients, built from their
-closed-form logarithms, against their defining products multiplied out
-(paired and unpaired), logarithms included.  Every GradedPoly, QHalfSeries
+QHalfSeries products against the coefficientwise product, the single-term
+substitution (on polynomials and on q-series) against term-by-term
+substitution (`oracles.naive_substitute`), the cached Adams operations
+against the Newton recursions on Chern characters, and the theta quotients,
+built from their closed-form logarithms, against their defining products
+multiplied out (paired and unpaired), logarithms included.  The
+substitution rejects every image that is not one term over the form's own
+table.  Every GradedPoly, QHalfSeries
 and TwoVarSeries result is also checked to be a canonical int form: positive
 denominator, no zero numerator, gcd 1, sorted, and each stored degree (or
 t-power) and q-exponent equal to the one read off the key; digit widths are
@@ -49,6 +51,7 @@ from anomaly.theta import (
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
+from oracles import naive_substitute
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -210,7 +213,7 @@ class TestIntForm:
         results = [
             a + b, a - b, a * b, a * scale, scale * a, a / scale, a + scale, -a,
             a.truncate(truncation), a.homogeneous_component(truncation),
-            a.substitute({name: monomial}), a.substitute({name: b}),
+            a.substitute({name: monomial}),
         ]
         for result in results:
             assert_poly_invariants(result)
@@ -306,7 +309,7 @@ class TestShapesAreInts:
         p = GradedPoly(self.TABLE, 8, {(1, 0): 1, (0, 1): 2})
         with pytest.raises(ValueError):
             p.truncate(truncation)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # substitute takes no truncation: the images give the result's
             p.substitute({"a": GradedPoly.generator(self.TABLE, "b", 8)}, truncation)
 
     @pytest.mark.parametrize("truncation", [8.5, 8.0, True, "8", 3, -2], ids=repr)
@@ -796,45 +799,7 @@ class TestQHalfSeriesProduct:
 # -- substitution ------------------------------------------------------------------
 
 
-@st.composite
-def substitutions(draw):
-    """A polynomial, images for some of its generators, and the target table.
-
-    The target table holds the source generators, so unmapped ones pass
-    through, plus one extra generator that only images use.
-    """
-    source = draw(tables())
-    target = GeneratorTable(source.generators + (("h", draw(st.sampled_from([4, 6]))),))
-    f = GradedPoly(source, draw(truncations), draw(term_dicts(source)))
-    names = draw(st.sets(st.sampled_from(source.names)))
-    images = {name: GradedPoly(target, draw(truncations), draw(term_dicts(target))) for name in sorted(names)}
-    return f, images, target
-
-
-def naive_substitute(f, images, target):
-    if not images:
-        target = f.table  # with nothing mapped, the result stays over the source table
-    trunc = min([f.truncation] + [image.truncation for image in images.values()])
-    acc = GradedPoly.zero(target, trunc)
-    for expts, coeff in f.terms.items():
-        term = GradedPoly.constant(target, trunc, coeff)
-        for (name, _), e in zip(f.table.generators, expts):
-            image = images[name] if name in images else GradedPoly.generator(target, name, trunc)
-            for _ in range(e):
-                term = term * image
-        acc = acc + term
-    return acc
-
-
 class TestSubstitute:
-    @SETTINGS
-    @given(substitutions())
-    def test_matches_term_by_term_substitution(self, case):
-        f, images, target = case
-        result = f.substitute(images)
-        assert result == naive_substitute(f, images, target)
-        assert_poly_invariants(result)
-
     @SETTINGS
     @given(st.data(), st.booleans())
     def test_single_term_images_match_the_product_substitution(self, data, same_degree):
@@ -895,6 +860,43 @@ class TestSubstitute:
         assert impose_condition(form, case) == naive_substitute(form, {"pX1": target}, table)
         with pytest.raises(ValueError):
             x.substitute({"pX1": target + 1})
+
+    @pytest.mark.parametrize("image_truncation", [254, 256, 600])
+    @pytest.mark.parametrize("truncation", [254, 256])
+    def test_images_across_a_digit_width(self, truncation, image_truncation):
+        """Truncation 254 packs 8-bit digits, 256 and 600 pack 16-bit ones: an
+        image's monomial is laid onto the polynomial's keys, an image past the
+        result's truncation vanishes, and the result drops to the smaller
+        truncation and its key layout."""
+        table = GeneratorTable([("a", 2), ("b", 4)])
+        f = GradedPoly(table, truncation, {(0, 63): 1, (126, 0): 3, (1, 1): Fraction(1, 2), (2, 0): 5})
+        for terms in ({(2, 0): 5}, {(0, 0): 5}, {(0, 1): -2}, {(100, 0): 1}, {(300, 0): 1}, {}):
+            image = GradedPoly(table, image_truncation, terms)
+            result = f.substitute({"b": image})
+            assert result.truncation == min(truncation, image_truncation)
+            assert result == naive_substitute(f, {"b": image}, table)
+            assert_poly_invariants(result)
+
+    def test_images_other_than_one_term_over_the_own_table_are_rejected(self):
+        """The substitution contract, on a polynomial and on a q-series: a
+        multi-term image, an image over another table or an image that is not
+        a polynomial is a ValueError naming its generator, and so is a series
+        image truncated below the ring."""
+        table = pontryagin_table(8, aux=True)
+        pX1, pV1 = (GradedPoly.generator(table, name, 8) for name in ("pX1", "pV1"))
+        f = pX1 * pX1 + pV1
+        x = QHalfSeries(PolyRing(table, 8), 2, {0: f, 2: pX1})
+        other = GradedPoly.generator(pontryagin_table(8, aux=True, line=True), "pV1", 8)
+        for form in (f, x):
+            for image in (pV1 + 1, 3 * pV1 * pV1 - pX1, other, Fraction(3)):
+                with pytest.raises(ValueError, match="'pX1'"):
+                    form.substitute({"pX1": image})
+        low = 3 * pV1.truncate(4)
+        with pytest.raises(ValueError, match="'pX1'"):
+            x.substitute({"pX1": low})
+        assert f.substitute({"pX1": low}) == pV1.truncate(4)  # a polynomial's truncation drops to the image's
+        with pytest.raises(ValueError, match="'pX1'"):
+            QHalfSeries(RATIONALS, 2, {0: 1, 2: 5}).substitute({"pX1": pV1})
 
 
 # -- Adams operations and the lambda-ring powers -------------------------------------
