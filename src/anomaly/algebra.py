@@ -104,8 +104,11 @@ class GeneratorTable:
     __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts", "_power_sums")  # names derives from generators
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
-        gens = tuple((str(name), degree) for name, degree in generators)
+        gens = tuple((name, degree) for name, degree in generators)
         names = [name for name, _ in gens]
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"generator names must be strings, got {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name, degree in gens:

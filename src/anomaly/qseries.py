@@ -1,21 +1,24 @@
 """Truncated formal q-series with half-integer exponents.
 
 Exponents are stored doubled (the key j means q^(j/2)), so only integers are
-ever used as dictionary keys.  Coefficients live either in the rationals or
-in a truncated graded polynomial ring; mixing the two is an error unless the
-rational series is promoted explicitly.
+ever used as dictionary keys.  Coefficients live in one kind of ring, a
+truncated graded polynomial ring over a generator table (`PolyRing`).  Over
+the empty table every coefficient is a constant, so that ring, `RATIONALS`,
+holds the rational series: the Eisenstein series and the modular basis
+forms.  Series over different tables do not mix; a rational series is lifted
+into another ring explicitly (`QHalfSeries.promote`).
 
 A series is an `algebra.IntForm` over flat keys: one positive denominator
 and `(degree, j2, flat key, numerator)` items, where the flat key is the
-coefficient's packed key with j2 as one more digit on top (over the
-rationals, the key of the empty table).  Its arithmetic is the base class's:
-a product is one `_convolve` plus one gcd reduction, and `qseries_exp` keeps
-the kernel's solved parts as ints, so the running products of a route pass
-ints from one product to the next, and `substitute` is the base class's
-single-term key rewrite (`IntForm._substituted`), which rewrites every
-q-coefficient in one pass.
-The coefficient map `coeffs` (j2 -> GradedPoly or Fraction) is a view,
-built from the ints on first access and kept.
+coefficient's packed key with j2 as one more digit on top (over the empty
+table, j2 is the only digit that is not zero).  Its arithmetic is the base
+class's: a product is one `_convolve` plus one gcd reduction, and
+`qseries_exp` keeps the kernel's solved parts as ints, so the running
+products of a route pass ints from one product to the next, and
+`substitute` is the base class's single-term key rewrite
+(`IntForm._substituted`), which rewrites every q-coefficient in one pass.
+The coefficient map `coeffs` (j2 -> GradedPoly) is a view, built from the
+ints on first access and kept.
 """
 
 from __future__ import annotations
@@ -31,58 +34,18 @@ from .algebra import (
     _even_truncation,
     _exp_form,
     _int_form,
+    _is_int,
     _nonnegative_int,
     _render_terms,
-    as_rational,
 )
 
 
 class RingMismatchError(TypeError):
-    """Raised when q-series over incompatible coefficient rings are combined."""
+    """Raised when q-series over different generator tables are combined."""
 
 
 class NonUnitError(ValueError):
     """Raised when inverting a series whose leading coefficient is not a unit."""
-
-
-class RationalRing:
-    """Coefficient ring marker: plain Fraction coefficients.
-
-    Flat keys are those of the empty generator table: degree 0, j2 on top.
-    """
-
-    layout = GeneratorTable(()).layout(0)
-    limit = 0  # the kernel's grade limit: every term has degree 0
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, value):
-        return as_rational(value)
-
-    def is_zero(self, value) -> bool:
-        return not value
-
-    def flatten(self, coeffs: dict) -> tuple[int, list]:
-        """j2 -> Fraction as an int form over flat keys."""
-        shift = self.layout.sshift
-        return self.layout.rational_form({j2 << shift: c for j2, c in coeffs.items()})
-
-    def unflatten(self, den: int, items: list) -> dict:
-        """Inverse of `flatten`."""
-        return {j2: Fraction(num, den) for _, j2, _, num in items}
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(RationalRing)
-
-    def __repr__(self):
-        return "RationalRing()"
 
 
 class PolyRing:
@@ -92,12 +55,13 @@ class PolyRing:
     polynomial truncated above it and rejects one truncated below it, whose
     missing degrees would otherwise read as zeros.  Flat keys follow
     `table.layout(truncation)`, and the truncation is the kernel's grade
-    limit.
+    limit.  Over the empty table at truncation 0 (`RATIONALS`) every
+    coefficient is a constant polynomial: that ring is the rationals.
     """
 
     def __init__(self, table: GeneratorTable, truncation: int):
         self.table = table
-        self.truncation = self.limit = _even_truncation(truncation)
+        self.truncation = _even_truncation(truncation)
         self.layout = table.layout(self.truncation)
 
     def zero(self):
@@ -117,9 +81,6 @@ class PolyRing:
                 )
             return value.truncate(self.truncation)
         return GradedPoly.constant(self.table, self.truncation, value)
-
-    def is_zero(self, value) -> bool:
-        return value.is_zero()
 
     def flatten(self, coeffs: dict) -> tuple[int, list]:
         """j2 -> GradedPoly as an int form over flat keys: each key gains j2 as its top digit."""
@@ -142,7 +103,7 @@ class PolyRing:
         return {j2: GradedPoly._make(table, truncation, *_int_form(den, parts[j2])) for j2 in sorted(parts)}
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.table == other.table and self.truncation == other.truncation
+        return type(other) is PolyRing and self.table == other.table and self.truncation == other.truncation
 
     def __hash__(self):
         return hash((PolyRing, self.table, self.truncation))
@@ -151,17 +112,14 @@ class PolyRing:
         return f"PolyRing({self.table!r}, {self.truncation})"
 
 
-RATIONALS = RationalRing()
+RATIONALS = PolyRing(GeneratorTable(()), 0)
 
 
-def merge_rings(a, b):
-    if isinstance(a, RationalRing) and isinstance(b, RationalRing):
-        return RATIONALS
-    if isinstance(a, PolyRing) and isinstance(b, PolyRing):
-        if a.table != b.table:
-            raise RingMismatchError("q-series over different generator tables")
-        return a if a.truncation <= b.truncation else b
-    raise RingMismatchError("mixing rational and polynomial coefficients requires an explicit promotion")
+def _q_exponent(value) -> int:
+    """`value` itself when it is an int (not a bool); ValueError otherwise."""
+    if not _is_int(value):
+        raise ValueError(f"q-exponents must be integers, got {value!r}")
+    return value
 
 
 def _q_power(j2: int) -> str:
@@ -179,8 +137,9 @@ class QHalfSeries(IntForm):
     The cap N bounds the stored powers: 0 <= j <= 2N.  The value is an
     `IntForm` over the ring's flat keys (see the module docstring), with the
     ring's truncation as grade limit and 2N as side-grade limit.  `coeffs`
-    is the j2 -> coefficient view: no zero coefficient, and over a PolyRing
-    every coefficient sits at the ring's truncation.
+    is the j2 -> coefficient view: no zero coefficient, and every
+    coefficient sits at the ring's truncation.  A q-exponent that is not an
+    int is a ValueError.
     """
 
     __slots__ = ("ring", "cap", "_coeffs")
@@ -193,13 +152,12 @@ class QHalfSeries(IntForm):
         clean = {}
         if coeffs:
             for j2, value in coeffs.items():
-                j2 = int(j2)
-                if j2 < 0:
+                if _q_exponent(j2) < 0:
                     raise ValueError("negative q-exponent")
                 if j2 > 2 * cap:
                     continue
                 value = ring.coerce(value)
-                if not ring.is_zero(value):
+                if value.items:
                     clean[j2] = value
         self._coeffs = clean
         self.den, self.items = ring.flatten(clean)
@@ -210,7 +168,7 @@ class QHalfSeries(IntForm):
 
     @property
     def limits(self) -> tuple[int, int]:
-        return self.ring.limit, 2 * self.cap
+        return self.ring.truncation, 2 * self.cap
 
     @property
     def coeffs(self) -> dict:
@@ -220,24 +178,28 @@ class QHalfSeries(IntForm):
         return self._coeffs
 
     def _meet(self, other: "QHalfSeries") -> tuple:
-        """The merged ring, at the smaller cap."""
-        return merge_rings(self.ring, other.ring), min(self.cap, other.cap)
+        """One generator table, at the smaller truncation and the smaller cap."""
+        a, b = self.ring, other.ring
+        if a.table != b.table:
+            raise RingMismatchError("q-series over different tables (a rational series needs an explicit promotion)")
+        return a if a.truncation <= b.truncation else b, min(self.cap, other.cap)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def q_power(cls, ring, cap, j2, value=1):
-        return cls(ring, cap, {j2: ring.coerce(value)})
+        return cls(ring, cap, {j2: value})
 
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, j2: int):
         """Coefficient of q^(j2/2)."""
-        return self.coeffs.get(int(j2)) if int(j2) in self.coeffs else self.ring.zero()
+        coeffs = self.coeffs
+        return coeffs[j2] if _q_exponent(j2) in coeffs else self.ring.zero()
 
     def coefficient_q(self, n: int):
         """Coefficient of the integer power q^n."""
-        return self.coefficient(2 * n)
+        return self.coefficient(2 * _q_exponent(n))
 
     def integer_powers_only(self) -> bool:
         return all(j2 % 2 == 0 for _, j2, _, _ in self.items)
@@ -245,13 +207,11 @@ class QHalfSeries(IntForm):
     def scale(self, value):
         """Multiply every coefficient by a fixed ring element or scalar.
 
-        A polynomial's keys are its flat keys at q^0, so scaling by one is
-        the product with the polynomial read as a q^0 series.
+        A coefficient's keys are its flat keys at q^0, so scaling by one is
+        the product with the coefficient read as a q^0 series.
         """
         value = self.ring.coerce(value)
-        if isinstance(value, GradedPoly):
-            value = QHalfSeries._make(self.ring, self.cap, value.den, value.items)
-        return self * value
+        return self * QHalfSeries._make(self.ring, self.cap, value.den, value.items)
 
     # -- structure maps ------------------------------------------------------
 
@@ -260,39 +220,42 @@ class QHalfSeries(IntForm):
 
         Each image is truncated at or above the ring's truncation, and the
         result stays in the ring.  A rational series has no generator to map:
-        any image is a ValueError.
+        an image over a nonempty table is a ValueError.
         """
-        return self._substituted(images, self.ring.limit)
+        return self._substituted(images, self.ring.truncation)
 
     def cut(self, ring: PolyRing) -> "QHalfSeries":
         """The terms of degree at most `ring.truncation`, re-keyed by generator name onto `ring.table`.
 
-        Both rings are polynomial and the target truncation is at most this
-        series' own.  A generator that this table lacks gets exponent 0, so a
-        cut onto a larger table is the embedding.  A kept term that carries a
-        generator the target table lacks, or a generator that it gives
-        another degree, is a ValueError (`algebra._relaid`).  The q-cap is
-        kept.
+        The target truncation is at most this series' own: a ValueError
+        otherwise, also for a rational series, whose truncation is 0 (lift it
+        with `promote`).  A generator that this table lacks gets exponent 0,
+        so a cut onto a larger table is the embedding.  A kept term that
+        carries a generator the target table lacks, or a generator that it
+        gives another degree, is a ValueError (`algebra._relaid`).  The q-cap
+        is kept.
         """
-        source = self.ring
-        if not (isinstance(source, PolyRing) and isinstance(ring, PolyRing)):
-            raise RingMismatchError("cut needs polynomial coefficients on both sides")
-        if ring.truncation > source.truncation:
-            raise ValueError(f"cannot cut a series truncated at degree {source.truncation} to degree {ring.truncation}")
+        if ring.truncation > self.ring.truncation:
+            raise ValueError(f"cannot cut a series truncated at degree {self.ring.truncation} to degree {ring.truncation}")
         return self._reshaped(ring, self.cap)
 
     def promote(self, ring: PolyRing) -> "QHalfSeries":
-        """Explicitly lift rational coefficients into a polynomial ring: each becomes a constant."""
-        if not isinstance(self.ring, RationalRing):
-            raise RingMismatchError("promote applies to rational-coefficient series")
+        """Explicitly lift a rational series into `ring`: each coefficient becomes a constant.
+
+        A series over the empty table is exact at every truncation, so it is
+        the one series that may move to a higher truncation; any other is a
+        RingMismatchError.
+        """
+        if self.ring.table:
+            raise RingMismatchError("promote applies to rational series, those over the empty table")
         return self._reshaped(ring, self.cap)
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
         coeffs = self.coeffs
-        if isinstance(self.ring, RationalRing):
-            return _render_terms((coeffs[j2], _q_power(j2)) for j2 in sorted(coeffs))
+        if not self.ring.table:  # constant coefficients render as numbers: "1 - 264*q"
+            return _render_terms((coeffs[j2].constant_term, _q_power(j2)) for j2 in sorted(coeffs))
         parts = []
         for j2 in sorted(coeffs):
             power = _q_power(j2)
@@ -304,16 +267,13 @@ class QHalfSeries(IntForm):
 
 
 def qseries_exp(x: QHalfSeries) -> QHalfSeries:
-    """exp of a q-series over a polynomial ring, pinned by nilpotence.
+    """exp of a q-series, pinned by nilpotence.
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
     Solved weight by weight by `algebra._exp_form` over the ring's flat keys
     (`IntForm._kernel`); the result keeps the solved parts' ints.
     """
-    ring = x.ring
-    if not isinstance(ring, PolyRing):
-        raise RingMismatchError("qseries_exp needs polynomial coefficients")
     if x.items and x.items[0][2] == 0:  # the unit flat key is 0 and sorts first
         raise ValueError("qseries_exp needs a zero constant term at q^0")
     return x._kernel(_exp_form)

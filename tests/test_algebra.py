@@ -60,6 +60,16 @@ class TestGeneratorTable:
         with pytest.raises(ValueError, match="positive even degree"):
             GeneratorTable([("a", degree)])
 
+    @pytest.mark.parametrize("name", [None, 1, b"pX2", ["pX2"]], ids=repr)
+    def test_non_string_name_rejected(self, name):
+        """A name is a str, not converted into one."""
+        with pytest.raises(ValueError, match="strings"):
+            GeneratorTable([("pX1", 4), (name, 8)])
+
+    def test_empty_table(self):
+        table = GeneratorTable(())
+        assert len(table) == 0 and table.names == () and table.monomial_string(()) == ""
+
     def test_degree_two_reserved_for_line_class(self):
         with pytest.raises(ValueError, match="cL"):
             GeneratorTable([("cL", 2), ("t1", 2)])

@@ -185,6 +185,37 @@ QUOTIENT_DIGESTS = {
 }
 
 
+# sha256 of `expand --series <basis form> --order <order> --format <format>`,
+# recorded from the engine that held the basis forms in a ring of Fractions of
+# their own, before they became series over the empty generator table.
+BASIS_DIGESTS = {
+    ("E4", "0", "text"): "bb527d8cd59e3924ee14de33672c4dcf3d5b042931d75c8484889222e5cf95b1",
+    ("E4", "0", "json"): "ccd4cf16ddb6b21e252e54ff6969db2270d15ff1959a9f1952bb0faa19f21efb",
+    ("E4", "2", "text"): "33876b7c422a173db695f3c1ac721534546c9d851d67eb189bf376af9ab7f80a",
+    ("E4", "2", "json"): "1f3357daef938d1a1af530ecad8fb36e2f299f9fce11c338311b49d42f678fe3",
+    ("E4", "5", "text"): "9e0b45ebff02c92110d1a094af2a91b9638713b8ebcd4b929adfddb206a597d0",
+    ("E4", "5", "json"): "c55f9c03b172926f14d775dc70209902c65dae15bb5d852cf3c912816dee09fb",
+    ("E6", "0", "text"): "4dfdd426957b0dc7e865f006fbd809431c1c827334b7db404827feb5b349d9fa",
+    ("E6", "0", "json"): "b8cfec6afdafebf9213d03fab9d7f27f6d008da5a53d8b4a7148d9dada52e947",
+    ("E6", "2", "text"): "1415e01be4ae60778990104135df7f1994aa4e816409048c9075ceebea4c4ac6",
+    ("E6", "2", "json"): "c1b8d35c8246b8b944c2b34908b92bf88bdba8fb61c6e46875110c95893e961a",
+    ("E6", "5", "text"): "b98144ab0c4ee4c06806af09268b4dc5febe2f58e729b745c26a576a3dc4f5a3",
+    ("E6", "5", "json"): "e6cbcd5407799a7df86cb49097c82cf868eb959fafd311c08794b5b5693a1dc2",
+    ("E4^2", "0", "text"): "db9bed62293188857329ff94c3481d7c1b9b6b6d8b7629df94809130ed6b00d8",
+    ("E4^2", "0", "json"): "2bb5310ddc36afa2a81fc9be9175b773aa557ff5cca9b77ff5ad86408bdb7ea6",
+    ("E4^2", "2", "text"): "8e2fc71acb0cca4b6e2857030d3bb9c930fc27d0bbd5ddd2bf6a0e0012784ab9",
+    ("E4^2", "2", "json"): "7b6a5f3d520e0e789708842347e49c4031a818f83449e833479b5d471eace8c7",
+    ("E4^2", "5", "text"): "2227bea78dfdab2a49274d3538fa199220e71344d78ad986777348b7555d5094",
+    ("E4^2", "5", "json"): "badc3ddee592984c9d61612502b116cbdb1a358375acbd46e6657e411cbd6526",
+    ("E4E6", "0", "text"): "2aa239710019f4369c37dd9ef7cc5aa9f5e7e66ca273ba41d47de745604faf1d",
+    ("E4E6", "0", "json"): "0588aa17e072a7f415cbef0cd1bc0bd53a08e26e857579b04862e360cf520672",
+    ("E4E6", "2", "text"): "f70359a10a399406b1dc669b92aedece02d4c6023680e59f3892421796ef83d4",
+    ("E4E6", "2", "json"): "08b35026feb5eba77736f5578ccd92317a6b27a1e57d9db7675366647e6e3d24",
+    ("E4E6", "5", "text"): "86724aedc895542514df00978b277570f5ed7041bb5342190c2ee0f9e4ab3d92",
+    ("E4E6", "5", "json"): "e67e34029dd75edf7f944145f1111a43210b0c19fa2cd7e19258f02f9bf3854e",
+}
+
+
 # sha256 of outputs that read the third theta sector, recorded from the engine
 # that built Θ3 from formulas of its own (B3 divisor sums, Λ_{+q^(m-1/2)}
 # chains) before each route took it as the half-period shift of its Θ2.
@@ -216,6 +247,12 @@ class TestOutputsMatchTheSeedEngine:
         code, out, _ = run(capsys, "expand", "--series", series, "--order", "4", "--dim", dim)
         assert code == 0
         assert sha256(out) == EXPAND_DIGESTS[(series, dim)]
+
+    @pytest.mark.parametrize("series, order, fmt", sorted(BASIS_DIGESTS))
+    def test_expand_basis_form(self, capsys, series, order, fmt):
+        code, out, _ = run(capsys, "expand", "--series", series, "--order", order, "--format", fmt)
+        assert code == 0
+        assert sha256(out) == BASIS_DIGESTS[(series, order, fmt)]
 
     @pytest.mark.parametrize("series, tcap, order", sorted(QUOTIENT_DIGESTS))
     def test_expand_quotient(self, capsys, series, tcap, order):

@@ -1,21 +1,21 @@
 """Every field of the case-family table reaches the report: a mutation matrix.
 
 Each row mutation replaces one field of one `verifier._FAMILIES` row, and
-each code mutation replaces one expression in the source of
-`bundles.theta_series`; each then runs the 12 catalog specs at order 3
-in-process.  The tables state which report fields must change, each keyed by
-(case, dim, field): the route comparison, the fit, an identity's status or a
-corollary's modulus.  A mutation that changes nothing fails, and so does one
+each code mutation replaces one expression in the source of an engine
+function (`bundles.theta_series`, `qseries.eisenstein`); each then runs the
+12 catalog specs at order 3 in-process.  The tables state which report
+fields must change, each keyed by (case, dim, field): the route comparison,
+the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
 that changes a field the table does not list.  No memoized form is keyed by
-a row, and the memoized bundles are cleared around each code mutation, so
-the runs share no stale cache.
+a row, and the memoized bundles and basis forms are cleared around each code
+mutation, so the runs share no stale cache.
 """
 
 import inspect
 
 import pytest
 
-from anomaly import bundles, verifier
+from anomaly import bundles, qseries, verifier
 from anomaly.verifier import CASE_DIMS, CaseSpec, run_cases
 
 SPECS = [CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]]
@@ -85,46 +85,80 @@ MUTATIONS = {
 }
 
 
-# Each replaces one expression of `bundles.theta_series`, which must occur there once.
+# Each replaces one expression of a function, which must occur there once, and
+# patches the recompiled function in as the name of the module that reads it.
 CODE_MUTATIONS = {
     "thetaV folded through psi^3": (
+        bundles.theta_series,
+        verifier,
         "Vr.adams(2)",
         "Vr.adams(3)",
         # the identities read no theta series: only spin_v's route comparison, and so its fit
         flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
     "sectors rank factor halved": (
+        bundles.theta_series,
+        verifier,
         "lam * V.rank",
         "lam * (V.rank // 2)",
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
+    "E4 and E6 off by 24 at q^2": (
+        qseries.eisenstein,
+        qseries,  # modular_basis reads it, and the verifier reads modular_basis
+        "Fraction(const * _sigma(k, n))",
+        "Fraction(const * _sigma(k, n) + 24 * (n == 2))",
+        # every fit compares q^2, and so do the q^2 identities and their "-b" corollaries;
+        # the identities and moduli at q^1 read no q^2 coefficient
+        flips("spin", {
+            8: "fit_ok Thm1.1-(1.2) Cor1.2-b",
+            12: "fit_ok Thm1.3-(1.6) Cor1.4-b",
+            16: "fit_ok Thm1.5-(1.10) Cor1.6-b",
+            20: "fit_ok Thm1.7-(1.14)",
+        })
+        | flips("spin_v", {
+            8: "fit_ok Thm1.9-q2 Cor1.10-b Cor1.11-b",
+            12: "fit_ok Thm1.12-q2 Cor1.13-b Cor1.14-b",
+            16: "fit_ok",
+            20: "fit_ok",
+        })
+        | flips("spinc_l", {
+            10: "fit_ok Thm1.21-q2 Cor1.22-b",
+            14: "fit_ok Thm1.23-q2 Cor1.24-b",
+            18: "fit_ok",
+            22: "fit_ok",
+        }),
+    ),
 }
 
 
-def mutated_theta_series(old: str, new: str):
-    """`bundles.theta_series` recompiled with `old` replaced by `new`, over the module's names."""
-    source = inspect.getsource(bundles.theta_series)
-    assert source.count(old) == 1, f"{old!r} must occur once in theta_series"
-    namespace = dict(vars(bundles))
-    exec(compile(source.replace(old, new), bundles.__file__, "exec"), namespace)
-    return namespace["theta_series"]
+def recompiled(function, old: str, new: str):
+    """`function` recompiled with `old` replaced by `new`, over its module's names."""
+    module = inspect.getmodule(function)
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, f"{old!r} must occur once in {function.__name__}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
 
 
-MEMOIZED_BUNDLES = (
+MEMOIZED = (
     bundles.tangent_complexification,
     bundles.aux_complexification,
     bundles.line_real_complexification,
     bundles.spinor_bundle,
+    qseries.eisenstein,
+    qseries.modular_basis,
 )
 
 
 @pytest.fixture
-def fresh_bundles():
-    """Clear the memoized bundles, and the powers they keep, before and after the test."""
-    for constructor in MEMOIZED_BUNDLES:
+def fresh_caches():
+    """Clear the memoized bundles (and the powers they keep) and basis forms before and after the test."""
+    for constructor in MEMOIZED:
         constructor.cache_clear()
     yield
-    for constructor in MEMOIZED_BUNDLES:
+    for constructor in MEMOIZED:
         constructor.cache_clear()
 
 
@@ -145,9 +179,11 @@ def test_a_row_mutation_flips_exactly_its_fields(monkeypatch, baseline, case, ch
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected
 
 
-@pytest.mark.parametrize("old, new, expected", CODE_MUTATIONS.values(), ids=list(CODE_MUTATIONS))
-def test_a_code_mutation_flips_exactly_its_fields(monkeypatch, fresh_bundles, baseline, old, new, expected):
+@pytest.mark.parametrize("function, reader, old, new, expected", CODE_MUTATIONS.values(), ids=list(CODE_MUTATIONS))
+def test_a_code_mutation_flips_exactly_its_fields(
+    monkeypatch, fresh_caches, baseline, function, reader, old, new, expected
+):
     assert expected, "a mutation must name the fields it flips"
-    monkeypatch.setattr(verifier, "theta_series", mutated_theta_series(old, new))
+    monkeypatch.setattr(reader, function.__name__, recompiled(function, old, new))
     mutated = outcome()
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected

@@ -15,6 +15,7 @@ from anomaly.qseries import (
     modular_basis,
     qseries_exp,
 )
+from anomaly.verifier import eisenstein_fit
 
 
 def random_series(rng, cap):
@@ -40,8 +41,8 @@ class TestRationalSeries:
         s = QHalfSeries.q_power(RATIONALS, 3, 1)  # q^(1/2)
         assert not s.integer_powers_only()
         assert (s * s).integer_powers_only()
-        assert s.coefficient(1) == 1
-        assert s.coefficient_q(1) == 0
+        assert s.coefficient(1).constant_term == 1
+        assert s.coefficient_q(1).is_zero()
 
     def test_tau_shift_is_ring_involution(self):
         rng = random.Random(2718)
@@ -59,6 +60,55 @@ class TestRationalSeries:
             + QHalfSeries.q_power(RATIONALS, 2, 4, 3)
         )
         assert s.render() == "1 - 1/2*q^(1/2) + 3*q^2"
+
+
+class TestOneRing:
+    """A rational series is a series over the empty table, and the ring's operations apply to it."""
+
+    def test_rationals_are_the_empty_table(self):
+        empty = GeneratorTable(())
+        assert RATIONALS == PolyRing(empty, 0)
+        assert eisenstein(4, 2).coefficient_q(1) == GradedPoly.constant(empty, 0, 240)
+
+    def test_exp_of_a_rational_series(self):
+        e = qseries_exp(QHalfSeries.q_power(RATIONALS, 3, 2))
+        assert e == QHalfSeries(RATIONALS, 3, {0: 1, 2: 1, 4: Fraction(1, 2), 6: Fraction(1, 6)})
+
+    def test_fit_of_a_rational_series(self):
+        fit = eisenstein_fit(eisenstein(4, 3) * 3, 4)
+        assert fit.passed and fit.lam.constant_term == 3
+
+    def test_promote_refuses_a_polynomial_series(self):
+        ring = PolyRing(pontryagin_table(8), 8)
+        with pytest.raises(RingMismatchError, match="empty table"):
+            QHalfSeries.one(ring, 3).promote(ring)
+
+    def test_different_tables_do_not_meet(self):
+        a = QHalfSeries.one(PolyRing(pontryagin_table(8), 8), 3)
+        b = QHalfSeries.one(PolyRing(pontryagin_table(12), 8), 3)
+        with pytest.raises(RingMismatchError, match="different tables"):
+            a * b
+
+
+class TestQExponentsAreInts:
+    """A q-exponent is an int, not truncated or parsed into one."""
+
+    @pytest.mark.parametrize("j2", [1.5, 1.9, 2.0, "2", True], ids=repr)
+    def test_constructor(self, j2):
+        with pytest.raises(ValueError, match="integers"):
+            QHalfSeries(RATIONALS, 2, {j2: 7, 2: 1})
+        with pytest.raises(ValueError, match="integers"):
+            QHalfSeries(PolyRing(pontryagin_table(8), 8), 2, {j2: 7})
+
+    @pytest.mark.parametrize("j2", [1.5, 1.9, 2.0, "2", True], ids=repr)
+    def test_coefficient(self, j2):
+        s = QHalfSeries(RATIONALS, 2, {1: 7, 2: 1})
+        assert s.coefficient(1).constant_term == 7
+        assert s.coefficient_q(1).constant_term == 1
+        with pytest.raises(ValueError, match="integers"):
+            s.coefficient(j2)
+        with pytest.raises(ValueError, match="integers"):
+            s.coefficient_q(j2)
 
 
 class TestPolynomialCoefficients:
@@ -161,7 +211,7 @@ class TestPolynomialCoefficients:
         s = QHalfSeries.one(PolyRing(table, 8), 1)
         with pytest.raises(ValueError, match="cannot cut"):
             s.cut(PolyRing(table, 12))
-        with pytest.raises(RingMismatchError):
+        with pytest.raises(ValueError, match="cannot cut"):  # a rational series sits at truncation 0
             QHalfSeries.one(RATIONALS, 1).cut(PolyRing(table, 8))
 
     def test_qseries_exp_needs_nilpotent_start(self):
@@ -174,30 +224,30 @@ class TestPolynomialCoefficients:
 class TestEisenstein:
     def test_weight4_golden(self):
         e4 = eisenstein(4, 3)
-        assert [e4.coefficient_q(n) for n in range(4)] == [1, 240, 2160, 6720]
+        assert [e4.coefficient_q(n).constant_term for n in range(4)] == [1, 240, 2160, 6720]
 
     def test_weight6_golden(self):
         e6 = eisenstein(6, 3)
-        assert [e6.coefficient_q(n) for n in range(4)] == [1, -504, -16632, -122976]
+        assert [e6.coefficient_q(n).constant_term for n in range(4)] == [1, -504, -16632, -122976]
 
     def test_divisor_sum_cross_check(self):
         e4 = eisenstein(4, 8)
         e6 = eisenstein(6, 8)
         for n in range(1, 9):
-            assert e4.coefficient_q(n) == 240 * sigma(3, n)
-            assert e6.coefficient_q(n) == -504 * sigma(5, n)
+            assert e4.coefficient_q(n).constant_term == 240 * sigma(3, n)
+            assert e6.coefficient_q(n).constant_term == -504 * sigma(5, n)
 
     def test_weight8_basis_golden(self):
         e8 = modular_basis(8, 3)
-        assert [e8.coefficient_q(n) for n in range(4)] == [1, 480, 61920, 1050240]
+        assert [e8.coefficient_q(n).constant_term for n in range(4)] == [1, 480, 61920, 1050240]
 
     def test_weight10_basis_golden(self):
         e10 = modular_basis(10, 3)
-        assert [e10.coefficient_q(n) for n in range(4)] == [1, -264, -135432, -5196576]
+        assert [e10.coefficient_q(n).constant_term for n in range(4)] == [1, -264, -135432, -5196576]
         # the value -117288 sometimes quoted for the q^2 coefficient is not
         # reachable by exact arithmetic: q^2 of E4*E6 is forced to
         # 240*(-504) + (-16632) + 2160 = -135432
-        assert e10.coefficient_q(2) != -117288
+        assert e10.coefficient_q(2).constant_term != -117288
         assert 240 * (-504) + (-16632) + 2160 == -135432
 
     def test_low_weights_are_eisenstein(self):

@@ -123,7 +123,7 @@ class TestJacobiIdentity:
         cap2 = 2 * N
         residual = jacobi_identity_residual(N)
         for j2 in range(cap2 + 1):
-            assert residual.coefficient(j2) == 0
+            assert residual.coefficient(j2).is_zero()
 
 
 class TestRootProductBridge:
