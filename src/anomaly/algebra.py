@@ -38,11 +38,14 @@ another shape: every truncation, cut, promotion and alignment re-keys
 through it.
 
 exp, log and inverse each have one implementation over int forms,
-`_exp_form`, `_log_form` and `_inverse_form`, which solve the weight-by-
-weight recurrences of `_weight_recurrence`.  `IntForm._kernel` applies them
-to any of the three classes: they back `exp_truncated` and `log_truncated`
-here, `qseries_exp` in `qseries`, and the exp, inverse and log of
-`theta.TwoVarSeries`.
+`_exp_form`, `_log_form` and `_inverse_form`, which solve the recurrences
+of `_weight_recurrence`.  The log and the inverse, and the exp of a
+polynomial, step by weight (grade + side grade).  The exp of a series with
+a side grade is solved by q-power: the exp of its q^0 slice first, by
+weight, then one step per side grade, each a few convolutions of whole
+slices.  `IntForm._kernel` applies them to any of the three classes: they
+back `exp_truncated` and `log_truncated` here, `qseries_exp` in `qseries`,
+and the exp, inverse and log of `theta.TwoVarSeries`.
 
 Substitution has one implementation too, the key rewrite
 `_substitute_monomials`: each image is a single term (or zero) over the
@@ -98,7 +101,9 @@ class GeneratorTable:
     """Ordered table of polynomial generators with even cohomological degrees.
 
     Names are unique; `cL`, when present, must be the only degree-2 generator
-    so that substitutions targeting cL^2 stay unambiguous.
+    so that substitutions targeting cL^2 stay unambiguous.  A name must
+    round-trip through `monomial_string` and `parse_monomial`: it is not
+    empty, not "1" (the unit monomial), and holds no `*`, `^` or whitespace.
     """
 
     __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts", "_power_sums")  # names derives from generators
@@ -109,6 +114,8 @@ class GeneratorTable:
         for name in names:
             if not isinstance(name, str):
                 raise ValueError(f"generator names must be strings, got {name!r}")
+            if name in ("", "1") or any(c in "*^" or c.isspace() for c in name):
+                raise ValueError(f"generator name {name!r} cannot be written in a monomial")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name, degree in gens:
@@ -406,27 +413,31 @@ def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 
 # callers check the constant term: these helpers trust it.
 
 
-def _weight_recurrence(den: int, items: list, b0: tuple, divisor, finish, limit: int, side_limit: int = 0) -> list:
-    """Solve a series b weight by weight through `_convolve`.
+def _weight_recurrence(
+    den: int, items: list, b0: tuple, divisor, finish, limit: int, side_limit: int = 0, by_side: bool = False
+) -> list:
+    """Solve a series b step by step through `_convolve`.
 
-    With a = A / den the int form `items`, for w = 1..limit + side_limit the
-    weight-w part of b is
+    A term's step is its weight, grade + side grade, or with `by_side` its
+    side grade alone.  With a = A / den the int form `items`, for
+    w = 1..limit + side_limit (by side: w = 1..side_limit) the step-w part
+    of b is
 
         b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, den),
 
     the power-series recurrence of Brent and Kung ("Fast algorithms for
     manipulating formal power series", J. ACM 1978) behind inverse and exp.
-    `b0` is the weight-0 part as an int form.  Each b_w is summed in ints
-    and kept as its own int form for the later weights.  Returns the
-    nonzero parts, b_0 first.
+    `b0` is the step-0 part as an int form: the unit, or by side a whole
+    side-0 slice.  Each b_w is summed in ints and kept as its own int form
+    for the later steps.  Returns the nonzero parts, b_0 first.
     """
     a: dict[int, list] = {}
     for item in items:
-        weight = item[0] + item[1]
+        weight = item[1] if by_side else item[0] + item[1]
         if weight:
             a.setdefault(weight, []).append(item)
     solved = {0: b0}
-    for w in range(1, limit + side_limit + 1):
+    for w in range(1, (side_limit if by_side else limit + side_limit) + 1):
         parts = [(av, solved[w - v]) for v, av in a.items() if w - v in solved]
         if not parts:
             continue
@@ -464,10 +475,21 @@ def _euler_items(items: list) -> list:
 
 
 def _exp_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
-    """exp(x) for x with no weight-0 term: w * f_w = sum_v E(x)_v * f_(w-v)."""
-    return _joined(
-        _weight_recurrence(den, _euler_items(items), (1, [(0, 0, 0, 1)]), lambda w, d: w * d, finish, limit, side_limit)
-    )
+    """exp(x) for x with no weight-0 term.
+
+    With no side grade, weight by weight: w * f_w = sum_v E(x)_v * f_(w-v).
+    A series is solved by side grade (its doubled q-exponent), as
+    exp(x) = exp(x_0) * exp(x - x_0): f_0 = exp(x_0) of the side-0 slice by
+    the weight recurrence, then s * f_s = sum_k k * x_k * f_(s-k) for
+    s = 1..side_limit, each x_k and f_s a whole slice.  That is at most
+    side_limit steps of few, large convolutions instead of one step per weight.
+    """
+    if not side_limit:
+        unit = (1, [(0, 0, 0, 1)])
+        return _joined(_weight_recurrence(den, _euler_items(items), unit, lambda w, d: w * d, finish, limit))
+    f0 = _exp_form(den, [item for item in items if not item[1]], finish, limit)
+    sided = [(g, side, key, num * side) for g, side, key, num in items if side]
+    return _joined(_weight_recurrence(den, sided, f0, lambda s, d: s * d, finish, limit, side_limit, by_side=True))
 
 
 def _inverse_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:

@@ -244,14 +244,14 @@ def _complexification(table: GeneratorTable, truncation: int, family: str, rank:
     return VirtualBundle._of(ch)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tangent_complexification(table: GeneratorTable, dim: int) -> VirtualBundle:
     """Complexified tangent bundle over the pX classes, to degree dim: rank dim,
     degree-4m piece 2*s_{2m}/(2m)!."""
     return _complexification(table, dim, "pX", dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def aux_complexification(table: GeneratorTable, truncation: int) -> VirtualBundle:
     """Complexification of an auxiliary real bundle carrying the pV classes.
 
@@ -261,7 +261,7 @@ def aux_complexification(table: GeneratorTable, truncation: int) -> VirtualBundl
     return _complexification(table, truncation, "pV", 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def line_real_complexification(table: GeneratorTable, truncation: int) -> VirtualBundle:
     """Complexified realification of a line bundle L with first Chern class cL:
     ch(L + conj L) = exp(cL) + exp(-cL), rank 2."""
@@ -269,7 +269,7 @@ def line_real_complexification(table: GeneratorTable, truncation: int) -> Virtua
     return VirtualBundle._of(exp_truncated(c) + exp_truncated(-c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def spinor_bundle(table: GeneratorTable, dim: int) -> VirtualBundle:
     """The spinor bundle Delta of a spin manifold of dimension dim, rank
     2^(dim/2): its Chern character is the form `genera.spinor_ch`."""

@@ -32,14 +32,14 @@ def _log_coeffs(a: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(log.get((m,), Fraction(0)) for m in range(1, M + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ahat_genus(truncation: int) -> tuple[Fraction, ...]:
     """Log-coefficients a_1, ..., a_(truncation // 4) of the root factor (t/2)/sinh(t/2)."""
     sinh_ratio = [Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(truncation // 4 + 1)]
     return tuple(-c for c in _log_coeffs(sinh_ratio))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cosh_genus(truncation: int) -> tuple[Fraction, ...]:
     """Log-coefficients a_1, ..., a_(truncation // 4) of the root factor cosh(t/2)."""
     return _log_coeffs([Fraction(1, 4 ** m * factorial(2 * m)) for m in range(truncation // 4 + 1)])
@@ -54,13 +54,13 @@ def multiplicative_genus_eval(table: GeneratorTable, log_coeffs: tuple, family: 
     return exp_truncated(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ahat_form(table: GeneratorTable, dim: int) -> GradedPoly:
     """The multiplicative form with root factor (t/2)/sinh(t/2) over pX, to degree dim."""
     return multiplicative_genus_eval(table, ahat_genus(dim), "pX", dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def spinor_ch(table: GeneratorTable, dim: int) -> GradedPoly:
     """Chern character of the full spinor bundle: prod_j 2*cosh(t_j/2) over pX, to degree dim:
     the cosh(t/2) form times 2^(dim/2)."""
@@ -69,7 +69,7 @@ def spinor_ch(table: GeneratorTable, dim: int) -> GradedPoly:
     return multiplicative_genus_eval(table, cosh_genus(dim), "pX", dim) * 2 ** (dim // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def aux_bundle_factor(table: GeneratorTable, kind: str, truncation: int) -> GradedPoly:
     """Auxiliary multiplicative factors:
 

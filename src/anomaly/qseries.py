@@ -271,8 +271,10 @@ def qseries_exp(x: QHalfSeries) -> QHalfSeries:
 
     Needs every term to carry a positive weight (polynomial degree plus the
     doubled q-exponent), i.e. the q^0 coefficient must have no constant term.
-    Solved weight by weight by `algebra._exp_form` over the ring's flat keys
-    (`IntForm._kernel`); the result keeps the solved parts' ints.
+    Solved by q-power by `algebra._exp_form` over the ring's flat keys
+    (`IntForm._kernel`): the exp of the q^0 coefficient, then each
+    half-power's whole coefficient from the lower ones.  The result keeps
+    the solved parts' ints.
     """
     if x.items and x.items[0][2] == 0:  # the unit flat key is 0 and sorts first
         raise ValueError("qseries_exp needs a zero constant term at q^0")
@@ -283,9 +285,10 @@ def _sigma(k: int, n: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eisenstein(weight: int, cap: int) -> QHalfSeries:
     """Normalized weight-4 or weight-6 Eisenstein series through q^cap."""
+    _nonnegative_int(cap, "q-cap")
     if weight == 4:
         const, k = 240, 3
     elif weight == 6:
@@ -298,9 +301,10 @@ def eisenstein(weight: int, cap: int) -> QHalfSeries:
     return QHalfSeries(RATIONALS, cap, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def modular_basis(weight: int, cap: int) -> QHalfSeries:
     """The monic basis form of the given weight: E4, E6, E4^2 or E4*E6."""
+    _nonnegative_int(cap, "q-cap")
     if weight == 4:
         return eisenstein(4, cap)
     if weight == 6:

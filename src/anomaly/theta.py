@@ -130,8 +130,9 @@ class TwoVarSeries(IntForm):
         return self._logarithm
 
     def exp(self) -> "TwoVarSeries":
-        """exp of a series with zero constant coefficient (`algebra._exp_form`);
-        the result keeps this series as its logarithm."""
+        """exp of a series with zero constant coefficient (`algebra._exp_form`):
+        the exp of the q^0 slice in t, then one whole t-series per half-power
+        of q.  The result keeps this series as its logarithm."""
         if self.coefficient(0, 0):
             raise ValueError("exp needs zero constant coefficient")
         result = self._kernel(_exp_form)
@@ -198,7 +199,7 @@ def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fr
     return coeffs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     """One root factor of a theta quotient, normalized so its t=0 slice is 1.
 

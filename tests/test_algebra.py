@@ -66,6 +66,28 @@ class TestGeneratorTable:
         with pytest.raises(ValueError, match="strings"):
             GeneratorTable([("pX1", 4), (name, 8)])
 
+    @pytest.mark.parametrize("name", ["", "1", "a*b", "a^2", "p X", " a", "a\t", "a\n"], ids=repr)
+    def test_unwritable_name_rejected(self, name):
+        """Every name round-trips through monomial_string and parse_monomial:
+        none reads as the unit, a product or a power."""
+        with pytest.raises(ValueError, match="monomial"):
+            GeneratorTable([("a", 4), ("b", 4), (name, 8)])
+
+    @pytest.mark.parametrize("dim", range(4, 66, 2))
+    def test_every_engine_table_round_trips(self, dim):
+        """The tables the engine builds (pX, pV, cL, and t2 of the genera's even
+        series) rebuild from their generators, and each monomial round-trips."""
+        from anomaly import genera, qseries, theta
+
+        tables = [pontryagin_table(dim, aux=aux, line=line) for aux in (False, True) for line in (False, True)]
+        tables += [genera._EVEN_SERIES, theta._T_KEYS, qseries.RATIONALS.table]
+        for table in tables:
+            assert GeneratorTable(table.generators) == table
+            for expts in [(0,) * len(table), tuple(range(1, len(table) + 1))] + [
+                tuple(int(i == j) for j in range(len(table))) for i in range(len(table))
+            ]:
+                assert table.parse_monomial(table.monomial_string(expts)) == expts
+
     def test_empty_table(self):
         table = GeneratorTable(())
         assert len(table) == 0 and table.names == () and table.monomial_string(()) == ""

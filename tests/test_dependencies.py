@@ -2,7 +2,9 @@
 standard library and its own modules (sympy and hypothesis are for tests).
 Its export list names each public name once, and each resolves, every
 other module reads each name it imports, and importing the CLI loads none
-of the slow-to-import standard modules.  The
+of the slow-to-import standard modules.  Every `functools.lru_cache` is
+typed, so a float or bool argument never reads the entry of an equal int
+and skips the constructor's own checks.  The
 verifier and the CLI tell case families apart only through the family table."""
 
 import ast
@@ -88,6 +90,53 @@ def test_the_cli_imports_no_slow_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def untyped_caches(source: str) -> list[int]:
+    """The lines of `source` that use `lru_cache` (bare or called, by name or as
+    `functools.lru_cache`) without the keyword `typed=True`, or `functools.cache`,
+    which cannot be typed."""
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and name(node.value) == "functools":
+            lines.append(node.lineno)
+        elif name(node) == "lru_cache" and not isinstance(node.ctx, ast.Store):
+            call = calls.get(id(node))
+            if call is None or not any(
+                kw.arg == "typed" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in call.keywords
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_cache_scan_sees_every_form():
+    source = (
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None, typed=True)\ndef a(x): pass\n"
+        "@lru_cache\ndef b(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(x): pass\n"
+        "@functools.lru_cache(typed=False)\ndef d(x): pass\n"
+        "@functools.lru_cache(typed=True)\ndef e(x): pass\n"
+        "f = lru_cache(len)\n"
+        "@functools.cache\ndef g(x): pass\n"
+    )
+    assert untyped_caches(source) == [2, 5, 7, 9, 13, 14]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_cache_is_typed(path):
+    """An untyped cache hands `f(4, 1)`'s entry to `f(4, True)` and `f(4.0, 1)`,
+    which then skip the constructor's own checks."""
+    assert untyped_caches(path.read_text(encoding="utf-8")) == []
 
 
 FAMILY_NAMES = frozenset(verifier._FAMILIES)

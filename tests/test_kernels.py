@@ -4,7 +4,8 @@ GradedPoly and TwoVarSeries arithmetic (sparse operands on both sides of each
 packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.inverse/
 log/exp, exp_truncated/log_truncated and qseries_exp are checked against
 convolutions and power series written out here term by term in Fraction
-arithmetic;
+arithmetic (the series exps, solved by q-power, also over RATIONALS, with
+pure q terms, and against exp(x + y) = exp(x) * exp(y));
 QHalfSeries products against the coefficientwise product, the single-term
 substitution (on polynomials and on q-series) against term-by-term
 substitution (`oracles.naive_substitute`), the cached Adams operations
@@ -561,6 +562,18 @@ class TestTwoVarSeriesKernel:
         assert_two_var_invariants(e)
         assert TwoVarSeries(e.tcap, e.cap, e.coeffs).log() == x
 
+    @SETTINGS
+    @given(st.data(), caps)
+    def test_exp_of_pure_q_terms(self, data, tcap_cap):
+        """t^0 * q^(j/2) terms: the t^0 slice past q^0 steps by q-power alone."""
+        tcap, cap = tcap_cap
+        pure = data.draw(st.dictionaries(st.integers(1, 2 * cap + 1).map(lambda j2: (0, j2)), coefficients, max_size=4))
+        x = data.draw(series(tcap, cap)) + TwoVarSeries(tcap, cap, pure)
+        x = x - TwoVarSeries(tcap, cap, {(0, 0): x.coefficient(0, 0)})
+        e = x.exp()
+        assert e.coeffs == naive_tv_exp(x)
+        assert_two_var_invariants(e)
+
     def test_exp_keeps_its_argument_as_its_log(self):
         x = TwoVarSeries(6, 2, {(2, 0): Fraction(1, 3), (1, 1): -2, (0, 2): 5})
         assert x.exp().log() is x
@@ -674,24 +687,72 @@ def naive_exp(x):
         k += 1
 
 
+@st.composite
+def nilpotent_series(draw, table=None, cap=None):
+    """A q-series with zero constant term at q^0: a random coefficient at every
+    q-power through the cap, over a drawn table (or `table`, RATIONALS for the
+    empty one)."""
+    table = draw(tables()) if table is None else table
+    truncation = draw(truncations) if table else 0
+    cap = draw(st.integers(0, 4)) if cap is None else cap
+    coeffs = {}
+    for j2 in range(2 * cap + 1):
+        terms = draw(term_dicts(table)) if table else {(): draw(coefficients)}
+        if j2 == 0:
+            terms.pop((0,) * len(table), None)
+        coeffs[j2] = GradedPoly(table, truncation, terms)
+    return QHalfSeries(PolyRing(table, truncation), cap, coeffs)
+
+
 class TestQSeriesExp:
+    """exp is solved by q-power after the q^0 slice's own exp: these reach
+    several side steps, slices of several degrees, and series with no degree."""
+
     @SETTINGS
-    @given(st.data(), st.integers(0, 2))
-    def test_matches_power_series(self, data, cap):
-        table = data.draw(tables())
-        truncation = data.draw(truncations)
-        ring = PolyRing(table, truncation)
-        coeffs = {}
-        for j2 in range(2 * cap + 1):
-            terms = data.draw(term_dicts(table))
-            if j2 == 0:
-                terms.pop((0,) * len(table), None)
-            coeffs[j2] = GradedPoly(table, truncation, terms)
-        x = QHalfSeries(ring, cap, coeffs)
+    @given(nilpotent_series())
+    def test_matches_power_series(self, x):
         result = qseries_exp(x)
         assert result == naive_exp(x)
-        for poly in result.coeffs.values():
-            assert_poly_invariants(poly)
+        assert_series_invariants(result)
+
+    @SETTINGS
+    @given(nilpotent_series(GeneratorTable(())))
+    def test_rational_series_match_power_series(self, x):
+        """Over RATIONALS every grade is 0: the q^0 slice is empty and every
+        step is a q-power."""
+        assert x.ring == RATIONALS
+        result = qseries_exp(x)
+        assert result == naive_exp(x)
+        assert_series_invariants(result)
+
+    @SETTINGS
+    @given(st.data(), st.integers(1, 4))
+    def test_slices_of_several_degrees_and_pure_q_terms(self, data, cap):
+        """A q^0 slice with terms of several degrees, and q-powers whose
+        coefficients are constants (pure q terms) or mix a constant with
+        higher degrees."""
+        table = GeneratorTable([("a", 2), ("b", 4), ("c", 6)])
+        truncation = 12
+        a, b, c = (GradedPoly.generator(table, name, truncation) for name in ("a", "b", "c"))
+        slice0 = data.draw(coefficients) * a + data.draw(coefficients) * b + data.draw(coefficients) * a * c
+        coeffs = {0: slice0}
+        for j2 in data.draw(st.sets(st.integers(1, 2 * cap), min_size=1)):
+            constant = GradedPoly.constant(table, truncation, data.draw(coefficients))
+            coeffs[j2] = constant + (data.draw(coefficients) * b * b if data.draw(st.booleans()) else 0)
+        x = QHalfSeries(PolyRing(table, truncation), cap, coeffs)
+        result = qseries_exp(x)
+        assert result == naive_exp(x)
+        assert result.coefficient(0) == exp_truncated(slice0)
+        assert_series_invariants(result)
+
+    @SETTINGS
+    @given(st.data())
+    def test_exp_of_a_sum_is_the_product_of_exps(self, data):
+        x = data.draw(nilpotent_series())
+        y = data.draw(nilpotent_series(x.ring.table, x.cap))
+        ring = meet_ring(x, y)
+        x, y = x.cut(ring), y.cut(ring)
+        assert qseries_exp(x + y) == qseries_exp(x) * qseries_exp(y)
 
 
 # -- QHalfSeries products ----------------------------------------------------------

@@ -2,20 +2,20 @@
 
 Each row mutation replaces one field of one `verifier._FAMILIES` row, and
 each code mutation replaces one expression in the source of an engine
-function (`bundles.theta_series`, `qseries.eisenstein`); each then runs the
-12 catalog specs at order 3 in-process.  The tables state which report
+function (`bundles.theta_series`, `qseries.eisenstein`, `algebra._exp_form`);
+each then runs the 12 catalog specs at order 3 in-process.  The tables state which report
 fields must change, each keyed by (case, dim, field): the route comparison,
 the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
 that changes a field the table does not list.  No memoized form is keyed by
-a row, and the memoized bundles and basis forms are cleared around each code
-mutation, so the runs share no stale cache.
+a row, and the memoized bundles, genera, theta quotients and basis forms
+are cleared around each code mutation, so the runs share no stale cache.
 """
 
 import inspect
 
 import pytest
 
-from anomaly import bundles, qseries, verifier
+from anomaly import algebra, bundles, genera, qseries, theta, verifier
 from anomaly.verifier import CASE_DIMS, CaseSpec, run_cases
 
 SPECS = [CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]]
@@ -129,6 +129,16 @@ CODE_MUTATIONS = {
             22: "fit_ok",
         }),
     ),
+    "series exp side step divided by s + 1": (
+        algebra._exp_form,
+        qseries,  # qseries_exp reads it; the theta quotients' exps (theta's name) stay sound
+        "lambda s, d: s * d",
+        "lambda s, d: (s + 1) * d",
+        # only the theta route's sector exps change: the route comparison fails, leaving nothing to fit
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
+    ),
 }
 
 
@@ -147,6 +157,12 @@ MEMOIZED = (
     bundles.aux_complexification,
     bundles.line_real_complexification,
     bundles.spinor_bundle,
+    genera.ahat_genus,
+    genera.cosh_genus,
+    genera.ahat_form,
+    genera.spinor_ch,
+    genera.aux_bundle_factor,
+    theta.theta_quotient,
     qseries.eisenstein,
     qseries.modular_basis,
 )
@@ -154,7 +170,8 @@ MEMOIZED = (
 
 @pytest.fixture
 def fresh_caches():
-    """Clear the memoized bundles (and the powers they keep) and basis forms before and after the test."""
+    """Clear the memoized bundles (and the powers they keep), genera, theta quotients and basis
+    forms before and after the test."""
     for constructor in MEMOIZED:
         constructor.cache_clear()
     yield

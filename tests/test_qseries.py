@@ -261,3 +261,36 @@ class TestEisenstein:
             eisenstein(8, 3)
         with pytest.raises(ValueError):
             modular_basis(12, 3)
+
+
+class TestMemoizedCapsAreChecked:
+    """A memoized constructor checks its cap on every call: a float or a bool
+    cap is the package's ValueError, whether or not an equal int cap is
+    already cached."""
+
+    BAD_CAPS = [(3, 3.0), (1, True), (0, False), (2, "2")]
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        eisenstein.cache_clear()
+        modular_basis.cache_clear()
+        yield
+        eisenstein.cache_clear()
+        modular_basis.cache_clear()
+
+    @pytest.mark.parametrize("good, bad", BAD_CAPS, ids=repr)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("constructor, weight", [(eisenstein, 4), (eisenstein, 6), (modular_basis, 8), (modular_basis, 10)])
+    def test_bad_cap_rejected_in_either_cache_order(self, constructor, weight, warm, good, bad):
+        if warm:
+            expected = constructor(weight, good)
+        with pytest.raises(ValueError, match="q-cap"):
+            constructor(weight, bad)
+        if not warm:
+            expected = constructor(weight, good)
+        assert constructor(weight, good) is expected and expected.cap == good
+
+    def test_negative_cap_rejected(self):
+        for constructor in (eisenstein, modular_basis):
+            with pytest.raises(ValueError, match="q-cap"):
+                constructor(4, -1)

@@ -62,6 +62,28 @@ class TestQuotientSlices:
             theta_quotient("Z", 6, 2)
 
 
+class TestMemoizedQuotientCapsAreChecked:
+    """`theta_quotient` checks both caps on every call, also when an equal
+    int key is cached."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        theta_quotient.cache_clear()
+        yield
+        theta_quotient.cache_clear()
+
+    @pytest.mark.parametrize("bad", [(4.0, True), (4, True), (4.0, 1), (4, 1.0), ("4", 1)], ids=repr)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bad_caps_rejected_in_either_cache_order(self, warm, bad):
+        if warm:
+            expected = theta_quotient("A", 4, 1)
+        with pytest.raises(ValueError, match="cap"):
+            theta_quotient("A", *bad)
+        if not warm:
+            expected = theta_quotient("A", 4, 1)
+        assert theta_quotient("A", 4, 1) is expected and (expected.tcap, expected.cap) == (4, 1)
+
+
 class TestHalfShiftSwap:
     def test_B2_B3_swap_through_high_order(self):
         b2 = theta_quotient("B2", 10, 5)
