@@ -83,6 +83,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(value, what: str) -> int:
+    """`value` itself when it is an int (not a bool); ValueError naming `what`, a plural, otherwise."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return value
+
+
 def _nonnegative_int(value, what: str) -> int:
     """`value` itself when it is a nonnegative int; ValueError naming `what` otherwise."""
     if not _is_int(value) or value < 0:

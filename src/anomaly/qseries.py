@@ -34,7 +34,7 @@ from .algebra import (
     _even_truncation,
     _exp_form,
     _int_form,
-    _is_int,
+    _integer,
     _nonnegative_int,
     _render_terms,
 )
@@ -115,13 +115,6 @@ class PolyRing:
 RATIONALS = PolyRing(GeneratorTable(()), 0)
 
 
-def _q_exponent(value) -> int:
-    """`value` itself when it is an int (not a bool); ValueError otherwise."""
-    if not _is_int(value):
-        raise ValueError(f"q-exponents must be integers, got {value!r}")
-    return value
-
-
 def _q_power(j2: int) -> str:
     """The monomial string of q^(j2/2); empty for q^0."""
     if j2 == 0:
@@ -152,7 +145,7 @@ class QHalfSeries(IntForm):
         clean = {}
         if coeffs:
             for j2, value in coeffs.items():
-                if _q_exponent(j2) < 0:
+                if _integer(j2, "q-exponents") < 0:
                     raise ValueError("negative q-exponent")
                 if j2 > 2 * cap:
                     continue
@@ -195,11 +188,11 @@ class QHalfSeries(IntForm):
     def coefficient(self, j2: int):
         """Coefficient of q^(j2/2)."""
         coeffs = self.coeffs
-        return coeffs[j2] if _q_exponent(j2) in coeffs else self.ring.zero()
+        return coeffs[j2] if _integer(j2, "q-exponents") in coeffs else self.ring.zero()
 
     def coefficient_q(self, n: int):
         """Coefficient of the integer power q^n."""
-        return self.coefficient(2 * _q_exponent(n))
+        return self.coefficient(2 * _integer(n, "q-exponents"))
 
     def integer_powers_only(self) -> bool:
         return all(j2 % 2 == 0 for _, j2, _, _ in self.items)
@@ -288,6 +281,7 @@ def _sigma(k: int, n: int) -> int:
 @lru_cache(maxsize=None, typed=True)
 def eisenstein(weight: int, cap: int) -> QHalfSeries:
     """Normalized weight-4 or weight-6 Eisenstein series through q^cap."""
+    _integer(weight, "weights")
     _nonnegative_int(cap, "q-cap")
     if weight == 4:
         const, k = 240, 3
@@ -304,6 +298,7 @@ def eisenstein(weight: int, cap: int) -> QHalfSeries:
 @lru_cache(maxsize=None, typed=True)
 def modular_basis(weight: int, cap: int) -> QHalfSeries:
     """The monic basis form of the given weight: E4, E6, E4^2 or E4*E6."""
+    _integer(weight, "weights")
     _nonnegative_int(cap, "q-cap")
     if weight == 4:
         return eisenstein(4, cap)

@@ -36,6 +36,7 @@ from .algebra import (
     GradedPoly,
     IntForm,
     _exp_form,
+    _integer,
     _inverse_form,
     _nonnegative_int,
     _log_form,
@@ -76,8 +77,7 @@ class TwoVarSeries(IntForm):
         clean = {}
         if coeffs:
             for (n, j2), value in coeffs.items():
-                n = int(n)
-                j2 = int(j2)
+                n, j2 = _integer(n, "t-exponents"), _integer(j2, "q-exponents")
                 if n < 0 or j2 < 0:
                     raise ValueError("negative exponent")
                 if n > tcap or j2 > 2 * cap:
@@ -103,7 +103,7 @@ class TwoVarSeries(IntForm):
         return {(n, j2): Fraction(num, den) for n, j2, _, num in self.items}
 
     def coefficient(self, n: int, j2: int) -> Fraction:
-        n, j2 = int(n), int(j2)
+        n, j2 = _integer(n, "t-exponents"), _integer(j2, "q-exponents")
         items = self.items
         i = bisect_left(items, (n, j2))
         if i < len(items) and items[i][:2] == (n, j2):

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import builtins
+import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,8 @@ HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}}'
 SPINC10_JSON = '{"dim": 10, "numbers": {"cL^5": "170", "pX2*cL": "-934", "pX1*cL^3": "170", "pX1^2*cL": "170"}}'
 SPIN12_JSON = '{"dim": 12, "numbers": {"pX3": "-29", "pX1*pX2": "-450", "pX1^3": "346"}}'
 SPINC10_DIGEST = "f612ad9dd182d42dcb99a9c28108149f4b0100787a5b2159acc12d7477c7cb14"
+OFF_HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "8"}}'
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -534,7 +541,7 @@ class TestEvaluate:
 
     def test_failed_divisibility_exits_1(self, capsys, tmp_path):
         path = tmp_path / "off.json"
-        path.write_text('{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "8"}}', encoding="utf-8")
+        path.write_text(OFF_HP2_JSON, encoding="utf-8")
         code, out, _ = run(capsys, "evaluate", "--input", str(path))
         assert code == 1
         assert "FAIL" in out
@@ -563,3 +570,62 @@ class TestModuli:
     def test_empty_filter_exits_3(self, capsys):
         code, _, _ = run(capsys, "moduli", "--case", "spin", "--dim", "22")
         assert code == 3
+
+
+# Runs the module as `python -m anomaly.cli` does, behind an atexit probe that
+# reports the collector's state once the process is on its way out.
+PROCESS = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"probe: frozen {gc.get_freeze_count() > 0} enabled {gc.isenabled()}", file=sys.stderr))
+sys.argv = ["anomaly", *sys.argv[1:]]
+runpy.run_module("anomaly.cli", run_name="__main__")
+"""
+
+
+def run_process(*argv, stdin=""):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROCESS, *argv], input=stdin, env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestProcessEntry:
+    """`run()`, the process entry: the same bytes and exit codes as `main()`,
+    with the collector off and the heap frozen by the time the process exits."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("verify", "--case", "spin", "--dim", "8", "--order", "1", "--format", "json"), ""),
+            (("evaluate", "--input", "-", "--format", "json"), HP2_JSON),
+        ],
+        ids=["verify", "evaluate"],
+    )
+    def test_output_matches_in_process_main(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run_process(*argv, stdin=stdin)
+        monkeypatch.setattr(cli.sys, "stdin", io.StringIO(stdin))
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == 0
+        assert err == "probe: frozen True enabled False\n"
+
+    @pytest.mark.parametrize(
+        "argv, stdin, expected",
+        [
+            (("evaluate", "--input", "-"), OFF_HP2_JSON, 1),
+            (("verify", "--case", "spinny"), "", 2),
+            (("verify", "--case", "spin", "--dim", "10"), "", 3),
+            (("evaluate", "--input", "-"), "{not json", 4),
+        ],
+        ids=["failed-divisibility", "usage", "no-case", "malformed"],
+    )
+    def test_exit_codes_come_through(self, argv, stdin, expected):
+        code, _, err = run_process(*argv, stdin=stdin)
+        assert code == expected
+        assert err.endswith("probe: frozen True enabled False\n")
+
+    def test_in_process_main_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "1")[0] == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen

@@ -4,11 +4,14 @@ Its export list names each public name once, and each resolves, every
 other module reads each name it imports, and importing the CLI loads none
 of the slow-to-import standard modules.  Every `functools.lru_cache` is
 typed, so a float or bool argument never reads the entry of an equal int
-and skips the constructor's own checks.  The
-verifier and the CLI tell case families apart only through the family table."""
+and skips the constructor's own checks.  The installed console script and
+`python -m anomaly.cli` start the same process entry, one that freezes the
+heap before exit.  The verifier and the CLI tell case families apart only
+through the family table."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +93,37 @@ def test_the_cli_imports_no_slow_module():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def main_block_entry(source: str) -> str | None:
+    """The function that the `if __name__ == "__main__":` block of `source` passes to `sys.exit`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "sys.exit" and call.args:
+                    inner = call.args[0]
+                    if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name):
+                        return inner.func.id
+    return None
+
+
+def test_the_main_block_scan_finds_the_entry():
+    assert main_block_entry("import sys\nif __name__ == '__main__':\n    sys.exit(run())\n") == "run"
+    assert main_block_entry("import sys\nsys.exit(main())\n") is None
+
+
+def test_the_console_script_and_the_main_block_start_the_same_entry():
+    """The `anomaly` command and `python -m anomaly.cli` both start the entry
+    that freezes the heap before exit, not the in-process `main`."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^anomaly\s*=\s*"anomaly\.cli:(\w+)"\s*$', pyproject, re.MULTILINE)
+    assert script is not None, "pyproject.toml names no anomaly console script in anomaly.cli"
+    source = (SRC / "anomaly" / "cli.py").read_text(encoding="utf-8")
+    assert main_block_entry(source) == script.group(1)
+    entry = next(
+        node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == script.group(1)
+    )
+    assert "gc.freeze" in {ast.unparse(node.func) for node in ast.walk(entry) if isinstance(node, ast.Call)}
 
 
 def untyped_caches(source: str) -> list[int]:

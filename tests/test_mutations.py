@@ -2,7 +2,8 @@
 
 Each row mutation replaces one field of one `verifier._FAMILIES` row, and
 each code mutation replaces one expression in the source of an engine
-function (`bundles.theta_series`, `qseries.eisenstein`, `algebra._exp_form`);
+function (`bundles.theta_series`, `bundles._lam_factor`, `qseries.eisenstein`,
+`algebra._exp_form`, `theta._divisor_sum_log`);
 each then runs the 12 catalog specs at order 3 in-process.  The tables state which report
 fields must change, each keyed by (case, dim, field): the route comparison,
 the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
@@ -137,6 +138,26 @@ CODE_MUTATIONS = {
         # only the theta route's sector exps change: the route comparison fails, leaving nothing to fit
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
+    ),
+    "B1 divisor sum signs the odd divisors": (
+        theta._divisor_sum_log,
+        theta,  # theta_quotient reads it
+        "d % 2 == 0",
+        "d % 2 == 1",
+        # only B1's logarithm changes: spin and spin_v multiply a B1 sector, spinc_l reads only A and L
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+    ),
+    "exterior factor signs the even powers": (
+        bundles._lam_factor,
+        bundles,  # theta_series reads it
+        "k % 2 == 0",
+        "k % 2 == 1",
+        # each Lam_{-x} factor turns into its negative, so a product of them flips sign when it
+        # has an odd number of factors: P (steps 1, 3, 5) for spin, thetaL's (2, 4, 6) for spinc_l;
+        # thetaV's psi^2 product has two at order 3 (steps 2 and 6), so spin_v keeps its sign
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
     ),
 }

@@ -294,3 +294,23 @@ class TestMemoizedCapsAreChecked:
         for constructor in (eisenstein, modular_basis):
             with pytest.raises(ValueError, match="q-cap"):
                 constructor(4, -1)
+
+    BAD_WEIGHTS = [
+        (eisenstein, 4, 4.0),
+        (eisenstein, 4, True),
+        (modular_basis, 4, 4.0),
+        (modular_basis, 8, 8.0),
+        (modular_basis, 8, True),
+    ]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("constructor, good, bad", BAD_WEIGHTS, ids=repr)
+    def test_bad_weight_rejected_in_either_cache_order(self, constructor, good, bad, warm):
+        """A float or a bool weight is the package's ValueError, never the form of an equal int."""
+        if warm:
+            expected = constructor(good, 1)
+        with pytest.raises(ValueError, match="weight"):
+            constructor(bad, 1)
+        if not warm:
+            expected = constructor(good, 1)
+        assert constructor(good, 1) is expected

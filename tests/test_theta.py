@@ -84,6 +84,27 @@ class TestMemoizedQuotientCapsAreChecked:
         assert theta_quotient("A", 4, 1) is expected and (expected.tcap, expected.cap) == (4, 1)
 
 
+class TestExponentsAreInts:
+    """A TwoVarSeries exponent is an int, not a bool: a float or a string is
+    the package's ValueError, never rounded or parsed to the nearest term."""
+
+    SERIES = TwoVarSeries(4, 2, {(1, 2): 3})
+
+    @pytest.mark.parametrize("key", [(1.5, 2), (1, 1.9), ("1", 2), (True, 2), (1, True)], ids=repr)
+    def test_constructor_rejects(self, key):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            TwoVarSeries(4, 2, {key: 3})
+
+    @pytest.mark.parametrize("key", [(1.9, 2.7), (1.5, 2), ("1", "2"), (True, 2), (1, True)], ids=repr)
+    def test_coefficient_rejects(self, key):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            self.SERIES.coefficient(*key)
+
+    def test_int_exponents_read_as_before(self):
+        assert self.SERIES.coeffs == {(1, 2): 3}
+        assert (self.SERIES.coefficient(1, 2), self.SERIES.coefficient(0, 0)) == (3, 0)
+
+
 class TestHalfShiftSwap:
     def test_B2_B3_swap_through_high_order(self):
         b2 = theta_quotient("B2", 10, 5)
