@@ -29,7 +29,7 @@ key's degree and j2 are read off its digits.
 
 The arithmetic of the int form is written once, in the base class
 `IntForm`: equality, negation, sums, scalar and series products, the tau
-shift, powers, the unit, `repr`, operand alignment and the exp/log/inverse
+shift, powers, the unit, `repr`, operand alignment and the exp and log
 kernels.  `GradedPoly` here, `qseries.QHalfSeries` and `theta.TwoVarSeries`
 are its three subclasses; each gives only its shape (table or ring, and
 caps), its key layout, its kernel limits and `_meet`, the one shape that two
@@ -43,9 +43,11 @@ of `_weight_recurrence`.  The log and the inverse, and the exp of a
 polynomial, step by weight (grade + side grade).  The exp of a series with
 a side grade is solved by q-power: the exp of its q^0 slice first, by
 weight, then one step per side grade, each a few convolutions of whole
-slices.  `IntForm._kernel` applies them to any of the three classes: they
-back `exp_truncated` and `log_truncated` here, `qseries_exp` in `qseries`,
-and the exp, inverse and log of `theta.TwoVarSeries`.
+slices.  `IntForm._kernel` applies them to any of the three classes: the
+exp backs `exp_truncated` here, `qseries_exp` in `qseries` and the exp of
+`theta.TwoVarSeries`; the log, with the inverse inside it, backs only
+`log_truncated`, which the bundle route's genera read.  The theta route
+writes its logarithms in closed form, so the two routes share no log.
 
 Substitution has one implementation too, the key rewrite
 `_substitute_monomials`: each image is a single term (or zero) over the
@@ -759,7 +761,7 @@ class IntForm:
         return self._make(*self._shape, *_substitute_monomials(self.den, self.items, self.layout, images, limit))
 
     def _kernel(self, form):
-        """An exp/log/inverse int-form kernel (`_exp_form`, `_log_form`, `_inverse_form`) applied within the limits."""
+        """An exp or log int-form kernel (`_exp_form`, `_log_form`) applied within the limits."""
         return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
 
     def __repr__(self):

@@ -44,10 +44,6 @@ class RingMismatchError(TypeError):
     """Raised when q-series over different generator tables are combined."""
 
 
-class NonUnitError(ValueError):
-    """Raised when inverting a series whose leading coefficient is not a unit."""
-
-
 class PolyRing:
     """Coefficient ring marker: GradedPoly coefficients over a fixed table.
 

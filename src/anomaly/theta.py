@@ -6,9 +6,16 @@ hyperbolic prefactor; all transcendental prefactors are cancelled, so every
 coefficient is an exact rational.  No product is multiplied out.  Each
 factor's logarithm has a closed form, log(1 + x) = sum (-1)^(k+1) x^k / k,
 so every coefficient of log A, log B1 and log B2 is a divisor sum
-(`_divisor_sum_log`), plus one hyperbolic logarithm at q^0; one exp then
-gives the quotient's coefficients.  B3 is B2 under the half-period shift
-q^(1/2) -> -q^(1/2); L is sinh(t/2) times the exp of minus the q-part of log A.
+(`_divisor_sum_log`), plus at q^0 the logarithm of the hyperbolic
+prefactor, a Bernoulli sum (`_hyperbolic_log`): log A is
+sum_m (2/(2m)!) G_2m(q) t^(2m) with the Eisenstein series
+G_2m = -B_2m/(4m) + sum_n sigma_(2m-1)(n) q^n (D. Zagier, "Note on the
+Landweber-Stong elliptic genus", LNM 1326).  One exp then gives the
+quotient's coefficients.  B3 is B2 under the half-period shift
+q^(1/2) -> -q^(1/2); L is sinh(t/2) times the exp of minus the q-part of
+log A.  The route's only series kernel is `algebra._exp_form`: no
+logarithm or inverse is taken of a series, so the `algebra._log_form`
+behind the bundle route's genera is not shared with this route.
 
 The route exponentiates once per sector.  It substitutes the power sum s_m
 of a root family for t^(2m) in a quotient's logarithm (`_bridged_log`),
@@ -28,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import itemgetter
 
 from .algebra import (
@@ -37,14 +44,12 @@ from .algebra import (
     IntForm,
     _exp_form,
     _integer,
-    _inverse_form,
     _nonnegative_int,
-    _log_form,
     _render_terms,
     as_rational,
     power_sum_in_pontryagin,
 )
-from .qseries import RATIONALS, PolyRing, QHalfSeries, NonUnitError, _q_power, qseries_exp
+from .qseries import RATIONALS, PolyRing, QHalfSeries, _q_power, qseries_exp
 
 # Keys of the empty generator table hold one digit below j2, the degree digit;
 # a two-variable series keeps its t-power there.
@@ -59,10 +64,11 @@ class TwoVarSeries(IntForm):
     n | j2 << bits laid out by `_T_KEYS.layout(tcap)` (bits =
     `_digit_bits(tcap)`).  The t-power is the kernels' grade (limit tcap)
     and j2 the side grade (limit 2*cap), so a term's weight is n + j2.
-    Products, the inverse, the logarithm and the exp are the int-form
-    kernels themselves.  `coeffs`, the (n, j2) -> Fraction map, is a view
-    built on each access.  The logarithm is kept on the instance once
-    computed, and an exp keeps its argument as its logarithm.
+    Products and the exp are the int-form kernels themselves.  `coeffs`,
+    the (n, j2) -> Fraction map, is a view built on each access.  An exp
+    keeps its argument as its logarithm, and `log` reads it back: the
+    quotients are built from closed-form logarithms, so no series takes a
+    logarithm of its coefficients.
     """
 
     __slots__ = ("tcap", "cap", "_logarithm")
@@ -114,19 +120,11 @@ class TwoVarSeries(IntForm):
         """The smaller caps."""
         return min(self.tcap, other.tcap), min(self.cap, other.cap)
 
-    def inverse(self) -> "TwoVarSeries":
-        """Multiplicative inverse, solved weight by weight (`algebra._inverse_form`)."""
-        if not self.coefficient(0, 0):
-            raise NonUnitError("cannot invert: zero constant coefficient")
-        return self._kernel(_inverse_form)
-
     def log(self) -> "TwoVarSeries":
-        """Logarithm of a series with constant coefficient 1 (`algebra._log_form`),
-        computed once per instance."""
+        """The logarithm this series keeps: an `exp` result keeps its argument.
+        A series that keeps none is a ValueError."""
         if self._logarithm is None:
-            if self.coefficient(0, 0) != 1:
-                raise ValueError("log needs constant coefficient 1")
-            self._logarithm = self._kernel(_log_form)
+            raise ValueError("only an exp result keeps its logarithm")
         return self._logarithm
 
     def exp(self) -> "TwoVarSeries":
@@ -151,16 +149,6 @@ class TwoVarSeries(IntForm):
 # -- quotient construction ----------------------------------------------------
 
 
-def _tv_half_sinh_ratio(tcap, cap) -> TwoVarSeries:
-    """sinh(t/2)/(t/2)."""
-    return TwoVarSeries(tcap, cap, {(2 * m, 0): Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(tcap // 2 + 1)})
-
-
-def _tv_half_cosh(tcap, cap) -> TwoVarSeries:
-    """cosh(t/2)."""
-    return TwoVarSeries(tcap, cap, {(2 * m, 0): Fraction(1, 4 ** m * factorial(2 * m)) for m in range(tcap // 2 + 1)})
-
-
 def _tv_half_sinh(tcap, cap) -> TwoVarSeries:
     """sinh(t/2)."""
     return TwoVarSeries(
@@ -170,6 +158,28 @@ def _tv_half_sinh(tcap, cap) -> TwoVarSeries:
 
 
 THETA_QUOTIENT_KINDS = ("A", "B1", "B2", "B3", "L")
+
+
+@lru_cache(maxsize=None, typed=True)
+def _bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2), from B_0 = 1 and sum_{k <= n} C(n + 1, k) B_k = 0."""
+    return Fraction(1) if n == 0 else -sum(comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
+
+
+def _hyperbolic_log(kind: str, tcap: int) -> dict[tuple[int, int], Fraction]:
+    """The q^0 part of log Q, in closed form: for A and B1 a Bernoulli sum,
+
+    A   log((t/2)/sinh(t/2)) = -sum_m B_2m t^(2m) / (2m (2m)!)
+    B1  log cosh(t/2)        =  sum_m (4^m - 1) B_2m t^(2m) / (2m (2m)!)
+
+    and none for B2 and B3.
+    """
+    if kind not in ("A", "B1"):
+        return {}
+    return {
+        (2 * m, 0): (-1 if kind == "A" else 4 ** m - 1) * _bernoulli(2 * m) / (2 * m * factorial(2 * m))
+        for m in range(1, tcap // 2 + 1)
+    }
 
 
 def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fraction]:
@@ -209,27 +219,22 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     B3 = B2 with the signs inside the half-power factors flipped to +
     L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
 
-    A, B1 and B2 are built from their logarithms: the divisor sums of
-    `_divisor_sum_log` plus, at q^0, log((t/2)/sinh(t/2)) for A and
-    log cosh(t/2) for B1; one exp gives the coefficients and keeps the
-    logarithm on the series.  B3 is the exp of the B2 logarithm under
-    q^(1/2) -> -q^(1/2).  L is sinh(t/2) * exp(-(q-part of log A)).
+    A, B1 and B2 are the exps of their closed-form logarithms: the divisor
+    sums of `_divisor_sum_log` plus the Bernoulli sums of `_hyperbolic_log`
+    at q^0.  Each exp keeps its logarithm on the series.  B3 is the exp of
+    the B2 logarithm under q^(1/2) -> -q^(1/2).  L is
+    sinh(t/2) * exp(-(q-part of log A)).
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     _nonnegative_int(tcap, "t-cap")
     _nonnegative_int(cap, "q-cap")
     source = {"L": "A", "B3": "B2"}.get(kind, kind)
-    log = TwoVarSeries(tcap, cap, _divisor_sum_log(source, tcap, cap))
+    q_part = _divisor_sum_log(source, tcap, cap)
     if kind == "L":
-        return _tv_half_sinh(tcap, cap) * (-log).exp()
-    if kind == "B3":
-        log = log.tau_shift_half()
-    elif kind == "A":
-        log = log - _tv_half_sinh_ratio(tcap, cap).log()
-    elif kind == "B1":
-        log = log + _tv_half_cosh(tcap, cap).log()
-    return log.exp()
+        return _tv_half_sinh(tcap, cap) * (-TwoVarSeries(tcap, cap, q_part)).exp()
+    log = TwoVarSeries(tcap, cap, q_part | _hyperbolic_log(kind, tcap))
+    return (log.tau_shift_half() if kind == "B3" else log).exp()
 
 
 def jacobi_identity_residual(cap: int) -> QHalfSeries:
@@ -274,9 +279,17 @@ def _t_substituted(series: TwoVarSeries, images: dict[int, GradedPoly], ring: Po
 
     The images are polynomials at the ring's truncation; a t-power with no
     image is dropped.  The int numerators of c_{n,j2} times the items of
-    images[n], at the j2 digit, add into one flat int form.
+    images[n], at the j2 digit, add into one flat int form.  t^n stands for
+    a degree-2n class, so the series must reach t-cap truncation // 2 and
+    q-cap `cap`: one cut lower would drop terms that the result claims, a
+    ValueError.
     """
     _nonnegative_int(cap, "q-cap")
+    if series.tcap < ring.truncation // 2 or series.cap < cap:
+        raise ValueError(
+            f"a quotient cut at t-cap {series.tcap} and q-cap {series.cap} cannot give degree "
+            f"{ring.truncation} through q^{cap}: that needs t-cap {ring.truncation // 2} and q-cap {cap}"
+        )
     shift = ring.layout.sshift
     rows = [(images[n], j2 << shift, num) for n, j2, _, num in series.items if n in images and j2 <= 2 * cap]
     den = lcm(*[image.den for image, _, _ in rows])

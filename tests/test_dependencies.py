@@ -2,9 +2,12 @@
 standard library and its own modules (sympy and hypothesis are for tests).
 Its export list names each public name once, and each resolves, every
 other module reads each name it imports, and importing the CLI loads none
-of the slow-to-import standard modules.  Every `functools.lru_cache` is
-typed, so a float or bool argument never reads the entry of an equal int
-and skips the constructor's own checks.  The installed console script and
+of the slow-to-import standard modules.  The two routes stay apart: the
+theta route imports nothing of the bundle route's modules and no log or
+inverse kernel, and the bundle route imports nothing of the theta route, so
+a fault in a kernel of one route shows as a route mismatch.  Every
+`functools.lru_cache` is typed, so a float or bool argument never reads the
+entry of an equal int and skips the constructor's own checks.  The installed console script and
 `python -m anomaly.cli` start the same process entry, one that freezes the
 heap before exit.  The verifier and the CLI tell case families apart only
 through the family table."""
@@ -211,3 +214,43 @@ def test_no_branch_on_a_family_name(name):
     """What sets a family apart is a row of `verifier._FAMILIES`: a new family
     is a new row, not a new branch."""
     assert family_name_comparisons((SRC / "anomaly" / name).read_text(encoding="utf-8")) == []
+
+
+# module -> (sibling modules it must not import, names it must not import from anywhere)
+ROUTES_APART = {
+    "theta.py": ({"bundles", "genera"}, {"_log_form", "_inverse_form", "log_truncated"}),
+    "bundles.py": ({"theta"}, set()),
+    "genera.py": ({"theta"}, set()),
+}
+
+
+def route_crossings(source: str, modules: set, names: set) -> list[str]:
+    """What `source` imports of `modules` (in any import form, relative or
+    absolute) and of `names` (from any module), in the order it appears."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[-1] in modules]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] in modules:
+                found.append(node.module)
+            found += [alias.name for alias in node.names if alias.name in modules or alias.name in names]
+    return found
+
+
+def test_the_route_scan_sees_every_import_form():
+    source = (
+        "from .genera import ahat_form\nfrom . import bundles, qseries\nimport anomaly.genera as g\n"
+        "from anomaly.algebra import GradedPoly, _log_form\nfrom .algebra import _exp_form, log_truncated\n"
+        "def f():\n    from .bundles import theta_series\n"
+    )
+    modules, names = ROUTES_APART["theta.py"]
+    expected = ["genera", "bundles", "anomaly.genera", "_log_form", "log_truncated", "bundles"]
+    assert route_crossings(source, modules, names) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES_APART))
+def test_the_routes_import_nothing_of_each_other(name):
+    """Each route computes its own logs: the theta route's are closed forms,
+    the bundle route's come from `algebra._log_form`."""
+    assert route_crossings((SRC / "anomaly" / name).read_text(encoding="utf-8"), *ROUTES_APART[name]) == []

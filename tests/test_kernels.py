@@ -1,8 +1,8 @@
 """Property tests: the integer-numerator kernels against naive references.
 
 GradedPoly and TwoVarSeries arithmetic (sparse operands on both sides of each
-packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.inverse/
-log/exp, exp_truncated/log_truncated and qseries_exp are checked against
+packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.exp,
+exp_truncated/log_truncated and qseries_exp are checked against
 convolutions and power series written out here term by term in Fraction
 arithmetic (the series exps, solved by q-power, also over RATIONALS, with
 pure q terms, and against exp(x + y) = exp(x) * exp(y));
@@ -11,7 +11,9 @@ substitution (on polynomials and on q-series) against term-by-term
 substitution (`oracles.naive_substitute`), the cached Adams operations
 against the Newton recursions on Chern characters, and the theta quotients,
 built from their closed-form logarithms, against their defining products
-multiplied out (paired and unpaired), logarithms included.  The
+multiplied out (paired and unpaired; `quotient * den == num`, so no series
+is inverted), logarithms included, and the Bernoulli q^0 logarithms
+against `log_truncated` of the factorial series.  The
 substitution rejects every image that is not one term over the form's own
 table.  Every GradedPoly, QHalfSeries
 and TwoVarSeries result is also checked to be a canonical int form: positive
@@ -41,14 +43,12 @@ from anomaly.algebra import (
     pontryagin_table,
 )
 from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
-from anomaly.qseries import RATIONALS, NonUnitError, PolyRing, QHalfSeries, qseries_exp
+from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries, qseries_exp
 import anomaly.theta as theta
 from anomaly.theta import (
     THETA_QUOTIENT_KINDS,
     TwoVarSeries,
-    _tv_half_cosh,
-    _tv_half_sinh,
-    _tv_half_sinh_ratio,
+    _hyperbolic_log,
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
@@ -486,29 +486,24 @@ class TestPackedKeys:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_inverse_through_the_weight_recurrence(self, data):
-        """The recurrence runs over the series' own key layout; a * a^(-1) = 1."""
+    def test_exp_through_the_recurrences(self, data):
+        """The weight and q-power recurrences run over the series' own key layout: exp(x) * exp(-x) = 1."""
         a, _ = data.draw(two_var_products(st.sampled_from([0, 2, 5, 127, 128, 255, 256])))
-        # Terms of weight at least a quarter of the top keep the inverse small.
+        # Terms of weight at least a quarter of the top keep the exp small.
         floor = (a.tcap + 2 * a.cap) // 4
-        coeffs = {(n, j2): c for (n, j2), c in a.coeffs.items() if n + j2 > floor}
-        coeffs[(0, 0)] = data.draw(coefficients)
-        a = TwoVarSeries(a.tcap, a.cap, coeffs)
-        inverse = a.inverse()
-        assert naive_tv_mul(a, inverse) == {(0, 0): 1}
-        assert_two_var_invariants(inverse)
+        x = TwoVarSeries(a.tcap, a.cap, {(n, j2): c for (n, j2), c in a.coeffs.items() if n + j2 > floor})
+        e = x.exp()
+        assert naive_tv_mul(e, (-x).exp()) == {(0, 0): 1}
+        assert_two_var_invariants(e)
 
 
 # -- TwoVarSeries -----------------------------------------------------------------
 
 
 @st.composite
-def series(draw, tcap, cap, unit=False):
+def series(draw, tcap, cap):
     keys = st.tuples(st.integers(0, tcap + 1), st.integers(0, 2 * cap + 1))
-    coeffs = draw(st.dictionaries(keys, coefficients, max_size=10))
-    if unit:
-        coeffs[(0, 0)] = Fraction(1)
-    return TwoVarSeries(tcap, cap, coeffs)
+    return TwoVarSeries(tcap, cap, draw(st.dictionaries(keys, coefficients, max_size=10)))
 
 
 caps = st.tuples(st.integers(0, 5), st.integers(0, 3))
@@ -547,12 +542,6 @@ class TestTwoVarSeriesKernel:
         assert_two_var_invariants(product)
 
     @SETTINGS
-    @given(st.data(), caps, coefficients)
-    def test_inverse(self, data, tcap_cap, lead):
-        a = data.draw(series(*tcap_cap, unit=True)) * lead
-        assert a * a.inverse() == TwoVarSeries.one(*tcap_cap)
-
-    @SETTINGS
     @given(st.data(), caps)
     def test_exp_matches_power_series(self, data, tcap_cap):
         x = data.draw(series(*tcap_cap))
@@ -560,7 +549,6 @@ class TestTwoVarSeriesKernel:
         e = x.exp()
         assert e.coeffs == naive_tv_exp(x)
         assert_two_var_invariants(e)
-        assert TwoVarSeries(e.tcap, e.cap, e.coeffs).log() == x
 
     @SETTINGS
     @given(st.data(), caps)
@@ -582,26 +570,17 @@ class TestTwoVarSeriesKernel:
         with pytest.raises(ValueError):
             TwoVarSeries(4, 2, {(0, 0): Fraction(1, 2), (2, 0): Fraction(1)}).exp()
 
-    @SETTINGS
-    @given(st.data(), caps)
-    def test_log_of_product_is_sum_of_logs(self, data, tcap_cap):
-        a = data.draw(series(*tcap_cap, unit=True))
-        b = data.draw(series(*tcap_cap, unit=True))
-        assert (a * b).log() == a.log() + b.log()
-
     def test_log_is_kept_on_the_series(self):
         quotient = theta_quotient("A", 4, 2)
         assert quotient.log() is quotient.log()
-        assert quotient.log() == TwoVarSeries(quotient.tcap, quotient.cap, quotient.coeffs).log()
+        assert quotient.log().exp() == quotient
 
-    def test_inverse_rejects_zero_constant(self):
-        a = TwoVarSeries(4, 2, {(1, 0): Fraction(1), (0, 2): Fraction(3)})
-        with pytest.raises(NonUnitError):
-            a.inverse()
-
-    def test_log_rejects_constant_other_than_one(self):
-        for lead in (0, 2, Fraction(1, 2)):
-            a = TwoVarSeries(4, 2, {(0, 0): Fraction(lead), (2, 0): Fraction(1)})
+    def test_a_series_that_keeps_no_logarithm_has_none(self):
+        """Only an exp result keeps its logarithm; a built series, or one
+        derived from an exp result, keeps none."""
+        x = TwoVarSeries(4, 2, {(2, 0): Fraction(1, 3), (0, 2): 5})
+        built = TwoVarSeries(4, 2, {(0, 0): 1, (2, 0): Fraction(1)})
+        for a in (built, TwoVarSeries.one(4, 2), x.exp() * 1, x.exp() * x.exp(), -x.exp(), x.exp().tau_shift_half()):
             with pytest.raises(ValueError):
                 a.log()
 
@@ -1037,18 +1016,36 @@ def _tv_q_factor(eps: int, j2: int, tcap, cap) -> TwoVarSeries:
     return TwoVarSeries(tcap, cap, coeffs)
 
 
+def tv_sinh_ratio(tcap, cap) -> TwoVarSeries:
+    """sinh(t/2)/(t/2) = sum_m t^(2m) / (4^m (2m+1)!)."""
+    return TwoVarSeries(tcap, cap, {(2 * m, 0): Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(tcap // 2 + 1)})
+
+
+def tv_cosh(tcap, cap) -> TwoVarSeries:
+    """cosh(t/2) = sum_m t^(2m) / (4^m (2m)!)."""
+    return TwoVarSeries(tcap, cap, {(2 * m, 0): Fraction(1, 4**m * factorial(2 * m)) for m in range(tcap // 2 + 1)})
+
+
+def tv_sinh(tcap, cap) -> TwoVarSeries:
+    """sinh(t/2) = sum_m t^(2m+1) / (2^(2m+1) (2m+1)!)."""
+    return TwoVarSeries(
+        tcap, cap, {(2 * m + 1, 0): Fraction(1, 2 ** (2 * m + 1) * factorial(2 * m + 1)) for m in range((tcap + 1) // 2)}
+    )
+
+
 def product_quotient(kind, tcap, cap):
-    """The quotient as running products, the two factors at each q-power paired first."""
+    """The quotient's (numerator, denominator) as running products, the two
+    factors at each q-power paired first."""
     num = TwoVarSeries.one(tcap, cap)
     den = TwoVarSeries.one(tcap, cap)
     if kind == "A":
-        den = _tv_half_sinh_ratio(tcap, cap)
+        den = tv_sinh_ratio(tcap, cap)
         for j in range(1, cap + 1):
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
             num = num * (f * f)
             den = den * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
     elif kind == "B1":
-        num = _tv_half_cosh(tcap, cap)
+        num = tv_cosh(tcap, cap)
         for j in range(1, cap + 1):
             num = num * (_tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap))
             f = _tv_q_factor(+1, 2 * j, tcap, cap)
@@ -1060,26 +1057,27 @@ def product_quotient(kind, tcap, cap):
             f = _tv_q_factor(eps, j2, tcap, cap)
             den = den * (f * f)
     else:
-        num = _tv_half_sinh(tcap, cap)
+        num = tv_sinh(tcap, cap)
         for j in range(1, cap + 1):
             num = num * (_tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap))
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
             den = den * (f * f)
-    return num * den.inverse()
+    return num, den
 
 
 def unpaired_quotient(kind, tcap, cap):
-    """The quotient as running products, every factor multiplied in in turn."""
+    """The quotient's (numerator, denominator) as running products, every
+    factor multiplied in in turn."""
     num = TwoVarSeries.one(tcap, cap)
     den = TwoVarSeries.one(tcap, cap)
     if kind == "A":
-        den = _tv_half_sinh_ratio(tcap, cap)
+        den = tv_sinh_ratio(tcap, cap)
         for j in range(1, cap + 1):
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
             num = num * f * f
             den = den * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
     elif kind == "B1":
-        num = _tv_half_cosh(tcap, cap)
+        num = tv_cosh(tcap, cap)
         for j in range(1, cap + 1):
             num = num * _tv_exp_factor(+1, +1, 2 * j, tcap, cap) * _tv_exp_factor(+1, -1, 2 * j, tcap, cap)
             f = _tv_q_factor(+1, 2 * j, tcap, cap)
@@ -1091,31 +1089,37 @@ def unpaired_quotient(kind, tcap, cap):
             f = _tv_q_factor(eps, j2, tcap, cap)
             den = den * f * f
     else:
-        num = _tv_half_sinh(tcap, cap)
+        num = tv_sinh(tcap, cap)
         for j in range(1, cap + 1):
             num = num * _tv_exp_factor(-1, +1, 2 * j, tcap, cap) * _tv_exp_factor(-1, -1, 2 * j, tcap, cap)
             f = _tv_q_factor(-1, 2 * j, tcap, cap)
             den = den * f * f
-    return num * den.inverse()
+    return num, den
+
+
+# Every denominator has t=0 slice 1, a unit, so quotient * den == num pins the quotient.
 
 
 @pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (10, 3), (5, 3), (11, 7)])
 def test_theta_quotient_matches_unpaired_order(kind, tcap, cap):
-    assert theta_quotient(kind, tcap, cap) == unpaired_quotient(kind, tcap, cap)
+    num, den = unpaired_quotient(kind, tcap, cap)
+    assert theta_quotient(kind, tcap, cap) * den == num
 
 
 @pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (11, 7)])
 def test_theta_quotient_matches_paired_products(kind, tcap, cap):
-    assert theta_quotient(kind, tcap, cap) == product_quotient(kind, tcap, cap)
+    num, den = product_quotient(kind, tcap, cap)
+    assert theta_quotient(kind, tcap, cap) * den == num
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3"])
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (4, 2), (6, 4), (11, 7)])
 def test_closed_form_log_is_the_log_of_the_products(kind, tcap, cap):
     quotient = theta_quotient(kind, tcap, cap)
-    assert quotient.log() == product_quotient(kind, tcap, cap).log()
+    num, den = product_quotient(kind, tcap, cap)
+    assert quotient.log().exp() * den == num
     assert quotient.log() is quotient.log()
 
 
@@ -1124,9 +1128,38 @@ def test_the_line_quotient_has_no_logarithm():
         theta_quotient("L", 6, 2).log()
 
 
+# The q^0 logarithms as polynomials in t2 = t^2, so that `log_truncated` can take them.
+T2 = GeneratorTable([("t2", 2)])
+
+
+def as_t2_poly(series: TwoVarSeries) -> GradedPoly:
+    """An even q^0 series in t, cut at t-cap 2M, as the polynomial in t2 of degree at most 2M."""
+    top = series.tcap // 2
+    assert all(j2 == 0 and n % 2 == 0 for n, j2 in series.coeffs)
+    return GradedPoly(T2, 2 * top, {(n // 2,): c for (n, _), c in series.coeffs.items()})
+
+
+@pytest.mark.parametrize("tcap", range(41))
+def test_the_bernoulli_logs_are_the_logs_of_the_factorial_series(tcap):
+    """log((t/2)/sinh(t/2)) and log cosh(t/2) as Bernoulli sums equal the
+    kernel logarithms of the factorial series, through t-cap 40."""
+    sinh_ratio, cosh = (as_t2_poly(f(tcap, 0)) for f in (tv_sinh_ratio, tv_cosh))
+    for kind, expected in (("A", -log_truncated(sinh_ratio)), ("B1", log_truncated(cosh))):
+        assert as_t2_poly(TwoVarSeries(tcap, 0, _hyperbolic_log(kind, tcap))) == expected
+    assert _hyperbolic_log("B2", tcap) == _hyperbolic_log("B3", tcap) == {}
+
+
+def test_the_bernoulli_numbers():
+    """B_0..B_12 and B_odd = 0 past B_1, the values of any table."""
+    expected = [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42), 0,
+                Fraction(-1, 30), 0, Fraction(5, 66), 0, Fraction(-691, 2730)]
+    assert [theta._bernoulli(n) for n in range(13)] == expected
+    assert all(theta._bernoulli(n) == 0 for n in range(3, 60, 2))
+
+
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "L"])
 def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch):
-    """Negative control: one divisor-sum coefficient off by 1/(2m)! fails both checks."""
+    """Negative control: one divisor-sum coefficient off by 1/(2m)! fails the product check."""
     closed_form = theta._divisor_sum_log
 
     def perturbed(*args):
@@ -1136,11 +1169,24 @@ def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch):
 
     monkeypatch.setattr(theta, "_divisor_sum_log", perturbed)
     tcap, cap = 6, 3
-    quotient = theta_quotient.__wrapped__(kind, tcap, cap)
-    oracle = product_quotient(kind, tcap, cap)
-    assert quotient != oracle
-    if kind != "L":
-        assert quotient.log() != oracle.log()
+    num, den = product_quotient(kind, tcap, cap)
+    assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num
+
+
+@pytest.mark.parametrize("kind", ["A", "B1"])
+def test_a_perturbed_bernoulli_sum_is_caught(kind, monkeypatch):
+    """Negative control: the q^0 logarithm off at t^4 fails the product check."""
+    closed_form = theta._hyperbolic_log
+
+    def perturbed(*args):
+        coeffs = closed_form(*args)
+        coeffs[(4, 0)] += Fraction(1, 24)
+        return coeffs
+
+    monkeypatch.setattr(theta, "_hyperbolic_log", perturbed)
+    tcap, cap = 6, 3
+    num, den = product_quotient(kind, tcap, cap)
+    assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num
 
 
 # -- input errors --------------------------------------------------------------------
@@ -1202,7 +1248,7 @@ class TestSharedArithmetic:
     def test_made_results_start_with_empty_caches(self):
         q = QHalfSeries(RATIONALS, 2, {0: 1, 1: Fraction(1, 2)})
         assert q.coeffs and q._coeffs is not None
-        t = TwoVarSeries(4, 2, {(0, 0): 1, (2, 1): Fraction(1, 2)})
+        t = TwoVarSeries(4, 2, {(2, 1): Fraction(1, 2)}).exp()
         assert t.log()._logarithm is None and t._logarithm is not None
         p = GradedPoly(self.TABLE, 8, {(0, 0): 1, (1, 0): 2})
         for x in (p, q, t):

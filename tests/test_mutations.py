@@ -3,7 +3,7 @@
 Each row mutation replaces one field of one `verifier._FAMILIES` row, and
 each code mutation replaces one expression in the source of an engine
 function (`bundles.theta_series`, `bundles._lam_factor`, `qseries.eisenstein`,
-`algebra._exp_form`, `theta._divisor_sum_log`);
+`algebra._exp_form`, `algebra._log_form`, `theta._divisor_sum_log`);
 each then runs the 12 catalog specs at order 3 in-process.  The tables state which report
 fields must change, each keyed by (case, dim, field): the route comparison,
 the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
@@ -86,8 +86,18 @@ MUTATIONS = {
 }
 
 
+ENGINE = (algebra, bundles, genera, qseries, theta, verifier)
+
+
+def readers(function) -> tuple:
+    """Every engine module that binds `function` under its own name: a shared
+    kernel corrupted for all of its callers at once."""
+    return tuple(module for module in ENGINE if vars(module).get(function.__name__) is function)
+
+
 # Each replaces one expression of a function, which must occur there once, and
-# patches the recompiled function in as the name of the module that reads it.
+# patches the recompiled function in as the name of the module (or of each of
+# the modules) that reads it.
 CODE_MUTATIONS = {
     "thetaV folded through psi^3": (
         bundles.theta_series,
@@ -139,6 +149,19 @@ CODE_MUTATIONS = {
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
+    ),
+    "log kernel doubles its weight-8 part": (
+        algebra._log_form,
+        readers(algebra._log_form),
+        "num * (common // (g + side))",
+        "num * (common // (g + side)) * (1 + (g + side == 8))",
+        # only genera's Â and cosh logs read the kernel (the theta route's logs are closed forms),
+        # and their weight-8 part is the t^8 coefficient, which first reaches degree 16: the
+        # bundle route breaks from dimension 16 on, and so do the listed identities, whose index
+        # forms read the same genera
+        flips("spin", {16: "route_ok fit_ok Thm1.5-(1.9) Thm1.5-(1.10)", 20: "route_ok fit_ok Thm1.7-(1.13) Thm1.7-(1.14)"})
+        | flips("spin_v", {16: "route_ok fit_ok Thm1.15-q1 Cor1.16-a", 20: "route_ok fit_ok"})
+        | flips("spinc_l", {18: "route_ok fit_ok Thm1.25-q1", 22: "route_ok fit_ok"}),
     ),
     "B1 divisor sum signs the odd divisors": (
         theta._divisor_sum_log,
@@ -222,6 +245,8 @@ def test_a_code_mutation_flips_exactly_its_fields(
     monkeypatch, fresh_caches, baseline, function, reader, old, new, expected
 ):
     assert expected, "a mutation must name the fields it flips"
-    monkeypatch.setattr(reader, function.__name__, recompiled(function, old, new))
+    mutant = recompiled(function, old, new)
+    for module in reader if isinstance(reader, tuple) else (reader,):
+        monkeypatch.setattr(module, function.__name__, mutant)
     mutated = outcome()
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected

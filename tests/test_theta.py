@@ -199,6 +199,19 @@ class TestRootProductBridge:
         with pytest.raises(ValueError):
             symmetric_quotient_product(theta_quotient("L", 7, 2), pontryagin_table(8), "pX", 8, 2)
 
+    @pytest.mark.parametrize("tcap, qcap, cap", [(2, 1, 1), (7, 3, 3), (8, 1, 3), (8, 2, 3), (0, 0, 0)])
+    def test_a_quotient_cut_below_the_claim_is_refused(self, tcap, qcap, cap):
+        """t-cap 16 // 2 = 8 and q-cap `cap` are needed: a lower cut would lose
+        the pX2..pX4 terms or the q-powers past its own cap."""
+        with pytest.raises(ValueError, match="needs t-cap 8"):
+            symmetric_quotient_product(theta_quotient("A", tcap, qcap), pontryagin_table(16), "pX", 16, cap)
+
+    def test_a_quotient_cut_above_the_claim_gives_the_exact_cut(self):
+        table = pontryagin_table(16)
+        exact = symmetric_quotient_product(theta_quotient("A", 8, 2), table, "pX", 16, 2)
+        assert symmetric_quotient_product(theta_quotient("A", 11, 4), table, "pX", 16, 2) == exact
+        assert exact.coefficient(0).coefficient("pX4") != 0
+
 
 class TestLineEvaluation:
     def test_constant_and_first_slices(self):
@@ -210,6 +223,12 @@ class TestLineEvaluation:
         # q^1 slice of the L quotient is -4 sinh^3(t/2)
         assert series.coefficient_q(1) == -4 * sinh_f**3
         assert series.integer_powers_only()
+
+    @pytest.mark.parametrize("tcap, qcap", [(4, 2), (5, 1), (0, 0)])
+    def test_a_quotient_cut_below_the_claim_is_refused(self, tcap, qcap):
+        """cL^n has degree 2n, so degree 10 through q^2 needs t-cap 5 and q-cap 2."""
+        with pytest.raises(ValueError, match="needs t-cap 5 and q-cap 2"):
+            line_quotient_evaluation(theta_quotient("L", tcap, qcap), pontryagin_table(10, line=True), 10, 2)
 
 
 class TestCaseSeriesViaTheta:

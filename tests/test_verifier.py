@@ -141,10 +141,8 @@ class TestRoutesAndFits:
         assert bundle_route_integrand(spec) == theta_route_integrand(spec)
 
     def test_theta_t_cap_is_exact_at_half_the_dimension(self, case, dim):
-        """t^n is a degree-2n class: t-cap dim // 2 reaches every degree, one less does not.
-
-        So the route comparison can still fail when the theta route drops a
-        t-power the integrand needs.
+        """t^n is a degree-2n class: t-cap dim // 2 reaches every degree, and
+        a quotient cut one lower is refused, not read as a wrong series.
         """
         spec = CaseSpec(case, dim, 2)
         bundle = bundle_route_integrand(spec)
@@ -152,7 +150,8 @@ class TestRoutesAndFits:
         at_cap = theta_product(table, case, dim, 2, dim // 2)
         assert at_cap == theta_route_integrand(spec)
         assert at_cap == bundle
-        assert theta_product(table, case, dim, 2, dim // 2 - 1) != bundle
+        with pytest.raises(ValueError):
+            theta_product(table, case, dim, 2, dim // 2 - 1)
 
     def test_fit_is_exact(self, case, dim):
         spec = CaseSpec(case, dim, 2)
