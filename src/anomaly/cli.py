@@ -12,6 +12,16 @@ Subcommands:
 Exit codes: 0 success, 1 a verification or divisibility check failed,
 2 usage error, 3 no case matched the filters, 4 malformed input data.
 
+Parsing is table-driven: `_COMMANDS` gives each command's options with their
+converters, choices, defaults and help, `parse_args` reads the arguments
+against it in one pass, and the help and usage lines are rendered from it.
+Every CLI run is a fresh process, mostly start-up for `evaluate`, and the
+standard library's generic option parser would add a few milliseconds to
+each: its import (with the gettext message catalogs it loads) and building
+its parsers.  An option is ``--opt value`` or ``--opt=value``, a unique
+prefix names it, the last repeat wins, and ``-h`` prints help before or
+after the command.
+
 Two entries: `main(argv)` parses and runs one command and returns its exit
 code; it changes no interpreter state, so tests call it in-process.  `run()`
 is the process entry, named by both the ``anomaly`` console script and
@@ -25,11 +35,12 @@ which `os._exit` would not give.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
+import types
 
 from .algebra import pontryagin_table
 from .bundles import tangent_complexification, theta_series
@@ -77,37 +88,180 @@ def _default_order() -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="anomaly",
-        description="Verify modular anomaly-cancellation identities and their divisibility corollaries.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("text", "json")
+_CASE_CHOICES = (*sorted(_CASE_FLAGS), "all")
+_ORDER_HELP = "q-expansion cap (default: ANOMALY_QCAP or 3)"
+_REQUIRED = object()  # the default of an option that must be given
+_DESCRIPTION = "Verify modular anomaly-cancellation identities and their divisibility corollaries."
 
-    verify = sub.add_parser("verify", help="run the dual-route verification over the case catalog")
-    verify.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
-    verify.add_argument("--dim", type=int, default=None, help="restrict to one dimension")
-    verify.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
-    verify.add_argument("--route", choices=("bundle", "theta", "both"), default="both")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
+# The option table.  Each command has its help line and its options; each
+# option is (flag, converter, choices or None, default or _REQUIRED, help).
+# The flag without its dashes names the attribute that the handler reads.
+_COMMANDS = {
+    "verify": (
+        "run the dual-route verification over the case catalog",
+        (
+            ("--case", str, _CASE_CHOICES, "all", ""),
+            ("--dim", int, None, None, "restrict to one dimension"),
+            ("--order", int, None, None, _ORDER_HELP),
+            ("--route", str, ("bundle", "theta", "both"), "both", ""),
+            ("--format", str, _FORMATS, "text", ""),
+        ),
+    ),
+    "expand": (
+        "print the expansion of a named series",
+        (
+            ("--series", str, _SERIES, _REQUIRED, ""),
+            ("--order", int, None, None, _ORDER_HELP),
+            ("--dim", int, None, 8, "manifold dimension for bundle-valued series"),
+            ("--tcap", int, None, 6, "t-power cap for the two-variable quotients"),
+            ("--format", str, _FORMATS, "text", ""),
+        ),
+    ),
+    "evaluate": (
+        "evaluate index forms against manifold data",
+        (
+            ("--input", str, None, _REQUIRED, "path to a manifold JSON file, or - for stdin"),
+            ("--format", str, _FORMATS, "text", ""),
+        ),
+    ),
+    "moduli": (
+        "print the catalog divisibility moduli",
+        (
+            ("--case", str, _CASE_CHOICES, "all", ""),
+            ("--dim", int, None, None, ""),
+            ("--format", str, _FORMATS, "text", ""),
+        ),
+    ),
+}
 
-    expand = sub.add_parser("expand", help="print the expansion of a named series")
-    expand.add_argument("--series", choices=_SERIES, required=True)
-    expand.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
-    expand.add_argument("--dim", type=int, default=8, help="manifold dimension for bundle-valued series")
-    expand.add_argument("--tcap", type=int, default=6, help="t-power cap for the two-variable quotients")
-    expand.add_argument("--format", choices=("text", "json"), default="text")
 
-    evaluate = sub.add_parser("evaluate", help="evaluate index forms against manifold data")
-    evaluate.add_argument("--input", required=True, help="path to a manifold JSON file, or - for stdin")
-    evaluate.add_argument("--format", choices=("text", "json"), default="text")
+def _metavar(flag: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else flag[2:].upper()
 
-    moduli = sub.add_parser("moduli", help="print the catalog divisibility moduli")
-    moduli.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
-    moduli.add_argument("--dim", type=int, default=None)
-    moduli.add_argument("--format", choices=("text", "json"), default="text")
 
-    return parser
+def _usage(command) -> str:
+    """The usage line of the top level (command None) or of one command."""
+    if command is None:
+        return "usage: anomaly [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = [f"usage: anomaly {command} [-h]"]
+    for flag, _, choices, default, _ in _COMMANDS[command][1]:
+        word = f"{flag} {_metavar(flag, choices)}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    """The help text of the top level (command None) or of one command."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        about = [_DESCRIPTION, "", "commands:", *(f"  {name:<10}{text}" for name, (text, _) in _COMMANDS.items())]
+    else:
+        text, options = _COMMANDS[command]
+        about = [text]
+        rows += [(f"{flag} {_metavar(flag, choices)}", help_text) for flag, _, choices, _, help_text in options]
+    lines = [_usage(command), "", *about, "", "options:"]
+    for left, right in rows:
+        if len(left) < 22:
+            lines.append(f"  {left:<22}{right}".rstrip())
+        else:
+            lines += [f"  {left}", f"{'':24}{right}"] if right else [f"  {left}"]
+    return "\n".join(lines)
+
+
+def _fail(command, message: str):
+    """Report a usage error under the usage line of `command` (None for the top level)."""
+    print(_usage(command), file=sys.stderr)
+    raise SystemExit(_usage_error(message))
+
+
+# A token of this form is a value, not an option: `--order -1` reads -1.
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _option(token: str, command, flags) -> tuple | None:
+    """What `token` is where `flags` are the long options: None for a value
+    (and for "--", which the caller reads), else (flag, its inline value or
+    None), with flag None for an unknown option.  A long option may be named
+    by a unique prefix, its value inline after "="; the one short option is
+    -h."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[1] == "h":
+        return "--help", token[2:] or None
+    name, eq, inline = token.partition("=")
+    if name in flags:
+        return name, inline if eq else None
+    matches = [flag for flag in flags if flag.startswith(name)] if name.startswith("--") else []
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], inline if eq else None
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _converted(command, option: tuple, raw: str):
+    """The value of `option` read from `raw`: converted, and one of its choices."""
+    flag, convert, choices, _, _ = option
+    try:
+        value = convert(raw)
+    except ValueError:
+        _fail(command, f"argument {flag}: invalid {convert.__name__} value: {raw!r}")
+    if choices is not None and value not in choices:
+        _fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """The command and its option values, from `argv` (default: the process's
+    arguments) read once, left to right, against the option table.
+
+    The first value is the command; each option takes the next token as its
+    value, and the last repeat wins.  After "--" every token is a value.
+    Help goes to stdout and raises SystemExit(0) when it is reached; a bad
+    value or choice, a missing value or an ambiguous prefix raises
+    SystemExit(2) when it is reached; a missing required option, an unknown
+    option or a value that no option takes raises SystemExit(2) at the end.
+    """
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command, options, values, extras = None, {}, {}, []
+    flags = ("--help",)
+    for token in tokens:
+        option = _option(token, command, flags)
+        if option is None and command is None:
+            if token not in _COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+            command = token
+            options = {spec[0]: spec for spec in _COMMANDS[command][1]}
+            values = {flag[2:]: spec[3] for flag, spec in options.items() if spec[3] is not _REQUIRED}
+            flags = ("--help", *options)
+            continue
+        if option is None or option[0] is None:
+            extras.append(token)
+            if token == "--":
+                extras.extend(tokens)  # every later token is a value too; this drains the loop
+            continue
+        flag, raw = option
+        if flag == "--help":
+            if raw is not None:
+                _fail(command, f"argument -h/--help: ignored explicit argument {raw!r}")
+            print(_help(command))
+            raise SystemExit(0)
+        if raw is None:
+            raw = next(tokens, None)
+            if raw is None or raw == "--" or _option(raw, command, flags) is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+        values[flag[2:]] = _converted(command, options[flag], raw)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [flag for flag in options if flag[2:] not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(command=command, **values)
 
 
 def _selected_cases(args) -> list[tuple[str, int]]:
@@ -239,7 +393,7 @@ def _cmd_moduli(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "expand":

@@ -7,9 +7,16 @@ single-term images, by rewriting packed keys; this reference also takes
 multi-term images over another table, such as the elementary symmetric
 polynomials of explicit roots that the root oracles substitute for the
 Pontryagin generators.
+
+`build_parser` is the command line declared with argparse, as the CLI
+declared it before it read its own option table; the CLI tests parse the
+same arguments with both and compare.
 """
 
+import argparse
+
 from anomaly.algebra import GradedPoly
+from anomaly.cli import _CASE_FLAGS, _SERIES
 
 
 def naive_substitute(f, images, target):
@@ -33,3 +40,36 @@ def naive_substitute(f, images, target):
                     term = term * image
         acc = acc + term
     return acc
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="anomaly",
+        description="Verify modular anomaly-cancellation identities and their divisibility corollaries.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser("verify", help="run the dual-route verification over the case catalog")
+    verify.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
+    verify.add_argument("--dim", type=int, default=None, help="restrict to one dimension")
+    verify.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
+    verify.add_argument("--route", choices=("bundle", "theta", "both"), default="both")
+    verify.add_argument("--format", choices=("text", "json"), default="text")
+
+    expand = sub.add_parser("expand", help="print the expansion of a named series")
+    expand.add_argument("--series", choices=_SERIES, required=True)
+    expand.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
+    expand.add_argument("--dim", type=int, default=8, help="manifold dimension for bundle-valued series")
+    expand.add_argument("--tcap", type=int, default=6, help="t-power cap for the two-variable quotients")
+    expand.add_argument("--format", choices=("text", "json"), default="text")
+
+    evaluate = sub.add_parser("evaluate", help="evaluate index forms against manifold data")
+    evaluate.add_argument("--input", required=True, help="path to a manifold JSON file, or - for stdin")
+    evaluate.add_argument("--format", choices=("text", "json"), default="text")
+
+    moduli = sub.add_parser("moduli", help="print the catalog divisibility moduli")
+    moduli.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
+    moduli.add_argument("--dim", type=int, default=None)
+    moduli.add_argument("--format", choices=("text", "json"), default="text")
+
+    return parser

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import builtins
+import contextlib
 import gc
 import hashlib
 import io
@@ -11,10 +12,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anomaly.cli as cli
 import anomaly.verifier as verifier
 from anomaly.cli import main
+from oracles import build_parser
 
 HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}}'
 # Integral characteristic numbers that balance every identity of their case
@@ -629,3 +633,225 @@ class TestProcessEntry:
         assert run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "1")[0] == 0
         assert gc.isenabled()
         assert gc.get_freeze_count() == frozen
+
+
+def parsed(parse, argv):
+    """What `parse` makes of argv: the namespace as a dict, or ("exit", code,
+    stdout, stderr) when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+def reference(argv):
+    return build_parser().parse_args(argv)
+
+
+def assert_parses_as_the_reference(argv):
+    """The option table gives argparse's command and values, or exits with
+    argparse's code: 0 after help on stdout, 2 after a usage error on stderr."""
+    mine, theirs = parsed(cli.parse_args, argv), parsed(reference, argv)
+    if isinstance(theirs, dict):
+        assert mine == theirs, argv
+        return
+    assert mine[:2] == theirs[:2], (argv, mine, theirs)
+    _, code, out, err = mine
+    if code == 0:
+        assert out.startswith("usage: anomaly") and err == "", argv
+    else:
+        assert out == "" and err.startswith("usage: anomaly") and "\nanomaly: error: " in err, argv
+
+
+OPTIONS = {command: options for command, (_, options) in cli._COMMANDS.items()}
+# One good value for each option: the first choice, else an int or a path.
+GOOD = {flag: choices[0] if choices else "3" if convert is int else "x.json"
+        for options in OPTIONS.values() for flag, convert, choices, _, _ in options}
+# What a command needs to parse: its required options.
+NEEDS = {command: [token for flag, _, _, default, _ in options if default is cli._REQUIRED for token in (flag, GOOD[flag])]
+         for command, options in OPTIONS.items()}
+
+
+def option_forms(command, flag):
+    """The full flag, its shortest unique prefix among the command's options
+    and -h, and the inline form."""
+    others = [other for other, *_ in OPTIONS[command] if other != flag] + ["--help"]
+    prefix = next(flag[:n] for n in range(3, len(flag) + 1) if not any(o.startswith(flag[:n]) for o in others))
+    return [[flag, GOOD[flag]], [prefix, GOOD[flag]], [f"{flag}={GOOD[flag]}"]]
+
+
+CORPUS = [
+    [command, *NEEDS[command], *form]
+    for command, options in OPTIONS.items()
+    for flag, *_ in options
+    for form in option_forms(command, flag)
+] + [
+    [command, *NEEDS[command]] for command in OPTIONS
+] + [
+    ["verify", "--order", "3", "--order", "5"],
+    ["verify", "--case", "spin", "--format", "json", "--case", "spinc-l"],
+    ["evaluate", "--input", "-"],
+    ["evaluate", "--input", "-1"],
+    ["evaluate", "--input", "-1.5"],
+    ["verify", "--order", "-1"],
+    ["verify", "--order", "-1.5"],
+    ["evaluate", "--input", "--format"],
+    ["evaluate", "--input", "-x"],
+    ["evaluate", "--input", "-my file.json"],
+    ["verify", "--ord 3"],
+    ["verify", "--order", "-h"],
+    ["verify", "--order", "x"],
+    ["verify", "--order="],
+    ["verify", "--case", "spinny"],
+    ["expand", "--series", "E12"],
+    ["verify", "--order"],
+    ["evaluate", "--format", "json", "--input"],
+    ["expand"],
+    ["evaluate", "--format", "json"],
+    ["verify", "--bogus"],
+    ["verify", "--bogus=3"],
+    ["verify", "-x"],
+    ["verify", "--input", "-"],
+    ["verify", "extra"],
+    ["verify", "--order", "3", "4"],
+    [],
+    ["bogus"],
+    ["-1"],
+    ["--bogus", "verify"],
+    ["--order", "3", "verify"],
+    ["verify", "--", "--order", "3"],
+    ["verify", "--order", "--"],
+    ["--", "verify"],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "verify"],
+    ["-h", "bogus"],
+    ["verify", "-h"],
+    ["verify", "--help", "--order", "x"],
+    ["verify", "--order", "3", "-h"],
+    ["verify", "--order", "x", "-h"],
+    ["verify", "--bogus", "-h"],
+    ["verify", "extra", "--h"],
+    ["--bogus", "verify", "-h"],
+    ["verify", "--", "-h"],
+    ["verify", "--help=x"],
+    ["verify", "--=x"],
+    ["expand", "-h", "--series", "E12"],
+    ["evaluate", "--help"],
+]
+
+
+def test_the_table_declares_what_the_reference_declares():
+    """The same commands, each with the same options, converters, choices,
+    defaults and help; so the vocabulary below, read from the table, names
+    every option the reference has."""
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    declared = {
+        command: tuple(
+            (action.option_strings[0], action.type or str, tuple(action.choices) if action.choices else None,
+             cli._REQUIRED if action.required else action.default, action.help or "")
+            for action in parser._actions if action.dest != "help"
+        )
+        for command, parser in commands.choices.items()
+    }
+    assert declared == OPTIONS
+    assert [action.help for action in commands._choices_actions] == [text for text, _ in cli._COMMANDS.values()]
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_corpus_parses_as_argparse_did(argv):
+    assert_parses_as_the_reference(argv)
+
+
+# Every command, flag, shortest prefix and inline form, and values good and bad.
+# Left out: combined short options such as -hh, which argparse reads as -h -h;
+# an inline "--", which argparse drops from `--order=--` and leaves no value;
+# and an empty option name (`--=x`), which argparse reports as ambiguous
+# before it reads any token, and so before a -h that comes first.
+VALUES = ["3", "-1", "-1.5", "-", "x", "", "json", "spin", "spinc-l", "all", "theta", "E4", "Ahat", "8"]
+VOCABULARY = sorted(
+    {*OPTIONS, "bogus", "-h", "--help", "--he", "--bogus", "-x", "--", *VALUES}
+    | {form[0] for command, options in OPTIONS.items() for flag, *_ in options for form in option_forms(command, flag)}
+)
+
+
+def pairs(command, values) -> list:
+    """Each option of `command` with each of `values`, in each form."""
+    return [
+        [*form[:1], value] if len(form) == 2 else [f"{flag}={value}"]
+        for flag, *_ in OPTIONS[command]
+        for form in option_forms(command, flag)
+        for value in values(flag)
+    ]
+
+
+def command_argv(command):
+    """A command, its required options, then options with good values,
+    options with any value, and single tokens, in any order."""
+    good = st.sampled_from(pairs(command, lambda flag: [GOOD[flag]]))
+    pieces = st.one_of(
+        good,
+        good,
+        st.sampled_from(pairs(command, lambda flag: VALUES)),
+        st.sampled_from(VOCABULARY).map(lambda token: [token]),
+    )
+    return st.lists(pieces, max_size=4).map(
+        lambda chunks: [command, *NEEDS[command], *(token for chunk in chunks for token in chunk)]
+    )
+
+
+COMMAND_ARGV = st.sampled_from(sorted(OPTIONS)).flatmap(command_argv)
+ARGV = st.one_of(COMMAND_ARGV, COMMAND_ARGV, st.lists(st.sampled_from(VOCABULARY), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_any_token_sequence_parses_as_argparse_did(argv):
+    assert_parses_as_the_reference(argv)
+
+
+def test_an_ambiguous_prefix_is_a_usage_error(capsys):
+    """No two flags of the table share a prefix past "--"; a table where two do rejects it."""
+    with pytest.raises(SystemExit) as exc:
+        cli._option("--di", "verify", ("--help", "--dim", "--dir"))
+    assert exc.value.code == 2
+    assert "ambiguous option: --di could match --dim, --dir" in capsys.readouterr().err
+    assert cli._option("--dim", "verify", ("--help", "--dim", "--dir")) == ("--dim", None)
+
+
+def test_an_inline_double_dash_is_a_value(capsys, tmp_path, monkeypatch):
+    """argparse dropped "--" from an inline value and stored an empty list,
+    which the handlers then failed on with a TypeError."""
+    assert cli.parse_args(["evaluate", "--input=--"]).input == "--"
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "evaluate", "--input=--")[0] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--order=--"])
+    assert exc.value.code == 2
+    assert "invalid int value: '--'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([command, "-h"] for command in OPTIONS)],
+                         ids=lambda argv: " ".join(argv))
+def test_help_names_every_option_and_choice(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: anomaly")
+    if len(argv) == 1:
+        for command, (text, _) in cli._COMMANDS.items():
+            assert any(line.split() == [command, *text.split()] for line in lines), command
+        return
+    for flag, _, choices, _, help_text in OPTIONS[argv[0]]:
+        (row,) = [line for line in lines if line.startswith(f"  {flag} ")]
+        metavar = row.split()[1]
+        if choices:
+            assert metavar == "{" + ",".join(choices) + "}"
+        assert help_text in out
+

@@ -27,8 +27,8 @@ from anomaly import verifier
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "anomaly").glob("*.py"))
 # Each costs milliseconds of start-up in every CLI process; dataclasses alone
-# pulls in inspect, ast, dis and tokenize.
-SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+# pulls in inspect, ast, dis and tokenize, and argparse pulls in gettext.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext")
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -3,7 +3,8 @@
 Each row mutation replaces one field of one `verifier._FAMILIES` row, and
 each code mutation replaces one expression in the source of an engine
 function (`bundles.theta_series`, `bundles._lam_factor`, `qseries.eisenstein`,
-`algebra._exp_form`, `algebra._log_form`, `theta._divisor_sum_log`);
+`algebra._exp_form`, `algebra._log_form`, `theta._divisor_sum_log`,
+`verifier._relation`);
 each then runs the 12 catalog specs at order 3 in-process.  The tables state which report
 fields must change, each keyed by (case, dim, field): the route comparison,
 the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
@@ -182,6 +183,20 @@ CODE_MUTATIONS = {
         # thetaV's psi^2 product has two at order 3 (steps 2 and 6), so spin_v keeps its sign
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
+    ),
+    "spin q^1 target counted once": (
+        verifier._relation,
+        verifier,
+        '(2, f"ind(D{_OX}{_DELTA}{_OX}{_T})"',
+        '(1, f"ind(D{_OX}{_DELTA}{_OX}{_T})"',
+        # a relation coefficient, read by no route and no fit: each spin dimension's q^1 identity
+        # fails, and its "-a" corollary, which solves that relation for the target, moves modulus
+        flips("spin", {
+            8: "Thm1.1-(1.1) Cor1.2-a",
+            12: "Thm1.3-(1.5) Cor1.4-a",
+            16: "Thm1.5-(1.9) Cor1.6-a",
+            20: "Thm1.7-(1.13) Cor1.8-a",
+        }),
     ),
 }
 
