@@ -10,7 +10,8 @@ Subcommands:
 * ``moduli``   - print the divisibility moduli of the catalog corollaries.
 
 Exit codes: 0 success, 1 a verification or divisibility check failed,
-2 usage error, 3 no case matched the filters, 4 malformed input data.
+2 usage error, 3 no case matched the filters, 4 malformed input data,
+141 the output pipe was closed before the output was written.
 
 Parsing is table-driven: `_COMMANDS` gives each command's options with their
 converters, choices, defaults and help, `parse_args` reads the arguments
@@ -404,12 +405,18 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """`main()` as a whole process: the collector off, then the heap frozen for exit."""
+    """`main()` as a whole process: the collector off, then the heap frozen for
+    exit.  Output to a closed pipe exits 141 (128 + SIGPIPE), quietly."""
     gc.disable()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        try:
+            return main()
+        finally:
+            gc.freeze()
+            sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit flush
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush stays quiet
+        return 141
 
 
 if __name__ == "__main__":

@@ -17,11 +17,17 @@ log A.  The route's only series kernel is `algebra._exp_form`: no
 logarithm or inverse is taken of a series, so the `algebra._log_form`
 behind the bundle route's genera is not shared with this route.
 
-The route exponentiates once per sector.  It substitutes the power sum s_m
-of a root family for t^(2m) in a quotient's logarithm (`_bridged_log`),
-sums the bridged logarithms of the quotients that a sector multiplies, and
-takes one exp of the sum: two for the spin case (its B3 sector is the shift
-of its B2 sector), one for spin_v, and one for spinc_l, times L at t = cL.
+The route reads its recipe as data: the `theta_sectors` of a family row in
+`anomaly.verifier`, names only.  The integrand is a scale times a sum of
+sectors, and each sector multiplies quotients over root families, each
+named by a (quotient kind, root family) pair.  The route substitutes the
+power sum s_m of a root family for t^(2m) in a quotient's logarithm
+(`_bridged_log`), sums the bridged logarithms of a sector's quotients, and
+takes one exp of the sum.  B3's bridged logarithm is B2's under the
+half-period shift, so no B3 quotient is built; L is evaluated at t = cL and
+multiplies the exp.  A sector marked for it adds its own half-period shift.
+So the spin case takes two exps (its B3 sector is the shift of its B2
+sector), spin_v one, and spinc_l one times L at t = cL.
 
 A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
@@ -34,9 +40,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .algebra import (
     GeneratorTable,
@@ -343,48 +349,56 @@ def line_quotient_evaluation(
     table: GeneratorTable,
     truncation: int,
     cap: int,
+    generator: str = "cL",
 ) -> QHalfSeries:
-    """Evaluate a quotient at t = cL, the degree-2 generator."""
-    c = GradedPoly.generator(table, "cL", truncation)
+    """Evaluate a quotient at t = a degree-2 generator, cL unless named."""
+    c = GradedPoly.generator(table, generator, truncation)
     powers = [GradedPoly.one(table, truncation)]
     while not powers[-1].is_zero():
         powers.append(powers[-1] * c)
     return _t_substituted(quotient, dict(enumerate(powers)), PolyRing(table, truncation), cap)
 
 
-def q_series_via_theta(
-    table: GeneratorTable,
-    case: str,
-    dim: int,
-    cap: int = 3,
-) -> QHalfSeries:
-    """The full integrand q-series assembled from theta quotients.
+def q_series_via_theta(table: GeneratorTable, sectors: tuple, scale: int, dim: int, cap: int = 3) -> QHalfSeries:
+    """The full integrand q-series assembled from theta quotients: `scale`
+    times the sum of the `sectors`.
 
-    spin     2^(dim/2) * prod A(t_j) * [prod B1(t_j) + prod B2(t_j) + prod B3(t_j)]
-    spin_v   prod A(t_j) * prod B1(u_r) B2(u_r) B3(u_r)
-    spinc_l  prod A(t_j) * L(cL)
+    Each sector is a pair (factors, shifted).  The factors are (quotient
+    kind, root family) pairs, and the sector is the product of the named
+    quotients over their root families: one exp of the sum of their bridged
+    logarithms (`_bridged_log`), times the evaluation of L at t = the named
+    degree-2 generator.  B3 is B2 under q^(1/2) -> -q^(1/2), so a B3 factor
+    adds B2's bridged logarithm under that shift.  A shifted sector adds
+    its own shift, which leaves A fixed and turns B2 into B3.  The spin
+    integrand, for one,
 
-    Each product of quotients over root families is one exp of the sum of
-    their bridged logarithms (`_bridged_log`).  B3 is B2 under
-    q^(1/2) -> -q^(1/2), which leaves A fixed, so the third spin sector and
-    spin_v's B3 logarithm are shifts: two exps for spin, one for spin_v, and
-    one times the evaluation of L for spinc_l.  The quotients are expanded
-    to t-cap dim // 2: t^n becomes a degree-2n class, and the integrand is
-    cut at degree dim.
+    2^(dim/2) * prod A(t_j) * [prod B1(t_j) + prod B2(t_j) + prod B3(t_j)]
+
+    is scale 2^(dim/2), the sector (A, B1) and the shifted sector (A, B2),
+    all over pX.  Each sector names a quotient other than L, and an unknown
+    quotient kind is a ValueError.  Each distinct bridged logarithm is built
+    once.  The quotients are expanded to t-cap dim // 2: t^n becomes a
+    degree-2n class, and the integrand is cut at degree dim.
     """
-    tcap = dim // 2
-
+    @lru_cache(maxsize=None, typed=True)
     def bridged(kind, family):
-        return _bridged_log(theta_quotient(kind, tcap, cap), table, family, dim, cap)
+        return _bridged_log(theta_quotient(kind, dim // 2, cap), table, family, dim, cap)
 
-    if case == "spin":
-        log_a = bridged("A", "pX")
-        e1 = qseries_exp(log_a + bridged("B1", "pX"))
-        e2 = qseries_exp(log_a + bridged("B2", "pX"))
-        return (e1 + e2 + e2.tau_shift_half()).scale(2 ** (dim // 2))
-    if case == "spin_v":
-        b2 = bridged("B2", "pV")
-        return qseries_exp(bridged("A", "pX") + bridged("B1", "pV") + b2 + b2.tau_shift_half())
-    if case == "spinc_l":
-        return qseries_exp(bridged("A", "pX")) * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
-    raise ValueError(f"unknown case {case!r}")
+    # B3's logarithm is B2's, shifted.  It is read here, not inside `bridged`: a memoized
+    # function that calls itself is a reference cycle, which outlives the call while the
+    # CLI runs with the collector off.
+    def log(kind, family):
+        return bridged("B2", family).tau_shift_half() if kind == "B3" else bridged(kind, family)
+
+    exponents = [reduce(add, [log(kind, family) for kind, family in factors if kind != "L"]) for factors, _ in sectors]
+    bridged.cache_clear()  # the exps read only the sector sums: the memo's logs are not kept through them
+
+    def sector(exponent, factors, shifted):
+        product = qseries_exp(exponent)
+        for kind, family in factors:
+            if kind == "L":
+                product = product * line_quotient_evaluation(theta_quotient(kind, dim // 2, cap), table, dim, cap, family)
+        return product + product.tau_shift_half() if shifted else product
+
+    integrand = reduce(add, [sector(exponents.pop(0), *entry) for entry in sectors])  # each exp frees its sum
+    return integrand if scale == 1 else integrand * scale

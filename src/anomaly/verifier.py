@@ -126,18 +126,21 @@ NOTE_PARITY = (
 )
 
 
-_FAMILY_FIELDS = "factor dims weight_drop aux line bundle condition rank_base bundle_series bundle_factor notes identities combos"
+_FAMILY_FIELDS = "factor dims weight_drop aux line bundle condition rank_base bundle_series bundle_factor theta_sectors notes identities combos"
 
 
-class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, False, None, None, 1, None, None, (), (), None))):
+class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, False, None, None, 1, None, None, (), (), (), None))):
     """One case family; an unset field is inert.  factor: of the index terms;
     dims: catalog dimensions (none: identities only); weight_drop: the weight
     is (dim - weight_drop)/2; aux, line: the table's pV block and cL class;
     bundle: V's builder (spin: the spinor bundle); condition: pX1 ->
-    coefficient * monomial; rank_base: see `_rank_ratio`; bundle_series,
-    bundle_factor: the bundle route's theta series and factor; notes: report
-    notes; identities: the identity cases read with it; combos: theirs, by
-    q-power."""
+    coefficient * monomial; rank_base: see `_rank_ratio`, and the theta
+    route's scale is rank_base^(dim/2); bundle_series, bundle_factor: the
+    bundle route's theta series and factor; theta_sectors: the theta route's
+    sectors, each ((quotient kind, root family) pairs, whether the sector
+    adds its half-period shift), names read by `q_series_via_theta`; notes:
+    report notes; identities: the identity cases read with it; combos:
+    theirs, by q-power."""
 
     __slots__ = ()
 
@@ -148,16 +151,19 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, Fals
 _FAMILIES = {
     "spin": _Family(
         dims=(8, 12, 16, 20), bundle=spinor_bundle, rank_base=2, bundle_series="sectors", bundle_factor="ahat",
+        theta_sectors=(((("A", "pX"), ("B1", "pX")), False), ((("A", "pX"), ("B2", "pX")), True)),
         factor="spinor", identities=("spin",),
     ),
     "spin_v": _Family(
         dims=(8, 12, 16, 20), aux=True, bundle=aux_complexification, condition=("pV1", 3),
         bundle_series="thetaV", bundle_factor="detcosh_V", factor="detcosh_V", combos=_V_COMBO,
+        theta_sectors=(((("A", "pX"), ("B1", "pV"), ("B2", "pV"), ("B3", "pV")), False),),
         notes=(NOTE_COMPLEXIFICATION, NOTE_LINE_SPECIALIZATION), identities=("spin_v", "spin_v_line"),
     ),
     "spinc_l": _Family(
         dims=(10, 14, 18, 22), weight_drop=2, line=True, bundle=line_real_complexification, condition=("cL^2", 1),
         bundle_series="thetaL", bundle_factor="sinh_half_c", factor="exp_half_c", combos=_L_COMBO,
+        theta_sectors=(((("A", "pX"), ("L", "cL")), False),),
         notes=(NOTE_PARITY,), identities=("spinc_l",),
     ),
     "spin_v_line": _Family(  # spin_v with V the realified line bundle: identities only, read with spin_v
@@ -223,7 +229,10 @@ def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
 
 
 def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
-    return q_series_via_theta(spec.table(), spec.case, spec.dim, spec.qcap)
+    """The theta route: the sectors that the family row's theta_sectors name,
+    times the spinor rank rank_base^(dim/2)."""
+    row = _FAMILIES[spec.case]
+    return q_series_via_theta(spec.table(), row.theta_sectors, row.rank_base ** (spec.dim // 2), spec.dim, spec.qcap)
 
 
 def impose_condition(x, case: str):

@@ -628,6 +628,23 @@ class TestProcessEntry:
         assert code == expected
         assert err.endswith("probe: frozen True enabled False\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--order", "7", "--format", "json"), ("moduli",), ("expand", "--series", "E4"), ("verify", "-h")],
+        ids=["verify", "moduli", "expand", "help"],
+    )
+    def test_a_closed_pipe_exits_141_quietly(self, argv):
+        """The read end closes before the child writes, as `| head -c 10` can:
+        no traceback, and not exit 1, the code of a failed check."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "anomaly.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), err) == (141, b"")
+
     def test_in_process_main_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
         assert run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "1")[0] == 0

@@ -9,8 +9,8 @@ a fault in a kernel of one route shows as a route mismatch.  Every
 `functools.lru_cache` is typed, so a float or bool argument never reads the
 entry of an equal int and skips the constructor's own checks.  The installed console script and
 `python -m anomaly.cli` start the same process entry, one that freezes the
-heap before exit.  The verifier and the CLI tell case families apart only
-through the family table."""
+heap before exit.  No module tells case families apart but through the
+family table, and the route modules name no family at all."""
 
 import ast
 import os
@@ -209,11 +209,11 @@ def test_the_family_scan_sees_every_comparison_form():
     assert FAMILY_NAMES == {"spin", "spin_v", "spinc_l", "spin_v_line"}
 
 
-@pytest.mark.parametrize("name", ["verifier.py", "cli.py"])
-def test_no_branch_on_a_family_name(name):
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_branch_on_a_family_name(path):
     """What sets a family apart is a row of `verifier._FAMILIES`: a new family
-    is a new row, not a new branch."""
-    assert family_name_comparisons((SRC / "anomaly" / name).read_text(encoding="utf-8")) == []
+    is a new row, not a new branch, in any module of the package."""
+    assert family_name_comparisons(path.read_text(encoding="utf-8")) == []
 
 
 # module -> (sibling modules it must not import, names it must not import from anywhere)
@@ -254,3 +254,24 @@ def test_the_routes_import_nothing_of_each_other(name):
     """Each route computes its own logs: the theta route's are closed forms,
     the bundle route's come from `algebra._log_form`."""
     assert route_crossings((SRC / "anomaly" / name).read_text(encoding="utf-8"), *ROUTES_APART[name]) == []
+
+
+def family_name_literals(source: str) -> list[int]:
+    """The lines of `source` that hold a family-name string literal anywhere."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FAMILY_NAMES
+    )
+
+
+def test_the_literal_scan_sees_a_family_name_anywhere():
+    source = 'x = "spin"\nf(case="spinc_l")\nrecipe = {"spin_v": ()}\ny = "spins"\n'
+    assert family_name_literals(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES_APART))
+def test_the_routes_name_no_family(name):
+    """The routes read their recipes from the family rows; they never name a family."""
+    assert family_name_literals((SRC / "anomaly" / name).read_text(encoding="utf-8")) == []
+

@@ -55,12 +55,14 @@ MUTATIONS = {
     "spin rank base 4": (
         "spin",
         {"rank_base": 4},
-        # both routes are cut by the same ratio, so they agree and still fit; Â carries
-        # no rank, so the identities fail below the top, where nothing is cut
+        # the theta route's scale is 4^(dim/2), the bundle route's spinor rank stays 2^(dim/2),
+        # so the routes differ at every dimension, leaving nothing to fit; below the top the
+        # identities divide Â·ch(Δ) by the rank ratio, and Â by nothing, so they fail there
         flips("spin", {
-            8: "Thm1.1-(1.1) Thm1.1-(1.2)",
-            12: "Thm1.3-(1.5) Thm1.3-(1.6)",
-            16: "Thm1.5-(1.9) Thm1.5-(1.10)",
+            8: "route_ok fit_ok Thm1.1-(1.1) Thm1.1-(1.2)",
+            12: "route_ok fit_ok Thm1.3-(1.5) Thm1.3-(1.6)",
+            16: "route_ok fit_ok Thm1.5-(1.9) Thm1.5-(1.10)",
+            20: "route_ok fit_ok",
         }),
     ),
     "spinc_l condition pX1 -> 2*cL^2": (
@@ -77,6 +79,22 @@ MUTATIONS = {
         "spin_v_line",
         {"condition": ("cL^2", 1)},
         flips("spin_v", {8: "Cor1.10-a Cor1.10-b", 12: "Cor1.13-a Cor1.13-b", 16: "Cor1.16-a", 20: "Cor1.19-a"}),
+    ),
+    "spin theta sector B1 -> B2": (
+        "spin",
+        {"theta_sectors": (((("A", "pX"), ("B2", "pX")), False), ((("A", "pX"), ("B2", "pX")), True))},
+        # the theta route alone reads the sectors: a route mismatch leaves nothing to fit
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+    ),
+    "spin theta sector 2 without its shift": (
+        "spin",
+        {"theta_sectors": (((("A", "pX"), ("B1", "pX")), False), ((("A", "pX"), ("B2", "pX")), False))},
+        flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+    ),
+    "spin_v theta sector without B3": (
+        "spin_v",
+        {"theta_sectors": (((("A", "pX"), ("B1", "pV"), ("B2", "pV")), False),)},
+        flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
     "spinc_l bundle factor cosh(cL/2)": (
         "spinc_l",

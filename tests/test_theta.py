@@ -1,10 +1,12 @@
 """Theta quotients, the Jacobi product identity, and the root-product bridge."""
 
+import gc
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from anomaly import theta
 from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.genera import aux_bundle_factor
 from anomaly.qseries import PolyRing, QHalfSeries, qseries_exp
@@ -17,6 +19,7 @@ from anomaly.theta import (
     symmetric_quotient_product,
     theta_quotient,
 )
+from anomaly.verifier import CASE_DIMS, CaseSpec, theta_route_integrand
 from oracles import naive_substitute
 
 
@@ -232,15 +235,55 @@ class TestLineEvaluation:
 
 
 class TestCaseSeriesViaTheta:
-    def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            q_series_via_theta(pontryagin_table(8), "spin_x", 8, 2)
+    def test_a_recipe_naming_an_unknown_quotient_kind(self):
+        sectors = (((("A", "pX"), ("B4", "pX")), False),)
+        with pytest.raises(ValueError, match="unknown theta quotient kind 'B4'"):
+            q_series_via_theta(pontryagin_table(8), sectors, 1, 8, 2)
 
     def test_spin_series_has_integer_powers(self):
-        series = q_series_via_theta(pontryagin_table(8), "spin", 8, 2)
+        series = theta_route_integrand(CaseSpec("spin", 8, 2))
         assert series.integer_powers_only()
         # q^0 constant: the three sectors each contribute 1, scaled by 2^(dim/2)
         assert series.coefficient_q(0).constant_term == 3 * 2**4
+
+
+class TestRecipeShape:
+    """The theta route takes one series exp per sector: the shift gives spin's
+    third sector and spin_v's B3 logarithm, so no B3 quotient is built."""
+
+    @pytest.mark.parametrize("case, exps", [("spin", 2), ("spin_v", 1), ("spinc_l", 1)])
+    def test_one_exp_per_sector_and_no_B3_quotient(self, monkeypatch, case, exps):
+        calls, kinds = [], set()
+
+        def counted_exp(series):
+            calls.append(series)
+            return qseries_exp(series)
+
+        def recorded_quotient(kind, tcap, cap):
+            kinds.add(kind)
+            return theta_quotient(kind, tcap, cap)
+
+        monkeypatch.setattr(theta, "qseries_exp", counted_exp)
+        monkeypatch.setattr(theta, "theta_quotient", recorded_quotient)
+        for dim in CASE_DIMS[case]:
+            calls.clear()
+            theta_route_integrand(CaseSpec(case, dim, 3))
+            assert len(calls) == exps
+        assert "B3" not in kinds
+
+    @pytest.mark.parametrize("case", ["spin", "spin_v", "spinc_l"])
+    def test_the_route_leaves_no_cyclic_garbage(self, case):
+        """A CLI process runs with the collector off, so a cycle through the
+        recipe's memoized logarithms would keep them for the whole run."""
+        spec = CaseSpec(case, CASE_DIMS[case][0], 2)
+        theta_route_integrand(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            theta_route_integrand(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def b3_oracle(tcap, cap):
@@ -277,7 +320,7 @@ class TestHalfPeriodShift:
         sector3 = qseries_exp(log_a + _bridged_log(b3_oracle(tcap, cap), table, "pX", dim, cap))
         assert sector3 == sector2.tau_shift_half()
         sector1 = qseries_exp(log_a + _bridged_log(theta_quotient("B1", tcap, cap), table, "pX", dim, cap))
-        assert q_series_via_theta(table, "spin", dim, cap) == (sector1 + sector2 + sector3).scale(2 ** (dim // 2))
+        assert theta_route_integrand(CaseSpec("spin", dim, cap)) == (sector1 + sector2 + sector3).scale(2 ** (dim // 2))
 
     @pytest.mark.parametrize("dim", [8, 12, 16, 20])
     def test_spin_v_B3_log_is_the_shift(self, dim):
@@ -290,4 +333,4 @@ class TestHalfPeriodShift:
         b3 = bridged(b3_oracle(tcap, cap), "pV")
         assert b3 == b2.tau_shift_half()
         log = bridged(theta_quotient("A", tcap, cap), "pX") + bridged(theta_quotient("B1", tcap, cap), "pV") + b2 + b3
-        assert q_series_via_theta(table, "spin_v", dim, cap) == qseries_exp(log)
+        assert theta_route_integrand(CaseSpec("spin_v", dim, cap)) == qseries_exp(log)
