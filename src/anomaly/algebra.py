@@ -55,6 +55,21 @@ form's own table, as the case conditions pX1 -> 3*pV1, cL^2 and 3*cL^2 are,
 so a term's exponents move to the image's monomial with no product and no
 power.  `IntForm._substituted` checks the images and rewrites the keys; it
 backs `GradedPoly.substitute` and `QHalfSeries.substitute`.
+
+Coordinates.  Every integrand is a product over Chern roots, so it depends
+on the roots only through the power sums s_m of their squares.  A root
+family's classes come in two generator tables with the same families,
+order and degrees: `pontryagin_table`, whose degree-4m generator pF_m is
+the m-th elementary symmetric function of the squared roots, and
+`power_sum_table`, whose sF_m is the power sum s_m.  On the first,
+`power_sum_in_pontryagin` is the Newton polynomial of s_m, with p(m)
+terms; on the second, it is the generator itself.  The bundle, genus and
+theta modules compute in the coordinates of the table they are given.  The
+verifier builds the routes and the identity catalog's index forms over
+power sums, where the inputs have one term per power sum, and converts
+only what it reports, by the ring isomorphism `to_pontryagin`.  Since
+s1 = p1, a monomial in first classes and cL, as each case condition is,
+reads alike in both coordinates (`first_classes`).
 """
 
 from __future__ import annotations
@@ -115,7 +130,8 @@ class GeneratorTable:
     empty, not "1" (the unit monomial), and holds no `*`, `^` or whitespace.
     """
 
-    __slots__ = ("generators", "degrees", "_index", "_degree_of", "_layouts", "_power_sums")  # names derives from generators
+    # names derives from generators; pontryagin is set on the tables of `power_sum_table` only
+    __slots__ = ("generators", "degrees", "pontryagin", "_index", "_degree_of", "_layouts", "_power_sums", "_images")
 
     def __init__(self, generators: Iterable[tuple[str, int]]):
         gens = tuple((name, degree) for name, degree in generators)
@@ -140,6 +156,8 @@ class GeneratorTable:
         self._degree_of: dict[tuple[int, ...], int] = {}
         self._layouts: dict[int, KeyLayout] = {}
         self._power_sums: dict[tuple[str, int], list] = {}
+        self.pontryagin: GeneratorTable | None = None
+        self._images: dict[int, dict[int, GradedPoly]] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -208,6 +226,8 @@ class GeneratorTable:
             factor = factor.strip()
             if "^" in factor:
                 name, _, power = factor.partition("^")
+                if not (power.isascii() and power.isdigit()):
+                    raise ValueError(f"bad exponent in monomial factor {factor!r}: expected ASCII digits")
                 e = int(power)
             else:
                 name, e = factor, 1
@@ -217,8 +237,8 @@ class GeneratorTable:
         return tuple(expts)
 
 
-# The interned tables of `pontryagin_table`, by (dim // 4, aux, line).
-_TABLES: dict[tuple[int, bool, bool], GeneratorTable] = {}
+# The interned tables of `pontryagin_table` and `power_sum_table`, by (dim // 4, aux, line, power sums).
+_TABLES: dict[tuple[int, bool, bool, bool], GeneratorTable] = {}
 
 
 def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> GeneratorTable:
@@ -229,20 +249,63 @@ def pontryagin_table(dim: int, *, aux: bool = False, line: bool = False) -> Gene
     generators give the same instance, however the arguments are spelled, so
     every caller shares its power sums, degree memo and key layouts.
     """
+    return _interned(dim, bool(aux), bool(line), False)
+
+
+def power_sum_table(dim: int, *, aux: bool = False, line: bool = False) -> GeneratorTable:
+    """The power-sum table of `pontryagin_table(dim, aux=aux, line=line)`.
+
+    It has the same root families, in the same order, and cL, but its
+    degree-4m generator of a family is the power sum s_m of the family's
+    squared roots: sX1..sX_{dim//4} and sV1..sV_{dim//4}.  Its `pontryagin`
+    is that Pontryagin table, which `to_pontryagin` moves forms onto.  The
+    tables are interned like the Pontryagin tables.
+    """
+    return _interned(dim, bool(aux), bool(line), True)
+
+
+def _interned(dim, aux: bool, line: bool, power_sums: bool) -> GeneratorTable:
     if not _is_int(dim):
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < 4:
         raise ValueError("dimension must be at least 4")
-    key = (dim // 4, bool(aux), bool(line))
+    key = (dim // 4, aux, line, power_sums)
     table = _TABLES.get(key)
     if table is None:
-        gens = [(f"pX{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-        if aux:
-            gens += [(f"pV{i}", 4 * i) for i in range(1, dim // 4 + 1)]
-        if line:
-            gens.append(("cL", 2))
-        table = _TABLES[key] = GeneratorTable(gens)
+        if power_sums:
+            pontryagin = _interned(dim, aux, line, False)
+            table = GeneratorTable((_power_sum_name(name) if degree % 4 == 0 else name, degree) for name, degree in pontryagin.generators)
+            table.pontryagin = pontryagin
+        else:
+            gens = [(f"pX{i}", 4 * i) for i in range(1, dim // 4 + 1)]
+            if aux:
+                gens += [(f"pV{i}", 4 * i) for i in range(1, dim // 4 + 1)]
+            if line:
+                gens.append(("cL", 2))
+            table = GeneratorTable(gens)
+        _TABLES[key] = table
     return table
+
+
+def _power_sum_name(name: str) -> str:
+    """The power-sum generator of a Pontryagin generator's family and degree: pX2 -> sX2."""
+    return f"s{name[1:]}"
+
+
+def first_classes(table: GeneratorTable, monomial: str) -> tuple[int, ...]:
+    """The exponents on `table` of a monomial in degree-2 and degree-4 classes
+    written in Pontryagin names, such as "pX1", "pV1" or "cL^2".
+
+    A root family's first Pontryagin class is its first power sum, p1 = s1,
+    so on a power-sum table the monomial names the same class as on its
+    Pontryagin table, with the same exponents.  A generator of higher degree
+    is a ValueError.
+    """
+    source = table.pontryagin or table
+    expts = source.parse_monomial(monomial)
+    if any(e and degree > 4 for e, degree in zip(expts, source.degrees)):
+        raise ValueError(f"monomial {monomial!r} is not in degree-2 and degree-4 classes")
+    return expts
 
 
 # -- packed keys -------------------------------------------------------------------
@@ -930,15 +993,17 @@ class GradedPoly(IntForm):
 def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncation: int | None = None) -> GradedPoly:
     """m-th power sum of squared roots, written in the family's generators.
 
-    With the family generators playing the elementary symmetric functions of
-    the squared roots, returns the degree-4m polynomial expressing the m-th
-    power sum via the Newton recursion.  Generators whose degree exceeds the
-    truncation act as zero.  The table keeps the Newton recursion's sums, one
-    list per (family, truncation), extended as far as a call needs.
+    On a Pontryagin table the family generators play the elementary
+    symmetric functions of the squared roots, and this is the degree-4m
+    polynomial of the Newton recursion.  On a power-sum table
+    (`power_sum_table`) it is the family's generator s_m itself.  Generators
+    whose degree exceeds the truncation act as zero.  The table keeps the
+    power sums, one list per (family, truncation), extended as far as a call
+    needs.
     """
     if m <= 0:
         raise ValueError("power sum index must be positive")
-    size = table.family_size(family)
+    size = (table.pontryagin or table).family_size(family)
     if size == 0:
         raise ValueError(f"unknown generator family {family!r}")
     if truncation is None:
@@ -946,16 +1011,91 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     top = min(m, truncation // 4)  # s_k has degree 4k
     if top > size:
         raise ValueError(f"family {family!r} is missing generator {family}{size + 1} below the truncation")
+    if top < m:
+        return GradedPoly.zero(table, truncation)
     sums = table._power_sums.setdefault((family, truncation), [])
-    if len(sums) < top:
-        elem = [GradedPoly.generator(table, f"{family}{i}", truncation) for i in range(1, top + 1)]
+    if len(sums) < top and table.pontryagin is not None:  # a power-sum table: s_k is its own generator
+        sums += [GradedPoly.generator(table, _power_sum_name(f"{family}{k}"), truncation) for k in range(len(sums) + 1, top + 1)]
+    elif len(sums) < top:  # a Pontryagin table: the Newton recursion, summed in ints
+        layout = table.layout(truncation)
+        index = [table.index(f"{family}{i}") for i in range(1, top + 1)]
+        if any(table.degrees[j] != 4 * i for i, j in enumerate(index, 1)):
+            raise ValueError(f"family {family!r} needs each generator {family}i in degree 4i")
+        elem = [1 << layout.bits * j | 4 * i << layout.gshift for i, j in enumerate(index, 1)]
         for k in range(len(sums) + 1, top + 1):
-            acc = (k if k % 2 else -k) * elem[k - 1]
+            # s_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i s_(k-i); each e_i s_(k-i) shifts keys,
+            # and every s_k has integer coefficients, so its int form is over 1
+            acc = {elem[k - 1]: k if k % 2 else -k}
+            get = acc.get
             for i in range(1, k):
-                contrib = elem[i - 1] * sums[k - i - 1]
-                acc = acc + (contrib if i % 2 else -contrib)
-            sums.append(acc)
-    return sums[m - 1] if m == top else GradedPoly.zero(table, truncation)
+                shift, sign = elem[i - 1], 1 if i % 2 else -1
+                for _, _, key, num in sums[k - i - 1].items:
+                    key += shift
+                    acc[key] = get(key, 0) + sign * num
+            sums.append(GradedPoly._make(table, truncation, *layout.int_form(acc, 1)))
+    return sums[m - 1]
+
+
+def _pontryagin_image(table: GeneratorTable, truncation: int, key: int) -> GradedPoly:
+    """The image on `table.pontryagin` of the monomial with packed key `key`
+    on the power-sum table `table`, at `truncation`.
+
+    The images are kept on the table, one dict per truncation.  A
+    generator's image is s_m's Newton polynomial (`power_sum_in_pontryagin`)
+    or cL itself; any other monomial's is one product, the image of the
+    monomial less its last generator times that generator's image.
+    """
+    images = table._images.setdefault(truncation, {})
+    image = images.get(key)
+    if image is None:
+        target = table.pontryagin
+        if not key:
+            image = GradedPoly.one(target, truncation)
+        else:
+            layout = table.layout(truncation)
+            i = max(i for i, e in enumerate(layout.unpack(key)) if e)
+            name, degree = target.generators[i]
+            last = 1 << layout.bits * i | degree << layout.gshift
+            if key != last:
+                image = _pontryagin_image(table, truncation, key - last) * _pontryagin_image(table, truncation, last)
+            elif degree % 4:
+                image = GradedPoly.generator(target, name, truncation)
+            else:
+                image = power_sum_in_pontryagin(target, name.rstrip("0123456789"), degree // 4, truncation)
+        images[key] = image
+    return image
+
+
+def to_pontryagin(x: IntForm) -> IntForm:
+    """A `GradedPoly` or `qseries.QHalfSeries` over a power-sum table
+    (`power_sum_table`), moved onto the Pontryagin table of its families.
+
+    The map sends each s_m to `power_sum_in_pontryagin` on that table and
+    cL to itself; it is a ring isomorphism, and each monomial's image is
+    homogeneous of the monomial's degree.  The images are built once per
+    table and truncation (`_pontryagin_image`); each has integer
+    coefficients, as Newton's s_m has, so its int form is over 1.  Then one
+    flat int pass adds each term's numerator times its image's numerators,
+    the term's side digit (a q-series term's doubled q-exponent) carried
+    over, into one int form over the form's own denominator: both tables
+    lay out keys alike.  A form over another table is a ValueError.
+    """
+    table = x.layout.table
+    target = table.pontryagin
+    if target is None:
+        raise ValueError(f"{table!r} is not a power-sum table")
+    limit = x.limits[0]
+    monomial = (1 << x.layout.sshift) - 1
+    acc: dict = {}
+    get = acc.get
+    for _, _, key, num in x.items:
+        side = key & ~monomial
+        for _, _, image_key, image_num in _pontryagin_image(table, limit, key & monomial).items:
+            image_key |= side
+            acc[image_key] = get(image_key, 0) + image_num * num
+    # a q-series moves to its ring's class over the target table; algebra does not import qseries
+    shape = (target, limit) if isinstance(x, GradedPoly) else (type(x.ring)(target, limit), x.cap)
+    return x._make(*shape, *target.layout(limit).int_form(acc, x.den))
 
 
 def exp_truncated(x: GradedPoly) -> GradedPoly:

@@ -24,6 +24,14 @@ with every index form.  `run_cases` builds each distinct index form once per
 family, at its largest dimension; an identity at dimension d sums their
 degree-d parts, the spinor factor's divided by its rank ratio, and cuts only
 the residual to its own table.  A lone identity is its own top.
+
+This module alone chooses coordinates (see `anomaly.algebra`).  The routes
+and the identity checks' index forms are built over the family's power-sum
+table, and the routes are compared there.  Only what is reported is
+converted to Pontryagin classes: the top-degree series that is fitted, an
+identity's residual, and a mismatching pair of routes before their first
+difference is named.  `evaluate_report` builds its forms over the
+Pontryagin table, where a manifold's numbers are keyed.
 """
 
 from __future__ import annotations
@@ -32,10 +40,20 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 
-from .algebra import GeneratorTable, GradedPoly, _is_int, _nonnegative_int, pontryagin_table
+from .algebra import (
+    GeneratorTable,
+    GradedPoly,
+    _is_int,
+    _nonnegative_int,
+    first_classes,
+    pontryagin_table,
+    power_sum_table,
+    to_pontryagin,
+)
 from .bundles import (
     VirtualBundle,
     aux_complexification,
@@ -147,6 +165,9 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, Fals
     def table(self, dim: int) -> GeneratorTable:
         return pontryagin_table(dim, aux=self.aux, line=self.line)
 
+    def power_sum_table(self, dim: int) -> GeneratorTable:
+        return power_sum_table(dim, aux=self.aux, line=self.line)
+
 
 _FAMILIES = {
     "spin": _Family(
@@ -220,9 +241,21 @@ def _factor_form(table: GeneratorTable, factor: str, dim: int) -> GradedPoly:
     return ahat * (spinor_ch(table, dim) if factor == "spinor" else aux_bundle_factor(table, factor, dim))
 
 
+def _power_sums(spec) -> GeneratorTable:
+    """The power-sum table of the spec's case family at its dimension, which
+    both routes build on; read from the family row, not from `spec.table()`."""
+    return _FAMILIES[spec.case].power_sum_table(spec.dim)
+
+
 def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
-    """Characteristic forms times Chern characters of the theta-power bundles."""
-    table, dim, row = spec.table(), spec.dim, _FAMILIES[spec.case]
+    """Characteristic forms times Chern characters of the theta-power bundles,
+    over the case's power-sum table (`_bundle_route`)."""
+    return _bundle_route(spec, _power_sums(spec))
+
+
+def _bundle_route(spec, table: GeneratorTable) -> QHalfSeries:
+    """The bundle route over `table`, in its coordinates."""
+    dim, row = spec.dim, _FAMILIES[spec.case]
     TX = tangent_complexification(table, dim)
     series = theta_series(row.bundle_series, TX, row.bundle(table, dim), cap=spec.qcap)
     return series.scale(_factor_form(table, row.bundle_factor, dim))
@@ -230,15 +263,23 @@ def bundle_route_integrand(spec: CaseSpec) -> QHalfSeries:
 
 def theta_route_integrand(spec: CaseSpec) -> QHalfSeries:
     """The theta route: the sectors that the family row's theta_sectors name,
-    times the spinor rank rank_base^(dim/2)."""
+    times the spinor rank rank_base^(dim/2), over the case's power-sum table
+    (`_theta_route`)."""
+    return _theta_route(spec, _power_sums(spec))
+
+
+def _theta_route(spec, table: GeneratorTable) -> QHalfSeries:
+    """The theta route over `table`, in its coordinates."""
     row = _FAMILIES[spec.case]
-    return q_series_via_theta(spec.table(), row.theta_sectors, row.rank_base ** (spec.dim // 2), spec.dim, spec.qcap)
+    return q_series_via_theta(table, row.theta_sectors, row.rank_base ** (spec.dim // 2), spec.dim, spec.qcap)
 
 
 def impose_condition(x, case: str):
     """Substitute the case's first-Pontryagin constraint, the condition of
     its `_FAMILIES` row, into x, a polynomial or a q-series over polynomials.
 
+    The condition is a monomial in first classes, and p1 = s1, so it reads
+    alike over a Pontryagin and a power-sum table (`algebra.first_classes`).
     Each image is a single term, so the substitution rewrites packed keys,
     every q-coefficient of a series at once.
     """
@@ -246,9 +287,28 @@ def impose_condition(x, case: str):
         raise ValueError(f"unknown case {case!r}")
     if _FAMILIES[case].condition is None:
         return x
-    monomial, coeff = _FAMILIES[case].condition
-    table = x.layout.table
-    return x.substitute({"pX1": GradedPoly(table, x.limits[0], {table.parse_monomial(monomial): coeff})})
+    return x.substitute(_condition_images(_FAMILIES[case].condition, x.layout.table, x.limits[0]))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _condition_images(condition: tuple, table: GeneratorTable, truncation: int) -> dict:
+    """The substitution of `impose_condition` over `table` at `truncation`:
+    p1 of pX to the single term of `condition`, a row's (monomial,
+    coefficient) pair.  Memoized by the condition itself, not by a row."""
+    monomial, coeff = condition
+    image = GradedPoly(table, truncation, {first_classes(table, monomial): coeff})
+    return {table.monomial_string(first_classes(table, "pX1")): image}
+
+
+def _in_pontryagin(x, case: str):
+    """x over a power-sum table, the case condition imposed, moved onto the
+    Pontryagin table (`algebra.to_pontryagin`) with the condition imposed
+    again: the Newton polynomial of each s_m (m >= 2) brings p1 back.
+
+    The condition goes in first, so fewer monomials are converted; the
+    result is the same, as the conversion maps s1 to p1.
+    """
+    return impose_condition(to_pontryagin(impose_condition(x, case)), case)
 
 
 def _first_difference(bundle: QHalfSeries, theta: QHalfSeries) -> str:
@@ -288,41 +348,44 @@ def _family_routes(top) -> tuple:
     return top.dim, bundle, theta, bundle is not None and bundle == theta
 
 
-def _cut(series: QHalfSeries, top_dim: int, spec) -> QHalfSeries:
-    """One route's integrand at `top_dim` cut to `spec.dim`: its terms, all
-    of degree <= dim, over `spec.table()`, divided by the case's
-    `_rank_ratio`.  `assemble_Q` passes a top's degree-dim part when it reads
-    one route and the whole top when it compares both.  A series at
-    `spec.dim` already is returned as it is."""
+def _cut(series: QHalfSeries, top_dim: int, spec, table: GeneratorTable) -> QHalfSeries:
+    """A series at `top_dim` cut to `spec.dim`: its terms, all of degree <=
+    dim, over `table`, divided by the case's `_rank_ratio`.  `assemble_Q`
+    passes a top's converted degree-dim part, onto `spec.table()`, and when
+    it compares both routes each whole top, onto the power-sum table at
+    `spec.dim`.  A series at `spec.dim` already is returned as it is."""
     if top_dim == spec.dim:
         return series
-    cut = series.cut(PolyRing(spec.table(), spec.dim))
+    cut = series.cut(PolyRing(table, spec.dim))
     ratio = _rank_ratio(spec.case, top_dim, spec.dim)
     return cut if ratio == 1 else cut * Fraction(1, ratio)
 
 
 def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     """The top-degree q-expansion of the case integrand, with the case
-    condition imposed.
+    condition imposed, over `spec.table()`.
 
     `family` holds the route integrands of the spec's case family at a
     dimension at or above `spec.dim` (`_family_routes`, as `run_cases` builds
-    them); each route's own series is cut to `spec.dim` (`_cut`).  Without
-    it the spec is its own top: both routes are built at `spec.dim` and
-    nothing is cut.  With route "both", the bundle and theta routes are
-    computed independently and must agree at every q-power and mixed degree
-    of `spec.dim` before extraction.  Two equal top series have equal cuts,
-    so the family compares its tops once and, when they agree or only one
-    route is built, only the degree-dim part of one top is cut; when they
-    differ, each dimension cuts and compares both whole routes and names its
-    own first difference.
+    them), over the family's power-sum table there.  Without it the spec is
+    its own top: both routes are built at `spec.dim` and nothing is cut.
+    With route "both", the bundle and theta routes are computed
+    independently and must agree at every q-power and mixed degree of
+    `spec.dim` before extraction.  Two equal top series have equal cuts, so
+    the family compares its tops once and, when they agree or only one route
+    is built, only the degree-dim part of one top is converted to Pontryagin
+    classes (`_in_pontryagin`) and cut to `spec.dim` (`_cut`).  When they
+    differ, each dimension cuts and compares both whole routes, in power
+    sums, and converts both to name its own first difference.
     """
     top_dim, bundle, theta, agree = _family_routes(spec) if family is None else family
     if bundle is None or theta is None or agree:
         top = theta if bundle is None else bundle
-        return impose_condition(_cut(top.homogeneous_component(spec.dim), top_dim, spec), spec.case)
-    series, other = _cut(bundle, top_dim, spec), _cut(theta, top_dim, spec)
+        return _cut(_in_pontryagin(top.homogeneous_component(spec.dim), spec.case), top_dim, spec, spec.table())
+    table = _power_sums(spec)
+    series, other = _cut(bundle, top_dim, spec, table), _cut(theta, top_dim, spec, table)
     if series != other:
+        series, other = to_pontryagin(series), to_pontryagin(other)
         bad = sorted(
             j2
             for j2 in set(series.coeffs) | set(other.coeffs)
@@ -332,7 +395,7 @@ def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
             f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
             f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
         )
-    return impose_condition(series.homogeneous_component(spec.dim), spec.case)
+    return _in_pontryagin(series.homogeneous_component(spec.dim), spec.case)
 
 
 INSUFFICIENT_ORDER = "insufficient order: no q-coefficient compared"
@@ -548,13 +611,16 @@ def _basis_coefficient(weight: int, q_power: int) -> int:
     return int(value)
 
 
-def _index_forms(entries) -> tuple:
+def _index_forms(entries, coordinates) -> tuple:
     """Every distinct index form of the entries' relations, each built once at
     their largest dimension D: (D, {(case, factor, combo): form}).
 
     A form is {factor * ch(combo)} over the case's table at D, truncated at
-    D; the untwisted factor sits under combo None.  An identity at dimension
-    d reads the degree-d parts of its forms (`_relation_terms`).
+    D; the untwisted factor sits under combo None.  `coordinates` is the
+    family row's table method that names the table: `_Family.power_sum_table`
+    for the identity checks, `_Family.table` for pairing with Pontryagin
+    numbers.  An identity at dimension d reads the degree-d parts of its
+    forms (`_relation_terms`).
     """
     top = max(entry.dim for entry in entries)
     forms: dict[tuple, GradedPoly] = {}
@@ -562,7 +628,7 @@ def _index_forms(entries) -> tuple:
     for entry in entries:
         case = entry.case
         row = _FAMILIES[case]
-        table = row.table(top)
+        table = coordinates(row, top)
         for _, _, factor, combo in _relation(entry, 0):
             if (case, factor, None) not in forms:
                 forms[case, factor, None] = _factor_form(table, factor, top)
@@ -603,7 +669,7 @@ def index_relation_forms(entry: IdentityEntry):
     entry's own table.  The relation holds after the case condition is
     substituted into the forms.
     """
-    terms = _relation_terms(entry, _index_forms([entry]), _basis_coefficient(entry.weight, entry.q_power))
+    terms = _relation_terms(entry, _index_forms([entry], _Family.table), _basis_coefficient(entry.weight, entry.q_power))
     return [(coeff, label, form) for coeff, label, form, _ in terms]
 
 
@@ -636,22 +702,23 @@ def verify_identity(
     """Rebuild the stated identity from its bundle combination and check it.
 
     `forms` holds the index forms of the entry's case family at a dimension
-    D at or above the entry's own (`_index_forms`, as `run_cases` builds
-    them).  The relation is summed over D's table, each spinor term divided
-    by its rank ratio, and only the residual is cut to the entry's table.
-    Without `forms` the entry is its own top and nothing is cut.  The
-    override keywords (e_const, extract, rhs_sector) let the uncorrected
-    printed statements run as negative controls.
+    D at or above the entry's own, over the family's power-sum table there
+    (`_index_forms`, as `run_cases` builds them).  The relation is summed
+    over D's table, each spinor term divided by its rank ratio, and only the
+    residual is converted to Pontryagin classes (`_in_pontryagin`) and cut to
+    the entry's table.  Without `forms` the entry is its own top and nothing
+    is cut.  The override keywords (e_const, extract, rhs_sector) let the
+    uncorrected printed statements run as negative controls.
     """
     entry = _entry(ident)
     constant = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
     if forms is None:
-        forms = _index_forms([entry])
+        forms = _index_forms([entry], _Family.power_sum_table)
     acc = None
     for coeff, _, form, ratio in _relation_terms(entry, forms, constant, extract, rhs_sector):
         piece = form * (coeff if ratio == 1 else Fraction(coeff, ratio))
         acc = piece if acc is None else acc + piece
-    residual = impose_condition(acc, entry.case)
+    residual = _in_pontryagin(acc, entry.case)
     if forms[0] != entry.dim:  # a family top: the residual goes onto the entry's own table
         residual = residual.cut(_FAMILIES[entry.case].table(entry.dim), entry.dim)
     return IdentityResult(ident, residual.is_zero(), residual, constant, entry.notes)
@@ -812,7 +879,7 @@ def evaluate_report(data: ManifoldData) -> dict:
     table = _FAMILIES[case].table(dim)
     numbers = _numbers_by_exponents(data, table)
     entries = identities_for(case, dim)
-    forms = _index_forms(entries)
+    forms = _index_forms(entries, _Family.table)
 
     identity_rows = []
     value_cache: dict[str, Fraction] = {}
@@ -884,7 +951,7 @@ def run_cases(specs) -> list[CaseReport]:
     for members in groups.values():
         group = [specs[i] for i in members]
         family = _family_routes(max(group, key=attrgetter("dim")))
-        forms = _index_forms([entry for spec in group for entry in identities_for(spec.case, spec.dim)])
+        forms = _index_forms([entry for spec in group for entry in identities_for(spec.case, spec.dim)], _Family.power_sum_table)
         for i, spec in zip(members, group):
             reports[i] = _case_report(spec, family, forms)
         del family, forms

@@ -8,6 +8,11 @@ multi-term images over another table, such as the elementary symmetric
 polynomials of explicit roots that the root oracles substitute for the
 Pontryagin generators.
 
+`in_power_sums` writes a Pontryagin monomial over a power-sum table by
+Newton's identities, the inverse of `algebra.to_pontryagin` built without
+it: a route perturbation written in Pontryagin classes goes into a route's
+power-sum series through it.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
@@ -40,6 +45,35 @@ def naive_substitute(f, images, target):
                     term = term * image
         acc = acc + term
     return acc
+
+
+def elementary_in_power_sums(table, family, k, truncation):
+    """e_k of a root family's squared roots over the power-sum table `table`,
+    by Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i, with
+    s_i the generator named s<family letter>i (sX2 for family pX)."""
+    elem = [GradedPoly.one(table, truncation)]
+    for n in range(1, k + 1):
+        acc = GradedPoly.zero(table, truncation)
+        for i in range(1, n + 1):
+            s_i = GradedPoly.generator(table, f"s{family[1:]}{i}", truncation)
+            acc = acc + (elem[n - i] * s_i) * (1 if i % 2 else -1)
+        elem.append(acc / n)
+    return elem[k]
+
+
+def in_power_sums(table, monomial, truncation):
+    """A monomial in Pontryagin names (such as "pX1^2*pX2" or "pX1*cL") over
+    the power-sum table `table`: each pFk is e_k of family pF, and cL is cL."""
+    pontryagin = table.pontryagin
+    result = GradedPoly.one(table, truncation)
+    for (name, degree), e in zip(pontryagin.generators, pontryagin.parse_monomial(monomial)):
+        if e:
+            if degree % 4:
+                factor = GradedPoly.generator(table, name, truncation)
+            else:
+                factor = elementary_in_power_sums(table, name.rstrip("0123456789"), degree // 4, truncation)
+            result = result * factor**e
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:

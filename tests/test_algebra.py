@@ -139,6 +139,16 @@ class TestGeneratorTable:
         with pytest.raises(ValueError):
             table.parse_monomial("pX1^x")
 
+    @pytest.mark.parametrize("text", ["pX1^0_2", "pX1^\uff12", "pX1^\u00b2", "pX1^+2", "pX1^ 2", "pX1^", "pX1^-1"])
+    def test_exponent_is_ascii_digits(self, text):
+        """int() reads the first five exponents as 2; the parser takes ASCII
+        digits only, so none of them reads as pX1^2."""
+        table = pontryagin_table(8)
+        with pytest.raises(ValueError, match="bad exponent"):
+            table.parse_monomial(text)
+        assert table.parse_monomial("pX1^2") == table.parse_monomial(" pX1^2 ") == (2, 0)
+        assert table.parse_monomial("pX1^02*pX2") == (2, 1)
+
 
 class TestGradedPolyArithmetic:
     def test_ring_laws_randomized(self):
@@ -360,3 +370,7 @@ class TestNewtonPowerSums:
         gappy = GeneratorTable([("pX1", 4)])
         with pytest.raises(ValueError):
             power_sum_in_pontryagin(gappy, "pX", 2, 16)
+        # and so is a family generator in another degree than 4i
+        skewed = GeneratorTable([("pX1", 4), ("pX2", 6)])
+        with pytest.raises(ValueError, match="degree 4i"):
+            power_sum_in_pontryagin(skewed, "pX", 2, 16)

@@ -530,6 +530,17 @@ class TestEvaluate:
         assert code == 4
         assert "bad manifold data" in err
 
+    @pytest.mark.parametrize("key", ["pX1^0_2", "pX1^\uff12", "pX1^+2", "pX1^ 2"])
+    def test_exponent_outside_ascii_digits_exits_4(self, capsys, tmp_path, key):
+        """An exponent is ASCII digits only, as the numbers are: int() would read
+        each of these as 2, and so the key as pX1^2 and the input as HP²."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 8, "numbers": {key: "4", "pX2": "7"}}), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert f"bad manifold data: bad monomial {key!r}: bad exponent" in err
+
     def test_engine_fault_is_not_bad_input(self, capsys, tmp_path, monkeypatch):
         """A ValueError raised by the engine propagates with its traceback."""
 

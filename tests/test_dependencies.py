@@ -10,7 +10,9 @@ a fault in a kernel of one route shows as a route mismatch.  Every
 entry of an equal int and skips the constructor's own checks.  The installed console script and
 `python -m anomaly.cli` start the same process entry, one that freezes the
 heap before exit.  No module tells case families apart but through the
-family table, and the route modules name no family at all."""
+family table, and the route modules name no family at all.  One module
+decides the coordinates: only `algebra` names the power-sum generators,
+and only `verifier` asks for a power-sum table."""
 
 import ast
 import os
@@ -275,3 +277,58 @@ def test_the_routes_name_no_family(name):
     """The routes read their recipes from the family rows; they never name a family."""
     assert family_name_literals((SRC / "anomaly" / name).read_text(encoding="utf-8")) == []
 
+
+
+# A power-sum generator name: "s", a family letter and an index, such as sX2 or
+# sV1, or "s" before a formatted value in an f-string, as in f"s{name[1:]}".
+POWER_SUM_NAME = re.compile(r"(?<![A-Za-z0-9_])s(?:[A-Z](?:\d|\{\})|\{\})")
+
+
+def power_sum_names(source: str) -> list[int]:
+    """The lines of `source` whose string literals or f-strings write a power-sum
+    generator name, with each f-string's formatted values read as {}."""
+    lines = []
+    nested = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            nested.update(id(value) for value in node.values)
+            text = "".join(value.value if isinstance(value, ast.Constant) else "{}" for value in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in nested:
+            text = node.value
+        else:
+            continue
+        if POWER_SUM_NAME.search(text):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def power_sum_table_calls(source: str) -> list[int]:
+    """The lines of `source` that call a function or method named `power_sum_table`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "power_sum_table"
+    )
+
+
+def test_the_coordinate_scans_see_every_form():
+    source = (
+        'a = "sX2"\nb = f"s{name[1:]}"\nc = "pX1^2*sV1"\nd = "pX2"\ne = f"{n}s and {m}"\n'
+        'f = "sums"\ng = f"s{family[1:]}{m}"\nh = power_sum_table(8)\ni = row.power_sum_table(8)\n'
+        "j = power_sum_table\nk = pontryagin_table(8)\n"
+    )
+    assert power_sum_names(source) == [1, 2, 3, 7]
+    assert power_sum_table_calls(source) == [8, 9]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_one_module_decides_the_coordinates(path):
+    """`algebra` alone names the power-sum generators, and `verifier` alone asks
+    for a power-sum table: every other module computes in the coordinates of
+    the table it is given."""
+    source = path.read_text(encoding="utf-8")
+    if path.name != "algebra.py":
+        assert power_sum_names(source) == []
+    if path.name != "verifier.py":
+        assert power_sum_table_calls(source) == []

@@ -11,7 +11,7 @@ import pytest
 
 import anomaly.algebra as algebra
 import anomaly.verifier as verifier
-from anomaly.algebra import GradedPoly, pontryagin_table
+from anomaly.algebra import GradedPoly, pontryagin_table, power_sum_table, to_pontryagin
 from anomaly.bundles import (
     VirtualBundle,
     aux_complexification,
@@ -53,6 +53,7 @@ from anomaly.verifier import (
     verify_identity,
     verify_identity_as_printed,
 )
+from oracles import in_power_sums
 
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 
@@ -145,10 +146,10 @@ class TestRoutesAndFits:
         a quotient cut one lower is refused, not read as a wrong series.
         """
         spec = CaseSpec(case, dim, 2)
-        bundle = bundle_route_integrand(spec)
+        bundle = to_pontryagin(bundle_route_integrand(spec))
         table = spec.table()
         at_cap = theta_product(table, case, dim, 2, dim // 2)
-        assert at_cap == theta_route_integrand(spec)
+        assert at_cap == to_pontryagin(theta_route_integrand(spec))
         assert at_cap == bundle
         with pytest.raises(ValueError):
             theta_product(table, case, dim, 2, dim // 2 - 1)
@@ -214,7 +215,7 @@ class TestPowerSharing:
         bundle_route_integrand(spec)
         assert builds and max(builds.values()) == 1
         first = dict(builds)
-        TX = tangent_complexification(spec.table(), 20)
+        TX = tangent_complexification(power_sum_table(20), 20)  # the routes' table
         for kind in ("theta1", "theta2", "theta3"):
             theta_series(kind, TX, cap=3)
         for entry in identities_for("spin", 20):
@@ -243,8 +244,14 @@ class TestInsufficientOrder:
         assert fit.passed
 
 
-def perturb_theta_route(monkeypatch, edits):
-    """Make the theta route add `delta` to each (doubled q-exponent, monomial)."""
+def perturb_theta_route(monkeypatch, edits, coordinates="pontryagin"):
+    """Make the theta route add `delta` to each (doubled q-exponent, monomial).
+
+    The route's series is over a power-sum table.  A monomial in Pontryagin
+    names goes in through its power-sum preimage (`oracles.in_power_sums`),
+    so the converted series differs by exactly `delta` at that monomial; with
+    `coordinates="power sums"` the monomial is a power-sum monomial itself.
+    """
     original = verifier.theta_route_integrand
 
     def perturbed(spec):
@@ -252,8 +259,11 @@ def perturb_theta_route(monkeypatch, edits):
         coeffs = dict(series.coeffs)
         for j2, monomial, delta in edits:
             poly = coeffs[j2]
-            bump = {poly.table.parse_monomial(monomial): delta}
-            coeffs[j2] = poly + GradedPoly(poly.table, poly.truncation, bump)
+            if coordinates == "pontryagin":
+                bump = in_power_sums(poly.table, monomial, poly.truncation)
+            else:
+                bump = GradedPoly(poly.table, poly.truncation, {poly.table.parse_monomial(monomial): 1})
+            coeffs[j2] = poly + bump * delta
         return QHalfSeries(series.ring, series.cap, coeffs)
 
     monkeypatch.setattr(verifier, "theta_route_integrand", perturbed)
@@ -263,7 +273,7 @@ class TestRouteMismatch:
     SPEC = CaseSpec("spin", 8, 1)
 
     def test_message_names_the_differing_coefficient(self, monkeypatch):
-        before = bundle_route_integrand(self.SPEC).coefficient(2).coefficient("pX2")
+        before = to_pontryagin(bundle_route_integrand(self.SPEC)).coefficient(2).coefficient("pX2")
         perturb_theta_route(monkeypatch, [(2, "pX2", Fraction(1, 7))])
         with pytest.raises(RouteMismatchError) as exc:
             assemble_Q(self.SPEC)
@@ -273,6 +283,22 @@ class TestRouteMismatch:
             f"first difference at q^1, monomial pX2: bundle route {before}, "
             f"theta route {before + Fraction(1, 7)}"
         ) in message
+
+    def test_message_names_pontryagin_monomials(self, monkeypatch):
+        """The routes differ by delta * s2 in power sums, which is delta *
+        (pX1^2 - 2*pX2) in Pontryagin classes: the message names pX2, the
+        first of the two in render order, and never a power-sum monomial."""
+        before = to_pontryagin(bundle_route_integrand(self.SPEC)).coefficient(2).coefficient("pX2")
+        perturb_theta_route(monkeypatch, [(2, "sX2", Fraction(1, 7))], coordinates="power sums")
+        with pytest.raises(RouteMismatchError) as exc:
+            assemble_Q(self.SPEC)
+        message = str(exc.value)
+        assert "at doubled q-exponents [2]" in message
+        assert (
+            f"first difference at q^1, monomial pX2: bundle route {before}, "
+            f"theta route {before - Fraction(2, 7)}"
+        ) in message
+        assert "sX" not in message
 
     def test_first_difference_follows_q_then_render_order(self, monkeypatch):
         perturb_theta_route(
@@ -293,9 +319,10 @@ class TestRouteMismatch:
 
 
 def family_cut(series, case, top, dim, extra_halvings=0):
-    """The route integrand `series` of `case` at dimension `top` cut to `dim`, rank-scaled for spin."""
+    """The route integrand `series` of `case` at dimension `top`, over its
+    power-sum table, cut to `dim`, rank-scaled for spin."""
     halvings = (top - dim) // 2 if case == "spin" else 0
-    cut = series.cut(PolyRing(CaseSpec(case, dim).table(), dim))
+    cut = series.cut(PolyRing(verifier._FAMILIES[case].power_sum_table(dim), dim))
     return cut * Fraction(1, 2 ** (halvings + extra_halvings))
 
 
@@ -349,7 +376,7 @@ class TestFamilyCut:
         reports = run_cases([CaseSpec("spin", dim, 1) for dim in CASE_DIMS["spin"]])
         for report in reports:
             dim = report.dim
-            before = bundle_route_integrand(CaseSpec("spin", dim, 1)).coefficient(2).coefficient("pX2")
+            before = to_pontryagin(bundle_route_integrand(CaseSpec("spin", dim, 1))).coefficient(2).coefficient("pX2")
             after = before + delta / 2 ** ((20 - dim) // 2)
             assert not report.route_ok and not report.passed
             assert f"disagree for spin dim {dim} at doubled q-exponents [2]" in report.route_detail
@@ -399,7 +426,7 @@ class TestFamilyCut:
         for report in reports[:-1]:
             assert report.route_ok and report.passed, report.dim
         top = reports[-1]
-        before = bundle_route_integrand(CaseSpec("spin", 20, 1)).coefficient(2).coefficient("pX5")
+        before = to_pontryagin(bundle_route_integrand(CaseSpec("spin", 20, 1))).coefficient(2).coefficient("pX5")
         assert not top.route_ok and not top.passed
         assert top.route_detail == (
             "bundle and theta routes disagree for spin dim 20 at doubled q-exponents [2]; "
@@ -606,7 +633,8 @@ ENTRY_TABLES = {"spin": {}, "spin_v": {"aux": True}, "spin_v_line": {"line": Tru
 def family_forms(case):
     """The index forms of every identity of `case`'s family, built at its catalog top."""
     family = "spin_v" if case == "spin_v_line" else case
-    return verifier._index_forms([e for dim in CASE_DIMS[family] for e in identities_for(family, dim)])
+    entries = [e for dim in CASE_DIMS[family] for e in identities_for(family, dim)]
+    return verifier._index_forms(entries, verifier._Family.power_sum_table)  # as run_cases builds them
 
 
 def family_sum(entry, halve_spinor_ratio=False):
@@ -636,9 +664,9 @@ class TestFamilyIdentityForms:
             verifier._relation_terms(entry, forms, e), direct, strict=True
         ):
             assert (coeff, label) == (coeff0, label0)
-            assert form.table is pontryagin_table(forms[0], **ENTRY_TABLES[entry.case])
+            assert form.table is power_sum_table(forms[0], **ENTRY_TABLES[entry.case])
             assert form0.table is pontryagin_table(entry.dim, **ENTRY_TABLES[entry.case])
-            assert form.cut(form0.table, entry.dim) / ratio == form0, label
+            assert to_pontryagin(form).cut(form0.table, entry.dim) / ratio == form0, label
         batch, lone = verify_identity(ident, forms), verify_identity(ident)
         assert batch.passed and batch == lone
         assert batch.residual.table is lone.residual.table
@@ -680,12 +708,17 @@ class TestFamilyIdentityForms:
         assert len(combos) == len(set(combos)) == 10
         # the family tops: spin 20 (5 generators), spin_v 20 (10), line 20 and spinc_l 22 (6)
         assert {len(table) for table, _ in combos} == {5, 6, 10}
-        assert len(tables) == len(set(tables)) == 12
+        assert all(table.pontryagin is not None for table, _ in combos)
+        # 12 Pontryagin tables (spin, aux and line at 8-20; spinc_l shares the line tables)
+        # and the power-sum tables of the three family tops
+        assert len(tables) == len(set(tables)) == 15
+        assert sorted(len(t) for t in tables if t[0][0].startswith("s")) == [5, 6, 10]
 
     def test_a_lone_spec_builds_nothing_above_its_dimension(self, monkeypatch):
         dims, truncations = [], []
-        table, build_combo = verifier.pontryagin_table, verifier._build_combo
+        table, sums, build_combo = verifier.pontryagin_table, verifier.power_sum_table, verifier._build_combo
         monkeypatch.setattr(verifier, "pontryagin_table", lambda dim, **kw: dims.append(dim) or table(dim, **kw))
+        monkeypatch.setattr(verifier, "power_sum_table", lambda dim, **kw: dims.append(dim) or sums(dim, **kw))
         monkeypatch.setattr(
             verifier, "_build_combo", lambda combo, bundles: truncations.append(bundles["T"].truncation) or build_combo(combo, bundles)
         )
