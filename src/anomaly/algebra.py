@@ -29,25 +29,25 @@ key's degree and j2 are read off its digits.
 
 The arithmetic of the int form is written once, in the base class
 `IntForm`: equality, negation, sums, scalar and series products, the tau
-shift, powers, the unit, `repr`, operand alignment and the exp and log
-kernels.  `GradedPoly` here, `qseries.QHalfSeries` and `theta.TwoVarSeries`
-are its three subclasses; each gives only its shape (table or ring, and
-caps), its key layout, its kernel limits and `_meet`, the one shape that two
-operands are brought onto.  One routine, `_relaid`, moves a form onto
+shift, powers, the unit, `repr`, operand alignment and the exp kernel.
+`GradedPoly` here, `qseries.QHalfSeries` and `theta.TwoVarSeries` are its
+three subclasses; each gives only its shape (table or ring, and caps), its
+key layout, its kernel limits and `_meet`, the one shape that two operands
+are brought onto.  One routine, `_relaid`, moves a form onto
 another shape: every truncation, cut, promotion and alignment re-keys
 through it.
 
-exp, log and inverse each have one implementation over int forms,
-`_exp_form`, `_log_form` and `_inverse_form`, which solve the recurrences
-of `_weight_recurrence`.  The log and the inverse, and the exp of a
-polynomial, step by weight (grade + side grade).  The exp of a series with
-a side grade is solved by q-power: the exp of its q^0 slice first, by
-weight, then one step per side grade, each a few convolutions of whole
-slices.  `IntForm._kernel` applies them to any of the three classes: the
-exp backs `exp_truncated` here, `qseries_exp` in `qseries` and the exp of
-`theta.TwoVarSeries`; the log, with the inverse inside it, backs only
-`log_truncated`, which the bundle route's genera read.  The theta route
-writes its logarithms in closed form, so the two routes share no log.
+exp is the one series kernel, `_exp_form` over int forms, which solves the
+recurrence of `_weight_recurrence`.  The exp of a polynomial steps by weight
+(grade + side grade).  The exp of a series with a side grade is solved by
+q-power: the exp of its q^0 slice first, by weight, then one step per side
+grade, each a few convolutions of whole slices.  `IntForm._kernel` applies
+it to any of the three classes: it backs `exp_truncated` here, `qseries_exp`
+in `qseries` and the exp of `theta.TwoVarSeries`.  No series is inverted,
+and none has its logarithm taken: the theta route writes its logarithms in
+closed form, and the bundle route's genera take theirs from one-variable
+factorial series by a recurrence of their own, so the two routes share no
+log.
 
 Substitution has one implementation too, the key rewrite
 `_substitute_monomials`: each image is a single term (or zero) over the
@@ -476,7 +476,7 @@ def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 
                 acc[key] = get(key, 0) + n1 * n2
 
 
-# -- exp, log and inverse ---------------------------------------------------------
+# -- exp ---------------------------------------------------------------------------
 #
 # Over int forms: `items` are sorted `_convolve` input over `den`, and
 # `finish(acc, den)` turns a `_convolve` accumulator into an int form (it
@@ -498,7 +498,7 @@ def _weight_recurrence(
         b_w = (sum_{v >= 1} A_v * b_(w-v)) / divisor(w, den),
 
     the power-series recurrence of Brent and Kung ("Fast algorithms for
-    manipulating formal power series", J. ACM 1978) behind inverse and exp.
+    manipulating formal power series", J. ACM 1978) behind the exp.
     `b0` is the step-0 part as an int form: the unit, or by side a whole
     side-0 slice.  Each b_w is summed in ints and kept as its own int form
     for the later steps.  Returns the nonzero parts, b_0 first.
@@ -541,15 +541,11 @@ def _joined(parts: list) -> tuple[int, list]:
     return den, items
 
 
-def _euler_items(items: list) -> list:
-    """The Euler operator E: each term scaled by its weight, grade + side grade."""
-    return [(g, side, key, num * (g + side)) for g, side, key, num in items if g + side]
-
-
 def _exp_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
     """exp(x) for x with no weight-0 term.
 
-    With no side grade, weight by weight: w * f_w = sum_v E(x)_v * f_(w-v).
+    With no side grade, weight by weight: w * f_w = sum_v E(x)_v * f_(w-v),
+    with E the Euler operator, which scales each term by its weight.
     A series is solved by side grade (its doubled q-exponent), as
     exp(x) = exp(x_0) * exp(x - x_0): f_0 = exp(x_0) of the side-0 slice by
     the weight recurrence, then s * f_s = sum_k k * x_k * f_(s-k) for
@@ -558,27 +554,11 @@ def _exp_form(den: int, items: list, finish, limit: int, side_limit: int = 0) ->
     """
     if not side_limit:
         unit = (1, [(0, 0, 0, 1)])
-        return _joined(_weight_recurrence(den, _euler_items(items), unit, lambda w, d: w * d, finish, limit))
+        euler = [(g, side, key, num * (g + side)) for g, side, key, num in items if g + side]
+        return _joined(_weight_recurrence(den, euler, unit, lambda w, d: w * d, finish, limit))
     f0 = _exp_form(den, [item for item in items if not item[1]], finish, limit)
     sided = [(g, side, key, num * side) for g, side, key, num in items if side]
     return _joined(_weight_recurrence(den, sided, f0, lambda s, d: s * d, finish, limit, side_limit, by_side=True))
-
-
-def _inverse_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
-    """a^(-1) for a nonzero constant a_0 = lead / den: b_w = -(1/a_0) * sum_{v >= 1} a_v * b_(w-v)."""
-    lead = items[0][3]  # the unit term sorts first
-    b0 = _int_form(lead, [(0, 0, 0, den)])
-    return _joined(_weight_recurrence(den, items, b0, lambda w, d: -lead, finish, limit, side_limit))
-
-
-def _log_form(den: int, items: list, finish, limit: int, side_limit: int = 0) -> tuple[int, list]:
-    """log(a) for a_0 = 1, by the Euler-operator identity w * log(a)_w = (E(a) * a^(-1))_w."""
-    inv_den, inverse = _inverse_form(den, items, finish, limit, side_limit)
-    acc: dict = {}
-    _convolve(acc, _euler_items(items), inverse, limit, side_limit)
-    pden, product = finish(acc, den * inv_den)
-    common = lcm(*[g + side for g, side, _, _ in product])
-    return _int_form(pden * common, [(g, side, key, num * (common // (g + side))) for g, side, key, num in product])
 
 
 # -- monomial substitution ----------------------------------------------------------
@@ -824,7 +804,7 @@ class IntForm:
         return self._make(*self._shape, *_substitute_monomials(self.den, self.items, self.layout, images, limit))
 
     def _kernel(self, form):
-        """An exp or log int-form kernel (`_exp_form`, `_log_form`) applied within the limits."""
+        """An int-form kernel, `_exp_form`, applied within the limits."""
         return self._make(*self._shape, *form(self.den, self.items, self.layout.int_form, *self.limits))
 
     def __repr__(self):
@@ -1104,9 +1084,3 @@ def exp_truncated(x: GradedPoly) -> GradedPoly:
         raise ValueError("exp_truncated needs a zero constant term")
     return x._kernel(_exp_form)
 
-
-def log_truncated(x: GradedPoly) -> GradedPoly:
-    """log of a polynomial with constant term 1."""
-    if x.constant_term != 1:
-        raise ValueError("log_truncated needs constant term 1")
-    return x._kernel(_log_form)

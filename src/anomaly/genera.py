@@ -1,10 +1,13 @@
-"""Multiplicative characteristic forms evaluated in Pontryagin generators.
+"""Multiplicative characteristic forms over a root family of any generator table.
 
 A multiplicative genus is described by the even power series log f(t) =
 sum_m a_m t^(2m) of its normalized root factor f (f(0) = 1), kept as the
-tuple of its log-coefficients (a_1, a_2, ...).  Evaluation over a root set
-with elementary symmetric data (p1, p2, ...) is exp(sum_m a_m * s_{2m}), with
-s_{2m} the power sums written in the generators.
+tuple of its log-coefficients (a_1, a_2, ...).  They are taken from the
+factorial series of f by the one-variable recurrence of `_log_coeffs`.
+Evaluation over a root family is exp(sum_m a_m * s_m), with s_m the power
+sums of the squared roots in the coordinates of the table given: the
+generators themselves on a power-sum table, Newton polynomials on a
+Pontryagin table.
 
 The genus series and the forms built from them (`ahat_form`, `spinor_ch`,
 `aux_bundle_factor`) are memoized per argument: the verifier asks for the
@@ -18,18 +21,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import GeneratorTable, GradedPoly, exp_truncated, log_truncated, power_sum_in_pontryagin
-
-# Even univariate series are plain coefficient lists: a[m] multiplies t^(2m).
-# Their logarithms are taken as polynomials in the one generator t2 = t^2.
-_EVEN_SERIES = GeneratorTable([("t2", 2)])
+from .algebra import GeneratorTable, GradedPoly, exp_truncated, power_sum_in_pontryagin
 
 
 def _log_coeffs(a: list[Fraction]) -> tuple[Fraction, ...]:
-    """log a(t) for a[0] = 1, as its coefficients of t^(2m) for m = 1..len(a)-1."""
-    M = len(a) - 1
-    log = log_truncated(GradedPoly(_EVEN_SERIES, 2 * M, {(m,): c for m, c in enumerate(a)})).terms
-    return tuple(log.get((m,), Fraction(0)) for m in range(1, M + 1))
+    """log a(t) for a[0] = 1, where a[m] multiplies t^(2m), as its coefficients
+    of t^(2m) for m = 1..len(a)-1.
+
+    With b = log a, a' = a * b' gives m * b_m = m * a_m - sum_{k<m} k * b_k * a_(m-k).
+    """
+    b = [Fraction(0)]
+    for m in range(1, len(a)):
+        b.append((m * a[m] - sum((k * b[k] * a[m - k] for k in range(1, m)), Fraction(0))) / m)
+    return tuple(b[1:])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -46,7 +50,8 @@ def cosh_genus(truncation: int) -> tuple[Fraction, ...]:
 
 
 def multiplicative_genus_eval(table: GeneratorTable, log_coeffs: tuple, family: str, truncation: int) -> GradedPoly:
-    """exp(sum_m a_m s_{2m}(family)) for log_coeffs = (a_1, a_2, ...), truncated."""
+    """exp(sum_m a_m s_m(family)) for log_coeffs = (a_1, a_2, ...), truncated, with s_m the
+    m-th power sum of the family's squared roots."""
     acc = GradedPoly.zero(table, truncation)
     for m in range(1, truncation // 4 + 1):
         if m <= len(log_coeffs) and log_coeffs[m - 1]:

@@ -13,9 +13,11 @@ G_2m = -B_2m/(4m) + sum_n sigma_(2m-1)(n) q^n (D. Zagier, "Note on the
 Landweber-Stong elliptic genus", LNM 1326).  One exp then gives the
 quotient's coefficients.  B3 is B2 under the half-period shift
 q^(1/2) -> -q^(1/2); L is sinh(t/2) times the exp of minus the q-part of
-log A.  The route's only series kernel is `algebra._exp_form`: no
-logarithm or inverse is taken of a series, so the `algebra._log_form`
-behind the bundle route's genera is not shared with this route.
+log A.  The route's only series kernel is `algebra._exp_form`, the
+package's one: no logarithm or inverse is taken of a series.  The bundle
+route's genera take their logarithms from the factorial series by a
+one-variable recurrence of their own (`anomaly.genera`), so the two routes
+share no log.
 
 The route reads its recipe as data: the `theta_sectors` of a family row in
 `anomaly.verifier`, names only.  The integrand is a scale times a sum of

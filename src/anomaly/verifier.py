@@ -817,11 +817,23 @@ class ManifoldData(namedtuple("ManifoldData", "dim numbers")):
 
     @classmethod
     def from_json(cls, text: str) -> "ManifoldData":
+        """Decode and validate; a key repeated within one JSON object, at any
+        level, is bad data, where `json.loads` alone would keep its last value."""
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ManifoldDataError("manifold data is nested too deeply") from None
         return cls.from_mapping(obj)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The pairs of one decoded JSON object as a dict; a repeated key is bad data."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ManifoldDataError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
 
 
 def _numbers_by_exponents(data: ManifoldData, table: GeneratorTable) -> dict[tuple[int, ...], Fraction]:

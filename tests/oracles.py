@@ -13,12 +13,18 @@ Newton's identities, the inverse of `algebra.to_pontryagin` built without
 it: a route perturbation written in Pontryagin classes goes into a route's
 power-sum series through it.
 
+`naive_exp_poly` and `naive_log_poly` are the exp and log series of a
+polynomial summed term by term, sum_k x^k / k! and sum_k (-1)^(k-1) y^k / k
+with y = x - 1: the engine has one exp kernel, a recurrence, and takes no
+logarithm of a polynomial.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
 """
 
 import argparse
+from fractions import Fraction
 
 from anomaly.algebra import GradedPoly
 from anomaly.cli import _CASE_FLAGS, _SERIES
@@ -45,6 +51,33 @@ def naive_substitute(f, images, target):
                     term = term * image
         acc = acc + term
     return acc
+
+
+def naive_exp_poly(x):
+    """sum_k x^k / k!, stopping at the first zero power."""
+    result = GradedPoly.one(x.table, x.truncation)
+    power = result
+    k = 1
+    while True:
+        power = power * x / k
+        if power.is_zero():
+            return result
+        result = result + power
+        k += 1
+
+
+def naive_log_poly(x):
+    """sum_k (-1)^(k-1) y^k / k with y = x - 1, stopping at the first zero power."""
+    y = x - 1
+    result = GradedPoly.zero(x.table, x.truncation)
+    power = GradedPoly.one(x.table, x.truncation)
+    k = 1
+    while True:
+        power = power * y
+        if power.is_zero():
+            return result
+        result = result + power * Fraction((-1) ** (k - 1), k)
+        k += 1
 
 
 def elementary_in_power_sums(table, family, k, truncation):

@@ -460,13 +460,30 @@ class TestEvaluate:
         assert code == 1
         assert sha256(out) == SPINC10_DIGEST
 
-    def test_two_keys_for_one_monomial_exit_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"dim": 8, "numbers": {"pX1^2": "4", "pX1*pX1": "5", "pX2": "7"}}',
+                "keys 'pX1^2' and 'pX1*pX1' name the same monomial",
+            ),
+            # `json.loads` alone keeps the last of two equal keys
+            ('{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7", "pX1^2": "5"}}', "key 'pX1^2' is repeated"),
+            ('{"dim": 12, "numbers": {"pX1^2": "4", "pX2": "7"}, "dim": 8}', "key 'dim' is repeated"),
+            (
+                '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "7"}, "numbers": {"pX1^2": "4", "pX2": "7"}}',
+                "key 'numbers' is repeated",
+            ),
+        ],
+        ids=["respelled", "repeated-number", "repeated-dim", "repeated-top-level"],
+    )
+    def test_two_keys_for_one_monomial_exit_4(self, capsys, tmp_path, text, message):
         path = tmp_path / "duplicate.json"
-        path.write_text('{"dim": 8, "numbers": {"pX1^2": "4", "pX1*pX1": "5", "pX2": "7"}}', encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "evaluate", "--input", str(path))
         assert code == 4
         assert out == ""
-        assert "keys 'pX1^2' and 'pX1*pX1' name the same monomial" in err
+        assert message in err
 
     @pytest.mark.parametrize("key", ["pX1", "1", "pX1^3"])
     def test_key_of_another_degree_exits_4(self, capsys, tmp_path, key):

@@ -222,14 +222,7 @@ def test_the_perturbation_oracle_is_the_inverse():
 # -- shape: the routes read the power sums as generators -----------------------------
 
 
-def clear_memos():
-    for module in (bundles, genera, theta, verifier):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
-def test_only_the_conversion_reaches_the_newton_polynomials(monkeypatch):
+def test_only_the_conversion_reaches_the_newton_polynomials(monkeypatch, fresh_memos):
     """A catalog run reaches `power_sum_in_pontryagin` over a Pontryagin table,
     the Newton recursion, only from `to_pontryagin`: no route, genus or index
     form computes in dense Pontryagin inputs."""
@@ -247,12 +240,8 @@ def test_only_the_conversion_reaches_the_newton_polynomials(monkeypatch):
 
     for module in (algebra, bundles, genera, theta):
         monkeypatch.setattr(module, "power_sum_in_pontryagin", recording)
-    clear_memos()  # memoized forms would hide the calls
-    monkeypatch.setattr(algebra, "_TABLES", {})  # and so would the tables' kept images
-    try:
-        reports = run_cases([CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]])
-    finally:
-        clear_memos()  # their keys are equal to the interned tables, but not the same instances
+    # fresh_memos: memoized forms, and the interned tables' kept images, would hide the calls
+    reports = run_cases([CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]])
     assert all(report.passed for report in reports)
     newton = [(through, caller) for on_pontryagin, through, caller in calls if on_pontryagin]
     assert newton and all(through for through, _ in newton)

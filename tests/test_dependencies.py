@@ -4,7 +4,7 @@ Its export list names each public name once, and each resolves, every
 other module reads each name it imports, and importing the CLI loads none
 of the slow-to-import standard modules.  The two routes stay apart: the
 theta route imports nothing of the bundle route's modules and no log or
-inverse kernel, and the bundle route imports nothing of the theta route, so
+inverse kernel (the package has none), and the bundle route imports nothing of the theta route, so
 a fault in a kernel of one route shows as a route mismatch.  Every
 `functools.lru_cache` is typed, so a float or bool argument never reads the
 entry of an equal int and skips the constructor's own checks.  The installed console script and
@@ -254,7 +254,9 @@ def test_the_route_scan_sees_every_import_form():
 @pytest.mark.parametrize("name", sorted(ROUTES_APART))
 def test_the_routes_import_nothing_of_each_other(name):
     """Each route computes its own logs: the theta route's are closed forms,
-    the bundle route's come from `algebra._log_form`."""
+    the bundle route's a one-variable recurrence on the factorial series in
+    `genera`.  The package has no log kernel; the banned names would catch
+    one that came back into the theta route."""
     assert route_crossings((SRC / "anomaly" / name).read_text(encoding="utf-8"), *ROUTES_APART[name]) == []
 
 

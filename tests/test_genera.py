@@ -1,12 +1,17 @@
-"""Multiplicative genera against explicit-root brute force."""
+"""Multiplicative genera against explicit-root brute force, and their
+log-coefficients against the logarithms of the factorial series."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
+from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table, power_sum_table
 from anomaly.genera import (
+    _log_coeffs,
     ahat_form,
     ahat_genus,
     aux_bundle_factor,
@@ -14,7 +19,7 @@ from anomaly.genera import (
     multiplicative_genus_eval,
     spinor_ch,
 )
-from oracles import naive_substitute
+from oracles import naive_exp_poly, naive_log_poly, naive_substitute
 
 # One-variable Taylor tools over exact rationals, independent of the package's
 # series plumbing: a list c with c[m] standing for c_m * y^m, where y = t^2.
@@ -71,6 +76,16 @@ def cosh_half(order):
     return out
 
 
+# The same series as polynomials in the one generator t2 = t^2, for the
+# term-by-term references of `oracles`.
+T2 = GeneratorTable([("t2", 2)])
+
+
+def t2_poly(coeffs) -> GradedPoly:
+    """sum_m coeffs[m] * t2^m, truncated at its top power."""
+    return GradedPoly(T2, 2 * (len(coeffs) - 1), {(m,): c for m, c in enumerate(coeffs)})
+
+
 def brute_root_product(taylor, roots_table, xs, truncation):
     """prod_i sum_m taylor[m] * x_i^m with x_i the squared formal roots."""
     total = GradedPoly.one(roots_table, truncation)
@@ -105,13 +120,21 @@ class TestGenusData:
         assert g[0] == Fraction(-1, 24)
         assert g[1] == Fraction(1, 2880)
 
-    @pytest.mark.parametrize("truncation", range(0, 33, 2))
+    @pytest.mark.parametrize("truncation", range(0, 66, 2))
     def test_log_coefficients_match_taylor_log(self, truncation):
+        """Against two term-by-term logs: of the inverse of sinh(t/2)/(t/2) as
+        a list, and of the factorial series themselves (`naive_log_poly`)."""
         order = truncation // 4
         ahat = taylor_log(taylor_inverse(sinh_ratio(order), order), order)
         cosh = taylor_log(cosh_half(order), order)
         assert ahat_genus(truncation) == tuple(ahat[1:])
         assert cosh_genus(truncation) == tuple(cosh[1:])
+        for genus, log in (
+            (ahat_genus(truncation), -naive_log_poly(t2_poly(sinh_ratio(order)))),
+            (cosh_genus(truncation), naive_log_poly(t2_poly(cosh_half(order)))),
+        ):
+            assert all(type(c) is Fraction for c in genus)
+            assert genus == tuple(log.terms.get((m,), 0) for m in range(1, order + 1))
 
     def test_ahat_form_goldens(self):
         table = pontryagin_table(8)
@@ -218,3 +241,64 @@ class TestLineFactors:
             aux_bundle_factor(table, "exp_half_c", 8)  # no cL in a spin table
         with pytest.raises(ValueError):
             aux_bundle_factor(table, "nope", 8)
+
+
+# -- the log recurrence ------------------------------------------------------------
+
+
+# Ints as well as Fractions: the recurrence returns Fractions for either.
+one_variable_coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(one_variable_coefficients, max_size=8))
+def test_the_exp_of_the_recurrence_log_is_the_series(tail):
+    series = [1] + tail
+    log = _log_coeffs(series)
+    assert len(log) == len(tail) and all(type(c) is Fraction for c in log)
+    assert naive_exp_poly(t2_poly([0, *log])) == t2_poly(series)
+
+
+# sha256 prefixes of the renders at dims 8, 12, ..., 64: a change in how the
+# genus logs are taken must leave every form as it is.
+RENDER_DIGESTS = {
+    ("pontryagin", "ahat"): (
+        "f955c151 5ce11480 98f5cb4f 79180994 a175e0ea e7ed4d43 3439515e 323a15be"
+        " d820a04e 7d6ef6e1 5ef5e6a0 75896fe6 a81eba96 09177adc 009fc743"
+    ),
+    ("pontryagin", "spinor"): (
+        "510f38a5 6ae96705 89e3302a 512eec02 0a9641da 8049d21d 43bc58f3 27144f32"
+        " 26ca513d 1e9b303e da862d3c b26dd538 5e428d8e e21936d4 b5b9e980"
+    ),
+    ("pontryagin", "detcosh_V"): (
+        "59938857 70fb0921 c833f531 53b90807 82ede037 8df78467 8f5d901d d56e7c22"
+        " d84071c4 b0374ec7 4e9ef01a 6dfa5e44 376068b9 2065396f 7159f926"
+    ),
+    ("power_sum", "ahat"): (
+        "fac4c77c 86d13a75 05f7db18 63a08c32 b7ececd7 251b893a 1819e833 3b553e24"
+        " 72fe0e9e 98e1f7b3 befefe08 a7f1e7e3 22f557bb d311140b 87b56140"
+    ),
+    ("power_sum", "spinor"): (
+        "4476e3f4 da9eedfd d16f4d3e b4f39f43 5c5d3639 eaa6281c 74bbed9b ef45f9bb"
+        " 3b995217 abb4f67d 048c48a0 6e7b98b6 1c46a7f3 a67005a4 c9dbf05b"
+    ),
+    ("power_sum", "detcosh_V"): (
+        "7f463767 9dbf718b e4917a59 f0fef50b f63899ba 31483ee5 ef64c3fd 3ce977bb"
+        " cc68e436 b6b65060 25467358 5e1c1610 46b82416 534783c5 f079ab3b"
+    ),
+}
+TABLES = {"pontryagin": pontryagin_table, "power_sum": power_sum_table}
+
+
+@pytest.mark.parametrize("kind, name", sorted(RENDER_DIGESTS))
+def test_the_genus_forms_render_as_pinned(kind, name):
+    digests = []
+    for dim in range(8, 68, 4):
+        if name == "detcosh_V":
+            form = aux_bundle_factor(TABLES[kind](dim, aux=True), "detcosh_V", dim)
+        else:
+            form = {"ahat": ahat_form, "spinor": spinor_ch}[name](TABLES[kind](dim), dim)
+        digests.append(hashlib.sha256(form.render().encode()).hexdigest()[:8])
+    assert digests == RENDER_DIGESTS[kind, name].split()

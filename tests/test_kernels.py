@@ -2,9 +2,9 @@
 
 GradedPoly and TwoVarSeries arithmetic (sparse operands on both sides of each
 packed-key digit width, tables of 1 to 11 generators), TwoVarSeries.exp,
-exp_truncated/log_truncated and qseries_exp are checked against
-convolutions and power series written out here term by term in Fraction
-arithmetic (the series exps, solved by q-power, also over RATIONALS, with
+exp_truncated and qseries_exp are checked against convolutions and power
+series written out term by term in Fraction arithmetic, here and in
+`oracles` (the series exps, solved by q-power, also over RATIONALS, with
 pure q terms, and against exp(x + y) = exp(x) * exp(y));
 QHalfSeries products against the coefficientwise product, the single-term
 substitution (on polynomials and on q-series) against term-by-term
@@ -13,7 +13,7 @@ against the Newton recursions on Chern characters, and the theta quotients,
 built from their closed-form logarithms, against their defining products
 multiplied out (paired and unpaired; `quotient * den == num`, so no series
 is inverted), logarithms included, and the Bernoulli q^0 logarithms
-against `log_truncated` of the factorial series.  The
+against the term-by-term logarithms of the factorial series.  The
 substitution rejects every image that is not one term over the form's own
 table.  Every GradedPoly, QHalfSeries
 and TwoVarSeries result is also checked to be a canonical int form: positive
@@ -39,7 +39,6 @@ from anomaly.algebra import (
     GeneratorTable,
     GradedPoly,
     exp_truncated,
-    log_truncated,
     pontryagin_table,
 )
 from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
@@ -52,7 +51,7 @@ from anomaly.theta import (
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
-from oracles import naive_substitute
+from oracles import naive_exp_poly, naive_log_poly, naive_substitute
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -585,7 +584,7 @@ class TestTwoVarSeriesKernel:
                 a.log()
 
 
-# -- exp_truncated / log_truncated ---------------------------------------------------
+# -- exp_truncated ------------------------------------------------------------------
 
 
 @st.composite
@@ -604,33 +603,6 @@ def nilpotent_polys(draw):
     return GradedPoly(table, draw(truncations), terms)
 
 
-def naive_exp_poly(x):
-    """sum_k x^k / k!, stopping at the first zero power."""
-    result = GradedPoly.one(x.table, x.truncation)
-    power = result
-    k = 1
-    while True:
-        power = power * x / k
-        if power.is_zero():
-            return result
-        result = result + power
-        k += 1
-
-
-def naive_log_poly(x):
-    """sum_k (-1)^(k-1) y^k / k with y = x - 1, stopping at the first zero power."""
-    y = x - 1
-    result = GradedPoly.zero(x.table, x.truncation)
-    power = GradedPoly.one(x.table, x.truncation)
-    k = 1
-    while True:
-        power = power * y
-        if power.is_zero():
-            return result
-        result = result + power * Fraction((-1) ** (k - 1), k)
-        k += 1
-
-
 class TestExpLogKernel:
     @SETTINGS
     @given(nilpotent_polys())
@@ -638,15 +610,6 @@ class TestExpLogKernel:
         result = exp_truncated(x)
         assert result.truncation == x.truncation
         assert result.terms == naive_exp_poly(x).terms
-        assert_poly_invariants(result)
-
-    @SETTINGS
-    @given(nilpotent_polys())
-    def test_log_matches_power_series(self, y):
-        x = 1 + y
-        result = log_truncated(x)
-        assert result.truncation == x.truncation
-        assert result.terms == naive_log_poly(x).terms
         assert_poly_invariants(result)
 
 
@@ -1128,7 +1091,7 @@ def test_the_line_quotient_has_no_logarithm():
         theta_quotient("L", 6, 2).log()
 
 
-# The q^0 logarithms as polynomials in t2 = t^2, so that `log_truncated` can take them.
+# The q^0 logarithms as polynomials in t2 = t^2, so that `naive_log_poly` can take them.
 T2 = GeneratorTable([("t2", 2)])
 
 
@@ -1142,9 +1105,9 @@ def as_t2_poly(series: TwoVarSeries) -> GradedPoly:
 @pytest.mark.parametrize("tcap", range(41))
 def test_the_bernoulli_logs_are_the_logs_of_the_factorial_series(tcap):
     """log((t/2)/sinh(t/2)) and log cosh(t/2) as Bernoulli sums equal the
-    kernel logarithms of the factorial series, through t-cap 40."""
+    term-by-term logarithms of the factorial series, through t-cap 40."""
     sinh_ratio, cosh = (as_t2_poly(f(tcap, 0)) for f in (tv_sinh_ratio, tv_cosh))
-    for kind, expected in (("A", -log_truncated(sinh_ratio)), ("B1", log_truncated(cosh))):
+    for kind, expected in (("A", -naive_log_poly(sinh_ratio)), ("B1", naive_log_poly(cosh))):
         assert as_t2_poly(TwoVarSeries(tcap, 0, _hyperbolic_log(kind, tcap))) == expected
     assert _hyperbolic_log("B2", tcap) == _hyperbolic_log("B3", tcap) == {}
 

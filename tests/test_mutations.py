@@ -1,16 +1,17 @@
 """Every field of the case-family table reaches the report: a mutation matrix.
 
-Each row mutation replaces one field of one `verifier._FAMILIES` row, and
-each code mutation replaces one expression in the source of an engine
-function (`bundles.theta_series`, `bundles._lam_factor`, `qseries.eisenstein`,
-`algebra._exp_form`, `algebra._log_form`, `theta._divisor_sum_log`,
-`verifier._relation`);
-each then runs the 12 catalog specs at order 3 in-process.  The tables state which report
-fields must change, each keyed by (case, dim, field): the route comparison,
-the fit, an identity's status or a corollary's modulus.  A mutation that changes nothing fails, and so does one
-that changes a field the table does not list.  No memoized form is keyed by
-a row, and the memoized bundles, genera, theta quotients and basis forms
-are cleared around each code mutation, so the runs share no stale cache.
+Each row mutation replaces one field of one `verifier._FAMILIES` row (one
+combination atom counts as a field), and each code mutation replaces one
+expression in the source of an engine function (`bundles.theta_series`,
+`bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
+`genera._log_coeffs`, `theta._divisor_sum_log`, `verifier._relation`);
+each then runs the 12 catalog specs at order 3 in-process.  The tables
+state which report fields must change, each keyed by (case, dim, field):
+the route comparison, the fit, an identity's status or a corollary's
+modulus.  A mutation that changes nothing fails, and so does one that
+changes a field the table does not list.  No memoized form is keyed by a
+row, and every engine memo is cleared around each code mutation (the
+`fresh_memos` fixture), so the runs share no stale cache.
 """
 
 import inspect
@@ -96,6 +97,16 @@ MUTATIONS = {
         {"theta_sectors": (((("A", "pX"), ("B1", "pV"), ("B2", "pV")), False),)},
         flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
+    "spin_v q^2 atom L4V -> L3V": (
+        "spin_v",
+        {"combos": {**verifier._V_COMBO, 2: tuple(
+            (coeff, ("L3V",) if atoms == ("L4V",) else atoms) for coeff, atoms in verifier._V_COMBO[2]
+        )}},
+        # only the identity catalog reads the combos, and only dims 8 and 12 state a q^2 identity;
+        # spin_v's identities have no corollaries (Cor1.10-1.20 are spin_v_line's, whose row keeps
+        # its combos)
+        flips("spin_v", {8: "Thm1.9-q2", 12: "Thm1.12-q2"}),
+    ),
     "spinc_l bundle factor cosh(cL/2)": (
         "spinc_l",
         {"bundle_factor": "cosh_half_c"},
@@ -105,18 +116,8 @@ MUTATIONS = {
 }
 
 
-ENGINE = (algebra, bundles, genera, qseries, theta, verifier)
-
-
-def readers(function) -> tuple:
-    """Every engine module that binds `function` under its own name: a shared
-    kernel corrupted for all of its callers at once."""
-    return tuple(module for module in ENGINE if vars(module).get(function.__name__) is function)
-
-
 # Each replaces one expression of a function, which must occur there once, and
-# patches the recompiled function in as the name of the module (or of each of
-# the modules) that reads it.
+# patches the recompiled function in as the name of the module that reads it.
 CODE_MUTATIONS = {
     "thetaV folded through psi^3": (
         bundles.theta_series,
@@ -170,14 +171,14 @@ CODE_MUTATIONS = {
         | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
     ),
     "log kernel doubles its weight-8 part": (
-        algebra._log_form,
-        readers(algebra._log_form),
-        "num * (common // (g + side))",
-        "num * (common // (g + side)) * (1 + (g + side == 8))",
-        # only genera's Â and cosh logs read the kernel (the theta route's logs are closed forms),
-        # and their weight-8 part is the t^8 coefficient, which first reaches degree 16: the
-        # bundle route breaks from dimension 16 on, and so do the listed identities, whose index
-        # forms read the same genera
+        genera._log_coeffs,
+        genera,  # ahat_genus and cosh_genus read it
+        "return tuple(b[1:])",
+        "return tuple(c * (1 + (m == 4)) for m, c in enumerate(b[1:], 1))",
+        # only genera's Â and cosh logs are taken by the recurrence (the theta route's logs are
+        # closed forms); doubling the returned t^8 coefficient, which first reaches degree 16,
+        # leaves every other coefficient as it was: the bundle route breaks from dimension 16 on,
+        # and so do the listed identities, whose index forms read the same genera
         flips("spin", {16: "route_ok fit_ok Thm1.5-(1.9) Thm1.5-(1.10)", 20: "route_ok fit_ok Thm1.7-(1.13) Thm1.7-(1.14)"})
         | flips("spin_v", {16: "route_ok fit_ok Thm1.15-q1 Cor1.16-a", 20: "route_ok fit_ok"})
         | flips("spinc_l", {18: "route_ok fit_ok Thm1.25-q1", 22: "route_ok fit_ok"}),
@@ -229,33 +230,6 @@ def recompiled(function, old: str, new: str):
     return namespace[function.__name__]
 
 
-MEMOIZED = (
-    bundles.tangent_complexification,
-    bundles.aux_complexification,
-    bundles.line_real_complexification,
-    bundles.spinor_bundle,
-    genera.ahat_genus,
-    genera.cosh_genus,
-    genera.ahat_form,
-    genera.spinor_ch,
-    genera.aux_bundle_factor,
-    theta.theta_quotient,
-    qseries.eisenstein,
-    qseries.modular_basis,
-)
-
-
-@pytest.fixture
-def fresh_caches():
-    """Clear the memoized bundles (and the powers they keep), genera, theta quotients and basis
-    forms before and after the test."""
-    for constructor in MEMOIZED:
-        constructor.cache_clear()
-    yield
-    for constructor in MEMOIZED:
-        constructor.cache_clear()
-
-
 @pytest.fixture(scope="module")
 def baseline():
     return outcome()
@@ -275,11 +249,10 @@ def test_a_row_mutation_flips_exactly_its_fields(monkeypatch, baseline, case, ch
 
 @pytest.mark.parametrize("function, reader, old, new, expected", CODE_MUTATIONS.values(), ids=list(CODE_MUTATIONS))
 def test_a_code_mutation_flips_exactly_its_fields(
-    monkeypatch, fresh_caches, baseline, function, reader, old, new, expected
+    monkeypatch, fresh_memos, baseline, function, reader, old, new, expected
 ):
     assert expected, "a mutation must name the fields it flips"
     mutant = recompiled(function, old, new)
-    for module in reader if isinstance(reader, tuple) else (reader,):
-        monkeypatch.setattr(module, function.__name__, mutant)
+    monkeypatch.setattr(reader, function.__name__, mutant)
     mutated = outcome()
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected

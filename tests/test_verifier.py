@@ -685,7 +685,7 @@ class TestFamilyIdentityForms:
         assert verify_identity(ident, forms).passed
         assert not verify_identity(ident, forms, **PRINTED_VARIANTS[ident]).passed
 
-    def test_a_full_run_builds_each_form_and_table_once(self, monkeypatch):
+    def test_a_full_run_builds_each_form_and_table_once(self, monkeypatch, fresh_memos):
         combos = []
         build_combo = verifier._build_combo
 
@@ -693,8 +693,7 @@ class TestFamilyIdentityForms:
             combos.append((bundles["T"].table, combo))
             return build_combo(combo, bundles)
 
-        monkeypatch.setattr(verifier, "_build_combo", counting)
-        monkeypatch.setattr(algebra, "_TABLES", {})  # count every table from scratch
+        monkeypatch.setattr(verifier, "_build_combo", counting)  # fresh_memos: every table counts from scratch
         tables = []
         init = algebra.GeneratorTable.__init__
 
