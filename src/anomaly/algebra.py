@@ -396,7 +396,7 @@ class KeyLayout:
 
 
 def _int_form(den: int, items: list) -> tuple[int, list]:
-    """`(den, items)` sorted and in lowest terms, with den > 0.
+    """`(den, items)` sorted and in lowest terms; `den` must be positive.
 
     `items` are `(grade, side grade, packed key, numerator)` tuples with
     nonzero numerators and distinct keys; sorting them orders them by grade
@@ -405,8 +405,6 @@ def _int_form(den: int, items: list) -> tuple[int, list]:
     """
     items.sort()
     d = gcd(den, *map(itemgetter(3), items))
-    if den < 0:
-        d = -d
     if d != 1:
         den //= d
         items = [(g, side, key, num // d) for g, side, key, num in items]
@@ -457,17 +455,13 @@ def _convolve(acc: dict, left: list, right: list, limit: int, side_limit: int = 
     Keys are packed ints that add componentwise; `acc` maps them to int sums
     of numerator products, over the product of the two denominators.  A
     product whose grade exceeds `limit` or whose side grade exceeds
-    `side_limit` is dropped.  Both lists are sorted by grade, so each scan
-    stops at the first grade past the limit.
+    `side_limit` is dropped.  Both lists are sorted by grade, so each inner
+    scan stops at the first grade past the room its outer term leaves; the
+    operands are within the limits, so every outer term leaves some.
     """
     get = acc.get
     for g1, s1, k1, n1 in left:
-        room = limit - g1
-        if room < 0:
-            break
-        side_room = side_limit - s1
-        if side_room < 0:
-            continue
+        room, side_room = limit - g1, side_limit - s1
         for g2, s2, k2, n2 in right:
             if g2 > room:
                 break
@@ -970,7 +964,7 @@ class GradedPoly(IntForm):
         return _render_terms((coeff, monomial(expts)) for expts, coeff in terms)
 
 
-def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncation: int | None = None) -> GradedPoly:
+def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncation: int) -> GradedPoly:
     """m-th power sum of squared roots, written in the family's generators.
 
     On a Pontryagin table the family generators play the elementary
@@ -986,8 +980,6 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     size = (table.pontryagin or table).family_size(family)
     if size == 0:
         raise ValueError(f"unknown generator family {family!r}")
-    if truncation is None:
-        truncation = max(table.degrees)
     top = min(m, truncation // 4)  # s_k has degree 4k
     if top > size:
         raise ValueError(f"family {family!r} is missing generator {family}{size + 1} below the truncation")

@@ -12,12 +12,11 @@ sum_m (2/(2m)!) G_2m(q) t^(2m) with the Eisenstein series
 G_2m = -B_2m/(4m) + sum_n sigma_(2m-1)(n) q^n (D. Zagier, "Note on the
 Landweber-Stong elliptic genus", LNM 1326).  One exp then gives the
 quotient's coefficients.  B3 is B2 under the half-period shift
-q^(1/2) -> -q^(1/2); L is sinh(t/2) times the exp of minus the q-part of
-log A.  The route's only series kernel is `algebra._exp_form`, the
-package's one: no logarithm or inverse is taken of a series.  The bundle
-route's genera take their logarithms from the factorial series by a
-one-variable recurrence of their own (`anomaly.genera`), so the two routes
-share no log.
+q^(1/2) -> -q^(1/2); L is (t/2)/A, t/2 times the exp of minus log A.  The
+route's only series kernel is `algebra._exp_form`, the package's one: no
+logarithm or inverse is taken of a series.  The bundle route's genera take
+their logarithms from the factorial series by a one-variable recurrence of
+their own (`anomaly.genera`), so the two routes share no log.
 
 The route reads its recipe as data: the `theta_sectors` of a family row in
 `anomaly.verifier`, names only.  The integrand is a scale times a sum of
@@ -26,10 +25,11 @@ named by a (quotient kind, root family) pair.  The route substitutes the
 power sum s_m of a root family for t^(2m) in a quotient's logarithm
 (`_bridged_log`), sums the bridged logarithms of a sector's quotients, and
 takes one exp of the sum.  B3's bridged logarithm is B2's under the
-half-period shift, so no B3 quotient is built; L is evaluated at t = cL and
-multiplies the exp.  A sector marked for it adds its own half-period shift.
-So the spin case takes two exps (its B3 sector is the shift of its B2
-sector), spin_v one, and spinc_l one times L at t = cL.
+half-period shift, so no B3 quotient is built; L = (t/2)/A adds minus A's
+logarithm at t = cL, and cL/2 scales the exp, so no L quotient is built
+either.  A sector marked for it adds its own half-period shift.  So a sector
+is one exp times a monomial: the spin case takes two exps (its B3 sector is
+the shift of its B2 sector), spin_v one, and spinc_l one times cL/2.
 
 A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
@@ -157,14 +157,6 @@ class TwoVarSeries(IntForm):
 # -- quotient construction ----------------------------------------------------
 
 
-def _tv_half_sinh(tcap, cap) -> TwoVarSeries:
-    """sinh(t/2)."""
-    return TwoVarSeries(
-        tcap, cap,
-        {(2 * m + 1, 0): Fraction(1, 2 ** (2 * m + 1) * factorial(2 * m + 1)) for m in range((tcap + 1) // 2)},
-    )
-
-
 THETA_QUOTIENT_KINDS = ("A", "B1", "B2", "B3", "L")
 
 
@@ -230,18 +222,17 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     A, B1 and B2 are the exps of their closed-form logarithms: the divisor
     sums of `_divisor_sum_log` plus the Bernoulli sums of `_hyperbolic_log`
     at q^0.  Each exp keeps its logarithm on the series.  B3 is the exp of
-    the B2 logarithm under q^(1/2) -> -q^(1/2).  L is
-    sinh(t/2) * exp(-(q-part of log A)).
+    the B2 logarithm under q^(1/2) -> -q^(1/2).  L = (t/2)/A is
+    (t/2) * exp(-log A); the product with t/2 keeps no logarithm.
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     _nonnegative_int(tcap, "t-cap")
     _nonnegative_int(cap, "q-cap")
     source = {"L": "A", "B3": "B2"}.get(kind, kind)
-    q_part = _divisor_sum_log(source, tcap, cap)
+    log = TwoVarSeries(tcap, cap, _divisor_sum_log(source, tcap, cap) | _hyperbolic_log(source, tcap))
     if kind == "L":
-        return _tv_half_sinh(tcap, cap) * (-TwoVarSeries(tcap, cap, q_part)).exp()
-    log = TwoVarSeries(tcap, cap, q_part | _hyperbolic_log(kind, tcap))
+        return TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)}) * (-log).exp()
     return (log.tau_shift_half() if kind == "B3" else log).exp()
 
 
@@ -353,7 +344,7 @@ def line_quotient_evaluation(
     cap: int,
     generator: str = "cL",
 ) -> QHalfSeries:
-    """Evaluate a quotient at t = a degree-2 generator, cL unless named."""
+    """Evaluate a quotient, or a quotient's logarithm, at t = a degree-2 generator, cL unless named."""
     c = GradedPoly.generator(table, generator, truncation)
     powers = [GradedPoly.one(table, truncation)]
     while not powers[-1].is_zero():
@@ -368,38 +359,42 @@ def q_series_via_theta(table: GeneratorTable, sectors: tuple, scale: int, dim: i
     Each sector is a pair (factors, shifted).  The factors are (quotient
     kind, root family) pairs, and the sector is the product of the named
     quotients over their root families: one exp of the sum of their bridged
-    logarithms (`_bridged_log`), times the evaluation of L at t = the named
-    degree-2 generator.  B3 is B2 under q^(1/2) -> -q^(1/2), so a B3 factor
-    adds B2's bridged logarithm under that shift.  A shifted sector adds
-    its own shift, which leaves A fixed and turns B2 into B3.  The spin
-    integrand, for one,
+    logarithms (`_bridged_log`).  B3 is B2 under q^(1/2) -> -q^(1/2), so a
+    B3 factor adds B2's bridged logarithm under that shift.  L = (t/2)/A, so
+    an L factor, named with a degree-2 generator c, adds minus A's
+    logarithm at t = c (`line_quotient_evaluation`) and scales the exp by
+    c/2.  A shifted sector adds its own shift, which leaves A fixed and
+    turns B2 into B3.  The spin integrand, for one,
 
     2^(dim/2) * prod A(t_j) * [prod B1(t_j) + prod B2(t_j) + prod B3(t_j)]
 
     is scale 2^(dim/2), the sector (A, B1) and the shifted sector (A, B2),
-    all over pX.  Each sector names a quotient other than L, and an unknown
-    quotient kind is a ValueError.  Each distinct bridged logarithm is built
-    once.  The quotients are expanded to t-cap dim // 2: t^n becomes a
-    degree-2n class, and the integrand is cut at degree dim.
+    all over pX; the spinc_l one, prod A(t_j) * L(cL), is the one sector
+    (A over pX, L at cL).  An unknown quotient kind is a ValueError.  Each
+    distinct bridged logarithm is built once.  The quotients are expanded to
+    t-cap dim // 2: t^n becomes a degree-2n class, and the integrand is cut
+    at degree dim.
     """
     @lru_cache(maxsize=None, typed=True)
     def bridged(kind, family):
         return _bridged_log(theta_quotient(kind, dim // 2, cap), table, family, dim, cap)
 
-    # B3's logarithm is B2's, shifted.  It is read here, not inside `bridged`: a memoized
-    # function that calls itself is a reference cycle, which outlives the call while the
-    # CLI runs with the collector off.
+    # B3's logarithm is B2's, shifted, and L's, less log(t/2), is minus A's at t = the named
+    # class.  They are read here, not inside `bridged`: a memoized function that calls itself
+    # is a reference cycle, which outlives the call while the CLI runs with the collector off.
     def log(kind, family):
+        if kind == "L":
+            return -line_quotient_evaluation(theta_quotient("A", dim // 2, cap).log(), table, dim, cap, family)
         return bridged("B2", family).tau_shift_half() if kind == "B3" else bridged(kind, family)
 
-    exponents = [reduce(add, [log(kind, family) for kind, family in factors if kind != "L"]) for factors, _ in sectors]
+    exponents = [reduce(add, [log(kind, family) for kind, family in factors]) for factors, _ in sectors]
     bridged.cache_clear()  # the exps read only the sector sums: the memo's logs are not kept through them
 
     def sector(exponent, factors, shifted):
         product = qseries_exp(exponent)
         for kind, family in factors:
             if kind == "L":
-                product = product * line_quotient_evaluation(theta_quotient(kind, dim // 2, cap), table, dim, cap, family)
+                product = product.scale(GradedPoly.generator(table, family, dim) / 2)
         return product + product.tau_shift_half() if shifted else product
 
     integrand = reduce(add, [sector(exponents.pop(0), *entry) for entry in sectors])  # each exp frees its sum

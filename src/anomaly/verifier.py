@@ -487,10 +487,15 @@ class IdentityEntry(namedtuple("IdentityEntry", "ident case dim q_power notes", 
         return case_weight(self.case, self.dim)
 
 
-class CorollaryEntry(namedtuple("CorollaryEntry", "ident source target")):
+class CorollaryEntry(namedtuple("CorollaryEntry", "ident source")):
     """A divisibility corollary: solve identity `source` for the index term `target`."""
 
     __slots__ = ()
+
+    @property
+    def target(self) -> str:
+        """The label of the source relation's first term, rendered from the live family row."""
+        return _relation(IDENTITIES[self.source], 0)[0][1]
 
 
 # The untwisted index of each factor, and the label and V name of an auxiliary factor's twisted index.
@@ -569,7 +574,7 @@ def _build_catalog():
             entry = identities[ident] = IdentityEntry(ident, case, dim, q_power, notes)
             if prefix is not None:
                 cor = f"{prefix}-{suffix}"
-                corollaries[cor] = CorollaryEntry(cor, ident, _relation(entry, 0)[0][1])
+                corollaries[cor] = CorollaryEntry(cor, ident)
     return identities, corollaries
 
 

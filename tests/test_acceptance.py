@@ -13,12 +13,7 @@ from math import factorial
 import pytest
 
 from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
-from anomaly.bundles import (
-    VirtualBundle,
-    line_real_complexification,
-    tangent_complexification,
-    theta_series,
-)
+from anomaly.bundles import line_real_complexification, tangent_complexification, theta_series
 from anomaly.genera import (
     ahat_form,
     ahat_genus,

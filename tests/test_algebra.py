@@ -151,6 +151,14 @@ class TestGeneratorTable:
 
 
 class TestGradedPolyArithmetic:
+    def test_operands_over_two_tables_do_not_meet(self):
+        a = GradedPoly.generator(pontryagin_table(8), "pX1", 8)
+        b = GradedPoly.generator(pontryagin_table(8, aux=True), "pX1", 8)
+        with pytest.raises(ValueError, match="different generator tables"):
+            a + b
+        with pytest.raises(ValueError, match="different generator tables"):
+            a * b
+
     def test_ring_laws_randomized(self):
         rng = random.Random(20260815)
         table = pontryagin_table(12)

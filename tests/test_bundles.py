@@ -301,6 +301,20 @@ class TestForeignOperands:
         with pytest.raises(TypeError):
             other * self.T
 
+    def test_a_reduced_part_over_another_table_or_with_a_constant_is_refused(self):
+        table = pontryagin_table(8)
+        with pytest.raises(ValueError, match="different generator table"):
+            VirtualBundle(table, 8, 0, GradedPoly.generator(pontryagin_table(8, aux=True), "pX1", 8))
+        with pytest.raises(ValueError, match="zero constant term"):
+            VirtualBundle(table, 8, 0, GradedPoly.generator(table, "pX1", 8) + 1)
+
+    def test_bundles_over_two_tables_do_not_combine(self):
+        other = pontryagin_table(8, aux=True)
+        with pytest.raises(ValueError, match="different generator tables"):
+            self.T + tangent_complexification(other, 8)
+        with pytest.raises(ValueError, match="TX and V over different generator tables"):
+            theta_series("thetaV", self.T, aux_complexification(other, 8), cap=1)
+
     def test_ints_and_bundles_still_combine(self):
         assert (self.T * 2).ch() == 2 * self.T.ch()
         assert (3 * self.T).rank == 24

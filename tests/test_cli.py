@@ -335,6 +335,30 @@ class TestEnvDefaultOrder:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "qcap, argv, message",
+    [
+        ("-1", ["verify", "--case", "spin", "--dim", "8"], "ANOMALY_QCAP must be nonnegative"),
+        (None, ["verify", "--order", "-1"], "--order must be nonnegative"),
+        (None, ["expand", "--series", "E4", "--order", "-1"], "--order must be nonnegative"),
+        (None, ["expand", "--series", "theta1-ch", "--dim", "6"], "--dim must be a positive multiple of 4"),
+        (None, ["expand", "--series", "A", "--tcap", "-1"], "--tcap must be nonnegative"),
+    ],
+    ids=["env-qcap", "verify-order", "expand-order", "expand-dim", "expand-tcap"],
+)
+def test_a_negative_or_misfit_number_exits_2(capsys, monkeypatch, qcap, argv, message):
+    if qcap is None:
+        monkeypatch.delenv("ANOMALY_QCAP", raising=False)
+    else:
+        monkeypatch.setenv("ANOMALY_QCAP", qcap)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestExpand:
     def test_eisenstein_golden_line(self, capsys):
         code, out, _ = run(capsys, "expand", "--series", "E4", "--order", "3")

@@ -12,7 +12,8 @@ entry of an equal int and skips the constructor's own checks.  The installed con
 heap before exit.  No module tells case families apart but through the
 family table, and the route modules name no family at all.  One module
 decides the coordinates: only `algebra` names the power-sum generators,
-and only `verifier` asks for a power-sum table."""
+and only `verifier` asks for a power-sum table.  Every module parses as the
+oldest Python that `pyproject.toml` admits."""
 
 import ast
 import os
@@ -57,6 +58,26 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The oldest Python that pyproject.toml's requires-python admits, as (major, minor).
+OLDEST_PYTHON = tuple(
+    int(part)
+    for part in re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$', (SRC.parent / "pyproject.toml").read_text(encoding="utf-8"), re.M
+    ).groups()
+)
+
+
+def test_the_grammar_check_rejects_a_later_form():
+    assert OLDEST_PYTHON == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=OLDEST_PYTHON)
 
 
 def unused_imports(source: str) -> list[str]:

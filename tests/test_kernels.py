@@ -1179,6 +1179,11 @@ class TestTwoVarSeriesInputErrors:
             TwoVarSeries(2, 2, {(0, 0): 0.1})
         assert TwoVarSeries(2, 2, {(0, 0): 1, (1, 1): Fraction(1, 3)}).coeffs == {(0, 0): 1, (1, 1): Fraction(1, 3)}
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1)])
+    def test_a_negative_exponent_is_refused(self, key):
+        with pytest.raises(ValueError, match="negative exponent"):
+            TwoVarSeries(4, 2, {key: 1})
+
     def test_scalars_still_multiply(self):
         assert (self.SERIES * 2).coeffs == {(0, 0): 2, (2, 1): 1}
         assert (Fraction(1, 2) * self.SERIES).coeffs == {(0, 0): Fraction(1, 2), (2, 1): Fraction(1, 4)}

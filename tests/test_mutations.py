@@ -41,6 +41,11 @@ def flips(case: str, by_dim: dict) -> set:
     return {(case, dim, field) for dim, fields in by_dim.items() for field in fields.split()}
 
 
+def q2_atom_swapped(combos: dict, old: str, new: str) -> dict:
+    """The combos with the q^2 atom (old,) replaced by (new,)."""
+    return {**combos, 2: tuple((coeff, (new,) if atoms == (old,) else atoms) for coeff, atoms in combos[2])}
+
+
 MUTATIONS = {
     "spin_v condition pX1 -> 2*pV1": (
         "spin_v",
@@ -99,13 +104,24 @@ MUTATIONS = {
     ),
     "spin_v q^2 atom L4V -> L3V": (
         "spin_v",
-        {"combos": {**verifier._V_COMBO, 2: tuple(
-            (coeff, ("L3V",) if atoms == ("L4V",) else atoms) for coeff, atoms in verifier._V_COMBO[2]
-        )}},
+        {"combos": q2_atom_swapped(verifier._V_COMBO, "L4V", "L3V")},
         # only the identity catalog reads the combos, and only dims 8 and 12 state a q^2 identity;
         # spin_v's identities have no corollaries (Cor1.10-1.20 are spin_v_line's, whose row keeps
         # its combos)
         flips("spin_v", {8: "Thm1.9-q2", 12: "Thm1.12-q2"}),
+    ),
+    "spin_v_line q^2 atom L4V -> L3V": (
+        "spin_v_line",
+        {"combos": q2_atom_swapped(verifier._V_COMBO, "L4V", "L3V")},
+        # the q^2 relations fail; the corollaries Cor1.11-b and Cor1.14-b solve them for their first
+        # term, whose label is rendered from the live row, and the moduli read only the coefficients
+        flips("spin_v", {8: "Cor1.10-b", 12: "Cor1.13-b"}),
+    ),
+    "spinc_l q^2 atom L2V -> L3V": (
+        "spinc_l",
+        {"combos": q2_atom_swapped(verifier._L_COMBO, "L2V", "L3V")},
+        # as for spin_v_line: the q^2 relations fail, and Cor1.22-b and Cor1.24-b keep their moduli
+        flips("spinc_l", {10: "Thm1.21-q2", 14: "Thm1.23-q2"}),
     ),
     "spinc_l bundle factor cosh(cL/2)": (
         "spinc_l",
@@ -188,7 +204,7 @@ CODE_MUTATIONS = {
         theta,  # theta_quotient reads it
         "d % 2 == 0",
         "d % 2 == 1",
-        # only B1's logarithm changes: spin and spin_v multiply a B1 sector, spinc_l reads only A and L
+        # only B1's logarithm changes: spin and spin_v multiply a B1 sector, spinc_l reads only A's
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),

@@ -83,6 +83,15 @@ class TestOneRing:
         with pytest.raises(RingMismatchError, match="empty table"):
             QHalfSeries.one(ring, 3).promote(ring)
 
+    def test_coerce_refuses_a_polynomial_over_another_table(self):
+        ring = PolyRing(pontryagin_table(8), 8)
+        with pytest.raises(RingMismatchError, match="different generator table"):
+            ring.coerce(GradedPoly.one(pontryagin_table(8, aux=True), 8))
+
+    def test_a_fit_refuses_a_half_integer_power(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            eisenstein_fit(QHalfSeries(RATIONALS, 2, {0: 1, 1: 1}), 4)
+
     def test_different_tables_do_not_meet(self):
         a = QHalfSeries.one(PolyRing(pontryagin_table(8), 8), 3)
         b = QHalfSeries.one(PolyRing(pontryagin_table(12), 8), 3)
@@ -99,6 +108,10 @@ class TestQExponentsAreInts:
             QHalfSeries(RATIONALS, 2, {j2: 7, 2: 1})
         with pytest.raises(ValueError, match="integers"):
             QHalfSeries(PolyRing(pontryagin_table(8), 8), 2, {j2: 7})
+
+    def test_a_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="negative q-exponent"):
+            QHalfSeries(RATIONALS, 2, {-1: 7, 2: 1})
 
     @pytest.mark.parametrize("j2", [1.5, 1.9, 2.0, "2", True], ids=repr)
     def test_coefficient(self, j2):

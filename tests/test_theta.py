@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from anomaly import theta
-from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table, to_pontryagin
+from anomaly.algebra import GeneratorTable, GradedPoly, IntForm, pontryagin_table, to_pontryagin
 from anomaly.genera import aux_bundle_factor
 from anomaly.qseries import PolyRing, QHalfSeries, qseries_exp
 from anomaly.theta import (
@@ -202,6 +202,13 @@ class TestRootProductBridge:
         with pytest.raises(ValueError):
             symmetric_quotient_product(theta_quotient("L", 7, 2), pontryagin_table(8), "pX", 8, 2)
 
+    @pytest.mark.parametrize(
+        "log, message", [({(0, 1): 1}, "log has a pure q term"), ({(1, 0): 1, (2, 1): 1}, "not even in t")]
+    )
+    def test_a_logarithm_of_no_normalized_even_quotient_is_refused(self, log, message):
+        with pytest.raises(ValueError, match=message):
+            _bridged_log(TwoVarSeries(8, 2, log).exp(), pontryagin_table(8), "pX", 8, 2)
+
     @pytest.mark.parametrize("tcap, qcap, cap", [(2, 1, 1), (7, 3, 3), (8, 1, 3), (8, 2, 3), (0, 0, 0)])
     def test_a_quotient_cut_below_the_claim_is_refused(self, tcap, qcap, cap):
         """t-cap 16 // 2 = 8 and q-cap `cap` are needed: a lower cut would lose
@@ -217,6 +224,12 @@ class TestRootProductBridge:
 
 
 class TestLineEvaluation:
+    @pytest.mark.parametrize("tcap", range(1, 13))
+    def test_L_is_half_t_over_A(self, tcap):
+        for cap in range(5):
+            product = theta_quotient("A", tcap, cap) * theta_quotient("L", tcap, cap)
+            assert product == TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)})
+
     def test_constant_and_first_slices(self):
         table = pontryagin_table(10, line=True)
         L = theta_quotient("L", 9, 2)
@@ -270,6 +283,26 @@ class TestRecipeShape:
             theta_route_integrand(CaseSpec(case, dim, 3))
             assert len(calls) == exps
         assert "B3" not in kinds
+
+    def test_the_line_sector_reads_A_and_multiplies_no_two_variable_series(self, monkeypatch, fresh_memos):
+        """L = (t/2)/A: the spin^c sector adds minus A's logarithm at t = cL to
+        its exponent, so it builds no L quotient and no two-variable product."""
+        kinds, products = set(), []
+
+        def recorded_quotient(kind, tcap, cap):
+            kinds.add(kind)
+            return theta_quotient(kind, tcap, cap)
+
+        def counted_mul(series, other):
+            products.append(other)
+            return IntForm.__mul__(series, other)
+
+        monkeypatch.setattr(theta, "theta_quotient", recorded_quotient)
+        monkeypatch.setattr(TwoVarSeries, "__mul__", counted_mul)
+        for dim in CASE_DIMS["spinc_l"]:
+            theta_route_integrand(CaseSpec("spinc_l", dim, 3))
+        assert kinds == {"A"}
+        assert products == []
 
     @pytest.mark.parametrize("case", ["spin", "spin_v", "spinc_l"])
     def test_the_route_leaves_no_cyclic_garbage(self, case):

@@ -851,6 +851,9 @@ class TestManifoldData:
         wrong_dim = ManifoldData(12, {"pX1^2": Fraction(4), "pX2": Fraction(7)})
         with pytest.raises(ManifoldDataError, match="dimension"):
             evaluate_manifold(wrong_dim, form)
+        hp2 = ManifoldData(8, {"pX1^2": Fraction(4), "pX2": Fraction(7)})
+        with pytest.raises(ManifoldDataError, match="degree-4 term but the manifold has dimension 8"):
+            evaluate_manifold(hp2, ahat_form(table, 8).homogeneous_component(4))
 
 
 class TestQuaternionicPlane:
