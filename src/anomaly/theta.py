@@ -3,20 +3,32 @@
 The five quotients A, B1, B2, B3, L are infinite products of factors
 (1 +- e^(+-t) q^(j/2)) against their t = 0 normalizations, times one
 hyperbolic prefactor; all transcendental prefactors are cancelled, so every
-coefficient is an exact rational.  No product is multiplied out.  Each
-factor's logarithm has a closed form, log(1 + x) = sum (-1)^(k+1) x^k / k,
-so every coefficient of log A, log B1 and log B2 is a divisor sum
-(`_divisor_sum_log`), plus at q^0 the logarithm of the hyperbolic
-prefactor, a Bernoulli sum (`_hyperbolic_log`): log A is
-sum_m (2/(2m)!) G_2m(q) t^(2m) with the Eisenstein series
-G_2m = -B_2m/(4m) + sum_n sigma_(2m-1)(n) q^n (D. Zagier, "Note on the
-Landweber-Stong elliptic genus", LNM 1326).  One exp then gives the
-quotient's coefficients.  B3 is B2 under the half-period shift
-q^(1/2) -> -q^(1/2); L is (t/2)/A, t/2 times the exp of minus log A.  The
-route's only series kernel is `algebra._exp_form`, the package's one: no
-logarithm or inverse is taken of a series.  The bundle route's genera take
-their logarithms from the factorial series by a one-variable recurrence of
-their own (`anomaly.genera`), so the two routes share no log.
+coefficient is an exact rational.  No product is multiplied out.  The route
+writes one closed form, A's logarithm (`_log_a`),
+
+    log A = sum_m (2/(2m)!) G_2m(q) t^(2m),
+    G_2m = -B_2m/(4m) + sum_n sigma_(2m-1)(n) q^n,
+
+the Eisenstein series of D. Zagier, "Note on the Landweber-Stong elliptic
+genus" (LNM 1326): a Bernoulli sum at q^0, the logarithm of (t/2)/sinh(t/2),
+and a divisor sum at each q^n.  B1 and B2 are A over A at a rescaled
+argument,
+
+    B1(t, q) = A(t, q) / A(2t, q^2),    B2(t, q) = A(t, q) / A(t, q^(1/2)),
+
+so B1 B2 B3 = A(t)/A(2t), Jacobi's duplication formula (Whittaker-Watson,
+*A Course of Modern Analysis*, ch. 21).  Their logarithms are A's less A's
+under a rewrite of its int form (`_RESCALINGS`, `_quotient_log`): t -> 2t
+multiplies the t^n numerator by 2^n, q -> q^2 doubles the doubled
+q-exponent j2, and q -> q^(1/2) halves it, so B2 reads A's logarithm
+through q^(2 cap).  One exp then gives the quotient's coefficients.  B3 is
+B2 under the half-period shift q^(1/2) -> -q^(1/2); L is (t/2)/A, t/2 times
+the exp of minus log A.  The route's only series kernel is
+`algebra._exp_form`, the package's one: no logarithm or inverse is taken of
+a series.  The bundle route's genera take their logarithms from the
+factorial series by a one-variable recurrence of their own
+(`anomaly.genera`), and `qseries` sums its own divisor powers for the
+Eisenstein basis, so the two routes share no log and no sigma.
 
 The route reads its recipe as data: the `theta_sectors` of a family row in
 `anomaly.verifier`, names only.  The integrand is a scale times a sum of
@@ -35,7 +47,8 @@ A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
 so the integrand quotients are expanded to t-cap dim // 2: no higher t-power
 can reach the output.  The quotients are memoized with their logarithms per
-(kind, t-cap, q-cap), so the cases that share a dimension build each once.
+(kind, t-cap, q-cap), and A's logarithm per (t-cap, q-cap), so the cases
+that share a dimension build each once.
 """
 
 from __future__ import annotations
@@ -51,13 +64,14 @@ from .algebra import (
     GradedPoly,
     IntForm,
     _exp_form,
+    _int_form,
     _integer,
     _nonnegative_int,
     _render_terms,
     as_rational,
     power_sum_in_pontryagin,
 )
-from .qseries import RATIONALS, PolyRing, QHalfSeries, _q_power, qseries_exp
+from .qseries import PolyRing, QHalfSeries, _q_power, qseries_exp
 
 # Keys of the empty generator table hold one digit below j2, the degree digit;
 # a two-variable series keeps its t-power there.
@@ -166,47 +180,55 @@ def _bernoulli(n: int) -> Fraction:
     return Fraction(1) if n == 0 else -sum(comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
 
 
-def _hyperbolic_log(kind: str, tcap: int) -> dict[tuple[int, int], Fraction]:
-    """The q^0 part of log Q, in closed form: for A and B1 a Bernoulli sum,
+@lru_cache(maxsize=None, typed=True)
+def _log_a(tcap: int, cap: int) -> TwoVarSeries:
+    """log A through t^tcap and q^cap, in closed form: sum_m (2/(2m)!) G_2m(q) t^(2m).
 
-    A   log((t/2)/sinh(t/2)) = -sum_m B_2m t^(2m) / (2m (2m)!)
-    B1  log cosh(t/2)        =  sum_m (4^m - 1) B_2m t^(2m) / (2m (2m)!)
-
-    and none for B2 and B3.
+    At q^0 it is the Bernoulli sum log((t/2)/sinh(t/2)) =
+    -sum_m B_2m t^(2m) / (2m (2m)!).  A factor pair
+    (1 - e^t q^n)(1 - e^-t q^n) / (1 - q^n)^2 in A's denominator has the
+    logarithm -sum_k q^(nk) (2 cosh(kt) - 2) / k, whose t^(2m) coefficient
+    is -2 k^(2m-1) / (2m)! at q^(nk); so the t^(2m) q^n coefficient of
+    log A is 2 sigma_(2m-1)(n) / (2m)!.  The int form is written over the
+    lcm of the Bernoulli denominators and (2 top)!.
     """
-    if kind not in ("A", "B1"):
-        return {}
-    return {
-        (2 * m, 0): (-1 if kind == "A" else 4 ** m - 1) * _bernoulli(2 * m) / (2 * m * factorial(2 * m))
-        for m in range(1, tcap // 2 + 1)
-    }
+    top = tcap // 2
+    bernoulli = [-_bernoulli(2 * m) / (2 * m * factorial(2 * m)) for m in range(1, top + 1)]
+    den = lcm(factorial(2 * top), *[c.denominator for c in bernoulli])
+    layout = _T_KEYS.layout(tcap)
+    acc = {}
+    for m, c in enumerate(bernoulli, 1):
+        acc[2 * m] = c.numerator * (den // c.denominator)
+        unit = 2 * den // factorial(2 * m)
+        for n in range(1, cap + 1):
+            acc[2 * m | 2 * n << layout.sshift] = unit * sum(d ** (2 * m - 1) for d in range(1, n + 1) if n % d == 0)
+    return TwoVarSeries._make(tcap, cap, *layout.int_form(acc, den))
 
 
-def _divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fraction]:
-    """The q-part of log Q for Q = A, B1 or B2, in closed form.
+# log Q(t, q) = log A(t, q) less log A(scale * t, q^(up/down)) for each (scale, up, down) of Q.
+_RESCALINGS = {"A": (), "B1": ((2, 2, 1),), "B2": ((1, 1, 2),)}
 
-    A factor pair (1 + eps e^t x)(1 + eps e^-t x) / (1 + eps x)^2 has the
-    logarithm -sum_k (-eps)^k x^k (2 cosh(kt) - 2) / k, and the t^(2m)
-    coefficient of (2 cosh(kt) - 2) / k is 2 k^(2m-1) / (2m)!.  Summed over
-    the pairs (A's sit in the denominator), the t^(2m) q^(j2/2) coefficient
-    is 2/(2m)! times a signed divisor sum, d = k:
 
-    A   sum_{d | n} d^(2m-1)                          (j2 = 2n)
-    B1  sum_{d | n} (-1)^(d+1) d^(2m-1)               (j2 = 2n)
-    B2  -sum_{d | j2, j2/d odd} d^(2m-1)
+def _quotient_log(kind: str, tcap: int, cap: int) -> TwoVarSeries:
+    """log Q for Q = A, B1 or B2: A's logarithm less its rescalings in `_RESCALINGS`.
+
+    A rescaling rewrites the int form of A's logarithm: t -> scale * t
+    multiplies the t^n numerator by scale^n, and q -> q^(up/down) moves j2
+    to j2 * up / down (A's j2 are even).  A rescaled term at q^cap comes
+    from A's logarithm at q^(down * cap / up), so A's is read through
+    q^(down * cap).
     """
-    coeffs = {}
-    for j2 in range(1, 2 * cap + 1):
-        if kind == "B2":
-            signed = [(d, -1) for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
-        else:
-            n = 0 if j2 % 2 else j2 // 2
-            signed = [(d, -1 if kind == "B1" and d % 2 == 0 else 1) for d in range(1, n + 1) if n % d == 0]
-        for m in range(1, tcap // 2 + 1):
-            total = sum(s * d ** (2 * m - 1) for d, s in signed)
-            if total:
-                coeffs[(2 * m, j2)] = Fraction(2 * total, factorial(2 * m))
-    return coeffs
+    log = _log_a(tcap, cap)
+    shift = log.layout.sshift
+    for scale, up, down in _RESCALINGS[kind]:
+        source = _log_a(tcap, down * cap)
+        items = []
+        for n, j2, _, num in source.items:
+            j2 = j2 * up // down
+            if j2 <= 2 * cap:
+                items.append((n, j2, n | j2 << shift, num * scale**n))
+        log = log - TwoVarSeries._make(tcap, cap, *_int_form(source.den, items))
+    return log
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -219,55 +241,23 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     B3 = B2 with the signs inside the half-power factors flipped to +
     L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
 
-    A, B1 and B2 are the exps of their closed-form logarithms: the divisor
-    sums of `_divisor_sum_log` plus the Bernoulli sums of `_hyperbolic_log`
-    at q^0.  Each exp keeps its logarithm on the series.  B3 is the exp of
-    the B2 logarithm under q^(1/2) -> -q^(1/2).  L = (t/2)/A is
-    (t/2) * exp(-log A); the product with t/2 keeps no logarithm.
+    A is the exp of the one closed form, A's logarithm (`_log_a`).  B1 and
+    B2 are the exps of A's logarithm less A's at a rescaled argument
+    (`_quotient_log`): log B1(t, q) = log A(t, q) - log A(2t, q^2) and
+    log B2(t, q) = log A(t, q) - log A(t, q^(1/2)).  Each exp keeps its
+    logarithm on the series.  B3 is the exp of the B2 logarithm under
+    q^(1/2) -> -q^(1/2).  L = (t/2)/A is (t/2) * exp(-log A); the product
+    with t/2 keeps no logarithm.
     """
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     _nonnegative_int(tcap, "t-cap")
     _nonnegative_int(cap, "q-cap")
     source = {"L": "A", "B3": "B2"}.get(kind, kind)
-    log = TwoVarSeries(tcap, cap, _divisor_sum_log(source, tcap, cap) | _hyperbolic_log(source, tcap))
+    log = _quotient_log(source, tcap, cap)
     if kind == "L":
         return TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)}) * (-log).exp()
     return (log.tau_shift_half() if kind == "B3" else log).exp()
-
-
-def jacobi_identity_residual(cap: int) -> QHalfSeries:
-    """Difference of the two sides of the theta-constant product identity,
-    with the common prefactors 2*pi*q^(1/8) cancelled; identically zero.
-
-    Left: prod (1-q^j)^3.  Right: the product of the three theta constants
-    prod (1-q^j)(1+q^j)^2, prod (1-q^j)(1-q^(j-1/2))^2,
-    prod (1-q^j)(1+q^(j-1/2))^2.
-    """
-    one = QHalfSeries.one(RATIONALS, cap)
-
-    def q_factor(eps, j2):
-        return QHalfSeries(RATIONALS, cap, {0: Fraction(1), j2: Fraction(eps)}) if j2 <= 2 * cap else one
-
-    lhs = one
-    t1 = one
-    t2 = one
-    t3 = one
-    for j in range(1, cap + 1):
-        m = q_factor(-1, 2 * j)
-        p = q_factor(+1, 2 * j)
-        lhs = lhs * m * m * m
-        t1 = t1 * m * p * p
-        t2 = t2 * m
-        t3 = t3 * m
-    j2 = 1
-    while j2 <= 2 * cap:
-        m = q_factor(-1, j2)
-        p = q_factor(+1, j2)
-        t2 = t2 * m * m
-        t3 = t3 * p * p
-        j2 += 2
-    return lhs - t1 * t2 * t3
 
 
 # -- from quotients to q-series of characteristic forms ------------------------

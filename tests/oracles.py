@@ -18,6 +18,17 @@ polynomial summed term by term, sum_k x^k / k! and sum_k (-1)^(k-1) y^k / k
 with y = x - 1: the engine has one exp kernel, a recurrence, and takes no
 logarithm of a polynomial.
 
+`bernoulli`, `hyperbolic_log` and `divisor_sum_log` are the theta
+quotients' closed-form logarithms as the engine wrote them before it kept
+A's alone: a Bernoulli sum at q^0 for A and B1 and a signed divisor sum for
+each of A, B1 and B2, each written out on its own.  The engine now reads
+B1's and B2's logarithms off A's at rescaled arguments; the tests compare
+the two at every coefficient.
+
+`jacobi_identity_residual` is the theta-constant product identity, the
+t = 0 shadow of Jacobi's duplication formula B1 B2 B3 = A(t)/A(2t), which
+the engine never reads.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
@@ -25,8 +36,11 @@ same arguments with both and compare.
 
 import argparse
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 from anomaly.algebra import GradedPoly
+from anomaly.qseries import RATIONALS, QHalfSeries
 from anomaly.cli import _CASE_FLAGS, _SERIES
 
 
@@ -107,6 +121,89 @@ def in_power_sums(table, monomial, truncation):
                 factor = elementary_in_power_sums(table, name.rstrip("0123456789"), degree // 4, truncation)
             result = result * factor**e
     return result
+
+
+@lru_cache(maxsize=None, typed=True)
+def bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2), from B_0 = 1 and sum_{k <= n} C(n + 1, k) B_k = 0."""
+    return Fraction(1) if n == 0 else -sum(comb(n + 1, k) * bernoulli(k) for k in range(n)) / (n + 1)
+
+
+def hyperbolic_log(kind: str, tcap: int) -> dict[tuple[int, int], Fraction]:
+    """The q^0 part of log Q, in closed form: for A and B1 a Bernoulli sum,
+
+    A   log((t/2)/sinh(t/2)) = -sum_m B_2m t^(2m) / (2m (2m)!)
+    B1  log cosh(t/2)        =  sum_m (4^m - 1) B_2m t^(2m) / (2m (2m)!)
+
+    and none for B2 and B3.
+    """
+    if kind not in ("A", "B1"):
+        return {}
+    return {
+        (2 * m, 0): (-1 if kind == "A" else 4 ** m - 1) * bernoulli(2 * m) / (2 * m * factorial(2 * m))
+        for m in range(1, tcap // 2 + 1)
+    }
+
+
+def divisor_sum_log(kind: str, tcap: int, cap: int) -> dict[tuple[int, int], Fraction]:
+    """The q-part of log Q for Q = A, B1 or B2, in closed form.
+
+    A factor pair (1 + eps e^t x)(1 + eps e^-t x) / (1 + eps x)^2 has the
+    logarithm -sum_k (-eps)^k x^k (2 cosh(kt) - 2) / k, and the t^(2m)
+    coefficient of (2 cosh(kt) - 2) / k is 2 k^(2m-1) / (2m)!.  Summed over
+    the pairs (A's sit in the denominator), the t^(2m) q^(j2/2) coefficient
+    is 2/(2m)! times a signed divisor sum, d = k:
+
+    A   sum_{d | n} d^(2m-1)                          (j2 = 2n)
+    B1  sum_{d | n} (-1)^(d+1) d^(2m-1)               (j2 = 2n)
+    B2  -sum_{d | j2, j2/d odd} d^(2m-1)
+    """
+    coeffs = {}
+    for j2 in range(1, 2 * cap + 1):
+        if kind == "B2":
+            signed = [(d, -1) for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
+        else:
+            n = 0 if j2 % 2 else j2 // 2
+            signed = [(d, -1 if kind == "B1" and d % 2 == 0 else 1) for d in range(1, n + 1) if n % d == 0]
+        for m in range(1, tcap // 2 + 1):
+            total = sum(s * d ** (2 * m - 1) for d, s in signed)
+            if total:
+                coeffs[(2 * m, j2)] = Fraction(2 * total, factorial(2 * m))
+    return coeffs
+
+
+def jacobi_identity_residual(cap: int) -> QHalfSeries:
+    """Difference of the two sides of the theta-constant product identity,
+    with the common prefactors 2*pi*q^(1/8) cancelled; identically zero.
+
+    Left: prod (1-q^j)^3.  Right: the product of the three theta constants
+    prod (1-q^j)(1+q^j)^2, prod (1-q^j)(1-q^(j-1/2))^2,
+    prod (1-q^j)(1+q^(j-1/2))^2.
+    """
+    one = QHalfSeries.one(RATIONALS, cap)
+
+    def q_factor(eps, j2):
+        return QHalfSeries(RATIONALS, cap, {0: Fraction(1), j2: Fraction(eps)}) if j2 <= 2 * cap else one
+
+    lhs = one
+    t1 = one
+    t2 = one
+    t3 = one
+    for j in range(1, cap + 1):
+        m = q_factor(-1, 2 * j)
+        p = q_factor(+1, 2 * j)
+        lhs = lhs * m * m * m
+        t1 = t1 * m * p * p
+        t2 = t2 * m
+        t3 = t3 * m
+    j2 = 1
+    while j2 <= 2 * cap:
+        m = q_factor(-1, j2)
+        p = q_factor(+1, j2)
+        t2 = t2 * m * m
+        t3 = t3 * p * p
+        j2 += 2
+    return lhs - t1 * t2 * t3
 
 
 def build_parser() -> argparse.ArgumentParser:

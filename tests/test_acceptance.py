@@ -23,7 +23,7 @@ from anomaly.genera import (
     spinor_ch,
 )
 from anomaly.qseries import eisenstein, modular_basis
-from anomaly.theta import TwoVarSeries, jacobi_identity_residual, theta_quotient
+from anomaly.theta import TwoVarSeries, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -40,7 +40,7 @@ from anomaly.verifier import (
     verify_identity,
     verify_identity_as_printed,
 )
-from oracles import naive_substitute
+from oracles import jacobi_identity_residual, naive_substitute
 
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 

@@ -281,6 +281,36 @@ def test_the_routes_import_nothing_of_each_other(name):
     assert route_crossings((SRC / "anomaly" / name).read_text(encoding="utf-8"), *ROUTES_APART[name]) == []
 
 
+# What `qseries` builds the Eisenstein basis from.  The theta route sums its own
+# divisor powers in A's closed-form logarithm, so the two stay separate
+# computations, and a wrong sigma in either one shows where they are compared.
+EISENSTEIN_NAMES = {"_sigma", "eisenstein", "modular_basis"}
+
+
+def eisenstein_reads(source: str) -> list[str]:
+    """What `source` imports of EISENSTEIN_NAMES, in any import form, then
+    what it reads of them as a module attribute, such as `qseries._sigma`."""
+    attributes = [
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in EISENSTEIN_NAMES
+    ]
+    return route_crossings(source, set(), EISENSTEIN_NAMES) + attributes
+
+
+def test_the_eisenstein_scan_sees_every_form():
+    source = (
+        "from .qseries import QHalfSeries, _sigma\nfrom anomaly.qseries import eisenstein as e\n"
+        "from . import qseries\nx = qseries.modular_basis(4, 3)\ny = qseries.qseries_exp\n"
+    )
+    assert eisenstein_reads(source) == ["_sigma", "eisenstein", "modular_basis"]
+
+
+def test_the_theta_route_sums_its_own_divisor_powers():
+    """`theta` reads none of `qseries`' Eisenstein series or its divisor sum."""
+    assert eisenstein_reads((SRC / "anomaly" / "theta.py").read_text(encoding="utf-8")) == []
+
+
 def family_name_literals(source: str) -> list[int]:
     """The lines of `source` that hold a family-name string literal anywhere."""
     return sorted(

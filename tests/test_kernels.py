@@ -12,8 +12,9 @@ substitution (`oracles.naive_substitute`), the cached Adams operations
 against the Newton recursions on Chern characters, and the theta quotients,
 built from their closed-form logarithms, against their defining products
 multiplied out (paired and unpaired; `quotient * den == num`, so no series
-is inverted), logarithms included, and the Bernoulli q^0 logarithms
-against the term-by-term logarithms of the factorial series.  The
+is inverted), logarithms included, and A's Bernoulli q^0 logarithm, and
+B1's read off it at 2t, against the term-by-term logarithms of the
+factorial series.  The
 substitution rejects every image that is not one term over the form's own
 table.  Every GradedPoly, QHalfSeries
 and TwoVarSeries result is also checked to be a canonical int form: positive
@@ -47,7 +48,8 @@ import anomaly.theta as theta
 from anomaly.theta import (
     THETA_QUOTIENT_KINDS,
     TwoVarSeries,
-    _hyperbolic_log,
+    _log_a,
+    _quotient_log,
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
@@ -1104,12 +1106,15 @@ def as_t2_poly(series: TwoVarSeries) -> GradedPoly:
 
 @pytest.mark.parametrize("tcap", range(41))
 def test_the_bernoulli_logs_are_the_logs_of_the_factorial_series(tcap):
-    """log((t/2)/sinh(t/2)) and log cosh(t/2) as Bernoulli sums equal the
-    term-by-term logarithms of the factorial series, through t-cap 40."""
+    """A's q^0 logarithm, a Bernoulli sum, is minus the term-by-term logarithm
+    of the factorial series sinh(t/2)/(t/2), and log A(t) - log A(2t) at q^0,
+    B1's, is the term-by-term log cosh(t/2), through t-cap 40; B2 and B3
+    have none."""
     sinh_ratio, cosh = (as_t2_poly(f(tcap, 0)) for f in (tv_sinh_ratio, tv_cosh))
     for kind, expected in (("A", -naive_log_poly(sinh_ratio)), ("B1", naive_log_poly(cosh))):
-        assert as_t2_poly(TwoVarSeries(tcap, 0, _hyperbolic_log(kind, tcap))) == expected
-    assert _hyperbolic_log("B2", tcap) == _hyperbolic_log("B3", tcap) == {}
+        assert as_t2_poly(_quotient_log(kind, tcap, 0)) == expected
+    assert _quotient_log("A", tcap, 0) is _log_a(tcap, 0)
+    assert _quotient_log("B2", tcap, 0).is_zero() and theta_quotient("B3", tcap, 0).log().is_zero()
 
 
 def test_the_bernoulli_numbers():
@@ -1120,33 +1125,32 @@ def test_the_bernoulli_numbers():
     assert all(theta._bernoulli(n) == 0 for n in range(3, 60, 2))
 
 
+def perturbed_log_a(monkeypatch, n, j2):
+    """Patch A's closed-form logarithm, which every quotient reads, off by 1/24 at t^n q^(j2/2)."""
+    closed_form = theta._log_a
+
+    def perturbed(tcap, cap):
+        return closed_form(tcap, cap) + TwoVarSeries(tcap, cap, {(n, j2): Fraction(1, 24)})
+
+    monkeypatch.setattr(theta, "_log_a", perturbed)
+
+
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "L"])
 def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch):
-    """Negative control: one divisor-sum coefficient off by 1/(2m)! fails the product check."""
-    closed_form = theta._divisor_sum_log
-
-    def perturbed(*args):
-        coeffs = closed_form(*args)
-        coeffs[(4, 4)] += Fraction(1, 24)
-        return coeffs
-
-    monkeypatch.setattr(theta, "_divisor_sum_log", perturbed)
+    """Negative control: one divisor-sum coefficient of A's logarithm off by
+    1/(2m)! fails the product check of every quotient, since each reads it."""
+    perturbed_log_a(monkeypatch, 4, 4)
     tcap, cap = 6, 3
     num, den = product_quotient(kind, tcap, cap)
     assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num
 
 
-@pytest.mark.parametrize("kind", ["A", "B1"])
+@pytest.mark.parametrize("kind", ["A", "B1", "L"])
 def test_a_perturbed_bernoulli_sum_is_caught(kind, monkeypatch):
-    """Negative control: the q^0 logarithm off at t^4 fails the product check."""
-    closed_form = theta._hyperbolic_log
-
-    def perturbed(*args):
-        coeffs = closed_form(*args)
-        coeffs[(4, 0)] += Fraction(1, 24)
-        return coeffs
-
-    monkeypatch.setattr(theta, "_hyperbolic_log", perturbed)
+    """Negative control: A's q^0 logarithm off at t^4 fails the product check
+    of A, of L = (t/2)/A, and of B1, whose q^0 logarithm is A's at t less
+    16 times it."""
+    perturbed_log_a(monkeypatch, 4, 0)
     tcap, cap = 6, 3
     num, den = product_quotient(kind, tcap, cap)
     assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num

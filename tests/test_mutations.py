@@ -1,17 +1,19 @@
 """Every field of the case-family table reaches the report: a mutation matrix.
 
 Each row mutation replaces one field of one `verifier._FAMILIES` row (one
-combination atom counts as a field), and each code mutation replaces one
+combination atom counts as a field), each code mutation replaces one
 expression in the source of an engine function (`bundles.theta_series`,
 `bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
-`genera._log_coeffs`, `theta._divisor_sum_log`, `verifier._relation`);
-each then runs the 12 catalog specs at order 3 in-process.  The tables
+`genera._log_coeffs`, `theta._log_a`, `verifier._relation`), and each
+rescaling mutation replaces one quotient kind's entry of
+`theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
+in-process.  The tables
 state which report fields must change, each keyed by (case, dim, field):
 the route comparison, the fit, an identity's status or a corollary's
 modulus.  A mutation that changes nothing fails, and so does one that
 changes a field the table does not list.  No memoized form is keyed by a
-row, and every engine memo is cleared around each code mutation (the
-`fresh_memos` fixture), so the runs share no stale cache.
+row, and every engine memo is cleared around each code and rescaling
+mutation (the `fresh_memos` fixture), so the runs share no stale cache.
 """
 
 import inspect
@@ -199,14 +201,16 @@ CODE_MUTATIONS = {
         | flips("spin_v", {16: "route_ok fit_ok Thm1.15-q1 Cor1.16-a", 20: "route_ok fit_ok"})
         | flips("spinc_l", {18: "route_ok fit_ok Thm1.25-q1", 22: "route_ok fit_ok"}),
     ),
-    "B1 divisor sum signs the odd divisors": (
-        theta._divisor_sum_log,
-        theta,  # theta_quotient reads it
-        "d % 2 == 0",
-        "d % 2 == 1",
-        # only B1's logarithm changes: spin and spin_v multiply a B1 sector, spinc_l reads only A's
+    "A's divisor sum drops its last divisor": (
+        theta._log_a,
+        theta,  # _quotient_log reads it
+        "range(1, n + 1)",
+        "range(1, n)",
+        # sigma(n) loses the divisor n, so sigma(1) = 0: every quotient reads A's logarithm, so
+        # every family's route comparison fails, leaving nothing to fit
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
-        | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
+        | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
     ),
     "exterior factor signs the even powers": (
         bundles._lam_factor,
@@ -233,6 +237,20 @@ CODE_MUTATIONS = {
             20: "Thm1.7-(1.13) Cor1.8-a",
         }),
     ),
+}
+
+
+# Each replaces the rescalings of one quotient kind in `theta._RESCALINGS`, the
+# table that `theta._quotient_log` reads on each call, as an edit of its source
+# line would.  B1 is read by the spin and spin_v sectors; spinc_l reads only A.
+B1_ROUTES = flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}) | flips(
+    "spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}
+)
+RESCALING_MUTATIONS = {
+    # log B1 = log A(t) - log A(t, q^2): its t^(2m) terms lose the 4^m of t -> 2t
+    "B1 t-scale 2 -> 1": ("B1", ((1, 2, 1),), B1_ROUTES),
+    # log B1 = log A(t) - log A(2t, q): the q-step of A's rescaled copy is lost
+    "B1 q-step q^2 -> q": ("B1", ((2, 1, 1),), B1_ROUTES),
 }
 
 
@@ -270,5 +288,13 @@ def test_a_code_mutation_flips_exactly_its_fields(
     assert expected, "a mutation must name the fields it flips"
     mutant = recompiled(function, old, new)
     monkeypatch.setattr(reader, function.__name__, mutant)
+    mutated = outcome()
+    assert {key for key in baseline if mutated[key] != baseline[key]} == expected
+
+
+@pytest.mark.parametrize("kind, rescalings, expected", RESCALING_MUTATIONS.values(), ids=list(RESCALING_MUTATIONS))
+def test_a_rescaling_mutation_flips_exactly_its_fields(monkeypatch, fresh_memos, baseline, kind, rescalings, expected):
+    assert expected, "a mutation must name the fields it flips"
+    monkeypatch.setitem(theta._RESCALINGS, kind, rescalings)
     mutated = outcome()
     assert {key for key in baseline if mutated[key] != baseline[key]} == expected

@@ -1,4 +1,5 @@
-"""Theta quotients, the Jacobi product identity, and the root-product bridge."""
+"""Theta quotients, their logarithms read off A's, Jacobi's product and duplication
+identities, and the root-product bridge."""
 
 import gc
 from fractions import Fraction
@@ -13,14 +14,14 @@ from anomaly.qseries import PolyRing, QHalfSeries, qseries_exp
 from anomaly.theta import (
     TwoVarSeries,
     _bridged_log,
-    jacobi_identity_residual,
+    _quotient_log,
     line_quotient_evaluation,
     q_series_via_theta,
     symmetric_quotient_product,
     theta_quotient,
 )
 from anomaly.verifier import CASE_DIMS, CaseSpec, theta_route_integrand
-from oracles import naive_substitute
+from oracles import divisor_sum_log, hyperbolic_log, jacobi_identity_residual, naive_substitute
 
 
 class TestQuotientSlices:
@@ -170,6 +171,44 @@ class TestJacobiIdentity:
         residual = jacobi_identity_residual(N)
         for j2 in range(cap2 + 1):
             assert residual.coefficient(j2).is_zero()
+
+
+def doubled(series: TwoVarSeries) -> TwoVarSeries:
+    """series(2t, q): the t^n coefficients times 2^n."""
+    return TwoVarSeries(series.tcap, series.cap, {(n, j2): c * 2**n for (n, j2), c in series.coeffs.items()})
+
+
+def old_closed_form(kind, tcap, cap) -> TwoVarSeries:
+    """log Q from its own divisor and Bernoulli sums, as the engine once wrote each kind."""
+    return TwoVarSeries(tcap, cap, divisor_sum_log(kind, tcap, cap) | hyperbolic_log(kind, tcap))
+
+
+class TestOneClosedForm:
+    """B1 and B2 take their logarithms from A's at rescaled arguments; the
+    oracles are the sums the engine wrote for each kind before, and Jacobi's
+    duplication formula B1 B2 B3 (t) = A(t)/A(2t) (Whittaker-Watson, ch. 21)."""
+
+    @pytest.mark.parametrize("kind", ["A", "B1", "B2"])
+    def test_each_logarithm_is_its_old_closed_form(self, kind):
+        for tcap in range(17):
+            for cap in range(9):
+                assert _quotient_log(kind, tcap, cap) == old_closed_form(kind, tcap, cap), (tcap, cap)
+
+    @pytest.mark.parametrize("tcap, cap", [(0, 0), (1, 8), (7, 3), (12, 5), (16, 8)])
+    def test_the_duplication_formula_on_the_old_closed_forms(self, tcap, cap):
+        """log B1 + log B2 + log B3 = log A(t) - log A(2t), B3's log the half-period shift of B2's."""
+        b2 = old_closed_form("B2", tcap, cap)
+        a = old_closed_form("A", tcap, cap)
+        assert old_closed_form("B1", tcap, cap) + b2 + b2.tau_shift_half() == a - doubled(a)
+
+    @pytest.mark.parametrize("tcap, cap", [(0, 0), (1, 8), (7, 3), (12, 5), (16, 8)])
+    def test_the_duplication_formula_on_the_quotients(self, tcap, cap):
+        """B1 B2 B3 (t) A(2t) = A(t), multiplied out on the quotients' coefficients."""
+        quotients = {kind: theta_quotient(kind, tcap, cap) for kind in ("A", "B1", "B2", "B3")}
+        b = quotients["B1"] * quotients["B2"] * quotients["B3"]
+        assert b * doubled(quotients["A"]) == quotients["A"]
+        if tcap >= 2:  # with A(t) for A(2t) it fails: the formula reads the rescaling
+            assert b * quotients["A"] != quotients["A"]
 
 
 class TestRootProductBridge:
