@@ -279,7 +279,7 @@ def spinor_bundle(table: GeneratorTable, dim: int) -> VirtualBundle:
 # -- q-series of Chern characters ---------------------------------------------
 
 
-THETA_KINDS = ("theta1", "theta2", "theta3", "theta2+theta3", "sectors", "thetaV", "thetaL")
+THETA_KINDS = ("theta1", "theta2", "theta3", "sectors", "thetaV", "thetaL")
 
 
 def _sym_factor(W: VirtualBundle, n: int, cap: int) -> QHalfSeries:
@@ -314,9 +314,7 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
     theta1: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(T~)
     theta2: prod_n S_{q^n}(T~) (x) prod_m Lam_{-q^(m-1/2)}(T~)
     theta3: prod_n S_{q^n}(T~) (x) prod_m Lam_{+q^(m-1/2)}(T~)
-    theta2+theta3: prod_n S_{q^n}(T~) (x) (prod_m Lam_{-q^(m-1/2)}(T~) + prod_m Lam_{+q^(m-1/2)}(T~)),
-            the sum of theta2 and theta3
-    sectors: theta1 (x) V + rank(V) * (theta2+theta3), the spin case's three
+    sectors: theta1 (x) V + rank(V) * (theta2 + theta3), the spin case's three
             sectors with V the spinor bundle, over one symmetric-power product
     thetaV: prod_n S_{q^n}(T~) (x) prod_m Lam_{q^m}(V~)
             (x) prod_r Lam_{+q^(r-1/2)}(V~) (x) prod_s Lam_{-q^(s-1/2)}(V~)
@@ -329,8 +327,8 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
     powers are read to degree cap, not 2*cap.  The symmetric-power and
     the exterior-power factors are each multiplied sparsest (largest q-step)
     first, so the running products stay sparse; then one product joins the
-    two.  `theta2+theta3` and `sectors` add P to its shift first, so that
-    product runs over integer q-powers only.
+    two.  `sectors` adds P to its shift first, so that product runs over
+    integer q-powers only.
     """
     if kind not in THETA_KINDS:
         raise ValueError(f"unknown theta series kind {kind!r}")
@@ -360,8 +358,7 @@ def theta_series(kind: str, TX: VirtualBundle, V: VirtualBundle | None = None, c
         lam = product(T, half, -1)
         if kind == "theta3":
             lam = lam.tau_shift_half()
-        elif kind != "theta2":
+        elif kind == "sectors":
             lam = lam + lam.tau_shift_half()
-        if kind == "sectors":
             lam = product(T, whole, +1).scale(V.ch()) + lam * V.rank
     return reduce(mul, [_sym_factor(T, n, cap) for n in range(cap, 0, -1)], one) * lam

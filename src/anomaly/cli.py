@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or divisibility check failed,
 2 usage error, 3 no case matched the filters, 4 malformed input data,
-141 the output pipe was closed before the output was written.
+5 the manifold's numbers break the case condition, 141 the output pipe was
+closed before the output was written.
 
 Parsing is table-driven: `_COMMANDS` gives each command's options with their
 converters, choices, defaults and help, `parse_args` reads the arguments
@@ -51,9 +52,11 @@ from .theta import theta_quotient
 from .verifier import (
     CASE_DIMS,
     CASES,
+    CaseConditionError,
     CaseSpec,
     ManifoldData,
     ManifoldDataError,
+    check_case_condition,
     corollaries_for,
     corollary_modulus,
     evaluate_report,
@@ -345,10 +348,14 @@ def _cmd_evaluate(args) -> int:
         return 4
     try:
         data = ManifoldData.from_json(raw)
+        check_case_condition(data)
         report = evaluate_report(data)
     except (json.JSONDecodeError, ManifoldDataError) as err:
         print(f"anomaly: bad manifold data: {err}", file=sys.stderr)
         return 4
+    except CaseConditionError as err:
+        print(f"anomaly: {err}", file=sys.stderr)
+        return 5
     ok = all(row["balanced"] for row in report["identities"]) and all(row["ok"] for row in report["checks"])
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))

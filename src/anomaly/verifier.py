@@ -83,6 +83,10 @@ class ManifoldDataError(ValueError):
     """Characteristic-number data is malformed or incomplete."""
 
 
+class CaseConditionError(ValueError):
+    """Characteristic numbers break the case condition, so no identity applies."""
+
+
 # -- unicode pieces of the canonical index labels ------------------------------
 
 _OX = "⊗"      # tensor sign
@@ -503,21 +507,19 @@ _UNTWISTED = {"ahat": "ind(D)", "spinor": f"ind(D{_OX}{_DELTA})", "detcosh_V": "
 _TWISTED = {"detcosh_V": ("ind_V({})", _V), "exp_half_c": (f"ind(D^c{_OX}({{}}))", _L)}
 
 
-def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> list:
+def _relation(entry: IdentityEntry, e: int) -> list:
     """The identity's index terms as (coefficient, label, factor, combo) data.
 
     The index of a term pairs {factor * ch(combo)}^(dim) with the manifold;
     factor is "ahat" (Â), "spinor" (Â·ch(Δ)) or an auxiliary factor kind
     times Â, and combo is a bundle combination or None for the trivial
-    bundle.  e is the basis-form coefficient; rhs_sector overrides the spin
-    relation's constant on the right side.  The first term is the one the
+    bundle.  e is the basis-form coefficient.  The first term is the one the
     corollary solves for.
     """
     qp = entry.q_power
     row = _FAMILIES[entry.case]
     if row.factor == "spinor":
         sector = 2 ** (entry.dim // 2 + 1)
-        rs = sector if rhs_sector is None else rhs_sector
         plain = _SPIN_PLAIN[qp]
         if qp == 1:
             target = (2, f"ind(D{_OX}{_DELTA}{_OX}{_T})", "spinor", ((1, ("T",)),))
@@ -527,7 +529,7 @@ def _relation(entry: IdentityEntry, e: int, rhs_sector: int | None = None) -> li
             target,
             (sector, f"ind(D{_OX}({_render_combo(plain, _V)}))", "ahat", plain),
             (-e, _UNTWISTED["spinor"], "spinor", None),
-            (-e * rs, _UNTWISTED["ahat"], "ahat", None),
+            (-e * sector, _UNTWISTED["ahat"], "ahat", None),
         ]
     factor, combo = row.factor, row.combos[qp]
     label, vname = _TWISTED[factor]
@@ -579,14 +581,6 @@ def _build_catalog():
 
 
 IDENTITIES, COROLLARIES = _build_catalog()
-
-# Identities whose statements carry a printed slip; the variant values let the
-# suite demonstrate that the uncorrected forms fail.
-PRINTED_VARIANTS = {
-    "Thm1.7-(1.13)": {"rhs_sector": 32},
-    "Thm1.7-(1.14)": {"e_const": -117288},
-    "Thm1.15-q1": {"extract": 12},
-}
 
 
 def identities_for(case: str, dim: int) -> list[IdentityEntry]:
@@ -647,22 +641,19 @@ def _index_forms(entries, coordinates) -> tuple:
     return top, forms
 
 
-def _relation_terms(
-    entry: IdentityEntry, forms: tuple, e: int, extract: int | None = None, rhs_sector: int | None = None
-) -> list:
+def _relation_terms(entry: IdentityEntry, forms: tuple, e: int) -> list:
     """The identity's index terms read off `forms` (`_index_forms`) at their
     dimension D: (coefficient, label, form, rank ratio) quadruples.
 
-    Each form is the degree-d part, d = dim unless `extract` overrides it, of
-    the index form over D's table: the entry's own form times the rank ratio
-    (`_rank_ratio`), which Â does not carry.
+    Each form is the degree-dim part of the index form over D's table: the
+    entry's own form times the rank ratio (`_rank_ratio`), which Â does not
+    carry.
     """
     top, by_key = forms
-    d = entry.dim if extract is None else extract
     ratio = _rank_ratio(entry.case, top, entry.dim)
     return [
-        (coeff, label, by_key[entry.case, factor, combo].homogeneous_component(d), 1 if factor == "ahat" else ratio)
-        for coeff, label, factor, combo in _relation(entry, e, rhs_sector)
+        (coeff, label, by_key[entry.case, factor, combo].homogeneous_component(entry.dim), 1 if factor == "ahat" else ratio)
+        for coeff, label, factor, combo in _relation(entry, e)
     ]
 
 
@@ -696,14 +687,7 @@ def _entry(ident: str) -> IdentityEntry:
         raise UnknownIdentityError(f"unknown identity {ident!r}") from None
 
 
-def verify_identity(
-    ident: str,
-    forms: tuple | None = None,
-    *,
-    e_const: int | None = None,
-    extract: int | None = None,
-    rhs_sector: int | None = None,
-) -> IdentityResult:
+def verify_identity(ident: str, forms: tuple | None = None) -> IdentityResult:
     """Rebuild the stated identity from its bundle combination and check it.
 
     `forms` holds the index forms of the entry's case family at a dimension
@@ -712,28 +696,20 @@ def verify_identity(
     over D's table, each spinor term divided by its rank ratio, and only the
     residual is converted to Pontryagin classes (`_in_pontryagin`) and cut to
     the entry's table.  Without `forms` the entry is its own top and nothing
-    is cut.  The override keywords (e_const, extract, rhs_sector) let the
-    uncorrected printed statements run as negative controls.
+    is cut.
     """
     entry = _entry(ident)
-    constant = _basis_coefficient(entry.weight, entry.q_power) if e_const is None else e_const
+    constant = _basis_coefficient(entry.weight, entry.q_power)
     if forms is None:
         forms = _index_forms([entry], _Family.power_sum_table)
     acc = None
-    for coeff, _, form, ratio in _relation_terms(entry, forms, constant, extract, rhs_sector):
+    for coeff, _, form, ratio in _relation_terms(entry, forms, constant):
         piece = form * (coeff if ratio == 1 else Fraction(coeff, ratio))
         acc = piece if acc is None else acc + piece
     residual = _in_pontryagin(acc, entry.case)
     if forms[0] != entry.dim:  # a family top: the residual goes onto the entry's own table
         residual = residual.cut(_FAMILIES[entry.case].table(entry.dim), entry.dim)
     return IdentityResult(ident, residual.is_zero(), residual, constant, entry.notes)
-
-
-def verify_identity_as_printed(ident: str) -> IdentityResult:
-    """Run one of the erratum identities with its uncorrected printed values."""
-    if ident not in PRINTED_VARIANTS:
-        raise UnknownIdentityError(f"identity {ident!r} has no diverging printed variant")
-    return verify_identity(ident, **PRINTED_VARIANTS[ident])
 
 
 def divisibility_modulus(ident: str, target: str) -> int:
@@ -877,9 +853,32 @@ def _pair(numbers: dict[tuple[int, ...], Fraction], form: GradedPoly, dim: int) 
     return total
 
 
-def evaluate_manifold(data: ManifoldData, form: GradedPoly) -> Fraction:
-    """Pair a top-degree form with the manifold's characteristic numbers."""
-    return _pair(_numbers_by_exponents(data, form.table), form, data.dim)
+def check_case_condition(data: ManifoldData) -> None:
+    """Raise CaseConditionError unless the manifold's numbers meet the
+    condition pX1 -> c*m of its case (`manifold_case`): if pX1 = c*m in H^4,
+    then <pX1*x> = c*<m*x> for every monomial x of degree dim - 4.
+
+    The first broken equality, x in render order, is named with both values.
+    An x whose two numbers are not both given is left to the pairing, which
+    names a missing one.  `evaluate_report` pairs whatever numbers it gets,
+    so the CLI checks them here first.
+    """
+    case = manifold_case(data)
+    if _FAMILIES[case].condition is None:
+        return
+    monomial, coeff = _FAMILIES[case].condition
+    table = _FAMILIES[case].table(data.dim)
+    numbers = _numbers_by_exponents(data, table)
+    p1, m = first_classes(table, "pX1"), first_classes(table, monomial)
+    for expts in sorted(numbers):
+        image = tuple(e - f + g for e, f, g in zip(expts, p1, m))  # pX1*x -> m*x; no key if pX1 does not divide
+        if image in numbers and numbers[expts] != coeff * numbers[image]:
+            scale = "" if coeff == 1 else f"{coeff}*"
+            raise CaseConditionError(
+                f"the numbers break the {case} condition pX1 = {scale}{monomial}: "
+                f"<{table.monomial_string(expts)}> = {numbers[expts]}, "
+                f"but {scale}<{table.monomial_string(image)}> = {coeff * numbers[image]}"
+            )
 
 
 def manifold_case(data: ManifoldData) -> str:

@@ -29,6 +29,17 @@ the two at every coefficient.
 t = 0 shadow of Jacobi's duplication formula B1 B2 B3 = A(t)/A(2t), which
 the engine never reads.
 
+`relation_sum` sums an identity's index terms, each form divided by its
+rank ratio, with the case condition imposed: the relation that
+`verifier.verify_identity` checks, summed without its conversion to
+Pontryagin classes.  `verify_identity_as_printed` sums the three relations
+whose printed statements carry a slip (`PRINTED_VARIANTS`) as printed,
+rebuilt from the engine's own terms with the printed value put back: the
+suite shows that each fails where its corrected form passes.
+
+`evaluate_manifold` pairs one top-degree form with a manifold's
+characteristic numbers, through the pairing that `evaluate` uses.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
@@ -39,9 +50,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from anomaly import verifier
 from anomaly.algebra import GradedPoly
 from anomaly.qseries import RATIONALS, QHalfSeries
 from anomaly.cli import _CASE_FLAGS, _SERIES
+from anomaly.verifier import IDENTITIES, IdentityResult, UnknownIdentityError, impose_condition
 
 
 def naive_substitute(f, images, target):
@@ -204,6 +217,53 @@ def jacobi_identity_residual(cap: int) -> QHalfSeries:
         t3 = t3 * p * p
         j2 += 2
     return lhs - t1 * t2 * t3
+
+
+def relation_sum(terms, case):
+    """The index terms (`verifier._relation_terms`) summed, each form divided
+    by its rank ratio, with the condition of `case` imposed."""
+    acc = None
+    for coeff, _, form, ratio in terms:
+        piece = form * Fraction(coeff, ratio)
+        acc = piece if acc is None else acc + piece
+    return impose_condition(acc, case)
+
+
+# The identities whose statements print a slip, and the printed value: the
+# right side's plain-sector constant, the basis constant, the extraction degree.
+PRINTED_VARIANTS = {
+    "Thm1.7-(1.13)": {"rhs_sector": 32},
+    "Thm1.7-(1.14)": {"e_const": -117288},
+    "Thm1.15-q1": {"extract": 12},
+}
+
+
+def verify_identity_as_printed(ident, forms=None):
+    """The identity as its statement prints it, checked on `forms` (default:
+    the entry's own, as `verifier.verify_identity` builds them).
+
+    The terms are the engine's (`verifier._relation_terms`) with the printed
+    value put back: the printed basis constant is their e; the printed
+    extraction degree reads them off an entry of that dimension; the printed
+    plain-sector constant rewrites the last, untwisted Â term, -e * sector.
+    """
+    if ident not in PRINTED_VARIANTS:
+        raise UnknownIdentityError(f"identity {ident!r} has no diverging printed variant")
+    printed, entry = PRINTED_VARIANTS[ident], IDENTITIES[ident]
+    e = printed.get("e_const", verifier._basis_coefficient(entry.weight, entry.q_power))
+    if forms is None:
+        forms = verifier._index_forms([entry], verifier._Family.power_sum_table)
+    terms = verifier._relation_terms(entry._replace(dim=printed.get("extract", entry.dim)), forms, e)
+    if "rhs_sector" in printed:
+        _, label, form, ratio = terms[-1]
+        terms[-1] = (-e * printed["rhs_sector"], label, form, ratio)
+    residual = relation_sum(terms, entry.case)
+    return IdentityResult(ident, residual.is_zero(), residual, e, entry.notes)
+
+
+def evaluate_manifold(data, form):
+    """Pair a top-degree form with the manifold's characteristic numbers."""
+    return verifier._pair(verifier._numbers_by_exponents(data, form.table), form, data.dim)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,6 @@ from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
     IDENTITIES,
-    PRINTED_VARIANTS,
     CaseSpec,
     ManifoldData,
     bundle_route_integrand,
@@ -38,9 +37,8 @@ from anomaly.verifier import (
     impose_condition,
     theta_route_integrand,
     verify_identity,
-    verify_identity_as_printed,
 )
-from oracles import jacobi_identity_residual, naive_substitute
+from oracles import PRINTED_VARIANTS, jacobi_identity_residual, naive_substitute, verify_identity_as_printed
 
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -511,6 +511,7 @@ def _oracle_inputs():
     for dim in (8, 12):
         spin = pontryagin_table(dim)
         TX = tangent_complexification(spin, dim)
+        # theta2+theta3 is no kind of theta_series: the test sums theta2 and theta3
         out += [pytest.param(kind, TX, None, id=f"{kind}-spin{dim}") for kind in ("theta1", "theta2", "theta3", "theta2+theta3")]
         out.append(pytest.param("sectors", TX, spinor_bundle(spin, dim), id=f"sectors-spin{dim}"))
         aux = pontryagin_table(dim, aux=True)
@@ -530,7 +531,8 @@ class TestThetaSeriesOracle:
             if W is not None:
                 powers[id(W)] = newton_powers(W, 10)
         for cap in range(6):
-            assert theta_series(kind, TX, V, cap=cap) == sequential_theta(kind, TX, V, cap, powers)
+            engine = reduce(add, [theta_series(part, TX, V, cap=cap) for part in kind.split("+")])
+            assert engine == sequential_theta(kind, TX, V, cap, powers)
 
     @pytest.mark.parametrize("cap", range(1, 6))
     def test_theta_v_reads_the_exterior_powers_of_v_to_the_cap(self, cap):
@@ -544,11 +546,20 @@ class TestThetaSeriesOracle:
 
     @pytest.mark.parametrize("dim", [8, 12])
     def test_theta2_plus_theta3_is_the_sum(self, dim):
-        TX = tangent_complexification(pontryagin_table(dim), dim)
+        """The sectors kind adds theta2's exterior product to its own shift; the
+        sum of the theta2 and theta3 series is what it scales by rank(Δ)."""
+        table = pontryagin_table(dim)
+        TX, delta = tangent_complexification(table, dim), spinor_bundle(table, dim)
         for cap in range(6):
-            both = theta_series("theta2+theta3", TX, cap=cap)
-            assert both == theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
+            both = theta_series("theta2", TX, cap=cap) + theta_series("theta3", TX, cap=cap)
             assert both.integer_powers_only()
+            theta1 = theta_series("theta1", TX, cap=cap)
+            assert theta_series("sectors", TX, delta, cap=cap) == theta1.scale(delta.ch()) + both * delta.rank
+
+    def test_the_sum_is_no_kind(self):
+        TX = tangent_complexification(pontryagin_table(8), 8)
+        with pytest.raises(ValueError, match="unknown theta series kind 'theta2\\+theta3'"):
+            theta_series("theta2+theta3", TX)
 
 
 class TestHalfPeriodShift:
@@ -574,7 +585,7 @@ class TestHalfPeriodShift:
         theta2 = theta_series("theta2", TX, cap=self.CAP)
         # theta2 = S * minus with S over integer q-powers, so S * plus is theta2 shifted
         assert theta_series("theta3", TX, cap=self.CAP) == theta2.tau_shift_half()
-        assert theta_series("theta2+theta3", TX, cap=self.CAP) == theta2 + theta2.tau_shift_half()
+        assert theta2 + theta_series("theta3", TX, cap=self.CAP) == theta2 + theta2.tau_shift_half()
 
     @pytest.mark.parametrize("dim", [8, 12, 16, 20])
     def test_spin_v_plus_chain_is_the_shift(self, dim):

@@ -27,6 +27,8 @@ SPINC10_JSON = '{"dim": 10, "numbers": {"cL^5": "170", "pX2*cL": "-934", "pX1*cL
 SPIN12_JSON = '{"dim": 12, "numbers": {"pX3": "-29", "pX1*pX2": "-450", "pX1^3": "346"}}'
 SPINC10_DIGEST = "f612ad9dd182d42dcb99a9c28108149f4b0100787a5b2159acc12d7477c7cb14"
 OFF_HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "8"}}'
+# <pX1*cL^3> = 0 but <cL^5> = 1: pX1 = cL^2, the spinc_l condition, does not hold.
+OFF_CONDITION_JSON = '{"dim": 10, "numbers": {"pX1^2*cL": "0", "pX2*cL": "0", "pX1*cL^3": "0", "cL^5": "1"}}'
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -467,6 +469,16 @@ class TestEvaluate:
         else:
             assert code in (0, 1) and json.loads(out)["dim"] == 8
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_numbers_that_break_the_case_condition_exit_5(self, capsys, tmp_path, fmt):
+        """Not a failed check (exit 1): no identity applies to such numbers."""
+        path = tmp_path / "off.json"
+        path.write_text(OFF_CONDITION_JSON, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path), "--format", fmt)
+        assert code == 5
+        assert out == ""
+        assert err == "anomaly: the numbers break the spinc_l condition pX1 = cL^2: <pX1*cL^3> = 0, but <cL^5> = 1\n"
+
     def test_missing_monomial_exits_4(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text('{"dim": 8, "numbers": {"pX1^2": "4"}}', encoding="utf-8")
@@ -672,8 +684,9 @@ class TestProcessEntry:
             (("verify", "--case", "spinny"), "", 2),
             (("verify", "--case", "spin", "--dim", "10"), "", 3),
             (("evaluate", "--input", "-"), "{not json", 4),
+            (("evaluate", "--input", "-"), OFF_CONDITION_JSON, 5),
         ],
-        ids=["failed-divisibility", "usage", "no-case", "malformed"],
+        ids=["failed-divisibility", "usage", "no-case", "malformed", "broken-condition"],
     )
     def test_exit_codes_come_through(self, argv, stdin, expected):
         code, _, err = run_process(*argv, stdin=stdin)

@@ -13,7 +13,9 @@ heap before exit.  No module tells case families apart but through the
 family table, and the route modules name no family at all.  One module
 decides the coordinates: only `algebra` names the power-sum generators,
 and only `verifier` asks for a power-sum table.  Every module parses as the
-oldest Python that `pyproject.toml` admits."""
+oldest Python that `pyproject.toml` admits.  Every public function has a
+caller in the package, but for the process entry and the benchmark's layer
+names: a function that only the tests read is an oracle."""
 
 import ast
 import os
@@ -385,3 +387,57 @@ def test_one_module_decides_the_coordinates(path):
         assert power_sum_names(source) == []
     if path.name != "verifier.py":
         assert power_sum_table_calls(source) == []
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """The public top-level functions of `sources` ({module name: source}),
+    as "module.name", that no module reads: by name or as an attribute,
+    anywhere but in their own definition and in an `if __name__ ==
+    "__main__":` block, which starts a process and calls nothing in the
+    package."""
+
+    def reads(node) -> set:
+        return {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+        }
+
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+                continue
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((module, node.name))
+                read |= reads(node) - {node.name}
+            else:
+                read |= reads(node)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+# The public functions that nothing in the package calls, each with its reason.
+UNCALLED = {
+    "cli.run": "the process entry: the console script and the main block start it",
+    "verifier.run_case": "a per_layer name of BENCHMARK.json, until the harness replaces it",
+    "verifier.index_relation_forms": "a per_layer name of BENCHMARK.json, until the harness replaces it",
+    "theta.symmetric_quotient_product": "a per_layer name of BENCHMARK.json, until the harness replaces it",
+}
+
+
+def test_the_caller_scan_sees_every_form():
+    sources = {
+        "a": "def used():\n    pass\ndef by_attribute():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
+             "def entry():\n    pass\ndef _private():\n    pass\nclass C:\n    def method(self):\n        pass\n"
+             "if __name__ == '__main__':\n    entry()\n",
+        "b": "from a import used\nimport a\nx = used()\ny = a.by_attribute\ndef lonely():\n    return a.C\n",
+    }
+    assert uncalled_functions(sources) == ["a.recursive", "a.entry", "b.lonely"]
+
+
+def test_every_public_function_has_a_caller():
+    """`src/anomaly` holds what the CLI runs: a public function that only tests
+    or exports read belongs in `tests/oracles.py`.  `__init__.py` is skipped:
+    its imports are its exports."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES if path.name != "__init__.py"}
+    assert sorted(uncalled_functions(sources)) == sorted(UNCALLED)

@@ -237,6 +237,27 @@ CODE_MUTATIONS = {
             20: "Thm1.7-(1.13) Cor1.8-a",
         }),
     ),
+    "auxiliary and line untwisted index counted twice": (
+        verifier._relation,
+        verifier,
+        "(-e, _UNTWISTED[factor]",
+        "(-2 * e, _UNTWISTED[factor]",
+        # a relation coefficient other than spin's q^1 target, read by no route and no fit: every
+        # spin_v, spin_v_line and spinc_l identity fails, and each of their corollaries, whose
+        # modulus is the gcd of the other coefficients, moves from |e| to 2|e|
+        flips("spin_v", {
+            8: "Thm1.9-q1 Thm1.9-q2 Cor1.10-a Cor1.10-b Cor1.11-a Cor1.11-b",
+            12: "Thm1.12-q1 Thm1.12-q2 Cor1.13-a Cor1.13-b Cor1.14-a Cor1.14-b",
+            16: "Thm1.15-q1 Cor1.16-a Cor1.17-a",
+            20: "Thm1.18-q1 Cor1.19-a Cor1.20-a",
+        })
+        | flips("spinc_l", {
+            10: "Thm1.21-q1 Thm1.21-q2 Cor1.22-a Cor1.22-b",
+            14: "Thm1.23-q1 Thm1.23-q2 Cor1.24-a Cor1.24-b",
+            18: "Thm1.25-q1 Cor1.26-a",
+            22: "Thm1.27-q1 Cor1.28-a",
+        }),
+    ),
 }
 
 

@@ -317,7 +317,9 @@ class TestMemoizedCapsAreChecked:
     ]
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    @pytest.mark.parametrize("constructor, good, bad", BAD_WEIGHTS, ids=repr)
+    @pytest.mark.parametrize(
+        "constructor, good, bad", BAD_WEIGHTS, ids=[f"{c.__name__}-{good}-{bad!r}" for c, good, bad in BAD_WEIGHTS]
+    )
     def test_bad_weight_rejected_in_either_cache_order(self, constructor, good, bad, warm):
         """A float or a bool weight is the package's ValueError, never the form of an equal int."""
         if warm:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,7 @@ from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
     IDENTITIES,
-    PRINTED_VARIANTS,
+    CaseConditionError,
     CaseSpec,
     IdentityEntry,
     IdentityResult,
@@ -37,11 +39,11 @@ from anomaly.verifier import (
     assemble_Q,
     bundle_route_integrand,
     case_weight,
+    check_case_condition,
     corollaries_for,
     corollary_modulus,
     divisibility_modulus,
     eisenstein_fit,
-    evaluate_manifold,
     evaluate_report,
     identities_for,
     impose_condition,
@@ -51,9 +53,8 @@ from anomaly.verifier import (
     run_cases,
     theta_route_integrand,
     verify_identity,
-    verify_identity_as_printed,
 )
-from oracles import in_power_sums
+from oracles import PRINTED_VARIANTS, evaluate_manifold, in_power_sums, relation_sum, verify_identity_as_printed
 
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 
@@ -638,16 +639,13 @@ def family_forms(case):
 
 
 def family_sum(entry, halve_spinor_ratio=False):
-    """The relation summed over the family top's forms, each divided by its rank
-    ratio (or by half of it, for `halve_spinor_ratio`), case condition imposed."""
+    """The relation summed over the family top's forms (`oracles.relation_sum`),
+    each divided by its rank ratio, or by half of it, for `halve_spinor_ratio`."""
     e = verifier._basis_coefficient(entry.weight, entry.q_power)
-    acc = None
-    for coeff, _, form, ratio in verifier._relation_terms(entry, family_forms(entry.case), e):
-        if halve_spinor_ratio and ratio > 1:
-            ratio //= 2
-        piece = form * Fraction(coeff, ratio)
-        acc = piece if acc is None else acc + piece
-    return impose_condition(acc, entry.case)
+    terms = verifier._relation_terms(entry, family_forms(entry.case), e)
+    if halve_spinor_ratio:
+        terms = [(coeff, label, form, ratio // 2 if ratio > 1 else ratio) for coeff, label, form, ratio in terms]
+    return relation_sum(terms, entry.case)
 
 
 class TestFamilyIdentityForms:
@@ -683,7 +681,7 @@ class TestFamilyIdentityForms:
     def test_printed_variants_fail_on_the_family_forms(self, ident):
         forms = family_forms(IDENTITIES[ident].case)
         assert verify_identity(ident, forms).passed
-        assert not verify_identity(ident, forms, **PRINTED_VARIANTS[ident]).passed
+        assert not verify_identity_as_printed(ident, forms).passed
 
     def test_a_full_run_builds_each_form_and_table_once(self, monkeypatch, fresh_memos):
         combos = []
@@ -854,6 +852,81 @@ class TestManifoldData:
         hp2 = ManifoldData(8, {"pX1^2": Fraction(4), "pX2": Fraction(7)})
         with pytest.raises(ManifoldDataError, match="degree-4 term but the manifold has dimension 8"):
             evaluate_manifold(hp2, ahat_form(table, 8).homogeneous_component(4))
+
+
+def condition_numbers(dim, rng, coeff=1):
+    """Random integer numbers of every monomial of degree dim over the spinc_l
+    table that meet pX1 = coeff * cL^2: a monomial pX1^a * y gets coeff^a
+    times the number of cL^(2a) * y, and the monomials without pX1 are free."""
+    table = CaseSpec("spinc_l", dim).table()
+    p1, cl = table.index("pX1"), table.index("cL")
+    monomials = [()]
+    for degree in table.degrees:
+        monomials = [m + (e,) for m in monomials for e in range(dim // degree + 1)]
+    values = {}
+    for m in sorted(monomials, key=lambda m: m[p1]):  # each image, pX1-free, comes first
+        if table.monomial_degree(m) != dim:
+            continue
+        if m[p1] == 0:
+            values[m] = rng.randint(-10**6, 10**6)
+        else:
+            image = list(m)
+            image[p1], image[cl] = 0, m[cl] + 2 * m[p1]
+            values[m] = coeff ** m[p1] * values[tuple(image)]
+    return {table.monomial_string(m): str(v) for m, v in values.items()}
+
+
+class TestCaseCondition:
+    """Numbers that break pX1 = c*m are refused before any form is paired;
+    numbers that meet it balance every identity, modulo the condition."""
+
+    @pytest.mark.parametrize("dim", CASE_DIMS["spinc_l"])
+    def test_numbers_that_meet_the_condition_balance_every_identity(self, dim):
+        rng = random.Random(dim)
+        for _ in range(3):
+            data = ManifoldData.from_mapping({"dim": dim, "numbers": condition_numbers(dim, rng)})
+            check_case_condition(data)
+            report = evaluate_report(data)
+            assert report["case"] == "spinc_l" and len(report["identities"]) == len(identities_for("spinc_l", dim))
+            assert all(row["balanced"] for row in report["identities"])
+
+    @pytest.mark.parametrize("dim", CASE_DIMS["spinc_l"])
+    def test_each_broken_equality_trips_the_check(self, dim):
+        numbers = condition_numbers(dim, random.Random(dim))
+        keys = [key for key in numbers if "pX1" in key]
+        assert keys
+        for key in keys:
+            broken = {**numbers, key: str(int(numbers[key]) + 1)}
+            with pytest.raises(CaseConditionError, match=rf"<{re.escape(key)}> = {broken[key]}, but <"):
+                check_case_condition(ManifoldData.from_mapping({"dim": dim, "numbers": broken}))
+
+    def test_the_first_broken_equality_is_named(self):
+        data = ManifoldData.from_mapping(
+            {"dim": 10, "numbers": {"pX1^2*cL": "0", "pX2*cL": "0", "pX1*cL^3": "0", "cL^5": "1"}}
+        )
+        message = "the numbers break the spinc_l condition pX1 = cL^2: <pX1*cL^3> = 0, but <cL^5> = 1"
+        with pytest.raises(CaseConditionError) as err:
+            check_case_condition(data)
+        assert str(err.value) == message
+
+    def test_a_condition_coefficient_scales_the_right_side(self, monkeypatch):
+        row = verifier._FAMILIES["spinc_l"]
+        monkeypatch.setitem(verifier._FAMILIES, "spinc_l", row._replace(condition=("cL^2", 3)))
+        numbers = condition_numbers(10, random.Random(3), coeff=3)
+        check_case_condition(ManifoldData.from_mapping({"dim": 10, "numbers": numbers}))
+        numbers["pX1*cL^3"] = str(int(numbers["cL^5"]))
+        with pytest.raises(CaseConditionError, match=r"pX1 = 3\*cL\^2: <pX1\*cL\^3> = (-?\d+), but 3\*<cL\^5> = "):
+            check_case_condition(ManifoldData.from_mapping({"dim": 10, "numbers": numbers}))
+
+    def test_a_missing_number_is_left_to_the_pairing(self):
+        data = ManifoldData(10, {"pX1*cL^3": Fraction(1), "pX2*cL": Fraction(1)})
+        check_case_condition(data)
+        with pytest.raises(ManifoldDataError, match="missing"):
+            evaluate_report(data)
+
+    def test_spin_has_no_condition(self):
+        check_case_condition(HP2)
+        check_case_condition(ManifoldData(8, {"pX1^2": Fraction(4), "pX2": Fraction(8)}))
 
 
 class TestQuaternionicPlane:
