@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``verify``   - assemble the catalog cases along both routes, fit the modular
-  basis form, check every catalog identity and report divisibility moduli.
+* ``verify``   - assemble the catalog cases along both routes, compare them,
+  fit the modular basis form, check every catalog identity and report
+  divisibility moduli.
 * ``expand``   - print the q-expansion of a named series or theta quotient.
 * ``evaluate`` - pair the catalog index forms with characteristic numbers of a
   manifold supplied as JSON.
@@ -22,7 +23,8 @@ standard library's generic option parser would add a few milliseconds to
 each: its import (with the gettext message catalogs it loads) and building
 its parsers.  An option is ``--opt value`` or ``--opt=value``, a unique
 prefix names it, the last repeat wins, and ``-h`` prints help before or
-after the command.
+after the command.  A command reads its arguments and its input alone, no
+environment variable, so its output is a function of them.
 
 Two entries: `main(argv)` parses and runs one command and returns its exit
 code; it changes no interpreter state, so tests call it in-process.  `run()`
@@ -79,22 +81,9 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _default_order() -> int:
-    raw = os.environ.get("ANOMALY_QCAP")
-    if raw is None:
-        return 3
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(_usage_error(f"ANOMALY_QCAP must be an integer, got {raw!r}"))
-    if value < 0:
-        raise SystemExit(_usage_error("ANOMALY_QCAP must be nonnegative"))
-    return value
-
-
 _FORMATS = ("text", "json")
 _CASE_CHOICES = (*sorted(_CASE_FLAGS), "all")
-_ORDER_HELP = "q-expansion cap (default: ANOMALY_QCAP or 3)"
+_ORDER_HELP = "q-expansion cap (default: 3)"
 _REQUIRED = object()  # the default of an option that must be given
 _DESCRIPTION = "Verify modular anomaly-cancellation identities and their divisibility corollaries."
 
@@ -107,8 +96,7 @@ _COMMANDS = {
         (
             ("--case", str, _CASE_CHOICES, "all", ""),
             ("--dim", int, None, None, "restrict to one dimension"),
-            ("--order", int, None, None, _ORDER_HELP),
-            ("--route", str, ("bundle", "theta", "both"), "both", ""),
+            ("--order", int, None, 3, _ORDER_HELP),
             ("--format", str, _FORMATS, "text", ""),
         ),
     ),
@@ -116,7 +104,7 @@ _COMMANDS = {
         "print the expansion of a named series",
         (
             ("--series", str, _SERIES, _REQUIRED, ""),
-            ("--order", int, None, None, _ORDER_HELP),
+            ("--order", int, None, 3, _ORDER_HELP),
             ("--dim", int, None, 8, "manifold dimension for bundle-valued series"),
             ("--tcap", int, None, 6, "t-power cap for the two-variable quotients"),
             ("--format", str, _FORMATS, "text", ""),
@@ -279,19 +267,18 @@ def _selected_cases(args) -> list[tuple[str, int]]:
 
 
 def _cmd_verify(args) -> int:
-    qcap = _default_order() if args.order is None else args.order
-    if qcap < 0:
+    if args.order < 0:
         return _usage_error("--order must be nonnegative")
     pairs = _selected_cases(args)
     if not pairs:
         print("anomaly: no catalog case matches the given filters", file=sys.stderr)
         return 3
-    reports = run_cases([CaseSpec(case, dim, qcap, args.route) for case, dim in pairs])
+    reports = run_cases([CaseSpec(case, dim, args.order) for case, dim in pairs])
     if args.format == "json":
         print(json.dumps(report_jsonable(reports), sort_keys=True, indent=2))
     else:
         for r in reports:
-            print(f"case {r.case} dim {r.dim} (weight {r.weight}, qcap {r.qcap}, route {r.route})")
+            print(f"case {r.case} dim {r.dim} (weight {r.weight}, qcap {r.qcap}, route both)")
             print(f"  routes: {'ok' if r.route_ok else 'MISMATCH'} ({r.route_detail})")
             if r.route_ok:
                 print(f"  fit: lambda = {r.lam}; residual = {r.fit_residual}: {'ok' if r.fit_ok else 'FAIL'}")
@@ -306,18 +293,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    order = _default_order() if args.order is None else args.order
-    if order < 0:
+    if args.order < 0:
         return _usage_error("--order must be nonnegative")
     name = args.series
     if name in _SERIES_WEIGHTS:
-        text = modular_basis(_SERIES_WEIGHTS[name], order).render()
+        text = modular_basis(_SERIES_WEIGHTS[name], args.order).render()
     elif name.endswith("-ch"):
         if args.dim % 4 or args.dim < 4:
             return _usage_error("--dim must be a positive multiple of 4 for bundle-valued series")
         table = pontryagin_table(args.dim)
         TX = tangent_complexification(table, args.dim)
-        text = theta_series(name[:-3], TX, cap=order).render()
+        text = theta_series(name[:-3], TX, cap=args.order).render()
     elif name == "Ahat":
         if args.dim % 4 or args.dim < 4:
             return _usage_error("--dim must be a positive multiple of 4 for Ahat")
@@ -325,9 +311,9 @@ def _cmd_expand(args) -> int:
     else:
         if args.tcap < 0:
             return _usage_error("--tcap must be nonnegative")
-        text = theta_quotient(name, args.tcap, order).render()
+        text = theta_quotient(name, args.tcap, args.order).render()
     if args.format == "json":
-        print(json.dumps({"series": name, "order": order, "value": text}, sort_keys=True, indent=2))
+        print(json.dumps({"series": name, "order": args.order, "value": text}, sort_keys=True, indent=2))
     else:
         print(f"{name} = {text}")
     return 0

@@ -205,20 +205,19 @@ def case_weight(case: str, dim: int) -> int:
     return (dim - _FAMILIES[case].weight_drop) // 2
 
 
-class CaseSpec(namedtuple("CaseSpec", "case dim qcap route")):
-    """One verification case: geometric setting, dimension, caps and route."""
+class CaseSpec(namedtuple("CaseSpec", "case dim qcap")):
+    """One verification case: geometric setting, dimension and q-cap.  Every
+    case builds both routes and compares them (`assemble_Q`)."""
 
     __slots__ = ()
 
-    def __new__(cls, case: str, dim: int, qcap: int = 3, route: str = "both"):
+    def __new__(cls, case: str, dim: int, qcap: int = 3):
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
         if not _is_int(dim) or dim not in CASE_DIMS[case]:
             raise ValueError(f"case {case} supports dimensions {CASE_DIMS[case]}, got {dim!r}")
         _nonnegative_int(qcap, "q-cap")
-        if route not in ("bundle", "theta", "both"):
-            raise ValueError(f"route must be bundle, theta or both, got {route!r}")
-        return super().__new__(cls, case, dim, qcap, route)
+        return super().__new__(cls, case, dim, qcap)
 
     @classmethod
     def _make(cls, iterable) -> "CaseSpec":
@@ -344,19 +343,18 @@ def _rank_ratio(case: str, top_dim: int, dim: int) -> int:
 
 
 def _family_routes(top) -> tuple:
-    """The route integrands of `top`'s case family, built at `top.dim`:
-    (dimension, bundle series or None, theta series or None, whether both are
-    built and equal)."""
-    bundle = bundle_route_integrand(top) if top.route in ("bundle", "both") else None
-    theta = theta_route_integrand(top) if top.route in ("theta", "both") else None
-    return top.dim, bundle, theta, bundle is not None and bundle == theta
+    """The two route integrands of `top`'s case family, both built at
+    `top.dim`: (dimension, bundle series, theta series, whether they are
+    equal)."""
+    bundle, theta = bundle_route_integrand(top), theta_route_integrand(top)
+    return top.dim, bundle, theta, bundle == theta
 
 
 def _cut(series: QHalfSeries, top_dim: int, spec, table: GeneratorTable) -> QHalfSeries:
     """A series at `top_dim` cut to `spec.dim`: its terms, all of degree <=
     dim, over `table`, divided by the case's `_rank_ratio`.  `assemble_Q`
-    passes a top's converted degree-dim part, onto `spec.table()`, and when
-    it compares both routes each whole top, onto the power-sum table at
+    passes the bundle top's converted degree-dim part, onto `spec.table()`,
+    and when the two tops differ each whole top, onto the power-sum table at
     `spec.dim`.  A series at `spec.dim` already is returned as it is."""
     if top_dim == spec.dim:
         return series
@@ -373,19 +371,18 @@ def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     dimension at or above `spec.dim` (`_family_routes`, as `run_cases` builds
     them), over the family's power-sum table there.  Without it the spec is
     its own top: both routes are built at `spec.dim` and nothing is cut.
-    With route "both", the bundle and theta routes are computed
-    independently and must agree at every q-power and mixed degree of
-    `spec.dim` before extraction.  Two equal top series have equal cuts, so
-    the family compares its tops once and, when they agree or only one route
-    is built, only the degree-dim part of one top is converted to Pontryagin
-    classes (`_in_pontryagin`) and cut to `spec.dim` (`_cut`).  When they
-    differ, each dimension cuts and compares both whole routes, in power
-    sums, and converts both to name its own first difference.
+    The bundle and theta routes are always both built, independently, and
+    must agree at every q-power and mixed degree of `spec.dim` before
+    extraction.  Two equal top series have equal cuts, so the family
+    compares its tops once and, when they agree, only the degree-dim part of
+    the bundle top is converted to Pontryagin classes (`_in_pontryagin`) and
+    cut to `spec.dim` (`_cut`).  When they differ, each dimension cuts and
+    compares both whole routes, in power sums, and converts both to name its
+    own first difference.
     """
     top_dim, bundle, theta, agree = _family_routes(spec) if family is None else family
-    if bundle is None or theta is None or agree:
-        top = theta if bundle is None else bundle
-        return _cut(_in_pontryagin(top.homogeneous_component(spec.dim), spec.case), top_dim, spec, spec.table())
+    if agree:
+        return _cut(_in_pontryagin(bundle.homogeneous_component(spec.dim), spec.case), top_dim, spec, spec.table())
     table = _power_sums(spec)
     series, other = _cut(bundle, top_dim, spec, table), _cut(theta, top_dim, spec, table)
     if series != other:
@@ -935,7 +932,7 @@ def evaluate_report(data: ManifoldData) -> dict:
 class CaseReport(
     namedtuple(
         "CaseReport",
-        "case dim weight qcap route route_ok route_detail lam fit_ok fit_residual identities moduli notes",
+        "case dim weight qcap route_ok route_detail lam fit_ok fit_residual identities moduli notes",
     )
 ):
     """One case's outcome: route comparison, fit, identity results (a list of
@@ -951,7 +948,7 @@ class CaseReport(
 def run_cases(specs) -> list[CaseReport]:
     """Run each spec's route comparison, fit, identities and moduli; one report per spec, in order.
 
-    The specs are grouped by (case, q-cap, route), and each group's route
+    The specs are grouped by (case, q-cap), and each group's two route
     integrands and the index forms of its identities are built once, at the
     group's largest dimension (`_family_routes`, `_index_forms`).  Every spec
     of the group cuts its dimension out of them: inside each route
@@ -962,7 +959,7 @@ def run_cases(specs) -> list[CaseReport]:
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.case, spec.qcap, spec.route), []).append(i)
+        groups.setdefault((spec.case, spec.qcap), []).append(i)
     reports: list = [None] * len(specs)
     for members in groups.values():
         group = [specs[i] for i in members]
@@ -982,7 +979,7 @@ def run_case(spec: CaseSpec) -> CaseReport:
 def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
     notes = list(_FAMILIES[spec.case].notes)
 
-    route_ok, route_detail = True, "single route" if spec.route != "both" else "bundle == theta"
+    route_ok, route_detail = True, "bundle == theta"
     try:
         q_top = assemble_Q(spec, family)
     except RouteMismatchError as err:
@@ -1010,7 +1007,6 @@ def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
         dim=spec.dim,
         weight=spec.weight,
         qcap=spec.qcap,
-        route=spec.route,
         route_ok=route_ok,
         route_detail=route_detail,
         lam=lam_text,
@@ -1031,7 +1027,7 @@ def report_jsonable(reports: list[CaseReport]) -> dict:
                 "dim": r.dim,
                 "weight": r.weight,
                 "qcap": r.qcap,
-                "route": r.route,
+                "route": "both",  # every run compares both routes; the key keeps the format
                 "route_ok": r.route_ok,
                 "route_detail": r.route_detail,
                 "lambda": r.lam,

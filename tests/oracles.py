@@ -276,13 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the dual-route verification over the case catalog")
     verify.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
     verify.add_argument("--dim", type=int, default=None, help="restrict to one dimension")
-    verify.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
-    verify.add_argument("--route", choices=("bundle", "theta", "both"), default="both")
+    verify.add_argument("--order", type=int, default=3, help="q-expansion cap (default: 3)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     expand = sub.add_parser("expand", help="print the expansion of a named series")
     expand.add_argument("--series", choices=_SERIES, required=True)
-    expand.add_argument("--order", type=int, default=None, help="q-expansion cap (default: ANOMALY_QCAP or 3)")
+    expand.add_argument("--order", type=int, default=3, help="q-expansion cap (default: 3)")
     expand.add_argument("--dim", type=int, default=8, help="manifold dimension for bundle-valued series")
     expand.add_argument("--tcap", type=int, default=6, help="t-power cap for the two-variable quotients")
     expand.add_argument("--format", choices=("text", "json"), default="text")

@@ -79,19 +79,6 @@ class TestVerify:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "921b1a2050a4d552897745951a301bfe0f54ce0813dd5326256e644cd33cfe7b"
 
-    @pytest.mark.parametrize(
-        "route, expected",
-        [
-            ("bundle", "3d3667dfe36860d893050f082c66b713f22ac23b24b4dd7daadd59024e9eaf3b"),
-            ("theta", "a0c165d1d622865c09b2b640535ca5a59e7272c82c06932ab6e59b8c196628bc"),
-        ],
-    )
-    def test_order7_single_route_json_is_pinned(self, capsys, route, expected):
-        """A single route cuts only its top's degree-d part for each lower dimension."""
-        code, out, _ = run(capsys, "verify", "--format", "json", "--order", "7", "--route", route)
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
-
     def test_order3_json_matches_the_seed_engine(self, capsys):
         """Speed-ups must leave the report byte-identical to the seed engine's."""
         code, out, _ = run(capsys, "verify", "--format", "json", "--order", "3")
@@ -140,11 +127,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "1")
         assert code == 0
         assert "residual = 0: ok" in out
-
-    def test_single_route(self, capsys):
-        code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "12", "--order", "2", "--route", "bundle")
-        assert code == 0
-        assert "single route" in out
 
     def test_empty_filter_exits_3(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "spin", "--dim", "10")
@@ -239,10 +221,6 @@ SECTOR3_DIGESTS = {
         "25542846da51755188e144f4636d6ccf464762f187dd5d0f28e6d8d751e2fbf6",
     ("expand", "--series", "B3", "--tcap", "10", "--order", "5"):
         "68eed3e9096ee719e3e64e2549e7db0ee79ba078aa03b8019d18510526282261",
-    ("verify", "--route", "theta", "--format", "json", "--order", "5"):
-        "f60d4a32434bf8d0b8cee70d3b6e920dff2371e82b51d49e4395de22f293a413",
-    ("verify", "--route", "bundle", "--format", "json", "--order", "5"):
-        "3f90ba04b67cdf2604e7b8267398b0d28590e7acff35bc2ca311ae3154979264",
 }
 
 
@@ -316,43 +294,38 @@ class TestOutputsMatchTheSeedEngine:
         assert sha256(out) == digest
 
 
-class TestEnvDefaultOrder:
-    def test_env_controls_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANOMALY_QCAP", "1")
-        code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "8", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["cases"][0]["qcap"] == 1
+class TestArgumentsAlone:
+    """A run reads its command line and its input, nothing else, and always compares both routes."""
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANOMALY_QCAP", "1")
-        code, out, _ = run(capsys, "verify", "--case", "spin", "--dim", "8", "--order", "2", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["cases"][0]["qcap"] == 2
-
-    def test_invalid_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ANOMALY_QCAP", "three")
+    @pytest.mark.parametrize("route", ["bundle", "theta", "both"])
+    def test_a_route_is_not_an_option(self, capsys, route):
+        """Each former choice, the old default too, is refused."""
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--case", "spin", "--dim", "8"])
+            main(["verify", "--route", route])
         assert exc.value.code == 2
-        capsys.readouterr()
+        assert f"unrecognized arguments: --route {route}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qcap", ["1", "three", "-1"])
+    def test_the_environment_sets_no_order(self, capsys, monkeypatch, qcap):
+        """The q-cap of a run without --order is 3, whatever the environment holds:
+        a value once read as the order, or once refused with exit 2."""
+        monkeypatch.setenv("ANOMALY_QCAP", qcap)
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert sha256(out) == "b853379feb2a294652f16489cd102590df4569cfa06a99218a67b8c13d03dd34"
 
 
 @pytest.mark.parametrize(
-    "qcap, argv, message",
+    "argv, message",
     [
-        ("-1", ["verify", "--case", "spin", "--dim", "8"], "ANOMALY_QCAP must be nonnegative"),
-        (None, ["verify", "--order", "-1"], "--order must be nonnegative"),
-        (None, ["expand", "--series", "E4", "--order", "-1"], "--order must be nonnegative"),
-        (None, ["expand", "--series", "theta1-ch", "--dim", "6"], "--dim must be a positive multiple of 4"),
-        (None, ["expand", "--series", "A", "--tcap", "-1"], "--tcap must be nonnegative"),
+        (["verify", "--order", "-1"], "--order must be nonnegative"),
+        (["expand", "--series", "E4", "--order", "-1"], "--order must be nonnegative"),
+        (["expand", "--series", "theta1-ch", "--dim", "6"], "--dim must be a positive multiple of 4"),
+        (["expand", "--series", "A", "--tcap", "-1"], "--tcap must be nonnegative"),
     ],
-    ids=["env-qcap", "verify-order", "expand-order", "expand-dim", "expand-tcap"],
+    ids=["verify-order", "expand-order", "expand-dim", "expand-tcap"],
 )
-def test_a_negative_or_misfit_number_exits_2(capsys, monkeypatch, qcap, argv, message):
-    if qcap is None:
-        monkeypatch.delenv("ANOMALY_QCAP", raising=False)
-    else:
-        monkeypatch.setenv("ANOMALY_QCAP", qcap)
+def test_a_negative_or_misfit_number_exits_2(capsys, argv, message):
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -772,6 +745,10 @@ CORPUS = [
 ] + [
     [command, *NEEDS[command]] for command in OPTIONS
 ] + [
+    # the removed --route option, in each form its row once generated
+    ["verify", "--route", "bundle"],
+    ["verify", "--r", "bundle"],
+    ["verify", "--route=bundle"],
     ["verify", "--order", "3", "--order", "5"],
     ["verify", "--case", "spin", "--format", "json", "--case", "spinc-l"],
     ["evaluate", "--input", "-"],

@@ -15,7 +15,9 @@ decides the coordinates: only `algebra` names the power-sum generators,
 and only `verifier` asks for a power-sum table.  Every module parses as the
 oldest Python that `pyproject.toml` admits.  Every public function has a
 caller in the package, but for the process entry and the benchmark's layer
-names: a function that only the tests read is an oracle."""
+names: a function that only the tests read is an oracle.  No module reads
+the process environment, so a run's output is a function of its arguments
+and input alone."""
 
 import ast
 import os
@@ -387,6 +389,40 @@ def test_one_module_decides_the_coordinates(path):
         assert power_sum_names(source) == []
     if path.name != "verifier.py":
         assert power_sum_table_calls(source) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "getenv"}
+
+
+def environment_reads(source: str) -> list[int]:
+    """The lines of `source` that read the process environment: `os.environ`
+    or `os.getenv`, as an attribute of any name, bare, or imported from `os`."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+            or isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ENVIRONMENT_NAMES for alias in node.names)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_environment_scan_sees_every_form():
+    source = (
+        "import os\nfrom os import environ, getenv\nimport os as system\n"
+        "a = os.environ.get('X')\nb = os.getenv('X')\nc = environ['X']\nd = getenv('X')\ne = system.environ\n"
+        "f = os.path.join('a', 'b')\nenvironment = 1\n"
+    )
+    assert environment_reads(source) == [2, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    """A command reads its arguments and its input: no environment variable
+    is a second way to set an option."""
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[str]:

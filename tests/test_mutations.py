@@ -7,7 +7,8 @@ expression in the source of an engine function (`bundles.theta_series`,
 `genera._log_coeffs`, `theta._log_a`, `verifier._relation`), and each
 rescaling mutation replaces one quotient kind's entry of
 `theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
-in-process.  The tables
+in-process.  One code mutation moves only a top-degree term, so the
+family's tops differ and every dimension compares its own cuts.  The tables
 state which report fields must change, each keyed by (case, dim, field):
 the route comparison, the fit, an identity's status or a corollary's
 modulus.  A mutation that changes nothing fails, and so does one that
@@ -211,6 +212,18 @@ CODE_MUTATIONS = {
         flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)})
         | flips("spinc_l", {dim: "route_ok fit_ok" for dim in (10, 14, 18, 22)}),
+    ),
+    "A's t^10 divisor sums gain 1": (
+        theta._log_a,
+        theta,
+        "unit * sum(d ** (2 * m - 1) for d in range(1, n + 1) if n % d == 0)",
+        "unit * (sum(d ** (2 * m - 1) for d in range(1, n + 1) if n % d == 0) + (m == 5))",
+        # only the t^10 part of every quotient's logarithm moves, a degree-20 class: the tops of
+        # spin and spin_v at 20 and spinc_l at 22 differ there alone, so the family compares its
+        # tops, finds them unequal, and each lower dimension cuts and compares both routes and agrees
+        flips("spin", {20: "route_ok fit_ok"})
+        | flips("spin_v", {20: "route_ok fit_ok"})
+        | flips("spinc_l", {22: "route_ok fit_ok"}),
     ),
     "exterior factor signs the even powers": (
         bundles._lam_factor,

@@ -72,14 +72,17 @@ class TestCaseSpec:
             CaseSpec("spinc_l", 8)
         with pytest.raises(ValueError):
             CaseSpec("spin", 8, -1)
-        with pytest.raises(ValueError):
-            CaseSpec("spin", 8, 3, "shortcut")
+
+    def test_a_route_is_not_a_field(self):
+        """Every case builds and compares both routes: there is no route to choose."""
+        with pytest.raises(TypeError):
+            CaseSpec("spin", 8, 3, "theta")
 
     @pytest.mark.parametrize("dim, qcap", [(8.0, 3), (True, 3), (8, True), (8, False), (8, 2.5), (8, "3")], ids=repr)
     def test_dim_and_qcap_are_ints(self, dim, qcap):
         """A float or bool is rejected at input, not cut or read deep in a route."""
         with pytest.raises(ValueError):
-            CaseSpec("spin", dim, qcap, "theta")
+            CaseSpec("spin", dim, qcap)
 
     def test_weights(self):
         assert CaseSpec("spin", 8).weight == 4
@@ -101,11 +104,9 @@ class TestCaseSpec:
         assert CaseSpec("spin", 8)._replace(dim=12) == CaseSpec("spin", 12)
         with pytest.raises(ValueError, match="supports dimensions"):
             CaseSpec("spin", 8)._replace(dim=9)
-        with pytest.raises(ValueError, match="route"):
-            CaseSpec("spin", 8)._replace(route="shortcut")
 
     def test_equal_specs_hash_equal(self):
-        a, b = CaseSpec("spin_v", 12, 2), CaseSpec("spin_v", 12, 2, "both")
+        a, b = CaseSpec("spin_v", 12, 2), CaseSpec("spin_v", 12, qcap=2)
         assert a == b and hash(a) == hash(b)
         assert len({a, b, CaseSpec("spin_v", 12, 3)}) == 2
 
@@ -169,7 +170,6 @@ class WideSpec:
     case: str
     dim: int
     qcap: int
-    route: str
 
     def table(self):
         return pontryagin_table(self.dim)
@@ -184,10 +184,9 @@ SPIN_WIDE_DIGESTS = {
 
 
 class TestSpinPastTheCatalog:
-    @pytest.mark.parametrize("route", ["bundle", "theta"])
     @pytest.mark.parametrize("dim", sorted(SPIN_WIDE_DIGESTS))
-    def test_top_render_is_pinned(self, dim, route):
-        top = assemble_Q(WideSpec("spin", dim, 3, route))
+    def test_top_render_is_pinned(self, dim):
+        top = assemble_Q(WideSpec("spin", dim, 3))
         assert hashlib.sha256(top.render().encode("utf-8")).hexdigest() == SPIN_WIDE_DIGESTS[dim]
 
 
@@ -400,8 +399,7 @@ class TestFamilyCut:
         assert all(r.route_ok and r.route_detail == "bundle == theta" for r in reports)
         assert sorted(cuts) == [8, 12, 16]
 
-    @pytest.mark.parametrize("route", ["both", "bundle", "theta"])
-    def test_agreeing_or_single_routes_cut_only_the_top_degree(self, monkeypatch, route):
+    def test_agreeing_routes_cut_only_the_top_degree(self, monkeypatch):
         """Only the degree-d part of a top reaches a lower dimension d, so its cut
         re-keys the terms the extraction reads and no others."""
         grades = []
@@ -412,7 +410,7 @@ class TestFamilyCut:
             return original(series, ring)
 
         monkeypatch.setattr(QHalfSeries, "cut", recording)
-        reports = run_cases([CaseSpec(case, dim, 2, route) for case, dim in ALL_CASES])
+        reports = run_cases([CaseSpec(case, dim, 2) for case, dim in ALL_CASES])
         assert all(r.passed for r in reports)
         lower = sorted((case, dim) for case, dim in ALL_CASES if dim != max(CASE_DIMS[case]))
         assert len(grades) == len(lower)
