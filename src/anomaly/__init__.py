@@ -38,7 +38,6 @@ from .theta import (
     TwoVarSeries,
     line_quotient_evaluation,
     q_series_via_theta,
-    symmetric_quotient_product,
     theta_quotient,
 )
 from .verifier import (
@@ -66,9 +65,7 @@ from .verifier import (
     evaluate_report,
     identities_for,
     impose_condition,
-    index_relation_forms,
     report_jsonable,
-    run_case,
     run_cases,
     theta_route_integrand,
     verify_identity,
@@ -103,7 +100,6 @@ __all__ = [
     "modular_basis",
     "TwoVarSeries",
     "theta_quotient",
-    "symmetric_quotient_product",
     "line_quotient_evaluation",
     "q_series_via_theta",
     "CASES",
@@ -128,12 +124,10 @@ __all__ = [
     "verify_identity",
     "identities_for",
     "corollaries_for",
-    "index_relation_forms",
     "divisibility_modulus",
     "corollary_modulus",
     "check_case_condition",
     "evaluate_report",
-    "run_case",
     "run_cases",
     "report_jsonable",
 ]

@@ -313,20 +313,6 @@ def _bridged_log(
     return _t_substituted(log, images, PolyRing(table, truncation), cap)
 
 
-def symmetric_quotient_product(
-    quotient: TwoVarSeries,
-    table: GeneratorTable,
-    family: str,
-    truncation: int,
-    cap: int,
-) -> QHalfSeries:
-    """prod_j Q(t_j, q) over a root family, written in its generators: the
-    exp of `_bridged_log`.  The quotient must be even in t with t=0 slice
-    equal to 1.
-    """
-    return qseries_exp(_bridged_log(quotient, table, family, truncation, cap))
-
-
 def line_quotient_evaluation(
     quotient: TwoVarSeries,
     table: GeneratorTable,

@@ -654,18 +654,6 @@ def _relation_terms(entry: IdentityEntry, forms: tuple, e: int) -> list:
     ]
 
 
-def index_relation_forms(entry: IdentityEntry):
-    """The identity as an integer relation sum_i c_i * x_i = 0 among indices.
-
-    Returns a list of (coefficient, label, form) triples; each form is the
-    pairing polynomial {factor * ch(combo)}^(dim) of its index over the
-    entry's own table.  The relation holds after the case condition is
-    substituted into the forms.
-    """
-    terms = _relation_terms(entry, _index_forms([entry], _Family.table), _basis_coefficient(entry.weight, entry.q_power))
-    return [(coeff, label, form) for coeff, label, form, _ in terms]
-
-
 class IdentityResult(namedtuple("IdentityResult", "ident passed residual constant notes", defaults=((),))):
     """One identity check: the residual GradedPoly, the basis constant used and
     the entry's notes."""
@@ -969,11 +957,6 @@ def run_cases(specs) -> list[CaseReport]:
             reports[i] = _case_report(spec, family, forms)
         del family, forms
     return reports
-
-
-def run_case(spec: CaseSpec) -> CaseReport:
-    """One spec's report: the batch of one (`run_cases`), built at `spec.dim`."""
-    return run_cases([spec])[0]
 
 
 def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:

@@ -32,8 +32,10 @@ the engine never reads.
 `relation_sum` sums an identity's index terms, each form divided by its
 rank ratio, with the case condition imposed: the relation that
 `verifier.verify_identity` checks, summed without its conversion to
-Pontryagin classes.  `verify_identity_as_printed` sums the three relations
-whose printed statements carry a slip (`PRINTED_VARIANTS`) as printed,
+Pontryagin classes.  `relation_forms` gives that relation's forms in
+Pontryagin coordinates, over the entry's own table, for pairing with a
+manifold.  `verify_identity_as_printed` sums the three relations whose
+printed statements carry a slip (`PRINTED_VARIANTS`) as printed,
 rebuilt from the engine's own terms with the printed value put back: the
 suite shows that each fails where its corrected form passes.
 
@@ -227,6 +229,18 @@ def relation_sum(terms, case):
         piece = form * Fraction(coeff, ratio)
         acc = piece if acc is None else acc + piece
     return impose_condition(acc, case)
+
+
+def relation_forms(entry):
+    """The identity as an integer relation sum_i c_i * x_i = 0 among indices,
+    in Pontryagin coordinates: (coefficient, label, form) triples, each form
+    the pairing polynomial {factor * ch(combo)}^(dim) of its index over the
+    entry's own table (`verifier._relation_terms` over
+    `verifier._index_forms` at `_Family.table`).  The relation holds after
+    the case condition is imposed."""
+    e = verifier._basis_coefficient(entry.weight, entry.q_power)
+    terms = verifier._relation_terms(entry, verifier._index_forms([entry], verifier._Family.table), e)
+    return [(coeff, label, form) for coeff, label, form, _ in terms]
 
 
 # The identities whose statements print a slip, and the printed value: the

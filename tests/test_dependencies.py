@@ -14,10 +14,10 @@ family table, and the route modules name no family at all.  One module
 decides the coordinates: only `algebra` names the power-sum generators,
 and only `verifier` asks for a power-sum table.  Every module parses as the
 oldest Python that `pyproject.toml` admits.  Every public function has a
-caller in the package, but for the process entry and the benchmark's layer
-names: a function that only the tests read is an oracle.  No module reads
-the process environment, so a run's output is a function of its arguments
-and input alone."""
+caller in the package, but for the process entry: a function that only the
+tests read is an oracle, and README's `python` blocks run against the
+package.  No module reads the process environment, so a run's output is a
+function of its arguments and input alone."""
 
 import ast
 import os
@@ -113,6 +113,26 @@ def test_every_import_is_read(path):
 def test_every_export_resolves_once():
     assert len(anomaly.__all__) == len(set(anomaly.__all__))
     assert [name for name in anomaly.__all__ if not hasattr(anomaly, name)] == []
+
+
+def python_blocks(text: str) -> list:
+    """The fenced `python` blocks of a Markdown text, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+
+
+def test_the_block_scan_sees_every_python_block():
+    text = "```sh\nls\n```\n```python\nx = 1\n```\ntext\n```python\ny = 2\nz = 3\n```\n```\nplain\n```\n"
+    assert python_blocks(text) == ["x = 1\n", "y = 2\nz = 3\n"]
+
+
+def test_the_readme_python_blocks_run():
+    """README's library session imports and calls only what `src/anomaly`
+    holds, so a doc that names a deleted function fails here."""
+    assert Path(anomaly.__file__).resolve().parent == SRC.resolve() / "anomaly"
+    blocks = python_blocks((SRC.parent / "README.md").read_text(encoding="utf-8"))
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_the_cli_imports_no_slow_module():
@@ -455,9 +475,6 @@ def uncalled_functions(sources: dict[str, str]) -> list[str]:
 # The public functions that nothing in the package calls, each with its reason.
 UNCALLED = {
     "cli.run": "the process entry: the console script and the main block start it",
-    "verifier.run_case": "a per_layer name of BENCHMARK.json, until the harness replaces it",
-    "verifier.index_relation_forms": "a per_layer name of BENCHMARK.json, until the harness replaces it",
-    "theta.symmetric_quotient_product": "a per_layer name of BENCHMARK.json, until the harness replaces it",
 }
 
 

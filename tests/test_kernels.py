@@ -338,7 +338,7 @@ class TestShapesAreInts:
         with pytest.raises(ValueError):
             theta.line_quotient_evaluation(theta_quotient("L", 5, 2), table, 10, cap)
         with pytest.raises(ValueError):
-            theta.symmetric_quotient_product(theta_quotient("A", 5, 2), table, "pX", 10, cap)
+            qseries_exp(theta._bridged_log(theta_quotient("A", 5, 2), table, "pX", 10, cap))
 
 
 # -- packed keys ----------------------------------------------------------------------

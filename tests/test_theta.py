@@ -17,7 +17,6 @@ from anomaly.theta import (
     _quotient_log,
     line_quotient_evaluation,
     q_series_via_theta,
-    symmetric_quotient_product,
     theta_quotient,
 )
 from anomaly.verifier import CASE_DIMS, CaseSpec, theta_route_integrand
@@ -224,7 +223,7 @@ class TestRootProductBridge:
         root_ring = PolyRing(roots, trunc)
         for kind in ("A", "B1", "B2", "B3"):
             quot = theta_quotient(kind, trunc, cap)
-            engine = symmetric_quotient_product(quot, p_table, "pX", trunc, cap)
+            engine = qseries_exp(_bridged_log(quot, p_table, "pX", trunc, cap))
             subbed = QHalfSeries(root_ring, cap, {j2: naive_substitute(p, images, roots) for j2, p in engine.coeffs.items()})
             brute = QHalfSeries.one(root_ring, cap)
             for x in (x1, x2):
@@ -239,7 +238,7 @@ class TestRootProductBridge:
 
     def test_odd_quotient_rejected(self):
         with pytest.raises(ValueError):
-            symmetric_quotient_product(theta_quotient("L", 7, 2), pontryagin_table(8), "pX", 8, 2)
+            qseries_exp(_bridged_log(theta_quotient("L", 7, 2), pontryagin_table(8), "pX", 8, 2))
 
     @pytest.mark.parametrize(
         "log, message", [({(0, 1): 1}, "log has a pure q term"), ({(1, 0): 1, (2, 1): 1}, "not even in t")]
@@ -253,12 +252,12 @@ class TestRootProductBridge:
         """t-cap 16 // 2 = 8 and q-cap `cap` are needed: a lower cut would lose
         the pX2..pX4 terms or the q-powers past its own cap."""
         with pytest.raises(ValueError, match="needs t-cap 8"):
-            symmetric_quotient_product(theta_quotient("A", tcap, qcap), pontryagin_table(16), "pX", 16, cap)
+            qseries_exp(_bridged_log(theta_quotient("A", tcap, qcap), pontryagin_table(16), "pX", 16, cap))
 
     def test_a_quotient_cut_above_the_claim_gives_the_exact_cut(self):
         table = pontryagin_table(16)
-        exact = symmetric_quotient_product(theta_quotient("A", 8, 2), table, "pX", 16, 2)
-        assert symmetric_quotient_product(theta_quotient("A", 11, 4), table, "pX", 16, 2) == exact
+        exact = qseries_exp(_bridged_log(theta_quotient("A", 8, 2), table, "pX", 16, 2))
+        assert qseries_exp(_bridged_log(theta_quotient("A", 11, 4), table, "pX", 16, 2)) == exact
         assert exact.coefficient(0).coefficient("pX4") != 0
 
 

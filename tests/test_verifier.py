@@ -21,8 +21,8 @@ from anomaly.bundles import (
     tangent_complexification,
     theta_series,
 )
-from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries
-from anomaly.theta import line_quotient_evaluation, symmetric_quotient_product, theta_quotient
+from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries, qseries_exp
+from anomaly.theta import _bridged_log, line_quotient_evaluation, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -47,14 +47,19 @@ from anomaly.verifier import (
     evaluate_report,
     identities_for,
     impose_condition,
-    index_relation_forms,
     report_jsonable,
-    run_case,
     run_cases,
     theta_route_integrand,
     verify_identity,
 )
-from oracles import PRINTED_VARIANTS, evaluate_manifold, in_power_sums, relation_sum, verify_identity_as_printed
+from oracles import (
+    PRINTED_VARIANTS,
+    evaluate_manifold,
+    in_power_sums,
+    relation_forms,
+    relation_sum,
+    verify_identity_as_printed,
+)
 
 ALL_CASES = [(case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case]]
 
@@ -123,16 +128,17 @@ class TestCaseSpec:
 
 def theta_product(table, case, dim, cap, tcap):
     """The theta-route integrand with its quotients expanded to `tcap`."""
-    A = symmetric_quotient_product(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
+
+    def product(kind, family="pX"):
+        return qseries_exp(_bridged_log(theta_quotient(kind, tcap, cap), table, family, dim, cap))
+
+    A = product("A")
     if case == "spin":
-        B1, B2, B3 = (
-            symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pX", dim, cap)
-            for kind in ("B1", "B2", "B3")
-        )
+        B1, B2, B3 = (product(kind) for kind in ("B1", "B2", "B3"))
         return (A * (B1 + B2 + B3)).scale(2 ** (dim // 2))
     if case == "spin_v":
         for kind in ("B1", "B2", "B3"):
-            A = A * symmetric_quotient_product(theta_quotient(kind, tcap, cap), table, "pV", dim, cap)
+            A = A * product(kind, "pV")
         return A
     return A * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
 
@@ -232,7 +238,7 @@ class TestInsufficientOrder:
         assert not fit.passed
 
     def test_order_zero_report(self):
-        report = run_case(CaseSpec("spin", 8, 0))
+        report = run_cases([CaseSpec("spin", 8, 0)])[0]
         assert report.route_ok
         assert not report.fit_ok
         assert report.fit_residual == "insufficient order: no q-coefficient compared"
@@ -313,7 +319,7 @@ class TestRouteMismatch:
 
     def test_run_case_reports_the_mismatch(self, monkeypatch):
         perturb_theta_route(monkeypatch, [(2, "pX1", Fraction(-3, 2))])
-        report = run_case(self.SPEC)
+        report = run_cases([self.SPEC])[0]
         assert not report.route_ok and not report.passed
         assert "first difference at q^1, monomial pX1:" in report.route_detail
 
@@ -366,7 +372,7 @@ class TestFamilyCut:
             for case in CASE_DIMS
         )
         built.clear()
-        run_case(CaseSpec("spin", 8, 1))  # a lone spec is its own top
+        run_cases([CaseSpec("spin", 8, 1)])  # a lone spec is its own top
         assert sorted(built) == [("bundle_route_integrand", "spin", 8), ("theta_route_integrand", "spin", 8)]
 
     def test_a_perturbed_top_shows_at_every_dimension(self, monkeypatch):
@@ -431,7 +437,7 @@ class TestFamilyCut:
             "bundle and theta routes disagree for spin dim 20 at doubled q-exponents [2]; "
             f"first difference at q^1, monomial pX5: bundle route {before}, theta route {before + delta}"
         )
-        assert run_case(CaseSpec("spin", 20, 1)).route_detail == top.route_detail
+        assert run_cases([CaseSpec("spin", 20, 1)])[0].route_detail == top.route_detail
 
 
 class TestConditionMatters:
@@ -566,7 +572,7 @@ class TestIdentityCatalog:
         with pytest.raises(ArithmeticError, match="not an integer"):
             verify_identity("Thm1.1-(1.1)")
         with pytest.raises(ArithmeticError, match="not an integer"):
-            index_relation_forms(IDENTITIES["Thm1.1-(1.1)"])
+            relation_forms(IDENTITIES["Thm1.1-(1.1)"])
 
 
 CATALOG_COMBOS = {
@@ -655,7 +661,7 @@ class TestFamilyIdentityForms:
         forms = family_forms(entry.case)
         assert forms[0] == FAMILY_TOPS[entry.case]
         e = verifier._basis_coefficient(entry.weight, entry.q_power)
-        direct = index_relation_forms(entry)
+        direct = relation_forms(entry)
         for (coeff, label, form, ratio), (coeff0, label0, form0) in zip(
             verifier._relation_terms(entry, forms, e), direct, strict=True
         ):
@@ -717,7 +723,7 @@ class TestFamilyIdentityForms:
         monkeypatch.setattr(
             verifier, "_build_combo", lambda combo, bundles: truncations.append(bundles["T"].truncation) or build_combo(combo, bundles)
         )
-        assert run_case(CaseSpec("spin", 8)).passed
+        assert run_cases([CaseSpec("spin", 8)])[0].passed
         assert dims and set(dims) == {8}
         assert truncations == [8] * 4
 
@@ -782,7 +788,7 @@ class TestDivisibility:
     def test_relation_balance_matches_basis(self):
         # the relation coefficients must sum against HP2 values to zero
         entry = IDENTITIES["Thm1.1-(1.1)"]
-        terms = index_relation_forms(entry)
+        terms = relation_forms(entry)
         balance = sum(coeff * evaluate_manifold(HP2, form) for coeff, _, form in terms)
         assert balance == 0
 
@@ -949,7 +955,7 @@ class TestQuaternionicPlane:
 
     def test_index_values_from_relation(self):
         entry = IDENTITIES["Thm1.1-(1.1)"]
-        values = {label: evaluate_manifold(HP2, form) for _, label, form in index_relation_forms(entry)}
+        values = {label: evaluate_manifold(HP2, form) for _, label, form in relation_forms(entry)}
         assert values["ind(D⊗Δ⊗T̃)"] == -8
         assert values["ind(D⊗(T̃+Λ²T̃))"] == 8
         assert values["ind(D⊗Δ)"] == 1
@@ -989,7 +995,7 @@ class TestQuaternionicPlane:
 
 class TestReports:
     def test_run_case_spin8(self):
-        report = run_case(CaseSpec("spin", 8, 2))
+        report = run_cases([CaseSpec("spin", 8, 2)])[0]
         assert report.passed
         assert report.route_ok and report.fit_ok
         assert [r.ident for r in report.identities] == ["Thm1.1-(1.1)", "Thm1.1-(1.2)"]
@@ -1000,11 +1006,11 @@ class TestReports:
         assert report.lam == "2/15*pX2 + 1/60*pX1^2"
 
     def test_spin_v_report_notes_complexification(self):
-        report = run_case(CaseSpec("spin_v", 8, 2))
+        report = run_cases([CaseSpec("spin_v", 8, 2)])[0]
         assert any("complexification" in note for note in report.notes)
 
     def test_jsonable_structure_and_determinism(self):
-        reports = [run_case(CaseSpec("spin", 8, 2))]
+        reports = run_cases([CaseSpec("spin", 8, 2)])
         payload = report_jsonable(reports)
         assert payload["passed"]
         case = payload["cases"][0]
@@ -1017,5 +1023,5 @@ class TestReports:
         }
         assert case["moduli"]["Cor1.2-a"]["modulus"] == 8
         text1 = json.dumps(payload, sort_keys=True)
-        text2 = json.dumps(report_jsonable([run_case(CaseSpec("spin", 8, 2))]), sort_keys=True)
+        text2 = json.dumps(report_jsonable(run_cases([CaseSpec("spin", 8, 2)])), sort_keys=True)
         assert text1 == text2
