@@ -21,11 +21,13 @@ so B1 B2 B3 = A(t)/A(2t), Jacobi's duplication formula (Whittaker-Watson,
 under a rewrite of its int form (`_RESCALINGS`, `_quotient_log`): t -> 2t
 multiplies the t^n numerator by 2^n, q -> q^2 doubles the doubled
 q-exponent j2, and q -> q^(1/2) halves it, so B2 reads A's logarithm
-through q^(2 cap).  One exp then gives the quotient's coefficients.  B3 is
-B2 under the half-period shift q^(1/2) -> -q^(1/2); L is (t/2)/A, t/2 times
-the exp of minus log A.  The route's only series kernel is
-`algebra._exp_form`, the package's one: no logarithm or inverse is taken of
-a series.  The bundle route's genera take their logarithms from the
+through q^(2 cap).  B3's logarithm is B2's under the half-period shift
+q^(1/2) -> -q^(1/2).  The route reads only these logarithms
+(`theta_quotient`): no quotient's coefficients are built on it, and no
+logarithm or inverse is taken of a series.  Only `quotient_series`, which
+the `expand` command prints, exponentiates them, with L = (t/2)/A as t/2
+times the exp of minus log A; its kernel is `algebra._exp_form`, the
+package's one.  The bundle route's genera take their logarithms from the
 factorial series by a one-variable recurrence of their own
 (`anomaly.genera`), and `qseries` sums its own divisor powers for the
 Eisenstein basis, so the two routes share no log and no sigma.
@@ -36,19 +38,18 @@ sectors, and each sector multiplies quotients over root families, each
 named by a (quotient kind, root family) pair.  The route substitutes the
 power sum s_m of a root family for t^(2m) in a quotient's logarithm
 (`_bridged_log`), sums the bridged logarithms of a sector's quotients, and
-takes one exp of the sum.  B3's bridged logarithm is B2's under the
-half-period shift, so no B3 quotient is built; L = (t/2)/A adds minus A's
-logarithm at t = cL, and cL/2 scales the exp, so no L quotient is built
-either.  A sector marked for it adds its own half-period shift.  So a sector
-is one exp times a monomial: the spin case takes two exps (its B3 sector is
-the shift of its B2 sector), spin_v one, and spinc_l one times cL/2.
+takes one exp of the sum, a q-series exp (`qseries.qseries_exp`).  L =
+(t/2)/A adds minus A's logarithm at t = cL, and cL/2 scales the exp.  A
+sector marked for it adds its own half-period shift.  So a sector is one exp
+times a monomial: the spin case takes two exps (its B3 sector is the shift
+of its B2 sector), spin_v one, and spinc_l one times cL/2.
 
 A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
 a power of the degree-2 class cL), and every integrand is cut at degree dim,
-so the integrand quotients are expanded to t-cap dim // 2: no higher t-power
-can reach the output.  The quotients are memoized with their logarithms per
-(kind, t-cap, q-cap), and A's logarithm per (t-cap, q-cap), so the cases
-that share a dimension build each once.
+so the quotients' logarithms are cut at t-cap dim // 2: no higher t-power
+can reach the output.  The logarithms are memoized per (kind, t-cap, q-cap),
+and A's per (t-cap, q-cap), so the cases that share a dimension build each
+once.
 """
 
 from __future__ import annotations
@@ -87,15 +88,11 @@ class TwoVarSeries(IntForm):
     `_digit_bits(tcap)`).  The t-power is the kernels' grade (limit tcap)
     and j2 the side grade (limit 2*cap), so a term's weight is n + j2.
     Products and the exp are the int-form kernels themselves.  `coeffs`,
-    the (n, j2) -> Fraction map, is a view built on each access.  An exp
-    keeps its argument as its logarithm, and `log` reads it back: the
-    quotients are built from closed-form logarithms, so no series takes a
-    logarithm of its coefficients.
+    the (n, j2) -> Fraction map, is a view built on each access.
     """
 
-    __slots__ = ("tcap", "cap", "_logarithm")
+    __slots__ = ("tcap", "cap")
     _SHAPE = ("tcap", "cap")
-    _KEPT = ("_logarithm",)
 
     def __init__(self, tcap: int, cap: int, coeffs=None):
         self.tcap = _nonnegative_int(tcap, "t-cap")
@@ -114,7 +111,6 @@ class TwoVarSeries(IntForm):
                 if value:
                     clean[n | j2 << shift] = value
         self.den, self.items = layout.rational_form(clean)
-        self._logarithm = None
 
     @property
     def layout(self):
@@ -142,22 +138,13 @@ class TwoVarSeries(IntForm):
         """The smaller caps."""
         return min(self.tcap, other.tcap), min(self.cap, other.cap)
 
-    def log(self) -> "TwoVarSeries":
-        """The logarithm this series keeps: an `exp` result keeps its argument.
-        A series that keeps none is a ValueError."""
-        if self._logarithm is None:
-            raise ValueError("only an exp result keeps its logarithm")
-        return self._logarithm
-
     def exp(self) -> "TwoVarSeries":
         """exp of a series with zero constant coefficient (`algebra._exp_form`):
         the exp of the q^0 slice in t, then one whole t-series per half-power
-        of q.  The result keeps this series as its logarithm."""
+        of q."""
         if self.coefficient(0, 0):
             raise ValueError("exp needs zero constant coefficient")
-        result = self._kernel(_exp_form)
-        result._logarithm = self
-        return result
+        return self._kernel(_exp_form)
 
     def render(self) -> str:
         """Canonical text form: terms sorted by (q-power, t-power)."""
@@ -233,31 +220,42 @@ def _quotient_log(kind: str, tcap: int, cap: int) -> TwoVarSeries:
 
 @lru_cache(maxsize=None, typed=True)
 def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
-    """One root factor of a theta quotient, normalized so its t=0 slice is 1.
+    """The logarithm of one root factor Q of a theta quotient, Q = A, B1, B2 or B3.
 
     A  = [(t/2)/sinh(t/2)] prod (1-q^j)^2 / [(1-e^t q^j)(1-e^-t q^j)]
     B1 = cosh(t/2) prod (1+e^t q^j)(1+e^-t q^j) / (1+q^j)^2
     B2 = prod (1-e^t q^(j-1/2))(1-e^-t q^(j-1/2)) / (1-q^(j-1/2))^2
     B3 = B2 with the signs inside the half-power factors flipped to +
-    L  = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2
 
-    A is the exp of the one closed form, A's logarithm (`_log_a`).  B1 and
-    B2 are the exps of A's logarithm less A's at a rescaled argument
-    (`_quotient_log`): log B1(t, q) = log A(t, q) - log A(2t, q^2) and
-    log B2(t, q) = log A(t, q) - log A(t, q^(1/2)).  Each exp keeps its
-    logarithm on the series.  B3 is the exp of the B2 logarithm under
-    q^(1/2) -> -q^(1/2).  L = (t/2)/A is (t/2) * exp(-log A); the product
-    with t/2 keeps no logarithm.
+    Each is normalized so its t=0 slice is 1, so its logarithm has no pure
+    q term.  A's is the one closed form (`_log_a`); B1's and B2's are A's
+    less A's at a rescaled argument (`_quotient_log`): log B1(t, q) =
+    log A(t, q) - log A(2t, q^2) and log B2(t, q) = log A(t, q) -
+    log A(t, q^(1/2)).  B3's is B2's under q^(1/2) -> -q^(1/2).  L =
+    (t/2)/A has no logarithm in powers of t, a ValueError; its
+    coefficients, like the others', come from `quotient_series`.
     """
+    if kind == "L":
+        raise ValueError("log L is not a power series in t: L = (t/2)/A is expanded by quotient_series")
     if kind not in THETA_QUOTIENT_KINDS:
         raise ValueError(f"unknown theta quotient kind {kind!r}")
     _nonnegative_int(tcap, "t-cap")
     _nonnegative_int(cap, "q-cap")
-    source = {"L": "A", "B3": "B2"}.get(kind, kind)
-    log = _quotient_log(source, tcap, cap)
+    if kind == "B3":
+        return theta_quotient("B2", tcap, cap).tau_shift_half()
+    return _quotient_log(kind, tcap, cap)
+
+
+def quotient_series(kind: str, tcap: int, cap: int) -> TwoVarSeries:
+    """The coefficients of one root factor of a theta quotient, A, B1, B2, B3 or L.
+
+    A, B1, B2 and B3 are the exps of their logarithms (`theta_quotient`);
+    L = sinh(t/2) prod (1-e^t q^j)(1-e^-t q^j) / (1-q^j)^2 = (t/2)/A is
+    (t/2) * exp(-log A).
+    """
     if kind == "L":
-        return TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)}) * (-log).exp()
-    return (log.tau_shift_half() if kind == "B3" else log).exp()
+        return TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)}) * (-theta_quotient("A", tcap, cap)).exp()
+    return theta_quotient(kind, tcap, cap).exp()
 
 
 # -- from quotients to q-series of characteristic forms ------------------------
@@ -293,17 +291,17 @@ def _t_substituted(series: TwoVarSeries, images: dict[int, GradedPoly], ring: Po
 
 
 def _bridged_log(
-    quotient: TwoVarSeries,
+    log: TwoVarSeries,
     table: GeneratorTable,
     family: str,
     truncation: int,
     cap: int,
 ) -> QHalfSeries:
-    """log prod_j Q(t_j, q) over a root family: log Q with t^(2m) -> s_m(family).
+    """log prod_j Q(t_j, q) over a root family: `log`, log Q, with t^(2m) -> s_m(family).
 
-    The quotient must be even in t with t=0 slice equal to 1.
+    The logarithm must be even in t with no pure q term, as the logarithm of
+    a quotient with t=0 slice equal to 1 is.
     """
-    log = quotient.log()
     powers = {n for n, _, _, _ in log.items}
     if 0 in powers:
         raise ValueError("quotient is not normalized: log has a pure q term")
@@ -334,37 +332,33 @@ def q_series_via_theta(table: GeneratorTable, sectors: tuple, scale: int, dim: i
 
     Each sector is a pair (factors, shifted).  The factors are (quotient
     kind, root family) pairs, and the sector is the product of the named
-    quotients over their root families: one exp of the sum of their bridged
-    logarithms (`_bridged_log`).  B3 is B2 under q^(1/2) -> -q^(1/2), so a
-    B3 factor adds B2's bridged logarithm under that shift.  L = (t/2)/A, so
-    an L factor, named with a degree-2 generator c, adds minus A's
-    logarithm at t = c (`line_quotient_evaluation`) and scales the exp by
-    c/2.  A shifted sector adds its own shift, which leaves A fixed and
-    turns B2 into B3.  The spin integrand, for one,
+    quotients over their root families: one exp of the sum of their
+    logarithms (`theta_quotient`), each bridged to its root family
+    (`_bridged_log`).  L = (t/2)/A, so an L factor, named with a degree-2
+    generator c, adds minus A's logarithm at t = c
+    (`line_quotient_evaluation`) and scales the exp by c/2.  A shifted
+    sector adds its own half-period shift q^(1/2) -> -q^(1/2), which leaves
+    A fixed and turns B2 into B3.  The spin integrand, for one,
 
     2^(dim/2) * prod A(t_j) * [prod B1(t_j) + prod B2(t_j) + prod B3(t_j)]
 
     is scale 2^(dim/2), the sector (A, B1) and the shifted sector (A, B2),
     all over pX; the spinc_l one, prod A(t_j) * L(cL), is the one sector
     (A over pX, L at cL).  An unknown quotient kind is a ValueError.  Each
-    distinct bridged logarithm is built once.  The quotients are expanded to
+    distinct bridged logarithm is built once.  The logarithms are cut at
     t-cap dim // 2: t^n becomes a degree-2n class, and the integrand is cut
     at degree dim.
     """
+    # `log` must not call itself: a memoized closure that does is a reference cycle, which
+    # outlives the call while the CLI runs with the collector off.
     @lru_cache(maxsize=None, typed=True)
-    def bridged(kind, family):
+    def log(kind, family):
+        if kind == "L":  # log L, less log(t/2), is minus A's logarithm at t = the named class
+            return -line_quotient_evaluation(theta_quotient("A", dim // 2, cap), table, dim, cap, family)
         return _bridged_log(theta_quotient(kind, dim // 2, cap), table, family, dim, cap)
 
-    # B3's logarithm is B2's, shifted, and L's, less log(t/2), is minus A's at t = the named
-    # class.  They are read here, not inside `bridged`: a memoized function that calls itself
-    # is a reference cycle, which outlives the call while the CLI runs with the collector off.
-    def log(kind, family):
-        if kind == "L":
-            return -line_quotient_evaluation(theta_quotient("A", dim // 2, cap).log(), table, dim, cap, family)
-        return bridged("B2", family).tau_shift_half() if kind == "B3" else bridged(kind, family)
-
     exponents = [reduce(add, [log(kind, family) for kind, family in factors]) for factors, _ in sectors]
-    bridged.cache_clear()  # the exps read only the sector sums: the memo's logs are not kept through them
+    log.cache_clear()  # the exps read only the sector sums: the memo's logs are not kept through them
 
     def sector(exponent, factors, shifted):
         product = qseries_exp(exponent)

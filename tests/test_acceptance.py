@@ -23,7 +23,7 @@ from anomaly.genera import (
     spinor_ch,
 )
 from anomaly.qseries import eisenstein, modular_basis
-from anomaly.theta import TwoVarSeries, theta_quotient
+from anomaly.theta import TwoVarSeries, quotient_series
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -204,7 +204,7 @@ def b3_as_product(tcap, cap):
 
 def test_criterion_07_jacobi_identity_and_half_shift():
     assert jacobi_identity_residual(10).is_zero()
-    b2 = theta_quotient("B2", 10, 5)
+    b2 = quotient_series("B2", 10, 5)
     num, den = b3_as_product(10, 5)  # den has constant term 1, so this pins B3
     assert b2.tau_shift_half() * den == num
     print(

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ OFF_HP2_JSON = '{"dim": 8, "numbers": {"pX1^2": "4", "pX2": "8"}}'
 # <pX1*cL^3> = 0 but <cL^5> = 1: pX1 = cL^2, the spinc_l condition, does not hold.
 OFF_CONDITION_JSON = '{"dim": 10, "numbers": {"pX1^2*cL": "0", "pX2*cL": "0", "pX1*cL^3": "0", "cL^5": "1"}}'
 SRC = Path(__file__).resolve().parents[1] / "src"
+ORDER1_DIGEST = "326dedf386cf52c0038b02d264104ba2760660190114c93c802fd39a753f5955"
 
 
 def run(capsys, *argv):
@@ -69,7 +71,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--format", "json", "--order", "1")
         assert code == 0
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "326dedf386cf52c0038b02d264104ba2760660190114c93c802fd39a753f5955"
+        assert digest == ORDER1_DIGEST
 
     def test_order2_json_is_pinned(self, capsys):
         """Order 2 is the first q-cap at which spin_v's folded exterior product
@@ -682,6 +684,23 @@ class TestProcessEntry:
         err = child.stderr.read()
         child.stderr.close()
         assert (child.wait(timeout=120), err) == (141, b"")
+
+    @pytest.mark.parametrize("minor", range(10, 15), ids=lambda minor: f"python3.{minor}")
+    def test_verify_json_is_the_same_under_each_interpreter(self, minor):
+        """`verify --order 1 --format json` prints the in-process bytes under
+        each python3.N on PATH, N = 10..14; one that is missing, or that does
+        not start, is skipped."""
+        python = shutil.which(f"python3.{minor}")
+        if python is None or subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode:
+            pytest.skip(f"python3.{minor} does not start")
+        done = subprocess.run(
+            [python, "-m", "anomaly.cli", "verify", "--order", "1", "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == ORDER1_DIGEST
 
     def test_in_process_main_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()

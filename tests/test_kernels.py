@@ -10,9 +10,9 @@ QHalfSeries products against the coefficientwise product, the single-term
 substitution (on polynomials and on q-series) against term-by-term
 substitution (`oracles.naive_substitute`), the cached Adams operations
 against the Newton recursions on Chern characters, and the theta quotients,
-built from their closed-form logarithms, against their defining products
+the exps of their closed-form logarithms, against their defining products
 multiplied out (paired and unpaired; `quotient * den == num`, so no series
-is inverted), logarithms included, and A's Bernoulli q^0 logarithm, and
+is inverted), and A's Bernoulli q^0 logarithm, and
 B1's read off it at 2t, against the term-by-term logarithms of the
 factorial series.  The
 substitution rejects every image that is not one term over the form's own
@@ -50,6 +50,7 @@ from anomaly.theta import (
     TwoVarSeries,
     _log_a,
     _quotient_log,
+    quotient_series,
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
@@ -336,7 +337,7 @@ class TestShapesAreInts:
         """Both build their q-series through the trusted constructor, so they check the cap first."""
         table = pontryagin_table(10, line=True)
         with pytest.raises(ValueError):
-            theta.line_quotient_evaluation(theta_quotient("L", 5, 2), table, 10, cap)
+            theta.line_quotient_evaluation(quotient_series("L", 5, 2), table, 10, cap)
         with pytest.raises(ValueError):
             qseries_exp(theta._bridged_log(theta_quotient("A", 5, 2), table, "pX", 10, cap))
 
@@ -563,27 +564,14 @@ class TestTwoVarSeriesKernel:
         assert e.coeffs == naive_tv_exp(x)
         assert_two_var_invariants(e)
 
-    def test_exp_keeps_its_argument_as_its_log(self):
-        x = TwoVarSeries(6, 2, {(2, 0): Fraction(1, 3), (1, 1): -2, (0, 2): 5})
-        assert x.exp().log() is x
-
     def test_exp_rejects_a_constant_term(self):
         with pytest.raises(ValueError):
             TwoVarSeries(4, 2, {(0, 0): Fraction(1, 2), (2, 0): Fraction(1)}).exp()
 
-    def test_log_is_kept_on_the_series(self):
-        quotient = theta_quotient("A", 4, 2)
-        assert quotient.log() is quotient.log()
-        assert quotient.log().exp() == quotient
-
-    def test_a_series_that_keeps_no_logarithm_has_none(self):
-        """Only an exp result keeps its logarithm; a built series, or one
-        derived from an exp result, keeps none."""
-        x = TwoVarSeries(4, 2, {(2, 0): Fraction(1, 3), (0, 2): 5})
-        built = TwoVarSeries(4, 2, {(0, 0): 1, (2, 0): Fraction(1)})
-        for a in (built, TwoVarSeries.one(4, 2), x.exp() * 1, x.exp() * x.exp(), -x.exp(), x.exp().tau_shift_half()):
-            with pytest.raises(ValueError):
-                a.log()
+    def test_the_logarithm_is_memoized_and_exps_to_the_quotient(self):
+        log = theta_quotient("A", 4, 2)
+        assert theta_quotient("A", 4, 2) is log
+        assert log.exp() == quotient_series("A", 4, 2)
 
 
 # -- exp_truncated ------------------------------------------------------------------
@@ -960,7 +948,7 @@ class TestAdamsCache:
 
 # -- theta quotients: the product oracle ---------------------------------------------
 #
-# theta_quotient builds each quotient from its closed-form logarithm.  These
+# quotient_series builds each quotient from its closed-form logarithm.  These
 # oracles multiply the defining products out factor by factor instead.
 
 
@@ -1069,28 +1057,28 @@ def unpaired_quotient(kind, tcap, cap):
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (10, 3), (5, 3), (11, 7)])
 def test_theta_quotient_matches_unpaired_order(kind, tcap, cap):
     num, den = unpaired_quotient(kind, tcap, cap)
-    assert theta_quotient(kind, tcap, cap) * den == num
+    assert quotient_series(kind, tcap, cap) * den == num
 
 
 @pytest.mark.parametrize("kind", THETA_QUOTIENT_KINDS)
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (3, 1), (6, 2), (11, 7)])
 def test_theta_quotient_matches_paired_products(kind, tcap, cap):
     num, den = product_quotient(kind, tcap, cap)
-    assert theta_quotient(kind, tcap, cap) * den == num
+    assert quotient_series(kind, tcap, cap) * den == num
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3"])
 @pytest.mark.parametrize("tcap, cap", [(0, 0), (4, 2), (6, 4), (11, 7)])
 def test_closed_form_log_is_the_log_of_the_products(kind, tcap, cap):
-    quotient = theta_quotient(kind, tcap, cap)
+    log = theta_quotient(kind, tcap, cap)
     num, den = product_quotient(kind, tcap, cap)
-    assert quotient.log().exp() * den == num
-    assert quotient.log() is quotient.log()
+    assert log.exp() * den == num
+    assert theta_quotient(kind, tcap, cap) is log
 
 
 def test_the_line_quotient_has_no_logarithm():
-    with pytest.raises(ValueError):
-        theta_quotient("L", 6, 2).log()
+    with pytest.raises(ValueError, match="quotient_series"):
+        theta_quotient("L", 6, 2)
 
 
 # The q^0 logarithms as polynomials in t2 = t^2, so that `naive_log_poly` can take them.
@@ -1114,7 +1102,7 @@ def test_the_bernoulli_logs_are_the_logs_of_the_factorial_series(tcap):
     for kind, expected in (("A", -naive_log_poly(sinh_ratio)), ("B1", naive_log_poly(cosh))):
         assert as_t2_poly(_quotient_log(kind, tcap, 0)) == expected
     assert _quotient_log("A", tcap, 0) is _log_a(tcap, 0)
-    assert _quotient_log("B2", tcap, 0).is_zero() and theta_quotient("B3", tcap, 0).log().is_zero()
+    assert _quotient_log("B2", tcap, 0).is_zero() and theta_quotient("B3", tcap, 0).is_zero()
 
 
 def test_the_bernoulli_numbers():
@@ -1136,24 +1124,24 @@ def perturbed_log_a(monkeypatch, n, j2):
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "L"])
-def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch):
+def test_a_perturbed_divisor_sum_is_caught(kind, monkeypatch, fresh_memos):
     """Negative control: one divisor-sum coefficient of A's logarithm off by
     1/(2m)! fails the product check of every quotient, since each reads it."""
     perturbed_log_a(monkeypatch, 4, 4)
     tcap, cap = 6, 3
     num, den = product_quotient(kind, tcap, cap)
-    assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num
+    assert quotient_series(kind, tcap, cap) * den != num
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "L"])
-def test_a_perturbed_bernoulli_sum_is_caught(kind, monkeypatch):
+def test_a_perturbed_bernoulli_sum_is_caught(kind, monkeypatch, fresh_memos):
     """Negative control: A's q^0 logarithm off at t^4 fails the product check
     of A, of L = (t/2)/A, and of B1, whose q^0 logarithm is A's at t less
     16 times it."""
     perturbed_log_a(monkeypatch, 4, 0)
     tcap, cap = 6, 3
     num, den = product_quotient(kind, tcap, cap)
-    assert theta_quotient.__wrapped__(kind, tcap, cap) * den != num
+    assert quotient_series(kind, tcap, cap) * den != num
 
 
 # -- input errors --------------------------------------------------------------------
@@ -1221,13 +1209,12 @@ class TestSharedArithmetic:
         q = QHalfSeries(RATIONALS, 2, {0: 1, 1: Fraction(1, 2)})
         assert q.coeffs and q._coeffs is not None
         t = TwoVarSeries(4, 2, {(2, 1): Fraction(1, 2)}).exp()
-        assert t.log()._logarithm is None and t._logarithm is not None
         p = GradedPoly(self.TABLE, 8, {(0, 0): 1, (1, 0): 2})
         for x in (p, q, t):
             for result in (-x, x + x, x * x, x * 2, x.tau_shift_half(), type(x)._make(*x._shape, 1, [])):
                 assert type(result) is type(x)
                 assert all(getattr(result, name) is None for name in type(x)._KEPT)
-        assert GradedPoly._KEPT == ()
+        assert GradedPoly._KEPT == TwoVarSeries._KEPT == ()
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__)
     def test_mixed_classes_do_not_combine(self, op):

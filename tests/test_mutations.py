@@ -4,7 +4,8 @@ Each row mutation replaces one field of one `verifier._FAMILIES` row (one
 combination atom counts as a field), each code mutation replaces one
 expression in the source of an engine function (`bundles.theta_series`,
 `bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
-`genera._log_coeffs`, `theta._log_a`, `verifier._relation`), and each
+`genera._log_coeffs`, `theta._log_a`, `theta.theta_quotient`,
+`verifier._relation`), and each
 rescaling mutation replaces one quotient kind's entry of
 `theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
 in-process.  One code mutation moves only a top-degree term, so the
@@ -181,7 +182,7 @@ CODE_MUTATIONS = {
     ),
     "series exp side step divided by s + 1": (
         algebra._exp_form,
-        qseries,  # qseries_exp reads it; the theta quotients' exps (theta's name) stay sound
+        qseries,  # qseries_exp reads it; the verify path takes no two-variable exp
         "lambda s, d: s * d",
         "lambda s, d: (s + 1) * d",
         # only the theta route's sector exps change: the route comparison fails, leaving nothing to fit
@@ -224,6 +225,15 @@ CODE_MUTATIONS = {
         flips("spin", {20: "route_ok fit_ok"})
         | flips("spin_v", {20: "route_ok fit_ok"})
         | flips("spinc_l", {22: "route_ok fit_ok"}),
+    ),
+    "B3 read without its half-period shift": (
+        theta.theta_quotient,
+        theta,  # q_series_via_theta reads it
+        'theta_quotient("B2", tcap, cap).tau_shift_half()',
+        'theta_quotient("B2", tcap, cap)',
+        # only spin_v's sector names B3 (spin's third sector is the shift of its second), so
+        # spin_v's route comparison fails at every dimension, leaving nothing to fit
+        flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
     "exterior factor signs the even powers": (
         bundles._lam_factor,

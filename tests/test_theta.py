@@ -17,48 +17,49 @@ from anomaly.theta import (
     _quotient_log,
     line_quotient_evaluation,
     q_series_via_theta,
+    quotient_series,
     theta_quotient,
 )
-from anomaly.verifier import CASE_DIMS, CaseSpec, theta_route_integrand
+from anomaly.verifier import CASE_DIMS, CaseSpec, run_cases, theta_route_integrand
 from oracles import divisor_sum_log, hyperbolic_log, jacobi_identity_residual, naive_substitute
 
 
 class TestQuotientSlices:
     def test_A_constant_slice_is_ahat_factor(self):
-        A = theta_quotient("A", 8, 2)
+        A = quotient_series("A", 8, 2)
         golden = {0: 1, 2: Fraction(-1, 24), 4: Fraction(7, 5760), 6: Fraction(-31, 967680)}
         for n, value in golden.items():
             assert A.coefficient(n, 0) == value
         assert A.coefficient(1, 0) == 0
 
     def test_A_first_slice(self):
-        A = theta_quotient("A", 6, 2)
+        A = quotient_series("A", 6, 2)
         assert A.coefficient(2, 2) == 1
         assert A.coefficient(4, 2) == Fraction(1, 24)
         assert A.coefficient(6, 2) == Fraction(1, 1920)
 
     def test_B1_constant_slice_is_cosh(self):
-        B1 = theta_quotient("B1", 8, 2)
+        B1 = quotient_series("B1", 8, 2)
         golden = {0: 1, 2: Fraction(1, 8), 4: Fraction(1, 384), 6: Fraction(1, 46080)}
         for n, value in golden.items():
             assert B1.coefficient(n, 0) == value
 
     def test_B2_B3_constant_slices_are_one(self):
         for kind in ("B2", "B3"):
-            quot = theta_quotient(kind, 6, 2)
+            quot = quotient_series(kind, 6, 2)
             assert quot.coefficient(0, 0) == 1
             for n in range(1, 7):
                 assert quot.coefficient(n, 0) == 0
 
     def test_L_constant_slice_is_sinh(self):
-        L = theta_quotient("L", 7, 2)
+        L = quotient_series("L", 7, 2)
         golden = {1: Fraction(1, 2), 3: Fraction(1, 48), 5: Fraction(1, 3840), 7: Fraction(1, 645120)}
         for n, value in golden.items():
             assert L.coefficient(n, 0) == value
 
     def test_parities(self):
         for kind, tcap, parity in (("A", 6, 0), ("B1", 6, 0), ("B2", 6, 0), ("B3", 6, 0), ("L", 7, 1)):
-            assert {n % 2 for n, _ in theta_quotient(kind, tcap, 2).coeffs} <= {parity}
+            assert {n % 2 for n, _ in quotient_series(kind, tcap, 2).coeffs} <= {parity}
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -110,14 +111,14 @@ class TestExponentsAreInts:
 
 class TestHalfShiftSwap:
     def test_B2_B3_swap_through_high_order(self):
-        b2 = theta_quotient("B2", 10, 5)
-        b3 = theta_quotient("B3", 10, 5)
+        b2 = quotient_series("B2", 10, 5)
+        b3 = quotient_series("B3", 10, 5)
         assert b2.tau_shift_half() == b3
         assert b3.tau_shift_half() == b2
 
     def test_A_B1_invariant(self):
         for kind in ("A", "B1"):
-            quot = theta_quotient(kind, 6, 3)
+            quot = quotient_series(kind, 6, 3)
             assert quot.tau_shift_half() == quot
 
 
@@ -203,7 +204,7 @@ class TestOneClosedForm:
     @pytest.mark.parametrize("tcap, cap", [(0, 0), (1, 8), (7, 3), (12, 5), (16, 8)])
     def test_the_duplication_formula_on_the_quotients(self, tcap, cap):
         """B1 B2 B3 (t) A(2t) = A(t), multiplied out on the quotients' coefficients."""
-        quotients = {kind: theta_quotient(kind, tcap, cap) for kind in ("A", "B1", "B2", "B3")}
+        quotients = {kind: quotient_series(kind, tcap, cap) for kind in ("A", "B1", "B2", "B3")}
         b = quotients["B1"] * quotients["B2"] * quotients["B3"]
         assert b * doubled(quotients["A"]) == quotients["A"]
         if tcap >= 2:  # with A(t) for A(2t) it fails: the formula reads the rescaling
@@ -222,8 +223,8 @@ class TestRootProductBridge:
         p_table = pontryagin_table(8)
         root_ring = PolyRing(roots, trunc)
         for kind in ("A", "B1", "B2", "B3"):
-            quot = theta_quotient(kind, trunc, cap)
-            engine = qseries_exp(_bridged_log(quot, p_table, "pX", trunc, cap))
+            quot = quotient_series(kind, trunc, cap)
+            engine = qseries_exp(_bridged_log(theta_quotient(kind, trunc, cap), p_table, "pX", trunc, cap))
             subbed = QHalfSeries(root_ring, cap, {j2: naive_substitute(p, images, roots) for j2, p in engine.coeffs.items()})
             brute = QHalfSeries.one(root_ring, cap)
             for x in (x1, x2):
@@ -245,7 +246,7 @@ class TestRootProductBridge:
     )
     def test_a_logarithm_of_no_normalized_even_quotient_is_refused(self, log, message):
         with pytest.raises(ValueError, match=message):
-            _bridged_log(TwoVarSeries(8, 2, log).exp(), pontryagin_table(8), "pX", 8, 2)
+            _bridged_log(TwoVarSeries(8, 2, log), pontryagin_table(8), "pX", 8, 2)
 
     @pytest.mark.parametrize("tcap, qcap, cap", [(2, 1, 1), (7, 3, 3), (8, 1, 3), (8, 2, 3), (0, 0, 0)])
     def test_a_quotient_cut_below_the_claim_is_refused(self, tcap, qcap, cap):
@@ -265,12 +266,12 @@ class TestLineEvaluation:
     @pytest.mark.parametrize("tcap", range(1, 13))
     def test_L_is_half_t_over_A(self, tcap):
         for cap in range(5):
-            product = theta_quotient("A", tcap, cap) * theta_quotient("L", tcap, cap)
+            product = quotient_series("A", tcap, cap) * quotient_series("L", tcap, cap)
             assert product == TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)})
 
     def test_constant_and_first_slices(self):
         table = pontryagin_table(10, line=True)
-        L = theta_quotient("L", 9, 2)
+        L = quotient_series("L", 9, 2)
         series = line_quotient_evaluation(L, table, 10, 2)
         sinh_f = aux_bundle_factor(table, "sinh_half_c", 10)
         assert series.coefficient_q(0) == sinh_f
@@ -282,7 +283,7 @@ class TestLineEvaluation:
     def test_a_quotient_cut_below_the_claim_is_refused(self, tcap, qcap):
         """cL^n has degree 2n, so degree 10 through q^2 needs t-cap 5 and q-cap 2."""
         with pytest.raises(ValueError, match="needs t-cap 5 and q-cap 2"):
-            line_quotient_evaluation(theta_quotient("L", tcap, qcap), pontryagin_table(10, line=True), 10, 2)
+            line_quotient_evaluation(quotient_series("L", tcap, qcap), pontryagin_table(10, line=True), 10, 2)
 
 
 class TestCaseSeriesViaTheta:
@@ -299,11 +300,16 @@ class TestCaseSeriesViaTheta:
 
 
 class TestRecipeShape:
-    """The theta route takes one series exp per sector: the shift gives spin's
-    third sector and spin_v's B3 logarithm, so no B3 quotient is built."""
+    """The theta route takes one series exp per sector and reads only the
+    quotients' logarithms: the shift gives spin's third sector, so spin reads
+    no B3 logarithm, and no quotient's coefficients are built."""
 
-    @pytest.mark.parametrize("case, exps", [("spin", 2), ("spin_v", 1), ("spinc_l", 1)])
-    def test_one_exp_per_sector_and_no_B3_quotient(self, monkeypatch, case, exps):
+    @pytest.mark.parametrize(
+        "case, exps, read",
+        [("spin", 2, {"A", "B1", "B2"}), ("spin_v", 1, {"A", "B1", "B2", "B3"}), ("spinc_l", 1, {"A"})],
+        ids=["spin", "spin_v", "spinc_l"],
+    )
+    def test_one_exp_per_sector_and_the_logarithms_it_reads(self, monkeypatch, case, exps, read):
         calls, kinds = [], set()
 
         def counted_exp(series):
@@ -320,7 +326,22 @@ class TestRecipeShape:
             calls.clear()
             theta_route_integrand(CaseSpec(case, dim, 3))
             assert len(calls) == exps
-        assert "B3" not in kinds
+        assert kinds == read
+
+    def test_the_verify_path_takes_no_two_variable_exp(self, monkeypatch, fresh_memos):
+        """The 12 catalog specs, from cold memos, exponentiate only q-series:
+        the logarithms are built (the memo misses) and never exponentiated."""
+        exps, exp = [], TwoVarSeries.exp
+
+        def counted_exp(series):
+            exps.append(series)
+            return exp(series)
+
+        monkeypatch.setattr(TwoVarSeries, "exp", counted_exp)
+        reports = run_cases([CaseSpec(case, dim, 3) for case in CASE_DIMS for dim in CASE_DIMS[case]])
+        assert all(report.passed for report in reports)
+        assert exps == []
+        assert theta_quotient.cache_info().misses > 0
 
     def test_the_line_sector_reads_A_and_multiplies_no_two_variable_series(self, monkeypatch, fresh_memos):
         """L = (t/2)/A: the spin^c sector adds minus A's logarithm at t = cL to
@@ -357,10 +378,10 @@ class TestRecipeShape:
             gc.enable()
 
 
-def b3_oracle(tcap, cap):
-    """B3 from its own closed form, the construction the engine dropped: the
-    t^(2m) q^(j2/2) coefficient of log B3 is 2/(2m)! times
-    sum_{d | j2, j2/d odd} (-1)^(d+1) d^(2m-1), and B3 is its exp."""
+def b3_log_oracle(tcap, cap):
+    """log B3 from its own closed form, the construction the engine dropped: its
+    t^(2m) q^(j2/2) coefficient is 2/(2m)! times
+    sum_{d | j2, j2/d odd} (-1)^(d+1) d^(2m-1)."""
     coeffs = {}
     for j2 in range(1, 2 * cap + 1):
         divisors = [d for d in range(1, j2 + 1) if j2 % d == 0 and (j2 // d) % 2]
@@ -368,7 +389,7 @@ def b3_oracle(tcap, cap):
             total = sum((-1) ** (d + 1) * d ** (2 * m - 1) for d in divisors)
             if total:
                 coeffs[(2 * m, j2)] = Fraction(2 * total, factorial(2 * m))
-    return TwoVarSeries(tcap, cap, coeffs).exp()
+    return TwoVarSeries(tcap, cap, coeffs)
 
 
 class TestHalfPeriodShift:
@@ -379,16 +400,16 @@ class TestHalfPeriodShift:
 
     def test_B3_quotient_matches_its_own_divisor_sum(self):
         for tcap in (6, 10):
-            oracle = b3_oracle(tcap, self.CAP)
+            oracle = b3_log_oracle(tcap, self.CAP)
+            assert quotient_series("B3", tcap, self.CAP) == oracle.exp()
             assert theta_quotient("B3", tcap, self.CAP) == oracle
-            assert theta_quotient("B3", tcap, self.CAP).log() == oracle.log()
 
     @pytest.mark.parametrize("dim", [8, 12, 16, 20])
     def test_spin_third_sector_is_the_shift(self, dim):
         table, tcap, cap = pontryagin_table(dim), dim // 2, self.CAP
         log_a = _bridged_log(theta_quotient("A", tcap, cap), table, "pX", dim, cap)
         sector2 = qseries_exp(log_a + _bridged_log(theta_quotient("B2", tcap, cap), table, "pX", dim, cap))
-        sector3 = qseries_exp(log_a + _bridged_log(b3_oracle(tcap, cap), table, "pX", dim, cap))
+        sector3 = qseries_exp(log_a + _bridged_log(b3_log_oracle(tcap, cap), table, "pX", dim, cap))
         assert sector3 == sector2.tau_shift_half()
         sector1 = qseries_exp(log_a + _bridged_log(theta_quotient("B1", tcap, cap), table, "pX", dim, cap))
         route = to_pontryagin(theta_route_integrand(CaseSpec("spin", dim, cap)))  # built over power sums
@@ -402,7 +423,7 @@ class TestHalfPeriodShift:
             return _bridged_log(quotient, table, family, dim, cap)
 
         b2 = bridged(theta_quotient("B2", tcap, cap), "pV")
-        b3 = bridged(b3_oracle(tcap, cap), "pV")
+        b3 = bridged(b3_log_oracle(tcap, cap), "pV")
         assert b3 == b2.tau_shift_half()
         log = bridged(theta_quotient("A", tcap, cap), "pX") + bridged(theta_quotient("B1", tcap, cap), "pV") + b2 + b3
         assert to_pontryagin(theta_route_integrand(CaseSpec("spin_v", dim, cap))) == qseries_exp(log)

@@ -22,7 +22,7 @@ from anomaly.bundles import (
     theta_series,
 )
 from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries, qseries_exp
-from anomaly.theta import _bridged_log, line_quotient_evaluation, theta_quotient
+from anomaly.theta import _bridged_log, line_quotient_evaluation, quotient_series, theta_quotient
 from anomaly.verifier import (
     CASE_DIMS,
     COROLLARIES,
@@ -140,7 +140,7 @@ def theta_product(table, case, dim, cap, tcap):
         for kind in ("B1", "B2", "B3"):
             A = A * product(kind, "pV")
         return A
-    return A * line_quotient_evaluation(theta_quotient("L", tcap, cap), table, dim, cap)
+    return A * line_quotient_evaluation(quotient_series("L", tcap, cap), table, dim, cap)
 
 
 @pytest.mark.parametrize("case,dim", ALL_CASES)
