@@ -35,7 +35,6 @@ from .qseries import (
     qseries_exp,
 )
 from .theta import (
-    TwoVarSeries,
     line_quotient_evaluation,
     q_series_via_theta,
     quotient_series,
@@ -99,7 +98,6 @@ __all__ = [
     "qseries_exp",
     "eisenstein",
     "modular_basis",
-    "TwoVarSeries",
     "theta_quotient",
     "quotient_series",
     "line_quotient_evaluation",

@@ -11,12 +11,11 @@ terms as int numerators over it, in lowest terms (gcd(den, *numerators) =
 `(degree, side grade, packed key, numerator)` tuples in sorted order, which
 is exactly the input of the one convolution, `_convolve`: a product is one
 `_convolve` plus one gcd reduction (`_int_form`), and its result feeds the
-next product as it stands.  The q-series of `qseries` keep the same form
-over flat keys, with the doubled q-exponent as side grade, and so do the
-two-variable series of `theta`, over the keys of the empty table with the
-t-power in the degree digit: every series is an int form.  The `Fraction`
-map `GradedPoly.terms` is a view, built on demand for rendering, evaluation
-and the public API.
+next product as it stands.  The q-series of `qseries`, the theta quotients
+of `theta` among them (over the one generator t), keep the same form over
+flat keys, with the doubled q-exponent as side grade: every series is an
+int form.  The `Fraction` map `GradedPoly.terms` is a view, built on demand
+for rendering, evaluation and the public API.
 
 Packed keys (`KeyLayout`).  A key is one int: a monomial's exponents one
 digit each from the lowest digit up, then its degree, then the doubled
@@ -30,24 +29,22 @@ key's degree and j2 are read off its digits.
 The arithmetic of the int form is written once, in the base class
 `IntForm`: equality, negation, sums, scalar and series products, the tau
 shift, powers, the unit, `repr`, operand alignment and the exp kernel.
-`GradedPoly` here, `qseries.QHalfSeries` and `theta.TwoVarSeries` are its
-three subclasses; each gives only its shape (table or ring, and caps), its
-key layout, its kernel limits and `_meet`, the one shape that two operands
-are brought onto.  One routine, `_relaid`, moves a form onto
-another shape: every truncation, cut, promotion and alignment re-keys
-through it.
+`GradedPoly` here and `qseries.QHalfSeries` are its two subclasses; each
+gives only its shape (table or ring, and caps), its key layout, its kernel
+limits and `_meet`, the one shape that two operands are brought onto.  One
+routine, `_relaid`, moves a form onto another shape: every truncation, cut,
+promotion and alignment re-keys through it.
 
 exp is the one series kernel, `_exp_form` over int forms, which solves the
 recurrence of `_weight_recurrence`.  The exp of a polynomial steps by weight
 (grade + side grade).  The exp of a series with a side grade is solved by
 q-power: the exp of its q^0 slice first, by weight, then one step per side
 grade, each a few convolutions of whole slices.  `IntForm._kernel` applies
-it to any of the three classes: it backs `exp_truncated` here, `qseries_exp`
-in `qseries` and the exp of `theta.TwoVarSeries`.  No series is inverted,
-and none has its logarithm taken: the theta route writes its logarithms in
-closed form, and the bundle route's genera take theirs from one-variable
-factorial series by a recurrence of their own, so the two routes share no
-log.
+it to either class: it backs `exp_truncated` here and `qseries_exp` in
+`qseries`.  No series is inverted, and none has its logarithm taken: the
+theta route writes its logarithms in closed form, and the bundle route's
+genera take theirs from one-variable factorial series by a recurrence of
+their own, so the two routes share no log.
 
 Substitution has one implementation too, the key rewrite
 `_substitute_monomials`: each image is a single term (or zero) over the
@@ -416,8 +413,7 @@ def _relaid(items: list, old: KeyLayout, new: KeyLayout, limit: int, side_limit:
     their keys moved from `old`'s table onto `new`'s by generator name.
 
     A key is packed exponents | grade << gshift | side grade << sshift: the
-    grade and the side grade stay in their digits, so a t-power in the
-    degree digit of the empty table moves too.  A generator that the old
+    grade and the side grade stay in their digits.  A generator that the old
     table lacks gets exponent 0.  A shared generator of another degree in
     the new table, or a kept term that carries a generator the new table
     lacks, is a ValueError.  When `new is old` the items are only filtered.
@@ -769,7 +765,7 @@ class IntForm:
 
     def homogeneous_component(self, d: int):
         """The terms of grade d: a polynomial's degree-d part, a q-series' degree-d
-        part of every coefficient, a two-variable series' t^d part."""
+        part of every coefficient."""
         items = [item for item in self.items if item[0] == d]
         return self._make(*self._shape, *_int_form(self.den, items))
 

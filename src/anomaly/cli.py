@@ -50,7 +50,7 @@ from .algebra import pontryagin_table
 from .bundles import tangent_complexification, theta_series
 from .genera import ahat_form
 from .qseries import modular_basis
-from .theta import quotient_series
+from .theta import quotient_series, render_quotient
 from .verifier import (
     CASE_DIMS,
     CASES,
@@ -311,7 +311,7 @@ def _cmd_expand(args) -> int:
     else:
         if args.tcap < 0:
             return _usage_error("--tcap must be nonnegative")
-        text = quotient_series(name, args.tcap, args.order).render()
+        text = render_quotient(quotient_series(name, args.tcap, args.order))
     if args.format == "json":
         print(json.dumps({"series": name, "order": args.order, "value": text}, sort_keys=True, indent=2))
     else:

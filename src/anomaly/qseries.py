@@ -173,12 +173,6 @@ class QHalfSeries(IntForm):
             raise RingMismatchError("q-series over different tables (a rational series needs an explicit promotion)")
         return a if a.truncation <= b.truncation else b, min(self.cap, other.cap)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def q_power(cls, ring, cap, j2, value=1):
-        return cls(ring, cap, {j2: value})
-
     # -- accessors ----------------------------------------------------------
 
     def coefficient(self, j2: int):

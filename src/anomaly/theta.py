@@ -1,4 +1,4 @@
-"""Bivariate truncated series in t and sqrt(q), and the theta-quotient route.
+"""The theta-quotient route: the quotients' logarithms as q-series in one generator t.
 
 The five quotients A, B1, B2, B3, L are infinite products of factors
 (1 +- e^(+-t) q^(j/2)) against their t = 0 normalizations, times one
@@ -25,9 +25,9 @@ through q^(2 cap).  B3's logarithm is B2's under the half-period shift
 q^(1/2) -> -q^(1/2).  The route reads only these logarithms
 (`theta_quotient`): no quotient's coefficients are built on it, and no
 logarithm or inverse is taken of a series.  Only `quotient_series`, which
-the `expand` command prints, exponentiates them, with L = (t/2)/A as t/2
-times the exp of minus log A; its kernel is `algebra._exp_form`, the
-package's one.  The bundle route's genera take their logarithms from the
+the `expand` command prints (`render_quotient`), exponentiates them, with
+L = (t/2)/A as t/2 times the exp of minus log A, each one `qseries_exp`
+call.  The bundle route's genera take their logarithms from the
 factorial series by a one-variable recurrence of their own
 (`anomaly.genera`), and `qseries` sums its own divisor powers for the
 Eisenstein basis, so the two routes share no log and no sigma.
@@ -44,17 +44,20 @@ sector marked for it adds its own half-period shift.  So a sector is one exp
 times a monomial: the spin case takes two exps (its B3 sector is the shift
 of its B2 sector), spin_v one, and spinc_l one times cL/2.
 
-A t-power t^n stands for a degree-2n class (a power sum of squared roots, or
-a power of the degree-2 class cL), and every integrand is cut at degree dim,
-so the quotients' logarithms are cut at t-cap dim // 2: no higher t-power
-can reach the output.  The logarithms are memoized per (kind, t-cap, q-cap),
-and A's per (t-cap, q-cap), so the cases that share a dimension build each
-once.
+A quotient and its logarithm are `qseries.QHalfSeries` over the
+one-generator table `_T`, whose t has degree 2: t^n sits at degree 2n, the
+degree of the class it stands for (a power sum of squared roots, or a power
+of the degree-2 class cL), and the t-power is read off the degree digit,
+n = g // 2.  A series cut at t-cap tcap is over `PolyRing(_T, 2 * tcap)`, so
+its products and its exp are the q-series kernels themselves.  Every
+integrand is cut at degree dim, so the quotients' logarithms are cut at
+t-cap dim // 2: no higher t-power can reach the output.  The logarithms
+are memoized per (kind, t-cap, q-cap), and A's per (t-cap, q-cap), so the
+cases that share a dimension build each once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm
@@ -63,96 +66,24 @@ from operator import add, itemgetter
 from .algebra import (
     GeneratorTable,
     GradedPoly,
-    IntForm,
-    _exp_form,
     _int_form,
-    _integer,
     _nonnegative_int,
     _render_terms,
-    as_rational,
     power_sum_in_pontryagin,
 )
 from .qseries import PolyRing, QHalfSeries, _q_power, qseries_exp
 
-# Keys of the empty generator table hold one digit below j2, the degree digit;
-# a two-variable series keeps its t-power there.
-_T_KEYS = GeneratorTable(())
+# The quotients' one generator: t^n sits at degree 2n, so t-cap tcap is truncation 2 * tcap.
+_T = GeneratorTable((("t", 2),))
 
 
-class TwoVarSeries(IntForm):
-    """Truncated series sum c * t^n * q^(j2/2) with exact rational coefficients.
-
-    t-powers run up to tcap, doubled q-exponents up to 2*cap.  The value is
-    an `algebra.IntForm` with `(n, j2, key, numerator)` items, the key
-    n | j2 << bits laid out by `_T_KEYS.layout(tcap)` (bits =
-    `_digit_bits(tcap)`).  The t-power is the kernels' grade (limit tcap)
-    and j2 the side grade (limit 2*cap), so a term's weight is n + j2.
-    Products and the exp are the int-form kernels themselves.  `coeffs`,
-    the (n, j2) -> Fraction map, is a view built on each access.
-    """
-
-    __slots__ = ("tcap", "cap")
-    _SHAPE = ("tcap", "cap")
-
-    def __init__(self, tcap: int, cap: int, coeffs=None):
-        self.tcap = _nonnegative_int(tcap, "t-cap")
-        self.cap = _nonnegative_int(cap, "q-cap")
-        layout = self.layout
-        shift = layout.sshift
-        clean = {}
-        if coeffs:
-            for (n, j2), value in coeffs.items():
-                n, j2 = _integer(n, "t-exponents"), _integer(j2, "q-exponents")
-                if n < 0 or j2 < 0:
-                    raise ValueError("negative exponent")
-                if n > tcap or j2 > 2 * cap:
-                    continue
-                value = as_rational(value)
-                if value:
-                    clean[n | j2 << shift] = value
-        self.den, self.items = layout.rational_form(clean)
-
-    @property
-    def layout(self):
-        return _T_KEYS.layout(self.tcap)
-
-    @property
-    def limits(self) -> tuple[int, int]:
-        return self.tcap, 2 * self.cap
-
-    @property
-    def coeffs(self) -> dict[tuple[int, int], Fraction]:
-        """(n, j2) -> nonzero Fraction, built from the ints on each access."""
-        den = self.den
-        return {(n, j2): Fraction(num, den) for n, j2, _, num in self.items}
-
-    def coefficient(self, n: int, j2: int) -> Fraction:
-        n, j2 = _integer(n, "t-exponents"), _integer(j2, "q-exponents")
-        items = self.items
-        i = bisect_left(items, (n, j2))
-        if i < len(items) and items[i][:2] == (n, j2):
-            return Fraction(items[i][3], self.den)
-        return Fraction(0)
-
-    def _meet(self, other: "TwoVarSeries") -> tuple[int, int]:
-        """The smaller caps."""
-        return min(self.tcap, other.tcap), min(self.cap, other.cap)
-
-    def exp(self) -> "TwoVarSeries":
-        """exp of a series with zero constant coefficient (`algebra._exp_form`):
-        the exp of the q^0 slice in t, then one whole t-series per half-power
-        of q."""
-        if self.coefficient(0, 0):
-            raise ValueError("exp needs zero constant coefficient")
-        return self._kernel(_exp_form)
-
-    def render(self) -> str:
-        """Canonical text form: terms sorted by (q-power, t-power)."""
-        pairs = []
-        for n, j2, _, num in sorted(self.items, key=itemgetter(1, 0)):
-            t_power = "" if n == 0 else "t" if n == 1 else f"t^{n}"
-            pairs.append((Fraction(num, self.den), "*".join(filter(None, (t_power, _q_power(j2))))))
-        return _render_terms(pairs)
+def render_quotient(series: QHalfSeries) -> str:
+    """A series over `_T` as text, terms sorted by (q-power, t-power): "1 - 1/24*t^2 + ..."."""
+    monomial, unpack = _T.monomial_string, series.layout.unpack
+    pairs = []
+    for _, j2, key, num in sorted(series.items, key=itemgetter(1, 0)):
+        pairs.append((Fraction(num, series.den), "*".join(filter(None, (monomial(unpack(key)), _q_power(j2))))))
+    return _render_terms(pairs)
 
 
 # -- quotient construction ----------------------------------------------------
@@ -168,7 +99,7 @@ def _bernoulli(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _log_a(tcap: int, cap: int) -> TwoVarSeries:
+def _log_a(tcap: int, cap: int) -> QHalfSeries:
     """log A through t^tcap and q^cap, in closed form: sum_m (2/(2m)!) G_2m(q) t^(2m).
 
     At q^0 it is the Bernoulli sum log((t/2)/sinh(t/2)) =
@@ -182,45 +113,50 @@ def _log_a(tcap: int, cap: int) -> TwoVarSeries:
     top = tcap // 2
     bernoulli = [-_bernoulli(2 * m) / (2 * m * factorial(2 * m)) for m in range(1, top + 1)]
     den = lcm(factorial(2 * top), *[c.denominator for c in bernoulli])
-    layout = _T_KEYS.layout(tcap)
+    ring = PolyRing(_T, 2 * tcap)
+    layout = ring.layout
     acc = {}
     for m, c in enumerate(bernoulli, 1):
-        acc[2 * m] = c.numerator * (den // c.denominator)
+        key = layout.pack((2 * m,))
+        acc[key] = c.numerator * (den // c.denominator)
         unit = 2 * den // factorial(2 * m)
         for n in range(1, cap + 1):
-            acc[2 * m | 2 * n << layout.sshift] = unit * sum(d ** (2 * m - 1) for d in range(1, n + 1) if n % d == 0)
-    return TwoVarSeries._make(tcap, cap, *layout.int_form(acc, den))
+            acc[key | 2 * n << layout.sshift] = unit * sum(d ** (2 * m - 1) for d in range(1, n + 1) if n % d == 0)
+    return QHalfSeries._make(ring, cap, *layout.int_form(acc, den))
 
 
 # log Q(t, q) = log A(t, q) less log A(scale * t, q^(up/down)) for each (scale, up, down) of Q.
 _RESCALINGS = {"A": (), "B1": ((2, 2, 1),), "B2": ((1, 1, 2),)}
 
 
-def _quotient_log(kind: str, tcap: int, cap: int) -> TwoVarSeries:
+def _quotient_log(kind: str, tcap: int, cap: int) -> QHalfSeries:
     """log Q for Q = A, B1 or B2: A's logarithm less its rescalings in `_RESCALINGS`.
 
     A rescaling rewrites the int form of A's logarithm: t -> scale * t
-    multiplies the t^n numerator by scale^n, and q -> q^(up/down) moves j2
-    to j2 * up / down (A's j2 are even).  A rescaled term at q^cap comes
-    from A's logarithm at q^(down * cap / up), so A's is read through
-    q^(down * cap).
+    multiplies the numerator of t^n, degree g = 2n, by scale^n, and
+    q -> q^(up/down) moves j2 to j2 * up / down (A's j2 are even); a key
+    keeps its low digits, the t exponent and the degree, under the new j2.
+    A rescaled term at q^cap comes from A's logarithm at q^(down * cap / up),
+    so A's is read through q^(down * cap).
     """
     log = _log_a(tcap, cap)
     shift = log.layout.sshift
+    low = (1 << shift) - 1
     for scale, up, down in _RESCALINGS[kind]:
         source = _log_a(tcap, down * cap)
         items = []
-        for n, j2, _, num in source.items:
+        for g, j2, key, num in source.items:
             j2 = j2 * up // down
             if j2 <= 2 * cap:
-                items.append((n, j2, n | j2 << shift, num * scale**n))
-        log = log - TwoVarSeries._make(tcap, cap, *_int_form(source.den, items))
+                items.append((g, j2, key & low | j2 << shift, num * scale ** (g // 2)))
+        log = log - QHalfSeries._make(log.ring, cap, *_int_form(source.den, items))
     return log
 
 
 @lru_cache(maxsize=None, typed=True)
-def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
-    """The logarithm of one root factor Q of a theta quotient, Q = A, B1, B2 or B3.
+def theta_quotient(kind: str, tcap: int, cap: int) -> QHalfSeries:
+    """The logarithm of one root factor Q of a theta quotient, Q = A, B1, B2 or B3,
+    as a q-series over `_T` cut at degree 2 * tcap and q^cap.
 
     A  = [(t/2)/sinh(t/2)] prod (1-q^j)^2 / [(1-e^t q^j)(1-e^-t q^j)]
     B1 = cosh(t/2) prod (1+e^t q^j)(1+e^-t q^j) / (1+q^j)^2
@@ -246,7 +182,7 @@ def theta_quotient(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     return _quotient_log(kind, tcap, cap)
 
 
-def quotient_series(kind: str, tcap: int, cap: int) -> TwoVarSeries:
+def quotient_series(kind: str, tcap: int, cap: int) -> QHalfSeries:
     """The coefficients of one root factor of a theta quotient, A, B1, B2, B3 or L.
 
     A, B1, B2 and B3 are the exps of their logarithms (`theta_quotient`);
@@ -254,31 +190,31 @@ def quotient_series(kind: str, tcap: int, cap: int) -> TwoVarSeries:
     (t/2) * exp(-log A).
     """
     if kind == "L":
-        return TwoVarSeries(tcap, cap, {(1, 0): Fraction(1, 2)}) * (-theta_quotient("A", tcap, cap)).exp()
-    return theta_quotient(kind, tcap, cap).exp()
+        return qseries_exp(-theta_quotient("A", tcap, cap)).scale(GradedPoly.generator(_T, "t", 2 * tcap) / 2)
+    return qseries_exp(theta_quotient(kind, tcap, cap))
 
 
 # -- from quotients to q-series of characteristic forms ------------------------
 
 
-def _t_substituted(series: TwoVarSeries, images: dict[int, GradedPoly], ring: PolyRing, cap: int) -> QHalfSeries:
-    """sum c_{n,j2} t^n q^(j2/2) with t^n -> images[n], as a q-series over `ring` cut at `cap`.
+def _t_substituted(series: QHalfSeries, images: dict[int, GradedPoly], ring: PolyRing, cap: int) -> QHalfSeries:
+    """sum c_{n,j2} t^n q^(j2/2) over `_T` with t^n -> images[n], as a q-series over `ring` cut at `cap`.
 
     The images are polynomials at the ring's truncation; a t-power with no
-    image is dropped.  The int numerators of c_{n,j2} times the items of
-    images[n], at the j2 digit, add into one flat int form.  t^n stands for
-    a degree-2n class, so the series must reach t-cap truncation // 2 and
-    q-cap `cap`: one cut lower would drop terms that the result claims, a
-    ValueError.
+    image is dropped.  t^n sits at degree g = 2n.  The int numerators of
+    c_{n,j2} times the items of images[n], at the j2 digit, add into one
+    flat int form.  t^n stands for a degree-2n class, so the series must
+    reach the ring's truncation and q-cap `cap`: one cut lower would drop
+    terms that the result claims, a ValueError.
     """
     _nonnegative_int(cap, "q-cap")
-    if series.tcap < ring.truncation // 2 or series.cap < cap:
+    if series.ring.truncation < ring.truncation or series.cap < cap:
         raise ValueError(
-            f"a quotient cut at t-cap {series.tcap} and q-cap {series.cap} cannot give degree "
+            f"a quotient cut at t-cap {series.ring.truncation // 2} and q-cap {series.cap} cannot give degree "
             f"{ring.truncation} through q^{cap}: that needs t-cap {ring.truncation // 2} and q-cap {cap}"
         )
     shift = ring.layout.sshift
-    rows = [(images[n], j2 << shift, num) for n, j2, _, num in series.items if n in images and j2 <= 2 * cap]
+    rows = [(images[g // 2], j2 << shift, num) for g, j2, _, num in series.items if g // 2 in images and j2 <= 2 * cap]
     den = lcm(*[image.den for image, _, _ in rows])
     acc: dict = {}
     get = acc.get
@@ -291,7 +227,7 @@ def _t_substituted(series: TwoVarSeries, images: dict[int, GradedPoly], ring: Po
 
 
 def _bridged_log(
-    log: TwoVarSeries,
+    log: QHalfSeries,
     table: GeneratorTable,
     family: str,
     truncation: int,
@@ -302,7 +238,7 @@ def _bridged_log(
     The logarithm must be even in t with no pure q term, as the logarithm of
     a quotient with t=0 slice equal to 1 is.
     """
-    powers = {n for n, _, _, _ in log.items}
+    powers = {g // 2 for g, _, _, _ in log.items}
     if 0 in powers:
         raise ValueError("quotient is not normalized: log has a pure q term")
     if any(n % 2 for n in powers):
@@ -312,13 +248,13 @@ def _bridged_log(
 
 
 def line_quotient_evaluation(
-    quotient: TwoVarSeries,
+    quotient: QHalfSeries,
     table: GeneratorTable,
     truncation: int,
     cap: int,
     generator: str = "cL",
 ) -> QHalfSeries:
-    """Evaluate a quotient, or a quotient's logarithm, at t = a degree-2 generator, cL unless named."""
+    """Evaluate a quotient, or a quotient's logarithm, over `_T` at t = a degree-2 generator, cL unless named."""
     c = GradedPoly.generator(table, generator, truncation)
     powers = [GradedPoly.one(table, truncation)]
     while not powers[-1].is_zero():

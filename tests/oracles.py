@@ -42,6 +42,11 @@ suite shows that each fails where its corrected form passes.
 `evaluate_manifold` pairs one top-degree form with a manifold's
 characteristic numbers, through the pairing that `evaluate` uses.
 
+`q_power` is the one-term series c * q^(j2/2).  `t_series` and `t_coeffs`
+write and read the theta quotients, q-series over the one generator t of
+`theta._T`, as (t-power, doubled q-exponent) -> coefficient maps: t^n sits
+at degree 2n, so a series cut at t-cap tcap is over truncation 2 * tcap.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
@@ -52,9 +57,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from anomaly import verifier
+from anomaly import theta, verifier
 from anomaly.algebra import GradedPoly
-from anomaly.qseries import RATIONALS, QHalfSeries
+from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries
 from anomaly.cli import _CASE_FLAGS, _SERIES
 from anomaly.verifier import IDENTITIES, IdentityResult, UnknownIdentityError, impose_condition
 
@@ -80,6 +85,27 @@ def naive_substitute(f, images, target):
                     term = term * image
         acc = acc + term
     return acc
+
+
+def q_power(ring, cap, j2, value=1):
+    """value * q^(j2/2) over `ring`, cut at q^cap."""
+    return QHalfSeries(ring, cap, {j2: value})
+
+
+def t_series(tcap, cap, coeffs):
+    """sum c * t^n * q^(j2/2) over `coeffs`, {(n, j2): c}, as a q-series over
+    `theta._T` cut at t^tcap (degree 2 * tcap) and q^cap."""
+    truncation = 2 * tcap
+    slices = {}
+    for (n, j2), c in coeffs.items():
+        slices.setdefault(j2, {})[(n,)] = c
+    polys = {j2: GradedPoly(theta._T, truncation, terms) for j2, terms in slices.items()}
+    return QHalfSeries(PolyRing(theta._T, truncation), cap, polys)
+
+
+def t_coeffs(series):
+    """(n, j2) -> nonzero coefficient of t^n * q^(j2/2) in a q-series over `theta._T`."""
+    return {(expts[0], j2): c for j2, poly in series.coeffs.items() for expts, c in poly.terms.items()}
 
 
 def naive_exp_poly(x):

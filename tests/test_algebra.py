@@ -74,13 +74,13 @@ class TestGeneratorTable:
 
     @pytest.mark.parametrize("dim", range(4, 66, 2))
     def test_every_engine_table_round_trips(self, dim):
-        """The tables the engine builds (pX, pV, cL, and the empty tables of the
-        theta route's t-keys and of the rationals) rebuild from their
+        """The tables the engine builds (pX, pV, cL, the theta route's one
+        generator t, and the empty table of the rationals) rebuild from their
         generators, and each monomial round-trips."""
         from anomaly import qseries, theta
 
         tables = [pontryagin_table(dim, aux=aux, line=line) for aux in (False, True) for line in (False, True)]
-        tables += [theta._T_KEYS, qseries.RATIONALS.table]
+        tables += [theta._T, qseries.RATIONALS.table]
         for table in tables:
             assert GeneratorTable(table.generators) == table
             for expts in [(0,) * len(table), tuple(range(1, len(table) + 1))] + [

@@ -17,7 +17,8 @@ oldest Python that `pyproject.toml` admits.  Every public function has a
 caller in the package, but for the process entry: a function that only the
 tests read is an oracle, and README's `python` blocks run against the
 package.  No module reads the process environment, so a run's output is a
-function of its arguments and input alone."""
+function of its arguments and input alone.  The point oracle of the tests
+imports only the standard library, nothing of `anomaly`."""
 
 import ast
 import os
@@ -62,6 +63,48 @@ def test_every_module_is_scanned():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+POINT_ORACLE = Path(__file__).resolve().parent / "point_oracle.py"
+
+
+def package_imports(source: str) -> list[str]:
+    """What `source` imports of the package `anomaly`, in source order: an
+    import statement at any depth, or an `__import__` or `import_module`
+    call whose first argument names it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            function = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if function in ("__import__", "import_module"):
+                names = [node.args[0].value]
+        found += [(node.lineno, name) for name in names if str(name).split(".")[0] == "anomaly"]
+    return [name for _, name in sorted(found)]
+
+
+def test_the_package_import_scan_sees_every_import_form():
+    source = (
+        "import anomaly\nimport json, anomaly.algebra as a\nfrom anomaly import theta\n"
+        "from anomaly.qseries import QHalfSeries\nfrom . import anomaly_like\nimport anomalyx\n"
+        "def f():\n    from anomaly.cli import run\n    return __import__(\"anomaly.verifier\")\n"
+        "import importlib\nm = importlib.import_module(\"anomaly\")\nn = importlib.import_module(\"json\")\n"
+    )
+    expected = ["anomaly", "anomaly.algebra", "anomaly", "anomaly.qseries", "anomaly.cli", "anomaly.verifier", "anomaly"]
+    assert package_imports(source) == expected
+
+
+def test_the_point_oracle_shares_no_code_with_the_package():
+    """`tests/point_oracle.py` is a check outside both routes: it imports
+    nothing of `anomaly`, and nothing outside the standard library, such as
+    the test oracles, through which it could."""
+    source = POINT_ORACLE.read_text(encoding="utf-8")
+    assert package_imports(source) == []
+    assert foreign_imports(source) == []
 
 
 # The oldest Python that pyproject.toml's requires-python admits, as (major, minor).

@@ -4,8 +4,8 @@ Each row mutation replaces one field of one `verifier._FAMILIES` row (one
 combination atom counts as a field), each code mutation replaces one
 expression in the source of an engine function (`bundles.theta_series`,
 `bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
-`genera._log_coeffs`, `theta._log_a`, `theta.theta_quotient`,
-`verifier._relation`), and each
+`genera._log_coeffs`, `theta._log_a`, `theta._quotient_log`,
+`theta.theta_quotient`, `verifier._relation`), and each
 rescaling mutation replaces one quotient kind's entry of
 `theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
 in-process.  One code mutation moves only a top-degree term, so the
@@ -136,6 +136,12 @@ MUTATIONS = {
 }
 
 
+# B1 is read by the spin and spin_v sectors; spinc_l reads only A.
+B1_ROUTES = flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}) | flips(
+    "spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}
+)
+
+
 # Each replaces one expression of a function, which must occur there once, and
 # patches the recompiled function in as the name of the module that reads it.
 CODE_MUTATIONS = {
@@ -235,6 +241,15 @@ CODE_MUTATIONS = {
         # spin_v's route comparison fails at every dimension, leaving nothing to fit
         flips("spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}),
     ),
+    "rescaling power read off the degree digit": (
+        theta._quotient_log,
+        theta,  # theta_quotient reads it
+        "scale ** (g // 2)",
+        "scale ** g",
+        # t^n sits at degree g = 2n, so t -> 2t scales B1's t^n by 4^n in place of 2^n; B2's scale
+        # is 1, and spinc_l reads only A, so the spin and spin_v route comparisons alone fail
+        B1_ROUTES,
+    ),
     "exterior factor signs the even powers": (
         bundles._lam_factor,
         bundles,  # theta_series reads it
@@ -286,10 +301,7 @@ CODE_MUTATIONS = {
 
 # Each replaces the rescalings of one quotient kind in `theta._RESCALINGS`, the
 # table that `theta._quotient_log` reads on each call, as an edit of its source
-# line would.  B1 is read by the spin and spin_v sectors; spinc_l reads only A.
-B1_ROUTES = flips("spin", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}) | flips(
-    "spin_v", {dim: "route_ok fit_ok" for dim in (8, 12, 16, 20)}
-)
+# line would.
 RESCALING_MUTATIONS = {
     # log B1 = log A(t) - log A(t, q^2): its t^(2m) terms lose the 4^m of t -> 2t
     "B1 t-scale 2 -> 1": ("B1", ((1, 2, 1),), B1_ROUTES),
