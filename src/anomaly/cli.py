@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``verify``   - assemble the catalog cases along both routes, compare them,
-  fit the modular basis form, check every catalog identity and report
+  fit the echelon modular basis, check every catalog identity and report
   divisibility moduli.
 * ``expand``   - print the q-expansion of a named series or theta quotient.
 * ``evaluate`` - pair the catalog index forms with characteristic numbers of a
@@ -297,7 +297,8 @@ def _cmd_expand(args) -> int:
         return _usage_error("--order must be nonnegative")
     name = args.series
     if name in _SERIES_WEIGHTS:
-        text = modular_basis(_SERIES_WEIGHTS[name], args.order).render()
+        (form,) = modular_basis(_SERIES_WEIGHTS[name], args.order)
+        text = form.render()
     elif name.endswith("-ch"):
         if args.dim % 4 or args.dim < 4:
             return _usage_error("--dim must be a positive multiple of 4 for bundle-valued series")

@@ -4,9 +4,11 @@ Exponents are stored doubled (the key j means q^(j/2)), so only integers are
 ever used as dictionary keys.  Coefficients live in one kind of ring, a
 truncated graded polynomial ring over a generator table (`PolyRing`).  Over
 the empty table every coefficient is a constant, so that ring, `RATIONALS`,
-holds the rational series: the Eisenstein series and the modular basis
-forms.  Series over different tables do not mix; a rational series is lifted
-into another ring explicitly (`QHalfSeries.promote`).
+holds the rational series: the Eisenstein series and the echelon basis
+forms of M_k (`modular_basis`, the one place that knows which monomials in
+E4 and E6 span a weight).  Series over different tables do not mix; a
+rational series is lifted into another ring explicitly
+(`QHalfSeries.promote`).
 
 A series is an `algebra.IntForm` over flat keys: one positive denominator
 and `(degree, j2, flat key, numerator)` items, where the flat key is the
@@ -286,16 +288,27 @@ def eisenstein(weight: int, cap: int) -> QHalfSeries:
 
 
 @lru_cache(maxsize=None, typed=True)
-def modular_basis(weight: int, cap: int) -> QHalfSeries:
-    """The monic basis form of the given weight: E4, E6, E4^2 or E4*E6."""
+def modular_basis(weight: int, cap: int) -> tuple:
+    """The echelon (Miller) basis (f_0, ..., f_{d-1}) of M_k, k = weight and
+    d = dim M_k, through q^cap: f_i = q^i + O(q^d).
+
+    The d monomials E4^a * E6^b with 4a + 6b = k are a basis of M_k; they
+    are row-reduced over Q on their first d coefficients (W. Stein, *Modular
+    Forms: A Computational Approach*, ch. 2), and the result is integral.
+    The rows are worked through q^max(cap, k // 12), so that every pivot
+    exists, and cut back to `cap`.  A weight below 4 or with no monomial (2,
+    odd, negative) is a ValueError.
+    """
     _integer(weight, "weights")
-    _nonnegative_int(cap, "q-cap")
-    if weight == 4:
-        return eisenstein(4, cap)
-    if weight == 6:
-        return eisenstein(6, cap)
-    if weight == 8:
-        return eisenstein(4, cap) * eisenstein(4, cap)
-    if weight == 10:
-        return eisenstein(4, cap) * eisenstein(6, cap)
-    raise ValueError(f"no basis form of weight {weight}")
+    work_cap = max(_nonnegative_int(cap, "q-cap"), weight // 12)
+    e4, e6 = eisenstein(4, work_cap), eisenstein(6, work_cap)
+    rows = [e4 ** a * e6 ** ((weight - 4 * a) // 6) for a in range(weight // 4, -1, -1) if (weight - 4 * a) % 6 == 0]
+    if weight < 4 or not rows:
+        raise ValueError(f"no modular basis of weight {weight}")
+    # With E4's powers falling from the first row's a (E6's b), the first i rows
+    # span E4^(a-3i+3)*E6^b times (E4^3)^(i-1-j)*Delta^j, j < i, as E6^2 =
+    # E4^3 - 1728*Delta: forms that vanish to order j at q = 0, so no pivot is 0.
+    for i in range(len(rows)):
+        pivot = rows[i] * (1 / rows[i].coefficient_q(i).constant_term)
+        rows = [pivot if r == i else row - pivot * row.coefficient_q(i).constant_term for r, row in enumerate(rows)]
+    return tuple(row._reshaped(RATIONALS, cap) for row in rows)

@@ -7,12 +7,15 @@ dimensions.  The integrand q-series is assembled along two independent
 routes - the bundle route (lambda-ring operations times multiplicative
 characteristic forms) and the theta route (products of theta quotients) -
 compared coefficient-by-coefficient, reduced to its top-degree part, and
-fitted against the monic modular basis form of the case's weight.  A
-dimension only truncates a family's integrand (and, for spin, scales it by
-the spinor rank), so `run_cases` builds each family's routes once, at its
-largest selected dimension, and each route cuts the lower dimensions out of
-its own series.  The family compares its two top series once; only when they
-differ does each dimension compare its own cuts.
+fitted against the echelon basis f_i = q^i + O(q^d) of M_k at the case's
+weight (`qseries.modular_basis`): its q^0..q^(d-1) coefficients are the
+fit's lam, and the rest are compared.  A dimension only truncates a
+family's integrand (and, for spin, scales it by the spinor rank), so
+`run_cases` builds each family's routes once, at its largest selected
+dimension, and each route cuts the lower dimensions out of its own series.
+The family compares its two top series once; only when they differ does
+each dimension compare its own cuts, and it raises if those differ too.
+Either way the fitted series is read off the bundle top.
 
 Each stated identity, a row of the table `_STATED`, is written once, as data:
 `_relation` lists its index terms, each a coefficient, a label, a factor (Â,
@@ -374,44 +377,44 @@ def assemble_Q(spec: CaseSpec, family: tuple | None = None) -> QHalfSeries:
     The bundle and theta routes are always both built, independently, and
     must agree at every q-power and mixed degree of `spec.dim` before
     extraction.  Two equal top series have equal cuts, so the family
-    compares its tops once and, when they agree, only the degree-dim part of
-    the bundle top is converted to Pontryagin classes (`_in_pontryagin`) and
-    cut to `spec.dim` (`_cut`).  When they differ, each dimension cuts and
-    compares both whole routes, in power sums, and converts both to name its
-    own first difference.
+    compares its tops once, and only the degree-dim part of the bundle top is
+    converted to Pontryagin classes (`_in_pontryagin`) and cut to `spec.dim`
+    (`_cut`).  When the tops differ, each dimension first cuts and compares
+    both whole routes, in power sums; if its cuts differ too, it converts
+    both to name its own first difference and raises RouteMismatchError.
     """
     top_dim, bundle, theta, agree = _family_routes(spec) if family is None else family
-    if agree:
-        return _cut(_in_pontryagin(bundle.homogeneous_component(spec.dim), spec.case), top_dim, spec, spec.table())
-    table = _power_sums(spec)
-    series, other = _cut(bundle, top_dim, spec, table), _cut(theta, top_dim, spec, table)
-    if series != other:
-        series, other = to_pontryagin(series), to_pontryagin(other)
-        bad = sorted(
-            j2
-            for j2 in set(series.coeffs) | set(other.coeffs)
-            if series.coefficient(j2) != other.coefficient(j2)
-        )
-        raise RouteMismatchError(
-            f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
-            f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
-        )
-    return _in_pontryagin(series.homogeneous_component(spec.dim), spec.case)
+    if not agree:
+        table = _power_sums(spec)
+        series, other = _cut(bundle, top_dim, spec, table), _cut(theta, top_dim, spec, table)
+        if series != other:
+            series, other = to_pontryagin(series), to_pontryagin(other)
+            bad = sorted(
+                j2
+                for j2 in set(series.coeffs) | set(other.coeffs)
+                if series.coefficient(j2) != other.coefficient(j2)
+            )
+            raise RouteMismatchError(
+                f"bundle and theta routes disagree for {spec.case} dim {spec.dim} "
+                f"at doubled q-exponents {bad}; {_first_difference(series, other)}"
+            )
+    return _cut(_in_pontryagin(bundle.homogeneous_component(spec.dim), spec.case), top_dim, spec, spec.table())
 
 
 INSUFFICIENT_ORDER = "insufficient order: no q-coefficient compared"
 
 
 class FitResult(namedtuple("FitResult", "weight lam residual")):
-    """Outcome of fitting a top-degree q-expansion against a basis form:
-    weight (int), lam (GradedPoly) and residual (QHalfSeries)."""
+    """Outcome of fitting a top-degree q-expansion against the echelon basis
+    (f_0, ..., f_{d-1}) of its weight: weight (int), lam (a tuple of d
+    GradedPoly, one per basis form) and residual (QHalfSeries)."""
 
     __slots__ = ()
 
     @property
     def compared(self) -> int:
-        """q-coefficients checked against the form: q^1..q^cap (q^0 fixes lam)."""
-        return self.residual.cap
+        """q-coefficients checked against the basis: q^d..q^cap (q^0..q^(d-1) fix lam)."""
+        return max(0, self.residual.cap + 1 - len(self.lam))
 
     @property
     def passed(self) -> bool:
@@ -422,12 +425,15 @@ class FitResult(namedtuple("FitResult", "weight lam residual")):
 
 
 def eisenstein_fit(q_top: QHalfSeries, weight: int) -> FitResult:
-    """Fit q_top = lam * (basis form of the weight); lam is the q^0 piece."""
+    """Fit q_top = sum_i lam_i * f_i over the echelon basis of the weight
+    (`qseries.modular_basis`, f_i = q^i + O(q^d)): lam_i is q_top's q^i piece."""
     if not q_top.integer_powers_only():
         raise ValueError("surviving half-integer powers in the q-expansion")
     basis = modular_basis(weight, q_top.cap)
-    lam = q_top.coefficient(0)
-    residual = q_top - basis.promote(q_top.ring).scale(lam)
+    lam = tuple(q_top.coefficient_q(i) for i in range(len(basis)))
+    residual = q_top
+    for form, coeff in zip(basis, lam):
+        residual = residual - form.promote(q_top.ring).scale(coeff)
     return FitResult(weight, lam, residual)
 
 
@@ -601,7 +607,8 @@ def corollaries_for(case: str, dim: int) -> list[CorollaryEntry]:
 
 
 def _basis_coefficient(weight: int, q_power: int) -> int:
-    value = modular_basis(weight, max(2, q_power)).coefficient_q(q_power).constant_term
+    (form,) = modular_basis(weight, max(2, q_power))  # the identities' weights have one form
+    value = form.coefficient_q(q_power).constant_term
     if value.denominator != 1:
         raise ArithmeticError(f"the q^{q_power} coefficient {value} of the weight-{weight} basis form is not an integer")
     return int(value)
@@ -971,7 +978,7 @@ def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
 
     if q_top is not None:
         fit = eisenstein_fit(q_top, spec.weight)
-        lam_text = fit.lam.render()
+        lam_text = ", ".join(coeff.render() for coeff in fit.lam)
         fit_ok = fit.passed
         fit_residual = fit.render_residual()
     else:

@@ -54,9 +54,9 @@ def test_criterion_01_eisenstein_golden_values():
     assert [e4.coefficient_q(n).constant_term for n in range(4)] == [1, 240, 2160, 6720]
     e6 = eisenstein(6, 3)
     assert [e6.coefficient_q(n).constant_term for n in range(4)] == [1, -504, -16632, -122976]
-    e8 = modular_basis(8, 2)
+    (e8,) = modular_basis(8, 2)
     assert [e8.coefficient_q(n).constant_term for n in range(3)] == [1, 480, 61920]
-    e10 = modular_basis(10, 2)
+    (e10,) = modular_basis(10, 2)
     assert [e10.coefficient_q(n).constant_term for n in range(2)] == [1, -264]
     # exact arithmetic forces the q^2 coefficient of E4*E6; the sometimes
     # quoted value -117288 is unreachable once E4 and E6 match their
@@ -134,7 +134,8 @@ def test_criterion_04_modular_fit(case, dim):
     top = impose_condition(bundle.homogeneous_component(dim), case)
     fit = eisenstein_fit(top, spec.weight)
     assert fit.passed
-    assert not fit.lam.is_zero()
+    (lam,) = fit.lam
+    assert not lam.is_zero()
     assert {8: 4, 12: 6, 16: 8, 20: 10, 10: 4, 14: 6, 18: 8, 22: 10}[dim] == spec.weight
     if (case, dim) == ALL_CASES[-1]:
         print(

@@ -5,8 +5,8 @@ combination atom counts as a field), each code mutation replaces one
 expression in the source of an engine function (`bundles.theta_series`,
 `bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
 `genera._log_coeffs`, `theta._log_a`, `theta._quotient_log`,
-`theta.theta_quotient`, `verifier._relation`), and each
-rescaling mutation replaces one quotient kind's entry of
+`theta.theta_quotient`, `verifier._relation`, `verifier.eisenstein_fit`),
+and each rescaling mutation replaces one quotient kind's entry of
 `theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
 in-process.  One code mutation moves only a top-degree term, so the
 family's tops differ and every dimension compares its own cuts.  The tables
@@ -295,6 +295,17 @@ CODE_MUTATIONS = {
             18: "Thm1.25-q1 Cor1.26-a",
             22: "Thm1.27-q1 Cor1.28-a",
         }),
+    ),
+    "fit reads lam one q-power up": (
+        verifier.eisenstein_fit,
+        verifier,  # _case_report reads it
+        "q_top.coefficient_q(i)",
+        "q_top.coefficient_q(i + 1)",
+        # every catalog weight has one basis form, so lam is read at q^1 for q^0: the residual's
+        # q^0 coefficient is no longer zero, and every fit fails while routes and identities hold
+        flips("spin", {dim: "fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spin_v", {dim: "fit_ok" for dim in (8, 12, 16, 20)})
+        | flips("spinc_l", {dim: "fit_ok" for dim in (10, 14, 18, 22)}),
     ),
 }
 

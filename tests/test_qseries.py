@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomaly.algebra import GeneratorTable, GradedPoly, pontryagin_table
 from anomaly.qseries import (
@@ -15,7 +17,7 @@ from anomaly.qseries import (
     modular_basis,
     qseries_exp,
 )
-from anomaly.verifier import eisenstein_fit
+from anomaly.verifier import INSUFFICIENT_ORDER, eisenstein_fit
 from oracles import q_power
 
 
@@ -77,7 +79,7 @@ class TestOneRing:
 
     def test_fit_of_a_rational_series(self):
         fit = eisenstein_fit(eisenstein(4, 3) * 3, 4)
-        assert fit.passed and fit.lam.constant_term == 3
+        assert fit.passed and [lam.constant_term for lam in fit.lam] == [3]
 
     def test_promote_refuses_a_polynomial_series(self):
         ring = PolyRing(pontryagin_table(8), 8)
@@ -252,11 +254,11 @@ class TestEisenstein:
             assert e6.coefficient_q(n).constant_term == -504 * sigma(5, n)
 
     def test_weight8_basis_golden(self):
-        e8 = modular_basis(8, 3)
+        (e8,) = modular_basis(8, 3)
         assert [e8.coefficient_q(n).constant_term for n in range(4)] == [1, 480, 61920, 1050240]
 
     def test_weight10_basis_golden(self):
-        e10 = modular_basis(10, 3)
+        (e10,) = modular_basis(10, 3)
         assert [e10.coefficient_q(n).constant_term for n in range(4)] == [1, -264, -135432, -5196576]
         # the value -117288 sometimes quoted for the q^2 coefficient is not
         # reachable by exact arithmetic: q^2 of E4*E6 is forced to
@@ -265,16 +267,88 @@ class TestEisenstein:
         assert 240 * (-504) + (-16632) + 2160 == -135432
 
     def test_low_weights_are_eisenstein(self):
-        assert modular_basis(4, 3) == eisenstein(4, 3)
-        assert modular_basis(6, 3) == eisenstein(6, 3)
-        assert modular_basis(8, 4) == eisenstein(4, 4) * eisenstein(4, 4)
-        assert modular_basis(10, 4) == eisenstein(4, 4) * eisenstein(6, 4)
+        assert modular_basis(4, 3) == (eisenstein(4, 3),)
+        assert modular_basis(6, 3) == (eisenstein(6, 3),)
+        assert modular_basis(8, 4) == (eisenstein(4, 4) * eisenstein(4, 4),)
+        assert modular_basis(10, 4) == (eisenstein(4, 4) * eisenstein(6, 4),)
 
     def test_unsupported_weights_rejected(self):
         with pytest.raises(ValueError):
             eisenstein(8, 3)
-        with pytest.raises(ValueError):
-            modular_basis(12, 3)
+        for weight in (2, 7):  # no monomial E4^a * E6^b has weight 2 or an odd weight
+            with pytest.raises(ValueError, match="no modular basis"):
+                modular_basis(weight, 3)
+
+
+def constants(form, cap):
+    """The q^0..q^cap coefficients of a rational series, as Fractions."""
+    return [form.coefficient_q(n).constant_term for n in range(cap + 1)]
+
+
+class TestEchelonBasis:
+    """`modular_basis` is the echelon (Miller) basis f_i = q^i + O(q^d) of M_k,
+    checked against values from outside the package."""
+
+    def test_weight12_is_leech_theta_and_delta(self):
+        theta_leech, delta = modular_basis(12, 4)
+        # Conway-Sloane, SPLAG ch. 4: the Leech lattice's theta series
+        assert constants(theta_leech, 4) == [1, 0, 196560, 16773120, 398034000]
+        # Ramanujan's tau(n)
+        assert constants(delta, 4) == [0, 1, -24, 252, -1472]
+
+    def test_weight14_is_e4_squared_e6(self):
+        (form,) = modular_basis(14, 3)
+        assert constants(form, 3) == [1, -24, -196632, -38263776]
+
+    def test_weight16_second_form(self):
+        _, f1 = modular_basis(16, 3)
+        assert constants(f1, 3) == [0, 1, 216, -3348]
+
+    @pytest.mark.parametrize("weight", [0, 2, 3, -4])
+    def test_weights_without_a_basis_are_rejected(self, weight):
+        with pytest.raises(ValueError, match="no modular basis"):
+            modular_basis(weight, 3)
+
+    def test_a_pivot_past_the_cap_is_cut_away(self):
+        f0, f1 = modular_basis(12, 0)
+        assert f0 == QHalfSeries.one(RATIONALS, 0)
+        assert f1.is_zero() and f1.cap == 0
+
+    @settings(deadline=None)
+    @given(st.integers(2, 20).map(lambda n: 2 * n), st.integers(0, 5))
+    def test_echelon_shape_and_integrality(self, weight, cap):
+        basis = modular_basis(weight, cap)
+        d = len(basis)
+        assert d == weight // 12 + (0 if weight % 12 == 2 else 1)
+        for i, form in enumerate(basis):
+            assert form.cap == cap
+            assert constants(form, min(d - 1, cap)) == [int(i == j) for j in range(min(d, cap + 1))]
+            assert all(value.denominator == 1 for value in constants(form, cap))
+
+
+class TestEchelonFit:
+    """A fit at a weight with two basis forms reads lam off q^0 and q^1 and compares the rest."""
+
+    @staticmethod
+    def series(cap):
+        f0, delta = modular_basis(12, cap)
+        return f0 * 3 - delta * 5
+
+    def test_two_coefficients_read_back(self):
+        fit = eisenstein_fit(self.series(4), 12)
+        assert [lam.constant_term for lam in fit.lam] == [3, -5]
+        assert fit.passed and fit.compared == 3
+
+    def test_order_one_compares_nothing(self):
+        fit = eisenstein_fit(self.series(1), 12)
+        assert fit.compared == 0
+        assert fit.render_residual() == INSUFFICIENT_ORDER
+        assert not fit.passed
+
+    def test_a_perturbed_coefficient_fails(self):
+        bump = q_power(RATIONALS, 4, 6)
+        fit = eisenstein_fit(self.series(4) + bump, 12)
+        assert not fit.passed and fit.residual == bump
 
 
 class TestMemoizedCapsAreChecked:
@@ -302,7 +376,8 @@ class TestMemoizedCapsAreChecked:
             constructor(weight, bad)
         if not warm:
             expected = constructor(weight, good)
-        assert constructor(weight, good) is expected and expected.cap == good
+        forms = expected if constructor is modular_basis else (expected,)
+        assert constructor(weight, good) is expected and [form.cap for form in forms] == [good]
 
     def test_negative_cap_rejected(self):
         for constructor in (eisenstein, modular_basis):
