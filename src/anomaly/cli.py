@@ -4,7 +4,8 @@ Subcommands:
 
 * ``verify``   - assemble the catalog cases along both routes, compare them,
   fit the echelon modular basis, check every catalog identity and report
-  divisibility moduli.
+  divisibility moduli; ``--dim`` past the catalog runs the routes and the
+  fit of each case that admits it.
 * ``expand``   - print the q-expansion of a named series or theta quotient.
 * ``evaluate`` - pair the catalog index forms with characteristic numbers of a
   manifold supplied as JSON.
@@ -58,6 +59,7 @@ from .verifier import (
     CaseSpec,
     ManifoldData,
     ManifoldDataError,
+    case_admits,
     check_case_condition,
     corollaries_for,
     corollary_modulus,
@@ -95,7 +97,7 @@ _COMMANDS = {
         "run the dual-route verification over the case catalog",
         (
             ("--case", str, _CASE_CHOICES, "all", ""),
-            ("--dim", int, None, None, "restrict to one dimension"),
+            ("--dim", int, None, None, "restrict to one dimension; past the catalog, only the routes and the fit run"),
             ("--order", int, None, 3, _ORDER_HELP),
             ("--format", str, _FORMATS, "text", ""),
         ),
@@ -257,13 +259,12 @@ def parse_args(argv=None) -> types.SimpleNamespace:
 
 
 def _selected_cases(args) -> list[tuple[str, int]]:
+    """The (case, dim) pairs of the filters: each case at its catalog
+    dimensions, or at --dim where the case admits it (`case_admits`)."""
     cases = CASES if args.case == "all" else [_CASE_FLAGS[args.case]]
-    pairs = []
-    for case in cases:
-        for dim in CASE_DIMS[case]:
-            if args.dim is None or args.dim == dim:
-                pairs.append((case, dim))
-    return pairs
+    if args.dim is None:
+        return [(case, dim) for case in cases for dim in CASE_DIMS[case]]
+    return [(case, args.dim) for case in cases if case_admits(case, args.dim)]
 
 
 def _cmd_verify(args) -> int:
@@ -359,12 +360,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    pairs = _selected_cases(args)
-    if not pairs:
-        print("anomaly: no catalog case matches the given filters", file=sys.stderr)
-        return 3
     rows = []
-    for case, dim in pairs:
+    for case, dim in _selected_cases(args):
         for cor in corollaries_for(case, dim):
             rows.append(
                 {
@@ -376,6 +373,9 @@ def _cmd_moduli(args) -> int:
                     "dim": dim,
                 }
             )
+    if not rows:
+        print("anomaly: no catalog case matches the given filters", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(json.dumps({"moduli": rows}, sort_keys=True, indent=2))
     else:

@@ -2,17 +2,20 @@
 moduli, and manifold evaluation.
 
 A case is a geometric setting (spin, spin with an auxiliary bundle, spin-c
-with a line bundle), one row of the family table `_FAMILIES`, at one of its
-dimensions.  The integrand q-series is assembled along two independent
-routes - the bundle route (lambda-ring operations times multiplicative
-characteristic forms) and the theta route (products of theta quotients) -
-compared coefficient-by-coefficient, reduced to its top-degree part, and
-fitted against the echelon basis f_i = q^i + O(q^d) of M_k at the case's
-weight (`qseries.modular_basis`): its q^0..q^(d-1) coefficients are the
-fit's lam, and the rest are compared.  A dimension only truncates a
-family's integrand (and, for spin, scales it by the spinor rank), so
-`run_cases` builds each family's routes once, at its largest selected
-dimension, and each route cuts the lower dimensions out of its own series.
+with a line bundle), one row of the family table `_FAMILIES`, at a dimension
+where its weight is an even integer >= 4 (`case_admits`).  Its catalog
+dimensions, the default run, are those of its stated identities; past them
+a case has only its routes and its fit.  The integrand q-series is
+assembled along two independent routes - the bundle route (lambda-ring
+operations times multiplicative characteristic forms) and the theta route
+(products of theta quotients) - compared coefficient-by-coefficient,
+reduced to its top-degree part, and fitted against the echelon basis f_i =
+q^i + O(q^d) of M_k at the case's weight (`qseries.modular_basis`): its
+q^0..q^(d-1) coefficients are the fit's lam, and the rest are compared.  A
+dimension only truncates a family's integrand (and, for spin, scales it by
+the spinor rank), so `run_cases` builds each family's routes once, at its
+largest selected dimension, and each route cuts the lower dimensions out of
+its own series.
 The family compares its two top series once; only when they differ does
 each dimension compare its own cuts, and it raises if those differ too.
 Either way the fitted series is read off the bundle top.
@@ -24,7 +27,7 @@ one list the identity is rebuilt as an exact polynomial identity, its
 corollary is read as an integer relation solved for the first term (the
 divisibility modulus), and a manifold's characteristic numbers are paired
 with every index form.  `run_cases` builds each distinct index form once per
-family, at its largest dimension; an identity at dimension d sums their
+family, at its largest dimension that states an identity; an identity at dimension d sums their
 degree-d parts, the spinor factor's divided by its rank ratio, and cuts only
 the residual to its own table.  A lone identity is its own top.
 
@@ -151,21 +154,22 @@ NOTE_PARITY = (
 )
 
 
-_FAMILY_FIELDS = "factor dims weight_drop aux line bundle condition rank_base bundle_series bundle_factor theta_sectors notes identities combos"
+_FAMILY_FIELDS = "factor weight_drop aux line bundle condition rank_base bundle_series bundle_factor theta_sectors notes identities combos"
 
 
-class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, False, None, None, 1, None, None, (), (), (), None))):
+class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=(0, False, False, None, None, 1, None, None, (), (), (), None))):
     """One case family; an unset field is inert.  factor: of the index terms;
-    dims: catalog dimensions (none: identities only); weight_drop: the weight
-    is (dim - weight_drop)/2; aux, line: the table's pV block and cL class;
-    bundle: V's builder (spin: the spinor bundle); condition: pX1 ->
-    coefficient * monomial; rank_base: see `_rank_ratio`, and the theta
-    route's scale is rank_base^(dim/2); bundle_series, bundle_factor: the
-    bundle route's theta series and factor; theta_sectors: the theta route's
+    weight_drop: the weight is (dim - weight_drop)/2 (`case_admits`); aux,
+    line: the table's pV block and cL class; bundle: V's builder (spin: the
+    spinor bundle); condition: pX1 -> coefficient * monomial; rank_base: see
+    `_rank_ratio`, and the theta route's scale is rank_base^(dim/2);
+    bundle_series, bundle_factor: the bundle route's theta series and factor
+    (none: identities only, not a case); theta_sectors: the theta route's
     sectors, each ((quotient kind, root family) pairs, whether the sector
     adds its half-period shift), names read by `q_series_via_theta`; notes:
-    report notes; identities: the identity cases read with it; combos:
-    theirs, by q-power."""
+    report notes; identities: the identity cases read with it, whose `_STATED`
+    dimensions are its catalog dimensions (`CASE_DIMS`); combos: theirs, by
+    q-power."""
 
     __slots__ = ()
 
@@ -178,18 +182,18 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=((), 0, False, Fals
 
 _FAMILIES = {
     "spin": _Family(
-        dims=(8, 12, 16, 20), bundle=spinor_bundle, rank_base=2, bundle_series="sectors", bundle_factor="ahat",
+        bundle=spinor_bundle, rank_base=2, bundle_series="sectors", bundle_factor="ahat",
         theta_sectors=(((("A", "pX"), ("B1", "pX")), False), ((("A", "pX"), ("B2", "pX")), True)),
         factor="spinor", identities=("spin",),
     ),
     "spin_v": _Family(
-        dims=(8, 12, 16, 20), aux=True, bundle=aux_complexification, condition=("pV1", 3),
+        aux=True, bundle=aux_complexification, condition=("pV1", 3),
         bundle_series="thetaV", bundle_factor="detcosh_V", factor="detcosh_V", combos=_V_COMBO,
         theta_sectors=(((("A", "pX"), ("B1", "pV"), ("B2", "pV"), ("B3", "pV")), False),),
         notes=(NOTE_COMPLEXIFICATION, NOTE_LINE_SPECIALIZATION), identities=("spin_v", "spin_v_line"),
     ),
     "spinc_l": _Family(
-        dims=(10, 14, 18, 22), weight_drop=2, line=True, bundle=line_real_complexification, condition=("cL^2", 1),
+        weight_drop=2, line=True, bundle=line_real_complexification, condition=("cL^2", 1),
         bundle_series="thetaL", bundle_factor="sinh_half_c", factor="exp_half_c", combos=_L_COMBO,
         theta_sectors=(((("A", "pX"), ("L", "cL")), False),),
         notes=(NOTE_PARITY,), identities=("spinc_l",),
@@ -199,8 +203,7 @@ _FAMILIES = {
     ),
 }
 
-CASES = tuple(case for case, row in _FAMILIES.items() if row.dims)
-CASE_DIMS = {case: _FAMILIES[case].dims for case in CASES}
+CASES = tuple(case for case, row in _FAMILIES.items() if row.bundle_series)
 
 
 def case_weight(case: str, dim: int) -> int:
@@ -208,17 +211,26 @@ def case_weight(case: str, dim: int) -> int:
     return (dim - _FAMILIES[case].weight_drop) // 2
 
 
+def case_admits(case: str, dim) -> bool:
+    """Whether `case` is a case whose weight at `dim` is an even integer >= 4:
+    exactly where `qseries.modular_basis` has a basis to fit against."""
+    return case in CASES and _is_int(dim) and (dim - _FAMILIES[case].weight_drop) % 4 == 0 and case_weight(case, dim) >= 4
+
+
 class CaseSpec(namedtuple("CaseSpec", "case dim qcap")):
     """One verification case: geometric setting, dimension and q-cap.  Every
-    case builds both routes and compares them (`assemble_Q`)."""
+    case builds both routes and compares them (`assemble_Q`).  A case runs at
+    every dimension it admits (`case_admits`), past its catalog dimensions
+    too, where it has no identities and no moduli."""
 
     __slots__ = ()
 
     def __new__(cls, case: str, dim: int, qcap: int = 3):
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-        if not _is_int(dim) or dim not in CASE_DIMS[case]:
-            raise ValueError(f"case {case} supports dimensions {CASE_DIMS[case]}, got {dim!r}")
+        if not case_admits(case, dim):
+            low = 8 + _FAMILIES[case].weight_drop
+            raise ValueError(f"case {case} supports dimensions {low}, {low + 4}, {low + 8}, ..., got {dim!r}")
         _nonnegative_int(qcap, "q-cap")
         return super().__new__(cls, case, dim, qcap)
 
@@ -559,6 +571,9 @@ _STATED = (
     ("spinc_l", 22, ("Thm1.27-q1",), "Cor1.28"),
 )
 
+# The default run: each case at the dimensions of its stated identities.
+CASE_DIMS = {case: tuple(sorted({d for c, d, _, _ in _STATED if c in _FAMILIES[case].identities})) for case in CASES}
+
 # The notes of the identities whose statements print a slip.
 _STATED_NOTES = {
     "Thm1.7-(1.13)": "the statement prints +32 for the plain-sector constant on the right side; "
@@ -589,15 +604,15 @@ IDENTITIES, COROLLARIES = _build_catalog()
 def identities_for(case: str, dim: int) -> list[IdentityEntry]:
     """The catalog identities of one case; spin_v includes its line-bundle specialization.
 
-    A case outside `CASES`, or a dimension with no catalog identity, is an
-    input error.
+    A case outside `CASES`, or a dimension the case does not admit
+    (`case_admits`), is an input error; an admitted dimension past the
+    catalog has none.
     """
     if case not in CASES:
         raise ValueError(f"no catalog identity for unknown case {case!r}; expected one of {CASES}")
-    entries = [e for e in IDENTITIES.values() if e.case in _FAMILIES[case].identities and e.dim == dim]
-    if not entries:
+    if not case_admits(case, dim):
         raise ValueError(f"no catalog identity for case {case!r} in dimension {dim!r}")
-    return entries
+    return [e for e in IDENTITIES.values() if e.case in _FAMILIES[case].identities and e.dim == dim]
 
 
 def corollaries_for(case: str, dim: int) -> list[CorollaryEntry]:
@@ -944,9 +959,10 @@ def run_cases(specs) -> list[CaseReport]:
     """Run each spec's route comparison, fit, identities and moduli; one report per spec, in order.
 
     The specs are grouped by (case, q-cap), and each group's two route
-    integrands and the index forms of its identities are built once, at the
-    group's largest dimension (`_family_routes`, `_index_forms`).  Every spec
-    of the group cuts its dimension out of them: inside each route
+    integrands are built once, at the group's largest dimension
+    (`_family_routes`), and the index forms of its identities, if it has any,
+    once at the largest dimension that states one (`_index_forms`).  Every
+    spec of the group cuts its dimension out of them: inside each route
     (`assemble_Q`), so the two routes are still compared at every q-power
     and mixed degree of each dimension, and per identity as degree-d parts
     (`verify_identity`).  One group's series and forms are dropped before
@@ -959,7 +975,8 @@ def run_cases(specs) -> list[CaseReport]:
     for members in groups.values():
         group = [specs[i] for i in members]
         family = _family_routes(max(group, key=attrgetter("dim")))
-        forms = _index_forms([entry for spec in group for entry in identities_for(spec.case, spec.dim)], _Family.power_sum_table)
+        entries = [entry for spec in group for entry in identities_for(spec.case, spec.dim)]
+        forms = _index_forms(entries, _Family.power_sum_table) if entries else None
         for i, spec in zip(members, group):
             reports[i] = _case_report(spec, family, forms)
         del family, forms

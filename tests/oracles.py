@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the dual-route verification over the case catalog")
     verify.add_argument("--case", choices=sorted(_CASE_FLAGS) + ["all"], default="all")
-    verify.add_argument("--dim", type=int, default=None, help="restrict to one dimension")
+    verify.add_argument("--dim", type=int, default=None, help="restrict to one dimension; past the catalog, only the routes and the fit run")
     verify.add_argument("--order", type=int, default=3, help="q-expansion cap (default: 3)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -135,6 +135,29 @@ class TestVerify:
         assert code == 3
         assert "no catalog case" in err
 
+    def test_a_dimension_past_the_catalog_runs_routes_and_fit(self, capsys):
+        """Every case that admits dimension 24, with no identity and no modulus."""
+        code, out, _ = run(capsys, "verify", "--dim", "24", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert [(case["case"], case["dim"]) for case in payload["cases"]] == [("spin", 24), ("spin_v", 24)]
+        for case in payload["cases"]:
+            assert case["identities"] == [] and case["moduli"] == {}
+            assert case["lambda"].count(", ") == 1  # two basis forms at weight 12
+            assert case["fit_ok"] and case["route_ok"]
+
+    def test_a_dimension_past_the_catalog_below_its_basis_size_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dim", "24", "--order", "1", "--format", "json")
+        assert code == 1
+        for case in json.loads(out)["cases"]:
+            assert case["route_ok"] and not case["fit_ok"]
+            assert case["fit_residual"] == "insufficient order: no q-coefficient compared"
+
+    def test_a_dimension_the_case_does_not_admit_exits_3(self, capsys):
+        code, _, err = run(capsys, "verify", "--case", "spinc-l", "--dim", "24")
+        assert code == 3
+        assert "no catalog case" in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--case", "spinny"])
@@ -544,6 +567,14 @@ class TestEvaluate:
         assert 'integer "dim"' in err
         assert "dimension True" not in err
 
+    def test_a_dimension_past_the_catalog_exits_4(self, capsys, tmp_path):
+        """`verify` runs spin at 24, but no catalog identity pairs with its numbers."""
+        path = tmp_path / "dim24.json"
+        path.write_text('{"dim": 24, "numbers": {"pX6": "1", "pX3^2": "2", "pX1^6": "3"}}', encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--input", str(path))
+        assert code == 4 and out == ""
+        assert "no catalog case in dimension 24" in err
+
     def test_unknown_generator_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 8, "numbers": {"pY1^2": "4", "pX2": "7"}}', encoding="utf-8")
@@ -613,6 +644,13 @@ class TestModuli:
     def test_empty_filter_exits_3(self, capsys):
         code, _, _ = run(capsys, "moduli", "--case", "spin", "--dim", "22")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["--dim", "24"], ["--case", "spinc-l", "--dim", "26"]])
+    def test_a_dimension_past_the_catalog_has_no_moduli(self, capsys, argv):
+        """The spec admits it, but no corollary is stated there."""
+        code, out, err = run(capsys, "moduli", *argv)
+        assert code == 3 and out == ""
+        assert err == "anomaly: no catalog case matches the given filters\n"
 
 
 # Runs the module as `python -m anomaly.cli` does, behind an atexit probe that

@@ -5,7 +5,8 @@ products in plain `Fraction` arithmetic; `tests/test_dependencies.py` checks
 that it imports nothing of `anomaly`.  Both routes share `algebra`'s
 kernels and its conversion to Pontryagin classes, so the route comparison
 cannot see a consistent error there; the oracle can.  For every catalog
-case at order 3, `assemble_Q`'s top, evaluated at p_k = e_k(w) and cL = c,
+case at order 3, and for each case at its first three dimensions past the
+catalog, `assemble_Q`'s top, evaluated at p_k = e_k(w) and cL = c,
 equals the oracle's value at a seeded rational point that meets the case
 condition, at every q-power.  Negative controls: a doubled Newton
 polynomial s_2 in the conversion, a point off its condition and a
@@ -25,6 +26,8 @@ from point_oracle import elementary, integrand_top, random_point
 # The catalog, written out: the oracle covers each family by hand.
 CATALOG = [("spin", d) for d in (8, 12, 16, 20)] + [("spin_v", d) for d in (8, 12, 16, 20)]
 CATALOG += [("spinc_l", d) for d in (10, 14, 18, 22)]
+# Past the catalog, at weights 12, 14 and 16: routes and fit only.
+PAST = [(case, d) for case in ("spin", "spin_v") for d in (24, 28, 32)] + [("spinc_l", d) for d in (26, 30, 34)]
 ORDER = 3
 
 
@@ -62,7 +65,7 @@ def test_the_catalog_is_covered():
     assert sorted(CATALOG) == sorted((case, dim) for case in CASE_DIMS for dim in CASE_DIMS[case])
 
 
-@pytest.mark.parametrize("case, dim", CATALOG)
+@pytest.mark.parametrize("case, dim", CATALOG + PAST)
 def test_the_top_agrees_with_the_literal_products(case, dim):
     point = point_for(case, dim)
     expected = integrand_top(case, dim, ORDER, point)

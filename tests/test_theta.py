@@ -242,11 +242,13 @@ class TestRootProductBridge:
         with pytest.raises(ValueError, match="needs t-cap 8"):
             qseries_exp(_bridged_log(theta_quotient("A", tcap, qcap), pontryagin_table(16), "pX", 16, cap))
 
-    def test_a_quotient_cut_above_the_claim_gives_the_exact_cut(self):
-        table = pontryagin_table(16)
-        exact = qseries_exp(_bridged_log(theta_quotient("A", 8, 2), table, "pX", 16, 2))
-        assert qseries_exp(_bridged_log(theta_quotient("A", 11, 4), table, "pX", 16, 2)) == exact
-        assert exact.coefficient(0).coefficient("pX4") != 0
+    @pytest.mark.parametrize("dim", [16, 24, 32])
+    def test_a_quotient_cut_above_the_claim_gives_the_exact_cut(self, dim):
+        """At the catalog's top and past it: t-cap dim // 2 reaches the top class."""
+        table = pontryagin_table(dim)
+        exact = qseries_exp(_bridged_log(theta_quotient("A", dim // 2, 2), table, "pX", dim, 2))
+        assert qseries_exp(_bridged_log(theta_quotient("A", dim // 2 + 3, 4), table, "pX", dim, 2)) == exact
+        assert exact.coefficient(0).coefficient(f"pX{dim // 4}") != 0
 
 
 class TestLineEvaluation:

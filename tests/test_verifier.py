@@ -5,7 +5,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +37,7 @@ from anomaly.verifier import (
     UnknownIdentityError,
     assemble_Q,
     bundle_route_integrand,
+    case_admits,
     case_weight,
     check_case_condition,
     corollaries_for,
@@ -95,6 +95,26 @@ class TestCaseSpec:
         assert CaseSpec("spin_v", 12).weight == 6
         assert CaseSpec("spinc_l", 10).weight == 4
         assert CaseSpec("spinc_l", 22).weight == 10
+
+    def test_a_dimension_is_admitted_where_its_weight_has_a_basis(self):
+        """Past the catalog too: every even weight >= 4 has a modular basis."""
+        assert CaseSpec("spin", 24).weight == 12
+        assert CaseSpec("spin_v", 48).weight == 24
+        assert CaseSpec("spinc_l", 26).weight == 12
+        for case, dim in [("spin", 26), ("spinc_l", 24), ("spin", 0), ("spin", -8)]:
+            assert not case_admits(case, dim)
+            with pytest.raises(ValueError, match="supports dimensions"):
+                CaseSpec(case, dim)
+        assert not case_admits("spin_v_line", 8)
+
+    def test_weight_2_is_rejected_before_the_basis(self, monkeypatch):
+        """spin 4 has weight 2, where M_2 = 0: the spec refuses it, so no
+        run reaches `modular_basis`'s ValueError."""
+        monkeypatch.setattr(verifier, "modular_basis", lambda weight, cap: pytest.fail("reached the basis"))
+        with pytest.raises(ValueError, match="supports dimensions 8, 12, 16, ..., got 4"):
+            CaseSpec("spin", 4)
+        with pytest.raises(ValueError, match="supports dimensions 10, 14, 18, ..., got 6"):
+            CaseSpec("spinc_l", 6)
 
     def test_entry_weights_use_the_case_formula(self):
         for entry in IDENTITIES.values():
@@ -170,18 +190,6 @@ class TestRoutesAndFits:
         assert not lam.is_zero()
 
 
-@dataclass(frozen=True)
-class WideSpec:
-    """The fields `assemble_Q` reads from a `CaseSpec`, which accepts only the catalog dimensions."""
-
-    case: str
-    dim: int
-    qcap: int
-
-    def table(self):
-        return pontryagin_table(self.dim)
-
-
 # sha256 of the top-degree render of the spin case past the catalog at order
 # 3, recorded before the bundle route's products were reordered.
 SPIN_WIDE_DIGESTS = {
@@ -189,12 +197,72 @@ SPIN_WIDE_DIGESTS = {
     28: "edf2f468a254cb113e32b2c68b64a685b6085a13e88298dd2614dfc14d17abf1",
 }
 
+# The cases past the catalog at weights 12, 14 and 16, with d = dim M_k: the
+# fit's lam has d forms, read off q^0..q^(d-1), so it compares from order d on.
+PAST_THE_CATALOG = [(case, dim) for case in ("spin", "spin_v") for dim in (24, 28, 32)]
+PAST_THE_CATALOG += [("spinc_l", dim) for dim in (26, 30, 34)]
+BASIS_SIZE = {12: 2, 14: 1, 16: 2}
+
 
 class TestSpinPastTheCatalog:
     @pytest.mark.parametrize("dim", sorted(SPIN_WIDE_DIGESTS))
     def test_top_render_is_pinned(self, dim):
-        top = assemble_Q(WideSpec("spin", dim, 3))
+        top = assemble_Q(CaseSpec("spin", dim, 3))
         assert hashlib.sha256(top.render().encode("utf-8")).hexdigest() == SPIN_WIDE_DIGESTS[dim]
+
+
+class TestPastTheCatalog:
+    @pytest.mark.parametrize("case, dim", PAST_THE_CATALOG)
+    def test_routes_agree_and_the_fit_passes_from_order_d(self, case, dim):
+        """Routes and fit only: no identity and no modulus.  The fit passes
+        exactly at the orders that compare a coefficient; below order d it
+        reports insufficient order."""
+        d = BASIS_SIZE[case_weight(case, dim)]
+        reports = run_cases([CaseSpec(case, dim, order) for order in range(8)])
+        for order, report in enumerate(reports):
+            assert report.route_ok, order
+            assert report.fit_ok == (order >= d) == report.passed, order
+            assert (report.fit_residual == "insufficient order: no q-coefficient compared") == (order < d), order
+            assert report.lam.count(", ") == d - 1
+            assert report.identities == [] and report.moduli == []
+
+    @pytest.mark.parametrize("case, dim", [("spin_v", 24), ("spin_v", 28), ("spinc_l", 26), ("spinc_l", 30)])
+    def test_the_fit_fails_without_the_case_condition(self, monkeypatch, case, dim):
+        """Negative control: the integrand is modular only under its condition."""
+        monkeypatch.setitem(verifier._FAMILIES, case, verifier._FAMILIES[case]._replace(condition=None))
+        spec = CaseSpec(case, dim, 5)
+        fit = eisenstein_fit(assemble_Q(spec), spec.weight)
+        assert fit.compared > 0 and not fit.passed
+
+    def test_weight_24_fits_three_forms(self):
+        """d = 3 at weight 24: order 3 compares q^3 alone, and order 2 nothing."""
+        fit = eisenstein_fit(assemble_Q(CaseSpec("spin", 48, 3)), 24)
+        assert len(fit.lam) == 3 and fit.compared == 1 and fit.passed
+        fit = eisenstein_fit(assemble_Q(CaseSpec("spin", 48, 2)), 24)
+        assert fit.compared == 0 and not fit.passed
+
+    def test_a_past_dimension_has_no_catalog_entries(self):
+        assert identities_for("spin", 24) == [] and corollaries_for("spin", 24) == []
+        assert identities_for("spinc_l", 26) == [] and corollaries_for("spin_v", 48) == []
+
+    def test_a_group_without_entries_builds_no_index_forms(self, monkeypatch):
+        """The catalog dimension's entries build the forms, at its own top;
+        a group past the catalog builds none."""
+        index_forms = verifier._index_forms
+        tops = []
+
+        def recording(entries, coordinates):
+            assert entries
+            forms = index_forms(entries, coordinates)
+            tops.append(forms[0])
+            return forms
+
+        monkeypatch.setattr(verifier, "_index_forms", recording)
+        reports = run_cases([CaseSpec("spin", 24, 2), CaseSpec("spin_v", 28, 2), CaseSpec("spin", 20, 2)])
+        assert tops == [20]
+        assert all(report.passed for report in reports)
+        assert [len(report.identities) for report in reports] == [0, 0, 2]
+        assert reports[2] == run_cases([CaseSpec("spin", 20, 2)])[0]
 
 
 class TestPowerSharing:
