@@ -271,8 +271,8 @@ def _cmd_verify(args) -> int:
     if args.order < 0:
         return _usage_error("--order must be nonnegative")
     pairs = _selected_cases(args)
-    if not pairs:
-        print("anomaly: no catalog case matches the given filters", file=sys.stderr)
+    if not pairs:  # only --dim empties it: every case has catalog dimensions
+        print(f"anomaly: no selected case admits dimension {args.dim}", file=sys.stderr)
         return 3
     reports = run_cases([CaseSpec(case, dim, args.order) for case, dim in pairs])
     if args.format == "json":

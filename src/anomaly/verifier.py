@@ -154,10 +154,10 @@ NOTE_PARITY = (
 )
 
 
-_FAMILY_FIELDS = "factor weight_drop aux line bundle condition rank_base bundle_series bundle_factor theta_sectors notes identities combos"
+_FAMILY_FIELDS = "factor weight_drop aux line bundle condition rank_base bundle_series bundle_factor theta_sectors notes identity_notes identities combos"
 
 
-class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=(0, False, False, None, None, 1, None, None, (), (), (), None))):
+class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=(0, False, False, None, None, 1, None, None, (), (), (), (), None))):
     """One case family; an unset field is inert.  factor: of the index terms;
     weight_drop: the weight is (dim - weight_drop)/2 (`case_admits`); aux,
     line: the table's pV block and cL class; bundle: V's builder (spin: the
@@ -167,9 +167,10 @@ class _Family(namedtuple("_Family", _FAMILY_FIELDS, defaults=(0, False, False, N
     (none: identities only, not a case); theta_sectors: the theta route's
     sectors, each ((quotient kind, root family) pairs, whether the sector
     adds its half-period shift), names read by `q_series_via_theta`; notes:
-    report notes; identities: the identity cases read with it, whose `_STATED`
-    dimensions are its catalog dimensions (`CASE_DIMS`); combos: theirs, by
-    q-power."""
+    the notes of every report; identity_notes: the notes that speak of the
+    identities, added after those only where identities run; identities: the
+    identity cases read with it, whose `_STATED` dimensions are its catalog
+    dimensions (`CASE_DIMS`); combos: theirs, by q-power."""
 
     __slots__ = ()
 
@@ -190,13 +191,14 @@ _FAMILIES = {
         aux=True, bundle=aux_complexification, condition=("pV1", 3),
         bundle_series="thetaV", bundle_factor="detcosh_V", factor="detcosh_V", combos=_V_COMBO,
         theta_sectors=(((("A", "pX"), ("B1", "pV"), ("B2", "pV"), ("B3", "pV")), False),),
-        notes=(NOTE_COMPLEXIFICATION, NOTE_LINE_SPECIALIZATION), identities=("spin_v", "spin_v_line"),
+        notes=(NOTE_COMPLEXIFICATION,), identity_notes=(NOTE_LINE_SPECIALIZATION,),
+        identities=("spin_v", "spin_v_line"),
     ),
     "spinc_l": _Family(
         weight_drop=2, line=True, bundle=line_real_complexification, condition=("cL^2", 1),
         bundle_series="thetaL", bundle_factor="sinh_half_c", factor="exp_half_c", combos=_L_COMBO,
         theta_sectors=(((("A", "pX"), ("L", "cL")), False),),
-        notes=(NOTE_PARITY,), identities=("spinc_l",),
+        identity_notes=(NOTE_PARITY,), identities=("spinc_l",),
     ),
     "spin_v_line": _Family(  # spin_v with V the realified line bundle: identities only, read with spin_v
         line=True, bundle=line_real_complexification, condition=("cL^2", 3), factor="exp_half_c", combos=_V_COMBO
@@ -984,8 +986,6 @@ def run_cases(specs) -> list[CaseReport]:
 
 
 def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
-    notes = list(_FAMILIES[spec.case].notes)
-
     route_ok, route_detail = True, "bundle == theta"
     try:
         q_top = assemble_Q(spec, family)
@@ -1006,8 +1006,9 @@ def _case_report(spec: CaseSpec, family: tuple, forms: tuple) -> CaseReport:
         (cor.ident, cor.target, corollary_modulus(cor.ident))
         for cor in corollaries_for(spec.case, spec.dim)
     ]
-    for result in results:
-        notes.extend(result.notes)
+    row = _FAMILIES[spec.case]
+    notes = [*row.notes, *(row.identity_notes if results else ())]
+    notes += [note for result in results for note in result.notes]
 
     return CaseReport(
         case=spec.case,

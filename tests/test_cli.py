@@ -133,7 +133,7 @@ class TestVerify:
     def test_empty_filter_exits_3(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "spin", "--dim", "10")
         assert code == 3
-        assert "no catalog case" in err
+        assert err == "anomaly: no selected case admits dimension 10\n"
 
     def test_a_dimension_past_the_catalog_runs_routes_and_fit(self, capsys):
         """Every case that admits dimension 24, with no identity and no modulus."""
@@ -146,6 +146,18 @@ class TestVerify:
             assert case["lambda"].count(", ") == 1  # two basis forms at weight 12
             assert case["fit_ok"] and case["route_ok"]
 
+    def test_a_dimension_past_the_catalog_prints_no_identity_note(self, capsys):
+        """The notes that speak of the identities print only where identities run."""
+        notes = {}
+        for argv in (["--dim", "24"], ["--dim", "26", "--case", "spinc-l"], ["--dim", "8"], ["--dim", "10"]):
+            _, out, _ = run(capsys, "verify", *argv, "--format", "json")
+            notes.update({(case["case"], case["dim"]): case["notes"] for case in json.loads(out)["cases"]})
+        assert notes[("spin", 24)] == notes[("spin", 8)] == []
+        assert notes[("spin_v", 24)] == [verifier.NOTE_COMPLEXIFICATION]
+        assert notes[("spin_v", 8)] == [verifier.NOTE_COMPLEXIFICATION, verifier.NOTE_LINE_SPECIALIZATION]
+        assert notes[("spinc_l", 26)] == []
+        assert notes[("spinc_l", 10)] == [verifier.NOTE_PARITY]
+
     def test_a_dimension_past_the_catalog_below_its_basis_size_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--dim", "24", "--order", "1", "--format", "json")
         assert code == 1
@@ -156,7 +168,7 @@ class TestVerify:
     def test_a_dimension_the_case_does_not_admit_exits_3(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "spinc-l", "--dim", "24")
         assert code == 3
-        assert "no catalog case" in err
+        assert err == "anomaly: no selected case admits dimension 24\n"
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,9 @@
 """The package has zero runtime dependencies: `src/anomaly` imports only the
 standard library and its own modules (sympy and hypothesis are for tests).
-Its export list names each public name once, and each resolves, every
-other module reads each name it imports, and importing the CLI loads none
-of the slow-to-import standard modules.  The two routes stay apart: the
-theta route imports nothing of the bundle route's modules and no log or
+The package root imports nothing, so `import anomaly` loads no other
+module, every module reads each name it imports, and importing the CLI
+loads none of the slow-to-import standard modules.  The two routes stay
+apart: the theta route imports nothing of the bundle route's modules and no log or
 inverse kernel (the package has none), and the bundle route imports nothing of the theta route, so
 a fault in a kernel of one route shows as a route mismatch.  Every
 `functools.lru_cache` is typed, so a float or bool argument never reads the
@@ -146,16 +146,32 @@ def test_the_unused_import_scan_sees_every_import_form():
     assert unused_imports(source) == ["j", "lcm", "algebra", "sys"]
 
 
-@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_read(path):
-    """Removing code must not leave its imports behind.  `__init__.py` is
-    skipped: its imports are its exports."""
+    """Removing code must not leave its imports behind."""
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_every_export_resolves_once():
-    assert len(anomaly.__all__) == len(set(anomaly.__all__))
-    assert [name for name in anomaly.__all__ if not hasattr(anomaly, name)] == []
+def loaded_package_modules(statement: str) -> list[str]:
+    """The modules of the package that a fresh interpreter has loaded after
+    `statement`, run with the PYTHON* settings scrubbed from its environment
+    as the benchmark's child processes are, and the source tree on its path."""
+    probe = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'anomaly'))"
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_the_module_probe_sees_what_an_import_loads():
+    assert loaded_package_modules("import anomaly.qseries") == ["anomaly", "anomaly.algebra", "anomaly.qseries"]
+
+
+def test_the_package_root_loads_no_other_module():
+    """Each public name has one import path, its defining module: the root
+    re-exports nothing, so importing it loads nothing of the engine."""
+    assert loaded_package_modules("import anomaly") == ["anomaly"]
 
 
 def python_blocks(text: str) -> list:
@@ -533,7 +549,6 @@ def test_the_caller_scan_sees_every_form():
 
 def test_every_public_function_has_a_caller():
     """`src/anomaly` holds what the CLI runs: a public function that only tests
-    or exports read belongs in `tests/oracles.py`.  `__init__.py` is skipped:
-    its imports are its exports."""
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES if path.name != "__init__.py"}
+    read belongs in `tests/oracles.py`."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert sorted(uncalled_functions(sources)) == sorted(UNCALLED)
