@@ -900,16 +900,8 @@ class GradedPoly(IntForm):
             return Fraction(items[0][3], self.den)
         return _ZERO
 
-    def coefficient(self, monomial: Mapping[str, int] | str) -> Fraction:
-        if isinstance(monomial, str):
-            expts = self.table.parse_monomial(monomial)
-        else:
-            e = [0] * len(self.table)
-            for name, power in monomial.items():
-                if not _is_int(power):
-                    raise ValueError(f"the exponent of {name!r} must be an integer, got {power!r}")
-                e[self.table.index(name)] = power
-            expts = tuple(e)
+    def coefficient(self, monomial: str) -> Fraction:
+        expts = self.table.parse_monomial(monomial)
         degree = self.table.monomial_degree(expts)
         if degree > self.truncation or any(e < 0 for e in expts):
             return _ZERO
@@ -1004,6 +996,26 @@ def power_sum_in_pontryagin(table: GeneratorTable, family: str, m: int, truncati
     return sums[m - 1]
 
 
+def _summed_images(den: int, rows: list, layout: KeyLayout) -> tuple[int, list]:
+    """The int form under `layout` of sum_i num_i * image_i, over `den`.
+
+    `rows` are (image, side key, num) triples, each image a `GradedPoly` laid
+    out by `layout`'s table and truncation and the side key a side digit (a
+    doubled q-exponent) that is OR-ed onto each of its image's keys.  One
+    flat int pass adds every row into one accumulator over the lcm of the
+    images' denominators.
+    """
+    common = lcm(*[image.den for image, _, _ in rows])
+    acc: dict = {}
+    get = acc.get
+    for image, side, num in rows:
+        scale = num * (common // image.den)
+        for _, _, key, image_num in image.items:
+            key |= side
+            acc[key] = get(key, 0) + image_num * scale
+    return layout.int_form(acc, common * den)
+
+
 def _pontryagin_image(table: GeneratorTable, truncation: int, key: int) -> GradedPoly:
     """The image on `table.pontryagin` of the monomial with packed key `key`
     on the power-sum table `table`, at `truncation`.
@@ -1043,10 +1055,10 @@ def to_pontryagin(x: IntForm) -> IntForm:
     homogeneous of the monomial's degree.  The images are built once per
     table and truncation (`_pontryagin_image`); each has integer
     coefficients, as Newton's s_m has, so its int form is over 1.  Then one
-    flat int pass adds each term's numerator times its image's numerators,
-    the term's side digit (a q-series term's doubled q-exponent) carried
-    over, into one int form over the form's own denominator: both tables
-    lay out keys alike.  A form over another table is a ValueError.
+    flat int pass (`_summed_images`) adds each term's numerator times its
+    image, the term's side digit (a q-series term's doubled q-exponent)
+    carried over, into one int form: both tables lay out keys alike.  A
+    form over another table is a ValueError.
     """
     table = x.layout.table
     target = table.pontryagin
@@ -1054,16 +1066,10 @@ def to_pontryagin(x: IntForm) -> IntForm:
         raise ValueError(f"{table!r} is not a power-sum table")
     limit = x.limits[0]
     monomial = (1 << x.layout.sshift) - 1
-    acc: dict = {}
-    get = acc.get
-    for _, _, key, num in x.items:
-        side = key & ~monomial
-        for _, _, image_key, image_num in _pontryagin_image(table, limit, key & monomial).items:
-            image_key |= side
-            acc[image_key] = get(image_key, 0) + image_num * num
+    rows = [(_pontryagin_image(table, limit, key & monomial), key & ~monomial, num) for _, _, key, num in x.items]
     # a q-series moves to its ring's class over the target table; algebra does not import qseries
     shape = (target, limit) if isinstance(x, GradedPoly) else (type(x.ring)(target, limit), x.cap)
-    return x._make(*shape, *target.layout(limit).int_form(acc, x.den))
+    return x._make(*shape, *_summed_images(x.den, rows, target.layout(limit)))
 
 
 def exp_truncated(x: GradedPoly) -> GradedPoly:

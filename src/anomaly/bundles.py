@@ -3,10 +3,14 @@ and symmetric power operations, and the Chern characters of the theta-power
 q-series built from them.
 
 A virtual bundle is its Chern character: one graded polynomial, whose
-constant term is the rank, always an integer; `rank` and `reduced` (ch minus
-the rank) are read off it.  Every operation is one operation on that
-polynomial, through universal Chern-character polynomials, so it applies to
-arbitrary virtual elements, including negative and zero ranks.
+constant term is the rank, always an integer; `rank` and the rank-zero
+reduction `reduce()` (ch minus the rank) are read off it.  Since ch is a
+ring map, a sum or tensor product of bundles is the sum or product of their
+characters, plain `GradedPoly` arithmetic that callers write on `ch()`; the
+class keeps only the lambda-ring operations, which are not: the Adams
+operations and the exterior and symmetric powers.  Each is one operation on
+that polynomial, through universal Chern-character polynomials, so it
+applies to arbitrary virtual elements, including negative and zero ranks.
 
 A bundle keeps its Adams operations, exterior and symmetric powers and its
 rank-zero reduction once built, and the four geometric constructors are
@@ -40,7 +44,6 @@ from .algebra import (
     GeneratorTable,
     GradedPoly,
     _convolve,
-    _even_truncation,
     _int_form,
     _is_int,
     _nonnegative_int,
@@ -52,57 +55,34 @@ from .qseries import PolyRing, QHalfSeries
 
 
 class VirtualBundle:
-    """A virtual bundle over a fixed generator table, stored as its Chern character."""
+    """A virtual bundle over a fixed generator table: its Chern character,
+    with the lambda-ring operations and their per-bundle memos.
+
+    Sums and tensor products of bundles are `GradedPoly` sums and products
+    of their characters (`ch()`), so the class writes none of its own.
+    """
 
     __slots__ = ("table", "truncation", "_ch", "_reduction", "_psi", "_lam", "_sym")
 
-    def __init__(self, table: GeneratorTable, truncation: int, rank: int, reduced: GradedPoly | None = None):
-        truncation = _even_truncation(truncation)
-        if not _is_int(rank):
-            raise ValueError(f"virtual rank must be an integer, got {rank!r}")
-        if reduced is None:
-            reduced = GradedPoly.zero(table, truncation)
-        if reduced.table != table:
-            raise ValueError("reduced character over a different generator table")
-        if reduced.constant_term:
-            raise ValueError("reduced Chern character must have zero constant term")
-        if reduced.truncation < truncation:
-            raise ValueError(f"reduced character truncated at degree {reduced.truncation}, below {truncation}")
-        self._fill(reduced.truncate(truncation) + rank)
-
-    def _fill(self, ch: GradedPoly):
-        self.table, self.truncation, self._ch = ch.table, ch.truncation, ch
-        self._reduction = self._psi = self._lam = self._sym = None
-
     @classmethod
     def _of(cls, ch: GradedPoly) -> "VirtualBundle":
-        """Trusted constructor: the bundle whose Chern character is `ch`, at its
-        table and truncation.  The caller guarantees an integer constant term."""
+        """The bundle whose Chern character is `ch`, at its table and
+        truncation.  The caller guarantees an integer constant term."""
         bundle = object.__new__(cls)
-        bundle._fill(ch)
+        bundle.table, bundle.truncation, bundle._ch = ch.table, ch.truncation, ch
+        bundle._reduction = bundle._psi = bundle._lam = bundle._sym = None
         return bundle
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def trivial(cls, table, truncation, rank: int) -> "VirtualBundle":
-        return cls(table, truncation, rank)
-
-    @classmethod
-    def zero(cls, table, truncation) -> "VirtualBundle":
-        return cls(table, truncation, 0)
-
-    # -- basic algebra ---------------------------------------------------------
+        if not _is_int(rank):
+            raise ValueError(f"virtual rank must be an integer, got {rank!r}")
+        return cls._of(GradedPoly.constant(table, truncation, rank))
 
     @property
     def rank(self) -> int:
         """The constant term of the Chern character, an integer."""
         return self._ch.constant_term.numerator
-
-    @property
-    def reduced(self) -> GradedPoly:
-        """The reduced (rank-free) Chern character, ch - rank."""
-        return self.reduce()._ch
 
     def ch(self) -> GradedPoly:
         return self._ch
@@ -116,48 +96,6 @@ class VirtualBundle:
         if self._reduction is None:
             self._reduction = VirtualBundle._of(self._ch - rank)
         return self._reduction
-
-    def _check(self, other: "VirtualBundle"):
-        if self.table != other.table:
-            raise ValueError("virtual bundles over different generator tables")
-
-    def __add__(self, other):
-        if not isinstance(other, VirtualBundle):
-            return NotImplemented
-        self._check(other)
-        return VirtualBundle._of(self._ch + other._ch)
-
-    def __neg__(self):
-        return VirtualBundle._of(-self._ch)
-
-    def __sub__(self, other):
-        if not isinstance(other, VirtualBundle):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Tensor product; integers act as multiples of the trivial bundle."""
-        if isinstance(other, int):
-            if not _is_int(other):
-                raise ValueError(f"a bundle multiple must be an integer, got {other!r}")
-            return VirtualBundle._of(self._ch * other)
-        if not isinstance(other, VirtualBundle):
-            return NotImplemented
-        self._check(other)
-        return VirtualBundle._of(self._ch * other._ch)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualBundle) and self._ch == other._ch
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return self._ch.is_zero()
-
-    def __repr__(self):
-        return f"VirtualBundle(rank={self.rank}, reduced={self.reduced.render()})"
 
     # -- operations --------------------------------------------------------------
 

@@ -69,6 +69,7 @@ from .algebra import (
     _int_form,
     _nonnegative_int,
     _render_terms,
+    _summed_images,
     power_sum_in_pontryagin,
 )
 from .qseries import PolyRing, QHalfSeries, _q_power, qseries_exp
@@ -202,10 +203,10 @@ def _t_substituted(series: QHalfSeries, images: dict[int, GradedPoly], ring: Pol
 
     The images are polynomials at the ring's truncation; a t-power with no
     image is dropped.  t^n sits at degree g = 2n.  The int numerators of
-    c_{n,j2} times the items of images[n], at the j2 digit, add into one
-    flat int form.  t^n stands for a degree-2n class, so the series must
-    reach the ring's truncation and q-cap `cap`: one cut lower would drop
-    terms that the result claims, a ValueError.
+    c_{n,j2} times images[n], at the j2 digit, add into one flat int form
+    (`algebra._summed_images`).  t^n stands for a degree-2n class, so the
+    series must reach the ring's truncation and q-cap `cap`: one cut lower
+    would drop terms that the result claims, a ValueError.
     """
     _nonnegative_int(cap, "q-cap")
     if series.ring.truncation < ring.truncation or series.cap < cap:
@@ -215,15 +216,7 @@ def _t_substituted(series: QHalfSeries, images: dict[int, GradedPoly], ring: Pol
         )
     shift = ring.layout.sshift
     rows = [(images[g // 2], j2 << shift, num) for g, j2, _, num in series.items if g // 2 in images and j2 <= 2 * cap]
-    den = lcm(*[image.den for image, _, _ in rows])
-    acc: dict = {}
-    get = acc.get
-    for image, j2_key, num in rows:
-        scale = num * (den // image.den)
-        for _, _, key, inum in image.items:
-            key |= j2_key
-            acc[key] = get(key, 0) + inum * scale
-    return QHalfSeries._make(ring, cap, *ring.layout.int_form(acc, den * series.den))
+    return QHalfSeries._make(ring, cap, *_summed_images(series.den, rows, ring.layout))
 
 
 def _bridged_log(

@@ -61,7 +61,6 @@ from .algebra import (
     to_pontryagin,
 )
 from .bundles import (
-    VirtualBundle,
     aux_complexification,
     line_real_complexification,
     spinor_bundle,
@@ -478,21 +477,23 @@ def _render_combo(combo, vname: str) -> str:
     return "".join(parts)
 
 
-def _atom_bundle(atom: str, bundles: dict) -> VirtualBundle:
+def _atom_ch(atom: str, bundles: dict) -> GradedPoly:
     if atom in bundles:
-        return bundles[atom]
+        return bundles[atom].ch()
     op, k, base = atom[0], int(atom[1:-1]), atom[-1]
     W = bundles[base]
-    return W.lambda_power(k) if op == "L" else W.sym_power(k)
+    return (W.lambda_power(k) if op == "L" else W.sym_power(k)).ch()
 
 
-def _build_combo(combo, bundles: dict) -> VirtualBundle:
+def _combo_ch(combo, bundles: dict) -> GradedPoly:
+    """ch of a bundle combination: ch is a ring map, so its sums and tensor
+    products are sums and products of the atoms' characters."""
     sample = bundles["T"]
-    acc = VirtualBundle.zero(sample.table, sample.truncation)
+    acc = GradedPoly.zero(sample.table, sample.truncation)
     for coeff, atoms in combo:
-        term = _atom_bundle(atoms[0], bundles)
+        term = _atom_ch(atoms[0], bundles)
         for atom in atoms[1:]:
-            term = term * _atom_bundle(atom, bundles)
+            term = term * _atom_ch(atom, bundles)
         acc = acc + term * coeff
     return acc
 
@@ -658,7 +659,7 @@ def _index_forms(entries, coordinates) -> tuple:
                 bundles[case] = {"T": tangent_complexification(table, top).reduce()}
                 if row.combos is not None:  # the V atoms occur only in a row's combos
                     bundles[case]["V"] = row.bundle(table, top).reduce()
-            forms[case, factor, combo] = forms[case, factor, None] * _build_combo(combo, bundles[case]).ch()
+            forms[case, factor, combo] = forms[case, factor, None] * _combo_ch(combo, bundles[case])
     return top, forms
 
 

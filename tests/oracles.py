@@ -47,6 +47,10 @@ write and read the theta quotients, q-series over the one generator t of
 `theta._T`, as (t-power, doubled q-exponent) -> coefficient maps: t^n sits
 at degree 2n, so a series cut at t-cap tcap is over truncation 2 * tcap.
 
+`bundle` builds a virtual bundle from its rank and reduced character, the
+split the property tests draw; the engine builds bundles from whole
+characters.
+
 `build_parser` is the command line declared with argparse, as the CLI
 declared it before it read its own option table; the CLI tests parse the
 same arguments with both and compare.
@@ -59,6 +63,7 @@ from math import comb, factorial
 
 from anomaly import theta, verifier
 from anomaly.algebra import GradedPoly
+from anomaly.bundles import VirtualBundle
 from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries
 from anomaly.cli import _CASE_FLAGS, _SERIES
 from anomaly.verifier import IDENTITIES, IdentityResult, UnknownIdentityError, impose_condition
@@ -85,6 +90,13 @@ def naive_substitute(f, images, target):
                     term = term * image
         acc = acc + term
     return acc
+
+
+def bundle(table, truncation, rank, reduced):
+    """The virtual bundle rank + `reduced` over `table`, cut at `truncation`;
+    `reduced` has no constant term and reaches the truncation."""
+    assert reduced.table == table and not reduced.constant_term and reduced.truncation >= truncation
+    return VirtualBundle._of(reduced.truncate(truncation) + rank)
 
 
 def q_power(ring, cap, j2, value=1):

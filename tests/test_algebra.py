@@ -211,7 +211,7 @@ class TestGradedPolyArithmetic:
         assert f.homogeneous_component(8) == p2 - 3 * p1 * p1
         assert f.homogeneous_component(8).coefficient("pX2") == 1
         assert f.coefficient("pX1^2") == -3
-        assert f.coefficient({"pX1": 1}) == 2
+        assert f.coefficient("pX1") == 2
         assert f.constant_term == 0
 
     def test_render(self):
@@ -276,12 +276,12 @@ class TestExponentsAreInts:
         with pytest.raises(ValueError, match="integers"):
             GradedPoly(self.TABLE, 8, {(exponent, 0): 1})
 
-    @pytest.mark.parametrize("exponent", [1.5, 1.0, "1", True], ids=repr)
+    @pytest.mark.parametrize("exponent", ["1.5", "1.0", "+1", "True"], ids=repr)
     def test_coefficient(self, exponent):
         p = 3 * GradedPoly.generator(self.TABLE, "pX1", 8)
-        assert p.coefficient({"pX1": 1}) == 3
-        with pytest.raises(ValueError, match="'pX1'"):
-            p.coefficient({"pX1": exponent})
+        assert p.coefficient("pX1^1") == 3
+        with pytest.raises(ValueError, match="bad exponent"):
+            p.coefficient(f"pX1^{exponent}")
 
 
 class TestSubstitution:

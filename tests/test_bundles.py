@@ -22,6 +22,7 @@ from anomaly.bundles import (
 )
 from anomaly.genera import spinor_ch
 from anomaly.qseries import PolyRing, QHalfSeries
+from oracles import bundle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -38,7 +39,7 @@ def random_bundle(rng, table, truncation, *, rank_span=6, rank=None):
             continue
         ch = ch + GradedPoly(table, truncation, {expts: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
     assert ch.constant_term == rank
-    return VirtualBundle(table, truncation, rank, ch - rank)
+    return bundle(table, truncation, rank, ch - rank)
 
 
 # Tables with one, two and three generator degrees (the last with cL).
@@ -47,7 +48,7 @@ BUNDLE_TABLES = (pontryagin_table(8), pontryagin_table(8, aux=True), pontryagin_
 
 @st.composite
 def bundle_arguments(draw, table):
-    """Constructor arguments `(table, truncation, rank, reduced)` over `table`: a random even
+    """Bundle arguments `(table, truncation, rank, reduced)` over `table`: a random even
     truncation, a random rank and a random reduced character."""
     truncation = draw(st.sampled_from(range(0, max(table.degrees) + 3, 2)))
     exponents = st.tuples(*[st.integers(0, 2) for _ in range(len(table))])
@@ -59,7 +60,7 @@ def bundle_arguments(draw, table):
 
 def virtual_bundles(table):
     """A virtual bundle over `table` at a random even truncation, with a random rank and reduced character."""
-    return bundle_arguments(table).map(lambda args: VirtualBundle(*args))
+    return bundle_arguments(table).map(lambda args: bundle(*args))
 
 
 @st.composite
@@ -105,40 +106,27 @@ class TestVirtualBundleBasics:
         assert L.rank == 2
         assert L.ch() == 2 + c * c + (c**4) / 12 # 2*cosh(c) to degree 8
 
-    def test_addition_and_tensor(self):
-        table = pontryagin_table(8)
-        T = tangent_complexification(table, 8)
-        assert (T + T).ch() == 2 * T.ch()
-        assert (T * T).ch() == T.ch() * T.ch()
-        assert (T * 3).ch() == 3 * T.ch()
-        assert (T - T).is_zero()
-
 
 class TestOneCharacterPerBundle:
-    """A bundle is its Chern character; the rank and the reduced part are read off it."""
+    """A bundle is its Chern character; the rank and the reduction are read off it."""
 
     @SETTINGS
     @given(st.sampled_from(BUNDLE_TABLES).flatmap(bundle_arguments), st.integers(1, 4))
     def test_derived_fields_round_trip(self, args, k):
         table, truncation, rank, reduced = args
-        W = VirtualBundle(table, truncation, rank, reduced)
+        W = bundle(table, truncation, rank, reduced)
         assert W.rank == rank and type(W.rank) is int
-        assert W.reduced == reduced
+        assert W.reduce().ch() == reduced
         assert W.ch() == reduced + rank
         assert W.ch() is W.ch()
         assert W.truncation == W.ch().truncation == truncation
         assert W.reduce().ch() == W.ch() - rank
         assert W.adams(k).rank == rank
 
-    def test_reduced_truncated_below_the_bundle_is_rejected(self):
-        table = pontryagin_table(8)
-        with pytest.raises(ValueError, match="truncated at degree 4"):
-            VirtualBundle(table, 8, 1, GradedPoly.generator(table, "pX1", 4))
-
-    def test_reduced_truncated_above_the_bundle_is_cut(self):
+    def test_a_character_truncated_above_the_bundle_is_cut(self):
         table = pontryagin_table(8)
         T = tangent_complexification(table, 8)
-        W = VirtualBundle(table, 4, 8, T.reduced)
+        W = bundle(table, 4, 8, T.reduce().ch())
         assert W.truncation == W.ch().truncation == 4
         assert W.ch() == T.ch().truncate(4)
         assert W.lambda_power(2).ch() == T.lambda_power(2).ch().truncate(4)
@@ -179,9 +167,9 @@ class TestAdamsOperations:
     def test_composition_and_ring_laws(self, pair, j, k):
         """psi^k is additive and multiplicative, and psi^j psi^k = psi^(jk)."""
         x, y = pair
-        assert x.adams(j).adams(k) == x.adams(j * k)
-        assert (x + y).adams(k) == x.adams(k) + y.adams(k)
-        assert (x * y).adams(k) == x.adams(k) * y.adams(k)
+        assert x.adams(j).adams(k).ch() == x.adams(j * k).ch()
+        assert VirtualBundle._of(x.ch() + y.ch()).adams(k).ch() == x.adams(k).ch() + y.adams(k).ch()
+        assert VirtualBundle._of(x.ch() * y.ch()).adams(k).ch() == x.adams(k).ch() * y.adams(k).ch()
 
     def test_on_sum_of_line_bundles(self):
         # over formal roots, psi^k sends each line factor exp(t) to exp(k*t)
@@ -190,10 +178,10 @@ class TestAdamsOperations:
         ts = [GradedPoly.generator(roots, f"t{i}", trunc) for i in range(1, 4)]
         ch = sum((exp_truncated(t) for t in ts), GradedPoly.zero(roots, trunc))
         assert ch.constant_term == 3
-        bundle = VirtualBundle(roots, trunc, 3, ch - 3)
+        W = bundle(roots, trunc, 3, ch - 3)
         for k in (2, 3):
             expected = sum((exp_truncated(k * t) for t in ts), GradedPoly.zero(roots, trunc))
-            assert bundle.adams(k).ch() == expected
+            assert W.adams(k).ch() == expected
 
 
 class TestLambdaAndSymmetricPowers:
@@ -205,39 +193,39 @@ class TestLambdaAndSymmetricPowers:
         lines = [exp_truncated(t) for t in ts]
         ch = sum(lines, GradedPoly.zero(roots, trunc))
         assert ch.constant_term == 3
-        bundle = VirtualBundle(roots, trunc, 3, ch - 3)
+        W = bundle(roots, trunc, 3, ch - 3)
         lam2 = sum(
             (exp_truncated(ts[i] + ts[j]) for i in range(3) for j in range(i + 1, 3)),
             GradedPoly.zero(roots, trunc),
         )
         lam3 = exp_truncated(ts[0] + ts[1] + ts[2])
-        assert bundle.lambda_power(2).ch() == lam2
-        assert bundle.lambda_power(3).ch() == lam3
-        assert bundle.lambda_power(4).is_zero()
+        assert W.lambda_power(2).ch() == lam2
+        assert W.lambda_power(3).ch() == lam3
+        assert W.lambda_power(4).ch().is_zero()
         # S^2 = sum over unordered pairs with repetition
         sym2 = sum(
             (exp_truncated(ts[i] + ts[j]) for i in range(3) for j in range(i, 3)),
             GradedPoly.zero(roots, trunc),
         )
-        assert bundle.sym_power(2).ch() == sym2
+        assert W.sym_power(2).ch() == sym2
 
     @SETTINGS
     @given(bundle_pairs(), st.integers(1, 5))
     def test_lambda_additivity(self, pair, n):
         """lambda_t(x + y) = lambda_t(x) lambda_t(y): lam^n(x + y) = sum_i lam^i(x) lam^(n-i)(y)."""
         x, y = pair
-        combined = VirtualBundle.zero(x.table, min(x.truncation, y.truncation))
+        combined = GradedPoly.zero(x.table, min(x.truncation, y.truncation))
         for i in range(n + 1):
-            combined = combined + x.lambda_power(i) * y.lambda_power(n - i)
-        assert (x + y).lambda_power(n) == combined
+            combined = combined + x.lambda_power(i).ch() * y.lambda_power(n - i).ch()
+        assert VirtualBundle._of(x.ch() + y.ch()).lambda_power(n).ch() == combined
 
     @SETTINGS
     @given(st.sampled_from(BUNDLE_TABLES).flatmap(virtual_bundles), st.integers(1, 5))
     def test_sym_inverts_lambda(self, x, n):
         """S_t(x) lambda_{-t}(x) = 1: sum_i (-1)^i lam^i(x) S^(n-i)(x) = 0 for n >= 1."""
-        acc = VirtualBundle.zero(x.table, x.truncation)
+        acc = GradedPoly.zero(x.table, x.truncation)
         for i in range(n + 1):
-            acc = acc + x.lambda_power(i) * x.sym_power(n - i) * ((-1) ** i)
+            acc = acc + x.lambda_power(i).ch() * x.sym_power(n - i).ch() * ((-1) ** i)
         assert acc.is_zero()
 
     def test_rank_bookkeeping(self):
@@ -253,8 +241,9 @@ class TestLambdaAndSymmetricPowers:
 # from W itself and its exterior/symmetric powers.
 
 
-def combo_bundle(terms, W):
-    acc = VirtualBundle.zero(W.table, W.truncation)
+def combo_ch(terms, W):
+    """ch of a combination of W and its powers: a sum of products of their characters."""
+    acc = GradedPoly.zero(W.table, W.truncation)
     atoms = {
         "W": lambda: W,
         "L2": lambda: W.lambda_power(2),
@@ -263,9 +252,9 @@ def combo_bundle(terms, W):
         "S2": lambda: W.sym_power(2),
     }
     for coeff, names in terms:
-        prod = atoms[names[0]]()
+        prod = atoms[names[0]]().ch()
         for name in names[1:]:
-            prod = prod * atoms[name]()
+            prod = prod * atoms[name]().ch()
         acc = acc + prod * coeff
     return acc
 
@@ -283,42 +272,11 @@ THETA2_EXPECTED = {
 
 
 class TestForeignOperands:
-    T = tangent_complexification(pontryagin_table(8), 8)
-
-    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x", None, GradedPoly.one(pontryagin_table(8), 8)])
-    def test_add_and_sub_need_a_bundle(self, other):
-        with pytest.raises(TypeError):
-            self.T + other
-        with pytest.raises(TypeError):
-            self.T - other
-        with pytest.raises(TypeError):
-            other + self.T
-
-    @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "x", None, GradedPoly.one(pontryagin_table(8), 8)])
-    def test_mul_needs_an_int_or_a_bundle(self, other):
-        with pytest.raises(TypeError):
-            self.T * other
-        with pytest.raises(TypeError):
-            other * self.T
-
-    def test_a_reduced_part_over_another_table_or_with_a_constant_is_refused(self):
-        table = pontryagin_table(8)
-        with pytest.raises(ValueError, match="different generator table"):
-            VirtualBundle(table, 8, 0, GradedPoly.generator(pontryagin_table(8, aux=True), "pX1", 8))
-        with pytest.raises(ValueError, match="zero constant term"):
-            VirtualBundle(table, 8, 0, GradedPoly.generator(table, "pX1", 8) + 1)
-
-    def test_bundles_over_two_tables_do_not_combine(self):
+    def test_theta_series_refuses_bundles_over_two_tables(self):
+        T = tangent_complexification(pontryagin_table(8), 8)
         other = pontryagin_table(8, aux=True)
-        with pytest.raises(ValueError, match="different generator tables"):
-            self.T + tangent_complexification(other, 8)
         with pytest.raises(ValueError, match="TX and V over different generator tables"):
-            theta_series("thetaV", self.T, aux_complexification(other, 8), cap=1)
-
-    def test_ints_and_bundles_still_combine(self):
-        assert (self.T * 2).ch() == 2 * self.T.ch()
-        assert (3 * self.T).rank == 24
-        assert (self.T - self.T).is_zero()
+            theta_series("thetaV", T, aux_complexification(other, 8), cap=1)
 
 
 class TestMemoizedBundles:
@@ -332,9 +290,9 @@ class TestMemoizedBundles:
             (spinor_bundle, (table, 12)),
         ):
             memo = constructor(*args)
-            memo.lambda_power(3)  # cached powers do not enter equality
+            memo.lambda_power(3)  # cached powers leave the character as it is
             assert constructor(*args) is memo
-            assert memo == constructor.__wrapped__(*args)
+            assert memo.ch() == constructor.__wrapped__(*args).ch()
         assert tangent_complexification(pontryagin_table(12, aux=True), 12) is tangent_complexification(table, 12)
 
     def test_the_spinor_bundle_is_its_character(self):
@@ -347,7 +305,7 @@ class TestMemoizedBundles:
         T = tangent_complexification(pontryagin_table(8), 8)
         red = T.reduce()
         assert red is T.reduce()
-        assert red == VirtualBundle(T.table, 8, 0, T.reduced)
+        assert red.ch() == T.ch() - 8
         assert red.reduce() is red
         V = aux_complexification(pontryagin_table(8, aux=True), 8)
         assert V.rank == 0 and V.reduce() is V
@@ -363,14 +321,14 @@ class TestThetaPowerBundles:
         th1 = theta_series("theta1", self.TX, cap=2)
         assert th1.coefficient(0) == VirtualBundle.trivial(self.table, 8, 1).ch()
         for j2, terms in THETA1_EXPECTED.items():
-            assert th1.coefficient(j2) == combo_bundle(terms, self.W).ch()
+            assert th1.coefficient(j2) == combo_ch(terms, self.W)
         assert th1.coefficient(1).is_zero() and th1.coefficient(3).is_zero()
 
     def test_theta2_golden(self):
         th2 = theta_series("theta2", self.TX, cap=2)
         assert th2.coefficient(0) == VirtualBundle.trivial(self.table, 8, 1).ch()
         for j2, terms in THETA2_EXPECTED.items():
-            assert th2.coefficient(j2) == combo_bundle(terms, self.W).ch()
+            assert th2.coefficient(j2) == combo_ch(terms, self.W)
 
     def test_theta3_is_half_shift_of_theta2(self):
         th2 = theta_series("theta2", self.TX, cap=2)
@@ -378,7 +336,7 @@ class TestThetaPowerBundles:
         assert th2.tau_shift_half() == th3
         for j2, terms in THETA2_EXPECTED.items():
             sign = -1 if j2 % 2 else 1
-            assert th3.coefficient(j2) == combo_bundle(terms, self.W).ch() * sign
+            assert th3.coefficient(j2) == combo_ch(terms, self.W) * sign
 
     def test_goldens_numerically_on_random_values(self):
         # the same virtual-bundle identities, read off through ch at random
@@ -388,9 +346,9 @@ class TestThetaPowerBundles:
         th1 = theta_series("theta1", self.TX, cap=2)
         th2 = theta_series("theta2", self.TX, cap=2)
         for j2, terms in THETA1_EXPECTED.items():
-            assert eval_poly(th1.coefficient(j2), values) == eval_poly(combo_bundle(terms, self.W).ch(), values)
+            assert eval_poly(th1.coefficient(j2), values) == eval_poly(combo_ch(terms, self.W), values)
         for j2, terms in THETA2_EXPECTED.items():
-            assert eval_poly(th2.coefficient(j2), values) == eval_poly(combo_bundle(terms, self.W).ch(), values)
+            assert eval_poly(th2.coefficient(j2), values) == eval_poly(combo_ch(terms, self.W), values)
 
     def test_aux_theta_coefficients(self):
         table = pontryagin_table(8, aux=True)
@@ -399,8 +357,8 @@ class TestThetaPowerBundles:
         thV = theta_series("thetaV", TX, V, cap=2)
         T = TX.reduce()
         # q^1: T + 2*lam^2(V) - V(x)V + V
-        expected_q1 = T + V.lambda_power(2) * 2 - V * V + V
-        assert thV.coefficient_q(1) == expected_q1.ch()
+        expected_q1 = T.ch() + V.lambda_power(2).ch() * 2 - V.ch() * V.ch() + V.ch()
+        assert thV.coefficient_q(1) == expected_q1
         assert thV.coefficient(1).is_zero()  # no half powers: the two half-step factors cancel
 
     def test_line_theta_coefficients(self):
@@ -409,9 +367,9 @@ class TestThetaPowerBundles:
         L = line_real_complexification(table, 10)
         thL = theta_series("thetaL", TX, L, cap=2)
         T, W = TX.reduce(), L.reduce()
-        assert thL.coefficient_q(1) == (T - W).ch()
-        expected_q2 = T.sym_power(2) + T + W.lambda_power(2) - W - T * W
-        assert thL.coefficient_q(2) == expected_q2.ch()
+        assert thL.coefficient_q(1) == T.ch() - W.ch()
+        expected_q2 = T.sym_power(2).ch() + T.ch() + W.lambda_power(2).ch() - W.ch() - T.ch() * W.ch()
+        assert thL.coefficient_q(2) == expected_q2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -425,25 +383,24 @@ class TestThetaPowerBundles:
 # -- oracles: the per-term recursions and the sequential product --------------------
 #
 # The engine sums each power in one accumulator and multiplies the theta factors
-# sparsest first.  These oracles keep the plain forms: one VirtualBundle product
+# sparsest first.  These oracles keep the plain forms: one character product
 # and sum per term of the Newton recursions, and a running product times each
 # factor in turn, in the order the factors are written.
 
 
 def newton_powers(W, top):
-    """lam^n(W) and S^n(W) for n <= top, one VirtualBundle product and sum per term."""
-    one = VirtualBundle.trivial(W.table, W.truncation, 1)
+    """ch lam^n(W) and ch S^n(W) for n <= top, one product and sum per term."""
+    one = GradedPoly.one(W.table, W.truncation)
     lam, sym = [one], [one]
     for n in range(1, top + 1):
-        acc = VirtualBundle.zero(W.table, W.truncation)
+        acc = GradedPoly.zero(W.table, W.truncation)
         for i in range(1, n + 1):
-            contrib = W.adams(i) * lam[n - i]
+            contrib = W.adams(i).ch() * lam[n - i]
             acc = acc + (contrib if i % 2 else -contrib)
-        rank, rem = divmod(acc.rank, n)
-        assert not rem
-        lam.append(VirtualBundle(W.table, W.truncation, rank, acc.reduced / n))
+        assert acc.constant_term % n == 0
+        lam.append(acc / n)
     for n in range(1, top + 1):
-        acc = VirtualBundle.zero(W.table, W.truncation)
+        acc = GradedPoly.zero(W.table, W.truncation)
         for i in range(1, n + 1):
             contrib = lam[i] * sym[n - i]
             acc = acc + (contrib if i % 2 else -contrib)
@@ -465,7 +422,7 @@ def sequential_theta(kind, TX, V, cap, powers):
     T = TX.reduce()
 
     def factor(W, step2, sign, lam_or_sym):
-        ch = {k * step2: lam_or_sym[k].ch() * sign**k for k in range(2 * cap // step2 + 1)}
+        ch = {k * step2: lam_or_sym[k] * sign**k for k in range(2 * cap // step2 + 1)}
         return QHalfSeries(PolyRing(W.table, W.truncation), cap, ch)
 
     lams = []
@@ -498,8 +455,8 @@ class TestPowerOracles:
             W = random_bundle(rng, table, truncation, rank=rank)
             lam, sym = newton_powers(W, 8)
             for k in range(9):
-                assert W.lambda_power(k) == lam[k]
-                assert W.sym_power(k) == sym[k]
+                assert W.lambda_power(k).ch() == lam[k]
+                assert W.sym_power(k).ch() == sym[k]
 
 
 def _oracle_inputs():
@@ -623,11 +580,6 @@ class TestIntegerArguments:
         with pytest.raises(ValueError):
             theta_series("theta1", self.T, cap=cap)
 
-    @pytest.mark.parametrize("rank", [True, False, 2.0, "2"], ids=repr)
-    def test_virtual_bundle_rank(self, rank):
-        with pytest.raises(ValueError):
-            VirtualBundle(self.T.table, 8, rank, self.T.reduced)
-
     @pytest.mark.parametrize("k", [True, 2.0, "2"], ids=repr)
     def test_adams(self, k):
         with pytest.raises(ValueError):
@@ -643,16 +595,12 @@ class TestIntegerArguments:
         with pytest.raises(ValueError):
             self.T.sym_power(k)
 
-    @pytest.mark.parametrize("truncation", [8.7, 8.0, True, "8", 7], ids=repr)
-    def test_virtual_bundle_truncation(self, truncation):
-        with pytest.raises(ValueError):
-            VirtualBundle(self.T.table, truncation, 1)
-        with pytest.raises(ValueError):
-            VirtualBundle(self.T.table, truncation, 1, self.T.reduced)
+    @pytest.mark.parametrize("rank", [True, False, 2.0, "2", Fraction(3, 2)], ids=repr)
+    def test_trivial_bundle_rank(self, rank):
+        with pytest.raises(ValueError, match="virtual rank must be an integer"):
+            VirtualBundle.trivial(self.T.table, 8, rank)
 
-    @pytest.mark.parametrize("multiple", [True, False], ids=repr)
-    def test_bool_multiples(self, multiple):
+    @pytest.mark.parametrize("truncation", [8.7, 8.0, True, "8", 7], ids=repr)
+    def test_trivial_bundle_truncation(self, truncation):
         with pytest.raises(ValueError):
-            self.T * multiple
-        with pytest.raises(ValueError):
-            multiple * self.T
+            VirtualBundle.trivial(self.T.table, truncation, 1)

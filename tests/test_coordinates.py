@@ -254,6 +254,6 @@ def test_the_reduced_tangent_character_has_one_term_per_power_sum(dim, partition
     """The reduced ch(T~) is a sum of 2*s_m/(2m)!, m = 1..dim/4: dim/4 terms
     over the power sums, where its top degree alone has one term per
     partition of dim/4 over the Pontryagin classes."""
-    assert len(tangent_complexification(power_sum_table(dim), dim).reduced.items) == dim // 4
-    dense = tangent_complexification(pontryagin_table(dim), dim).reduced.homogeneous_component(dim)
+    assert len(tangent_complexification(power_sum_table(dim), dim).reduce().ch().items) == dim // 4
+    dense = tangent_complexification(pontryagin_table(dim), dim).reduce().ch().homogeneous_component(dim)
     assert len(dense.items) == partitions

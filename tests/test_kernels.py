@@ -43,7 +43,7 @@ from anomaly.algebra import (
     exp_truncated,
     pontryagin_table,
 )
-from anomaly.bundles import VirtualBundle, tangent_complexification, theta_series
+from anomaly.bundles import tangent_complexification, theta_series
 from anomaly.qseries import RATIONALS, PolyRing, QHalfSeries, qseries_exp
 import anomaly.theta as theta
 from anomaly.theta import (
@@ -54,7 +54,7 @@ from anomaly.theta import (
     theta_quotient,
 )
 from anomaly.verifier import impose_condition
-from oracles import naive_exp_poly, naive_log_poly, naive_substitute, t_coeffs, t_series
+from oracles import bundle, naive_exp_poly, naive_log_poly, naive_substitute, t_coeffs, t_series
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -935,17 +935,17 @@ def naive_powers(table, truncation, rank, reduced, top):
 class TestAdamsCache:
     @SETTINGS
     @given(bundles(), st.lists(st.integers(1, 5), max_size=6))
-    def test_powers_after_adams_match_the_recursion(self, bundle, warm_up):
-        table, truncation, rank, reduced = bundle
-        warm = VirtualBundle(table, truncation, rank, reduced)
+    def test_powers_after_adams_match_the_recursion(self, args, warm_up):
+        table, truncation, rank, reduced = args
+        warm = bundle(table, truncation, rank, reduced)
         for k in warm_up:
             psi = warm.adams(k)
             assert psi is warm.adams(k)
             assert psi.rank == rank
-            assert psi.reduced.terms == {
+            assert psi.reduce().ch().terms == {
                 e: c * k ** (degree(table, e) // 2) for e, c in reduced.terms.items()
             }
-        fresh = VirtualBundle(table, truncation, rank, reduced)
+        fresh = bundle(table, truncation, rank, reduced)
         lam, sym = naive_powers(table, truncation, rank, reduced, 4)
         for k in range(5):
             assert warm.lambda_power(k).ch() == lam[k] == fresh.lambda_power(k).ch()

@@ -5,11 +5,12 @@ combination atom counts as a field), each code mutation replaces one
 expression in the source of an engine function (`bundles.theta_series`,
 `bundles._lam_factor`, `qseries.eisenstein`, `algebra._exp_form`,
 `genera._log_coeffs`, `theta._log_a`, `theta._quotient_log`,
-`theta.theta_quotient`, `verifier._relation`, `verifier.eisenstein_fit`),
-and each rescaling mutation replaces one quotient kind's entry of
-`theta._RESCALINGS`; each then runs the 12 catalog specs at order 3
-in-process.  One code mutation moves only a top-degree term, so the
-family's tops differ and every dimension compares its own cuts.  The tables
+`theta.theta_quotient`, `verifier._relation`, `verifier._combo_ch`,
+`verifier.eisenstein_fit`), and each rescaling mutation replaces one
+quotient kind's entry of `theta._RESCALINGS`; each then runs the 12 catalog
+specs at order 3 in-process.  One code mutation moves only a top-degree
+term, so the family's tops differ and every dimension compares its own
+cuts.  The tables
 state which report fields must change, each keyed by (case, dim, field):
 the route comparison, the fit, an identity's status or a corollary's
 modulus.  A mutation that changes nothing fails, and so does one that
@@ -295,6 +296,23 @@ CODE_MUTATIONS = {
             18: "Thm1.25-q1 Cor1.26-a",
             22: "Thm1.27-q1 Cor1.28-a",
         }),
+    ),
+    "combo tensor product read as a sum": (
+        verifier._combo_ch,
+        verifier,  # _index_forms reads it
+        "term * _atom_ch(atom, bundles)",
+        "term + _atom_ch(atom, bundles)",
+        # the combos are read by the identity catalog alone, so no route and no fit moves: each
+        # identity whose combos hold a multi-atom term fails (spin's and spinc_l's q^2 ones, every
+        # spin_v and spin_v_line one), and the moduli, which read only coefficients, hold
+        flips("spin", {8: "Thm1.1-(1.2)", 12: "Thm1.3-(1.6)", 16: "Thm1.5-(1.10)", 20: "Thm1.7-(1.14)"})
+        | flips("spin_v", {
+            8: "Thm1.9-q1 Thm1.9-q2 Cor1.10-a Cor1.10-b",
+            12: "Thm1.12-q1 Thm1.12-q2 Cor1.13-a Cor1.13-b",
+            16: "Thm1.15-q1 Cor1.16-a",
+            20: "Thm1.18-q1 Cor1.19-a",
+        })
+        | flips("spinc_l", {10: "Thm1.21-q2", 14: "Thm1.23-q2"}),
     ),
     "fit reads lam one q-power up": (
         verifier.eisenstein_fit,

@@ -7,12 +7,13 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 import anomaly.algebra as algebra
 import anomaly.verifier as verifier
-from anomaly.algebra import GradedPoly, pontryagin_table, power_sum_table, to_pontryagin
+from anomaly.algebra import GeneratorTable, GradedPoly, exp_truncated, pontryagin_table, power_sum_table, to_pontryagin
 from anomaly.bundles import (
     VirtualBundle,
     aux_complexification,
@@ -276,7 +277,7 @@ class TestPowerSharing:
 
             def wrapper(bundle, k):
                 cache = getattr(bundle, slot)
-                value = (bundle.table, bundle.rank, frozenset(bundle.reduced.terms.items()))
+                value = (bundle.table, frozenset(bundle.ch().terms.items()))
                 for built in range(1 if cache is None else len(cache), k + 1):
                     builds[name, value, built] += 1
                 return method(bundle, k)
@@ -673,7 +674,7 @@ def _transcription_sides(sector, dim, n, combos=CATALOG_COMBOS):
         V = aux_complexification(table, dim) if sector == "V" else line_real_complexification(table, dim)
         bundles = {"T": TX.reduce(), "V": V.reduce()}
         series, scale = theta_series("theta" + sector, TX, V, cap=n), 1
-    return series.coefficient_q(n), verifier._build_combo(combos[sector][n], bundles).ch() * scale
+    return series.coefficient_q(n), verifier._combo_ch(combos[sector][n], bundles) * scale
 
 
 class TestCatalogTranscription:
@@ -695,6 +696,69 @@ class TestCatalogTranscription:
         perturbed = {**CATALOG_COMBOS, sector: {**CATALOG_COMBOS[sector], n: tuple(terms)}}
         theta_side, combo_side = _transcription_sides(sector, 12, n, perturbed)
         assert theta_side != combo_side
+
+
+# Sums of line bundles over formal Chern roots: T has the roots t1..t3 and V
+# the roots u1..u4, so each power and product has a closed form (one exp per
+# sum of roots) that uses neither the lambda-ring recursions nor `_combo_ch`.
+ROOTS = GeneratorTable([(name, 2) for name in ("t1", "t2", "t3", "u1", "u2", "u3", "u4")])
+ROOT_TRUNCATION = 6
+BASE_ROOTS = {"T": ("t1", "t2", "t3"), "V": ("u1", "u2", "u3", "u4")}
+
+
+@lru_cache(maxsize=None)
+def exp_of_roots(roots: tuple) -> GradedPoly:
+    """ch of one line bundle: exp of the sum of `roots` (a sorted tuple, repeats allowed)."""
+    zero = GradedPoly.zero(ROOTS, ROOT_TRUNCATION)
+    return exp_truncated(sum((GradedPoly.generator(ROOTS, r, ROOT_TRUNCATION) for r in roots), zero))
+
+
+def atom_root_sums(atom: str) -> list:
+    """The line summands of an atom, each as its tuple of roots: the roots
+    themselves, or their k-subsets (LkX) or k-multisets (SkX)."""
+    if atom in BASE_ROOTS:
+        return [(r,) for r in BASE_ROOTS[atom]]
+    pick = combinations if atom[0] == "L" else combinations_with_replacement
+    return list(pick(BASE_ROOTS[atom[-1]], int(atom[1:-1])))
+
+
+def combo_by_roots(combo) -> GradedPoly:
+    """ch of a combo summed line by line: a term's lines are the sums of one line of each atom."""
+    acc = GradedPoly.zero(ROOTS, ROOT_TRUNCATION)
+    for coeff, atoms in combo:
+        for lines in product(*[atom_root_sums(atom) for atom in atoms]):
+            acc = acc + exp_of_roots(tuple(sorted(sum(lines, ())))) * coeff
+    return acc
+
+
+def root_bundles() -> dict:
+    return {name: VirtualBundle._of(combo_by_roots(((1, (name,)),))) for name in BASE_ROOTS}
+
+
+class TestComboCharacters:
+    """`_combo_ch` reads each atom as the power it names, a term as the
+    tensor product of its atoms and a combo as the sum of its terms."""
+
+    @pytest.mark.parametrize("atom", ["T", "V", "L2T", "L3T", "L4T", "S2T", "S3T", "L2V", "L3V", "L4V", "S2V"])
+    def test_an_atom_is_the_power_it_names(self, atom):
+        assert verifier._combo_ch(((1, (atom,)),), root_bundles()) == combo_by_roots(((1, (atom,)),))
+
+    @pytest.mark.parametrize("atoms", [("T", "T"), ("T", "V"), ("L2V", "T"), ("V", "V", "T"), ("L2V", "L2V")], ids="*".join)
+    def test_a_term_is_the_tensor_product_of_its_atoms(self, atoms):
+        assert verifier._combo_ch(((1, atoms),), root_bundles()) == combo_by_roots(((1, atoms),))
+
+    @pytest.mark.parametrize("sector", sorted(CATALOG_COMBOS))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_catalog_combo_is_its_sum_of_lines(self, sector, n):
+        combo = CATALOG_COMBOS[sector][n]
+        assert verifier._combo_ch(combo, root_bundles()) == combo_by_roots(combo)
+
+    def test_coefficients_scale_their_terms_at_the_tangent_truncation(self):
+        bundles = root_bundles()
+        ch = verifier._combo_ch(((3, ("T",)), (-2, ("V",))), bundles)
+        assert ch == bundles["T"].ch() * 3 - bundles["V"].ch() * 2
+        assert ch.constant_term == 3 * 3 - 2 * 4
+        assert verifier._combo_ch((), bundles) == GradedPoly.zero(ROOTS, ROOT_TRUNCATION)
 
 
 # The catalog top of each identity case's family (spin_v_line rides with
@@ -758,13 +822,13 @@ class TestFamilyIdentityForms:
 
     def test_a_full_run_builds_each_form_and_table_once(self, monkeypatch, fresh_memos):
         combos = []
-        build_combo = verifier._build_combo
+        combo_ch = verifier._combo_ch
 
         def counting(combo, bundles):
             combos.append((bundles["T"].table, combo))
-            return build_combo(combo, bundles)
+            return combo_ch(combo, bundles)
 
-        monkeypatch.setattr(verifier, "_build_combo", counting)  # fresh_memos: every table counts from scratch
+        monkeypatch.setattr(verifier, "_combo_ch", counting)  # fresh_memos: every table counts from scratch
         tables = []
         init = algebra.GeneratorTable.__init__
 
@@ -786,11 +850,11 @@ class TestFamilyIdentityForms:
 
     def test_a_lone_spec_builds_nothing_above_its_dimension(self, monkeypatch):
         dims, truncations = [], []
-        table, sums, build_combo = verifier.pontryagin_table, verifier.power_sum_table, verifier._build_combo
+        table, sums, combo_ch = verifier.pontryagin_table, verifier.power_sum_table, verifier._combo_ch
         monkeypatch.setattr(verifier, "pontryagin_table", lambda dim, **kw: dims.append(dim) or table(dim, **kw))
         monkeypatch.setattr(verifier, "power_sum_table", lambda dim, **kw: dims.append(dim) or sums(dim, **kw))
         monkeypatch.setattr(
-            verifier, "_build_combo", lambda combo, bundles: truncations.append(bundles["T"].truncation) or build_combo(combo, bundles)
+            verifier, "_combo_ch", lambda combo, bundles: truncations.append(bundles["T"].truncation) or combo_ch(combo, bundles)
         )
         assert run_cases([CaseSpec("spin", 8)])[0].passed
         assert dims and set(dims) == {8}
